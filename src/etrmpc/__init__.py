@@ -8,8 +8,8 @@ decay certificates.
 """
 
 from .geometry import (HyperRect, Polytope, WeightedDistanceResult,
-                       minkowski_sum_box, pontryagin_diff, shape_ratio,
-                       support, weighted_projection)
+                       pontryagin_diff, shape_ratio, support,
+                       weighted_projection)
 from .rmpc import InfeasibleState, MpcSolution, solve_rmpc, stage_cost
 from .sim import (DisturbanceModel, SimTrace, run_closed_loop,
                   step_trigger_test, trigger_statistics)
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HyperRect", "Polytope", "WeightedDistanceResult", "support",
-    "pontryagin_diff", "minkowski_sum_box", "weighted_projection",
+    "pontryagin_diff", "weighted_projection",
     "shape_ratio",
     "LpProblem", "QpProblem", "SolveReport", "Status", "solve_lp", "solve_qp",
     "maximize_log_volume",

@@ -8,7 +8,6 @@ output file carries the config hash and seed.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -239,21 +238,17 @@ def cmd_compare(config, methods, out_dir=None, seed=None, steps=None,
     else:
         dist = base
 
-    def one(method):
-        trace = run_closed_loop(setup, config.x0, method, dist, steps)
-        return method, trace
-
     rows = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=len(methods)) as pool:
-        for method, trace in pool.map(one, methods):
-            stats = trigger_statistics(trace)
-            rows[method] = {
-                "solves": stats["solves"],
-                "mean_inter_execution": stats["mean_inter_execution"],
-                "final_value": _json_safe(trace.v_star[trace.trigger_times[-1]]),
-                "min_decay_margin": stats["min_decay_margin"],
-                "disturbance_hash": trace.disturbance_hash(),
-            }
+    for method in methods:
+        trace = run_closed_loop(setup, config.x0, method, dist, steps)
+        stats = trigger_statistics(trace)
+        rows[method] = {
+            "solves": stats["solves"],
+            "mean_inter_execution": stats["mean_inter_execution"],
+            "final_value": _json_safe(trace.v_star[trace.trigger_times[-1]]),
+            "min_decay_margin": stats["min_decay_margin"],
+            "disturbance_hash": trace.disturbance_hash(),
+        }
 
     table = {
         "provenance": {"config_sha256": config.config_hash(), "seed": seed,

@@ -11,10 +11,7 @@ workers.
 import numpy as np
 
 from . import solver
-
-# Absolute feasibility tolerance on a.x - b, used by every membership test
-# in the package.
-FEAS_TOL = 1e-8
+from .solver import FEAS_TOL  # absolute tolerance on a.x - b, package-wide
 
 
 class GeometryError(Exception):
@@ -85,15 +82,6 @@ class HyperRect:
 
     def sample(self, rng, size=None):
         return rng.uniform(self.lower, self.upper, size=(size, self.dim) if size else self.dim)
-
-    def vertices(self):
-        """All 2^n corners; only for low-dimensional test oracles."""
-        n = self.dim
-        out = np.zeros((2 ** n, n))
-        for i in range(2 ** n):
-            for j in range(n):
-                out[i, j] = self.upper[j] if (i >> j) & 1 else self.lower[j]
-        return out
 
 
 class Polytope:
@@ -223,18 +211,6 @@ def pontryagin_diff(poly, sub, image=None):
     return Polytope(A, poly.b - offs)
 
 
-def minkowski_sum_box(poly, box):
-    """H-rep of poly (+) box via facet offsets b_i + h_box(a_i).
-
-    Exact for any polytope/box pair (box support is a closed form). Used
-    for trace and visualization output only.
-    """
-    if not isinstance(box, HyperRect):
-        raise TypeError("second operand must be a HyperRect")
-    offs = np.array([box.support(poly.A[i]) for i in range(poly.A.shape[0])])
-    return Polytope(poly.A, poly.b + offs)
-
-
 class WeightedDistanceResult:
     """d_M(r, S)^2 together with the (unique) projection point."""
 
@@ -250,7 +226,9 @@ def weighted_projection(point, target, weight):
     """min (r-s)^T M (r-s) over s in target, M symmetric positive definite.
 
     Fast path: diagonal M and a box target clamp coordinatewise (exact).
-    General path: convex QP, unique minimizer since the target is convex.
+    General path: convex QP, unique minimizer since the target is convex,
+    solved to the RMPC QP's 1e-10 so that re-projected plan values agree
+    with the QP value.
     """
     r = np.asarray(point, dtype=float)
     M = np.asarray(weight, dtype=float)
@@ -272,7 +250,8 @@ def weighted_projection(point, target, weight):
         target = target.to_polytope()
     H = 2.0 * M
     g = -2.0 * (M @ r)
-    rep = solver.solve_qp(solver.QpProblem(H=H, g=g, A_in=target.A, b_in=target.b))
+    rep = solver.solve_qp(solver.QpProblem(H=H, g=g, A_in=target.A, b_in=target.b),
+                          tol=1e-10)
     if rep.status == solver.Status.INFEASIBLE:
         raise EmptySetError("projection target is empty")
     if rep.status != solver.Status.OPTIMAL:

@@ -28,19 +28,6 @@ class SolverError(Exception):
     pass
 
 
-class DegenerateCoordinate(SolverError):
-    """A box coordinate has (numerically) zero feasible width.
-
-    Carries the offending coordinate indices; the caller decides whether
-    to clamp them to zero width and retry.
-    """
-
-    def __init__(self, coords, widths):
-        self.coords = list(coords)
-        self.widths = widths
-        super().__init__(f"degenerate box coordinates {self.coords}")
-
-
 class Status(enum.Enum):
     OPTIMAL = "Optimal"
     INFEASIBLE = "Infeasible"
@@ -49,43 +36,15 @@ class Status(enum.Enum):
 
 
 class LpProblem:
-    """maximize c.x  s.t.  A x <= b, optional A_eq x = b_eq and variable
-    bounds lower <= x <= upper (unbounded by default)."""
+    """maximize c.x  s.t.  A x <= b, optional A_eq x = b_eq."""
 
-    def __init__(self, c, A=None, b=None, A_eq=None, b_eq=None,
-                 lower=None, upper=None):
+    def __init__(self, c, A=None, b=None, A_eq=None, b_eq=None):
         self.c = np.asarray(c, dtype=float).reshape(-1)
         self.A = None if A is None else np.asarray(A, dtype=float)
         self.b = None if b is None else np.asarray(b, dtype=float).reshape(-1)
         self.A_eq = None if A_eq is None else np.asarray(A_eq, dtype=float)
         self.b_eq = None if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
         _check_dims(self.c.size, self.A, self.b, self.A_eq, self.b_eq)
-        n = self.c.size
-        self.lower = np.full(n, -np.inf) if lower is None \
-            else np.asarray(lower, dtype=float).reshape(n)
-        self.upper = np.full(n, np.inf) if upper is None \
-            else np.asarray(upper, dtype=float).reshape(n)
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower bound exceeds upper bound")
-
-    def bound_rows(self):
-        """Finite variable bounds as inequality rows (G, h)."""
-        n = self.c.size
-        rows, rhs = [], []
-        for j in range(n):
-            if np.isfinite(self.upper[j]):
-                e = np.zeros(n)
-                e[j] = 1.0
-                rows.append(e)
-                rhs.append(self.upper[j])
-            if np.isfinite(self.lower[j]):
-                e = np.zeros(n)
-                e[j] = -1.0
-                rows.append(e)
-                rhs.append(-self.lower[j])
-        if not rows:
-            return np.zeros((0, n)), np.zeros(0)
-        return np.array(rows), np.array(rhs)
 
 
 class QpProblem:
@@ -215,28 +174,26 @@ def _ipm(H, g, A, b, G, h, tol, classify=True):
 
         d = z / s
         M = H + G.T @ (d[:, None] * G)
-        reg = 1e-12 * scale_d
-        K = None
-        for _ in range(6):
-            K = np.block([[M + reg * np.eye(n), A.T], [A, -reg * np.eye(p)]]) if p \
-                else M + reg * np.eye(n)
-            try:
-                np.linalg.solve(K, np.zeros(K.shape[0]))
-                break
-            except np.linalg.LinAlgError:
-                reg *= 100.0
-                K = None
-        if K is None:
-            break
 
         def solve_kkt(rx, ry):
             rhs = np.concatenate([rx, ry]) if p else rx
             sol = np.linalg.solve(K, rhs)
             return (sol[:n], sol[n:]) if p else (sol, np.zeros(0))
 
-        # Affine scaling (predictor) direction.
+        # Affine scaling (predictor) direction; a singular KKT matrix is
+        # retried with a larger regularization.
         rhs_x = -(rd + G.T @ (d * rg - z))
-        dx_a, dy_a = solve_kkt(rhs_x, -rp if p else None)
+        reg = 1e-12 * scale_d
+        for _ in range(6):
+            K = np.block([[M + reg * np.eye(n), A.T], [A, -reg * np.eye(p)]]) if p \
+                else M + reg * np.eye(n)
+            try:
+                dx_a, dy_a = solve_kkt(rhs_x, -rp if p else None)
+                break
+            except np.linalg.LinAlgError:
+                reg *= 100.0
+        else:
+            break
         ds_a = -rg - G @ dx_a
         dz_a = -z - d * ds_a
 
@@ -298,10 +255,6 @@ def solve_lp(p, tol=FEAS_TOL):
     """Maximize c.x subject to the problem's constraints."""
     n = p.c.size
     G, h = (p.A, p.b) if p.A is not None else _empty(n)
-    Gb, hb = p.bound_rows()
-    if Gb.shape[0]:
-        G = np.vstack([G, Gb])
-        h = np.concatenate([h, hb])
     A, b = (p.A_eq, p.b_eq) if p.A_eq is not None else _empty(n)
     st, x, kkt, it, cert = _ipm(np.zeros((n, n)), -p.c, A, b, G, h, tol)
     if st == Status.OPTIMAL:
@@ -395,20 +348,20 @@ def coordinate_widths(W, d):
     return np.maximum(out, 0.0)
 
 
-def maximize_log_volume(W, d, mode, active=None):
+def maximize_log_volume(W, d, mode):
     """Maximize a log-volume objective over {v >= 0 : W v <= d}.
 
     The variable v stacks the upper widths vbar (first k) and lower widths
     vund (last k) of a box around the origin. ``mode`` selects f1
     (sum of log total widths) or f2 (sum of logs of both one-sided widths).
-    ``active`` optionally masks coordinate pairs; inactive pairs are pinned
-    to zero width and excluded from the objective.
 
-    Raises DegenerateCoordinate when an active coordinate pair has feasible
-    width below 1e-9 (the caller decides the clamp), and Unbounded status
-    when some width is infinite. In f1 mode a pair may survive with one
-    side forced to zero (one-sided box); that side is fixed rather than
-    treated as degenerate.
+    A coordinate pair whose feasible width is below 1e-9 (in f1 the larger
+    side, in f2 the smaller) is degenerate: it is pinned to zero width and
+    left out of the objective. In f1 mode a pair may survive with one side
+    forced to zero (one-sided box); that side is fixed rather than treated
+    as degenerate. Returns Unbounded status when some width is infinite,
+    and MaxIter with the polished point when the barrier method stops at
+    MAX_ITER steps before converging.
     """
     W = np.asarray(W, dtype=float)
     d = np.asarray(d, dtype=float).reshape(-1)
@@ -420,88 +373,65 @@ def maximize_log_volume(W, d, mode, active=None):
     if np.min(d, initial=0.0) < -FEAS_TOL:
         raise SolverError("polyhedron infeasible at v = 0")
     d = np.maximum(d, 0.0)
-    if active is None:
-        active = np.ones(k, dtype=bool)
-    else:
-        active = np.asarray(active, dtype=bool).reshape(k)
 
     widths = coordinate_widths(W, d)
-    if np.any(np.isinf(widths[np.concatenate([active, active])])):
+    if np.any(np.isinf(widths)):
         return SolveReport(Status.UNBOUNDED, None, None, np.inf, 0)
 
     up, dn = widths[:k], widths[k:]
-    if mode == MODE_SUM_LOG_WIDTH:
-        bad = active & (np.maximum(up, dn) < 1e-9)
-    else:
-        bad = active & (np.minimum(up, dn) < 1e-9)
-    if np.any(bad):
-        raise DegenerateCoordinate(np.flatnonzero(bad).tolist(), widths)
-
-    # Live variables: members of active pairs with nonvanishing width.
-    # (mode f2 keeps both sides of every active pair by the check above.)
-    live = np.concatenate([active, active]) & (widths >= 1e-9)
-    groups = []
-    for j in np.flatnonzero(active):
-        if mode == MODE_SUM_LOG_BOTH:
-            groups.append([j])
-            groups.append([k + j])
-        else:
-            groups.append([idx for idx in (j, k + j) if live[idx]])
-    idx = np.flatnonzero(live)
-    if idx.size == 0:
+    pair_width = np.maximum(up, dn) if mode == MODE_SUM_LOG_WIDTH else np.minimum(up, dn)
+    kept = pair_width >= 1e-9
+    # Live variables: members of kept pairs with nonvanishing width.
+    live = np.tile(kept, 2) & (widths >= 1e-9)
+    if not np.any(live):
         return SolveReport(Status.OPTIMAL, np.zeros(2 * k), 0.0, 0.0, 0)
 
-    remap = -np.ones(2 * k, dtype=int)
-    remap[idx] = np.arange(idx.size)
-    groups = [[int(remap[i]) for i in g] for g in groups]
-    Wa = W[:, idx]
+    # One row of S per log term: f2 logs each side of a pair, f1 their sum.
+    pairs = np.flatnonzero(kept)
+    eye = np.eye(2 * k)
+    if mode == MODE_SUM_LOG_BOTH:
+        S = eye[np.column_stack([pairs, k + pairs]).ravel()]
+    else:
+        S = eye[pairs] + eye[k + pairs]
+    S = S[:, live]
+    Wa = W[:, live]
     keep = np.max(np.abs(Wa), axis=1) > 0
     Wa, da = Wa[keep], d[keep]
-    wid = widths[idx]
 
-    v, decrement, iters = _barrier_newton(Wa, da, groups, wid)
+    v, decrement, iters, converged = _barrier_newton(Wa, da, S, widths[live])
     if v is None:
         return SolveReport(Status.MAXITER, None, None, np.inf, iters)
-    v = _kkt_polish(Wa, da, groups, v)
+    v = _kkt_polish(Wa, da, S, v)
 
     full = np.zeros(2 * k)
-    full[idx] = v
-    obj = _group_log_volume(v, groups)
-    return SolveReport(Status.OPTIMAL, full, obj, decrement, iters)
+    full[live] = v
+    status = Status.OPTIMAL if converged else Status.MAXITER
+    return SolveReport(status, full, _log_volume(v, S), decrement, iters)
 
 
-def _group_log_volume(v, groups):
-    """sum over groups of log(sum of member variables); -inf off-domain."""
-    out = 0.0
-    for g in groups:
-        s = float(np.sum(v[g]))
-        if s <= 0:
-            return -np.inf
-        out += np.log(s)
-    return out
+def _log_volume(v, S):
+    """sum over log terms of log(S v); -inf off-domain."""
+    s = S @ v
+    if np.any(s <= 0):
+        return -np.inf
+    return sum(np.log(s).tolist())
 
 
-def _group_terms(v, groups):
-    """Gradient and Hessian of the grouped log objective."""
-    nv = v.size
-    g = np.zeros(nv)
-    H = np.zeros((nv, nv))
-    for grp in groups:
-        s = max(float(np.sum(v[grp])), 1e-150)
-        for i in grp:
-            g[i] += 1.0 / s
-            for jj in grp:
-                H[i, jj] -= 1.0 / s ** 2
-    return g, H
+def _log_volume_derivatives(v, S):
+    """Gradient S^T (1/s) and Hessian -S^T diag(1/s^2) S of the log objective."""
+    s = np.maximum(S @ v, 1e-150)
+    return S.T @ (1.0 / s), -(S.T * (1.0 / (s * s))) @ S
 
 
-def _barrier_newton(W, d, groups, wid):
+def _barrier_newton(W, d, S, wid):
     """Damped Newton on t*(-f) + barrier, t increased geometrically.
 
     Stops at a moderate duality gap; the active-set polish afterwards
     removes the remaining O(gap) bias without driving the barrier into
     its ill-conditioned regime. ``wid`` holds per-variable feasible maxima
-    used to pick a strictly interior start.
+    used to pick a strictly interior start. Returns (v, decrement,
+    iterations, converged); converged is False when MAX_ITER steps ran out
+    before the gap and decrement tests passed.
     """
     m, nv = W.shape
     v = 0.3 * np.minimum(wid, np.max(wid))
@@ -510,7 +440,7 @@ def _barrier_newton(W, d, groups, wid):
             break
         v *= 0.5
     else:
-        return None, np.inf, 0
+        return None, np.inf, 0, False
 
     n_barrier = m + nv
     t = 1.0
@@ -522,29 +452,31 @@ def _barrier_newton(W, d, groups, wid):
             slack = d - W @ v
             grad_b = W.T @ (1.0 / slack) - 1.0 / v
             hess_b = (W.T * (1.0 / slack ** 2)) @ W + np.diag(1.0 / v ** 2)
-            gf, hf = _group_terms(v, groups)
+            gf, hf = _log_volume_derivatives(v, S)
             grad = -t * gf + grad_b
             hess = -t * hf + hess_b
             step = _ridge_solve(hess, -grad)
             if step is None:
-                return (v, lam2, total_it) if np.all(np.isfinite(v)) else (None, np.inf, total_it)
+                if not np.all(np.isfinite(v)):
+                    return None, np.inf, total_it, False
+                return v, lam2, total_it, False
             lam2 = float(-grad @ step)
             if lam2 / 2.0 <= 1e-12 or total_it >= MAX_ITER:
                 break
             # Backtrack to stay strictly feasible and decrease the merit.
             alpha = 1.0
-            phi0 = _merit(v, W, d, groups, t)
+            phi0 = _merit(v, W, d, S, t)
             while alpha > 1e-14:
                 vn = v + alpha * step
                 if np.all(vn > 0) and np.all(d - W @ vn > 0):
-                    if _merit(vn, W, d, groups, t) <= phi0 - 0.01 * alpha * lam2:
+                    if _merit(vn, W, d, S, t) <= phi0 - 0.01 * alpha * lam2:
                         break
                 alpha *= 0.5
             v = v + alpha * step
         if n_barrier / t <= 1e-7 and lam2 / 2.0 <= NEWTON_TOL:
-            return v, lam2 / 2.0, total_it
+            return v, lam2 / 2.0, total_it, True
         t *= 20.0
-    return v, lam2 / 2.0, total_it
+    return v, lam2 / 2.0, total_it, False
 
 
 def _ridge_solve(Hm, rhs):
@@ -563,43 +495,42 @@ def _ridge_solve(Hm, rhs):
     return None
 
 
-def _kkt_polish(W, d, groups, v):
+def _kkt_polish(W, d, S, v):
     """Active-set Newton refinement to machine accuracy.
 
     Pins the (near-)active constraint rows and near-zero variables as
     equalities and runs equality-constrained Newton on the smooth concave
-    objective. The polished point is accepted only when it is feasible,
-    stays in the objective domain, and does not lose objective value;
-    otherwise the barrier point is returned unchanged.
+    objective. A variable that is a log term on its own is never pinned.
+    The polished point is accepted only when it is feasible, stays in the
+    objective domain, and does not lose objective value; otherwise the
+    barrier point is returned unchanged.
     """
     nv = v.size
     scale = 1.0 + float(np.max(np.abs(d), initial=0.0))
     slack = d - W @ v
     act_rows = np.flatnonzero(slack <= 1e-5 * scale)
-    singles = {g[0] for g in groups if len(g) == 1}
-    act_vars = np.array([j for j in np.flatnonzero(v <= 1e-5 * scale)
-                         if j not in singles], dtype=int)
-    E = np.vstack([W[act_rows]] + [_unit(nv, j)[None, :] for j in act_vars]) \
-        if (act_rows.size + act_vars.size) else np.zeros((0, nv))
+    single = S.T @ (S.sum(axis=1) == 1) > 0
+    act_vars = np.flatnonzero((v <= 1e-5 * scale) & ~single)
+    E = np.vstack([W[act_rows], np.eye(nv)[act_vars]])
     r = np.concatenate([d[act_rows], np.zeros(act_vars.size)])
     p = E.shape[0]
 
     vp = v.copy()
     lam = np.zeros(p)
     for _ in range(40):
-        gf, hf = _group_terms(vp, groups)
-        res_d = -gf + (E.T @ lam if p else 0.0)
-        res_p = (E @ vp - r) if p else np.zeros(0)
+        gf, hf = _log_volume_derivatives(vp, S)
+        res_d = -gf + E.T @ lam
+        res_p = E @ vp - r
         K = np.block([[-hf + 1e-13 * np.eye(nv), E.T],
-                      [E, np.zeros((p, p))]]) if p else -hf + 1e-13 * np.eye(nv)
-        sol = _ridge_solve(K, -np.concatenate([res_d, res_p]) if p else -res_d)
+                      [E, np.zeros((p, p))]])
+        sol = _ridge_solve(K, -np.concatenate([res_d, res_p]))
         if sol is None:
             return v
         dv = sol[:nv]
-        dl = sol[nv:] if p else np.zeros(0)
+        dl = sol[nv:]
         alpha = 1.0
         for _ in range(60):
-            if _group_log_volume(vp + alpha * dv, groups) > -np.inf:
+            if _log_volume(vp + alpha * dv, S) > -np.inf:
                 break
             alpha *= 0.5
         else:
@@ -613,7 +544,7 @@ def _kkt_polish(W, d, groups, v):
     vp = np.maximum(vp, 0.0)
 
     ok = (np.min(d - W @ vp, initial=np.inf) >= -1e-12 * scale
-          and _group_log_volume(vp, groups) >= _group_log_volume(v, groups))
+          and _log_volume(vp, S) >= _log_volume(v, S))
     if not ok:
         return v
     lam_rows = lam[:act_rows.size]
@@ -622,14 +553,8 @@ def _kkt_polish(W, d, groups, v):
     return vp
 
 
-def _unit(n, j):
-    e = np.zeros(n)
-    e[j] = 1.0
-    return e
-
-
-def _merit(v, W, d, groups, t):
+def _merit(v, W, d, S, t):
     slack = d - W @ v
     if np.any(slack <= 0) or np.any(v <= 0):
         return np.inf
-    return -t * _group_log_volume(v, groups) - np.sum(np.log(slack)) - np.sum(np.log(v))
+    return -t * _log_volume(v, S) - np.sum(np.log(slack)) - np.sum(np.log(v))

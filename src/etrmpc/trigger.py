@@ -172,30 +172,23 @@ def construct_box_cp(pp, q):
     """Maximum-volume box by the exact convex-program route.
 
     q=1 maximizes the product of total widths, q=2 the product of both
-    one-sided widths. Coordinates with feasible width below 1e-9 are
-    clamped to zero width and excluded from the log objective.
+    one-sided widths. Coordinates with feasible width below 1e-9 come back
+    clamped to zero width (excluded from the log objective); they are
+    reported as degenerate.
     """
     mode = solver.MODE_SUM_LOG_WIDTH if q == 1 else solver.MODE_SUM_LOG_BOTH
     k = pp.k
-    active = np.ones(k, dtype=bool)
-    degenerate = []
-    for _ in range(k + 1):
-        if not np.any(active):
-            return BoxResult(HyperRect(np.zeros(k), np.zeros(k)), degenerate, 0.0)
-        try:
-            rep = solver.maximize_log_volume(pp.W, pp.d, mode, active=active)
-        except solver.DegenerateCoordinate as exc:
-            degenerate.extend(exc.coords)
-            active[exc.coords] = False
-            continue
-        if rep.status == solver.Status.UNBOUNDED:
-            raise TriggerError("principal polytope leaves a box coordinate unbounded")
-        if rep.status != solver.Status.OPTIMAL:
-            raise TriggerError(f"volume maximization failed: {rep.status}")
-        vbar, vund = rep.x[:k], rep.x[k:]
-        box = HyperRect(-vund, vbar)
-        return BoxResult(box, sorted(degenerate), rep.objective)
-    raise TriggerError("degenerate-coordinate clamping did not terminate")
+    rep = solver.maximize_log_volume(pp.W, pp.d, mode)
+    if rep.status == solver.Status.UNBOUNDED:
+        raise TriggerError("principal polytope leaves a box coordinate unbounded")
+    # A solve stopped at the iteration cap still returns its polished,
+    # strictly feasible point; build_schedule certifies the box.
+    accepted_at_cap = rep.status == solver.Status.MAXITER and rep.x is not None
+    if rep.status != solver.Status.OPTIMAL and not accepted_at_cap:
+        raise TriggerError(f"volume maximization failed: {rep.status}")
+    vbar, vund = rep.x[:k], rep.x[k:]
+    zero = (vbar + vund == 0) if q == 1 else (vbar == 0) | (vund == 0)
+    return BoxResult(HyperRect(-vund, vbar), np.flatnonzero(zero).tolist(), rep.objective)
 
 
 def construct_box_lp(pp, q):

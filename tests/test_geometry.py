@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from etrmpc import geometry
-from etrmpc.geometry import (HyperRect, Polytope, minkowski_sum_box,
-                             pontryagin_diff, shape_ratio, support,
-                             weighted_projection)
+from etrmpc.geometry import (HyperRect, Polytope, pontryagin_diff,
+                             shape_ratio, support, weighted_projection)
 
 from oracles import enumerate_vertices, grid_projection
 
@@ -83,42 +82,18 @@ class TestPontryagin:
         assert np.allclose(res.b, 0.75 * np.ones(4), atol=1e-7)
 
     def test_erode_then_sum_is_inner(self):
+        # Pontryagin property: x in poly (-) box and w in box give x + w in poly.
         rng = np.random.default_rng(17)
         poly = Polytope(np.vstack([rng.normal(size=(5, 2)), np.eye(2), -np.eye(2)]),
                         np.concatenate([rng.uniform(0.8, 2.0, size=5), np.full(4, 3.0)]))
         box = HyperRect([-0.2, -0.3], [0.25, 0.1])
         eroded = pontryagin_diff(poly, box)
-        back = minkowski_sum_box(eroded, box)
         pts = rng.uniform(-3, 3, size=(1000, 2))
-        inside = [p for p in pts if back.contains(p, tol=0.0)]
+        inside = [p for p in pts if eroded.contains(p, tol=0.0)]
+        assert len(inside) > 50
         for p in inside:
-            assert poly.contains(p, tol=1e-9)
-
-
-class TestMinkowski:
-    def test_box_sum(self):
-        res = minkowski_sum_box(unit_box(2, 1.0), HyperRect([-0.5, -0.5], [0.5, 0.5]))
-        assert np.allclose(res.b, 1.5 * np.ones(4), atol=1e-12)
-
-    def test_zero_box_identity(self):
-        poly = Polytope([[1.0, 1.0]], [2.0])
-        res = minkowski_sum_box(poly, HyperRect([0.0, 0.0], [0.0, 0.0]))
-        assert np.array_equal(res.b, poly.b)
-
-    def test_monte_carlo_membership(self):
-        rng = np.random.default_rng(23)
-        poly = Polytope(np.vstack([rng.normal(size=(6, 2)), np.eye(2), -np.eye(2)]),
-                        np.concatenate([rng.uniform(0.5, 1.5, size=6), np.full(4, 2.0)]))
-        box = HyperRect([-0.3, -0.1], [0.2, 0.4])
-        total = minkowski_sum_box(poly, box)
-        hits = 0
-        for _ in range(10_000):
-            z = rng.uniform(-2, 2, size=2)
-            if poly.contains(z, tol=0.0):
-                d = box.sample(rng)
-                assert total.contains(z + d, tol=1e-9)
-                hits += 1
-        assert hits > 100  # sanity: the sampler actually exercised the set
+            for w in box.sample(rng, size=5):
+                assert poly.contains(p + w, tol=1e-9)
 
 
 class TestWeightedProjection:

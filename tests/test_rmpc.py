@@ -1,12 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from etrmpc.geometry import HyperRect
+from etrmpc.geometry import HyperRect, Polytope
 from etrmpc.rmpc import InfeasibleState, solve_rmpc, stage_cost
 from etrmpc.tightening import (PlantModel, build_setup, synthesize_nominal_gain,
                                synthesize_tightening_gains)
 
-from batch_reactor import X0, batch_setup
+from batch_reactor import X0, batch_plant, batch_setup
 from oracles import grid_projection
 
 
@@ -167,3 +169,22 @@ class TestLqrCrosscheck:
             F_t = -np.linalg.solve(R + B.T @ P @ B, BtPA)
             P = Q + A.T @ P @ A + BtPA.T @ F_t
         assert np.max(np.abs(sol.u[0] - F_t @ x0)) <= 1e-4
+
+
+class TestPolytopicTarget:
+    def test_cross_polytope_state_target_two_solves(self):
+        # State target {x : ||x||_1 <= 1.6} as 16 sign-vector rows: not a
+        # box, so every stage projection goes through the projection QP and
+        # the re-projected plan value must match the RMPC QP value.
+        plant = batch_plant()
+        rows = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
+        plant = PlantModel(plant.A, plant.B, X=plant.X, U=plant.U, W=plant.W,
+                           Tx=Polytope(rows, np.full(16, 1.6)), Tu=plant.Tu,
+                           Xf=plant.Xf)
+        F = synthesize_nominal_gain(plant, 2.0 * np.eye(4), 10.0 * np.eye(2))
+        K = synthesize_tightening_gains(plant, M=4, N=10)
+        setup = build_setup(plant, N=10, M=4, F=F, K=K, Q=2.0 * np.eye(4), R=np.eye(2))
+        sol = solve_rmpc(setup, X0)
+        x1 = plant.A @ X0 + plant.B @ sol.u[0]
+        sol1 = solve_rmpc(setup, x1)
+        assert sol1.value <= sol.value - sol.stage_costs[0] + 1e-6

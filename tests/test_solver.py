@@ -76,14 +76,6 @@ class TestLp:
         assert r1.x.tobytes() == r2.x.tobytes()
         assert r1.objective == r2.objective
 
-    def test_variable_bounds(self):
-        rep = solve_lp(LpProblem(c=[1.0, -2.0], lower=[-1.0, -3.0],
-                                 upper=[2.0, 5.0]))
-        assert rep.status == Status.OPTIMAL
-        assert rep.objective == pytest.approx(8.0, abs=1e-7)
-        with pytest.raises(ValueError):
-            LpProblem(c=[1.0], lower=[2.0], upper=[1.0])
-
 
 class TestQp:
     def test_min_norm_halfspace(self):
@@ -185,23 +177,36 @@ class TestLogVolume:
         assert rep.status == Status.OPTIMAL
         assert np.all(rep.x > 0)
 
-    def test_degenerate_coordinate_detected(self):
-        # vund_1 pinned to zero width.
+    def test_degenerate_pair_pinned(self):
+        # vund_1 has zero feasible width, so f2 pins the whole first pair.
         W = np.vstack([np.array([[0.0, 0.0, 1.0, 0.0]]), np.eye(4)])
         d = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(solver.DegenerateCoordinate) as ei:
-            maximize_log_volume(W, d, solver.MODE_SUM_LOG_BOTH)
-        assert ei.value.coords == [0]
-
-    def test_inactive_coordinates_pinned(self):
-        W = np.vstack([np.array([[0.0, 0.0, 1.0, 0.0]]), np.eye(4)])
-        d = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
-        rep = maximize_log_volume(W, d, solver.MODE_SUM_LOG_BOTH,
-                                  active=[False, True])
+        rep = maximize_log_volume(W, d, solver.MODE_SUM_LOG_BOTH)
         assert rep.status == Status.OPTIMAL
         assert rep.x[0] == 0.0 and rep.x[2] == 0.0
         assert rep.x[1] == pytest.approx(1.0, abs=1e-5)
         assert rep.x[3] == pytest.approx(1.0, abs=1e-5)
+        assert rep.objective == pytest.approx(0.0, abs=1e-5)
+
+    def test_one_sided_pair_kept_f1(self):
+        # The same rows under f1: the first pair keeps its upper side
+        # (a one-sided box), only vund_1 is held at zero.
+        W = np.vstack([np.array([[0.0, 0.0, 1.0, 0.0]]), np.eye(4)])
+        d = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+        rep = maximize_log_volume(W, d, solver.MODE_SUM_LOG_WIDTH)
+        assert rep.status == Status.OPTIMAL
+        assert rep.x[2] == 0.0
+        assert rep.x[0] == pytest.approx(1.0, abs=1e-5)
+        assert rep.x[1] + rep.x[3] == pytest.approx(2.0, abs=1e-5)
+        assert rep.objective == pytest.approx(np.log(2.0), abs=1e-5)
+
+    def test_all_pairs_degenerate(self):
+        W = np.vstack([np.array([[1.0, 1.0, 1.0, 1.0]]), np.eye(4)])
+        d = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+        for mode in (solver.MODE_SUM_LOG_WIDTH, solver.MODE_SUM_LOG_BOTH):
+            rep = maximize_log_volume(W, d, mode)
+            assert rep.status == Status.OPTIMAL
+            assert not rep.x.any()
 
     def test_determinism(self):
         W = np.vstack([np.array([[1.0, 0.3, 0.4, 0.9]]), np.eye(4)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from etrmpc import trigger
+from etrmpc import solver, trigger
 from etrmpc.geometry import HyperRect
 from etrmpc.rmpc import solve_rmpc
 from etrmpc.rmpc import stage_cost as rmpc_stage
@@ -180,6 +180,18 @@ class TestConstructCp:
         assert res.degenerate == [1]
         assert res.box.lower[1] == 0.0 and res.box.upper[1] == 0.0
         assert res.box.upper[0] == pytest.approx(1.0, abs=1e-6)
+
+    def test_iteration_cap_reported_and_box_accepted(self, monkeypatch):
+        pp = PrincipalPolytope.from_error_rows(ILL_SHAPED_G, ILL_SHAPED_D)
+        monkeypatch.setattr(solver, "MAX_ITER", 5)
+        rep = solver.maximize_log_volume(pp.W, pp.d, solver.MODE_SUM_LOG_BOTH)
+        assert rep.status == solver.Status.MAXITER
+        assert rep.iterations == 5
+        res = construct_box_cp(pp, q=2)
+        assert np.array_equal(res.box.upper, rep.x[:2])
+        assert np.array_equal(res.box.lower, -rep.x[2:])
+        assert res.degenerate == []
+        assert pp.box_slack(res.box) >= 0.0
 
 
 class TestConstructLp:
