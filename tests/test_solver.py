@@ -177,8 +177,19 @@ class TestLogVolume:
         assert rep.status == Status.OPTIMAL
         assert np.all(rep.x > 0)
 
-    def test_degenerate_pair_pinned(self):
-        # vund_1 has zero feasible width, so f2 pins the whole first pair.
+    def test_degenerate_coordinate_detected(self):
+        # vund_1 has zero feasible width, so f2 finds the first pair
+        # degenerate and pins both of its sides to zero.
+        W = np.vstack([np.array([[0.0, 0.0, 1.0, 0.0]]), np.eye(4)])
+        d = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+        rep = maximize_log_volume(W, d, solver.MODE_SUM_LOG_BOTH)
+        assert rep.status == Status.OPTIMAL
+        pinned = np.flatnonzero((rep.x[:2] == 0.0) & (rep.x[2:] == 0.0))
+        assert pinned.tolist() == [0]
+
+    def test_inactive_coordinates_pinned(self):
+        # The pinned pair leaves the objective; the other pair is solved
+        # as if it were alone.
         W = np.vstack([np.array([[0.0, 0.0, 1.0, 0.0]]), np.eye(4)])
         d = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
         rep = maximize_log_volume(W, d, solver.MODE_SUM_LOG_BOTH)
