@@ -302,9 +302,8 @@ def shape_ratio(poly):
     r_origin = float(np.min(poly.b / norms))
     if r_origin < -FEAS_TOL:
         raise GeometryError("origin lies outside the polytope")
-    r_origin = max(r_origin, 0.0)
-    _, r_cheb = chebyshev_center(poly)
-    if r_origin == 0.0:
+    if r_origin <= 0.0:
         return np.inf
+    _, r_cheb = chebyshev_center(poly)
     # r_c >= r_o holds mathematically; the clamp removes LP round-off.
     return max(r_cheb / r_origin, 1.0)

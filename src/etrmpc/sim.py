@@ -99,8 +99,8 @@ def _uniform_samples(W, T, rng):
     # General polytope: rejection sampling from the support bounding box.
     from . import geometry
     n = W.dim
-    lo = np.array([-geometry.support(W, -_e(n, j)) for j in range(n)])
-    hi = np.array([geometry.support(W, _e(n, j)) for j in range(n)])
+    lo = np.array([-geometry.support(W, -e) for e in np.eye(n)])
+    hi = np.array([geometry.support(W, e) for e in np.eye(n)])
     out = np.zeros((T, n))
     for t in range(T):
         for _ in range(10_000):
@@ -111,12 +111,6 @@ def _uniform_samples(W, T, rng):
         else:
             raise SimError("rejection sampling failed (set volume too small)")
     return out
-
-
-def _e(n, j):
-    e = np.zeros(n)
-    e[j] = 1.0
-    return e
 
 
 class TriggerDecision:

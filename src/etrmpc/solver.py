@@ -2,12 +2,13 @@
 
 One Mehrotra-style primal-dual interior-point loop handles both LPs
 (H = 0) and convex QPs over ``A_eq x = b_eq, A_in x <= b_in``. The
-hyper-rectangle volume objectives are maximized by a damped-Newton
-log-barrier method. No external solver dependencies; every run with the
-same inputs is bit-identical (fixed step rules, no restarts).
+hyper-rectangle volume objectives are maximized by the same scheme
+on the concave log objective, then an active-set Newton polish. No
+external solver dependencies; every run with the same inputs is
+bit-identical (fixed step rules, no restarts).
 
-Project-wide tolerances: primal/dual feasibility 1e-8, duality gap 1e-8,
-Newton decrement 1e-8, at most 200 iterations per solve.
+Project-wide tolerances: primal/dual feasibility 1e-8, duality gap
+(complementarity) 1e-8, at most 200 iterations per solve.
 """
 
 import enum
@@ -16,7 +17,6 @@ import numpy as np
 
 FEAS_TOL = 1e-8
 GAP_TOL = 1e-8
-NEWTON_TOL = 1e-8
 MAX_ITER = 200
 
 # Objective magnitude beyond which a feasible minimizing sequence is
@@ -360,8 +360,8 @@ def maximize_log_volume(W, d, mode):
     left out of the objective. In f1 mode a pair may survive with one side
     forced to zero (one-sided box); that side is fixed rather than treated
     as degenerate. Returns Unbounded status when some width is infinite,
-    and MaxIter with the polished point when the barrier method stops at
-    MAX_ITER steps before converging.
+    and MaxIter with the polished point when the interior-point loop stops
+    at MAX_ITER iterations before converging.
     """
     W = np.asarray(W, dtype=float)
     d = np.asarray(d, dtype=float).reshape(-1)
@@ -398,7 +398,7 @@ def maximize_log_volume(W, d, mode):
     keep = np.max(np.abs(Wa), axis=1) > 0
     Wa, da = Wa[keep], d[keep]
 
-    v, decrement, iters, converged = _barrier_newton(Wa, da, S, widths[live])
+    v, residual, iters, converged = _path_following(Wa, da, S, widths[live])
     if v is None:
         return SolveReport(Status.MAXITER, None, None, np.inf, iters)
     v = _kkt_polish(Wa, da, S, v)
@@ -406,7 +406,7 @@ def maximize_log_volume(W, d, mode):
     full = np.zeros(2 * k)
     full[live] = v
     status = Status.OPTIMAL if converged else Status.MAXITER
-    return SolveReport(status, full, _log_volume(v, S), decrement, iters)
+    return SolveReport(status, full, _log_volume(v, S), residual, iters)
 
 
 def _log_volume(v, S):
@@ -423,60 +423,70 @@ def _log_volume_derivatives(v, S):
     return S.T @ (1.0 / s), -(S.T * (1.0 / (s * s))) @ S
 
 
-def _barrier_newton(W, d, S, wid):
-    """Damped Newton on t*(-f) + barrier, t increased geometrically.
+def _path_following(W, d, S, wid):
+    """Mehrotra predictor-corrector on max sum log(S v), W v <= d, v >= 0.
 
-    Stops at a moderate duality gap; the active-set polish afterwards
-    removes the remaining O(gap) bias without driving the barrier into
-    its ill-conditioned regime. ``wid`` holds per-variable feasible maxima
-    used to pick a strictly interior start. Returns (v, decrement,
-    iterations, converged); converged is False when MAX_ITER steps ran out
-    before the gap and decrement tests passed.
+    ``_ipm``'s loop with the objective's curvature in place of H. Slacks
+    t = [d - W v; v] and duals u = [z; y] are iterates, so rounding in
+    d - W v never reaches a division. Each iteration builds
+    S^T diag(1/s^2) S + W^T diag(z/t) W + diag(y/v) once and solves with it
+    twice; steps stop short of the boundary, with no line search. ``wid``
+    holds per-variable feasible maxima for a strictly interior start.
+    Returns (v, residual, iterations, converged); converged is False when
+    MAX_ITER iterations ran out before u.t fell to GAP_TOL and the scaled
+    dual and row residuals to FEAS_TOL.
     """
-    m, nv = W.shape
+    m = d.size
     v = 0.3 * np.minimum(wid, np.max(wid))
     for _ in range(200):
-        if np.all(d - W @ v > 0):
+        sl = d - W @ v
+        if np.all(sl > 0):
             break
         v *= 0.5
     else:
         return None, np.inf, 0, False
+    t = np.concatenate([sl, v])
+    u = 1.0 / t
+    scale_p = 1.0 + np.max(d)
+    for it in range(MAX_ITER + 1):
+        v = t[m:]
+        gf, hf = _log_volume_derivatives(v, S)
+        rd = W.T @ u[:m] - u[m:] - gf
+        rg = W @ v + t[:m] - d
+        gap = float(u @ t)
+        res_dp = max(np.max(np.abs(rd)) / np.max(gf), np.max(np.abs(rg)) / scale_p)
+        res = max(res_dp, gap)
+        if res_dp <= FEAS_TOL and gap <= GAP_TOL:
+            return v, res, it, True
+        if it == MAX_ITER:
+            break
+        D = u / t
+        M = -hf + (W.T * D[:m]) @ W + np.diag(D[m:])
+        u_rg = np.concatenate([u[:m] * rg, np.zeros(v.size)])
 
-    n_barrier = m + nv
-    t = 1.0
-    total_it = 0
-    lam2 = np.inf
-    while total_it < MAX_ITER:
-        for _ in range(60):
-            total_it += 1
-            slack = d - W @ v
-            grad_b = W.T @ (1.0 / slack) - 1.0 / v
-            hess_b = (W.T * (1.0 / slack ** 2)) @ W + np.diag(1.0 / v ** 2)
-            gf, hf = _log_volume_derivatives(v, S)
-            grad = -t * gf + grad_b
-            hess = -t * hf + hess_b
-            step = _ridge_solve(hess, -grad)
-            if step is None:
-                if not np.all(np.isfinite(v)):
-                    return None, np.inf, total_it, False
-                return v, lam2, total_it, False
-            lam2 = float(-grad @ step)
-            if lam2 / 2.0 <= 1e-12 or total_it >= MAX_ITER:
-                break
-            # Backtrack to stay strictly feasible and decrease the merit.
-            alpha = 1.0
-            phi0 = _merit(v, W, d, S, t)
-            while alpha > 1e-14:
-                vn = v + alpha * step
-                if np.all(vn > 0) and np.all(d - W @ vn > 0):
-                    if _merit(vn, W, d, S, t) <= phi0 - 0.01 * alpha * lam2:
-                        break
-                alpha *= 0.5
-            v = v + alpha * step
-        if n_barrier / t <= 1e-7 and lam2 / 2.0 <= NEWTON_TOL:
-            return v, lam2 / 2.0, total_it, True
-        t *= 20.0
-    return v, lam2 / 2.0, total_it, False
+        def direction(c):
+            """Newton step for the complementarity target t*u -> c."""
+            q = (c + u_rg) / t
+            dv = _ridge_solve(M, -rd - W.T @ q[:m] + q[m:])
+            if dv is None:
+                return None
+            dt = np.concatenate([-rg - W @ dv, dv])
+            return dt, (c - u * dt) / t
+
+        step = direction(-t * u)
+        if step is None:
+            break
+        dt_a, du_a = step
+        gap_aff = float((u + _max_step(u, du_a) * du_a) @ (t + _max_step(t, dt_a) * dt_a))
+        sigma_mu = (gap_aff / gap) ** 3 * gap / t.size
+        step = direction(sigma_mu - t * u - dt_a * du_a)
+        if step is None:
+            break
+        dt, du = step
+        alpha = 0.995 * min(_max_step(t, dt), _max_step(u, du))
+        t = t + alpha * dt
+        u = u + alpha * du
+    return v, res, it, False
 
 
 def _ridge_solve(Hm, rhs):
@@ -503,7 +513,7 @@ def _kkt_polish(W, d, S, v):
     objective. A variable that is a log term on its own is never pinned.
     The polished point is accepted only when it is feasible, stays in the
     objective domain, and does not lose objective value; otherwise the
-    barrier point is returned unchanged.
+    interior-point iterate is returned unchanged.
     """
     nv = v.size
     scale = 1.0 + float(np.max(np.abs(d), initial=0.0))
@@ -519,9 +529,13 @@ def _kkt_polish(W, d, S, v):
     lam = np.zeros(p)
     for _ in range(40):
         gf, hf = _log_volume_derivatives(vp, S)
+        # f1 is flat along the split of a width into vbar and vund; where the
+        # pinned rows leave it free, the proximal term keeps rounding in the
+        # residual from moving the point along it.
+        prox = 1e-8 * (1.0 + np.max(np.abs(hf))) * np.eye(nv)
         res_d = -gf + E.T @ lam
         res_p = E @ vp - r
-        K = np.block([[-hf + 1e-13 * np.eye(nv), E.T],
+        K = np.block([[-hf + prox, E.T],
                       [E, np.zeros((p, p))]])
         sol = _ridge_solve(K, -np.concatenate([res_d, res_p]))
         if sol is None:
@@ -551,10 +565,3 @@ def _kkt_polish(W, d, S, v):
     if lam_rows.size and np.min(lam_rows) < -1e-6:
         return v
     return vp
-
-
-def _merit(v, W, d, S, t):
-    slack = d - W @ v
-    if np.any(slack <= 0) or np.any(v <= 0):
-        return np.inf
-    return -t * _log_volume(v, S) - np.sum(np.log(slack)) - np.sum(np.log(v))

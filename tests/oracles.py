@@ -109,3 +109,41 @@ def grid_box_volume(W, d, mode, n=200):
         vol = np.where(feas, vol, 0.0)
         best = max(best, float(np.max(vol, initial=0.0)))
     return best
+
+
+def slsqp_log_volume(W, d, mode):
+    """scipy SLSQP optimum of the log-volume over {v >= 0 : W v <= d}.
+
+    For problems whose every variable has a positive feasible width.
+    Works in variables scaled by those widths (z = v / width, 0 <= z <= 1)
+    and starts from z = 1 / (2 nv), strictly inside every row.
+    """
+    from scipy.optimize import minimize
+
+    W = np.asarray(W, dtype=float)
+    d = np.asarray(d, dtype=float)
+    nv = W.shape[1]
+    k = nv // 2
+    width = np.array([np.min(d[W[:, j] > 0] / W[W[:, j] > 0, j]) for j in range(nv)])
+    if mode == "sum_log_width":
+        S = np.hstack([np.eye(k), np.eye(k)])
+    else:
+        S = np.eye(nv)
+    S = S * width
+    Wz = W * width
+
+    def f(z):
+        s = S @ z
+        if np.any(s <= 0):
+            return np.inf, np.zeros_like(z)
+        return -float(np.sum(np.log(s))), -(S.T @ (1.0 / s))
+
+    res = minimize(f, np.full(nv, 1.0 / (2 * nv)), jac=True, method="SLSQP",
+                   bounds=[(0.0, 1.0)] * nv,
+                   constraints=[{"type": "ineq", "fun": lambda z: d - Wz @ z,
+                                 "jac": lambda z: -Wz}],
+                   options={"ftol": 1e-15, "maxiter": 1000})
+    # Shrink SLSQP's point into the rows so that its value is attainable.
+    z = np.clip(res.x, 0.0, 1.0)
+    z *= min(1.0, float(np.min(d / np.maximum(Wz @ z, 1e-300))))
+    return float(np.sum(np.log(S @ z)))

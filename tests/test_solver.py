@@ -5,7 +5,8 @@ from etrmpc import solver
 from etrmpc.solver import (LpProblem, QpProblem, Status, maximize_log_volume,
                            solve_lp, solve_qp)
 
-from oracles import grid_box_volume, lp_max_by_vertices, projected_gradient_qp
+from oracles import (grid_box_volume, lp_max_by_vertices, projected_gradient_qp,
+                     slsqp_log_volume)
 
 
 def box_rows(n, half):
@@ -169,6 +170,42 @@ class TestLogVolume:
             assert vol >= best * 0.99
             # Certified feasibility bounds the other side.
             assert np.max(W @ rep.x - d) <= 1e-8
+
+    @pytest.mark.parametrize("mode", [solver.MODE_SUM_LOG_WIDTH,
+                                      solver.MODE_SUM_LOG_BOTH])
+    def test_random_problems_match_slsqp(self, mode):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(5)
+        for _ in range(15):
+            k = int(rng.integers(2, 4))
+            m = int(rng.integers(3, 9))
+            W = rng.uniform(0.0, 2.0, size=(m, 2 * k))
+            W[W < 0.6] = 0.0
+            W = np.vstack([W, np.eye(2 * k)])
+            d = np.concatenate([rng.uniform(0.2, 2.0, size=m),
+                                rng.uniform(0.5, 3.0, size=2 * k)])
+            rep = maximize_log_volume(W, d, mode)
+            assert rep.status == Status.OPTIMAL
+            assert np.max(W @ rep.x - d) <= 1e-12 * (1.0 + np.max(d))
+            assert rep.objective >= slsqp_log_volume(W, d, mode) - 1e-9
+
+    def test_f1_split_independent_of_row_order(self):
+        # The rows fix only vbar_1 + vbar_2 and vund_1 + vund_2, so the f1
+        # optimum is a segment along which both widths keep their value
+        # while their split between vbar and vund moves. Reordering the
+        # rows must not move the returned point along it. Each column of W
+        # has two nonzeros, so the products W v, W^T z and W^T D W of the
+        # interior-point loop are exact in any row order.
+        G = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [-1.0, 0.0],
+                      [0.0, 1.0], [0.0, -1.0]])
+        W = np.hstack([np.maximum(G, 0.0), np.maximum(-G, 0.0)])
+        d = np.array([1.0, 1.5, 2.0, 2.0, 2.0, 2.0])
+        ref = maximize_log_volume(W, d, solver.MODE_SUM_LOG_WIDTH)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            perm = rng.permutation(d.size)
+            rep = maximize_log_volume(W[perm], d[perm], solver.MODE_SUM_LOG_WIDTH)
+            assert np.max(np.abs(rep.x - ref.x)) <= 1e-9
 
     def test_strictly_positive_widths_f2(self):
         W = np.vstack([np.array([[1.0, 0.2, 0.5, 0.1]]), np.eye(4)])
