@@ -339,13 +339,8 @@ def coordinate_widths(W, d):
     d = np.asarray(d, dtype=float).reshape(-1)
     if np.min(W, initial=0.0) < -1e-12:
         raise ValueError("coordinate_widths expects a nonnegative constraint matrix")
-    out = np.full(W.shape[1], np.inf)
-    for j in range(W.shape[1]):
-        col = W[:, j]
-        mask = col > 0
-        if np.any(mask):
-            out[j] = float(np.min(d[mask] / col[mask]))
-    return np.maximum(out, 0.0)
+    ratios = np.divide(d[:, None], W, out=np.full(W.shape, np.inf), where=W > 0)
+    return np.maximum(np.min(ratios, axis=0, initial=np.inf), 0.0)
 
 
 def maximize_log_volume(W, d, mode):
@@ -490,17 +485,19 @@ def _path_following(W, d, S, wid):
 
 
 def _ridge_solve(Hm, rhs):
-    scale = np.max(np.abs(Hm))
-    if not np.isfinite(scale):
-        return None
+    """Solve Hm x = rhs; when that fails, retry up to seven times with a
+    diagonal ridge growing 100-fold from 1e-14 of the largest entry."""
     reg = 0.0
     for _ in range(8):
         try:
-            out = np.linalg.solve(Hm + reg * np.eye(Hm.shape[0]), rhs)
+            out = np.linalg.solve(Hm + reg * np.eye(Hm.shape[0]) if reg else Hm, rhs)
             if np.all(np.isfinite(out)):
                 return out
         except np.linalg.LinAlgError:
             pass
+        scale = np.max(np.abs(Hm))
+        if not np.isfinite(scale):
+            return None
         reg = max(reg * 100.0, 1e-14 * max(scale, 1.0))
     return None
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import HyperRect, Polytope, pontryagin_diff, support
+from .trigger import PrincipalRows
 
 NILPOTENCY_TOL = 1e-8
 RICCATI_TOL = 1e-10
@@ -332,7 +333,8 @@ class RmpcSetup:
 
     Built by :func:`build_setup`; holds the plant, horizon data, gains,
     transition matrices (plain and shifted), the four tightened set
-    sequences and the cost weights.
+    sequences, the cost weights and the plan-independent principal rows
+    of the triggering sets.
     """
 
     def __init__(self, plant, N, M, F, K, L, Ktilde, Ltilde,
@@ -352,6 +354,7 @@ class RmpcSetup:
         self.Q = Q
         self.R = R
         self.report = report
+        self.principal_rows = PrincipalRows(self)
 
     @property
     def nx(self):

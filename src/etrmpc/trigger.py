@@ -115,50 +115,65 @@ class PrincipalPolytope:
         return float(np.min(self.d - self.W @ v)) if self.d.size else np.inf
 
 
+class PrincipalRows:
+    """G, W and meta of the principal rows, which depend on the setup only.
+
+    ``blocks`` lists each (family, stage) as (family, candidate attribute,
+    stage, set, indices of its surviving facets); a plan only moves the
+    offsets, and every block is checked, even one whose rows all vanish.
+    """
+
+    def __init__(self, setup):
+        families = (
+            ("state", "phi_tilde", setup.Xseq, False),
+            ("input", "u_tilde", setup.Useq, True),
+            ("slack_state", "sx_tilde", setup.TXseq, False),
+            ("slack_input", "su_tilde", setup.TUseq, True),
+        )
+        self.blocks, Gs, self.meta = [], [], []
+        for name, attr, sets, via_gain in families:
+            for i in range(setup.N):
+                S = sets[i]
+                Mhat = setup.Ktilde[i] @ setup.Ltilde[i] if via_gain else setup.Ltilde[i]
+                # Blocks with a vanishing map (nilpotent tail) only check.
+                if np.linalg.norm(Mhat, "fro") <= ZERO_BLOCK_TOL:
+                    keep = np.zeros(0, dtype=int)
+                else:
+                    Gblock = S.A @ Mhat
+                    keep = np.flatnonzero(np.any(Gblock != 0.0, axis=1))
+                    Gs.append(Gblock[keep])
+                    self.meta.extend((name, i, int(r)) for r in keep)
+                self.blocks.append((name, attr, i, S, keep))
+        self.G = np.vstack(Gs) if Gs else np.zeros((0, setup.nx))
+        self.W = np.hstack([np.maximum(self.G, 0.0), np.maximum(-self.G, 0.0)])
+        self.G.flags.writeable = self.W.flags.writeable = False
+
+
 def assemble_principal(setup, cand, j=None):
     """Vertex-support rows for all 4N set constraints of splice index j.
 
-    Rows whose mapped direction vanishes (nilpotent tail blocks) reduce to
-    plain feasibility checks on the candidate: they are validated against
-    the feasibility tolerance and dropped. Raises InfeasibleCandidate when
-    any check fails.
+    Takes the rows from ``setup.principal_rows`` and computes the offsets
+    b - a.xi. Rows whose mapped direction vanishes (nilpotent tail blocks)
+    reduce to plain feasibility checks on the candidate: they are checked
+    against the feasibility tolerance and dropped. Raises
+    InfeasibleCandidate when any check fails.
     """
     if j is None:
         j = cand.j
-    N, k = setup.N, setup.nx
-    families = (
-        ("state", cand.phi_tilde, setup.Xseq, lambda i: setup.Ltilde[i]),
-        ("input", cand.u_tilde, setup.Useq, lambda i: setup.Ktilde[i] @ setup.Ltilde[i]),
-        ("slack_state", cand.sx_tilde, setup.TXseq, lambda i: setup.Ltilde[i]),
-        ("slack_input", cand.su_tilde, setup.TUseq, lambda i: setup.Ktilde[i] @ setup.Ltilde[i]),
-    )
-    Wrows, ds, Gs, meta = [], [], [], []
-    for name, points, sets, mat in families:
-        for i in range(N):
-            S = sets[i]
-            Mhat = mat(i)
-            zero_block = np.linalg.norm(Mhat, "fro") <= ZERO_BLOCK_TOL
-            xi = points[i]
-            offs = S.b - S.A @ xi
-            bad = np.min(offs)
-            if bad < -FEAS_TOL:
-                raise InfeasibleCandidate(
-                    f"candidate j={j}: {name}[{i}] violates facet by {-bad:.3e}")
-            if zero_block:
-                continue
-            Gblock = S.A @ Mhat
-            for r in range(S.A.shape[0]):
-                g = Gblock[r]
-                if np.all(g == 0.0):
-                    continue
-                w = np.concatenate([np.maximum(g, 0.0), np.maximum(-g, 0.0)])
-                Wrows.append(w)
-                ds.append(max(offs[r], 0.0))
-                Gs.append(g)
-                meta.append((name, i, r))
-    if not Wrows:
+    rows = setup.principal_rows
+    ds = []
+    for name, attr, i, S, keep in rows.blocks:
+        offs = S.b - S.A @ getattr(cand, attr)[i]
+        bad = np.min(offs)
+        if bad < -FEAS_TOL:
+            raise InfeasibleCandidate(
+                f"candidate j={j}: {name}[{i}] violates facet by {-bad:.3e}")
+        ds.append(offs[keep])
+    if not rows.meta:
         raise TriggerError(f"no active rows at j={j}: error space unconstrained")
-    return PrincipalPolytope(k, np.array(Wrows), np.array(ds), np.array(Gs), meta)
+    d = np.concatenate(ds)
+    d[d < 0.0] = 0.0
+    return PrincipalPolytope(setup.nx, rows.W, d, rows.G, rows.meta)
 
 
 class BoxResult:
@@ -194,10 +209,10 @@ def construct_box_cp(pp, q):
 def construct_box_lp(pp, q):
     """Maximum-volume r-constrained box by the linear-program relaxation.
 
-    q=1: per-coordinate segment LPs in error space, then one scaling LP
-    over the segment profile. q=2: per-direction widths of the lifted
-    polytope (single-variable LPs, solved in closed form by row ratios)
-    and a scalar scaling step.
+    Both use the per-direction widths of the lifted polytope (single-
+    variable LPs, solved in closed form by row ratios). q=1: one scaling
+    LP over the segment profile, each coordinate's two widths summed.
+    q=2: a scalar scaling step over the widths themselves.
     """
     if q == 1:
         return _lp1_box(pp)
@@ -206,67 +221,48 @@ def construct_box_lp(pp, q):
     raise ValueError(f"q must be 1 or 2, got {q}")
 
 
-def _lp_point(rep, what):
-    """Optimal point, or a near-converged iterate (the relaxation is
-    allowed to be conservative; the built box is re-certified and scaled
-    back into the rows afterwards)."""
-    if rep.status == solver.Status.OPTIMAL:
-        return rep.x
-    if (rep.status == solver.Status.MAXITER and rep.x is not None
-            and rep.kkt_residual <= 1e-6):
-        return rep.x
-    raise TriggerError(f"{what} failed: {rep.status}")
-
-
 def _lp1_box(pp):
     k = pp.k
     G, d = pp.G, pp.d
-    m = G.shape[0]
-    r = np.zeros(k)
-    for j in range(k):
-        # max omega s.t. both segment ends in the polytope, z <= 0 <= z + omega e_j.
-        nv = k + 1
-        ej = np.zeros(k)
-        ej[j] = 1.0
-        rows = [np.hstack([G, np.zeros((m, 1))]),
-                np.hstack([G, (G @ ej)[:, None]]),
-                np.hstack([np.eye(k), np.zeros((k, 1))]),
-                np.hstack([-np.eye(k), -ej[:, None]])]
-        rhs = [d, d, np.zeros(k), np.zeros(k)]
-        c = np.zeros(nv)
-        c[-1] = 1.0
-        rep = solver.solve_lp(solver.LpProblem(
-            c=c, A=np.vstack(rows), b=np.concatenate(rhs)))
-        omega = _lp_point(rep, f"segment LP on coordinate {j}")[-1]
-        # Segments below the degenerate-width threshold collapse to
-        # zero-width coordinates (kept out of the scaling LP).
-        r[j] = omega if omega > 1e-9 else 0.0
+    # Longest axis segment through the origin along e_j: with every other
+    # coordinate pinned at zero it runs from -w[k+j] to w[j], the one-sided
+    # widths of the lifted polytope. Segments below the degenerate-width
+    # threshold collapse to zero-width coordinates.
+    w = solver.coordinate_widths(pp.W, d)
+    if np.any(np.isinf(w)):
+        raise TriggerError("principal polytope leaves a box coordinate unbounded")
+    r = w[:k] + w[k:]
+    r[r <= 1e-9] = 0.0
 
     degenerate = np.flatnonzero(r == 0.0).tolist()
     act = r > 0.0
     if not np.any(act):
         return BoxResult(HyperRect(np.zeros(k), np.zeros(k)), degenerate)
-    # Scaling LP over the non-degenerate coordinates: max lambda with the
-    # r-profile box anchored at z <= 0 (zero-width coordinates pin z_j = 0).
-    Ga = G[:, act]
+    # Scaling LP over (z, lambda) for the non-degenerate coordinates: max
+    # lambda with the r-profile box [z, z + lambda r] in the rows and
+    # z <= 0 <= z + lambda r (zero-width coordinates pin z_j = 0).
     ka = int(np.sum(act))
-    ra = r[act]
-    Gpos = np.maximum(G, 0.0)
-    nv = ka + 1
-    rows = [np.hstack([Ga, (Gpos @ r)[:, None]]),
-            np.hstack([np.eye(ka), np.zeros((ka, 1))]),
-            np.hstack([-np.eye(ka), -ra[:, None]]),
-            np.hstack([np.zeros((1, ka)), -np.ones((1, 1))])]
-    rhs = [d, np.zeros(ka), np.zeros(ka), np.zeros(1)]
-    c = np.zeros(nv)
-    c[-1] = 1.0
+    eye = np.eye(ka + 1)
+    A = np.vstack([np.hstack([G[:, act], (np.maximum(G, 0.0) @ r)[:, None]]),
+                   eye[:ka],
+                   np.hstack([-eye[:ka, :ka], -r[act][:, None]]),
+                   np.hstack([eye[ka, :ka], -1.0])])
     rep = solver.solve_lp(solver.LpProblem(
-        c=c, A=np.vstack(rows), b=np.concatenate(rhs)))
-    point = _lp_point(rep, "scaling LP")
+        c=eye[ka], A=A, b=np.concatenate([d, np.zeros(2 * ka + 1)])))
+    # A near-converged iterate will do: the box is fit into the rows below.
+    near = (rep.status == solver.Status.MAXITER and rep.x is not None
+            and rep.kkt_residual <= 1e-6)
+    if rep.status != solver.Status.OPTIMAL and not near:
+        raise TriggerError(f"scaling LP failed: {rep.status}")
     z = np.zeros(k)
-    z[act] = np.minimum(point[:ka], 0.0)
-    lam = max(point[-1], 0.0)
-    upper = np.maximum(z + lam * r, 0.0)
+    z[act] = np.minimum(rep.x[:ka], 0.0)
+    lam = max(rep.x[-1], 0.0)
+    # No box end in the rows reaches past the one-sided width w of its
+    # axis. Holding the LP point to w keeps its rounding (z_j = -3e-17
+    # where w = 0, say) off rows with zero offset, which _fit_into_rows
+    # would otherwise answer by shrinking the whole box to the origin.
+    z = np.where(-z > w[k:], -w[k:], z)
+    upper = np.minimum(np.maximum(z + lam * r, 0.0), w[:k])
     return BoxResult(_fit_into_rows(pp, HyperRect(z, upper)), degenerate)
 
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's solver paths: vertex enumeration,
-grid search, Monte Carlo and long-running projected gradient only.
+grid search, Monte Carlo, long-running projected gradient, and scipy's
+SLSQP and HiGHS (callers skip without scipy).
 """
 
 import itertools
@@ -147,3 +148,46 @@ def slsqp_log_volume(W, d, mode):
     z = np.clip(res.x, 0.0, 1.0)
     z *= min(1.0, float(np.min(d / np.maximum(Wz @ z, 1e-300))))
     return float(np.sum(np.log(S @ z)))
+
+
+def _highs_max(c, A, b):
+    """HiGHS optimum of max c.x s.t. A x <= b, x free; +inf if unbounded."""
+    from scipy.optimize import linprog
+
+    res = linprog(-np.asarray(c, dtype=float), A_ub=A, b_ub=b,
+                  bounds=[(None, None)] * len(c), method="highs")
+    if res.status == 3:
+        return np.inf
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
+def highs_segment_length(G, d, j):
+    """Longest segment [z, z + omega e_j] through the origin in {G e <= d}.
+
+    The LP over (z, omega): both ends in the polytope, z <= 0 and
+    z + omega e_j >= 0, which pins every other coordinate at zero.
+    """
+    G = np.asarray(G, dtype=float)
+    m, k = G.shape
+    ej = np.eye(k)[j]
+    A = np.vstack([np.hstack([G, np.zeros((m, 1))]),
+                   np.hstack([G, (G @ ej)[:, None]]),
+                   np.hstack([np.eye(k), np.zeros((k, 1))]),
+                   np.hstack([-np.eye(k), -ej[:, None]])])
+    b = np.concatenate([d, d, np.zeros(k), np.zeros(k)])
+    return _highs_max(np.eye(k + 1)[k], A, b)
+
+
+def highs_lp1_scaling(G, d, r):
+    """Largest lambda such that some box [z, z + lambda r] with z <= 0 <=
+    z + lambda r lies in {G e <= d}; coordinates with r_j = 0 stay at 0."""
+    G = np.asarray(G, dtype=float)
+    act = r > 0
+    ka = int(np.sum(act))
+    A = np.vstack([np.hstack([G[:, act], (np.maximum(G, 0.0) @ r)[:, None]]),
+                   np.hstack([np.eye(ka), np.zeros((ka, 1))]),
+                   np.hstack([-np.eye(ka), -r[act][:, None]]),
+                   np.eye(ka + 1)[ka:] * -1.0])
+    b = np.concatenate([d, np.zeros(2 * ka + 1)])
+    return _highs_max(np.eye(ka + 1)[ka], A, b)

@@ -207,9 +207,11 @@ class TestOtherConstructions:
         assert trigger_statistics(tr)["solves"] <= 30
 
     def test_lp1_degenerate_scaling_regression(self, setup):
-        # Seed 5 drives a plan whose zero-offset slack rows pin the box
-        # corner at the origin while two segment lengths sit barely above
-        # the degenerate threshold; the scaling step must survive that.
+        # Seed 5 drives plans whose zero-offset slack rows pin the box
+        # corner at the origin and give some coordinates a segment length
+        # of exactly 0. (Interior-point segment LPs once reported 6e-9 to
+        # 1.5e-8 there, two in one box, just above the degenerate
+        # threshold.) The scaling step must handle those coordinates.
         tr = run_closed_loop(setup, X0, "LP1",
                              DisturbanceModel("uniform", seed=5), T=60)
         assert np.max(np.abs(tr.x)) <= 2.0 + 1e-8

@@ -13,7 +13,7 @@ from etrmpc.trigger import (CP1, CP2, LP1, LP2, PrincipalPolytope,
                             volumes)
 
 from batch_reactor import X0, batch_setup
-from oracles import grid_box_volume
+from oracles import grid_box_volume, highs_lp1_scaling, highs_segment_length
 
 
 # Hand-verified 2D polytopes (rows are in error coordinates, origin inside).
@@ -135,6 +135,80 @@ class TestPrincipal:
         with pytest.raises(trigger.InfeasibleCandidate):
             PrincipalPolytope.from_error_rows(np.array([[1.0]]), np.array([-1.0]))
 
+    def test_rows_match_per_row_build(self):
+        setup = batch_setup()
+        sol = solve_rmpc(setup, X0)
+        for j in range(1, setup.N):
+            cand = build_candidates(setup, sol, j)
+            pp = assemble_principal(setup, cand)
+            W, d, G, meta = _per_row_principal(setup, cand, j)
+            for got, want in ((pp.W, W), (pp.d, d), (pp.G, G)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert list(pp.meta) == meta
+
+    def test_infeasible_candidate_message(self):
+        setup = batch_setup()
+        sol = solve_rmpc(setup, X0)
+        cand = build_candidates(setup, sol, 3)
+        cand.u_tilde[2] = cand.u_tilde[2] + 5.0
+        with pytest.raises(trigger.InfeasibleCandidate) as want:
+            _per_row_principal(setup, cand, 3)
+        with pytest.raises(trigger.InfeasibleCandidate) as got:
+            assemble_principal(setup, cand)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("candidate j=3: input[2] violates facet by")
+
+    def test_rows_built_once_per_setup(self, monkeypatch):
+        built = []
+        init = trigger.PrincipalRows.__init__
+
+        def counting(self, setup):
+            built.append(setup)
+            init(self, setup)
+
+        monkeypatch.setattr(trigger.PrincipalRows, "__init__", counting)
+        setup = small_setup()
+        assert len(built) == 1
+        sol = solve_rmpc(setup, [1.0, -0.5])
+        sch = build_schedule(setup, sol, LP2)
+        assert len(built) == 1
+        for pp in sch.principals:
+            assert pp.G is setup.principal_rows.G and pp.W is setup.principal_rows.W
+
+
+def _per_row_principal(setup, cand, j):
+    """Reference build of the principal rows, one facet row at a time."""
+    families = (
+        ("state", cand.phi_tilde, setup.Xseq, lambda i: setup.Ltilde[i]),
+        ("input", cand.u_tilde, setup.Useq, lambda i: setup.Ktilde[i] @ setup.Ltilde[i]),
+        ("slack_state", cand.sx_tilde, setup.TXseq, lambda i: setup.Ltilde[i]),
+        ("slack_input", cand.su_tilde, setup.TUseq,
+         lambda i: setup.Ktilde[i] @ setup.Ltilde[i]),
+    )
+    Wrows, ds, Gs, meta = [], [], [], []
+    for name, points, sets, mat in families:
+        for i in range(setup.N):
+            S = sets[i]
+            Mhat = mat(i)
+            offs = S.b - S.A @ points[i]
+            bad = np.min(offs)
+            if bad < -1e-8:
+                raise trigger.InfeasibleCandidate(
+                    f"candidate j={j}: {name}[{i}] violates facet by {-bad:.3e}")
+            if np.linalg.norm(Mhat, "fro") <= 1e-8:
+                continue
+            Gblock = S.A @ Mhat
+            for r in range(S.A.shape[0]):
+                g = Gblock[r]
+                if np.all(g == 0.0):
+                    continue
+                Wrows.append(np.concatenate([np.maximum(g, 0.0), np.maximum(-g, 0.0)]))
+                ds.append(max(offs[r], 0.0))
+                Gs.append(g)
+                meta.append((name, i, r))
+    return np.array(Wrows), np.array(ds), np.array(Gs), meta
+
 
 class TestConstructCp:
     def test_symmetric_square_q2(self):
@@ -226,6 +300,27 @@ class TestConstructLp:
         assert volumes(lp.box)[0] == pytest.approx(3.1 * (40.0 / 41.0) ** 2, rel=1e-6)
         assert volumes(lp.box)[0] < volumes(cp.box)[0] - 1e-3
 
+    def test_lp1_rounding_at_zero_offset_row_keeps_box(self, monkeypatch):
+        # Row -e_0 <= 0 pins the lower end of coordinate 0 at the origin.
+        # A scaling-LP point with z_0 = -3e-17 instead of 0 must not make
+        # the box shrink to the origin against that row.
+        G = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        pp = PrincipalPolytope.from_error_rows(G, np.array([0.0, 1.0, 1.0, 1.0]))
+        solve_lp = solver.solve_lp
+
+        def rounded(problem):
+            rep = solve_lp(problem)
+            x = rep.x.copy()
+            x[0] = -3e-17
+            return solver.SolveReport(rep.status, x, rep.objective,
+                                      rep.kkt_residual, rep.iterations)
+
+        monkeypatch.setattr(solver, "solve_lp", rounded)
+        box = construct_box_lp(pp, 1).box
+        assert box.lower[0] == 0.0
+        assert volumes(box)[0] == pytest.approx(2.0, rel=1e-6)
+        assert pp.box_slack(box) >= 0.0
+
     def test_ill_shaped_symmetry_ordering(self):
         pp = PrincipalPolytope.from_error_rows(ILL_SHAPED_G, ILL_SHAPED_D)
         sym = {}
@@ -244,6 +339,48 @@ class TestConstructLp:
         assert np.allclose(boxes["LP2"].upper, [1.0 / 1.2, 1.0 / 1.2], atol=1e-6)
         assert sym["CP2"] > sym["CP1"] + 0.05
         assert sym["LP2"] > sym["LP1"] + 0.05
+
+
+def _random_lp1_polytope(rng, k):
+    """Random bounded error rows with the origin inside; about one row in
+    five has zero offset, and one coordinate is one-sided by an axis row
+    with zero offset."""
+    m = int(rng.integers(3, 8))
+    G = rng.normal(size=(m, k))
+    d = rng.uniform(0.2, 1.5, size=m) * (rng.random(m) > 0.2)
+    side = np.zeros((1, k))
+    side[0, rng.integers(k)] = rng.choice([-1.0, 1.0])
+    G = np.vstack([G, side, np.eye(k), -np.eye(k)])
+    d = np.concatenate([d, [0.0], np.full(2 * k, 2.0)])
+    return PrincipalPolytope.from_error_rows(G, d)
+
+
+class TestLpOracles:
+    def test_segment_lengths_match_highs(self):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(66)
+        for _ in range(30):
+            k = int(rng.integers(2, 5))
+            pp = _random_lp1_polytope(rng, k)
+            w = solver.coordinate_widths(pp.W, pp.d)
+            omega = np.array([highs_segment_length(pp.G, pp.d, j) for j in range(k)])
+            assert np.allclose(w[:k] + w[k:], omega, rtol=1e-9, atol=1e-12)
+            degenerate = np.flatnonzero(omega <= 1e-9).tolist()
+            assert construct_box_lp(pp, 1).degenerate == degenerate
+
+    def test_scaling_lp_matches_highs(self):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(77)
+        for _ in range(30):
+            k = int(rng.integers(2, 5))
+            pp = _random_lp1_polytope(rng, k)
+            w = solver.coordinate_widths(pp.W, pp.d)
+            r = w[:k] + w[k:]
+            r[r <= 1e-9] = 0.0
+            lam = highs_lp1_scaling(pp.G, pp.d, r) if np.any(r > 0) else 0.0
+            box = construct_box_lp(pp, 1).box
+            assert np.allclose(box.upper - box.lower, lam * r, rtol=1e-6, atol=1e-9)
+            assert pp.box_slack(box) >= 0.0
 
 
 def _symmetry(box):
@@ -306,6 +443,12 @@ class TestSchedule:
                     x_c = cand.phi_tilde[i] + setup.Ltilde[i] @ e
                     assert setup.Useq[i].membership_residual(u_c) <= 1e-7
                     assert setup.Xseq[i].membership_residual(x_c) <= 1e-7
+
+    def test_lp1_box_kept_at_zero_offset_rows(self, sched_all):
+        # At j=5 the LP1 scaling point meets principal rows with zero
+        # offset; rounding there once shrank this box to the origin.
+        _, _, schedules = sched_all
+        assert schedules[LP1].vol1[4] == pytest.approx(4.809e-6, rel=1e-3)
 
     def test_unknown_method_rejected(self, sched_all):
         setup, sol, _ = sched_all
