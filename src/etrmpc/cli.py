@@ -184,8 +184,7 @@ def cmd_run(config, out_dir=None, method=None, seed=None, steps=None,
     steps = steps or config.steps
     setup = config.build()
     dist = config.disturbance_model(seed=seed)
-    trace = run_closed_loop(setup, config.x0, method, dist, steps,
-                            collect_schedules=True)
+    trace = run_closed_loop(setup, config.x0, method, dist, steps)
     stats = trigger_statistics(trace)
 
     directory = Path(out_dir or config.output_dir)
@@ -206,8 +205,9 @@ def cmd_run(config, out_dir=None, method=None, seed=None, steps=None,
             for t in range(trace.x.shape[0]))),
     }
     (directory / "summary.json").write_text(json.dumps(summary, indent=2))
+    schedules = {t: s.to_dict() for t, s in trace.schedules.items()}
     (directory / "schedules.json").write_text(json.dumps(
-        {"provenance": prov, "per_trigger": _json_safe(trace.schedules)}, indent=2))
+        {"provenance": prov, "per_trigger": _json_safe(schedules)}, indent=2))
     (directory / "plot_data.json").write_text(json.dumps(
         {"provenance": prov, **_plot_data(trace)}, indent=2))
     print(f"run {method}: {stats['solves']} solves in {steps} steps "
@@ -217,11 +217,11 @@ def cmd_run(config, out_dir=None, method=None, seed=None, steps=None,
 
 def cmd_compare(config, methods, out_dir=None, seed=None, steps=None,
                 out=sys.stdout):
-    """Run several methods under one disturbance replay; emit a table.
+    """Run several methods under one disturbance sequence; emit a table.
 
-    Seed-driven disturbances are materialized once and replayed for every
-    method; the state-dependent worst case cannot be shared and runs per
-    method (flagged in the report).
+    Seed-driven disturbances are a fixed function of the seed, so every
+    method sees the same sequence; the state-dependent worst case cannot
+    be shared and runs per method (flagged in the report).
     """
     for m in methods:
         if m not in ALL_METHODS:
@@ -229,14 +229,7 @@ def cmd_compare(config, methods, out_dir=None, seed=None, steps=None,
     seed = config.seed if seed is None else seed
     steps = steps or config.steps
     setup = config.build()
-    base = config.disturbance_model(seed=seed)
-    shared = base.realize(setup.plant.W, steps)
-    if shared is not None:
-        dist = DisturbanceModel("replay", sequence=shared,
-                                impulses=base.impulses,
-                                allow_out_of_set=base.allow_out_of_set)
-    else:
-        dist = base
+    dist = config.disturbance_model(seed=seed)
 
     rows = {}
     for method in methods:
@@ -253,7 +246,7 @@ def cmd_compare(config, methods, out_dir=None, seed=None, steps=None,
     table = {
         "provenance": {"config_sha256": config.config_hash(), "seed": seed,
                        "steps": steps,
-                       "shared_replay": shared is not None},
+                       "shared_replay": dist.kind != "worst_case"},
         "methods": rows,
     }
     if out_dir:
@@ -303,19 +296,13 @@ def _plot_data(trace):
     return {
         "t": trace.t.tolist(),
         "states": trace.x.T.tolist(),
-        "band_lower": _nan_to_none(trace.box_lo.T),
-        "band_upper": _nan_to_none(trace.box_hi.T),
-        "inputs": _nan_to_none(trace.u.T),
+        "band_lower": _json_safe(trace.box_lo.T.tolist()),
+        "band_upper": _json_safe(trace.box_hi.T.tolist()),
+        "inputs": _json_safe(trace.u.T.tolist()),
         "trigger_times": trace.trigger_times,
         "value_at_triggers": [_json_safe(trace.v_star[t]) for t in trace.trigger_times],
-        "decay_bound": _nan_to_none(trace.decay_bound[:T]),
+        "decay_bound": _json_safe([trace.decay_bound[:T].tolist()]),
     }
-
-
-def _nan_to_none(arr):
-    out = np.asarray(arr, dtype=float)
-    return [[None if not np.isfinite(v) else float(v) for v in row]
-            for row in np.atleast_2d(out)]
 
 
 def _json_safe(obj):

@@ -151,7 +151,7 @@ class SimTrace:
         self.box_hi = np.full((n_steps + 1, nx), np.nan)
         self.decay_checks = []   # (tau_prev, tau_new, lhs, rhs, margin, exempt)
         self.recovery_events = []  # impulse application times
-        self.schedules = {}      # trigger time -> schedule dict
+        self.schedules = {}      # trigger time -> TriggerSchedule
         self.solve_count = 0
 
     @property
@@ -163,7 +163,7 @@ class SimTrace:
         return hashlib.sha256(used.tobytes()).hexdigest()
 
 
-def run_closed_loop(setup, x0, method, dist, T, collect_schedules=False):
+def run_closed_loop(setup, x0, method, dist, T):
     """Simulate T steps of the event-triggered loop from x0.
 
     method is one of the four construction routes or 'periodic' (solve at
@@ -217,9 +217,7 @@ def run_closed_loop(setup, x0, method, dist, T, collect_schedules=False):
                              impulse_since_trigger)
             sol = new_sol
             if method != PERIODIC:
-                schedule = trigger.build_schedule(setup, sol, method)
-                if collect_schedules:
-                    trace.schedules[t] = schedule.to_dict()
+                schedule = trace.schedules[t] = trigger.build_schedule(setup, sol, method)
             tau = t
             impulse_since_trigger = False
             trace.v_star[t] = sol.value

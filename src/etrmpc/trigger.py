@@ -149,8 +149,8 @@ class PrincipalRows:
         self.G.flags.writeable = self.W.flags.writeable = False
 
 
-def assemble_principal(setup, cand, j=None):
-    """Vertex-support rows for all 4N set constraints of splice index j.
+def assemble_principal(setup, cand):
+    """Vertex-support rows for all 4N set constraints of splice index cand.j.
 
     Takes the rows from ``setup.principal_rows`` and computes the offsets
     b - a.xi. Rows whose mapped direction vanishes (nilpotent tail blocks)
@@ -158,8 +158,6 @@ def assemble_principal(setup, cand, j=None):
     against the feasibility tolerance and dropped. Raises
     InfeasibleCandidate when any check fails.
     """
-    if j is None:
-        j = cand.j
     rows = setup.principal_rows
     ds = []
     for name, attr, i, S, keep in rows.blocks:
@@ -167,20 +165,19 @@ def assemble_principal(setup, cand, j=None):
         bad = np.min(offs)
         if bad < -FEAS_TOL:
             raise InfeasibleCandidate(
-                f"candidate j={j}: {name}[{i}] violates facet by {-bad:.3e}")
+                f"candidate j={cand.j}: {name}[{i}] violates facet by {-bad:.3e}")
         ds.append(offs[keep])
     if not rows.meta:
-        raise TriggerError(f"no active rows at j={j}: error space unconstrained")
+        raise TriggerError(f"no active rows at j={cand.j}: error space unconstrained")
     d = np.concatenate(ds)
     d[d < 0.0] = 0.0
     return PrincipalPolytope(setup.nx, rows.W, d, rows.G, rows.meta)
 
 
 class BoxResult:
-    def __init__(self, box, degenerate, objective=None):
+    def __init__(self, box, degenerate):
         self.box = box
         self.degenerate = list(degenerate)
-        self.objective = objective
 
 
 def construct_box_cp(pp, q):
@@ -203,7 +200,7 @@ def construct_box_cp(pp, q):
         raise TriggerError(f"volume maximization failed: {rep.status}")
     vbar, vund = rep.x[:k], rep.x[k:]
     zero = (vbar + vund == 0) if q == 1 else (vbar == 0) | (vund == 0)
-    return BoxResult(HyperRect(-vund, vbar), np.flatnonzero(zero).tolist(), rep.objective)
+    return BoxResult(HyperRect(-vund, vbar), np.flatnonzero(zero).tolist())
 
 
 def construct_box_lp(pp, q):
@@ -312,14 +309,12 @@ def volumes(box):
 class TriggerSchedule:
     """Error boxes E_1..E_{N-1} around a plan (E_0 is all of R^nx)."""
 
-    def __init__(self, method, boxes, vol1, vol2, degenerate_coords,
-                 shape_ratios, principals):
+    def __init__(self, method, boxes, vol1, vol2, degenerate_coords, principals):
         self.method = method
         self.boxes = boxes
         self.vol1 = vol1
         self.vol2 = vol2
         self.degenerate_coords = degenerate_coords
-        self.shape_ratios = shape_ratios
         self.principals = principals
 
     def box(self, j):
@@ -327,6 +322,8 @@ class TriggerSchedule:
         return self.boxes[j - 1]
 
     def to_dict(self):
+        """The boxes with their shape ratios r_c/r_o, a diagnostic of each
+        principal polytope that no trigger decision reads."""
         return {
             "method": self.method,
             "boxes": [{"j": j + 1,
@@ -335,13 +332,9 @@ class TriggerSchedule:
                        "vol1": self.vol1[j],
                        "vol2": self.vol2[j],
                        "degenerate_coords": self.degenerate_coords[j],
-                       "shape_ratio": _json_float(self.shape_ratios[j])}
-                      for j, b in enumerate(self.boxes)],
+                       "shape_ratio": geometry.shape_ratio(pp.error_polytope())}
+                      for j, (b, pp) in enumerate(zip(self.boxes, self.principals))],
         }
-
-
-def _json_float(x):
-    return None if not np.isfinite(x) else float(x)
 
 
 def build_schedule(setup, sol, method):
@@ -354,16 +347,15 @@ def build_schedule(setup, sol, method):
         raise ValueError(f"unknown construction method {method!r}")
     q = 1 if method in (CP1, LP1) else 2
     exact = method in (CP1, CP2)
-    boxes, v1s, v2s, degs, ratios, pps = [], [], [], [], [], []
+    boxes, v1s, v2s, degs, pps = [], [], [], [], []
     for j in range(1, setup.N):
         try:
             cand = build_candidates(setup, sol, j)
-            pp = assemble_principal(setup, cand, j)
+            pp = assemble_principal(setup, cand)
             res = construct_box_cp(pp, q) if exact else construct_box_lp(pp, q)
             slack = pp.box_slack(res.box)
             if slack < -FEAS_TOL:
                 raise TriggerError(f"built box violates principal rows by {-slack:.3e}")
-            ratio = geometry.shape_ratio(pp.error_polytope())
         except InfeasibleCandidate:
             raise
         except TriggerError as exc:
@@ -373,6 +365,5 @@ def build_schedule(setup, sol, method):
         v1s.append(v1)
         v2s.append(v2)
         degs.append(res.degenerate)
-        ratios.append(ratio)
         pps.append(pp)
-    return TriggerSchedule(method, boxes, v1s, v2s, degs, ratios, pps)
+    return TriggerSchedule(method, boxes, v1s, v2s, degs, pps)

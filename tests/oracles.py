@@ -150,11 +150,12 @@ def slsqp_log_volume(W, d, mode):
     return float(np.sum(np.log(S @ z)))
 
 
-def _highs_max(c, A, b):
-    """HiGHS optimum of max c.x s.t. A x <= b, x free; +inf if unbounded."""
+def highs_max(c, A, b, A_eq=None, b_eq=None):
+    """HiGHS optimum of max c.x s.t. A x <= b, A_eq x = b_eq, x free;
+    +inf if unbounded."""
     from scipy.optimize import linprog
 
-    res = linprog(-np.asarray(c, dtype=float), A_ub=A, b_ub=b,
+    res = linprog(-np.asarray(c, dtype=float), A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq,
                   bounds=[(None, None)] * len(c), method="highs")
     if res.status == 3:
         return np.inf
@@ -176,7 +177,7 @@ def highs_segment_length(G, d, j):
                    np.hstack([np.eye(k), np.zeros((k, 1))]),
                    np.hstack([-np.eye(k), -ej[:, None]])])
     b = np.concatenate([d, d, np.zeros(k), np.zeros(k)])
-    return _highs_max(np.eye(k + 1)[k], A, b)
+    return highs_max(np.eye(k + 1)[k], A, b)
 
 
 def highs_lp1_scaling(G, d, r):
@@ -190,4 +191,79 @@ def highs_lp1_scaling(G, d, r):
                    np.hstack([-np.eye(ka), -r[act][:, None]]),
                    np.eye(ka + 1)[ka:] * -1.0])
     b = np.concatenate([d, np.zeros(2 * ka + 1)])
-    return _highs_max(np.eye(ka + 1)[ka], A, b)
+    return highs_max(np.eye(ka + 1)[ka], A, b)
+
+
+def deadbeat_erosion(A, B, thetas):
+    """Tightening of a deadbeat schedule: the max row 1-norms of Theta_i
+    (i < M) plus those of L_i = A^i + sum_(k<i) A^(i-1-k) B Theta_k
+    (0 < i < M), and the residual of the deadbeat condition L_M = 0."""
+    n = A.shape[0]
+    total = sum(float(np.max(np.abs(th).sum(axis=1))) for th in thetas)
+    L = np.eye(n)
+    for i, th in enumerate(thetas):
+        if i > 0:
+            total += float(np.max(np.abs(L).sum(axis=1)))
+        L = A @ L + B @ th
+    return total, float(np.max(np.abs(L)))
+
+
+def highs_min_erosion(A, B, M):
+    """HiGHS optimum of the least deadbeat tightening over Theta_0..M-1.
+
+    Variables, row-major: vec Theta (M nu n), bounds P >= |Theta|, bounds
+    Q_i >= |L_i| (i = 1..M-1, n n each), row-norm bounds t (M) and s (M-1).
+    vec(C X) = (C kron I_n) vec X maps each Theta_k into L_i.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n, nu = B.shape
+    nth, nq = M * nu * n, (M - 1) * n * n
+    nv = 2 * nth + nq + M + (M - 1)
+    o_p, o_q, o_t, o_s = nth, 2 * nth, 2 * nth + nq, 2 * nth + nq + M
+    Apow = [np.linalg.matrix_power(A, i) for i in range(M + 1)]
+
+    def lifted(i):
+        """vec L_i = vec A^i + T vec Theta."""
+        T = np.zeros((n * n, nth))
+        for k in range(i):
+            T[:, k * nu * n:(k + 1) * nu * n] = np.kron(Apow[i - 1 - k] @ B, np.eye(n))
+        return T
+
+    blocks, rhs = [], []
+    eye_th = np.eye(nth)
+    for sgn in (1.0, -1.0):
+        blk = np.zeros((nth, nv))
+        blk[:, :nth] = sgn * eye_th
+        blk[:, o_p:o_p + nth] = -eye_th
+        blocks.append(blk)
+        rhs.append(np.zeros(nth))
+    for i in range(1, M):
+        T = lifted(i)
+        q = slice(o_q + (i - 1) * n * n, o_q + i * n * n)
+        for sgn in (1.0, -1.0):
+            blk = np.zeros((n * n, nv))
+            blk[:, :nth] = sgn * T
+            blk[:, q] = -np.eye(n * n)
+            blocks.append(blk)
+            rhs.append(-sgn * Apow[i].ravel())
+    rowsum_th = np.kron(np.eye(nu), np.ones(n))
+    rowsum_l = np.kron(np.eye(n), np.ones(n))
+    for i in range(M):
+        blk = np.zeros((nu, nv))
+        blk[:, o_p + i * nu * n:o_p + (i + 1) * nu * n] = rowsum_th
+        blk[:, o_t + i] = -1.0
+        blocks.append(blk)
+        rhs.append(np.zeros(nu))
+    for i in range(1, M):
+        blk = np.zeros((n, nv))
+        blk[:, o_q + (i - 1) * n * n:o_q + i * n * n] = rowsum_l
+        blk[:, o_s + i - 1] = -1.0
+        blocks.append(blk)
+        rhs.append(np.zeros(n))
+    A_eq = np.zeros((n * n, nv))
+    A_eq[:, :nth] = lifted(M)
+    c = np.zeros(nv)
+    c[o_t:] = -1.0
+    return -highs_max(c, np.vstack(blocks), np.concatenate(rhs),
+                      A_eq=A_eq, b_eq=-Apow[M].ravel())

@@ -6,7 +6,7 @@ from etrmpc.geometry import HyperRect
 from etrmpc.rmpc import solve_rmpc
 from etrmpc.sim import (DisturbanceModel, run_closed_loop, step_trigger_test,
                         trigger_statistics)
-from etrmpc.trigger import build_schedule
+from etrmpc.trigger import TriggerSchedule, build_schedule
 
 from batch_reactor import X0, batch_setup
 
@@ -148,6 +148,12 @@ class TestUniformRun:
                 sols[tau] = solve_rmpc(setup, tr.x[tau])
             assert np.array_equal(tr.u[t], sols[tau].u[t - tau])
 
+    def test_schedule_kept_per_trigger(self, uniform_trace):
+        tr = uniform_trace
+        assert list(tr.schedules) == tr.trigger_times
+        assert all(isinstance(s, TriggerSchedule) and s.method == "CP1"
+                   for s in tr.schedules.values())
+
     def test_replay_determinism(self, setup, uniform_trace):
         tr2 = run_closed_loop(setup, X0, "CP1",
                               DisturbanceModel("uniform", seed=1234), T=60)
@@ -194,6 +200,7 @@ class TestPeriodicBaseline:
                              DisturbanceModel("uniform", seed=7), T=20)
         assert trigger_statistics(tr)["solves"] == 20
         assert all(tr.cause[t] is not None for t in range(20))
+        assert tr.schedules == {}
 
 
 class TestOtherConstructions:

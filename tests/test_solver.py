@@ -5,8 +5,8 @@ from etrmpc import solver
 from etrmpc.solver import (LpProblem, QpProblem, Status, maximize_log_volume,
                            solve_lp, solve_qp)
 
-from oracles import (grid_box_volume, lp_max_by_vertices, projected_gradient_qp,
-                     slsqp_log_volume)
+from oracles import (grid_box_volume, highs_max, lp_max_by_vertices,
+                     projected_gradient_qp, slsqp_log_volume)
 
 
 def box_rows(n, half):
@@ -48,6 +48,30 @@ class TestLp:
                 assert rep.status == Status.OPTIMAL
                 assert rep.objective == pytest.approx(
                     lp_max_by_vertices(c, A, b), abs=1e-7)
+
+    def test_random_lps_match_highs(self):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(11)
+        for draw in range(30):
+            # Bounded and feasible by construction, as above; every third
+            # draw adds equality rows through the interior point.
+            n = int(rng.integers(2, 9))
+            m = int(rng.integers(n, 4 * n))
+            A = rng.normal(size=(m, n))
+            x0 = rng.normal(size=n) * 0.3
+            b = A @ x0 + rng.uniform(0.05, 1.5, size=m)
+            Abox, bbox = box_rows(n, 5.0)
+            A = np.vstack([A, Abox])
+            b = np.concatenate([b, bbox])
+            A_eq = b_eq = None
+            if draw % 3 == 2:
+                A_eq = rng.normal(size=(int(rng.integers(1, n)), n))
+                b_eq = A_eq @ x0
+            c = rng.normal(size=n)
+            rep = solve_lp(LpProblem(c=c, A=A, b=b, A_eq=A_eq, b_eq=b_eq))
+            assert rep.status == Status.OPTIMAL
+            assert rep.objective == pytest.approx(
+                highs_max(c, A, b, A_eq, b_eq), rel=1e-7)
 
     def test_infeasible(self):
         A = np.array([[1.0], [-1.0]])

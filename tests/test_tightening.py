@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from etrmpc import tightening
 from etrmpc.geometry import HyperRect, Polytope, support
 from etrmpc.tightening import (EmptyTightenedSet, NilpotencyFailure, PlantModel,
                                TerminalAssumptionViolated, build_setup,
@@ -8,6 +9,7 @@ from etrmpc.tightening import (EmptyTightenedSet, NilpotencyFailure, PlantModel,
                                synthesize_tightening_gains)
 
 from batch_reactor import batch_plant, batch_setup
+from oracles import deadbeat_erosion, highs_min_erosion
 
 
 def simple_plant(W_half=0.05):
@@ -114,6 +116,24 @@ class TestTighteningGains:
                 L = (A + B @ K[i]) @ L
             assert np.linalg.norm(L, "fro") <= 1e-8
             done += 1
+
+    def test_min_erosion_objective_matches_highs(self):
+        pytest.importorskip("scipy")
+        plant = batch_plant()
+        pairs = [(plant.A, plant.B)]
+        rng = np.random.default_rng(31)
+        while len(pairs) < 11:
+            n, m = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+            A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
+            if is_controllable(A, B):
+                pairs.append((A, B))
+        for A, B in pairs:
+            M = A.shape[0]
+            thetas = tightening._min_erosion_schedule(A, B, M)
+            assert thetas is not None
+            objective, deadbeat_residual = deadbeat_erosion(A, B, thetas)
+            assert deadbeat_residual <= 1e-8
+            assert abs(objective - highs_min_erosion(A, B, M)) <= 1e-7
 
     def test_m_below_state_dimension_rejected(self):
         with pytest.raises(ValueError):

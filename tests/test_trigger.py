@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from etrmpc import solver, trigger
+from etrmpc import geometry, solver, trigger
 from etrmpc.geometry import HyperRect
 from etrmpc.rmpc import solve_rmpc
 from etrmpc.rmpc import stage_cost as rmpc_stage
@@ -449,6 +449,23 @@ class TestSchedule:
         # offset; rounding there once shrank this box to the origin.
         _, _, schedules = sched_all
         assert schedules[LP1].vol1[4] == pytest.approx(4.809e-6, rel=1e-3)
+
+    def test_no_shape_ratio_while_building(self, sched_all, monkeypatch):
+        setup, sol, _ = sched_all
+
+        def forbidden(poly):
+            raise AssertionError("shape_ratio called while building boxes")
+
+        monkeypatch.setattr(geometry, "shape_ratio", forbidden)
+        for method in trigger.METHODS:
+            build_schedule(setup, sol, method)
+
+    def test_dict_shape_ratio_per_principal(self, sched_all):
+        _, _, schedules = sched_all
+        for sch in schedules.values():
+            ratios = [b["shape_ratio"] for b in sch.to_dict()["boxes"]]
+            assert ratios == [geometry.shape_ratio(pp.error_polytope())
+                              for pp in sch.principals]
 
     def test_unknown_method_rejected(self, sched_all):
         setup, sol, _ = sched_all
