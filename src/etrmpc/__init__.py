@@ -8,13 +8,13 @@ decay certificates.
 """
 
 from .geometry import (HyperRect, Polytope, WeightedDistanceResult,
-                       pontryagin_diff, shape_ratio, support,
-                       weighted_projection)
+                       pontryagin_diff, shape_ratio, shape_ratios, support,
+                       supports, weighted_projection)
 from .rmpc import InfeasibleState, MpcSolution, solve_rmpc, stage_cost
 from .sim import (DisturbanceModel, SimTrace, run_closed_loop,
                   step_trigger_test, trigger_statistics)
 from .solver import (LpProblem, QpProblem, SolveReport, Status,
-                     maximize_log_volume, solve_lp, solve_qp)
+                     maximize_log_volume, solve_lp, solve_lp_batch, solve_qp)
 from .tightening import (PlantModel, RmpcSetup, build_setup,
                          synthesize_nominal_gain, synthesize_tightening_gains)
 from .trigger import (CandidateData, PrincipalPolytope, TriggerSchedule,
@@ -24,10 +24,11 @@ from .trigger import (CandidateData, PrincipalPolytope, TriggerSchedule,
 __version__ = "0.1.0"
 
 __all__ = [
-    "HyperRect", "Polytope", "WeightedDistanceResult", "support",
+    "HyperRect", "Polytope", "WeightedDistanceResult", "support", "supports",
     "pontryagin_diff", "weighted_projection",
-    "shape_ratio",
-    "LpProblem", "QpProblem", "SolveReport", "Status", "solve_lp", "solve_qp",
+    "shape_ratio", "shape_ratios",
+    "LpProblem", "QpProblem", "SolveReport", "Status", "solve_lp", "solve_lp_batch",
+    "solve_qp",
     "maximize_log_volume",
     "PlantModel", "RmpcSetup", "synthesize_nominal_gain",
     "synthesize_tightening_gains", "build_setup",

@@ -162,19 +162,19 @@ class Polytope:
 
     def is_empty(self):
         """Feasibility LP; empty sets are flagged, never raised."""
-        rep = solver.feasibility(self.A, self.b)
-        return rep is None
+        return are_empty(self.A, self.b)[0]
 
     def is_bounded(self):
-        """Finite support along all 2n axis directions."""
-        for j in range(self.dim):
-            for sgn in (1.0, -1.0):
-                eta = np.zeros(self.dim)
-                eta[j] = sgn
-                rep = solver.solve_lp(solver.LpProblem(c=eta, A=self.A, b=self.b))
-                if rep.status != solver.Status.OPTIMAL:
-                    return False
-        return True
+        """Finite support along all 2n axis directions, one batched LP solve."""
+        eye = np.eye(self.dim)
+        reps = solver.solve_lp_batch(np.vstack([eye, -eye]), self.A, self.b)
+        return all(rep.status == solver.Status.OPTIMAL for rep in reps)
+
+
+def are_empty(A, offsets):
+    """``is_empty`` of {x : A x <= b} for every row b of ``offsets``, from
+    one batched phase-1 solve."""
+    return [point is None for point in solver.feasibility(A, offsets)]
 
 
 def support(poly, eta):
@@ -183,32 +183,41 @@ def support(poly, eta):
     Exact closed form for HyperRect; an LP for a general Polytope.
     Raises UnboundedSupport / EmptySetError when the LP says so.
     """
-    eta = np.asarray(eta, dtype=float)
+    return float(supports(poly, eta)[0])
+
+
+def supports(poly, etas):
+    """``support`` along every row of ``etas`` (B, n).
+
+    A general Polytope takes one batched LP solve for all directions; each
+    value is bit-identical to its own ``support`` LP.
+    """
+    etas = np.atleast_2d(np.asarray(etas, dtype=float))
     if isinstance(poly, HyperRect):
-        return poly.support(eta)
-    rep = solver.solve_lp(solver.LpProblem(c=eta, A=poly.A, b=poly.b))
-    if rep.status == solver.Status.OPTIMAL:
-        return float(rep.objective)
-    if rep.status == solver.Status.UNBOUNDED:
-        raise UnboundedSupport(f"support unbounded along {eta.tolist()}")
-    if rep.status == solver.Status.INFEASIBLE:
-        raise EmptySetError("support of an empty polytope")
-    raise GeometryError(f"support LP did not converge: {rep.status}")
+        return np.array([poly.support(eta) for eta in etas])
+    reps = solver.solve_lp_batch(etas, poly.A, poly.b)
+    for eta, rep in zip(etas, reps):
+        if rep.status == solver.Status.UNBOUNDED:
+            raise UnboundedSupport(f"support unbounded along {eta.tolist()}")
+        if rep.status == solver.Status.INFEASIBLE:
+            raise EmptySetError("support of an empty polytope")
+        if rep.status != solver.Status.OPTIMAL:
+            raise GeometryError(f"support LP did not converge: {rep.status}")
+    return np.array([rep.objective for rep in reps])
 
 
 def pontryagin_diff(poly, sub, image=None):
     """Pontryagin difference ``poly ominus (image @ sub)``.
 
     Facet-wise: {z : a_i z <= b_i - h_sub(image^T a_i)}. ``sub`` may be a
-    HyperRect (closed-form offsets, exact) or a Polytope (LP offsets); it
-    must be bounded along the mapped facet normals, unbounded subtrahends
-    are not supported. The result may be empty; callers detect that with
-    ``is_empty`` and own the decision to abort.
+    HyperRect (closed-form offsets, exact) or a Polytope (LP offsets, one
+    batched solve); it must be bounded along the mapped facet normals,
+    unbounded subtrahends are not supported. The result may be empty;
+    callers detect that with ``is_empty`` and own the decision to abort.
     """
     A = poly.A
     dirs = A if image is None else A @ image
-    offs = np.array([support(sub, dirs[i]) for i in range(A.shape[0])])
-    return Polytope(A, poly.b - offs)
+    return Polytope(A, poly.b - supports(sub, dirs))
 
 
 class WeightedDistanceResult:
@@ -261,6 +270,35 @@ def weighted_projection(point, target, weight):
     return WeightedDistanceResult(max(d2, 0.0), s)
 
 
+def _facet_norms(A):
+    norms = np.linalg.norm(A, axis=1)
+    if np.any(norms == 0):
+        raise GeometryError("zero facet normal")
+    return norms
+
+
+def _chebyshev_lps(A, norms, offsets):
+    """Chebyshev centers and radii of {x : A x <= b} for every row b of
+    ``offsets``, from one batched LP solve."""
+    n = A.shape[1]
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    G = np.hstack([A, norms[:, None]])
+    G = np.vstack([G, -np.eye(n + 1)[-1:]])  # r >= 0
+    h = np.hstack([offsets, np.zeros((offsets.shape[0], 1))])
+    centers, radii = [], []
+    for b, rep in zip(offsets, solver.solve_lp_batch(c, G, h)):
+        if rep.status == solver.Status.INFEASIBLE:
+            raise EmptySetError("chebyshev center of an empty polytope")
+        if rep.status != solver.Status.OPTIMAL:
+            raise GeometryError(f"chebyshev LP failed: {rep.status}")
+        center = rep.x[:n]
+        radius = float(np.min((b - A @ center) / norms))
+        centers.append(center)
+        radii.append(max(radius, 0.0))
+    return centers, radii
+
+
 def chebyshev_center(poly):
     """Center and radius of the largest inscribed 2-norm ball.
 
@@ -268,24 +306,8 @@ def chebyshev_center(poly):
     radius is re-evaluated exactly at the computed center so it never
     overshoots the true optimum.
     """
-    A, b = poly.A, poly.b
-    norms = np.linalg.norm(A, axis=1)
-    if np.any(norms == 0):
-        raise GeometryError("zero facet normal")
-    n = poly.dim
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    G = np.hstack([A, norms[:, None]])
-    G = np.vstack([G, -np.eye(n + 1)[-1:]])  # r >= 0
-    h = np.concatenate([b, [0.0]])
-    rep = solver.solve_lp(solver.LpProblem(c=c, A=G, b=h))
-    if rep.status == solver.Status.INFEASIBLE:
-        raise EmptySetError("chebyshev center of an empty polytope")
-    if rep.status != solver.Status.OPTIMAL:
-        raise GeometryError(f"chebyshev LP failed: {rep.status}")
-    center = rep.x[:n]
-    radius = float(np.min((b - A @ center) / norms))
-    return center, max(radius, 0.0)
+    centers, radii = _chebyshev_lps(poly.A, _facet_norms(poly.A), poly.b[None])
+    return centers[0], radii[0]
 
 
 def shape_ratio(poly):
@@ -296,14 +318,27 @@ def shape_ratio(poly):
     the boundary). Values near 1 mean the set is spread evenly around the
     origin; large values flag directional sensitivity.
     """
-    norms = np.linalg.norm(poly.A, axis=1)
-    if np.any(norms == 0):
-        raise GeometryError("zero facet normal")
-    r_origin = float(np.min(poly.b / norms))
-    if r_origin < -FEAS_TOL:
+    return shape_ratios(poly.A, poly.b)[0]
+
+
+def shape_ratios(A, offsets):
+    """``shape_ratio`` of {x : A x <= b} for every row b of ``offsets``.
+
+    The Chebyshev LPs of all sets with the origin in the interior run as
+    one batched solve; each ratio is bit-identical to its own
+    ``shape_ratio``. Returns a list of floats.
+    """
+    A = np.asarray(A, dtype=float)
+    offsets = np.asarray(offsets, dtype=float).reshape(-1, A.shape[0])
+    norms = _facet_norms(A)
+    r_origin = np.min(offsets / norms, axis=1)
+    if np.any(r_origin < -FEAS_TOL):
         raise GeometryError("origin lies outside the polytope")
-    if r_origin <= 0.0:
-        return np.inf
-    _, r_cheb = chebyshev_center(poly)
-    # r_c >= r_o holds mathematically; the clamp removes LP round-off.
-    return max(r_cheb / r_origin, 1.0)
+    ratios = [np.inf] * r_origin.size
+    inner = np.flatnonzero(r_origin > 0.0)
+    if inner.size:
+        _, r_cheb = _chebyshev_lps(A, norms, offsets[inner])
+        for i, r in zip(inner, r_cheb):
+            # r_c >= r_o holds mathematically; the clamp removes LP round-off.
+            ratios[i] = max(r / float(r_origin[i]), 1.0)
+    return ratios

@@ -99,8 +99,8 @@ def _uniform_samples(W, T, rng):
     # General polytope: rejection sampling from the support bounding box.
     from . import geometry
     n = W.dim
-    lo = np.array([-geometry.support(W, -e) for e in np.eye(n)])
-    hi = np.array([geometry.support(W, e) for e in np.eye(n)])
+    lo = -geometry.supports(W, -np.eye(n))
+    hi = geometry.supports(W, np.eye(n))
     out = np.zeros((T, n))
     for t in range(T):
         for _ in range(10_000):

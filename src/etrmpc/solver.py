@@ -1,14 +1,20 @@
 """Self-contained LP / convex-QP / log-concave maximization routines.
 
 One Mehrotra-style primal-dual interior-point loop handles both LPs
-(H = 0) and convex QPs over ``A_eq x = b_eq, A_in x <= b_in``. The
-hyper-rectangle volume objectives are maximized by the same scheme
-on the concave log objective, then an active-set Newton polish. No
-external solver dependencies; every run with the same inputs is
-bit-identical (fixed step rules, no restarts).
+(H = 0) and convex QPs over ``A_eq x = b_eq, A_in x <= b_in``. It solves
+a batch of problems that share H, A_eq, b_eq and A_in in one pass, each
+with its own linear term and ``b_in`` (``solve_lp_batch``); ``solve_lp``
+and ``solve_qp`` are batches of one. The hyper-rectangle volume
+objectives are maximized by the same scheme on the concave log
+objective, then an active-set Newton polish. No external solver
+dependencies; every run with the same inputs is bit-identical (fixed
+step rules, no restarts), and a problem's result does not depend on the
+batch it is solved in.
 
-Project-wide tolerances: primal/dual feasibility 1e-8, duality gap
-(complementarity) 1e-8, at most 200 iterations per solve.
+Project-wide tolerances: the LP/QP loop stops when the scaled primal and
+dual residuals and the mean complementarity z.s/m, relative to
+1 + max|g| + max|H|, are all at most 1e-8; the log-volume loop stops on
+the total gap u.t <= 1e-8. At most 200 iterations per solve.
 """
 
 import enum
@@ -70,8 +76,14 @@ class QpProblem:
 class SolveReport:
     """Outcome of one solve. Immutable.
 
-    status OPTIMAL guarantees kkt_residual <= 1e-6 and constraint
-    violation <= 1e-8 (both scaled by the problem data magnitude).
+    From the LP/QP loop, OPTIMAL means that the scaled primal residual,
+    dual residual and mean complementarity z.s/m are each at most the
+    solve's tolerance; kkt_residual is the largest of them. A problem
+    without inequality rows takes one KKT solve, accepted at 1e-6. The
+    duality gap is m times the mean complementarity, so an LP objective
+    can be off by about m * tol * scale_d wherever ``_crossover`` keeps
+    the interior point; a vertex it snaps to violates no row by more than
+    1e-9 relative. ``maximize_log_volume`` states its own guarantee.
     """
 
     def __init__(self, status, x, objective, kkt_residual, iterations, certificate=None):
@@ -93,7 +105,7 @@ def _check_dims(n, A_in, b_in, A_eq, b_eq):
         if (mat is None) != (vec is None):
             raise ValueError(f"{name} matrix and rhs must be given together")
         if mat is not None:
-            if mat.ndim != 2 or mat.shape[1] != n or mat.shape[0] != vec.size:
+            if mat.ndim != 2 or mat.shape[1] != n or mat.shape[0] != vec.shape[-1]:
                 raise ValueError(f"{name} block has inconsistent dimensions")
             if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(vec))):
                 raise ValueError(f"{name} block must be finite")
@@ -103,152 +115,242 @@ def _empty(n):
     return np.zeros((0, n)), np.zeros(0)
 
 
+def _mv(M, v):
+    """M @ v[k] for every row k of v. The stacked matmul makes the BLAS call,
+    and so gives the bits, of the single product; one gemm would not. A
+    batch of one makes that call directly, without the stacking overhead."""
+    if len(v) == 1:
+        return (M @ v[0])[None]
+    return np.matmul(M, v[:, :, None])[:, :, 0]
+
+
+def _dot(u, v):
+    """u[k] @ v[k] for every row k, with the bits of the single dot (for a
+    batch of one, (1, n) @ (n,) is that dot)."""
+    if len(u) == 1:
+        return u @ v[0]
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _kkt_matrices(M, A, reg):
+    """[[M + reg I, A^T], [A, -reg I]] per problem; M (B, n, n), reg (B,)."""
+    n, p = M.shape[-1], A.shape[0]
+    r = reg[:, None, None]
+    top = M + r * np.eye(n)
+    if not p:
+        return top
+    K = np.empty((M.shape[0], n + p, n + p))
+    K[:, :n, :n] = top
+    K[:, :n, n:] = A.T
+    K[:, n:, :n] = A
+    K[:, n:, n:] = -r * np.eye(p)
+    return K
+
+
 def _ipm(H, g, A, b, G, h, tol, classify=True):
-    """Mehrotra predictor-corrector on min 0.5 x.H x + g.x, Ax=b, Gx<=h.
+    """Mehrotra predictor-corrector on min 0.5 x.H x + g[k].x, Ax=b, Gx<=h[k].
 
-    Returns (status, x, kkt_residual, iterations, certificate).
+    Solves one problem per row k of g (B, n) and h (B, m); H, A, b and G
+    are shared. Each problem has its own iterates, convergence test,
+    regularization retry and phase-1 classification, and leaves the batch
+    once it is decided. The arithmetic is stacked only through operations
+    that give each slice the bits of the one-problem call (``_mv``,
+    ``_dot``, stacked ``np.linalg.solve``, ``np.float_power``), so a
+    problem's result does not depend on the rest of its batch.
+
+    Returns one (status, x, kkt_residual, iterations, certificate) tuple
+    per problem.
     """
-    n = g.size
+    nb, n = g.shape
     p, m = A.shape[0], G.shape[0]
+    h_all = h
 
-    scale_p = 1.0 + max(np.max(np.abs(b), initial=0.0), np.max(np.abs(h), initial=0.0))
-    scale_d = 1.0 + np.max(np.abs(g), initial=0.0) + (np.max(np.abs(H)) if H.size else 0.0)
+    scale_p = 1.0 + np.maximum(np.max(np.abs(b), initial=0.0),
+                               np.max(np.abs(h), axis=1, initial=0.0))
+    scale_d = (1.0 + np.max(np.abs(g), axis=1, initial=0.0)
+               + (np.max(np.abs(H)) if H.size else 0.0))
 
     # Deterministic start: least-squares on the equalities, unit slacks.
-    if p > 0:
-        x = np.linalg.lstsq(A, b, rcond=None)[0]
-    else:
-        x = np.zeros(n)
-    y = np.zeros(p)
-    if m > 0:
-        s = np.maximum(h - G @ x, 1.0)
-        z = np.ones(m)
-    else:
-        s = np.zeros(0)
-        z = np.zeros(0)
+    x0 = np.linalg.lstsq(A, b, rcond=None)[0] if p > 0 else np.zeros(n)
+    x = np.tile(x0, (nb, 1))
+    y = np.zeros((nb, p))
+    s = np.maximum(h - G @ x0, 1.0)
+    z = np.ones((nb, m))
 
-    def residuals(x, y, z, s):
-        rd = H @ x + g + (A.T @ y if p else 0.0) + (G.T @ z if m else 0.0)
-        rp = (A @ x - b) if p else np.zeros(0)
-        rg = (G @ x + s - h) if m else np.zeros(0)
+    def residuals(x, y, z, s, g, h):
+        rd = _mv(H, x) + g + (_mv(A.T, y) if p else 0.0) + (_mv(G.T, z) if m else 0.0)
+        rp = (_mv(A, x) - b) if p else np.zeros((x.shape[0], 0))
+        rg = (_mv(G, x) + s - h) if m else None
         return rd, rp, rg
 
     if m == 0:
-        # Pure equality-constrained QP: one KKT solve.
+        # Pure equality-constrained QPs: one KKT solve each.
         K = np.block([[H, A.T], [A, np.zeros((p, p))]]) if p else H
-        rhs = np.concatenate([-g, b]) if p else -g
+        rhs = np.concatenate([-g, np.broadcast_to(b, (nb, p))], axis=1)
         try:
-            sol = np.linalg.solve(K + 1e-12 * np.eye(K.shape[0]), rhs)
+            sol = np.linalg.solve(K + 1e-12 * np.eye(K.shape[0]), rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            return Status.MAXITER, None, np.inf, 0, None
-        x = sol[:n]
-        y = sol[n:]
-        rd, rp, _ = residuals(x, y, z, s)
-        res = max(np.max(np.abs(rd)) / scale_d, (np.max(np.abs(rp)) / scale_p) if p else 0.0)
-        if res <= 1e-6:
-            return Status.OPTIMAL, x, res, 1, None
+            return [(Status.MAXITER, None, np.inf, 0, None)] * nb
+        x, y = sol[:, :n], sol[:, n:]
+        rd, rp, _ = residuals(x, y, z, s, g, h)
+        res = np.maximum(np.max(np.abs(rd), axis=1) / scale_d,
+                         (np.max(np.abs(rp), axis=1) / scale_p) if p else 0.0)
         # Singular H with a drift direction: unbounded below.
-        return (Status.UNBOUNDED if classify else Status.MAXITER), None, res, 1, None
+        drift = Status.UNBOUNDED if classify else Status.MAXITER
+        return [(Status.OPTIMAL, x[k], res[k], 1, None) if res[k] <= 1e-6
+                else (drift, None, res[k], 1, None) for k in range(nb)]
 
-    best = None
+    quadratic = H.any()  # with H = 0, 0.5 x.H x is a signed zero that cannot move obj
+    unbounded_below = -_DIVERGE * scale_d
+    out = [None] * nb
+    idx = np.arange(nb)          # problems still iterating
+    best_kkt, best_x = np.zeros(nb), x  # their best iterates so far
+    stopped = []                 # (problem, best kkt, best x) left undecided
     for it in range(1, MAX_ITER + 1):
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s))
-                and np.all(np.isfinite(z)) and np.max(s) < 1e100
-                and np.max(z) < 1e100 and np.min(s) > 1e-200):
-            break  # diverged; fall through to classification
-        rd, rp, rg = residuals(x, y, z, s)
-        mu = float(z @ s) / m
-        pres = (np.max(np.abs(rp)) if p else 0.0, np.max(np.abs(rg)))
-        res_p = max(pres) / scale_p
-        res_d = np.max(np.abs(rd)) / scale_d
+        # The bounds on s also reject a non-finite s, and the one on z a NaN
+        # or +inf z; the step rule cannot make z -inf without a NaN.
+        live = (np.isfinite(x).all(1) & (s.max(1) < 1e100) & (s.min(1) > 1e-200)
+                & (z.max(1) < 1e100))
+        if not live.all():
+            # Diverged; such problems go to classification.
+            stopped.extend(zip(idx[~live], best_kkt[~live], best_x[~live]))
+            idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt, best_x = (
+                v[live] for v in (idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below,
+                                  best_kkt, best_x))
+        if not idx.size:
+            break
+        rd, rp, rg = residuals(x, y, z, s, g, h)
+        mu = _dot(z, s) / m
+        res_p = np.abs(rg).max(1)
+        if p:
+            res_p = np.maximum(np.abs(rp).max(1), res_p)
+        res_p = res_p / scale_p
+        res_d = np.abs(rd).max(1) / scale_d
         res_g = mu / scale_d
-        kkt = max(res_p, res_d, res_g)
-        if best is None or kkt < best[0]:
-            best = (kkt, x.copy(), it)
-        if res_p <= tol and res_d <= tol and res_g <= tol:
-            return Status.OPTIMAL, x, kkt, it, None
-
-        obj = 0.5 * x @ H @ x + g @ x
-        if classify and res_p <= 1e-6 and obj < -_DIVERGE * scale_d:
-            return Status.UNBOUNDED, None, kkt, it, None
+        kkt = np.maximum(np.maximum(res_p, res_d), res_g)
+        if it == 1:
+            best_kkt, best_x = kkt, x
+        else:
+            better = kkt < best_kkt
+            best_kkt = np.where(better, kkt, best_kkt)
+            best_x = np.where(better[:, None], x, best_x)
+        converged = kkt <= tol  # all three residuals; a NaN fails both ways
+        done = converged
+        if classify:
+            obj = _dot(g, x)
+            if quadratic:
+                obj = _dot(np.matmul((0.5 * x)[:, None, :], H)[:, 0], x) + obj
+            done = converged | ((res_p <= 1e-6) & (obj < unbounded_below))
+        if done.any():
+            for k in np.flatnonzero(done):
+                out[idx[k]] = ((Status.OPTIMAL, x[k], kkt[k], it, None) if converged[k]
+                               else (Status.UNBOUNDED, None, kkt[k], it, None))
+            if done.all():
+                idx = idx[:0]  # none left for classification
+                break
+            keep = ~done
+            idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt, best_x, \
+                rd, rp, rg, mu = (v[keep] for v in (
+                    idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt,
+                    best_x, rd, rp, rg, mu))
 
         d = z / s
-        M = H + G.T @ (d[:, None] * G)
-
-        def solve_kkt(rx, ry):
-            rhs = np.concatenate([rx, ry]) if p else rx
-            sol = np.linalg.solve(K, rhs)
-            return (sol[:n], sol[n:]) if p else (sol, np.zeros(0))
+        M = H + np.matmul(G.T, d[:, :, None] * G)
 
         # Affine scaling (predictor) direction; a singular KKT matrix is
-        # retried with a larger regularization.
-        rhs_x = -(rd + G.T @ (d * rg - z))
+        # retried with a larger regularization, problem by problem.
+        rhs_x = -(rd + _mv(G.T, d * rg - z))
+        rhs = np.concatenate([rhs_x, -rp], axis=1) if p else rhs_x
         reg = 1e-12 * scale_d
-        for _ in range(6):
-            K = np.block([[M + reg * np.eye(n), A.T], [A, -reg * np.eye(p)]]) if p \
-                else M + reg * np.eye(n)
-            try:
-                dx_a, dy_a = solve_kkt(rhs_x, -rp if p else None)
-                break
-            except np.linalg.LinAlgError:
-                reg *= 100.0
-        else:
-            break
-        ds_a = -rg - G @ dx_a
+        K = _kkt_matrices(M, A, reg)
+        try:
+            sol = np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            sol = np.empty_like(rhs)
+            solved = np.ones(idx.size, dtype=bool)
+            for k in range(idx.size):
+                for _ in range(6):
+                    try:
+                        sol[k] = np.linalg.solve(K[k], rhs[k])
+                        break
+                    except np.linalg.LinAlgError:
+                        reg[k] *= 100.0
+                        K[k] = _kkt_matrices(M[k:k + 1], A, reg[k:k + 1])[0]
+                else:
+                    solved[k] = False
+            if not solved.all():
+                stopped.extend(zip(idx[~solved], best_kkt[~solved], best_x[~solved]))
+                idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt, best_x, \
+                    rd, rp, rg, mu, d, K, sol = (v[solved] for v in (
+                        idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt,
+                        best_x, rd, rp, rg, mu, d, K, sol))
+                if not idx.size:
+                    break
+        dx_a = sol[:, :n]
+        ds_a = -rg - _mv(G, dx_a)
         dz_a = -z - d * ds_a
 
         a_p = _max_step(s, ds_a)
         a_d = _max_step(z, dz_a)
-        mu_aff = float((z + a_d * dz_a) @ (s + a_p * ds_a)) / m
-        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
+        mu_aff = _dot(z + a_d[:, None] * dz_a, s + a_p[:, None] * ds_a) / m
+        # sigma = (mu_aff / mu)^3, and 0 where mu = 0.
+        sigma_mu = (np.float_power(mu_aff / np.where(mu > 0.0, mu, np.inf), 3) * mu)[:, None]
 
         # Corrector.
-        corr = (sigma * mu - ds_a * dz_a) / s
-        rhs_x = -(rd + G.T @ (d * rg - z + corr))
-        dx, dy = solve_kkt(rhs_x, -rp if p else None)
-        ds = -rg - G @ dx
-        dz = (sigma * mu - ds_a * dz_a) / s - z - d * ds
+        corr = (sigma_mu - ds_a * dz_a) / s
+        rhs_x = -(rd + _mv(G.T, d * rg - z + corr))
+        rhs = np.concatenate([rhs_x, -rp], axis=1) if p else rhs_x
+        sol = np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
+        dx, dy = sol[:, :n], sol[:, n:]
+        ds = -rg - _mv(G, dx)
+        dz = (sigma_mu - ds_a * dz_a) / s - z - d * ds
 
-        alpha = 0.995 * min(_max_step(s, ds), _max_step(z, dz))
-        alpha = min(alpha, 1.0)
+        alpha = (0.995 * np.minimum(_max_step(s, ds), _max_step(z, dz)))[:, None]
         x = x + alpha * dx
         y = y + alpha * dy
         s = s + alpha * ds
         z = z + alpha * dz
 
-    # Did not converge: classify via an elastic phase-1 LP, never report a
+    # Not converged: classify via an elastic phase-1 LP, never report a
     # silent wrong answer.
-    if classify:
-        t, cert = _phase1(A, b, G, h)
-        if t is None:
-            return Status.MAXITER, best[1], best[0], MAX_ITER, None
-        if t > 1e-7:
-            return Status.INFEASIBLE, None, best[0], MAX_ITER, cert
-    return Status.MAXITER, best[1], best[0], MAX_ITER, None
+    stopped.extend(zip(idx, best_kkt, best_x))
+    if not stopped:
+        return out
+    rows = [i for i, _, _ in stopped]
+    phase = _phase1(A, b, G, h_all[rows]) if classify else [(None, None)] * len(rows)
+    for (i, kkt_i, x_i), (t, cert) in zip(stopped, phase):
+        if t is not None and t > 1e-7:
+            out[i] = (Status.INFEASIBLE, None, kkt_i, MAX_ITER, cert)
+        else:
+            out[i] = (Status.MAXITER, x_i, kkt_i, MAX_ITER, None)
+    return out
 
 
 def _max_step(v, dv):
-    neg = dv < 0
-    if not np.any(neg):
-        return 1.0
-    return float(min(1.0, np.min(-v[neg] / dv[neg])))
+    """Largest step in [0, 1] that keeps v + step * dv >= 0, per row."""
+    neg = dv < 0.0
+    ratio = np.where(neg, -v, np.inf) / np.where(neg, dv, 1.0)
+    return np.fmin(ratio.min(-1), 1.0)
 
 
 def _phase1(A, b, G, h):
-    """min t s.t. Gx <= h + t, Ax = b, t >= 0; classifies feasibility."""
+    """min t s.t. Gx <= h[k] + t, Ax = b, t >= 0 for every row k of h.
+
+    Classifies feasibility: one (t, point) pair per row, (None, None)
+    where the phase-1 LP itself does not converge.
+    """
     n = G.shape[1]
     m = G.shape[0]
     Gx = np.hstack([G, -np.ones((m, 1))])
     Gx = np.vstack([Gx, np.concatenate([np.zeros(n), [-1.0]])])
-    hx = np.concatenate([h, [0.0]])
+    hx = np.hstack([h, np.zeros((h.shape[0], 1))])
     Ax = np.hstack([A, np.zeros((A.shape[0], 1))]) if A.shape[0] else np.zeros((0, n + 1))
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    st, xt, kkt, _, _ = _ipm(np.zeros((n + 1, n + 1)), c, Ax, b, Gx, hx,
-                             tol=FEAS_TOL, classify=False)
-    if st != Status.OPTIMAL or xt is None:
-        return None, None
-    return float(xt[-1]), xt
+    reports = _ipm(np.zeros((n + 1, n + 1)), np.broadcast_to(c, (h.shape[0], n + 1)),
+                   Ax, b, Gx, hx, tol=FEAS_TOL, classify=False)
+    return [(float(xt[-1]), xt) if st == Status.OPTIMAL and xt is not None else (None, None)
+            for st, xt, _, _, _ in reports]
 
 
 def solve_lp(p, tol=FEAS_TOL):
@@ -256,11 +358,37 @@ def solve_lp(p, tol=FEAS_TOL):
     n = p.c.size
     G, h = (p.A, p.b) if p.A is not None else _empty(n)
     A, b = (p.A_eq, p.b_eq) if p.A_eq is not None else _empty(n)
-    st, x, kkt, it, cert = _ipm(np.zeros((n, n)), -p.c, A, b, G, h, tol)
-    if st == Status.OPTIMAL:
-        x = _crossover(p.c, A, b, G, h, x)
-    obj = float(p.c @ x) if x is not None and st == Status.OPTIMAL else None
-    return SolveReport(st, x, obj, kkt, it, cert)
+    return _lp_reports(p.c[None], G, h[None], A, b, tol)[0]
+
+
+def solve_lp_batch(c, A, b, tol=FEAS_TOL):
+    """solve_lp for a batch of LPs max c[k].x s.t. A x <= b[k] that share A.
+
+    Row k of c (B, n) and of b (B, m) gives problem k; a 1-D c or b is
+    shared by every problem. All problems run in one interior-point loop,
+    and each report is bit-identical to solve_lp on that problem alone.
+    """
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    A = np.asarray(A, dtype=float)
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    n = c.shape[1]
+    _check_dims(n, A, b, None, None)
+    nb = max(len(c), len(b))
+    return _lp_reports(np.broadcast_to(c, (nb, n)), A, np.broadcast_to(b, (nb, A.shape[0])),
+                       *_empty(n), tol)
+
+
+def _lp_reports(c, G, h, A, b, tol):
+    """max c[k].x s.t. G x <= h[k], A x = b: the interior-point loop, then
+    ``_crossover`` on every problem it solves."""
+    n = c.shape[1]
+    reports = []
+    for (st, x, kkt, it, cert), ck, hk in zip(_ipm(np.zeros((n, n)), -c, A, b, G, h, tol), c, h):
+        if st == Status.OPTIMAL:
+            x = _crossover(ck, A, b, G, hk, x)
+        obj = float(ck @ x) if x is not None and st == Status.OPTIMAL else None
+        reports.append(SolveReport(st, x, obj, kkt, it, cert))
+    return reports
 
 
 def _crossover(c, A, b, G, h, x):
@@ -305,18 +433,18 @@ def solve_qp(p, tol=FEAS_TOL):
     n = p.g.size
     G, h = (p.A_in, p.b_in) if p.A_in is not None else _empty(n)
     A, b = (p.A_eq, p.b_eq) if p.A_eq is not None else _empty(n)
-    st, x, kkt, it, cert = _ipm(p.H, p.g, A, b, G, h, tol)
+    st, x, kkt, it, cert = _ipm(p.H, p.g[None], A, b, G, h[None], tol)[0]
     obj = float(0.5 * x @ p.H @ x + p.g @ x) if x is not None and st == Status.OPTIMAL else None
     return SolveReport(st, x, obj, kkt, it, cert)
 
 
 def feasibility(A, b):
-    """A strictly interior-ish point of {x : Ax <= b}, or None if empty."""
-    t, xt = _phase1(np.zeros((0, A.shape[1])), np.zeros(0), np.asarray(A, float),
-                    np.asarray(b, float).reshape(-1))
-    if t is None or t > 1e-7:
-        return None
-    return xt[:-1]
+    """A strictly interior-ish point of {x : Ax <= b[k]} for every row k of
+    b (B, m), or None where that set is empty; one batched phase-1 solve."""
+    A = np.asarray(A, float)
+    points = _phase1(np.zeros((0, A.shape[1])), np.zeros(0), A,
+                     np.asarray(b, float).reshape(-1, A.shape[0]))
+    return [None if t is None or t > 1e-7 else xt[:-1] for t, xt in points]
 
 
 # ---------------------------------------------------------------------------

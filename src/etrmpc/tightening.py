@@ -434,9 +434,11 @@ def build_setup(plant, N, M, F, K, Q, R):
         TXseq.append(pontryagin_diff(TXseq[i], W, image=L[i]))
 
     for name, seq in (("U", Useq), ("X", Xseq), ("TU", TUseq), ("TX", TXseq)):
-        for i, s in enumerate(seq):
-            if i > 0 and s.is_empty():
-                raise EmptyTightenedSet(i, name)
+        # pontryagin_diff keeps the rows, so a family's sets share A and one
+        # batched phase-1 solve checks them all.
+        empty = geometry.are_empty(seq[0].A, [s.b for s in seq[1:]])
+        if any(empty):
+            raise EmptyTightenedSet(empty.index(True) + 1, name)
 
     Xf = _as_polytope(plant.Xf)
     A_cl = A + B @ F

@@ -323,7 +323,11 @@ class TriggerSchedule:
 
     def to_dict(self):
         """The boxes with their shape ratios r_c/r_o, a diagnostic of each
-        principal polytope that no trigger decision reads."""
+        principal polytope that no trigger decision reads. The principal
+        polytopes of a schedule share the setup's rows G, so all their
+        Chebyshev LPs run as one batched solve."""
+        pps = self.principals
+        ratios = geometry.shape_ratios(pps[0].G, [pp.d for pp in pps]) if pps else []
         return {
             "method": self.method,
             "boxes": [{"j": j + 1,
@@ -332,8 +336,8 @@ class TriggerSchedule:
                        "vol1": self.vol1[j],
                        "vol2": self.vol2[j],
                        "degenerate_coords": self.degenerate_coords[j],
-                       "shape_ratio": geometry.shape_ratio(pp.error_polytope())}
-                      for j, (b, pp) in enumerate(zip(self.boxes, self.principals))],
+                       "shape_ratio": ratios[j]}
+                      for j, b in enumerate(self.boxes)],
         }
 
 

@@ -163,6 +163,15 @@ def highs_max(c, A, b, A_eq=None, b_eq=None):
     return -float(res.fun)
 
 
+def highs_chebyshev(A, b):
+    """HiGHS radius of the largest 2-norm ball in {x : A x <= b}: max r
+    s.t. a_i x + ||a_i|| r <= b_i, with r free and x free."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[1]
+    rows = np.hstack([A, np.linalg.norm(A, axis=1)[:, None]])
+    return highs_max(np.eye(n + 1)[n], rows, b)
+
+
 def highs_segment_length(G, d, j):
     """Longest segment [z, z + omega e_j] through the origin in {G e <= d}.
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from etrmpc import geometry
+from etrmpc import geometry, solver
 from etrmpc.geometry import (HyperRect, Polytope, pontryagin_diff,
-                             shape_ratio, support, weighted_projection)
+                             shape_ratio, shape_ratios, support, supports,
+                             weighted_projection)
 
-from oracles import enumerate_vertices, grid_projection
+from oracles import enumerate_vertices, grid_projection, highs_chebyshev
 
 
 def unit_box(n=2, half=1.0):
@@ -80,6 +81,20 @@ class TestPontryagin:
         sub = Polytope.from_box([-0.25, -0.25], [0.25, 0.25])
         res = pontryagin_diff(unit_box(2, 1.0), sub)
         assert np.allclose(res.b, 0.75 * np.ones(4), atol=1e-7)
+
+    def test_polytope_offsets_match_single_supports(self):
+        # One batched LP solve gives each facet the bits of its own LP.
+        rng = np.random.default_rng(23)
+        poly = Polytope(np.vstack([rng.normal(size=(6, 3)), np.eye(3), -np.eye(3)]),
+                        np.concatenate([rng.uniform(0.8, 2.0, size=6), np.full(6, 3.0)]))
+        sub = Polytope(np.vstack([rng.normal(size=(4, 3)), np.eye(3), -np.eye(3)]),
+                       np.concatenate([rng.uniform(0.1, 0.3, size=4), np.full(6, 0.2)]))
+        image = rng.normal(size=(3, 3))
+        res = pontryagin_diff(poly, sub, image=image)
+        dirs = poly.A @ image
+        single = np.array([support(sub, a) for a in dirs])
+        assert res.b.tobytes() == (poly.b - single).tobytes()
+        assert supports(sub, dirs).tobytes() == single.tobytes()
 
     def test_erode_then_sum_is_inner(self):
         # Pontryagin property: x in poly (-) box and w in box give x + w in poly.
@@ -167,8 +182,37 @@ class TestChebyshev:
         with pytest.raises(geometry.EmptySetError):
             geometry.chebyshev_center(Polytope([[1.0], [-1.0]], [-1.0, -1.0]))
 
+    def test_batched_radii_match_highs(self):
+        # 30 polytopes with one G and random offsets, origin inside; the
+        # batched ratio times r_o is the Chebyshev radius. One member has
+        # the origin on its boundary.
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(17)
+        G = np.vstack([rng.normal(size=(8, 3)), np.eye(3), -np.eye(3)])
+        norms = np.linalg.norm(G, axis=1)
+        D = rng.uniform(0.05, 2.0, size=(30, G.shape[0]))
+        D[11, 4] = 0.0
+        ratios = shape_ratios(G, D)
+        assert ratios[11] == np.inf
+        for k, (d, ratio) in enumerate(zip(D, ratios)):
+            if k == 11:
+                continue
+            r_origin = np.min(d / norms)
+            assert ratio * r_origin == pytest.approx(highs_chebyshev(G, d), rel=1e-7, abs=1e-7)
+
 
 class TestShapeRatio:
+    def test_batch_matches_single_bit_for_bit(self):
+        # Every ratio of a batch is the single-polytope ratio, in any order.
+        rng = np.random.default_rng(43)
+        G = np.vstack([rng.normal(size=(5, 2)), np.eye(2), -np.eye(2)])
+        D = rng.uniform(0.1, 2.0, size=(6, G.shape[0]))
+        D[2, 0] = 0.0
+        single = [shape_ratio(Polytope(G, d)) for d in D]
+        assert shape_ratios(G, D) == single
+        assert shape_ratios(G, D[::-1]) == single[::-1]
+        assert shape_ratios(G, D[:0]) == []
+
     def test_symmetric_box_exact_one(self):
         assert shape_ratio(unit_box()) == 1.0
 
@@ -244,3 +288,24 @@ class TestTypes:
     def test_boundedness_probe(self):
         assert unit_box().is_bounded()
         assert not Polytope([[1.0, 0.0]], [1.0]).is_bounded()
+
+    def test_emptiness_batch_in_order(self):
+        # x_0 in [-b_1, b_0] and x_1 in [-b_3, b_2]: members 1 and 3 empty.
+        A = np.vstack([np.eye(2)[0], -np.eye(2)[0], np.eye(2)[1], -np.eye(2)[1]])
+        offsets = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 0.5, 1.0, 1.0],
+                            [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, -2.0, 1.0]])
+        assert geometry.are_empty(A, offsets) == [False, True, False, True]
+        assert [Polytope(A, b).is_empty() for b in offsets] == [False, True, False, True]
+
+    def test_boundedness_matches_axis_lps(self):
+        # The batched probe agrees with one LP per axis direction.
+        rng = np.random.default_rng(29)
+        for k in range(12):
+            n = 2 + k % 2
+            A = rng.normal(size=(2 + k % 4, n))
+            b = A @ rng.normal(size=n) + rng.uniform(0.1, 1.0, size=A.shape[0])
+            poly = Polytope(A, b)
+            per_axis = all(
+                solver.solve_lp(solver.LpProblem(c=sgn * e, A=A, b=b)).status
+                == solver.Status.OPTIMAL for e in np.eye(n) for sgn in (1.0, -1.0))
+            assert poly.is_bounded() == per_axis

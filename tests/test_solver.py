@@ -3,7 +3,7 @@ import pytest
 
 from etrmpc import solver
 from etrmpc.solver import (LpProblem, QpProblem, Status, maximize_log_volume,
-                           solve_lp, solve_qp)
+                           solve_lp, solve_lp_batch, solve_qp)
 
 from oracles import (grid_box_volume, highs_max, lp_max_by_vertices,
                      projected_gradient_qp, slsqp_log_volume)
@@ -100,6 +100,73 @@ class TestLp:
         r2 = solve_lp(LpProblem(c=c, A=A, b=b))
         assert r1.x.tobytes() == r2.x.tobytes()
         assert r1.objective == r2.objective
+
+
+def same_report(a, b):
+    return (a.status == b.status and a.iterations == b.iterations
+            and a.objective == b.objective and a.kkt_residual == b.kkt_residual
+            and (a.x is None) == (b.x is None)
+            and (a.x is None or a.x.tobytes() == b.x.tobytes()))
+
+
+class TestLpBatch:
+    def test_mixed_statuses_match_solo(self):
+        # x_0 in [-b_1, b_0], x_1 >= -b_2 and unbounded above: a batch with
+        # an optimal, an infeasible and two unbounded members, in both
+        # orders, each bit-identical to its own solve. The last member's
+        # unit start slack exceeds b_2, and it runs to the iteration cap.
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+        C = np.array([[0.5, -1.0], [0.5, 1.0], [0.5, 1.0], [0.5, 1.0]])
+        B = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.3]])
+        solo = [solve_lp(LpProblem(c=c, A=A, b=b)) for c, b in zip(C, B)]
+        assert [r.status for r in solo[:3]] == [Status.OPTIMAL, Status.INFEASIBLE,
+                                                Status.UNBOUNDED]
+        for order in (slice(None), slice(None, None, -1)):
+            batch = solve_lp_batch(C[order], A, B[order])
+            assert all(same_report(a, b) for a, b in zip(batch, solo[order]))
+
+    def test_shared_objective_or_offsets(self):
+        A, b = box_rows(2, 1.0)
+        C = np.array([[1.0, 0.5], [-0.3, 2.0]])
+        batch = solve_lp_batch(C, A, b)
+        assert all(same_report(r, solve_lp(LpProblem(c=c, A=A, b=b))) for r, c in zip(batch, C))
+        B = np.array([b, 2.0 * b])
+        batch = solve_lp_batch(C[0], A, B)
+        assert all(same_report(r, solve_lp(LpProblem(c=C[0], A=A, b=bk)))
+                   for r, bk in zip(batch, B))
+
+    def test_singular_kkt_retried_per_member(self):
+        # Both rows lie along (1, 1), so the Newton matrix is a multiple of
+        # [[1, 1], [1, 1]] of size 1e20 and a ridge of 1e-12 * scale_d is
+        # lost in rounding: members 0 and 2 stay singular through every
+        # retry and go to classification. Member 1's objective scales its
+        # ridge to 1e18, which is not lost.
+        A = np.array([[1e10, 1e10], [-1e10, -1e10]])
+        C = np.array([[1.0, 1.0], [1e30, 1e30], [1.0, 1.0]])
+        B = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
+        solo = [solve_lp(LpProblem(c=c, A=A, b=b)) for c, b in zip(C, B)]
+        assert solo[1].status == Status.OPTIMAL
+        batch = solve_lp_batch(C, A, B)
+        assert all(same_report(a, b) for a, b in zip(batch, solo))
+
+    def test_iteration_cap_stays_with_its_member(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        n = 3
+        A = np.vstack([rng.normal(size=(6, n)), np.eye(n), -np.eye(n)])
+        B = np.array([A @ (rng.normal(size=n) * 0.3) + rng.uniform(0.05, 1.5, size=A.shape[0])
+                      for _ in range(5)])
+        C = rng.normal(size=(5, n))
+        solo = [solve_lp(LpProblem(c=c, A=A, b=b)) for c, b in zip(C, B)]
+        its = [r.iterations for r in solo]
+        slow = int(np.argmax(its))
+        assert sorted(its)[-2] < its[slow]  # one member needs the most iterations
+        monkeypatch.setattr(solver, "MAX_ITER", its[slow] - 1)
+        batch = solve_lp_batch(C, A, B)
+        assert [r.status for r in batch] == [
+            Status.MAXITER if k == slow else Status.OPTIMAL for k in range(len(its))]
+        assert batch[slow].iterations == its[slow] - 1
+        assert same_report(batch[slow], solve_lp(LpProblem(c=C[slow], A=A, b=B[slow])))
+        assert all(same_report(r, solo[k]) for k, r in enumerate(batch) if k != slow)
 
 
 class TestQp:

@@ -453,10 +453,11 @@ class TestSchedule:
     def test_no_shape_ratio_while_building(self, sched_all, monkeypatch):
         setup, sol, _ = sched_all
 
-        def forbidden(poly):
-            raise AssertionError("shape_ratio called while building boxes")
+        def forbidden(*args):
+            raise AssertionError("shape diagnostic called while building boxes")
 
         monkeypatch.setattr(geometry, "shape_ratio", forbidden)
+        monkeypatch.setattr(geometry, "shape_ratios", forbidden)
         for method in trigger.METHODS:
             build_schedule(setup, sol, method)
 
