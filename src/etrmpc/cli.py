@@ -301,7 +301,7 @@ def _plot_data(trace):
         "inputs": _json_safe(trace.u.T.tolist()),
         "trigger_times": trace.trigger_times,
         "value_at_triggers": [_json_safe(trace.v_star[t]) for t in trace.trigger_times],
-        "decay_bound": _json_safe([trace.decay_bound[:T].tolist()]),
+        "decay_bound": _json_safe(trace.decay_bound[:T].tolist()),
     }
 
 

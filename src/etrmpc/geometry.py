@@ -140,21 +140,19 @@ class Polytope:
         if self._box_checked:
             return self._box
         self._box_checked = True
-        A, b = self.A, self.b
+        # Rows in reverse: of equal bounds np.minimum.at keeps the later one,
+        # so the first row's bound wins, signed zero included, as with min().
+        A, b = self.A[::-1], self.b[::-1]
         nz = np.abs(A) > 0
         if np.any(nz.sum(axis=1) != 1):
             return None
-        n = self.dim
-        lo = np.full(n, -np.inf)
-        hi = np.full(n, np.inf)
-        for i in range(A.shape[0]):
-            j = int(np.flatnonzero(nz[i])[0])
-            coef = A[i, j]
-            bound = b[i] / coef
-            if coef > 0:
-                hi[j] = min(hi[j], bound)
-            else:
-                lo[j] = max(lo[j], bound)
+        col = np.argmax(nz, axis=1)
+        coef = A[np.arange(A.shape[0]), col]
+        bound, up = b / coef, coef > 0
+        lo = np.full(self.dim, -np.inf)
+        hi = np.full(self.dim, np.inf)
+        np.minimum.at(hi, col[up], bound[up])
+        np.maximum.at(lo, col[~up], bound[~up])
         if np.any(~np.isfinite(lo)) or np.any(~np.isfinite(hi)) or np.any(lo > hi):
             return None
         self._box = HyperRect(lo, hi)

@@ -58,6 +58,45 @@ def stage_cost(setup, x_i, u_i, i):
     return dx + du
 
 
+class RmpcQp:
+    """The parts of the RMPC QP that depend on the setup only.
+
+    Variable layout: [u_0..u_{N-1} | x_1..x_N | sx_0..sx_{N-1} | su_0..su_{N-1}].
+    Each block is a Kronecker product over the stages applied to selectors
+    of these variable blocks; x_0 is data, so the stage-0 state rows drop
+    out and x0 enters only the linear term at sx_0 and the first nx
+    dynamics offsets. A family's tightened sets share their rows.
+    """
+
+    def __init__(self, setup):
+        N, nx, nu = setup.N, setup.nx, setup.nu
+        nv = 2 * N * (nx + nu)
+        e_u, e_x, e_sx, e_su = np.split(np.eye(nv), np.cumsum([N * nu, N * nx, N * nx]))
+        self.u = slice(0, N * nu)
+        self.sx0 = slice(N * (nu + nx), N * (nu + nx) + nx)
+        I_N, shift = np.eye(N), np.eye(N, k=-1)
+        x_stage = np.kron(shift, np.eye(nx)) @ e_x  # x_0..x_{N-1}, x_0 = 0
+        e_dx, e_du = x_stage - e_sx, e_u - e_su
+        self.H = (e_dx.T @ np.kron(I_N, 2.0 * setup.Q) @ e_dx
+                  + e_du.T @ np.kron(I_N, 2.0 * setup.R) @ e_du)
+        self.A_eq = np.kron(I_N, setup.plant.B) @ e_u + np.kron(shift, setup.plant.A) @ e_x - e_x
+
+        # Rows stage by stage: U_i on u_i, X_i on x_i, TX_i on sx_i, TU_i on su_i.
+        families = ((setup.Useq, e_u), (setup.Xseq, x_stage),
+                    (setup.TXseq, e_sx), (setup.TUseq, e_su))
+        rows = np.concatenate([(np.kron(I_N, seq[0].A) @ sel).reshape(N, -1, nv)
+                               for seq, sel in families], axis=1).reshape(-1, nv)
+        offsets = np.concatenate([[s.b for s in seq] for seq, _ in families], axis=1).ravel()
+        m_u = setup.Useq[0].A.shape[0]
+        x0_rows = np.s_[m_u:m_u + setup.Xseq[0].A.shape[0]]
+        Xf = setup.plant.Xf
+        Xf = Xf.to_polytope() if isinstance(Xf, geometry.HyperRect) else Xf
+        self.A_in = np.vstack([np.delete(rows, x0_rows, axis=0), Xf.A @ e_x[-nx:]])
+        self.b_in = np.concatenate([np.delete(offsets, x0_rows), Xf.b])
+        for a in (self.H, self.A_eq, self.A_in, self.b_in):
+            a.flags.writeable = False
+
+
 def solve_rmpc(setup, x0):
     """Solve the tightened optimal-control QP from state x0.
 
@@ -73,79 +112,18 @@ def solve_rmpc(setup, x0):
     if setup.Xseq[0].membership_residual(x0) > geometry.FEAS_TOL:
         raise InfeasibleState(x0, "(outside the state constraint set)")
 
-    # Variable layout: [u_0..u_{N-1} | x_1..x_N | sx_0..sx_{N-1} | su_0..su_{N-1}]
-    off_u = 0
-    off_x = N * nu
-    off_sx = off_x + N * nx
-    off_su = off_sx + N * nx
-    nv = off_su + N * nu
-
-    def ui(i):
-        return slice(off_u + i * nu, off_u + (i + 1) * nu)
-
-    def xi(i):  # i = 1..N
-        return slice(off_x + (i - 1) * nx, off_x + i * nx)
-
-    def sxi(i):
-        return slice(off_sx + i * nx, off_sx + (i + 1) * nx)
-
-    def sui(i):
-        return slice(off_su + i * nu, off_su + (i + 1) * nu)
-
-    Q2, R2 = 2.0 * setup.Q, 2.0 * setup.R
-    H = np.zeros((nv, nv))
-    g = np.zeros(nv)
-    # Stage 0 state term couples only sx_0 (x_0 is data).
-    H[sxi(0), sxi(0)] = Q2
-    g[sxi(0)] = -Q2 @ x0
-    const = float(x0 @ setup.Q @ x0)
-    for i in range(1, N):
-        H[xi(i), xi(i)] = Q2
-        H[sxi(i), sxi(i)] = Q2
-        H[xi(i), sxi(i)] = -Q2
-        H[sxi(i), xi(i)] = -Q2
-    for i in range(N):
-        H[ui(i), ui(i)] = R2
-        H[sui(i), sui(i)] = R2
-        H[ui(i), sui(i)] = -R2
-        H[sui(i), ui(i)] = -R2
-
+    qp = setup.qp
     A, B = setup.plant.A, setup.plant.B
-    A_eq = np.zeros((N * nx, nv))
+    g = np.zeros(qp.H.shape[0])
+    g[qp.sx0] = -(2.0 * setup.Q) @ x0
     b_eq = np.zeros(N * nx)
-    for i in range(N):
-        rows = slice(i * nx, (i + 1) * nx)
-        A_eq[rows, xi(i + 1)] = -np.eye(nx)
-        A_eq[rows, ui(i)] = B
-        if i == 0:
-            b_eq[rows] = -A @ x0
-        else:
-            A_eq[rows, xi(i)] = A
-
-    in_rows, in_rhs = [], []
-
-    def add_in(block, sl, rhs):
-        mat = np.zeros((block.shape[0], nv))
-        mat[:, sl] = block
-        in_rows.append(mat)
-        in_rhs.append(rhs)
-
-    for i in range(N):
-        add_in(setup.Useq[i].A, ui(i), setup.Useq[i].b)
-        if i >= 1:
-            add_in(setup.Xseq[i].A, xi(i), setup.Xseq[i].b)
-        add_in(setup.TXseq[i].A, sxi(i), setup.TXseq[i].b)
-        add_in(setup.TUseq[i].A, sui(i), setup.TUseq[i].b)
-    Xf = setup.plant.Xf
-    Xf = Xf.to_polytope() if isinstance(Xf, geometry.HyperRect) else Xf
-    add_in(Xf.A, xi(N), Xf.b)
+    b_eq[:nx] = -A @ x0
 
     # Solved tighter than the project-wide 1e-8 so that re-propagated
     # states keep their tightened-set memberships within tolerance; an
     # iterate that only reaches the standard tolerance is still accepted.
     rep = solver.solve_qp(
-        solver.QpProblem(H=H, g=g, A_in=np.vstack(in_rows),
-                         b_in=np.concatenate(in_rhs), A_eq=A_eq, b_eq=b_eq),
+        solver.QpProblem(H=qp.H, g=g, A_in=qp.A_in, b_in=qp.b_in, A_eq=qp.A_eq, b_eq=b_eq),
         tol=1e-10)
     if rep.status == solver.Status.INFEASIBLE:
         raise InfeasibleState(x0, "(QP infeasible)", certificate=rep.certificate)
@@ -155,7 +133,7 @@ def solve_rmpc(setup, x0):
         raise RmpcError(f"RMPC QP failed with status {rep.status}")
 
     z = rep.x
-    u = np.array([z[ui(i)] for i in range(N)])
+    u = z[qp.u].reshape(N, nu)
 
     # Exact re-propagation kills the equality residual; re-projection then
     # keeps the value and slack invariants consistent to machine level.
@@ -163,18 +141,13 @@ def solve_rmpc(setup, x0):
     x[0] = x0
     for i in range(N):
         x[i + 1] = A @ x[i] + B @ u[i]
-    sx = np.zeros((N, nx))
-    su = np.zeros((N, nu))
-    stage = np.zeros(N)
-    for i in range(N):
-        px = geometry.weighted_projection(x[i], setup.TXseq[i], setup.Q)
-        pu = geometry.weighted_projection(u[i], setup.TUseq[i], setup.R)
-        sx[i] = px.projection
-        su[i] = pu.projection
-        stage[i] = px.distance_sq + pu.distance_sq
+    px = [geometry.weighted_projection(x[i], setup.TXseq[i], setup.Q) for i in range(N)]
+    pu = [geometry.weighted_projection(u[i], setup.TUseq[i], setup.R) for i in range(N)]
+    sx, su = [p.projection for p in px], [p.projection for p in pu]
+    stage = np.array([a.distance_sq + b.distance_sq for a, b in zip(px, pu)])
 
     value = float(np.sum(stage))
-    qp_value = float(0.5 * z @ H @ z + g @ z) + const
+    qp_value = float(0.5 * z @ qp.H @ z + g @ z) + float(x0 @ setup.Q @ x0)
     if abs(value - qp_value) > 1e-6 * max(1.0, abs(qp_value)):
         raise RmpcError(
             f"re-projected value {value:.9g} deviates from QP value {qp_value:.9g}")

@@ -46,9 +46,9 @@ class LpProblem:
 
     def __init__(self, c, A=None, b=None, A_eq=None, b_eq=None):
         self.c = np.asarray(c, dtype=float).reshape(-1)
-        self.A = None if A is None else np.asarray(A, dtype=float)
+        self.A = None if A is None else np.ascontiguousarray(A, dtype=float)
         self.b = None if b is None else np.asarray(b, dtype=float).reshape(-1)
-        self.A_eq = None if A_eq is None else np.asarray(A_eq, dtype=float)
+        self.A_eq = None if A_eq is None else np.ascontiguousarray(A_eq, dtype=float)
         self.b_eq = None if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
         _check_dims(self.c.size, self.A, self.b, self.A_eq, self.b_eq)
 
@@ -66,9 +66,9 @@ class QpProblem:
         self.g = np.asarray(g, dtype=float).reshape(-1)
         if np.min(np.linalg.eigvalsh(self.H)) < -1e-10:
             raise ValueError("H must be positive semidefinite")
-        self.A_in = None if A_in is None else np.asarray(A_in, dtype=float)
+        self.A_in = None if A_in is None else np.ascontiguousarray(A_in, dtype=float)
         self.b_in = None if b_in is None else np.asarray(b_in, dtype=float).reshape(-1)
-        self.A_eq = None if A_eq is None else np.asarray(A_eq, dtype=float)
+        self.A_eq = None if A_eq is None else np.ascontiguousarray(A_eq, dtype=float)
         self.b_eq = None if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
         _check_dims(self.g.size, self.A_in, self.b_in, self.A_eq, self.b_eq)
 
@@ -152,7 +152,8 @@ def _ipm(H, g, A, b, G, h, tol, classify=True):
 
     Solves one problem per row k of g (B, n) and h (B, m); H, A, b and G
     are shared. Each problem has its own iterates, convergence test,
-    regularization retry and phase-1 classification, and leaves the batch
+    regularization retry and phase-1 classification (then, for an LP that
+    phase 1 finds feasible, the recession LP), and leaves the batch
     once it is decided. The arithmetic is stacked only through operations
     that give each slice the bits of the one-problem call (``_mv``,
     ``_dot``, stacked ``np.linalg.solve``, ``np.float_power``), so a
@@ -163,7 +164,7 @@ def _ipm(H, g, A, b, G, h, tol, classify=True):
     """
     nb, n = g.shape
     p, m = A.shape[0], G.shape[0]
-    h_all = h
+    g_all, h_all = g, h
 
     scale_p = 1.0 + np.maximum(np.max(np.abs(b), initial=0.0),
                                np.max(np.abs(h), axis=1, initial=0.0))
@@ -311,16 +312,21 @@ def _ipm(H, g, A, b, G, h, tol, classify=True):
         s = s + alpha * ds
         z = z + alpha * dz
 
-    # Not converged: classify via an elastic phase-1 LP, never report a
-    # silent wrong answer.
+    # Not converged: classify via an elastic phase-1 LP and, for a feasible
+    # LP, a recession LP; never report a silent wrong answer.
     stopped.extend(zip(idx, best_kkt, best_x))
     if not stopped:
         return out
     rows = [i for i, _, _ in stopped]
     phase = _phase1(A, b, G, h_all[rows]) if classify else [(None, None)] * len(rows)
+    feasible = [i for i, (t, _) in zip(rows, phase) if t is not None and t <= 1e-7]
+    rays = set() if quadratic or not feasible else {
+        i for i, ray in zip(feasible, _descends_along_ray(A, G, g_all[feasible])) if ray}
     for (i, kkt_i, x_i), (t, cert) in zip(stopped, phase):
         if t is not None and t > 1e-7:
             out[i] = (Status.INFEASIBLE, None, kkt_i, MAX_ITER, cert)
+        elif i in rays:
+            out[i] = (Status.UNBOUNDED, None, kkt_i, MAX_ITER, None)
         else:
             out[i] = (Status.MAXITER, x_i, kkt_i, MAX_ITER, None)
     return out
@@ -331,6 +337,21 @@ def _max_step(v, dv):
     neg = dv < 0.0
     ratio = np.where(neg, -v, np.inf) / np.where(neg, dv, 1.0)
     return np.fmin(ratio.min(-1), 1.0)
+
+
+def _descends_along_ray(A, G, g):
+    """Whether min g[k].x over a nonempty {Ax = b, Gx <= h} falls without
+    bound, for every row k of g: one batched recession LP
+    min g[k].d s.t. G d <= 0, A d = 0, |d| <= 1, whose optimum is negative
+    exactly when some ray of the feasible set descends.
+    """
+    n = G.shape[1]
+    h = np.concatenate([np.zeros(G.shape[0]), np.ones(2 * n)])
+    G = np.vstack([G, np.eye(n), -np.eye(n)])
+    reports = _ipm(np.zeros((n, n)), g, A, np.zeros(A.shape[0]), G,
+                   np.broadcast_to(h, (len(g), h.size)), FEAS_TOL, classify=False)
+    return [st == Status.OPTIMAL and gk @ d < -1e-6 * (1.0 + np.max(np.abs(gk)))
+            for (st, d, _, _, _), gk in zip(reports, g)]
 
 
 def _phase1(A, b, G, h):
@@ -369,7 +390,7 @@ def solve_lp_batch(c, A, b, tol=FEAS_TOL):
     and each report is bit-identical to solve_lp on that problem alone.
     """
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    A = np.asarray(A, dtype=float)
+    A = np.ascontiguousarray(A, dtype=float)
     b = np.atleast_2d(np.asarray(b, dtype=float))
     n = c.shape[1]
     _check_dims(n, A, b, None, None)
@@ -441,7 +462,7 @@ def solve_qp(p, tol=FEAS_TOL):
 def feasibility(A, b):
     """A strictly interior-ish point of {x : Ax <= b[k]} for every row k of
     b (B, m), or None where that set is empty; one batched phase-1 solve."""
-    A = np.asarray(A, float)
+    A = np.ascontiguousarray(A, float)
     points = _phase1(np.zeros((0, A.shape[1])), np.zeros(0), A,
                      np.asarray(b, float).reshape(-1, A.shape[0]))
     return [None if t is None or t > 1e-7 else xt[:-1] for t, xt in points]

@@ -9,8 +9,9 @@ images K_i L_i W and L_i W of the disturbance set.
 
 import numpy as np
 
-from . import geometry
+from . import geometry, solver
 from .geometry import HyperRect, Polytope, pontryagin_diff
+from .rmpc import RmpcQp
 from .trigger import PrincipalRows
 
 NILPOTENCY_TOL = 1e-8
@@ -163,13 +164,11 @@ def synthesize_tightening_gains(plant, M, N=None):
     if count < M:
         raise ValueError("horizon too short for the requested nilpotency index")
 
-    gains = None
     if np.linalg.norm(np.linalg.matrix_power(A, M), "fro") <= NILPOTENCY_TOL:
         gains = [np.zeros((nu, n)) for _ in range(M)]  # A already nilpotent
-    if gains is None:
-        gains = _gains_from_schedule(A, B, M, _min_erosion_schedule(A, B, M))
-    if gains is None:
-        gains = _subspace_chain_gains(A, B, M)
+    else:
+        gains = (_gains_from_schedule(A, B, M, _min_erosion_schedule(A, B, M))
+                 or _subspace_chain_gains(A, B, M))
 
     gains = gains + [np.zeros((nu, n)) for _ in range(count - M)]
     L = np.eye(n)
@@ -183,86 +182,55 @@ def synthesize_tightening_gains(plant, M, N=None):
 def _min_erosion_schedule(A, B, M):
     """LP for the open-loop deadbeat schedule with least tightening.
 
-    Variables: Theta entries, their absolute values, and per-step bounds
-    t_i >= row-1-norms of Theta_i and s_i >= row-1-norms of L_i.
-    Objective: minimize sum(t) + sum(s). Returns the Theta_i list.
+    Variables: theta (the stacked Theta_i, row-major), |theta|, per-step
+    bounds t_i >= row 1-norms of Theta_i, |L_i| for i = 1..M-1 and bounds
+    s_i >= row 1-norms of L_i. Objective: minimize sum(t) + sum(s).
+    Returns the Theta_i list.
     """
-    from . import solver
-
     n, nu = A.shape[0], B.shape[1]
-    n_th = M * nu * n
-    # Layout: [theta, abs_theta, t (M), abs_L ((M-1) n^2), s (M-1)]
-    n_absL = (M - 1) * n * n
-    nv = 2 * n_th + M + n_absL + (M - 1)
-    o_abs = n_th
-    o_t = 2 * n_th
-    o_absL = o_t + M
-    o_s = o_absL + n_absL
+    n_th, n_L = M * nu * n, (M - 1) * n * n
+    # vec(L_i) = vec(A^i) + kron([A^(i-1)B ... B 0 ... 0], I_n) theta, i = 0..M.
+    Apow = np.array([np.linalg.matrix_power(A, i) for i in range(M + 1)])
+    lag = np.arange(M + 1)[:, None] - 1 - np.arange(M)
+    C = np.where((lag >= 0)[:, :, None, None], (Apow[:M] @ B)[lag.clip(0)], 0.0)
+    maps = np.kron(C.transpose(0, 2, 1, 3).reshape(M + 1, n, M * nu), np.eye(n))
 
-    def th(i, r, j):
-        return i * nu * n + r * n + j
-
-    rows, rhs = [], []
-
-    def add(row, val):
-        rows.append(row)
-        rhs.append(val)
-
-    # |theta| epigraph and row sums vs t_i.
-    for i in range(M):
-        for r in range(nu):
-            row_t = np.zeros(nv)
-            for j in range(n):
-                for sgn in (1.0, -1.0):
-                    row = np.zeros(nv)
-                    row[th(i, r, j)] = sgn
-                    row[o_abs + th(i, r, j)] = -1.0
-                    add(row, 0.0)
-                row_t[o_abs + th(i, r, j)] = 1.0
-            row_t[o_t + i] = -1.0
-            add(row_t, 0.0)
-
-    # L_i = A^i + sum_{k<i} A^(i-1-k) B Theta_k, i = 1..M-1; bound row sums.
-    Apow = [np.linalg.matrix_power(A, i) for i in range(M + 1)]
-    for i in range(1, M):
-        for r in range(n):
-            row_s = np.zeros(nv)
-            for j in range(n):
-                a_idx = o_absL + ((i - 1) * n + r) * n + j
-                # L_i[r, j] = Apow[i][r, j] + sum_k (Apow[i-1-k] B)[r, :] Theta_k[:, j]
-                for sgn in (1.0, -1.0):
-                    row = np.zeros(nv)
-                    for k in range(i):
-                        coef = (Apow[i - 1 - k] @ B)[r]
-                        for q in range(nu):
-                            row[th(k, q, j)] = sgn * coef[q]
-                    row[a_idx] = -1.0
-                    add(row, -sgn * Apow[i][r, j])
-                row_s[a_idx] = 1.0
-            row_s[o_s + (i - 1)] = -1.0
-            add(row_s, 0.0)
-
-    # Deadbeat equality: sum_k A^(M-1-k) B Theta_k = -A^M, entrywise.
-    eq_rows, eq_rhs = [], []
-    for r in range(n):
-        for j in range(n):
-            row = np.zeros(nv)
-            for k in range(M):
-                coef = (Apow[M - 1 - k] @ B)[r]
-                for q in range(nu):
-                    row[th(k, q, j)] = coef[q]
-            eq_rows.append(row)
-            eq_rhs.append(-Apow[M][r, j])
-
-    c = np.zeros(nv)
-    c[o_t:o_t + M] = -1.0
-    c[o_s:o_s + (M - 1)] = -1.0
+    G, h = _epigraph(np.vstack([np.eye(n_th), maps[1:M].reshape(n_L, n_th)]),
+                     np.concatenate([np.zeros(n_th), Apow[1:M].reshape(n_L)]), n,
+                     np.concatenate([np.arange(M * nu) // nu, M + np.arange((M - 1) * n) // n]))
+    # Columns [theta | |theta|, |L| | t, s] to [theta | |theta|, t | |L|, s].
+    o_b = 2 * n_th + n_L
+    order = np.r_[:2 * n_th, o_b:o_b + M, 2 * n_th:o_b, o_b + M:G.shape[1]]
     rep = solver.solve_lp(solver.LpProblem(
-        c=c, A=np.array(rows), b=np.array(rhs),
-        A_eq=np.array(eq_rows), b_eq=np.array(eq_rhs)), tol=EROSION_LP_TOL)
+        c=np.where(order >= o_b, -1.0, 0.0), A=G[:, order], b=h,
+        A_eq=np.hstack([maps[M], np.zeros((n * n, G.shape[1] - n_th))]),  # L_M = 0
+        b_eq=-Apow[M].reshape(-1)), tol=EROSION_LP_TOL)
     if rep.status != solver.Status.OPTIMAL:
         return None
-    return [rep.x[i * nu * n:(i + 1) * nu * n].reshape(nu, n) for i in range(M)]
+    return list(rep.x[:n_th].reshape(M, nu, n))
+
+
+def _epigraph(maps, offsets, size, bound):
+    """Rows of a >= |v| for v = maps @ theta + offsets, and of
+    b[bound[k]] >= the sum of a over the k-th run of ``size`` entries.
+
+    Columns [theta | a | b]. Per run: the rows +v - a <= -offset and
+    -v - a <= offset of each entry, then the run's sum row.
+    """
+    n_v, n_th = maps.shape
+    n_runs, idx = n_v // size, np.arange(n_v)
+    cols = n_th + n_v + bound[-1] + 1
+    sgn = np.array([[1.0], [-1.0]])
+    entry = np.zeros((n_v, 2, cols))
+    entry[:, :, :n_th] = sgn * maps[:, None]
+    entry[idx, :, n_th + idx] = -1.0
+    total = np.zeros((n_runs, cols))
+    total[idx // size, n_th + idx] = 1.0
+    total[np.arange(n_runs), n_th + n_v + bound] = -1.0
+    rows = np.concatenate([entry.reshape(n_runs, 2 * size, cols), total[:, None]], axis=1)
+    rhs = np.concatenate([(-sgn.T * offsets[:, None]).reshape(n_runs, 2 * size),
+                          np.zeros((n_runs, 1))], axis=1)
+    return rows.reshape(-1, cols), rhs.reshape(-1)
 
 
 def _gains_from_schedule(A, B, M, thetas):
@@ -336,8 +304,9 @@ class RmpcSetup:
 
     Built by :func:`build_setup`; holds the plant, horizon data, gains,
     transition matrices (plain and shifted), the four tightened set
-    sequences, the cost weights and the plan-independent principal rows
-    of the triggering sets.
+    sequences, the cost weights, and the two plan-independent parts of the
+    controller: the RMPC QP data and the principal rows of the triggering
+    sets.
     """
 
     def __init__(self, plant, N, M, F, K, L, Ktilde, Ltilde,
@@ -357,6 +326,7 @@ class RmpcSetup:
         self.Q = Q
         self.R = R
         self.report = report
+        self.qp = RmpcQp(self)
         self.principal_rows = PrincipalRows(self)
 
     @property
@@ -411,15 +381,13 @@ def build_setup(plant, N, M, F, K, Q, R):
     if nilpotency > NILPOTENCY_TOL:
         raise NilpotencyFailure(
             f"supplied gains give ||L_i||_F = {nilpotency:.3e} for some i >= M")
-    for i in range(M, N):
-        L[i] = np.zeros((n, n))
+    L[M:] = [np.zeros((n, n)) for _ in range(M, N)]
 
     Ktilde = [np.zeros((nu, n))] + [K[i] for i in range(N - 1)]
     Ltilde = [np.eye(n)]
     for i in range(N):
         Ltilde.append((A + B @ Ktilde[i]) @ Ltilde[i])
-    for i in range(M + 1, N + 1):
-        Ltilde[i] = np.zeros((n, n))
+    Ltilde[M + 1:] = [np.zeros((n, n)) for _ in range(M + 1, N + 1)]
 
     W = plant.W
     Useq = [_as_polytope(plant.U)]

@@ -111,6 +111,14 @@ class TestRun:
         assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
+    def test_plot_data_series_are_flat(self, config, tmp_path):
+        cmd_run(config, out_dir=tmp_path, steps=12, out=io.StringIO())
+        plot = json.loads((tmp_path / "plot_data.json").read_text())
+        assert len(plot["decay_bound"]) == 12
+        assert all(v is None or isinstance(v, float) for v in plot["decay_bound"])
+        assert plot["decay_bound"][0] is not None
+        assert len(plot["value_at_triggers"]) == len(plot["trigger_times"])
+
     def test_method_override(self, config, tmp_path):
         trace, _ = cmd_run(config, out_dir=tmp_path, steps=10,
                            method="periodic", out=io.StringIO())

@@ -52,6 +52,13 @@ class TestSupport:
         with pytest.raises(geometry.UnboundedSupport):
             support(poly, [0.0, 1.0])
 
+    def test_unbounded_after_iteration_cap_raises(self):
+        # The start slack of x_1 >= -0.3 is clamped to 1, so the LP runs to
+        # the iteration cap; the recession LP then finds the ray.
+        poly = Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 0.3])
+        with pytest.raises(geometry.UnboundedSupport):
+            support(poly, [0.5, 1.0])
+
 
 class TestPontryagin:
     def test_box_erosion_closed_form(self):
@@ -273,6 +280,30 @@ class TestTypes:
         assert np.allclose(box.lower, [-3.0, -2.0])
         assert np.allclose(box.upper, [2.0, 1.0])
         assert Polytope([[1.0, 1.0], [-1.0, -1.0]], [1.0, 1.0]).as_box() is None
+
+    def test_as_box_matches_per_row_bounds(self):
+        # Duplicate and redundant rows, zero offsets of either sign and
+        # open or crossed coordinates, against the tightest bound per
+        # coordinate, taken row by row; the first of equal bounds wins.
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            A = np.zeros((m, n))
+            A[np.arange(m), rng.integers(0, n, size=m)] = rng.choice([-2.0, -1.0, 0.5, 1.0], m)
+            b = rng.choice([-0.0, 0.0, 1.0, 0.5, -0.5], m)
+            lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+            for row, off in zip(A, b):
+                j = int(np.flatnonzero(row)[0])
+                if row[j] > 0:
+                    hi[j] = min(hi[j], off / row[j])
+                else:
+                    lo[j] = max(lo[j], off / row[j])
+            box = Polytope(A, b).as_box()
+            if np.all(np.isfinite(lo) & np.isfinite(hi)) and np.all(lo <= hi):
+                assert box.lower.tobytes() == lo.tobytes()
+                assert box.upper.tobytes() == hi.tobytes()
+            else:
+                assert box is None
 
     def test_polytope_validation(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from etrmpc import rmpc
 from etrmpc.geometry import HyperRect, Polytope
 from etrmpc.rmpc import InfeasibleState, solve_rmpc, stage_cost
 from etrmpc.tightening import (PlantModel, build_setup, synthesize_nominal_gain,
@@ -171,20 +172,103 @@ class TestLqrCrosscheck:
         assert np.max(np.abs(sol.u[0] - F_t @ x0)) <= 1e-4
 
 
+def cross_polytope_setup():
+    """Batch reactor with the state target {x : ||x||_1 <= 1.6} as 16
+    sign-vector rows."""
+    plant = batch_plant()
+    rows = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
+    plant = PlantModel(plant.A, plant.B, X=plant.X, U=plant.U, W=plant.W,
+                       Tx=Polytope(rows, np.full(16, 1.6)), Tu=plant.Tu,
+                       Xf=plant.Xf)
+    F = synthesize_nominal_gain(plant, 2.0 * np.eye(4), 10.0 * np.eye(2))
+    K = synthesize_tightening_gains(plant, M=4, N=10)
+    return build_setup(plant, N=10, M=4, F=F, K=K, Q=2.0 * np.eye(4), R=np.eye(2))
+
+
 class TestPolytopicTarget:
     def test_cross_polytope_state_target_two_solves(self):
-        # State target {x : ||x||_1 <= 1.6} as 16 sign-vector rows: not a
-        # box, so every stage projection goes through the projection QP and
-        # the re-projected plan value must match the RMPC QP value.
-        plant = batch_plant()
-        rows = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
-        plant = PlantModel(plant.A, plant.B, X=plant.X, U=plant.U, W=plant.W,
-                           Tx=Polytope(rows, np.full(16, 1.6)), Tu=plant.Tu,
-                           Xf=plant.Xf)
-        F = synthesize_nominal_gain(plant, 2.0 * np.eye(4), 10.0 * np.eye(2))
-        K = synthesize_tightening_gains(plant, M=4, N=10)
-        setup = build_setup(plant, N=10, M=4, F=F, K=K, Q=2.0 * np.eye(4), R=np.eye(2))
+        # The target is not a box, so every stage projection goes through
+        # the projection QP and the re-projected plan value must match the
+        # RMPC QP value.
+        setup = cross_polytope_setup()
+        plant = setup.plant
         sol = solve_rmpc(setup, X0)
         x1 = plant.A @ X0 + plant.B @ sol.u[0]
         sol1 = solve_rmpc(setup, x1)
         assert sol1.value <= sol.value - sol.stage_costs[0] + 1e-6
+
+
+class TestQpData:
+    @pytest.mark.parametrize("make", [batch_setup, cross_polytope_setup])
+    def test_matches_per_stage_assembly(self, make):
+        setup = make()
+        qp = setup.qp
+        for got, want in zip((qp.H, qp.A_eq, qp.A_in, qp.b_in), _per_stage_qp(setup)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_built_once_per_setup(self, monkeypatch):
+        built = []
+        init = rmpc.RmpcQp.__init__
+
+        def counting(self, setup):
+            built.append(setup)
+            init(self, setup)
+
+        monkeypatch.setattr(rmpc.RmpcQp, "__init__", counting)
+        setup = small_setup()
+        assert len(built) == 1
+        a = solve_rmpc(setup, [1.0, -0.5])
+        solve_rmpc(setup, setup.plant.A @ a.x[0] + setup.plant.B @ a.u[0])
+        assert len(built) == 1
+
+
+def _per_stage_qp(setup):
+    """Reference H, A_eq, A_in and b_in, written one stage block at a time
+    over [u_0..u_{N-1} | x_1..x_N | sx_0..sx_{N-1} | su_0..su_{N-1}]."""
+    N, nx, nu = setup.N, setup.nx, setup.nu
+    nv = 2 * N * (nx + nu)
+
+    def u(i):
+        return slice(i * nu, (i + 1) * nu)
+
+    def x(i):  # i = 1..N
+        return slice(N * nu + (i - 1) * nx, N * nu + i * nx)
+
+    def sx(i):
+        return slice(N * (nu + nx) + i * nx, N * (nu + nx) + (i + 1) * nx)
+
+    def su(i):
+        return slice(N * (nu + 2 * nx) + i * nu, N * (nu + 2 * nx) + (i + 1) * nu)
+
+    Q2, R2 = 2.0 * setup.Q, 2.0 * setup.R
+    H = np.zeros((nv, nv))
+    H[sx(0), sx(0)] = Q2
+    for i in range(1, N):
+        H[x(i), x(i)] = H[sx(i), sx(i)] = Q2
+        H[x(i), sx(i)] = H[sx(i), x(i)] = -Q2
+    for i in range(N):
+        H[u(i), u(i)] = H[su(i), su(i)] = R2
+        H[u(i), su(i)] = H[su(i), u(i)] = -R2
+
+    A_eq = np.zeros((N * nx, nv))
+    for i in range(N):
+        rows = slice(i * nx, (i + 1) * nx)
+        A_eq[rows, x(i + 1)] = -np.eye(nx)
+        A_eq[rows, u(i)] = setup.plant.B
+        if i > 0:
+            A_eq[rows, x(i)] = setup.plant.A
+
+    blocks = []
+    for i in range(N):
+        blocks.append((setup.Useq[i], u(i)))
+        if i > 0:
+            blocks.append((setup.Xseq[i], x(i)))
+        blocks += [(setup.TXseq[i], sx(i)), (setup.TUseq[i], su(i))]
+    blocks.append((setup.plant.Xf.to_polytope(), x(N)))
+    A_in = np.zeros((sum(S.A.shape[0] for S, _ in blocks), nv))
+    start = 0
+    for S, cols in blocks:
+        A_in[start:start + S.A.shape[0], cols] = S.A
+        start += S.A.shape[0]
+    return H, A_eq, A_in, np.concatenate([S.b for S, _ in blocks])

@@ -85,6 +85,26 @@ class TestLp:
         rep = solve_lp(LpProblem(c=[1.0, 1.0], A=A, b=b))
         assert rep.status == Status.UNBOUNDED
 
+    def test_unbounded_from_infeasible_start(self):
+        # The unit start slack of x_1 >= -0.3 is infeasible, so the iterates
+        # never pass the divergence test and the loop runs to the cap; the
+        # recession LP max c.d, G d <= 0, |d| <= 1 has optimum 1.
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+        rep = solve_lp(LpProblem(c=[0.5, 1.0], A=A, b=[1.0, 1.0, 0.3]))
+        assert rep.status == Status.UNBOUNDED
+        assert rep.x is None and rep.objective is None
+
+    def test_recession_lp_separates_rays(self):
+        # One batch: objectives that fall along the ray e_1 of the strip
+        # |x_0| <= 1, x_1 >= -0.3 (as minimization, g = -c), and ones that
+        # do not, whose recession optimum is 0.
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+        g = -np.array([[0.5, 1.0], [0.0, 1e-3], [0.5, -1.0], [1.0, 0.0], [0.0, 0.0]])
+        assert solver._descends_along_ray(np.zeros((0, 2)), A, g) == [
+            True, True, False, False, False]
+        box, _ = box_rows(2, 1.0)
+        assert solver._descends_along_ray(np.zeros((0, 2)), box, g) == [False] * 5
+
     def test_objective_scaling_keeps_argmax(self):
         A, b = box_rows(2, 1.0)
         c = np.array([0.7, -0.3])
@@ -101,6 +121,17 @@ class TestLp:
         assert r1.x.tobytes() == r2.x.tobytes()
         assert r1.objective == r2.objective
 
+    def test_bits_independent_of_memory_layout(self):
+        # A column-major matrix takes other BLAS paths; the problem keeps a
+        # row-major copy, so the bits do not depend on the caller's layout.
+        rng = np.random.default_rng(17)
+        A = np.vstack([rng.normal(size=(8, 3)), *box_rows(3, 2.0)[:1]])
+        b = np.concatenate([rng.uniform(0.2, 1.0, size=8), np.full(6, 2.0)])
+        c = rng.normal(size=3)
+        r1 = solve_lp(LpProblem(c=c, A=A, b=b))
+        r2 = solve_lp(LpProblem(c=c, A=np.asfortranarray(A), b=b))
+        assert same_report(r1, r2)
+
 
 def same_report(a, b):
     return (a.status == b.status and a.iterations == b.iterations
@@ -114,7 +145,8 @@ class TestLpBatch:
         # x_0 in [-b_1, b_0], x_1 >= -b_2 and unbounded above: a batch with
         # an optimal, an infeasible and two unbounded members, in both
         # orders, each bit-identical to its own solve. The last member's
-        # unit start slack exceeds b_2, and it runs to the iteration cap.
+        # unit start slack exceeds b_2, and it runs to the iteration cap
+        # before the recession LP classifies it.
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
         C = np.array([[0.5, -1.0], [0.5, 1.0], [0.5, 1.0], [0.5, 1.0]])
         B = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.3]])
