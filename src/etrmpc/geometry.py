@@ -239,7 +239,9 @@ def weighted_projection(point, target, weight):
     """
     r = np.asarray(point, dtype=float)
     M = np.asarray(weight, dtype=float)
-    if np.any(np.linalg.eigvalsh(0.5 * (M + M.T)) <= 0):
+    d = np.diagonal(M)
+    diag = np.count_nonzero(M) == np.count_nonzero(d)  # every off-diagonal entry is 0
+    if not np.all((d if diag else np.linalg.eigvalsh(0.5 * (M + M.T))) > 0):
         raise ValueError("weight must be positive definite")
 
     # Membership within the global tolerance counts as inside: distance 0.
@@ -247,7 +249,6 @@ def weighted_projection(point, target, weight):
         return WeightedDistanceResult(0.0, r)
 
     box = target if isinstance(target, HyperRect) else target.as_box()
-    diag = np.allclose(M, np.diag(np.diag(M)), atol=0.0)
     if box is not None and diag:
         s = np.clip(r, box.lower, box.upper)
         d2 = float((r - s) @ M @ (r - s))

@@ -1,11 +1,11 @@
 """Finite-horizon robust MPC problem: assembly and solution.
 
-One convex QP per query state: decision variables are the input sequence,
-the nominal state sequence (kept explicit behind equality dynamics rows,
-giving the sparse KKT structure), and one slack point per stage per
-target set. The slack points realize the distance-to-set stage cost: at
-the optimum they are exactly the weighted projections of the stage state
-and input onto the tightened target sets.
+One convex QP per query state. The nominal states are condensed out
+through the dynamics, so the decision variables are the input sequence
+and one slack point per stage per target set, under inequality rows only.
+The slack points realize the distance-to-set stage cost: at the optimum
+they are exactly the weighted projections of the stage state and input
+onto the tightened target sets.
 """
 
 import numpy as np
@@ -59,41 +59,54 @@ def stage_cost(setup, x_i, u_i, i):
 
 
 class RmpcQp:
-    """The parts of the RMPC QP that depend on the setup only.
+    """The RMPC QP with the dynamics condensed out, built once per setup.
 
-    Variable layout: [u_0..u_{N-1} | x_1..x_N | sx_0..sx_{N-1} | su_0..su_{N-1}].
-    Each block is a Kronecker product over the stages applied to selectors
-    of these variable blocks; x_0 is data, so the stage-0 state rows drop
-    out and x0 enters only the linear term at sx_0 and the first nx
-    dynamics offsets. A family's tightened sets share their rows.
+    Variable layout: z = [u_0..u_{N-1} | sx_0..sx_{N-1} | su_0..su_{N-1}],
+    inequality rows only (80 variables and 240 rows on the reference
+    plant). Over w = [x0 | z], stage i's state is x_i = Phi_i w, with
+    Phi_0 = [I | 0] and Phi_{i+1} = A Phi_i + B E_i where E_i selects u_i.
+    The cost and the rows are Kronecker products over the stages applied
+    to selectors of w; a family's tightened sets share their rows. Their
+    x0 columns split off into what a solve applies: the linear term
+    ``g_x0 @ x0``, the offsets ``b_in - C_x0 @ x0`` and the constant
+    ``x0 @ c_x0 @ x0`` of the value. The stage-0 state rows hold x0 only
+    and drop out.
     """
 
     def __init__(self, setup):
         N, nx, nu = setup.N, setup.nx, setup.nu
-        nv = 2 * N * (nx + nu)
-        e_u, e_x, e_sx, e_su = np.split(np.eye(nv), np.cumsum([N * nu, N * nx, N * nx]))
-        self.u = slice(0, N * nu)
-        self.sx0 = slice(N * (nu + nx), N * (nu + nx) + nx)
-        I_N, shift = np.eye(N), np.eye(N, k=-1)
-        x_stage = np.kron(shift, np.eye(nx)) @ e_x  # x_0..x_{N-1}, x_0 = 0
+        A, B = setup.plant.A, setup.plant.B
+        nw = nx + N * (nx + 2 * nu)
+        e_x0, e_u, e_sx, e_su = np.split(np.eye(nw), np.cumsum([nx, N * nu, N * nx]))
+        phi = [e_x0]
+        for i in range(N):
+            phi.append(A @ phi[i] + B @ e_u[i * nu:(i + 1) * nu])
+        x_stage = np.vstack(phi[:N])
+        I_N = np.eye(N)
         e_dx, e_du = x_stage - e_sx, e_u - e_su
-        self.H = (e_dx.T @ np.kron(I_N, 2.0 * setup.Q) @ e_dx
-                  + e_du.T @ np.kron(I_N, 2.0 * setup.R) @ e_du)
-        self.A_eq = np.kron(I_N, setup.plant.B) @ e_u + np.kron(shift, setup.plant.A) @ e_x - e_x
+        H = (e_dx.T @ np.kron(I_N, 2.0 * setup.Q) @ e_dx
+             + e_du.T @ np.kron(I_N, 2.0 * setup.R) @ e_du)
 
         # Rows stage by stage: U_i on u_i, X_i on x_i, TX_i on sx_i, TU_i on su_i.
         families = ((setup.Useq, e_u), (setup.Xseq, x_stage),
                     (setup.TXseq, e_sx), (setup.TUseq, e_su))
-        rows = np.concatenate([(np.kron(I_N, seq[0].A) @ sel).reshape(N, -1, nv)
-                               for seq, sel in families], axis=1).reshape(-1, nv)
+        rows = np.concatenate([(np.kron(I_N, seq[0].A) @ sel).reshape(N, -1, nw)
+                               for seq, sel in families], axis=1).reshape(-1, nw)
         offsets = np.concatenate([[s.b for s in seq] for seq, _ in families], axis=1).ravel()
         m_u = setup.Useq[0].A.shape[0]
         x0_rows = np.s_[m_u:m_u + setup.Xseq[0].A.shape[0]]
         Xf = setup.plant.Xf
         Xf = Xf.to_polytope() if isinstance(Xf, geometry.HyperRect) else Xf
-        self.A_in = np.vstack([np.delete(rows, x0_rows, axis=0), Xf.A @ e_x[-nx:]])
+        rows = np.vstack([np.delete(rows, x0_rows, axis=0), Xf.A @ phi[N]])
+
+        self.u = slice(0, N * nu)
+        self.H = np.ascontiguousarray(H[nx:, nx:])
+        self.g_x0 = np.ascontiguousarray(H[nx:, :nx])
+        self.c_x0 = 0.5 * H[:nx, :nx]
+        self.A_in = np.ascontiguousarray(rows[:, nx:])
+        self.C_x0 = np.ascontiguousarray(rows[:, :nx])
         self.b_in = np.concatenate([np.delete(offsets, x0_rows), Xf.b])
-        for a in (self.H, self.A_eq, self.A_in, self.b_in):
+        for a in (self.H, self.g_x0, self.c_x0, self.A_in, self.C_x0, self.b_in):
             a.flags.writeable = False
 
 
@@ -114,16 +127,13 @@ def solve_rmpc(setup, x0):
 
     qp = setup.qp
     A, B = setup.plant.A, setup.plant.B
-    g = np.zeros(qp.H.shape[0])
-    g[qp.sx0] = -(2.0 * setup.Q) @ x0
-    b_eq = np.zeros(N * nx)
-    b_eq[:nx] = -A @ x0
+    g = qp.g_x0 @ x0
 
     # Solved tighter than the project-wide 1e-8 so that re-propagated
     # states keep their tightened-set memberships within tolerance; an
     # iterate that only reaches the standard tolerance is still accepted.
     rep = solver.solve_qp(
-        solver.QpProblem(H=qp.H, g=g, A_in=qp.A_in, b_in=qp.b_in, A_eq=qp.A_eq, b_eq=b_eq),
+        solver.QpProblem(H=qp.H, g=g, A_in=qp.A_in, b_in=qp.b_in - qp.C_x0 @ x0),
         tol=1e-10)
     if rep.status == solver.Status.INFEASIBLE:
         raise InfeasibleState(x0, "(QP infeasible)", certificate=rep.certificate)
@@ -147,7 +157,7 @@ def solve_rmpc(setup, x0):
     stage = np.array([a.distance_sq + b.distance_sq for a, b in zip(px, pu)])
 
     value = float(np.sum(stage))
-    qp_value = float(0.5 * z @ qp.H @ z + g @ z) + float(x0 @ setup.Q @ x0)
+    qp_value = float(0.5 * z @ qp.H @ z + g @ z) + float(x0 @ qp.c_x0 @ x0)
     if abs(value - qp_value) > 1e-6 * max(1.0, abs(qp_value)):
         raise RmpcError(
             f"re-projected value {value:.9g} deviates from QP value {qp_value:.9g}")

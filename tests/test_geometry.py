@@ -165,6 +165,28 @@ class TestWeightedProjection:
         with pytest.raises(ValueError):
             weighted_projection([0.0, 0.0], unit_box(), [[1.0, 0.0], [0.0, -1.0]])
 
+    @pytest.mark.parametrize("weight", [[[1.0, 0.0], [0.0, 0.0]],    # diagonal, singular
+                                        [[1.0, 2.0], [2.0, 1.0]]])   # eigenvalues 3, -1
+    def test_rejects_weight_not_positive_definite(self, weight):
+        with pytest.raises(ValueError):
+            weighted_projection([0.0, 0.0], unit_box(), weight)
+
+    def test_non_diagonal_weight_takes_qp_path(self, monkeypatch):
+        calls = []
+        solve_qp = solver.solve_qp
+
+        def counting(p, tol):
+            calls.append(p)
+            return solve_qp(p, tol)
+
+        monkeypatch.setattr(solver, "solve_qp", counting)
+        M = np.array([[2.0, 0.5], [0.5, 1.0]])
+        res = weighted_projection([1.7, -1.3], unit_box(), M)
+        assert len(calls) == 1
+        assert unit_box().membership_residual(res.projection) <= 1e-8
+        weighted_projection([1.7, -1.3], unit_box(), np.diag([2.0, 1.0]))
+        assert len(calls) == 1  # a diagonal weight clamps
+
 
 class TestChebyshev:
     def test_box_center(self):

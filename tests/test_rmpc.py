@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from etrmpc import rmpc
+from etrmpc import rmpc, solver
 from etrmpc.geometry import HyperRect, Polytope
 from etrmpc.rmpc import InfeasibleState, solve_rmpc, stage_cost
 from etrmpc.tightening import (PlantModel, build_setup, synthesize_nominal_gain,
@@ -199,13 +199,45 @@ class TestPolytopicTarget:
 
 
 class TestQpData:
+    """The condensed QP against the explicit-state QP of ``_per_stage_qp``."""
+
     @pytest.mark.parametrize("make", [batch_setup, cross_polytope_setup])
-    def test_matches_per_stage_assembly(self, make):
+    def test_condensed_objective_and_rows_match_explicit(self, make):
         setup = make()
         qp = setup.qp
-        for got, want in zip((qp.H, qp.A_eq, qp.A_in, qp.b_in), _per_stage_qp(setup)):
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
+        H, A_eq, A_in, b_in = _per_stage_qp(setup)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            x0 = rng.uniform(-2.0, 2.0, setup.nx)
+            z = rng.uniform(-2.0, 2.0, qp.H.shape[0])
+            z_e = _lift(setup, z, x0)
+            g, b_eq = _explicit_x0_terms(setup, x0)
+            assert np.max(np.abs(A_eq @ z_e - b_eq)) <= 1e-12 * (1.0 + np.max(np.abs(z_e)))
+            explicit = 0.5 * z_e @ H @ z_e + g @ z_e + x0 @ setup.Q @ x0
+            condensed = 0.5 * z @ qp.H @ z + (qp.g_x0 @ x0) @ z + x0 @ qp.c_x0 @ x0
+            assert condensed == pytest.approx(explicit, rel=1e-12)
+            slack_e = b_in - A_in @ z_e
+            slack = qp.b_in - qp.C_x0 @ x0 - qp.A_in @ z
+            assert np.max(np.abs(slack - slack_e)) <= 1e-12 * np.max(np.abs(slack_e))
+
+    @pytest.mark.parametrize("make", [batch_setup, cross_polytope_setup])
+    def test_optimal_value_matches_explicit_qp(self, make):
+        setup = make()
+        qp = setup.qp
+        H, A_eq, A_in, b_in = _per_stage_qp(setup)
+        x1 = setup.plant.A @ X0 + setup.plant.B @ solve_rmpc(setup, X0).u[0]
+        for x0 in (X0, x1, -0.6 * X0, np.array([-1.0, 1.0, 1.0, -1.0])):
+            g, b_eq = _explicit_x0_terms(setup, x0)
+            explicit = solver.solve_qp(
+                solver.QpProblem(H=H, g=g, A_in=A_in, b_in=b_in, A_eq=A_eq, b_eq=b_eq),
+                tol=1e-10)
+            condensed = solver.solve_qp(
+                solver.QpProblem(H=qp.H, g=qp.g_x0 @ x0, A_in=qp.A_in,
+                                 b_in=qp.b_in - qp.C_x0 @ x0), tol=1e-10)
+            assert explicit.status == condensed.status == solver.Status.OPTIMAL
+            want = explicit.objective + x0 @ setup.Q @ x0
+            assert want > 1e-3
+            assert condensed.objective + x0 @ qp.c_x0 @ x0 == pytest.approx(want, rel=1e-8)
 
     def test_built_once_per_setup(self, monkeypatch):
         built = []
@@ -272,3 +304,26 @@ def _per_stage_qp(setup):
         A_in[start:start + S.A.shape[0], cols] = S.A
         start += S.A.shape[0]
     return H, A_eq, A_in, np.concatenate([S.b for S, _ in blocks])
+
+
+
+def _lift(setup, z, x0):
+    """The explicit-state point of the condensed point z at x0: the states
+    x_1..x_N simulated from x0 under z's inputs, between u and the slacks."""
+    N, nu = setup.N, setup.nu
+    u = z[:N * nu].reshape(N, nu)
+    x = [x0]
+    for i in range(N):
+        x.append(setup.plant.A @ x[i] + setup.plant.B @ u[i])
+    return np.concatenate([z[:N * nu], np.ravel(x[1:]), z[N * nu:]])
+
+
+def _explicit_x0_terms(setup, x0):
+    """The explicit QP's x0 terms: its linear term, -2 Q x0 on sx_0, and its
+    dynamics offsets b_eq; its objective omits the constant x0.Q.x0."""
+    N, nx, nu = setup.N, setup.nx, setup.nu
+    g = np.zeros(2 * N * (nx + nu))
+    g[N * (nu + nx):N * (nu + nx) + nx] = -(2.0 * setup.Q) @ x0
+    b_eq = np.zeros(N * nx)
+    b_eq[:nx] = -setup.plant.A @ x0
+    return g, b_eq

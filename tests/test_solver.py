@@ -253,6 +253,10 @@ class TestQp:
         with pytest.raises(ValueError):
             QpProblem(H=[[-1.0]], g=[0.0])
 
+    def test_rejects_hessian_with_negative_eigenvalue(self):
+        with pytest.raises(ValueError):
+            QpProblem(H=np.diag([1.0, -1.0]), g=np.zeros(2))
+
 
 class TestLogVolume:
     def test_symmetric_optimum_f2(self):
