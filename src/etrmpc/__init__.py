@@ -14,7 +14,8 @@ from .rmpc import InfeasibleState, MpcSolution, solve_rmpc, stage_cost
 from .sim import (DisturbanceModel, SimTrace, run_closed_loop,
                   step_trigger_test, trigger_statistics)
 from .solver import (LpProblem, QpProblem, SolveReport, Status,
-                     maximize_log_volume, solve_lp, solve_lp_batch, solve_qp)
+                     maximize_log_volume, maximize_log_volume_batch, solve_lp,
+                     solve_lp_batch, solve_qp)
 from .tightening import (PlantModel, RmpcSetup, build_setup,
                          synthesize_nominal_gain, synthesize_tightening_gains)
 from .trigger import (CandidateData, PrincipalPolytope, TriggerSchedule,
@@ -29,7 +30,7 @@ __all__ = [
     "shape_ratio", "shape_ratios",
     "LpProblem", "QpProblem", "SolveReport", "Status", "solve_lp", "solve_lp_batch",
     "solve_qp",
-    "maximize_log_volume",
+    "maximize_log_volume", "maximize_log_volume_batch",
     "PlantModel", "RmpcSetup", "synthesize_nominal_gain",
     "synthesize_tightening_gains", "build_setup",
     "MpcSolution", "InfeasibleState", "solve_rmpc", "stage_cost",

@@ -70,7 +70,8 @@ class RmpcQp:
     x0 columns split off into what a solve applies: the linear term
     ``g_x0 @ x0``, the offsets ``b_in - C_x0 @ x0`` and the constant
     ``x0 @ c_x0 @ x0`` of the value. The stage-0 state rows hold x0 only
-    and drop out.
+    and drop out. ``problem`` is the QP with H validated once; a solve
+    gives it only its own linear term and offsets.
     """
 
     def __init__(self, setup):
@@ -108,6 +109,8 @@ class RmpcQp:
         self.b_in = np.concatenate([np.delete(offsets, x0_rows), Xf.b])
         for a in (self.H, self.g_x0, self.c_x0, self.A_in, self.C_x0, self.b_in):
             a.flags.writeable = False
+        self.problem = solver.QpProblem(H=self.H, g=np.zeros(self.H.shape[0]),
+                                        A_in=self.A_in, b_in=self.b_in)
 
 
 def solve_rmpc(setup, x0):
@@ -132,9 +135,7 @@ def solve_rmpc(setup, x0):
     # Solved tighter than the project-wide 1e-8 so that re-propagated
     # states keep their tightened-set memberships within tolerance; an
     # iterate that only reaches the standard tolerance is still accepted.
-    rep = solver.solve_qp(
-        solver.QpProblem(H=qp.H, g=g, A_in=qp.A_in, b_in=qp.b_in - qp.C_x0 @ x0),
-        tol=1e-10)
+    rep = solver.solve_qp(qp.problem.with_vectors(g, qp.b_in - qp.C_x0 @ x0), tol=1e-10)
     if rep.status == solver.Status.INFEASIBLE:
         raise InfeasibleState(x0, "(QP infeasible)", certificate=rep.certificate)
     accepted_loose = (rep.status == solver.Status.MAXITER and rep.x is not None

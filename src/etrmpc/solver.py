@@ -6,7 +6,9 @@ a batch of problems that share H, A_eq, b_eq and A_in in one pass, each
 with its own linear term and ``b_in`` (``solve_lp_batch``); ``solve_lp``
 and ``solve_qp`` are batches of one. The hyper-rectangle volume
 objectives are maximized by the same scheme on the concave log
-objective, then an active-set Newton polish. No external solver
+objective, then an active-set Newton polish; log-volume problems that
+share W run in one loop as well (``maximize_log_volume_batch``), and
+``maximize_log_volume`` is their batch of one. No external solver
 dependencies; every run with the same inputs is bit-identical (fixed
 step rules, no restarts), and a problem's result does not depend on the
 batch it is solved in.
@@ -17,6 +19,7 @@ dual residuals and the mean complementarity z.s/m, relative to
 the total gap u.t <= 1e-8. At most 200 iterations per solve.
 """
 
+import copy
 import enum
 
 import numpy as np
@@ -71,6 +74,21 @@ class QpProblem:
         self.A_eq = None if A_eq is None else np.ascontiguousarray(A_eq, dtype=float)
         self.b_eq = None if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
         _check_dims(self.g.size, self.A_in, self.b_in, self.A_eq, self.b_eq)
+
+    def with_vectors(self, g, b_in):
+        """This problem with its own linear term g and row offsets b_in.
+
+        H and the rows are shared, not copied or validated again; g and
+        b_in must keep their sizes and be finite.
+        """
+        p = copy.copy(self)
+        p.g = np.asarray(g, dtype=float).reshape(-1)
+        p.b_in = np.asarray(b_in, dtype=float).reshape(-1)
+        if self.b_in is None or p.g.shape != self.g.shape or p.b_in.shape != self.b_in.shape:
+            raise ValueError("linear term or row offsets have inconsistent dimensions")
+        if not (np.all(np.isfinite(p.g)) and np.all(np.isfinite(p.b_in))):
+            raise ValueError("linear term and row offsets must be finite")
+        return p
 
 
 class SolveReport:
@@ -485,11 +503,12 @@ def coordinate_widths(W, d):
     min_i d_i / W_ij over rows with W_ij > 0 (+inf if no row binds).
     """
     W = np.asarray(W, dtype=float)
-    d = np.asarray(d, dtype=float).reshape(-1)
+    d = np.asarray(d, dtype=float)
     if np.min(W, initial=0.0) < -1e-12:
         raise ValueError("coordinate_widths expects a nonnegative constraint matrix")
-    ratios = np.divide(d[:, None], W, out=np.full(W.shape, np.inf), where=W > 0)
-    return np.maximum(np.min(ratios, axis=0, initial=np.inf), 0.0)
+    ratios = np.divide(d[..., None], W, out=np.full(d.shape + W.shape[1:], np.inf),
+                       where=W > 0)
+    return np.maximum(np.min(ratios, axis=-2, initial=np.inf), 0.0)
 
 
 def maximize_log_volume(W, d, mode):
@@ -506,9 +525,24 @@ def maximize_log_volume(W, d, mode):
     as degenerate. Returns Unbounded status when some width is infinite,
     and MaxIter with the polished point when the interior-point loop stops
     at MAX_ITER iterations before converging.
+
+    The batch of one of ``maximize_log_volume_batch``.
+    """
+    return maximize_log_volume_batch(W, np.asarray(d, dtype=float).reshape(1, -1), mode)[0]
+
+
+def maximize_log_volume_batch(W, d, mode):
+    """maximize_log_volume for every row k of d (B, m) over {v >= 0 : W v <= d[k]}.
+
+    The problems share W. Those with the same live variables (neither
+    pinned nor degenerate) share their log terms and their rows, and run
+    in one interior-point loop; each report is bit-identical to
+    maximize_log_volume on that problem alone.
     """
     W = np.asarray(W, dtype=float)
-    d = np.asarray(d, dtype=float).reshape(-1)
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 2 or d.shape[1] != W.shape[0]:
+        raise ValueError("d must hold one row of offsets per problem")
     if W.shape[1] % 2 != 0:
         raise ValueError("variable count must be even (vbar/vund pairs)")
     k = W.shape[1] // 2
@@ -519,38 +553,45 @@ def maximize_log_volume(W, d, mode):
     d = np.maximum(d, 0.0)
 
     widths = coordinate_widths(W, d)
-    if np.any(np.isinf(widths)):
-        return SolveReport(Status.UNBOUNDED, None, None, np.inf, 0)
-
-    up, dn = widths[:k], widths[k:]
+    up, dn = widths[:, :k], widths[:, k:]
     pair_width = np.maximum(up, dn) if mode == MODE_SUM_LOG_WIDTH else np.minimum(up, dn)
-    kept = pair_width >= 1e-9
     # Live variables: members of kept pairs with nonvanishing width.
-    live = np.tile(kept, 2) & (widths >= 1e-9)
-    if not np.any(live):
-        return SolveReport(Status.OPTIMAL, np.zeros(2 * k), 0.0, 0.0, 0)
+    live = np.tile(pair_width >= 1e-9, 2) & (widths >= 1e-9)
+    reports = [None] * len(d)
+    groups = {}
+    for i in range(len(d)):
+        if np.any(np.isinf(widths[i])):
+            reports[i] = SolveReport(Status.UNBOUNDED, None, None, np.inf, 0)
+        elif not np.any(live[i]):
+            reports[i] = SolveReport(Status.OPTIMAL, np.zeros(2 * k), 0.0, 0.0, 0)
+        else:
+            groups.setdefault(live[i].tobytes(), []).append(i)
 
-    # One row of S per log term: f2 logs each side of a pair, f1 their sum.
-    pairs = np.flatnonzero(kept)
     eye = np.eye(2 * k)
-    if mode == MODE_SUM_LOG_BOTH:
-        S = eye[np.column_stack([pairs, k + pairs]).ravel()]
-    else:
-        S = eye[pairs] + eye[k + pairs]
-    S = S[:, live]
-    Wa = W[:, live]
-    keep = np.max(np.abs(Wa), axis=1) > 0
-    Wa, da = Wa[keep], d[keep]
-
-    v, residual, iters, converged = _path_following(Wa, da, S, widths[live])
-    if v is None:
-        return SolveReport(Status.MAXITER, None, None, np.inf, iters)
-    v = _kkt_polish(Wa, da, S, v)
-
-    full = np.zeros(2 * k)
-    full[live] = v
-    status = Status.OPTIMAL if converged else Status.MAXITER
-    return SolveReport(status, full, _log_volume(v, S), residual, iters)
+    for members in groups.values():
+        mask = live[members[0]]
+        # One row of S per log term: f2 logs each side of a pair, f1 their
+        # sum. A pair is kept exactly when one of its sides is live.
+        pairs = np.flatnonzero(mask[:k] | mask[k:])
+        if mode == MODE_SUM_LOG_BOTH:
+            S = eye[np.column_stack([pairs, k + pairs]).ravel()]
+        else:
+            S = eye[pairs] + eye[k + pairs]
+        S = S[:, mask]
+        Wa = W[:, mask]
+        keep = np.max(np.abs(Wa), axis=1) > 0
+        Wa, da = Wa[keep], d[members][:, keep]
+        solved = _path_following(Wa, da, S, widths[members][:, mask])
+        for i, dk, (v, residual, iters, converged) in zip(members, da, solved):
+            if v is None:
+                reports[i] = SolveReport(Status.MAXITER, None, None, np.inf, iters)
+                continue
+            v = _kkt_polish(Wa, dk, S, v)
+            full = np.zeros(2 * k)
+            full[mask] = v
+            status = Status.OPTIMAL if converged else Status.MAXITER
+            reports[i] = SolveReport(status, full, _log_volume(v, S), residual, iters)
+    return reports
 
 
 def _log_volume(v, S):
@@ -562,75 +603,112 @@ def _log_volume(v, S):
 
 
 def _log_volume_derivatives(v, S):
-    """Gradient S^T (1/s) and Hessian -S^T diag(1/s^2) S of the log objective."""
-    s = np.maximum(S @ v, 1e-150)
-    return S.T @ (1.0 / s), -(S.T * (1.0 / (s * s))) @ S
+    """Gradient S^T (1/s) and Hessian -S^T diag(1/s^2) S of the log
+    objective, for every row of v (B, n)."""
+    s = np.maximum(_mv(S, v), 1e-150)
+    return _mv(S.T, 1.0 / s), np.matmul(-(S.T * (1.0 / (s * s))[:, None, :]), S)
 
 
 def _path_following(W, d, S, wid):
-    """Mehrotra predictor-corrector on max sum log(S v), W v <= d, v >= 0.
+    """Mehrotra predictor-corrector on max sum log(S v), W v <= d[k], v >= 0.
 
-    ``_ipm``'s loop with the objective's curvature in place of H. Slacks
+    ``_ipm``'s loop with the objective's curvature in place of H, for
+    every row k of d (B, m) and wid (B, n); W and S are shared. Slacks
     t = [d - W v; v] and duals u = [z; y] are iterates, so rounding in
     d - W v never reaches a division. Each iteration builds
-    S^T diag(1/s^2) S + W^T diag(z/t) W + diag(y/v) once and solves with it
-    twice; steps stop short of the boundary, with no line search. ``wid``
-    holds per-variable feasible maxima for a strictly interior start.
-    Returns (v, residual, iterations, converged); converged is False when
-    MAX_ITER iterations ran out before u.t fell to GAP_TOL and the scaled
-    dual and row residuals to FEAS_TOL.
+    S^T diag(1/s^2) S + W^T diag(z/t) W + diag(y/v) once per problem and
+    solves with it twice; steps stop short of the boundary, with no line
+    search. ``wid`` holds per-variable feasible maxima for a strictly
+    interior start. A problem leaves the loop when it converges or its
+    Newton solve fails even with a ridge, and the arithmetic is stacked
+    only as in ``_ipm``, so its result does not depend on the batch.
+    Returns one (v, residual, iterations, converged) tuple per problem;
+    converged is False when MAX_ITER iterations ran out before u.t fell
+    to GAP_TOL and the scaled dual and row residuals to FEAS_TOL.
     """
-    m = d.size
-    v = 0.3 * np.minimum(wid, np.max(wid))
+    nb, m = d.shape
+    out = [(None, np.inf, 0, False)] * nb
+    v = 0.3 * np.minimum(wid, np.max(wid, axis=1, keepdims=True))
     for _ in range(200):
-        sl = d - W @ v
-        if np.all(sl > 0):
+        sl = d - _mv(W, v)
+        inside = np.all(sl > 0, axis=1)
+        if inside.all():
             break
-        v *= 0.5
-    else:
-        return None, np.inf, 0, False
-    t = np.concatenate([sl, v])
+        v[~inside] *= 0.5
+    idx = np.flatnonzero(inside)
+    t = np.concatenate([sl, v], axis=1)[idx]
     u = 1.0 / t
-    scale_p = 1.0 + np.max(d)
+    d = d[idx]
+    scale_p = 1.0 + np.max(d, axis=1)
+    diag = np.arange(W.shape[1])
+    gone = np.zeros(idx.size, dtype=bool)  # left after a failed Newton solve
     for it in range(MAX_ITER + 1):
-        v = t[m:]
-        gf, hf = _log_volume_derivatives(v, S)
-        rd = W.T @ u[:m] - u[m:] - gf
-        rg = W @ v + t[:m] - d
-        gap = float(u @ t)
-        res_dp = max(np.max(np.abs(rd)) / np.max(gf), np.max(np.abs(rg)) / scale_p)
-        res = max(res_dp, gap)
-        if res_dp <= FEAS_TOL and gap <= GAP_TOL:
-            return v, res, it, True
-        if it == MAX_ITER:
+        if gone.any():
+            idx, t, u, d, scale_p = (a[~gone] for a in (idx, t, u, d, scale_p))
+        if not idx.size:
             break
+        v = t[:, m:]
+        gf, hf = _log_volume_derivatives(v, S)
+        rd = _mv(W.T, u[:, :m]) - u[:, m:] - gf
+        rg = _mv(W, v) + t[:, :m] - d
+        gap = _dot(u, t)
+        res_dp = np.maximum(np.max(np.abs(rd), axis=1) / np.max(gf, axis=1),
+                            np.max(np.abs(rg), axis=1) / scale_p)
+        res = np.maximum(res_dp, gap)
+        converged = (res_dp <= FEAS_TOL) & (gap <= GAP_TOL)
+        for k in np.flatnonzero(converged | (it == MAX_ITER)):
+            out[idx[k]] = (v[k], res[k], it, bool(converged[k]))
+        if it == MAX_ITER or converged.all():
+            break
+        if converged.any():
+            idx, t, u, d, scale_p, v, hf, rd, rg, gap, res = (
+                a[~converged] for a in (idx, t, u, d, scale_p, v, hf, rd, rg, gap, res))
         D = u / t
-        M = -hf + (W.T * D[:m]) @ W + np.diag(D[m:])
-        u_rg = np.concatenate([u[:m] * rg, np.zeros(v.size)])
+        Dv = np.zeros(hf.shape)
+        Dv[:, diag, diag] = D[:, m:]
+        M = -hf + np.matmul(W.T * D[:, None, :m], W) + Dv
+        u_rg = np.concatenate([u[:, :m] * rg, np.zeros(v.shape)], axis=1)
 
         def direction(c):
-            """Newton step for the complementarity target t*u -> c."""
+            """Newton step for the complementarity target t*u -> c; a zero
+            step where the solve fails."""
             q = (c + u_rg) / t
-            dv = _ridge_solve(M, -rd - W.T @ q[:m] + q[m:])
-            if dv is None:
-                return None
-            dt = np.concatenate([-rg - W @ dv, dv])
-            return dt, (c - u * dt) / t
+            dv, ok = _stacked_solve(M, -rd - _mv(W.T, q[:, :m]) + q[:, m:])
+            dt = np.concatenate([-rg - _mv(W, dv), dv], axis=1)
+            du = (c - u * dt) / t
+            dt[~ok] = du[~ok] = 0.0
+            return dt, du, ok
 
-        step = direction(-t * u)
-        if step is None:
-            break
-        dt_a, du_a = step
-        gap_aff = float((u + _max_step(u, du_a) * du_a) @ (t + _max_step(t, dt_a) * dt_a))
-        sigma_mu = (gap_aff / gap) ** 3 * gap / t.size
-        step = direction(sigma_mu - t * u - dt_a * du_a)
-        if step is None:
-            break
-        dt, du = step
-        alpha = 0.995 * min(_max_step(t, dt), _max_step(u, du))
+        dt_a, du_a, ok = direction(-t * u)
+        gap_aff = _dot(u + _max_step(u, du_a)[:, None] * du_a,
+                       t + _max_step(t, dt_a)[:, None] * dt_a)
+        sigma_mu = np.float_power(gap_aff / gap, 3) * gap / t.shape[1]
+        dt, du, ok_c = direction(sigma_mu[:, None] - t * u - dt_a * du_a)
+        gone = ~(ok & ok_c)
+        for k in np.flatnonzero(gone):
+            out[idx[k]] = (v[k], res[k], it, False)
+        alpha = (0.995 * np.minimum(_max_step(t, dt), _max_step(u, du)))[:, None]
         t = t + alpha * dt
         u = u + alpha * du
-    return v, res, it, False
+    return out
+
+
+def _stacked_solve(M, rhs):
+    """M[k] x = rhs[k] for every k by one stacked solve. When that raises,
+    every problem, and otherwise each one whose solution is non-finite,
+    is solved again by ``_ridge_solve``. Returns the solutions and a mask
+    of the problems solved (the others get zeros)."""
+    try:
+        sol = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+        retry = ~np.all(np.isfinite(sol), axis=1)
+    except np.linalg.LinAlgError:
+        sol, retry = np.empty_like(rhs), np.ones(len(rhs), dtype=bool)
+    ok = np.ones(len(rhs), dtype=bool)
+    for k in np.flatnonzero(retry):
+        x = _ridge_solve(M[k], rhs[k])
+        ok[k] = x is not None
+        sol[k] = x if ok[k] else 0.0
+    return sol, ok
 
 
 def _ridge_solve(Hm, rhs):
@@ -674,7 +752,7 @@ def _kkt_polish(W, d, S, v):
     vp = v.copy()
     lam = np.zeros(p)
     for _ in range(40):
-        gf, hf = _log_volume_derivatives(vp, S)
+        gf, hf = (a[0] for a in _log_volume_derivatives(vp[None], S))
         # f1 is flat along the split of a width into vbar and vund; where the
         # pinned rows leave it free, the proximal term keeps rounding in the
         # residual from moving the point along it.

@@ -188,9 +188,15 @@ def construct_box_cp(pp, q):
     clamped to zero width (excluded from the log objective); they are
     reported as degenerate.
     """
-    mode = solver.MODE_SUM_LOG_WIDTH if q == 1 else solver.MODE_SUM_LOG_BOTH
-    k = pp.k
-    rep = solver.maximize_log_volume(pp.W, pp.d, mode)
+    return _cp_box(solver.maximize_log_volume(pp.W, pp.d, _cp_mode(q)), pp.k, q)
+
+
+def _cp_mode(q):
+    return solver.MODE_SUM_LOG_WIDTH if q == 1 else solver.MODE_SUM_LOG_BOTH
+
+
+def _cp_box(rep, k, q):
+    """The box of one log-volume report, as ``construct_box_cp`` returns it."""
     if rep.status == solver.Status.UNBOUNDED:
         raise TriggerError("principal polytope leaves a box coordinate unbounded")
     # A solve stopped at the iteration cap still returns its polished,
@@ -344,24 +350,33 @@ class TriggerSchedule:
 def build_schedule(setup, sol, method):
     """Construct E_1..E_{N-1} for an optimal solution with one method.
 
-    Certifies every built box against the principal rows before
+    Assembles every principal polytope first. They share the setup's
+    rows W, so for CP1/CP2 their log-volume problems go to one batched
+    solve. Certifies every built box against the principal rows before
     accepting it; failures carry the splice index.
     """
     if method not in METHODS:
         raise ValueError(f"unknown construction method {method!r}")
     q = 1 if method in (CP1, LP1) else 2
     exact = method in (CP1, CP2)
-    boxes, v1s, v2s, degs, pps = [], [], [], [], []
+    pps = []
     for j in range(1, setup.N):
         try:
-            cand = build_candidates(setup, sol, j)
-            pp = assemble_principal(setup, cand)
-            res = construct_box_cp(pp, q) if exact else construct_box_lp(pp, q)
+            pps.append(assemble_principal(setup, build_candidates(setup, sol, j)))
+        except InfeasibleCandidate:
+            raise
+        except TriggerError as exc:
+            raise TriggerError(f"j={j}: {exc}") from exc
+    if exact:
+        reports = solver.maximize_log_volume_batch(pps[0].W, np.array([pp.d for pp in pps]),
+                                                   _cp_mode(q))
+    boxes, v1s, v2s, degs = [], [], [], []
+    for j, pp in enumerate(pps, start=1):
+        try:
+            res = _cp_box(reports[j - 1], pp.k, q) if exact else construct_box_lp(pp, q)
             slack = pp.box_slack(res.box)
             if slack < -FEAS_TOL:
                 raise TriggerError(f"built box violates principal rows by {-slack:.3e}")
-        except InfeasibleCandidate:
-            raise
         except TriggerError as exc:
             raise TriggerError(f"j={j}: {exc}") from exc
         boxes.append(res.box)
@@ -369,5 +384,4 @@ def build_schedule(setup, sol, method):
         v1s.append(v1)
         v2s.append(v2)
         degs.append(res.degenerate)
-        pps.append(pp)
     return TriggerSchedule(method, boxes, v1s, v2s, degs, pps)

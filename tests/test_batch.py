@@ -1,4 +1,7 @@
-"""Property test: a batched LP solve gives every member the bits it gets alone."""
+"""Property tests: a batched LP or log-volume solve gives every member the
+bits it gets alone."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +9,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from etrmpc.solver import LpProblem, solve_lp, solve_lp_batch  # noqa: E402
+from etrmpc import solver  # noqa: E402
+from etrmpc.solver import (LpProblem, Status, maximize_log_volume,  # noqa: E402
+                           maximize_log_volume_batch, solve_lp, solve_lp_batch)
 
 from test_solver import same_report  # noqa: E402
 
@@ -52,3 +57,111 @@ def test_batch_member_matches_solo_solve(seed, n, m, kinds):
     assert len(batch) == len(kinds)
     for (c, b), rep in zip(members, batch):
         assert same_report(rep, solve_lp(LpProblem(c=c, A=A, b=b)))
+
+
+def log_volume_rows(rng, k, extra):
+    """Nonnegative rows over [vbar; vund] (2k variables), 3 + extra of them.
+
+    Row 0 alone bounds the last variable, row 1 bounds only the first and
+    row 2 bounds all but the last; the extra rows are sparse and random.
+    """
+    n = 2 * k
+    W = rng.uniform(0.1, 1.0, size=(3 + extra, n)) * (rng.random((3 + extra, n)) < 0.5)
+    W[:3] = 0.0
+    W[:, -1] = 0.0
+    W[0, -1] = rng.uniform(0.5, 1.5)
+    W[1, 0] = rng.uniform(0.5, 1.5)
+    W[2, :-1] = rng.uniform(0.1, 1.0, size=n - 1)
+    return W
+
+
+def log_volume_offsets(rng, W, kind):
+    """Offsets of one member: an interior box, the first variable pinned to
+    zero width (a different live mask), every width zero, or the last
+    variable unbounded."""
+    d = rng.uniform(0.2, 2.0, size=W.shape[0])
+    if kind == "pinned":
+        d[1] = 0.0
+    elif kind == "degenerate":
+        d[:] = 0.0
+    elif kind == "unbounded":
+        d[0] = np.inf
+    return d
+
+
+class SingularAt:
+    """np.linalg.solve, except that a matrix equal to ``poison`` fails
+    like a singular one (raises, or comes out NaN), alone or as a slice
+    of a stacked solve. Counts the failures."""
+
+    def __init__(self, poison, raises):
+        self.poison, self.raises, self.hits = poison, raises, 0
+        self.solve = np.linalg.solve
+
+    def __call__(self, a, b):
+        hit = [np.array_equal(s, self.poison) for s in np.reshape(a, (-1,) + a.shape[-2:])]
+        if not any(hit):
+            return self.solve(a, b)
+        self.hits += 1
+        if self.raises:
+            raise np.linalg.LinAlgError("Singular matrix")
+        out = self.solve(a, b)
+        out[np.array(hit) if a.ndim == 3 else ...] = np.nan
+        return out
+
+
+def outcome(solve):
+    """solve()'s result, or the RuntimeWarning it raises (this suite turns
+    RuntimeWarnings into errors)."""
+    try:
+        return solve()
+    except RuntimeWarning as exc:
+        return exc
+
+
+@pytest.mark.parametrize("mode", [solver.MODE_SUM_LOG_WIDTH, solver.MODE_SUM_LOG_BOTH])
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 3),
+                  extra=st.integers(0, 5), raises=st.booleans(),
+                  kinds=st.lists(st.sampled_from(["interior", "pinned"]), max_size=4))
+def test_log_volume_batch_member_matches_solo_solve(mode, seed, k, extra, raises, kinds):
+    # Every batch holds two live masks (interior and pinned), an
+    # all-degenerate member, an unbounded one, one capped at MAX_ITER and
+    # one whose first Newton matrix fails and takes the ridge retry.
+    rng = np.random.default_rng(seed)
+    W = log_volume_rows(rng, k, extra)
+    kinds = ["interior", "pinned", "degenerate", "unbounded", "interior"] + kinds
+    D = np.array([log_volume_offsets(rng, W, kinds[i]) for i in rng.permutation(len(kinds))])
+    ridged = next(i for i, d in enumerate(D) if np.all(np.isfinite(d)) and d[1] > 0)
+
+    class FirstSolve(Exception):
+        pass
+
+    def first_solve(a, b):
+        raise FirstSolve(np.array(a[0]))
+
+    with mock.patch.object(np.linalg, "solve", first_solve), pytest.raises(FirstSolve) as first:
+        maximize_log_volume(W, D[ridged], mode)
+    singular = SingularAt(first.value.args[0], raises)
+    loops = []
+    path_following = solver._path_following
+    with mock.patch.object(np.linalg, "solve", singular):
+        its = outcome(lambda: [maximize_log_volume(W, d, mode).iterations for d in D])
+        cap = max(its) - 1 if isinstance(its, list) else solver.MAX_ITER
+        with mock.patch.object(solver, "MAX_ITER", cap):
+            solo = outcome(lambda: [maximize_log_volume(W, d, mode) for d in D])
+            singular.hits = 0
+            with mock.patch.object(solver, "_path_following",
+                                   lambda *a: loops.append(1) or path_following(*a)):
+                batch = outcome(lambda: maximize_log_volume_batch(W, D, mode))
+    if isinstance(solo, RuntimeWarning):
+        # Some f2 members never converge and overflow on the way; the
+        # batch must meet the same overflow.
+        assert isinstance(batch, RuntimeWarning)
+        return
+    assert len(batch) == len(D)
+    assert all(same_report(a, b) for a, b in zip(batch, solo))
+    statuses = [r.status for r in batch]
+    assert Status.UNBOUNDED in statuses and Status.MAXITER in statuses
+    assert any(r.status == Status.OPTIMAL and not r.x.any() for r in batch)
+    assert len(loops) == 2 and singular.hits >= 1

@@ -255,6 +255,21 @@ class TestQpData:
         assert len(built) == 1
 
 
+    def test_hessian_validated_once_per_setup(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        setup = small_setup()
+        a = solve_rmpc(setup, [1.0, -0.5])
+        solve_rmpc(setup, setup.plant.A @ a.x[0] + setup.plant.B @ a.u[0])
+        assert shapes.count(setup.qp.H.shape) == 1
+
+
 def _per_stage_qp(setup):
     """Reference H, A_eq, A_in and b_in, written one stage block at a time
     over [u_0..u_{N-1} | x_1..x_N | sx_0..sx_{N-1} | su_0..su_{N-1}]."""

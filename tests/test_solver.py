@@ -257,6 +257,17 @@ class TestQp:
         with pytest.raises(ValueError):
             QpProblem(H=np.diag([1.0, -1.0]), g=np.zeros(2))
 
+    def test_with_vectors_checks_size_and_finiteness(self):
+        p = QpProblem(H=np.eye(2), g=np.zeros(2), A_in=np.eye(2), b_in=np.ones(2))
+        rep = solve_qp(p.with_vectors([1.0, -1.0], [2.0, 0.5]))
+        ref = solve_qp(QpProblem(H=np.eye(2), g=[1.0, -1.0], A_in=np.eye(2), b_in=[2.0, 0.5]))
+        assert same_report(rep, ref)
+        assert p.g.tobytes() == np.zeros(2).tobytes()  # the validated problem is unchanged
+        for g, b in (([1.0], [2.0, 2.0]), ([0.0, 0.0], [2.0]),
+                     ([np.nan, 0.0], [2.0, 2.0]), ([0.0, 0.0], [np.inf, 2.0])):
+            with pytest.raises(ValueError):
+                p.with_vectors(g, b)
+
 
 class TestLogVolume:
     def test_symmetric_optimum_f2(self):
@@ -389,3 +400,11 @@ class TestLogVolume:
         r1 = maximize_log_volume(W, d, solver.MODE_SUM_LOG_WIDTH)
         r2 = maximize_log_volume(W, d, solver.MODE_SUM_LOG_WIDTH)
         assert r1.x.tobytes() == r2.x.tobytes()
+
+    def test_offsets_need_one_row_per_problem(self):
+        W = np.vstack([np.array([[1.0, 0.3, 0.4, 0.9]]), np.eye(4)])
+        d = np.array([2.0, 3.0, 3.0, 3.0, 3.0])
+        with pytest.raises(ValueError):
+            maximize_log_volume(W, np.tile(d, 2), solver.MODE_SUM_LOG_WIDTH)
+        with pytest.raises(ValueError):
+            solver.maximize_log_volume_batch(W, d, solver.MODE_SUM_LOG_WIDTH)

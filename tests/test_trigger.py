@@ -473,6 +473,48 @@ class TestSchedule:
         with pytest.raises(ValueError):
             build_schedule(setup, sol, "CP3")
 
+    @pytest.mark.parametrize("method", [CP1, CP2])
+    def test_one_batched_solve_matches_per_j_route(self, sched_all, method, monkeypatch):
+        setup, sol, _ = sched_all
+        q = 1 if method == CP1 else 2
+        batch = solver.maximize_log_volume_batch
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return batch(*args)
+
+        def forbidden(*args):
+            raise AssertionError("per-j log-volume solve on the trigger path")
+
+        for s in (sol, solve_rmpc(setup, [0.1, 0.1, -0.1, 0.1])):
+            per_j = [construct_box_cp(assemble_principal(setup, build_candidates(setup, s, j)), q)
+                     for j in range(1, setup.N)]
+            with monkeypatch.context() as m:
+                m.setattr(solver, "maximize_log_volume", forbidden)
+                m.setattr(solver, "maximize_log_volume_batch", counting)
+                sch = build_schedule(setup, s, method)
+            assert len(calls) == 1
+            calls.clear()
+            for box, deg, res in zip(sch.boxes, sch.degenerate_coords, per_j):
+                assert box.lower.tobytes() == res.box.lower.tobytes()
+                assert box.upper.tobytes() == res.box.upper.tobytes()
+                assert deg == res.degenerate
+        assert any(v > 1e-6 for v in sch.vol1)  # the later state has live boxes
+
+    def test_failing_batch_member_keeps_its_splice_index(self, sched_all, monkeypatch):
+        setup, sol, _ = sched_all
+        batch = solver.maximize_log_volume_batch
+
+        def unbounded_at_j4(W, d, mode):
+            reports = batch(W, d, mode)
+            reports[3] = solver.SolveReport(solver.Status.UNBOUNDED, None, None, np.inf, 0)
+            return reports
+
+        monkeypatch.setattr(solver, "maximize_log_volume_batch", unbounded_at_j4)
+        with pytest.raises(trigger.TriggerError, match=r"^j=4: .*unbounded"):
+            build_schedule(setup, sol, CP2)
+
     def test_candidate_cost_upper_bounds_resolve(self, sched_all):
         # Optimality: for an error inside E_j, V* at the disturbed state is
         # at most the cost of the shifted candidate plan, which in turn is
