@@ -18,9 +18,9 @@ from .solver import (LpProblem, QpProblem, SolveReport, Status,
                      solve_lp_batch, solve_qp)
 from .tightening import (PlantModel, RmpcSetup, build_setup,
                          synthesize_nominal_gain, synthesize_tightening_gains)
-from .trigger import (CandidateData, PrincipalPolytope, TriggerSchedule,
-                      assemble_principal, build_candidates, build_schedule,
-                      construct_box_cp, construct_box_lp)
+from .trigger import (PrincipalPolytope, TriggerSchedule, assemble_principal,
+                      build_schedule, construct_box_cp, construct_box_lp,
+                      extended_plan)
 
 __version__ = "0.1.0"
 
@@ -34,8 +34,8 @@ __all__ = [
     "PlantModel", "RmpcSetup", "synthesize_nominal_gain",
     "synthesize_tightening_gains", "build_setup",
     "MpcSolution", "InfeasibleState", "solve_rmpc", "stage_cost",
-    "CandidateData", "PrincipalPolytope", "TriggerSchedule",
-    "build_candidates", "assemble_principal", "construct_box_cp",
+    "PrincipalPolytope", "TriggerSchedule",
+    "extended_plan", "assemble_principal", "construct_box_cp",
     "construct_box_lp", "build_schedule",
     "DisturbanceModel", "SimTrace", "step_trigger_test", "run_closed_loop",
     "trigger_statistics",

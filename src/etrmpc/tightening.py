@@ -326,6 +326,10 @@ class RmpcSetup:
         self.Q = Q
         self.R = R
         self.report = report
+        for name, seq in (("U", Useq), ("X", Xseq), ("TU", TUseq), ("TX", TXseq)):
+            # RmpcQp and PrincipalRows read a family's rows off its first set.
+            if not all(np.array_equal(S.A, seq[0].A) for S in seq):
+                raise ValueError(f"the {name} sets of the horizon must share their rows")
         self.qp = RmpcQp(self)
         self.principal_rows = PrincipalRows(self)
 

@@ -8,11 +8,17 @@ function keeps decaying. The box is the maximum-volume hyper-rectangle
 encode, per facet of every tightened set, how much constraint slack the
 candidate plan leaves for prediction errors.
 
+The candidate plan of splice index j is the optimal plan shifted by j
+steps and extended by the nominal feedback F. Every tail starts at x_N,
+so the N-1 candidates of a trigger are windows of one extended plan, and
+their offsets come from one array pass over it.
+
 Two exact convex-program routes (CP1/CP2, one per volume definition) and
 two linear-program relaxations (LP1/LP2) are provided.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import geometry, solver
 from .geometry import FEAS_TOL, HyperRect, Polytope
@@ -33,46 +39,25 @@ class InfeasibleCandidate(TriggerError):
     """A candidate point violates a raw constraint row: upstream bug."""
 
 
-class CandidateData:
-    """Shifted-and-extended plan for splice index j.
+def extended_plan(setup, sol):
+    """The optimal plan followed by N-1 nominal feedback steps from x_N.
 
-    u_tilde concatenates the last N-j optimal inputs with the nominal
-    feedback applied to the terminal state; phi_tilde is the matching
-    state sequence; the slack sequences splice the optimal projections
-    with tail self-projections (the tail lies inside the targets, so it
-    projects onto itself).
+    Returns the states x_0..x_N, T_1..T_{N-1}, the inputs u_0..u_{N-1},
+    F T_0..F T_{N-2}, the slack states sx_0..sx_{N-1}, T_0..T_{N-2} and the
+    slack inputs su_0..su_{N-1}, F T_0..F T_{N-2}, where T_0 = x_N and
+    T_{i+1} = A T_i + B F T_i (the tail lies inside the targets, so it is
+    its own projection). Candidate j is the window at index j of each.
     """
-
-    def __init__(self, j, u_tilde, phi_tilde, sx_tilde, su_tilde):
-        self.j = j
-        self.u_tilde = u_tilde
-        self.phi_tilde = phi_tilde
-        self.sx_tilde = sx_tilde
-        self.su_tilde = su_tilde
-
-
-def build_candidates(setup, sol, j):
-    """Candidate sequences for splice index j in [1, N-1]."""
     N = setup.N
-    if not 1 <= j <= N - 1:
-        raise IndexError(f"splice index {j} outside [1, {N - 1}]")
     A, B, F = setup.plant.A, setup.plant.B, setup.F
-
-    phi = np.zeros((N + 1, setup.nx))
-    u = np.zeros((N, setup.nu))
-    phi[:N - j + 1] = sol.x[j:]
-    u[:N - j] = sol.u[j:]
-    for i in range(N - j, N):
-        u[i] = F @ phi[i]
-        phi[i + 1] = A @ phi[i] + B @ u[i]
-
-    sx = np.zeros((N, setup.nx))
-    su = np.zeros((N, setup.nu))
-    sx[:N - j] = sol.sx[j:]
-    su[:N - j] = sol.su[j:]
-    sx[N - j:] = phi[N - j:N]
-    su[N - j:] = u[N - j:]
-    return CandidateData(j, u, phi, sx, su)
+    tail = np.zeros((N, setup.nx))
+    tail_u = np.zeros((N - 1, setup.nu))
+    tail[0] = sol.x[N]
+    for i in range(N - 1):
+        tail_u[i] = F @ tail[i]
+        tail[i + 1] = A @ tail[i] + B @ tail_u[i]
+    return (np.concatenate([sol.x, tail[1:]]), np.concatenate([sol.u, tail_u]),
+            np.concatenate([sol.sx, tail[:-1]]), np.concatenate([sol.su, tail_u]))
 
 
 class PrincipalPolytope:
@@ -118,60 +103,75 @@ class PrincipalPolytope:
 class PrincipalRows:
     """G, W and meta of the principal rows, which depend on the setup only.
 
-    ``blocks`` lists each (family, stage) as (family, candidate attribute,
-    stage, set, indices of its surviving facets); a plan only moves the
-    offsets, and every block is checked, even one whose rows all vanish.
+    ``families`` holds, in the order of ``extended_plan``'s arrays, each
+    family's name, the rows its N tightened sets share and their offsets
+    as an (N, m) array. A candidate's offsets b - a.x are laid out by
+    family, stage and facet; ``starts`` marks where each (family, stage)
+    block begins and ``keep`` gathers the surviving facets. A plan only
+    moves the offsets, and every block is checked, even one whose rows
+    all vanish.
     """
 
     def __init__(self, setup):
         families = (
-            ("state", "phi_tilde", setup.Xseq, False),
-            ("input", "u_tilde", setup.Useq, True),
-            ("slack_state", "sx_tilde", setup.TXseq, False),
-            ("slack_input", "su_tilde", setup.TUseq, True),
+            ("state", setup.Xseq, False),
+            ("input", setup.Useq, True),
+            ("slack_state", setup.TXseq, False),
+            ("slack_input", setup.TUseq, True),
         )
-        self.blocks, Gs, self.meta = [], [], []
-        for name, attr, sets, via_gain in families:
+        self.families, Gs, self.meta, keep, starts = [], [], [], [], [0]
+        for name, sets, via_gain in families:
+            A = sets[0].A
+            self.families.append((name, A, np.array([S.b for S in sets])))
             for i in range(setup.N):
-                S = sets[i]
                 Mhat = setup.Ktilde[i] @ setup.Ltilde[i] if via_gain else setup.Ltilde[i]
                 # Blocks with a vanishing map (nilpotent tail) only check.
-                if np.linalg.norm(Mhat, "fro") <= ZERO_BLOCK_TOL:
-                    keep = np.zeros(0, dtype=int)
-                else:
-                    Gblock = S.A @ Mhat
-                    keep = np.flatnonzero(np.any(Gblock != 0.0, axis=1))
-                    Gs.append(Gblock[keep])
-                    self.meta.extend((name, i, int(r)) for r in keep)
-                self.blocks.append((name, attr, i, S, keep))
+                if np.linalg.norm(Mhat, "fro") > ZERO_BLOCK_TOL:
+                    Gblock = A @ Mhat
+                    kept = np.flatnonzero(np.any(Gblock != 0.0, axis=1))
+                    Gs.append(Gblock[kept])
+                    self.meta.extend((name, i, int(r)) for r in kept)
+                    keep.extend(starts[-1] + kept)
+                starts.append(starts[-1] + A.shape[0])
+        self.starts = np.array(starts[:-1])
+        self.keep = np.array(keep, dtype=int)
         self.G = np.vstack(Gs) if Gs else np.zeros((0, setup.nx))
         self.W = np.hstack([np.maximum(self.G, 0.0), np.maximum(-self.G, 0.0)])
         self.G.flags.writeable = self.W.flags.writeable = False
 
 
-def assemble_principal(setup, cand):
-    """Vertex-support rows for all 4N set constraints of splice index cand.j.
+def assemble_principal(setup, sol):
+    """Offsets d of the principal rows, one row per splice index 1..N-1.
 
-    Takes the rows from ``setup.principal_rows`` and computes the offsets
-    b - a.xi. Rows whose mapped direction vanishes (nilpotent tail blocks)
-    reduce to plain feasibility checks on the candidate: they are checked
-    against the feasibility tolerance and dropped. Raises
-    InfeasibleCandidate when any check fails.
+    The N sets of a family share their rows a, so one stacked product
+    (with the bits of the single one) gives a.x at every point of the
+    extended plan, and stage i of candidate j reads point j+i through a
+    sliding window. Blocks whose map vanishes (nilpotent tail) are only
+    checked. Raises InfeasibleCandidate for the first block that fails
+    its check, in the order j, family, stage.
     """
     rows = setup.principal_rows
-    ds = []
-    for name, attr, i, S, keep in rows.blocks:
-        offs = S.b - S.A @ getattr(cand, attr)[i]
-        bad = np.min(offs)
-        if bad < -FEAS_TOL:
-            raise InfeasibleCandidate(
-                f"candidate j={cand.j}: {name}[{i}] violates facet by {-bad:.3e}")
-        ds.append(offs[keep])
-    if not rows.meta:
-        raise TriggerError(f"no active rows at j={cand.j}: error space unconstrained")
-    d = np.concatenate(ds)
+    N = setup.N
+    offs = []
+    for (_, A, b), points in zip(rows.families, extended_plan(setup, sol)):
+        # Candidates 1..N-1 read the points 1..2N-2.
+        P = np.matmul(A, points[1:2 * N - 1, :, None])[:, :, 0]
+        offs.append((b - sliding_window_view(P, N, axis=0).transpose(0, 2, 1)).reshape(N - 1, -1))
+    offs = np.concatenate(offs, axis=1)
+    worst = np.minimum.reduceat(offs, rows.starts, axis=1)
+    failed = worst < -FEAS_TOL
+    if not rows.meta and not failed[0].any():
+        raise TriggerError("j=1: no active rows at j=1: error space unconstrained")
+    if failed.any():
+        j, block = np.unravel_index(np.argmax(failed), failed.shape)
+        name, A, _ = rows.families[block // N]
+        start = rows.starts[block]
+        r = int(np.argmin(offs[j, start:start + A.shape[0]]))
+        raise InfeasibleCandidate(f"candidate j={j + 1}: {name}[{block % N}] violates "
+                                  f"facet {r} by {-worst[j, block]:.3e}")
+    d = offs[:, rows.keep]
     d[d < 0.0] = 0.0
-    return PrincipalPolytope(setup.nx, rows.W, d, rows.G, rows.meta)
+    return d
 
 
 class BoxResult:
@@ -350,26 +350,20 @@ class TriggerSchedule:
 def build_schedule(setup, sol, method):
     """Construct E_1..E_{N-1} for an optimal solution with one method.
 
-    Assembles every principal polytope first. They share the setup's
-    rows W, so for CP1/CP2 their log-volume problems go to one batched
-    solve. Certifies every built box against the principal rows before
+    Assembles the offsets of every principal polytope in one call. They
+    share the setup's rows W, so for CP1/CP2 their log-volume problems go
+    to one batched solve. Certifies every built box against the principal rows before
     accepting it; failures carry the splice index.
     """
     if method not in METHODS:
         raise ValueError(f"unknown construction method {method!r}")
     q = 1 if method in (CP1, LP1) else 2
     exact = method in (CP1, CP2)
-    pps = []
-    for j in range(1, setup.N):
-        try:
-            pps.append(assemble_principal(setup, build_candidates(setup, sol, j)))
-        except InfeasibleCandidate:
-            raise
-        except TriggerError as exc:
-            raise TriggerError(f"j={j}: {exc}") from exc
+    rows = setup.principal_rows
+    d = assemble_principal(setup, sol)
+    pps = [PrincipalPolytope(setup.nx, rows.W, dj, rows.G, rows.meta) for dj in d]
     if exact:
-        reports = solver.maximize_log_volume_batch(pps[0].W, np.array([pp.d for pp in pps]),
-                                                   _cp_mode(q))
+        reports = solver.maximize_log_volume_batch(rows.W, d, _cp_mode(q))
     boxes, v1s, v2s, degs = [], [], [], []
     for j, pp in enumerate(pps, start=1):
         try:

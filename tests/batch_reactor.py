@@ -1,8 +1,10 @@
 """Shared batch-reactor fixture data (the reference experiment system)."""
 
+import itertools
+
 import numpy as np
 
-from etrmpc.geometry import HyperRect
+from etrmpc.geometry import HyperRect, Polytope
 from etrmpc.tightening import (PlantModel, build_setup, synthesize_nominal_gain,
                                synthesize_tightening_gains)
 
@@ -44,3 +46,16 @@ def batch_setup():
         _cache["setup"] = build_setup(plant, N=10, M=4, F=F, K=K,
                                       Q=2.0 * np.eye(4), R=np.eye(2))
     return _cache["setup"]
+
+
+def cross_polytope_setup():
+    """Batch reactor with the state target {x : ||x||_1 <= 1.6} as 16
+    sign-vector rows."""
+    plant = batch_plant()
+    rows = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
+    plant = PlantModel(plant.A, plant.B, X=plant.X, U=plant.U, W=plant.W,
+                       Tx=Polytope(rows, np.full(16, 1.6)), Tu=plant.Tu,
+                       Xf=plant.Xf)
+    F = synthesize_nominal_gain(plant, 2.0 * np.eye(4), 10.0 * np.eye(2))
+    K = synthesize_tightening_gains(plant, M=4, N=10)
+    return build_setup(plant, N=10, M=4, F=F, K=K, Q=2.0 * np.eye(4), R=np.eye(2))

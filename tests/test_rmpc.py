@@ -1,15 +1,13 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from etrmpc import rmpc, solver
-from etrmpc.geometry import HyperRect, Polytope
+from etrmpc.geometry import HyperRect
 from etrmpc.rmpc import InfeasibleState, solve_rmpc, stage_cost
 from etrmpc.tightening import (PlantModel, build_setup, synthesize_nominal_gain,
                                synthesize_tightening_gains)
 
-from batch_reactor import X0, batch_plant, batch_setup
+from batch_reactor import X0, batch_plant, batch_setup, cross_polytope_setup
 from oracles import grid_projection
 
 
@@ -170,19 +168,6 @@ class TestLqrCrosscheck:
             F_t = -np.linalg.solve(R + B.T @ P @ B, BtPA)
             P = Q + A.T @ P @ A + BtPA.T @ F_t
         assert np.max(np.abs(sol.u[0] - F_t @ x0)) <= 1e-4
-
-
-def cross_polytope_setup():
-    """Batch reactor with the state target {x : ||x||_1 <= 1.6} as 16
-    sign-vector rows."""
-    plant = batch_plant()
-    rows = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
-    plant = PlantModel(plant.A, plant.B, X=plant.X, U=plant.U, W=plant.W,
-                       Tx=Polytope(rows, np.full(16, 1.6)), Tu=plant.Tu,
-                       Xf=plant.Xf)
-    F = synthesize_nominal_gain(plant, 2.0 * np.eye(4), 10.0 * np.eye(2))
-    K = synthesize_tightening_gains(plant, M=4, N=10)
-    return build_setup(plant, N=10, M=4, F=F, K=K, Q=2.0 * np.eye(4), R=np.eye(2))
 
 
 class TestPolytopicTarget:

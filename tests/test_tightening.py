@@ -4,7 +4,7 @@ import pytest
 from etrmpc import tightening
 from etrmpc.geometry import HyperRect, Polytope, support
 from etrmpc.tightening import (EmptyTightenedSet, NilpotencyFailure, PlantModel,
-                               TerminalAssumptionViolated, build_setup,
+                               RmpcSetup, TerminalAssumptionViolated, build_setup,
                                is_controllable, synthesize_nominal_gain,
                                synthesize_tightening_gains)
 
@@ -234,6 +234,21 @@ class TestBuildSetup:
         with pytest.raises(NilpotencyFailure):
             build_setup(plant, N=6, M=2, F=F, K=bad_K,
                         Q=np.eye(2), R=np.eye(1))
+
+    def test_sets_of_a_family_share_their_rows(self):
+        # The QP data and the principal rows read each family's rows off
+        # its first set, so a stage whose rows are permuted is rejected.
+        s = batch_setup()
+        X3 = s.Xseq[3]
+        perm = np.roll(np.arange(X3.A.shape[0]), 1)
+        Xseq = list(s.Xseq)
+        Xseq[3] = Polytope(X3.A[perm], X3.b[perm])
+        args = (s.plant, s.N, s.M, s.F, s.K, s.L, s.Ktilde, s.Ltilde,
+                s.Useq, Xseq, s.TUseq, s.TXseq, s.Q, s.R, s.report)
+        with pytest.raises(ValueError, match="X sets"):
+            RmpcSetup(*args)
+        args[9][3] = X3
+        RmpcSetup(*args)
 
 
 class TestPlantValidation:

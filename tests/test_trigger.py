@@ -3,16 +3,15 @@ import pytest
 
 from etrmpc import geometry, solver, trigger
 from etrmpc.geometry import HyperRect
-from etrmpc.rmpc import solve_rmpc
+from etrmpc.rmpc import MpcSolution, solve_rmpc
 from etrmpc.rmpc import stage_cost as rmpc_stage
 from etrmpc.tightening import (PlantModel, build_setup, synthesize_nominal_gain,
                                synthesize_tightening_gains)
 from etrmpc.trigger import (CP1, CP2, LP1, LP2, PrincipalPolytope,
-                            assemble_principal, build_candidates,
-                            build_schedule, construct_box_cp, construct_box_lp,
-                            volumes)
+                            assemble_principal, build_schedule, construct_box_cp,
+                            construct_box_lp, extended_plan, volumes)
 
-from batch_reactor import X0, batch_setup
+from batch_reactor import X0, batch_setup, cross_polytope_setup
 from oracles import grid_box_volume, highs_lp1_scaling, highs_segment_length
 
 
@@ -45,62 +44,72 @@ def small_setup():
     return build_setup(plant, N=6, M=2, F=F, K=K, Q=np.eye(2), R=np.eye(1))
 
 
+def _candidate(setup, sol, j):
+    """Candidate plan of splice index j: states, inputs, slack states and
+    slack inputs, as windows at index j of the extended plan."""
+    x, u, sx, su = extended_plan(setup, sol)
+    N = setup.N
+    return x[j:j + N + 1], u[j:j + N], sx[j:j + N], su[j:j + N]
+
+
 class TestCandidates:
     def test_splice_boundary(self):
         setup = small_setup()
         sol = solve_rmpc(setup, [1.0, -0.5])
         for j in (1, 3, setup.N - 1):
-            cand = build_candidates(setup, sol, j)
-            assert np.array_equal(cand.u_tilde[0], sol.u[j])
-            assert np.array_equal(cand.phi_tilde[0], sol.x[j])
-            assert np.array_equal(cand.phi_tilde[setup.N - j], sol.x[setup.N])
+            phi, u, _, _ = _candidate(setup, sol, j)
+            assert np.array_equal(u[0], sol.u[j])
+            assert np.array_equal(phi[0], sol.x[j])
+            assert np.array_equal(phi[setup.N - j], sol.x[setup.N])
 
     def test_tail_is_nominal_feedback(self):
         setup = small_setup()
         sol = solve_rmpc(setup, [1.0, -0.5])
         j = 3
-        cand = build_candidates(setup, sol, j)
+        phi, u, _, _ = _candidate(setup, sol, j)
         for i in range(setup.N - j, setup.N):
-            assert np.allclose(cand.u_tilde[i], setup.F @ cand.phi_tilde[i],
-                               atol=1e-12)
+            assert np.allclose(u[i], setup.F @ phi[i], atol=1e-12)
 
     def test_zero_terminal_state_zero_tail(self):
         setup = small_setup()
         sol = solve_rmpc(setup, [0.0, 0.0])
-        cand = build_candidates(setup, sol, 2)
-        assert np.max(np.abs(cand.u_tilde[setup.N - 2:])) <= 1e-6
+        _, u, _, _ = _candidate(setup, sol, 2)
+        assert np.max(np.abs(u[setup.N - 2:])) <= 1e-6
 
     def test_dynamic_consistency_batch_reactor(self):
         setup = batch_setup()
         sol = solve_rmpc(setup, X0)
-        cand = build_candidates(setup, sol, 3)
+        phi, u, _, _ = _candidate(setup, sol, 3)
         A, B = setup.plant.A, setup.plant.B
         for i in range(setup.N):
-            resid = cand.phi_tilde[i + 1] - (A @ cand.phi_tilde[i] + B @ cand.u_tilde[i])
+            resid = phi[i + 1] - (A @ phi[i] + B @ u[i])
             assert np.max(np.abs(resid)) <= 1e-9
 
     def test_slack_splice(self):
         setup = small_setup()
         sol = solve_rmpc(setup, [1.0, -0.5])
         j = 2
-        cand = build_candidates(setup, sol, j)
+        phi, u, sx, su = _candidate(setup, sol, j)
         N = setup.N
-        assert np.array_equal(cand.sx_tilde[:N - j], sol.sx[j:])
-        assert np.array_equal(cand.su_tilde[:N - j], sol.su[j:])
+        assert np.array_equal(sx[:N - j], sol.sx[j:])
+        assert np.array_equal(su[:N - j], sol.su[j:])
         # Tail self-projections: points already inside the targets.
         for i in range(N - j, N):
-            assert np.array_equal(cand.sx_tilde[i], cand.phi_tilde[i])
-            assert np.array_equal(cand.su_tilde[i], cand.u_tilde[i])
-            assert setup.TXseq[i].membership_residual(cand.sx_tilde[i]) <= 1e-8
-            assert setup.TUseq[i].membership_residual(cand.su_tilde[i]) <= 1e-8
+            assert np.array_equal(sx[i], phi[i])
+            assert np.array_equal(su[i], u[i])
+            assert setup.TXseq[i].membership_residual(sx[i]) <= 1e-8
+            assert setup.TUseq[i].membership_residual(su[i]) <= 1e-8
 
     def test_index_range(self):
+        # The extended plan holds full windows for j <= N-1 only, and the
+        # assembly gives one row of offsets per j in [1, N-1].
         setup = small_setup()
         sol = solve_rmpc(setup, [0.5, 0.0])
-        with pytest.raises(IndexError):
-            build_candidates(setup, sol, 0)
-        with pytest.raises(IndexError):
-            build_candidates(setup, sol, setup.N)
+        N = setup.N
+        x, u, sx, su = extended_plan(setup, sol)
+        assert len(x) == 2 * N and len(u) == len(sx) == len(su) == 2 * N - 1
+        assert len(x[N:]) < N + 1 and len(u[N:]) < N
+        assert assemble_principal(setup, sol).shape[0] == N - 1
 
 
 class TestPrincipal:
@@ -114,10 +123,8 @@ class TestPrincipal:
 
     def test_nilpotent_tail_rows_dropped(self):
         setup = small_setup()
-        sol = solve_rmpc(setup, [1.0, -0.5])
-        pp = assemble_principal(setup, build_candidates(setup, sol, 1))
         # Ltilde vanishes beyond M, so no rows from those stages survive.
-        stages = {(fam, i) for fam, i, _ in pp.meta}
+        stages = {(fam, i) for fam, i, _ in setup.principal_rows.meta}
         for fam, i in stages:
             if fam in ("state", "slack_state"):
                 assert i <= setup.M
@@ -127,37 +134,62 @@ class TestPrincipal:
     def test_vertex_rows_nonnegative(self):
         setup = small_setup()
         sol = solve_rmpc(setup, [1.0, -0.5])
-        pp = assemble_principal(setup, build_candidates(setup, sol, 2))
-        assert np.min(pp.W) >= 0.0
-        assert np.min(pp.d) >= 0.0
+        assert np.min(setup.principal_rows.W) >= 0.0
+        assert np.min(assemble_principal(setup, sol)) >= 0.0
 
     def test_infeasible_candidate_detected(self):
         with pytest.raises(trigger.InfeasibleCandidate):
             PrincipalPolytope.from_error_rows(np.array([[1.0]]), np.array([-1.0]))
 
     def test_rows_match_per_row_build(self):
-        setup = batch_setup()
-        sol = solve_rmpc(setup, X0)
-        for j in range(1, setup.N):
-            cand = build_candidates(setup, sol, j)
-            pp = assemble_principal(setup, cand)
-            W, d, G, meta = _per_row_principal(setup, cand, j)
-            for got, want in ((pp.W, W), (pp.d, d), (pp.G, G)):
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-            assert list(pp.meta) == meta
+        cases = ((batch_setup(), (X0, [0.1, 0.1, -0.1, 0.1])),
+                 (small_setup(), ([1.0, -0.5], [0.2, 0.1])),
+                 (cross_polytope_setup(), (X0, [0.1, 0.1, -0.1, 0.1])))
+        for setup, states in cases:
+            rows = setup.principal_rows
+            for x0 in states:
+                sol = solve_rmpc(setup, x0)
+                d = assemble_principal(setup, sol)
+                plan = extended_plan(setup, sol)
+                for j in range(1, setup.N):
+                    W, dj, G, meta = _per_row_principal(setup, plan, j)
+                    for got, want in ((rows.W, W), (d[j - 1], dj), (rows.G, G)):
+                        assert got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
+                    assert list(rows.meta) == meta
+            assert np.any(sol.x[setup.N] != 0.0)  # the later state has a tail
 
     def test_infeasible_candidate_message(self):
         setup = batch_setup()
         sol = solve_rmpc(setup, X0)
-        cand = build_candidates(setup, sol, 3)
-        cand.u_tilde[2] = cand.u_tilde[2] + 5.0
+        u = sol.u.copy()
+        u[5] += 5.0
+        bad = MpcSolution(u, sol.x, sol.sx, sol.su, sol.value, sol.stage_costs,
+                          sol.kkt_residual)
+        plan = extended_plan(setup, bad)
         with pytest.raises(trigger.InfeasibleCandidate) as want:
-            _per_row_principal(setup, cand, 3)
+            for j in range(1, setup.N):
+                _per_row_principal(setup, plan, j)
         with pytest.raises(trigger.InfeasibleCandidate) as got:
-            assemble_principal(setup, cand)
+            assemble_principal(setup, bad)
         assert str(got.value) == str(want.value)
-        assert str(got.value).startswith("candidate j=3: input[2] violates facet by")
+        assert str(got.value).startswith("candidate j=1: input[4] violates facet ")
+
+    def test_offset_within_tolerance_clips_to_zero(self):
+        # u_5 just past facet 0 of U_4 (u_0 <= b_0), by less than the
+        # feasibility tolerance: candidate 1 passes its check, and the
+        # offset of that row is 0, not negative.
+        setup = batch_setup()
+        sol = solve_rmpc(setup, X0)
+        u = sol.u.copy()
+        u[5, 0] = setup.Useq[4].b[0] + 5e-9
+        near = MpcSolution(u, sol.x, sol.sx, sol.su, sol.value, sol.stage_costs,
+                           sol.kkt_residual)
+        d = assemble_principal(setup, near)
+        row = setup.principal_rows.meta.index(("input", 4, 0))
+        assert d[0, row] == 0.0
+        plan = extended_plan(setup, near)
+        assert d[0].tobytes() == _per_row_principal(setup, plan, 1)[1].tobytes()
 
     def test_rows_built_once_per_setup(self, monkeypatch):
         built = []
@@ -176,14 +208,32 @@ class TestPrincipal:
         for pp in sch.principals:
             assert pp.G is setup.principal_rows.G and pp.W is setup.principal_rows.W
 
+    def test_one_assembly_per_trigger(self, monkeypatch):
+        setup = small_setup()
+        sol = solve_rmpc(setup, [1.0, -0.5])
+        calls = {"assemble_principal": 0, "extended_plan": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(trigger, name)):
+                calls[_name] += 1
+                return _fn(*args)
 
-def _per_row_principal(setup, cand, j):
-    """Reference build of the principal rows, one facet row at a time."""
+            monkeypatch.setattr(trigger, name, counting)
+        for method in trigger.METHODS:
+            build_schedule(setup, sol, method)
+        # One assembly and one tail propagation per schedule, not one per j.
+        assert calls == {"assemble_principal": 4, "extended_plan": 4}
+
+
+def _per_row_principal(setup, plan, j):
+    """Reference build of the principal rows of splice index j, one facet
+    row at a time, from the windows at index j of the extended plan."""
+    N = setup.N
+    x, u, sx, su = (a[j:j + N] for a in plan)
     families = (
-        ("state", cand.phi_tilde, setup.Xseq, lambda i: setup.Ltilde[i]),
-        ("input", cand.u_tilde, setup.Useq, lambda i: setup.Ktilde[i] @ setup.Ltilde[i]),
-        ("slack_state", cand.sx_tilde, setup.TXseq, lambda i: setup.Ltilde[i]),
-        ("slack_input", cand.su_tilde, setup.TUseq,
+        ("state", x, setup.Xseq, lambda i: setup.Ltilde[i]),
+        ("input", u, setup.Useq, lambda i: setup.Ktilde[i] @ setup.Ltilde[i]),
+        ("slack_state", sx, setup.TXseq, lambda i: setup.Ltilde[i]),
+        ("slack_input", su, setup.TUseq,
          lambda i: setup.Ktilde[i] @ setup.Ltilde[i]),
     )
     Wrows, ds, Gs, meta = [], [], [], []
@@ -195,7 +245,8 @@ def _per_row_principal(setup, cand, j):
             bad = np.min(offs)
             if bad < -1e-8:
                 raise trigger.InfeasibleCandidate(
-                    f"candidate j={j}: {name}[{i}] violates facet by {-bad:.3e}")
+                    f"candidate j={j}: {name}[{i}] violates facet {np.argmin(offs)} "
+                    f"by {-bad:.3e}")
             if np.linalg.norm(Mhat, "fro") <= 1e-8:
                 continue
             Gblock = S.A @ Mhat
@@ -435,12 +486,12 @@ class TestSchedule:
         sch = schedules[CP1]
         for j in range(1, setup.N):
             box = sch.box(j)
-            cand = build_candidates(setup, sol, j)
+            phi, u, _, _ = _candidate(setup, sol, j)
             for _ in range(100):
                 e = box.sample(rng)
                 for i in range(setup.N):
-                    u_c = cand.u_tilde[i] + setup.Ktilde[i] @ setup.Ltilde[i] @ e
-                    x_c = cand.phi_tilde[i] + setup.Ltilde[i] @ e
+                    u_c = u[i] + setup.Ktilde[i] @ setup.Ltilde[i] @ e
+                    x_c = phi[i] + setup.Ltilde[i] @ e
                     assert setup.Useq[i].membership_residual(u_c) <= 1e-7
                     assert setup.Xseq[i].membership_residual(x_c) <= 1e-7
 
@@ -488,7 +539,9 @@ class TestSchedule:
             raise AssertionError("per-j log-volume solve on the trigger path")
 
         for s in (sol, solve_rmpc(setup, [0.1, 0.1, -0.1, 0.1])):
-            per_j = [construct_box_cp(assemble_principal(setup, build_candidates(setup, s, j)), q)
+            plan = extended_plan(setup, s)
+            per_j = [construct_box_cp(
+                         PrincipalPolytope(setup.nx, *_per_row_principal(setup, plan, j)), q)
                      for j in range(1, setup.N)]
             with monkeypatch.context() as m:
                 m.setattr(solver, "maximize_log_volume", forbidden)
@@ -523,13 +576,13 @@ class TestSchedule:
         rng = np.random.default_rng(3)
         sch = schedules[CP1]
         for j in (5, 7, 9):
-            cand = build_candidates(setup, sol, j)
+            phi, u_tilde, _, _ = _candidate(setup, sol, j)
             e = sch.box(j).sample(rng)
-            state = cand.phi_tilde[0] + e
+            state = phi[0] + e
             cost = 0.0
             x = state.copy()
             for i in range(setup.N):
-                u = cand.u_tilde[i] + setup.Ktilde[i] @ setup.Ltilde[i] @ e
+                u = u_tilde[i] + setup.Ktilde[i] @ setup.Ltilde[i] @ e
                 cost += rmpc_stage(setup, x, u, i)
                 x = setup.plant.A @ x + setup.plant.B @ u
             v = solve_rmpc(setup, state).value
