@@ -2,13 +2,15 @@
 
 One Mehrotra-style primal-dual interior-point loop handles both LPs
 (H = 0) and convex QPs over ``A_eq x = b_eq, A_in x <= b_in``. It solves
-a batch of problems that share H, A_eq, b_eq and A_in in one pass, each
-with its own linear term and ``b_in`` (``solve_lp_batch``); ``solve_lp``
-and ``solve_qp`` are batches of one. The hyper-rectangle volume
-objectives are maximized by the same scheme on the concave log
-objective, then an active-set Newton polish; log-volume problems that
-share W run in one loop as well (``maximize_log_volume_batch``), and
-``maximize_log_volume`` is their batch of one. No external solver
+a batch of problems that share H, A_eq and b_eq in one pass, each with
+its own linear term and ``b_in``, and with ``A_in`` shared or, stacked,
+its own (``solve_lp_batch``; LP1's scaling LPs of one active mask have
+rows of their own); ``solve_lp`` and ``solve_qp`` are batches of one.
+The hyper-rectangle volume objectives are maximized by the same scheme
+on the concave log objective, then an active-set Newton polish;
+log-volume problems that share W run in one loop as well
+(``maximize_log_volume_batch``), and ``maximize_log_volume`` is their
+batch of one. No external solver
 dependencies; every run with the same inputs is bit-identical (fixed
 step rules, no restarts), and a problem's result does not depend on the
 batch it is solved in.
@@ -119,11 +121,15 @@ class SolveReport:
 
 
 def _check_dims(n, A_in, b_in, A_eq, b_eq):
+    """A matrix is shared (m, n), or stacked (B, m, n) beside one row of
+    b per problem."""
     for mat, vec, name in ((A_in, b_in, "inequality"), (A_eq, b_eq, "equality")):
         if (mat is None) != (vec is None):
             raise ValueError(f"{name} matrix and rhs must be given together")
         if mat is not None:
-            if mat.ndim != 2 or mat.shape[1] != n or mat.shape[0] != vec.shape[-1]:
+            stacked = mat.ndim == 3 and vec.shape[:-1] == mat.shape[:1]
+            if ((mat.ndim != 2 and not stacked) or mat.shape[-1] != n
+                    or mat.shape[-2] != vec.shape[-1]):
                 raise ValueError(f"{name} block has inconsistent dimensions")
             if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(vec))):
                 raise ValueError(f"{name} block must be finite")
@@ -134,11 +140,12 @@ def _empty(n):
 
 
 def _mv(M, v):
-    """M @ v[k] for every row k of v. The stacked matmul makes the BLAS call,
-    and so gives the bits, of the single product; one gemm would not. A
-    batch of one makes that call directly, without the stacking overhead."""
+    """M @ v[k] (or M[k] @ v[k] for a stack M) for every row k of v. The
+    stacked matmul makes the BLAS call, and so gives the bits, of the
+    single product; one gemm would not. A batch of one makes that call
+    directly, without the stacking overhead."""
     if len(v) == 1:
-        return (M @ v[0])[None]
+        return ((M[0] if M.ndim == 3 else M) @ v[0])[None]
     return np.matmul(M, v[:, :, None])[:, :, 0]
 
 
@@ -166,23 +173,25 @@ def _kkt_matrices(M, A, reg):
 
 
 def _ipm(H, g, A, b, G, h, tol, classify=True):
-    """Mehrotra predictor-corrector on min 0.5 x.H x + g[k].x, Ax=b, Gx<=h[k].
+    """Mehrotra predictor-corrector on min 0.5 x.H x + g[k].x, Ax=b, G x<=h[k].
 
-    Solves one problem per row k of g (B, n) and h (B, m); H, A, b and G
-    are shared. Each problem has its own iterates, convergence test,
+    Solves one problem per row k of g (B, n) and h (B, m); H, A and b are
+    shared, and so is G when it is (m, n); a (B, m, n) G gives problem k
+    the rows G[k]. Each problem has its own iterates, convergence test,
     regularization retry and phase-1 classification (then, for an LP that
-    phase 1 finds feasible, the recession LP), and leaves the batch
-    once it is decided. The arithmetic is stacked only through operations
-    that give each slice the bits of the one-problem call (``_mv``,
-    ``_dot``, stacked ``np.linalg.solve``, ``np.float_power``), so a
-    problem's result does not depend on the rest of its batch.
+    phase 1 finds feasible, the recession LP), and leaves the batch, with
+    its rows, once it is decided. The arithmetic is stacked only through
+    operations that give each slice the bits of the one-problem call
+    (``_mv``, ``_dot``, stacked ``np.linalg.solve``, ``np.float_power``),
+    so a problem's result does not depend on the rest of its batch.
 
     Returns one (status, x, kkt_residual, iterations, certificate) tuple
     per problem.
     """
     nb, n = g.shape
-    p, m = A.shape[0], G.shape[0]
-    g_all, h_all = g, h
+    p, m = A.shape[0], G.shape[-2]
+    g_all, h_all, G_all = g, h, G
+    stacked = G.ndim == 3
 
     scale_p = 1.0 + np.maximum(np.max(np.abs(b), initial=0.0),
                                np.max(np.abs(h), axis=1, initial=0.0))
@@ -193,11 +202,12 @@ def _ipm(H, g, A, b, G, h, tol, classify=True):
     x0 = np.linalg.lstsq(A, b, rcond=None)[0] if p > 0 else np.zeros(n)
     x = np.tile(x0, (nb, 1))
     y = np.zeros((nb, p))
-    s = np.maximum(h - G @ x0, 1.0)
+    s = np.maximum(h - G @ x0, 1.0)  # G @ x0 is (m,) or (B, m)
     z = np.ones((nb, m))
 
     def residuals(x, y, z, s, g, h):
-        rd = _mv(H, x) + g + (_mv(A.T, y) if p else 0.0) + (_mv(G.T, z) if m else 0.0)
+        rd = (_mv(H, x) + g + (_mv(A.T, y) if p else 0.0)
+              + (_mv(G.swapaxes(-1, -2), z) if m else 0.0))
         rp = (_mv(A, x) - b) if p else np.zeros((x.shape[0], 0))
         rg = (_mv(G, x) + s - h) if m else None
         return rd, rp, rg
@@ -236,6 +246,7 @@ def _ipm(H, g, A, b, G, h, tol, classify=True):
             idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt, best_x = (
                 v[live] for v in (idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below,
                                   best_kkt, best_x))
+            G = G[live] if stacked else G
         if not idx.size:
             break
         rd, rp, rg = residuals(x, y, z, s, g, h)
@@ -272,13 +283,14 @@ def _ipm(H, g, A, b, G, h, tol, classify=True):
                 rd, rp, rg, mu = (v[keep] for v in (
                     idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt,
                     best_x, rd, rp, rg, mu))
+            G = G[keep] if stacked else G
 
         d = z / s
-        M = H + np.matmul(G.T, d[:, :, None] * G)
+        M = H + np.matmul(G.swapaxes(-1, -2), d[:, :, None] * G)
 
         # Affine scaling (predictor) direction; a singular KKT matrix is
         # retried with a larger regularization, problem by problem.
-        rhs_x = -(rd + _mv(G.T, d * rg - z))
+        rhs_x = -(rd + _mv(G.swapaxes(-1, -2), d * rg - z))
         rhs = np.concatenate([rhs_x, -rp], axis=1) if p else rhs_x
         reg = 1e-12 * scale_d
         K = _kkt_matrices(M, A, reg)
@@ -303,6 +315,7 @@ def _ipm(H, g, A, b, G, h, tol, classify=True):
                     rd, rp, rg, mu, d, K, sol = (v[solved] for v in (
                         idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt,
                         best_x, rd, rp, rg, mu, d, K, sol))
+                G = G[solved] if stacked else G
                 if not idx.size:
                     break
         dx_a = sol[:, :n]
@@ -317,7 +330,7 @@ def _ipm(H, g, A, b, G, h, tol, classify=True):
 
         # Corrector.
         corr = (sigma_mu - ds_a * dz_a) / s
-        rhs_x = -(rd + _mv(G.T, d * rg - z + corr))
+        rhs_x = -(rd + _mv(G.swapaxes(-1, -2), d * rg - z + corr))
         rhs = np.concatenate([rhs_x, -rp], axis=1) if p else rhs_x
         sol = np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
         dx, dy = sol[:, :n], sol[:, n:]
@@ -336,10 +349,12 @@ def _ipm(H, g, A, b, G, h, tol, classify=True):
     if not stopped:
         return out
     rows = [i for i, _, _ in stopped]
-    phase = _phase1(A, b, G, h_all[rows]) if classify else [(None, None)] * len(rows)
+    phase = (_phase1(A, b, _rows_of(G_all, rows), h_all[rows]) if classify
+             else [(None, None)] * len(rows))
     feasible = [i for i, (t, _) in zip(rows, phase) if t is not None and t <= 1e-7]
     rays = set() if quadratic or not feasible else {
-        i for i, ray in zip(feasible, _descends_along_ray(A, G, g_all[feasible])) if ray}
+        i for i, ray in zip(feasible, _descends_along_ray(A, _rows_of(G_all, feasible),
+                                                          g_all[feasible])) if ray}
     for (i, kkt_i, x_i), (t, cert) in zip(stopped, phase):
         if t is not None and t > 1e-7:
             out[i] = (Status.INFEASIBLE, None, kkt_i, MAX_ITER, cert)
@@ -348,6 +363,11 @@ def _ipm(H, g, A, b, G, h, tol, classify=True):
         else:
             out[i] = (Status.MAXITER, x_i, kkt_i, MAX_ITER, None)
     return out
+
+
+def _rows_of(G, k):
+    """The rows of problem(s) k: G[k] of a stack, G itself when shared."""
+    return G[k] if G.ndim == 3 else G
 
 
 def _max_step(v, dv):
@@ -361,11 +381,13 @@ def _descends_along_ray(A, G, g):
     """Whether min g[k].x over a nonempty {Ax = b, Gx <= h} falls without
     bound, for every row k of g: one batched recession LP
     min g[k].d s.t. G d <= 0, A d = 0, |d| <= 1, whose optimum is negative
-    exactly when some ray of the feasible set descends.
+    exactly when some ray of the feasible set descends. G is shared or
+    stacked, as in ``_ipm``.
     """
-    n = G.shape[1]
-    h = np.concatenate([np.zeros(G.shape[0]), np.ones(2 * n)])
-    G = np.vstack([G, np.eye(n), -np.eye(n)])
+    n = G.shape[-1]
+    h = np.concatenate([np.zeros(G.shape[-2]), np.ones(2 * n)])
+    box = np.vstack([np.eye(n), -np.eye(n)])
+    G = np.concatenate([G, np.broadcast_to(box, G.shape[:-2] + box.shape)], axis=-2)
     reports = _ipm(np.zeros((n, n)), g, A, np.zeros(A.shape[0]), G,
                    np.broadcast_to(h, (len(g), h.size)), FEAS_TOL, classify=False)
     return [st == Status.OPTIMAL and gk @ d < -1e-6 * (1.0 + np.max(np.abs(gk)))
@@ -376,12 +398,13 @@ def _phase1(A, b, G, h):
     """min t s.t. Gx <= h[k] + t, Ax = b, t >= 0 for every row k of h.
 
     Classifies feasibility: one (t, point) pair per row, (None, None)
-    where the phase-1 LP itself does not converge.
+    where the phase-1 LP itself does not converge. G is shared or
+    stacked, as in ``_ipm``.
     """
-    n = G.shape[1]
-    m = G.shape[0]
-    Gx = np.hstack([G, -np.ones((m, 1))])
-    Gx = np.vstack([Gx, np.concatenate([np.zeros(n), [-1.0]])])
+    n = G.shape[-1]
+    t_row = np.concatenate([np.zeros(n), [-1.0]])
+    Gx = np.concatenate([G, np.full(G.shape[:-1] + (1,), -1.0)], axis=-1)
+    Gx = np.concatenate([Gx, np.broadcast_to(t_row, G.shape[:-2] + (1, n + 1))], axis=-2)
     hx = np.hstack([h, np.zeros((h.shape[0], 1))])
     Ax = np.hstack([A, np.zeros((A.shape[0], 1))]) if A.shape[0] else np.zeros((0, n + 1))
     c = np.zeros(n + 1)
@@ -401,30 +424,34 @@ def solve_lp(p, tol=FEAS_TOL):
 
 
 def solve_lp_batch(c, A, b, tol=FEAS_TOL):
-    """solve_lp for a batch of LPs max c[k].x s.t. A x <= b[k] that share A.
+    """solve_lp for a batch of LPs max c[k].x s.t. A[k] x <= b[k].
 
-    Row k of c (B, n) and of b (B, m) gives problem k; a 1-D c or b is
-    shared by every problem. All problems run in one interior-point loop,
-    and each report is bit-identical to solve_lp on that problem alone.
+    Row k of c (B, n), of b (B, m) and of a stacked A (B, m, n) gives
+    problem k; a 1-D c or b, or a 2-D A, is shared by every problem.
+    Per-problem rows serve LPs of one shape whose rows differ, such as
+    LP1's scaling LPs of one active mask. All problems run in one
+    interior-point loop, and each report is bit-identical to solve_lp on
+    that problem alone.
     """
     c = np.atleast_2d(np.asarray(c, dtype=float))
     A = np.ascontiguousarray(A, dtype=float)
     b = np.atleast_2d(np.asarray(b, dtype=float))
     n = c.shape[1]
+    nb = max(len(c), len(b), len(A) if A.ndim == 3 else 1)
+    b = np.broadcast_to(b, (nb, b.shape[1]))
     _check_dims(n, A, b, None, None)
-    nb = max(len(c), len(b))
-    return _lp_reports(np.broadcast_to(c, (nb, n)), A, np.broadcast_to(b, (nb, A.shape[0])),
-                       *_empty(n), tol)
+    return _lp_reports(np.broadcast_to(c, (nb, n)), A, b, *_empty(n), tol)
 
 
 def _lp_reports(c, G, h, A, b, tol):
-    """max c[k].x s.t. G x <= h[k], A x = b: the interior-point loop, then
-    ``_crossover`` on every problem it solves."""
+    """max c[k].x s.t. G x <= h[k] (G[k] x for a stacked G), A x = b: the
+    interior-point loop, then ``_crossover`` on every problem it solves."""
     n = c.shape[1]
     reports = []
-    for (st, x, kkt, it, cert), ck, hk in zip(_ipm(np.zeros((n, n)), -c, A, b, G, h, tol), c, h):
+    outcomes = _ipm(np.zeros((n, n)), -c, A, b, G, h, tol)
+    for k, ((st, x, kkt, it, cert), ck, hk) in enumerate(zip(outcomes, c, h)):
         if st == Status.OPTIMAL:
-            x = _crossover(ck, A, b, G, hk, x)
+            x = _crossover(ck, A, b, _rows_of(G, k), hk, x)
         obj = float(ck @ x) if x is not None and st == Status.OPTIMAL else None
         reports.append(SolveReport(st, x, obj, kkt, it, cert))
     return reports

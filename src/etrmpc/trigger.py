@@ -214,17 +214,26 @@ def construct_box_lp(pp, q):
 
     Both use the per-direction widths of the lifted polytope (single-
     variable LPs, solved in closed form by row ratios). q=1: one scaling
-    LP over the segment profile, each coordinate's two widths summed.
+    LP over the segment profile, each coordinate's two widths summed,
+    solved as a batch of one of ``build_schedule``'s batched route.
     q=2: a scalar scaling step over the widths themselves.
     """
     if q == 1:
-        return _lp1_box(pp)
+        return _lp1_box(pp, *_lp1_solve([pp])[0])
     if q == 2:
         return _lp2_box(pp)
     raise ValueError(f"q must be 1 or 2, got {q}")
 
 
-def _lp1_box(pp):
+def _lp1_scaling_lp(pp):
+    """Segment profile and scaling LP of ``construct_box_lp(pp, 1)``.
+
+    Returns (w, r, A, b): the one-sided widths w, the segment lengths r,
+    and the rows and offsets of the LP max lambda over (z, lambda), or
+    None for both where no LP is needed (a coordinate is unbounded, or
+    every one is degenerate). The LP has one column per coordinate with
+    r > 0, so LPs of one active mask share their shape.
+    """
     k = pp.k
     G, d = pp.G, pp.d
     # Longest axis segment through the origin along e_j: with every other
@@ -232,15 +241,11 @@ def _lp1_box(pp):
     # widths of the lifted polytope. Segments below the degenerate-width
     # threshold collapse to zero-width coordinates.
     w = solver.coordinate_widths(pp.W, d)
-    if np.any(np.isinf(w)):
-        raise TriggerError("principal polytope leaves a box coordinate unbounded")
     r = w[:k] + w[k:]
     r[r <= 1e-9] = 0.0
-
-    degenerate = np.flatnonzero(r == 0.0).tolist()
     act = r > 0.0
-    if not np.any(act):
-        return BoxResult(HyperRect(np.zeros(k), np.zeros(k)), degenerate)
+    if np.any(np.isinf(w)) or not np.any(act):
+        return w, r, None, None
     # Scaling LP over (z, lambda) for the non-degenerate coordinates: max
     # lambda with the r-profile box [z, z + lambda r] in the rows and
     # z <= 0 <= z + lambda r (zero-width coordinates pin z_j = 0).
@@ -250,8 +255,40 @@ def _lp1_box(pp):
                    eye[:ka],
                    np.hstack([-eye[:ka, :ka], -r[act][:, None]]),
                    np.hstack([eye[ka, :ka], -1.0])])
-    rep = solver.solve_lp(solver.LpProblem(
-        c=eye[ka], A=A, b=np.concatenate([d, np.zeros(2 * ka + 1)])))
+    return w, r, A, np.concatenate([d, np.zeros(2 * ka + 1)])
+
+
+def _lp1_solve(pps):
+    """The scaling LPs of ``construct_box_lp(pp, 1)`` for every principal
+    polytope. LPs of one active mask have one shape, and run in one
+    ``solve_lp_batch`` call with per-problem rows. Returns (w, r, report)
+    per polytope, with no report where no LP was needed."""
+    lps = [_lp1_scaling_lp(pp) for pp in pps]
+    groups = {}
+    for i, (_, r, A, _) in enumerate(lps):
+        if A is not None:
+            groups.setdefault((r > 0.0).tobytes(), []).append(i)
+    reports = [None] * len(pps)
+    for members in groups.values():
+        A = np.array([lps[i][2] for i in members])
+        b = np.array([lps[i][3] for i in members])
+        batch = solver.solve_lp_batch(np.eye(A.shape[-1])[-1], A, b)  # max lambda
+        for i, rep in zip(members, batch):
+            reports[i] = rep
+    return [(w, r, rep) for (w, r, _, _), rep in zip(lps, reports)]
+
+
+def _lp1_box(pp, w, r, rep):
+    """The box of one scaling LP's report, as ``construct_box_lp(pp, 1)``
+    returns it."""
+    k = pp.k
+    if np.any(np.isinf(w)):
+        raise TriggerError("principal polytope leaves a box coordinate unbounded")
+    degenerate = np.flatnonzero(r == 0.0).tolist()
+    if rep is None:  # every coordinate degenerate
+        return BoxResult(HyperRect(np.zeros(k), np.zeros(k)), degenerate)
+    act = r > 0.0
+    ka = int(np.sum(act))
     # A near-converged iterate will do: the box is fit into the rows below.
     near = (rep.status == solver.Status.MAXITER and rep.x is not None
             and rep.kkt_residual <= 1e-6)
@@ -352,8 +389,10 @@ def build_schedule(setup, sol, method):
 
     Assembles the offsets of every principal polytope in one call. They
     share the setup's rows W, so for CP1/CP2 their log-volume problems go
-    to one batched solve. Certifies every built box against the principal rows before
-    accepting it; failures carry the splice index.
+    to one batched solve. LP1 builds all N-1 scaling LPs first and solves
+    those of one active mask in one batch, with per-problem rows; a
+    trigger mostly has one mask. Certifies every built box against the
+    principal rows before accepting it; failures carry the splice index.
     """
     if method not in METHODS:
         raise ValueError(f"unknown construction method {method!r}")
@@ -364,10 +403,17 @@ def build_schedule(setup, sol, method):
     pps = [PrincipalPolytope(setup.nx, rows.W, dj, rows.G, rows.meta) for dj in d]
     if exact:
         reports = solver.maximize_log_volume_batch(rows.W, d, _cp_mode(q))
+    elif q == 1:
+        lp1 = _lp1_solve(pps)
     boxes, v1s, v2s, degs = [], [], [], []
     for j, pp in enumerate(pps, start=1):
         try:
-            res = _cp_box(reports[j - 1], pp.k, q) if exact else construct_box_lp(pp, q)
+            if exact:
+                res = _cp_box(reports[j - 1], pp.k, q)
+            elif q == 1:
+                res = _lp1_box(pp, *lp1[j - 1])
+            else:
+                res = construct_box_lp(pp, q)
             slack = pp.box_slack(res.box)
             if slack < -FEAS_TOL:
                 raise TriggerError(f"built box violates principal rows by {-slack:.3e}")

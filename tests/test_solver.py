@@ -181,6 +181,32 @@ class TestLpBatch:
         batch = solve_lp_batch(C, A, B)
         assert all(same_report(a, b) for a, b in zip(batch, solo))
 
+    def test_per_problem_rows_leave_with_their_member(self):
+        # Members 0 and 2 have the singular rows of the test above and
+        # leave after the regularization retries; member 1 has rows of its
+        # own and runs on without them.
+        A = np.array([[[1e10, 1e10], [-1e10, -1e10]], [[1.0, 0.0], [0.0, 1.0]],
+                      [[1e10, 1e10], [-1e10, -1e10]]])
+        C = np.ones((3, 2))
+        B = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
+        solo = [solve_lp(LpProblem(c=c, A=Ak, b=b)) for c, Ak, b in zip(C, A, B)]
+        assert solo[1].status == Status.OPTIMAL and solo[0].status != Status.OPTIMAL
+        for order in (slice(None), slice(None, None, -1)):
+            batch = solve_lp_batch(C[order], A[order], B[order])
+            assert all(same_report(a, b) for a, b in zip(batch, solo[order]))
+
+    def test_stacked_rows_need_one_offset_row_per_problem(self):
+        A, b = box_rows(2, 1.0)
+        stack = np.array([A, A])
+        with pytest.raises(ValueError):
+            solve_lp_batch(np.ones(2), stack, np.array([b, b, b]))
+        with pytest.raises(ValueError):
+            solve_lp_batch(np.ones((3, 2)), stack, b)
+        with pytest.raises(ValueError):
+            LpProblem(c=np.ones(2), A=stack, b=b)
+        batch = solve_lp_batch(np.ones(2), stack, b)  # shared c and b
+        assert all(same_report(r, solve_lp(LpProblem(c=np.ones(2), A=A, b=b))) for r in batch)
+
     def test_iteration_cap_stays_with_its_member(self, monkeypatch):
         rng = np.random.default_rng(3)
         n = 3

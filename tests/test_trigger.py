@@ -191,6 +191,20 @@ class TestPrincipal:
         plan = extended_plan(setup, near)
         assert d[0].tobytes() == _per_row_principal(setup, plan, 1)[1].tobytes()
 
+    def test_violation_above_tolerance_names_its_facet(self):
+        # u_5 past facet 0 of U_4 by 1e-6: above the feasibility
+        # tolerance, so candidate 1 fails its check, though by far less
+        # than 1e-3.
+        setup = batch_setup()
+        sol = solve_rmpc(setup, X0)
+        u = sol.u.copy()
+        u[5, 0] = setup.Useq[4].b[0] + 1e-6
+        far = MpcSolution(u, sol.x, sol.sx, sol.su, sol.value, sol.stage_costs,
+                          sol.kkt_residual)
+        with pytest.raises(trigger.InfeasibleCandidate,
+                           match=r"^candidate j=1: input\[4\] violates facet 0 by 1\.000e-06$"):
+            assemble_principal(setup, far)
+
     def test_rows_built_once_per_setup(self, monkeypatch):
         built = []
         init = trigger.PrincipalRows.__init__
@@ -357,16 +371,16 @@ class TestConstructLp:
         # the box shrink to the origin against that row.
         G = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         pp = PrincipalPolytope.from_error_rows(G, np.array([0.0, 1.0, 1.0, 1.0]))
-        solve_lp = solver.solve_lp
+        solve_lp_batch = solver.solve_lp_batch
 
-        def rounded(problem):
-            rep = solve_lp(problem)
+        def rounded(c, A, b):
+            (rep,) = solve_lp_batch(c, A, b)
             x = rep.x.copy()
             x[0] = -3e-17
-            return solver.SolveReport(rep.status, x, rep.objective,
-                                      rep.kkt_residual, rep.iterations)
+            return [solver.SolveReport(rep.status, x, rep.objective,
+                                       rep.kkt_residual, rep.iterations)]
 
-        monkeypatch.setattr(solver, "solve_lp", rounded)
+        monkeypatch.setattr(solver, "solve_lp_batch", rounded)
         box = construct_box_lp(pp, 1).box
         assert box.lower[0] == 0.0
         assert volumes(box)[0] == pytest.approx(2.0, rel=1e-6)
@@ -432,6 +446,14 @@ class TestLpOracles:
             box = construct_box_lp(pp, 1).box
             assert np.allclose(box.upper - box.lower, lam * r, rtol=1e-6, atol=1e-9)
             assert pp.box_slack(box) >= 0.0
+
+
+def _lp1_segments(pp):
+    """LP1's segment lengths r, zero below the degenerate threshold."""
+    w = solver.coordinate_widths(pp.W, pp.d)
+    r = w[:pp.k] + w[pp.k:]
+    r[r <= 1e-9] = 0.0
+    return r
 
 
 def _symmetry(box):
@@ -524,11 +546,17 @@ class TestSchedule:
         with pytest.raises(ValueError):
             build_schedule(setup, sol, "CP3")
 
-    @pytest.mark.parametrize("method", [CP1, CP2])
+    @pytest.mark.parametrize("method", [CP1, CP2, LP1])
     def test_one_batched_solve_matches_per_j_route(self, sched_all, method, monkeypatch):
+        # CP makes one log-volume batch per trigger; LP1 one scaling-LP
+        # batch per active mask, where each polytope of a trigger has its
+        # own LP rows.
         setup, sol, _ = sched_all
-        q = 1 if method == CP1 else 2
-        batch = solver.maximize_log_volume_batch
+        q = 1 if method in (CP1, LP1) else 2
+        construct, single, batched = (
+            (construct_box_lp, "solve_lp", "solve_lp_batch") if method == LP1
+            else (construct_box_cp, "maximize_log_volume", "maximize_log_volume_batch"))
+        batch = getattr(solver, batched)
         calls = []
 
         def counting(*args):
@@ -536,18 +564,24 @@ class TestSchedule:
             return batch(*args)
 
         def forbidden(*args):
-            raise AssertionError("per-j log-volume solve on the trigger path")
+            raise AssertionError("per-j solve on the trigger path")
 
         for s in (sol, solve_rmpc(setup, [0.1, 0.1, -0.1, 0.1])):
             plan = extended_plan(setup, s)
-            per_j = [construct_box_cp(
-                         PrincipalPolytope(setup.nx, *_per_row_principal(setup, plan, j)), q)
-                     for j in range(1, setup.N)]
+            pps = [PrincipalPolytope(setup.nx, *_per_row_principal(setup, plan, j))
+                   for j in range(1, setup.N)]
+            per_j = [construct(pp, q) for pp in pps]
             with monkeypatch.context() as m:
-                m.setattr(solver, "maximize_log_volume", forbidden)
-                m.setattr(solver, "maximize_log_volume_batch", counting)
+                m.setattr(solver, single, forbidden)
+                m.setattr(solver, batched, counting)
                 sch = build_schedule(setup, s, method)
-            assert len(calls) == 1
+            if method == LP1:
+                masks = {tuple(r > 0.0) for r in map(_lp1_segments, pps) if np.any(r > 0.0)}
+                assert len(masks) >= 1
+                assert len(calls) == len(masks)
+                assert all(args[1].ndim == 3 for args in calls)  # rows per problem
+            else:
+                assert len(calls) == 1
             calls.clear()
             for box, deg, res in zip(sch.boxes, sch.degenerate_coords, per_j):
                 assert box.lower.tobytes() == res.box.lower.tobytes()
@@ -567,6 +601,43 @@ class TestSchedule:
         monkeypatch.setattr(solver, "maximize_log_volume_batch", unbounded_at_j4)
         with pytest.raises(trigger.TriggerError, match=r"^j=4: .*unbounded"):
             build_schedule(setup, sol, CP2)
+
+    def test_failing_lp1_member_keeps_its_splice_index(self, sched_all, monkeypatch):
+        # The scaling LP of j=4, found by its offsets, comes back
+        # infeasible from a batch shared with other splice indices, and
+        # the polytope of j=6 leaves a coordinate unbounded. j=4 fails
+        # first, as on a route that builds and solves one j at a time.
+        setup, _, _ = sched_all
+        sol = solve_rmpc(setup, [0.1, 0.1, -0.1, 0.1])
+        d = assemble_principal(setup, sol)
+        batch, widths = solver.solve_lp_batch, solver.coordinate_widths
+        hits = []
+
+        def infeasible_at_j4(c, A, b):
+            reports = batch(c, A, b)
+            for i, bk in enumerate(b):
+                if np.array_equal(bk[:d.shape[1]], d[3]):
+                    hits.append(len(b))
+                    reports[i] = solver.SolveReport(solver.Status.INFEASIBLE, None, None,
+                                                    np.inf, 0)
+            return reports
+
+        def unbounded_at_j6(W, dj):
+            w = widths(W, dj)
+            if np.array_equal(dj, d[5]):
+                w[0] = np.inf
+            return w
+
+        monkeypatch.setattr(solver, "solve_lp_batch", infeasible_at_j4)
+        with pytest.raises(trigger.TriggerError, match=r"^j=4: scaling LP failed: "):
+            build_schedule(setup, sol, LP1)
+        assert len(hits) == 1 and hits[0] > 1
+        monkeypatch.setattr(solver, "coordinate_widths", unbounded_at_j6)
+        with pytest.raises(trigger.TriggerError, match=r"^j=4: scaling LP failed: "):
+            build_schedule(setup, sol, LP1)
+        monkeypatch.setattr(solver, "solve_lp_batch", batch)
+        with pytest.raises(trigger.TriggerError, match=r"^j=6: .*unbounded"):
+            build_schedule(setup, sol, LP1)
 
     def test_candidate_cost_upper_bounds_resolve(self, sched_all):
         # Optimality: for an error inside E_j, V* at the disturbed state is
