@@ -9,7 +9,7 @@ decay certificates.
 
 from .geometry import (HyperRect, Polytope, WeightedDistanceResult,
                        pontryagin_diff, shape_ratio, shape_ratios, support,
-                       supports, weighted_projection)
+                       supports, weighted_projection, weighted_projections)
 from .rmpc import InfeasibleState, MpcSolution, solve_rmpc, stage_cost
 from .sim import (DisturbanceModel, SimTrace, run_closed_loop,
                   step_trigger_test, trigger_statistics)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HyperRect", "Polytope", "WeightedDistanceResult", "support", "supports",
-    "pontryagin_diff", "weighted_projection",
+    "pontryagin_diff", "weighted_projection", "weighted_projections",
     "shape_ratio", "shape_ratios",
     "LpProblem", "QpProblem", "SolveReport", "Status", "solve_lp", "solve_lp_batch",
     "solve_qp",

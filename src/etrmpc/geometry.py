@@ -232,41 +232,52 @@ class WeightedDistanceResult:
 def weighted_projection(point, target, weight):
     """min (r-s)^T M (r-s) over s in target, M symmetric positive definite.
 
-    Fast path: diagonal M and a box target clamp coordinatewise (exact).
-    General path: convex QP, unique minimizer since the target is convex,
-    solved to the RMPC QP's 1e-10 so that re-projected plan values agree
-    with the QP value.
+    The batch of one of ``weighted_projections``.
     """
-    r = np.asarray(point, dtype=float)
+    d2, s = weighted_projections(np.asarray(point, dtype=float)[None], [target], weight)
+    return WeightedDistanceResult(d2[0], s[0])
+
+
+def weighted_projections(points, targets, weight):
+    """The weighted projection of points[k] onto targets[k] for every k.
+
+    A point inside its target within the global tolerance is its own
+    projection, at distance 0. Fast path: a diagonal M and box targets
+    clamp every point coordinatewise in one array pass (exact), so a
+    point's bits do not depend on the batch. General path, one target at
+    a time: convex QP, unique minimizer since the target is convex, solved
+    to the RMPC QP's 1e-10 so that re-projected plan values agree with the
+    QP value. Returns the squared distances (k,) and projections (k, n).
+    """
+    R = np.array(points, dtype=float, ndmin=2)
     M = np.asarray(weight, dtype=float)
-    d = np.diagonal(M)
-    diag = np.count_nonzero(M) == np.count_nonzero(d)  # every off-diagonal entry is 0
-    if not np.all((d if diag else np.linalg.eigvalsh(0.5 * (M + M.T))) > 0):
+    w = np.diagonal(M)
+    diag = np.count_nonzero(M) == np.count_nonzero(w)  # every off-diagonal entry is 0
+    if not np.all((w if diag else np.linalg.eigvalsh(0.5 * (M + M.T))) > 0):
         raise ValueError("weight must be positive definite")
 
-    # Membership within the global tolerance counts as inside: distance 0.
-    if target.contains(r):
-        return WeightedDistanceResult(0.0, r)
-
-    box = target if isinstance(target, HyperRect) else target.as_box()
-    if box is not None and diag:
-        s = np.clip(r, box.lower, box.upper)
-        d2 = float((r - s) @ M @ (r - s))
-        return WeightedDistanceResult(d2, s)
-
-    if isinstance(target, HyperRect):
-        target = target.to_polytope()
-    H = 2.0 * M
-    g = -2.0 * (M @ r)
-    rep = solver.solve_qp(solver.QpProblem(H=H, g=g, A_in=target.A, b_in=target.b),
-                          tol=1e-10)
-    if rep.status == solver.Status.INFEASIBLE:
-        raise EmptySetError("projection target is empty")
-    if rep.status != solver.Status.OPTIMAL:
-        raise GeometryError(f"projection QP failed: {rep.status}")
-    s = rep.x
-    d2 = float((r - s) @ M @ (r - s))
-    return WeightedDistanceResult(max(d2, 0.0), s)
+    inside = np.array([t.contains(r) for t, r in zip(targets, R)], dtype=bool)
+    boxes = [t if isinstance(t, HyperRect) else t.as_box() for t in targets]
+    clamp = np.array([diag and box is not None for box in boxes], dtype=bool) & ~inside
+    d2, S = np.zeros(len(R)), R.copy()
+    c = np.flatnonzero(clamp)
+    if c.size:
+        S[c] = np.clip(R[c], [boxes[k].lower for k in c], [boxes[k].upper for k in c])
+        D = R[c] - S[c]
+        d2[c] = np.sum(D * w * D, axis=1)
+    for k in np.flatnonzero(~clamp & ~inside):
+        target = targets[k]
+        if isinstance(target, HyperRect):
+            target = target.to_polytope()
+        rep = solver.solve_qp(solver.QpProblem(H=2.0 * M, g=-2.0 * (M @ R[k]),
+                                               A_in=target.A, b_in=target.b), tol=1e-10)
+        if rep.status == solver.Status.INFEASIBLE:
+            raise EmptySetError("projection target is empty")
+        if rep.status != solver.Status.OPTIMAL:
+            raise GeometryError(f"projection QP failed: {rep.status}")
+        S[k] = rep.x
+        d2[k] = max(float((R[k] - S[k]) @ M @ (R[k] - S[k])), 0.0)
+    return d2, S
 
 
 def _facet_norms(A):

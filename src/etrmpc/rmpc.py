@@ -5,7 +5,11 @@ through the dynamics, so the decision variables are the input sequence
 and one slack point per stage per target set, under inequality rows only.
 The slack points realize the distance-to-set stage cost: at the optimum
 they are exactly the weighted projections of the stage state and input
-onto the tightened target sets.
+onto the tightened target sets. Where a target is a box and its weight
+diagonal, only the box rows touch the slack points and the cost is
+diagonal on them, so the solver eliminates them from its Newton step
+and factorizes the inputs' block alone; the re-projection after a solve
+clamps all stages in one array pass.
 """
 
 import numpy as np
@@ -32,9 +36,10 @@ class InfeasibleState(RmpcError):
 
 class MpcSolution:
     """Optimal plan: u_0..u_{N-1}, states phi_0..phi_N, per-stage slack
-    projections and the optimal value."""
+    projections and the optimal value, with the QP's KKT residual and
+    iteration count (0 for a plan not solved for)."""
 
-    def __init__(self, u, x, sx, su, value, stage_costs, kkt_residual):
+    def __init__(self, u, x, sx, su, value, stage_costs, kkt_residual, iterations=0):
         self.u = np.array(u, dtype=float)
         self.x = np.array(x, dtype=float)
         self.sx = np.array(sx, dtype=float)
@@ -42,6 +47,7 @@ class MpcSolution:
         self.value = float(value)
         self.stage_costs = np.array(stage_costs, dtype=float)
         self.kkt_residual = float(kkt_residual)
+        self.iterations = int(iterations)
         for a in (self.u, self.x, self.sx, self.su, self.stage_costs):
             a.flags.writeable = False
 
@@ -152,14 +158,13 @@ def solve_rmpc(setup, x0):
     x[0] = x0
     for i in range(N):
         x[i + 1] = A @ x[i] + B @ u[i]
-    px = [geometry.weighted_projection(x[i], setup.TXseq[i], setup.Q) for i in range(N)]
-    pu = [geometry.weighted_projection(u[i], setup.TUseq[i], setup.R) for i in range(N)]
-    sx, su = [p.projection for p in px], [p.projection for p in pu]
-    stage = np.array([a.distance_sq + b.distance_sq for a, b in zip(px, pu)])
+    dx2, sx = geometry.weighted_projections(x[:N], setup.TXseq, setup.Q)
+    du2, su = geometry.weighted_projections(u, setup.TUseq, setup.R)
+    stage = dx2 + du2
 
     value = float(np.sum(stage))
     qp_value = float(0.5 * z @ qp.H @ z + g @ z) + float(x0 @ qp.c_x0 @ x0)
     if abs(value - qp_value) > 1e-6 * max(1.0, abs(qp_value)):
         raise RmpcError(
             f"re-projected value {value:.9g} deviates from QP value {qp_value:.9g}")
-    return MpcSolution(u, x, sx, su, value, stage, rep.kkt_residual)
+    return MpcSolution(u, x, sx, su, value, stage, rep.kkt_residual, rep.iterations)

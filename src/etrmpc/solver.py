@@ -6,11 +6,15 @@ a batch of problems that share H, A_eq and b_eq in one pass, each with
 its own linear term and ``b_in``, and with ``A_in`` shared or, stacked,
 its own (``solve_lp_batch``; LP1's scaling LPs of one active mask have
 rows of their own); ``solve_lp`` and ``solve_qp`` are batches of one.
-The hyper-rectangle volume objectives are maximized by the same scheme
-on the concave log objective, then an active-set Newton polish;
-log-volume problems that share W run in one loop as well
-(``maximize_log_volume_batch``), and ``maximize_log_volume`` is their
-batch of one. No external solver
+Variables that only one-entry inequality rows touch, with a diagonal
+Hessian block and no equality row, are eliminated from each Newton step
+by a Schur complement, so only the rest is factorized (the RMPC QP's
+inputs); a problem's own rows decide that split, and a problem without
+such variables keeps the plain Newton step. The hyper-rectangle volume
+objectives are maximized by the same scheme on the concave log
+objective, then an active-set Newton polish; log-volume problems that
+share W run in one loop as well (``maximize_log_volume_batch``), and
+``maximize_log_volume`` is their batch of one. No external solver
 dependencies; every run with the same inputs is bit-identical (fixed
 step rules, no restarts), and a problem's result does not depend on the
 batch it is solved in.
@@ -62,7 +66,8 @@ class QpProblem:
     """minimize 0.5 x.H x + g.x  s.t.  A_eq x = b_eq, A_in x <= b_in.
 
     H must be symmetric positive semidefinite (eigenvalue floor -1e-10
-    before symmetrization).
+    before symmetrization). The split of its Newton step (``_rows_on``,
+    ``_Newton``) is made here once and shared by ``with_vectors``.
     """
 
     def __init__(self, H, g, A_in=None, b_in=None, A_eq=None, b_eq=None):
@@ -76,6 +81,9 @@ class QpProblem:
         self.A_eq = None if A_eq is None else np.ascontiguousarray(A_eq, dtype=float)
         self.b_eq = None if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
         _check_dims(self.g.size, self.A_in, self.b_in, self.A_eq, self.b_eq)
+        G = self.A_in if self.A_in is not None else _empty(self.g.size)[0]
+        A = self.A_eq if self.A_eq is not None else _empty(self.g.size)[0]
+        self._newton = _Newton(self.H, A, _rows_on(self.H, A, G))
 
     def with_vectors(self, g, b_in):
         """This problem with its own linear term g and row offsets b_in.
@@ -172,7 +180,106 @@ def _kkt_matrices(M, A, reg):
     return K
 
 
-def _ipm(H, g, A, b, G, h, tol, classify=True):
+def _rows_on(H, A, G):
+    """For every inequality row, the variable it eliminates, or -1.
+
+    A variable is eliminated (is in S) when inequality rows touch it and
+    each of them touches nothing else, no equality row touches it, and H
+    has a nonnegative diagonal entry there and couples it to no other such
+    variable. A row on an S variable returns that variable; every other
+    row touches only the rest, U. G is (m, n), giving (m,), or a stack
+    (B, m, n), giving one row of (B, m) per problem from its own rows.
+    """
+    nz = G != 0
+    one = nz.sum(-1) == 1
+    S = nz.any(-2) & ~(nz & ~one[..., None]).any(-2)
+    if not S.any():
+        return np.full(G.shape[:-1], -1)
+    S &= ~(A != 0).any(0) & (np.diagonal(H) >= 0)
+    coupled = (H != 0) & ~np.eye(H.shape[0], dtype=bool)
+    S &= ~(coupled & S[..., None, :]).any(-1)
+    col = np.argmax(nz, axis=-1)
+    return np.where(one & np.take_along_axis(S, col, axis=-1), col, -1)
+
+
+class _Newton:
+    """One problem's Newton step on H + G^T diag(d) G + reg I, with the
+    equality rows A, for the split of ``_rows_on`` (``on``).
+
+    The rows on S add a diagonal to H's diagonal S block, so S is
+    eliminated by the Schur complement on U; only the rows on U are
+    multiplied out, on U's columns. With S empty this is the plain
+    Newton matrix and solve. Built once per problem; H and A are shared.
+    """
+
+    def __init__(self, H, A, on):
+        self.H, self.A = H, A
+        self.n = H.shape[0]
+        self.r1 = np.flatnonzero(on >= 0)
+        self.S = self.r1  # no row on S: S is empty, the step is the plain one
+        if not self.r1.size:
+            return
+        self.r2 = np.flatnonzero(on < 0)
+        self.on1 = on[self.r1]
+        eliminated = np.zeros(self.n, dtype=bool)
+        eliminated[self.on1] = True
+        self.S, self.U = np.flatnonzero(eliminated), np.flatnonzero(~eliminated)
+        self.c1 = np.searchsorted(self.S, self.on1)  # each S row's place in S
+        self.H_SS = np.diagonal(H)[self.S]
+        self.H_US = H[np.ix_(self.U, self.S)]
+        self.H_SU = H[np.ix_(self.S, self.U)]
+        self.H_UU = H[np.ix_(self.U, self.U)]
+        self.A_U = A[:, self.U]
+        self._at = tuple(_as_slice(ix) for ix in (self.S, self.U))
+        self._rows = (None,)
+
+    def matrix(self, G, d, reg):
+        """The matrix to solve with, per row of d (B, m) and reg (B,), and
+        the inverse of the S block's diagonal (B, |S|)."""
+        nb, ns = d.shape[0], self.S.size
+        if not ns:
+            M = self.H + np.matmul(G.swapaxes(-1, -2), d[:, :, None] * G)
+            return _kkt_matrices(M, self.A, reg), np.empty((nb, 0))
+        rows = self._rows
+        if rows[0] is not G:  # gathered once per rows array
+            a = G[..., self.r1, self.on1]
+            rows = self._rows = (G, a * a, G[..., self.r2[:, None], self.U])
+        _, a2, G_U = rows
+        # bincount sums each problem's rows in order, whatever the batch.
+        diag = np.bincount((np.arange(nb)[:, None] * ns + self.c1).ravel(),
+                           weights=(d[:, self.r1] * a2).ravel(),
+                           minlength=nb * ns).reshape(nb, ns)
+        inv = 1.0 / (self.H_SS + diag + reg[:, None])
+        M = (self.H_UU + np.matmul(G_U.swapaxes(-1, -2), d[:, self.r2, None] * G_U)
+             - np.matmul(self.H_US * inv[:, None, :], self.H_SU))
+        return _kkt_matrices(M, self.A_U, reg), inv
+
+    def solve(self, K, inv, rhs):
+        """The step for every row of rhs (B, n + p), from ``matrix``."""
+        if not self.S.size:
+            return np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
+        (S, U), n, nu = self._at, self.n, self.U.size
+        v = inv * rhs[:, S]
+        reduced = rhs[:, U] - _mv(self.H_US, v)
+        if self.A.shape[0]:
+            reduced = np.concatenate([reduced, rhs[:, n:]], axis=1)
+        sol = np.linalg.solve(K, reduced[:, :, None])[:, :, 0]
+        out = np.empty_like(rhs)
+        out[:, U] = sol[:, :nu]
+        out[:, S] = v - inv * _mv(self.H_SU, sol[:, :nu])
+        out[:, n:] = sol[:, nu:]
+        return out
+
+
+def _as_slice(ix):
+    """A sorted index array as a slice when it is one contiguous run (a
+    view, not a copy, when indexing), else the array itself."""
+    if ix.size and ix[-1] - ix[0] == ix.size - 1:
+        return slice(int(ix[0]), int(ix[-1]) + 1)
+    return ix
+
+
+def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None):
     """Mehrotra predictor-corrector on min 0.5 x.H x + g[k].x, Ax=b, G x<=h[k].
 
     Solves one problem per row k of g (B, n) and h (B, m); H, A and b are
@@ -185,6 +292,14 @@ def _ipm(H, g, A, b, G, h, tol, classify=True):
     (``_mv``, ``_dot``, stacked ``np.linalg.solve``, ``np.float_power``),
     so a problem's result does not depend on the rest of its batch.
 
+    The Newton step eliminates the variables S that ``_rows_on`` finds in
+    a problem's own rows (``_Newton``): their rows and H's diagonal S
+    block make a diagonal, so one Schur complement on the other variables
+    is formed per iteration and serves the predictor and the corrector.
+    Without such variables the step is the plain Newton matrix and solve.
+    A stack whose problems split differently runs one loop per split.
+    ``newton`` is a problem's prebuilt step (``QpProblem`` keeps one).
+
     Returns one (status, x, kkt_residual, iterations, certificate) tuple
     per problem.
     """
@@ -192,6 +307,22 @@ def _ipm(H, g, A, b, G, h, tol, classify=True):
     p, m = A.shape[0], G.shape[-2]
     g_all, h_all, G_all = g, h, G
     stacked = G.ndim == 3
+    if newton is None:
+        on = _rows_on(H, A, G)
+        if stacked:
+            # A stack's problems split by their own rows; one loop per split.
+            groups = {}
+            for k, key in enumerate(on):
+                groups.setdefault(key.tobytes(), []).append(k)
+            if len(groups) > 1:
+                out = [None] * nb
+                for members in groups.values():
+                    for k, r in zip(members, _ipm(H, g[members], A, b, G[members], h[members],
+                                                  tol, classify)):
+                        out[k] = r
+                return out
+            on = on[0]
+        newton = _Newton(H, A, on)
 
     scale_p = 1.0 + np.maximum(np.max(np.abs(b), initial=0.0),
                                np.max(np.abs(h), axis=1, initial=0.0))
@@ -286,35 +417,35 @@ def _ipm(H, g, A, b, G, h, tol, classify=True):
             G = G[keep] if stacked else G
 
         d = z / s
-        M = H + np.matmul(G.swapaxes(-1, -2), d[:, :, None] * G)
 
-        # Affine scaling (predictor) direction; a singular KKT matrix is
+        # Affine scaling (predictor) direction; a singular Newton matrix is
         # retried with a larger regularization, problem by problem.
         rhs_x = -(rd + _mv(G.swapaxes(-1, -2), d * rg - z))
         rhs = np.concatenate([rhs_x, -rp], axis=1) if p else rhs_x
         reg = 1e-12 * scale_d
-        K = _kkt_matrices(M, A, reg)
+        K, inv = newton.matrix(G, d, reg)
         try:
-            sol = np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
+            sol = newton.solve(K, inv, rhs)
         except np.linalg.LinAlgError:
             sol = np.empty_like(rhs)
             solved = np.ones(idx.size, dtype=bool)
             for k in range(idx.size):
                 for _ in range(6):
                     try:
-                        sol[k] = np.linalg.solve(K[k], rhs[k])
+                        sol[k] = newton.solve(K[k:k + 1], inv[k:k + 1], rhs[k:k + 1])[0]
                         break
                     except np.linalg.LinAlgError:
                         reg[k] *= 100.0
-                        K[k] = _kkt_matrices(M[k:k + 1], A, reg[k:k + 1])[0]
+                        K[k], inv[k] = (a[0] for a in newton.matrix(
+                            G[k:k + 1] if stacked else G, d[k:k + 1], reg[k:k + 1]))
                 else:
                     solved[k] = False
             if not solved.all():
                 stopped.extend(zip(idx[~solved], best_kkt[~solved], best_x[~solved]))
                 idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt, best_x, \
-                    rd, rp, rg, mu, d, K, sol = (v[solved] for v in (
+                    rd, rp, rg, mu, d, K, inv, sol = (v[solved] for v in (
                         idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt,
-                        best_x, rd, rp, rg, mu, d, K, sol))
+                        best_x, rd, rp, rg, mu, d, K, inv, sol))
                 G = G[solved] if stacked else G
                 if not idx.size:
                     break
@@ -332,7 +463,7 @@ def _ipm(H, g, A, b, G, h, tol, classify=True):
         corr = (sigma_mu - ds_a * dz_a) / s
         rhs_x = -(rd + _mv(G.swapaxes(-1, -2), d * rg - z + corr))
         rhs = np.concatenate([rhs_x, -rp], axis=1) if p else rhs_x
-        sol = np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
+        sol = newton.solve(K, inv, rhs)
         dx, dy = sol[:, :n], sol[:, n:]
         ds = -rg - _mv(G, dx)
         dz = (sigma_mu - ds_a * dz_a) / s - z - d * ds
@@ -398,8 +529,10 @@ def _phase1(A, b, G, h):
     """min t s.t. Gx <= h[k] + t, Ax = b, t >= 0 for every row k of h.
 
     Classifies feasibility: one (t, point) pair per row, (None, None)
-    where the phase-1 LP itself does not converge. G is shared or
-    stacked, as in ``_ipm``.
+    where the phase-1 LP itself does not converge. t is given in units of
+    1 + max(|b|, |h[k]|), the scale the loop stops in, so callers compare
+    it with 1e-7 whatever the offsets' magnitude. G is shared or stacked,
+    as in ``_ipm``.
     """
     n = G.shape[-1]
     t_row = np.concatenate([np.zeros(n), [-1.0]])
@@ -411,8 +544,10 @@ def _phase1(A, b, G, h):
     c[-1] = 1.0
     reports = _ipm(np.zeros((n + 1, n + 1)), np.broadcast_to(c, (h.shape[0], n + 1)),
                    Ax, b, Gx, hx, tol=FEAS_TOL, classify=False)
-    return [(float(xt[-1]), xt) if st == Status.OPTIMAL and xt is not None else (None, None)
-            for st, xt, _, _, _ in reports]
+    scale = 1.0 + np.maximum(np.max(np.abs(b), initial=0.0),
+                             np.max(np.abs(h), axis=1, initial=0.0))
+    return [(float(xt[-1] / sk), xt) if st == Status.OPTIMAL and xt is not None else (None, None)
+            for (st, xt, _, _, _), sk in zip(reports, scale)]
 
 
 def solve_lp(p, tol=FEAS_TOL):
@@ -499,7 +634,7 @@ def solve_qp(p, tol=FEAS_TOL):
     n = p.g.size
     G, h = (p.A_in, p.b_in) if p.A_in is not None else _empty(n)
     A, b = (p.A_eq, p.b_eq) if p.A_eq is not None else _empty(n)
-    st, x, kkt, it, cert = _ipm(p.H, p.g[None], A, b, G, h[None], tol)[0]
+    st, x, kkt, it, cert = _ipm(p.H, p.g[None], A, b, G, h[None], tol, newton=p._newton)[0]
     obj = float(0.5 * x @ p.H @ x + p.g @ x) if x is not None and st == Status.OPTIMAL else None
     return SolveReport(st, x, obj, kkt, it, cert)
 

@@ -109,6 +109,54 @@ def test_per_problem_rows_member_matches_solo_solve(seed, n, m, kinds):
                           for k in capped)
 
 
+def split_rows_member(rng, n, m, kind):
+    """Rows, objective and offsets of one LP whose one-entry rows sit in
+    places of its own. Every variable is boxed by one-entry rows, and m
+    rows touch a random subset of the variables (all of them for a dense
+    member, none for a boxed one). A variable that only its box touches is
+    eliminated from the Newton step. An unbounded member loses one
+    variable's upper bound and rises along it; an infeasible one has
+    opposed bounds on one variable."""
+    eye = np.eye(n)
+    touched = {"dense": np.ones(n, bool), "boxed": np.zeros(n, bool)}.get(
+        kind, rng.random(n) < 0.5)
+    A = np.vstack([rng.normal(size=(m, n)) * touched, eye, -eye])
+    b = A @ (rng.normal(size=n) * 0.5) + rng.uniform(0.1, 1.5, size=A.shape[0])
+    c = rng.normal(size=n)
+    j = rng.integers(n)
+    if kind == "unbounded":
+        A[:m, j] = A[m + j, j] = 0.0
+        c[j] = abs(c[j]) + 0.1
+    elif kind == "infeasible":
+        b[m + j] = b[m + n + j] = -1.0  # x_j <= -1 and x_j >= 1
+    return A, c, b
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(seed=st.integers(0, 2**32 - 1),
+                  n=st.integers(2, 4), m=st.integers(1, 6),
+                  kinds=st.lists(st.sampled_from(["bounded", "infeasible", "unbounded"]),
+                                 max_size=4))
+def test_eliminated_variables_come_from_own_rows(seed, n, m, kinds):
+    # Each member of the stack has its one-entry rows in places of its own,
+    # so each has its own set of eliminated variables; none comes from the
+    # rest of the batch. Every member must equal its solo solve, at the
+    # full cap and with the cap one short of the slowest optimal member.
+    rng = np.random.default_rng(seed)
+    kinds = ["dense", "boxed", "bounded", "infeasible", "unbounded"] + kinds
+    members = [split_rows_member(rng, n, m, kinds[i]) for i in rng.permutation(len(kinds))]
+    A, C, B = (np.array(v) for v in zip(*members))
+    splits = {solver._rows_on(np.zeros((n, n)), np.zeros((0, n)), Ak).tobytes() for Ak in A}
+    assert len(splits) >= 2
+    free = [solve_lp(LpProblem(c=c, A=Ak, b=b)) for Ak, c, b in members]
+    assert all(same_report(a, b) for a, b in zip(solve_lp_batch(C, A, B), free))
+    cap = max(r.iterations for r in free if r.status == Status.OPTIMAL) - 1
+    with mock.patch.object(solver, "MAX_ITER", cap):
+        solo = [solve_lp(LpProblem(c=c, A=Ak, b=b)) for Ak, c, b in members]
+        batch = solve_lp_batch(C, A, B)
+    assert all(same_report(a, b) for a, b in zip(batch, solo))
+
+
 def log_volume_rows(rng, k, extra):
     """Nonnegative rows over [vbar; vund] (2k variables), 3 + extra of them.
 

@@ -4,8 +4,9 @@ import pytest
 from etrmpc import geometry, solver
 from etrmpc.geometry import (HyperRect, Polytope, pontryagin_diff,
                              shape_ratio, shape_ratios, support, supports,
-                             weighted_projection)
+                             weighted_projection, weighted_projections)
 
+from batch_reactor import batch_setup, cross_polytope_setup
 from oracles import enumerate_vertices, grid_projection, highs_chebyshev
 
 
@@ -186,6 +187,91 @@ class TestWeightedProjection:
         assert unit_box().membership_residual(res.projection) <= 1e-8
         weighted_projection([1.7, -1.3], unit_box(), np.diag([2.0, 1.0]))
         assert len(calls) == 1  # a diagonal weight clamps
+
+
+def stage_points(rng, targets, kinds):
+    """One point per target: strictly inside, inside within FEAS_TOL past
+    an upper or a lower bound, or outside above, below or on both sides."""
+    tol = geometry.FEAS_TOL
+    points = []
+    for target, kind in zip(targets, kinds):
+        box = target.as_box() if isinstance(target, Polytope) else target
+        lo, hi = box.lower, box.upper
+        r = rng.uniform(lo, hi)
+        j = rng.integers(r.size)
+        if kind == "tol_above":
+            r[j] = hi[j] + 0.5 * tol
+        elif kind == "tol_below":
+            r[j] = lo[j] - 0.5 * tol
+        elif kind == "above":
+            r[j] = hi[j] + rng.uniform(1e-6, 1.0)
+        elif kind == "below":
+            r[j] = lo[j] - rng.uniform(1e-6, 1.0)
+        elif kind == "both":
+            r = np.where(rng.random(r.size) < 0.5, hi + rng.uniform(0.1, 1.0, r.size),
+                         lo - rng.uniform(0.1, 1.0, r.size))
+        points.append(r)
+    return np.array(points)
+
+
+KINDS = ["inside", "tol_above", "tol_below", "above", "below", "both"]
+
+
+def same_projection(d2, s, res):
+    return (np.float64(d2).tobytes() == np.float64(res.distance_sq).tobytes()
+            and s.tobytes() == res.projection.tobytes())
+
+
+class TestWeightedProjections:
+    def test_stage_batch_matches_per_stage_bits(self, monkeypatch):
+        # The reference plant's tightened targets are boxes and Q, R are
+        # diagonal: one clamp over all stages, no projection QP.
+        monkeypatch.setattr(solver, "solve_qp", None)
+        setup = batch_setup()
+        rng = np.random.default_rng(41)
+        for targets, M in ((setup.TXseq, setup.Q), (setup.TUseq, setup.R)):
+            for _ in range(4):
+                kinds = [KINDS[i % len(KINDS)] for i in rng.permutation(len(targets))]
+                P = stage_points(rng, targets, kinds)
+                d2, S = weighted_projections(P, targets, M)
+                for k, (t, kind) in enumerate(zip(targets, kinds)):
+                    res = weighted_projection(P[k], t, M)
+                    assert same_projection(d2[k], S[k], res)
+                    if kind.startswith("tol") or kind == "inside":
+                        # Inside within FEAS_TOL: the point itself, unclipped.
+                        assert d2[k] == 0.0 and S[k].tobytes() == P[k].tobytes()
+                    else:
+                        assert d2[k] > 0.0 and t.contains(S[k])
+
+    @pytest.mark.parametrize("case", ["non_diagonal_weight", "polytopic_target"])
+    def test_qp_path_per_stage(self, case, monkeypatch):
+        calls = []
+        solve_qp = solver.solve_qp
+
+        def counting(p, tol):
+            calls.append(p)
+            return solve_qp(p, tol)
+
+        monkeypatch.setattr(solver, "solve_qp", counting)
+        if case == "non_diagonal_weight":
+            targets, box_targets = batch_setup().TXseq, None
+            M = np.diag([2.0, 2.0, 2.0, 2.0]) + 0.3 * (np.eye(4, k=1) + np.eye(4, k=-1))
+        else:
+            targets, M = cross_polytope_setup().TXseq, np.diag([2.0, 1.0, 2.0, 1.0])
+            box_targets = batch_setup().TXseq
+        rng = np.random.default_rng(43)
+        kinds = [KINDS[i % len(KINDS)] for i in range(len(targets))]
+        P = stage_points(rng, box_targets or targets, kinds)
+        if box_targets is not None:
+            P[[k for k, kind in enumerate(kinds) if kind == "inside"]] = 0.0
+        outside = sum(not t.contains(r) for t, r in zip(targets, P))
+        assert outside >= 3
+        d2, S = weighted_projections(P, targets, M)
+        assert len(calls) == outside
+        for k, t in enumerate(targets):
+            assert same_projection(d2[k], S[k], weighted_projection(P[k], t, M))
+            assert t.membership_residual(S[k]) <= 1e-8
+        assert len(calls) == 2 * outside
 
 
 class TestChebyshev:

@@ -240,6 +240,29 @@ class TestQpData:
         assert len(built) == 1
 
 
+    @pytest.mark.parametrize("make", [batch_setup, cross_polytope_setup])
+    def test_slack_points_on_box_targets_are_eliminated(self, make):
+        # Only the box rows of a target touch its slack points, and the cost
+        # is diagonal on them, so the Newton step eliminates them: all 60 on
+        # the reference plant, and only the input slacks when the state
+        # target is a cross-polytope. The inputs stay.
+        setup = make()
+        N, nx, nu = setup.N, setup.nx, setup.nu
+        S = setup.qp.problem._newton.S
+        su = np.arange(N * (nu + nx), N * (2 * nu + nx))
+        boxed = setup.TXseq[0].as_box() is not None
+        want = np.concatenate([np.arange(N * nu, N * (nu + nx)), su]) if boxed else su
+        assert S.tolist() == want.tolist()
+
+    def test_solution_keeps_qp_iterations(self):
+        setup = batch_setup()
+        qp = setup.qp
+        for x0 in (X0, -0.6 * X0):
+            sol = solve_rmpc(setup, x0)
+            rep = solver.solve_qp(qp.problem.with_vectors(qp.g_x0 @ x0, qp.b_in - qp.C_x0 @ x0),
+                                  tol=1e-10)
+            assert sol.iterations == rep.iterations > 0
+
     def test_hessian_validated_once_per_setup(self, monkeypatch):
         shapes = []
         eigvalsh = np.linalg.eigvalsh

@@ -132,6 +132,27 @@ class TestLp:
         r2 = solve_lp(LpProblem(c=c, A=np.asfortranarray(A), b=b))
         assert same_report(r1, r2)
 
+    def test_capped_feasible_lp_with_large_offsets_is_not_infeasible(self, monkeypatch):
+        # A bounded, feasible LP with offsets near 1e8. Phase 1 stops on a
+        # tolerance relative to 1 + max|b|, and its t of 1.25e-7 must be
+        # judged in those units: it is 7e-16 of the offsets' scale.
+        A = np.array([[0.8422613160907125, -2.9761111715097797, 0.30502388059256774],
+                      [1.4498879223987968, -1.2439614718565628, -0.05321059771566779],
+                      [1.4998616202102704, -1.1682047539308045, -0.8106216312560561],
+                      [1.8988979078111143, 0.4469642342488036, -1.629147622744753],
+                      [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                      [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+        c = np.array([-1.5776101551292525, -1.155790844329513, 0.43609161654428863])
+        b = np.array([8.7508737031176850e+07, 1.4424782534987053e+08, 2.0293702665065527e+07,
+                      -3.2565288338756524e+07, 1.2679107962602997e+08, 2.4359327248408563e+07,
+                      -1.2679107817519549e+08, -2.4359326363812324e+07, -1.7445708910479489e+08])
+        full = solve_lp(LpProblem(c=c, A=A, b=b))
+        assert full.status == Status.OPTIMAL and full.iterations > 14
+        assert solver.feasibility(A, b[None])[0] is not None
+        for cap in (14, full.iterations - 1):
+            monkeypatch.setattr(solver, "MAX_ITER", cap)
+            assert solve_lp(LpProblem(c=c, A=A, b=b)).status == Status.MAXITER
+
 
 def same_report(a, b):
     return (a.status == b.status and a.iterations == b.iterations
@@ -181,6 +202,31 @@ class TestLpBatch:
         batch = solve_lp_batch(C, A, B)
         assert all(same_report(a, b) for a, b in zip(batch, solo))
 
+    def test_singular_newton_retried_with_eliminated_variable(self, monkeypatch):
+        # The rows of the test above plus a third variable boxed by
+        # one-entry rows, which the Newton step eliminates: the retries
+        # rebuild the Schur complement and the S block per member.
+        A = np.array([[1e10, 1e10, 0.0], [-1e10, -1e10, 0.0], [0.0, 0.0, 1.0],
+                      [0.0, 0.0, -1.0]])
+        C = np.array([[1.0, 1.0, 1.0], [1e30, 1e30, 1.0], [1.0, 1.0, -1.0]])
+        B = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 2.0, 0.0], [3.0, 3.0, 1.0, 1.0]])
+        assert solver._rows_on(np.zeros((3, 3)), np.zeros((0, 3)), A).tolist() == [-1, -1, 2, 2]
+        raised = []
+        solve = solver._Newton.solve
+
+        def counting(self, K, inv, rhs):
+            try:
+                return solve(self, K, inv, rhs)
+            except np.linalg.LinAlgError:
+                raised.append(len(rhs))
+                raise
+
+        monkeypatch.setattr(solver._Newton, "solve", counting)
+        solo = [solve_lp(LpProblem(c=c, A=A, b=b)) for c, b in zip(C, B)]
+        batch = solve_lp_batch(C, A, B)
+        assert 3 in raised and 1 in raised  # the stacked solve and the retries
+        assert all(same_report(a, b) for a, b in zip(batch, solo))
+
     def test_per_problem_rows_leave_with_their_member(self):
         # Members 0 and 2 have the singular rows of the test above and
         # leave after the regularization retries; member 1 has rows of its
@@ -225,6 +271,123 @@ class TestLpBatch:
         assert batch[slow].iterations == its[slow] - 1
         assert same_report(batch[slow], solve_lp(LpProblem(c=C[slow], A=A, b=B[slow])))
         assert all(same_report(r, solo[k]) for k, r in enumerate(batch) if k != slow)
+
+
+def structured_qp(rng, nu, ns, p):
+    """A convex QP over [u | s] (nu + ns variables) with p equality rows on
+    u. Each s_j is touched by two one-entry rows and H is diagonal on s,
+    with some zero entries; u is touched by dense rows, by one-entry rows
+    and by the equality rows, and H couples it to s."""
+    X, Y = rng.normal(size=(ns, nu)), rng.normal(size=(nu, nu))
+    w = rng.uniform(0.5, 2.0, ns) * (rng.random(ns) < 0.7)
+    C = np.block([[X, np.diag(w)], [Y, np.zeros((nu, ns))]])
+    H = C.T @ C + np.diag(np.concatenate([np.full(nu, 0.5), np.zeros(ns)]))
+    eye = np.eye(nu + ns)
+    G = np.vstack([np.hstack([rng.normal(size=(3, nu)), np.zeros((3, ns))]),
+                   eye[:nu] * rng.uniform(0.5, 2.0, (nu, 1)),
+                   eye[nu:] * rng.uniform(0.5, 2.0, (ns, 1)),
+                   -eye[nu:] * rng.uniform(0.5, 2.0, (ns, 1))])
+    A = np.hstack([rng.normal(size=(p, nu)), np.zeros((p, ns))])
+    return H, A, G
+
+
+class TestNewtonStep:
+    """The Newton step of ``_ipm`` with the variables that only one-entry
+    rows touch, and on which H is diagonal, eliminated."""
+
+    @pytest.mark.parametrize("ns, p", [(0, 0), (4, 0), (5, 2), (3, 1)])
+    def test_eliminated_solve_matches_dense_solve(self, ns, p):
+        rng = np.random.default_rng(10 * ns + p)
+        nu, nb = 4, 3
+        for _ in range(5):
+            H, A, G = structured_qp(rng, nu, ns, p)
+            n, m = H.shape[0], G.shape[0]
+            newton = solver._Newton(H, A, solver._rows_on(H, A, G))
+            assert newton.S.tolist() == list(range(nu, n))
+            d = rng.uniform(0.1, 10.0, size=(nb, m))
+            reg = 1e-12 * rng.uniform(1.0, 10.0, nb)
+            rhs = rng.normal(size=(nb, n + p))
+            K, inv = newton.matrix(G, d, reg)
+            assert K.shape[-1] == nu + p  # the factorized matrix is U's
+            sol = newton.solve(K, inv, rhs)
+            for k in range(nb):
+                dense = np.block([[H + G.T @ np.diag(d[k]) @ G + reg[k] * np.eye(n), A.T],
+                                  [A, -reg[k] * np.eye(p)]])
+                want = np.linalg.solve(dense, rhs[k])
+                assert np.linalg.norm(sol[k] - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_without_eliminated_variables_step_is_plain_solve(self):
+        # Dense rows on every variable: S is empty and the step is the plain
+        # Newton matrix and one np.linalg.solve, bit for bit.
+        rng = np.random.default_rng(5)
+        n, m = 4, 7
+        root = rng.normal(size=(n, n))
+        H, G = root @ root.T, rng.normal(size=(m, n))
+        A = np.zeros((0, n))
+        newton = solver._Newton(H, A, solver._rows_on(H, A, G))
+        assert newton.S.size == 0
+        d, reg, rhs = rng.uniform(0.1, 10.0, (2, m)), np.full(2, 1e-12), rng.normal(size=(2, n))
+        K, inv = newton.matrix(G, d, reg)
+        M = H + np.matmul(G.T, d[:, :, None] * G) + reg[:, None, None] * np.eye(n)
+        assert K.tobytes() == M.tobytes() and inv.shape == (2, 0)
+        want = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+        assert newton.solve(K, inv, rhs).tobytes() == want.tobytes()
+
+    def test_split_rules(self):
+        # x0..x2 are each boxed by one-entry rows only.
+        G = np.vstack([np.eye(3), -np.eye(3)])
+        none = np.zeros((0, 3))
+        on = solver._rows_on(np.eye(3), none, G)
+        assert on.tolist() == [0, 1, 2, 0, 1, 2]
+        # H couples x0 and x1: only x2 is eliminated.
+        H = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        assert solver._rows_on(H, none, G).tolist() == [-1, -1, 2, -1, -1, 2]
+        # An equality row on x2, or a two-entry row on x1, keeps it.
+        A = np.array([[0.0, 0.0, 1.0]])
+        assert solver._rows_on(np.eye(3), A, G).tolist() == [0, 1, -1, 0, 1, -1]
+        G2 = np.vstack([G, [0.0, 1.0, 1.0]])
+        assert solver._rows_on(np.eye(3), none, G2).tolist() == [0, -1, -1, 0, -1, -1, -1]
+        # A variable no row touches is not eliminated.
+        assert solver._rows_on(np.eye(3), none, G[:, :2] @ np.eye(2, 3)).tolist() == \
+            [0, 1, -1, 0, 1, -1]
+        # A stack splits each problem by its own rows.
+        on = solver._rows_on(np.eye(3), none, np.array([G, G2[1:]]))
+        assert on.tolist() == [[0, 1, 2, 0, 1, 2], [-1, -1, 0, -1, -1, -1]]
+
+    def test_diagonal_box_qp_eliminates_every_variable(self):
+        # Every variable is eliminated, so the factorized matrix is empty;
+        # the optimum is the clamped unconstrained one.
+        rng = np.random.default_rng(29)
+        h, g = rng.uniform(0.5, 2.0, 3), rng.normal(size=3) * 3.0
+        A, b = box_rows(3, 1.0)
+        p = QpProblem(H=np.diag(h), g=g, A_in=A, b_in=b)
+        assert p._newton.U.size == 0
+        rep = solve_qp(p, tol=1e-10)
+        assert rep.status == Status.OPTIMAL
+        assert np.allclose(rep.x, np.clip(-g / h, -1.0, 1.0), atol=1e-8)
+
+    def test_qp_with_eliminated_variables_matches_slsqp(self):
+        pytest.importorskip("scipy")
+        from scipy.optimize import minimize
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            H, A_eq, G = structured_qp(rng, 3, 3, 1)
+            h = np.abs(G) @ np.full(6, 0.5) + rng.uniform(0.1, 1.0, G.shape[0])
+            g = rng.normal(size=6) * 3.0
+            b_eq = A_eq @ rng.uniform(-0.2, 0.2, 6)
+            p = QpProblem(H=H, g=g, A_in=G, b_in=h, A_eq=A_eq, b_eq=b_eq)
+            assert p._newton.S.tolist() == [3, 4, 5]
+            rep = solve_qp(p, tol=1e-10)
+            assert rep.status == Status.OPTIMAL
+            ref = minimize(lambda x: 0.5 * x @ H @ x + g @ x, np.zeros(6),
+                           jac=lambda x: H @ x + g, method="SLSQP",
+                           constraints=[{"type": "ineq", "fun": lambda x: h - G @ x,
+                                         "jac": lambda x: -G},
+                                        {"type": "eq", "fun": lambda x: A_eq @ x - b_eq,
+                                         "jac": lambda x: A_eq}],
+                           options={"ftol": 1e-12, "maxiter": 500})
+            assert ref.success
+            assert rep.objective == pytest.approx(ref.fun, abs=1e-7)
 
 
 class TestQp:

@@ -275,6 +275,30 @@ def _per_row_principal(setup, plan, j):
     return np.array(Wrows), np.array(ds), np.array(Gs), meta
 
 
+class TestNewtonSplit:
+    def test_lps_eliminate_no_variable(self, monkeypatch):
+        # LP1's scaling LPs, the Chebyshev LPs of the shape diagnostic and
+        # the phase-1 LPs (here over the principal rows and over the box
+        # rows of the tightened targets) have no variable that only
+        # one-entry rows touch, so their Newton step stays the plain one.
+        setup = batch_setup()
+        sol = solve_rmpc(setup, X0)
+        calls = []
+        rows_on = solver._rows_on
+        monkeypatch.setattr(solver, "_rows_on",
+                            lambda H, A, G: calls.append(rows_on(H, A, G)) or calls[-1])
+        sched = build_schedule(setup, sol, LP1)
+        counts = [len(calls)]
+        sched.to_dict()
+        counts.append(len(calls))
+        solver.feasibility(setup.principal_rows.G, assemble_principal(setup, sol))
+        counts.append(len(calls))
+        geometry.are_empty(setup.TXseq[0].A, [t.b for t in setup.TXseq])
+        counts.append(len(calls))
+        assert np.all(np.diff([0] + counts) > 0)  # every kind of LP was solved
+        assert all(np.all(on == -1) for on in calls)
+
+
 class TestConstructCp:
     def test_symmetric_square_q2(self):
         pp = PrincipalPolytope.from_error_rows(
