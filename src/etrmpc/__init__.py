@@ -7,36 +7,32 @@ relaxations, and an event-triggered closed-loop simulator with runtime
 decay certificates.
 """
 
-from .geometry import (HyperRect, Polytope, WeightedDistanceResult,
-                       pontryagin_diff, shape_ratio, shape_ratios, support,
-                       supports, weighted_projection, weighted_projections)
+from .geometry import (HyperRect, Polytope, pontryagin_diff, shape_ratios,
+                       supports, weighted_projections)
 from .rmpc import InfeasibleState, MpcSolution, solve_rmpc, stage_cost
 from .sim import (DisturbanceModel, SimTrace, run_closed_loop,
                   step_trigger_test, trigger_statistics)
 from .solver import (LpProblem, QpProblem, SolveReport, Status,
-                     maximize_log_volume, maximize_log_volume_batch, solve_lp,
-                     solve_lp_batch, solve_qp)
+                     maximize_log_volume_batch, solve_lp, solve_lp_batch,
+                     solve_qp)
 from .tightening import (PlantModel, RmpcSetup, build_setup,
                          synthesize_nominal_gain, synthesize_tightening_gains)
 from .trigger import (PrincipalPolytope, TriggerSchedule, assemble_principal,
-                      build_schedule, construct_box_cp, construct_box_lp,
-                      extended_plan)
+                      build_schedule, construct_boxes, extended_plan)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "HyperRect", "Polytope", "WeightedDistanceResult", "support", "supports",
-    "pontryagin_diff", "weighted_projection", "weighted_projections",
-    "shape_ratio", "shape_ratios",
+    "HyperRect", "Polytope", "supports", "pontryagin_diff",
+    "weighted_projections", "shape_ratios",
     "LpProblem", "QpProblem", "SolveReport", "Status", "solve_lp", "solve_lp_batch",
     "solve_qp",
-    "maximize_log_volume", "maximize_log_volume_batch",
+    "maximize_log_volume_batch",
     "PlantModel", "RmpcSetup", "synthesize_nominal_gain",
     "synthesize_tightening_gains", "build_setup",
     "MpcSolution", "InfeasibleState", "solve_rmpc", "stage_cost",
     "PrincipalPolytope", "TriggerSchedule",
-    "extended_plan", "assemble_principal", "construct_box_cp",
-    "construct_box_lp", "build_schedule",
+    "extended_plan", "assemble_principal", "construct_boxes", "build_schedule",
     "DisturbanceModel", "SimTrace", "step_trigger_test", "run_closed_loop",
     "trigger_statistics",
 ]

@@ -158,10 +158,6 @@ class Polytope:
         self._box = HyperRect(lo, hi)
         return self._box
 
-    def is_empty(self):
-        """Feasibility LP; empty sets are flagged, never raised."""
-        return are_empty(self.A, self.b)[0]
-
     def is_bounded(self):
         """Finite support along all 2n axis directions, one batched LP solve."""
         eye = np.eye(self.dim)
@@ -170,25 +166,19 @@ class Polytope:
 
 
 def are_empty(A, offsets):
-    """``is_empty`` of {x : A x <= b} for every row b of ``offsets``, from
-    one batched phase-1 solve."""
+    """Whether {x : A x <= b} is empty, for every row b of ``offsets``
+    (flagged, never raised), from one batched phase-1 solve."""
     return [point is None for point in solver.feasibility(A, offsets)]
 
 
-def support(poly, eta):
-    """Support function h_S(eta) = max <eta, s> over the set.
-
-    Exact closed form for HyperRect; an LP for a general Polytope.
-    Raises UnboundedSupport / EmptySetError when the LP says so.
-    """
-    return float(supports(poly, eta)[0])
-
-
 def supports(poly, etas):
-    """``support`` along every row of ``etas`` (B, n).
+    """Support function h_S(eta) = max <eta, s> over the set, along every
+    row of ``etas`` (B, n).
 
-    A general Polytope takes one batched LP solve for all directions; each
-    value is bit-identical to its own ``support`` LP.
+    Exact closed form for a HyperRect. A general Polytope takes one
+    batched LP solve for all directions; each value is bit-identical to
+    that direction's LP solved alone. Raises UnboundedSupport /
+    EmptySetError when an LP says so.
     """
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     if isinstance(poly, HyperRect):
@@ -211,35 +201,17 @@ def pontryagin_diff(poly, sub, image=None):
     HyperRect (closed-form offsets, exact) or a Polytope (LP offsets, one
     batched solve); it must be bounded along the mapped facet normals,
     unbounded subtrahends are not supported. The result may be empty;
-    callers detect that with ``is_empty`` and own the decision to abort.
+    callers detect that with ``are_empty`` and own the decision to abort.
     """
     A = poly.A
     dirs = A if image is None else A @ image
     return Polytope(A, poly.b - supports(sub, dirs))
 
 
-class WeightedDistanceResult:
-    """d_M(r, S)^2 together with the (unique) projection point."""
-
-    def __init__(self, distance_sq, projection):
-        self.distance_sq = float(distance_sq)
-        self.projection = _freeze(projection)
-
-    def __repr__(self):
-        return f"WeightedDistanceResult(d2={self.distance_sq:.6g})"
-
-
-def weighted_projection(point, target, weight):
-    """min (r-s)^T M (r-s) over s in target, M symmetric positive definite.
-
-    The batch of one of ``weighted_projections``.
-    """
-    d2, s = weighted_projections(np.asarray(point, dtype=float)[None], [target], weight)
-    return WeightedDistanceResult(d2[0], s[0])
-
-
 def weighted_projections(points, targets, weight):
-    """The weighted projection of points[k] onto targets[k] for every k.
+    """The weighted projection of points[k] onto targets[k] for every k:
+    min (r-s)^T M (r-s) over s in the target, M = ``weight`` symmetric
+    positive definite.
 
     A point inside its target within the global tolerance is its own
     projection, at distance 0. Fast path: a diagonal M and box targets
@@ -280,16 +252,11 @@ def weighted_projections(points, targets, weight):
     return d2, S
 
 
-def _facet_norms(A):
-    norms = np.linalg.norm(A, axis=1)
-    if np.any(norms == 0):
-        raise GeometryError("zero facet normal")
-    return norms
-
-
 def _chebyshev_lps(A, norms, offsets):
-    """Chebyshev centers and radii of {x : A x <= b} for every row b of
-    ``offsets``, from one batched LP solve."""
+    """Chebyshev centers and radii (largest inscribed 2-norm balls) of
+    {x : A x <= b} for every row b of ``offsets``, from one batched solve
+    of the LPs max r s.t. a_i x + ||a_i|| r <= b_i. Each radius is
+    re-evaluated exactly at its center, so it never overshoots."""
     n = A.shape[1]
     c = np.zeros(n + 1)
     c[-1] = 1.0
@@ -309,38 +276,23 @@ def _chebyshev_lps(A, norms, offsets):
     return centers, radii
 
 
-def chebyshev_center(poly):
-    """Center and radius of the largest inscribed 2-norm ball.
-
-    The LP maximizes r subject to a_i x + ||a_i|| r <= b_i; the returned
-    radius is re-evaluated exactly at the computed center so it never
-    overshoots the true optimum.
-    """
-    centers, radii = _chebyshev_lps(poly.A, _facet_norms(poly.A), poly.b[None])
-    return centers[0], radii[0]
-
-
-def shape_ratio(poly):
-    """Diagnostic r_c / r_o >= 1 for a polytope containing the origin.
+def shape_ratios(A, offsets):
+    """Diagnostic r_c / r_o >= 1 of {x : A x <= b}, which must contain the
+    origin, for every row b of ``offsets``.
 
     r_c is the Chebyshev radius, r_o the largest origin-centered inscribed
-    ball radius min_i b_i / ||a_i||. Returns +inf when r_o == 0 (origin on
-    the boundary). Values near 1 mean the set is spread evenly around the
-    origin; large values flag directional sensitivity.
-    """
-    return shape_ratios(poly.A, poly.b)[0]
-
-
-def shape_ratios(A, offsets):
-    """``shape_ratio`` of {x : A x <= b} for every row b of ``offsets``.
-
-    The Chebyshev LPs of all sets with the origin in the interior run as
-    one batched solve; each ratio is bit-identical to its own
-    ``shape_ratio``. Returns a list of floats.
+    ball radius min_i b_i / ||a_i||. A ratio is +inf when r_o == 0 (origin
+    on the boundary). Values near 1 mean the set is spread evenly around
+    the origin; large values flag directional sensitivity. The Chebyshev
+    LPs of all sets with the origin in the interior run as one batched
+    solve; each ratio is bit-identical to its set's alone. Returns a list
+    of floats.
     """
     A = np.asarray(A, dtype=float)
     offsets = np.asarray(offsets, dtype=float).reshape(-1, A.shape[0])
-    norms = _facet_norms(A)
+    norms = np.linalg.norm(A, axis=1)
+    if np.any(norms == 0):
+        raise GeometryError("zero facet normal")
     r_origin = np.min(offsets / norms, axis=1)
     if np.any(r_origin < -FEAS_TOL):
         raise GeometryError("origin lies outside the polytope")

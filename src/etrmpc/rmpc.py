@@ -59,9 +59,9 @@ def stage_cost(setup, x_i, u_i, i):
     """l(x_i, u_i) = d_Q(x_i, Tx_i) + d_R(u_i, Tu_i)."""
     if not 0 <= i < setup.N:
         raise IndexError(f"stage {i} outside horizon")
-    dx = geometry.weighted_projection(x_i, setup.TXseq[i], setup.Q).distance_sq
-    du = geometry.weighted_projection(u_i, setup.TUseq[i], setup.R).distance_sq
-    return dx + du
+    dx, _ = geometry.weighted_projections([x_i], [setup.TXseq[i]], setup.Q)
+    du, _ = geometry.weighted_projections([u_i], [setup.TUseq[i]], setup.R)
+    return float(dx[0] + du[0])
 
 
 class RmpcQp:

@@ -13,8 +13,8 @@ inputs); a problem's own rows decide that split, and a problem without
 such variables keeps the plain Newton step. The hyper-rectangle volume
 objectives are maximized by the same scheme on the concave log
 objective, then an active-set Newton polish; log-volume problems that
-share W run in one loop as well (``maximize_log_volume_batch``), and
-``maximize_log_volume`` is their batch of one. No external solver
+share W run in one loop as well (``maximize_log_volume_batch``), a
+single problem being a batch of one. No external solver
 dependencies; every run with the same inputs is bit-identical (fixed
 step rules, no restarts), and a problem's result does not depend on the
 batch it is solved in.
@@ -111,7 +111,7 @@ class SolveReport:
     duality gap is m times the mean complementarity, so an LP objective
     can be off by about m * tol * scale_d wherever ``_crossover`` keeps
     the interior point; a vertex it snaps to violates no row by more than
-    1e-9 relative. ``maximize_log_volume`` states its own guarantee.
+    1e-9 relative. ``maximize_log_volume_batch`` states its own guarantee.
     """
 
     def __init__(self, status, x, objective, kkt_residual, iterations, certificate=None):
@@ -673,8 +673,9 @@ def coordinate_widths(W, d):
     return np.maximum(np.min(ratios, axis=-2, initial=np.inf), 0.0)
 
 
-def maximize_log_volume(W, d, mode):
-    """Maximize a log-volume objective over {v >= 0 : W v <= d}.
+def maximize_log_volume_batch(W, d, mode):
+    """Maximize a log-volume objective over {v >= 0 : W v <= d[k]} for
+    every row k of d (B, m); one report per row.
 
     The variable v stacks the upper widths vbar (first k) and lower widths
     vund (last k) of a box around the origin. ``mode`` selects f1
@@ -684,22 +685,11 @@ def maximize_log_volume(W, d, mode):
     side, in f2 the smaller) is degenerate: it is pinned to zero width and
     left out of the objective. In f1 mode a pair may survive with one side
     forced to zero (one-sided box); that side is fixed rather than treated
-    as degenerate. Returns Unbounded status when some width is infinite,
-    and MaxIter with the polished point when the interior-point loop stops
-    at MAX_ITER iterations before converging.
-
-    The batch of one of ``maximize_log_volume_batch``.
-    """
-    return maximize_log_volume_batch(W, np.asarray(d, dtype=float).reshape(1, -1), mode)[0]
-
-
-def maximize_log_volume_batch(W, d, mode):
-    """maximize_log_volume for every row k of d (B, m) over {v >= 0 : W v <= d[k]}.
-
-    The problems share W. Those with the same live variables (neither
-    pinned nor degenerate) share their log terms and their rows, and run
-    in one interior-point loop; each report is bit-identical to
-    maximize_log_volume on that problem alone.
+    as degenerate. A report has Unbounded status when some width is
+    infinite, and MaxIter with the polished point when the interior-point
+    loop stops at MAX_ITER iterations before converging. Problems with the
+    same live variables (neither pinned nor degenerate) run in one loop;
+    each report is bit-identical to that problem's batch of one.
     """
     W = np.asarray(W, dtype=float)
     d = np.asarray(d, dtype=float)

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import geometry, solver
-from .geometry import FEAS_TOL, HyperRect, Polytope
+from .geometry import FEAS_TOL, HyperRect
 
 CP1, CP2, LP1, LP2 = "CP1", "CP2", "LP1", "LP2"
 METHODS = (CP1, CP2, LP1, LP2)
@@ -89,10 +89,6 @@ class PrincipalPolytope:
     @property
     def n_rows(self):
         return self.d.size
-
-    def error_polytope(self):
-        """The principal polytope in error coordinates, {e : G e <= d}."""
-        return Polytope(self.G, self.d)
 
     def box_slack(self, box):
         """min over rows of d - w.[vbar; vund]; >= 0 certifies the box."""
@@ -180,27 +176,51 @@ class BoxResult:
         self.degenerate = list(degenerate)
 
 
-def construct_box_cp(pp, q):
-    """Maximum-volume box by the exact convex-program route.
+def construct_boxes(pps, method):
+    """One certified BoxResult per principal polytope; all share rows W.
 
-    q=1 maximizes the product of total widths, q=2 the product of both
-    one-sided widths. Coordinates with feasible width below 1e-9 come back
-    clamped to zero width (excluded from the log objective); they are
-    reported as degenerate.
+    CP1/CP2, the exact convex-program route, maximize the product of total
+    widths (CP1) or of both one-sided widths (CP2) in one batched solve;
+    coordinates with feasible width below 1e-9 are clamped to zero width
+    and reported as degenerate. LP1/LP2 relax over the per-direction
+    widths of the lifted polytope (row ratios): LP1 by one scaling LP per
+    polytope over the summed widths, batched per active mask, LP2 by a
+    scalar scaling step over the widths themselves. Each box is certified
+    against its rows; failures carry the 1-based ``j=`` of the first.
     """
-    return _cp_box(solver.maximize_log_volume(pp.W, pp.d, _cp_mode(q)), pp.k, q)
-
-
-def _cp_mode(q):
-    return solver.MODE_SUM_LOG_WIDTH if q == 1 else solver.MODE_SUM_LOG_BOTH
+    if method not in METHODS:
+        raise ValueError(f"unknown construction method {method!r}")
+    W = pps[0].W
+    if any(pp.W is not W and not np.array_equal(pp.W, W) for pp in pps):
+        raise ValueError("principal polytopes must share their rows W")
+    if method in (CP1, CP2):
+        q = 1 if method == CP1 else 2
+        mode = solver.MODE_SUM_LOG_WIDTH if q == 1 else solver.MODE_SUM_LOG_BOTH
+        reports = solver.maximize_log_volume_batch(W, [pp.d for pp in pps], mode)
+        built = (_cp_box(rep, pp.k, q) for rep, pp in zip(reports, pps))
+    elif method == LP1:
+        built = (_lp1_box(pp, *lp) for pp, lp in zip(pps, _lp1_solve(pps)))
+    else:
+        built = map(_lp2_box, pps)
+    results = []
+    for j, pp in enumerate(pps, start=1):
+        try:
+            res = next(built)  # built lazily: box j is certified before box j+1
+            slack = pp.box_slack(res.box)
+            if slack < -FEAS_TOL:
+                raise TriggerError(f"built box violates principal rows by {-slack:.3e}")
+        except TriggerError as exc:
+            raise TriggerError(f"j={j}: {exc}") from exc
+        results.append(res)
+    return results
 
 
 def _cp_box(rep, k, q):
-    """The box of one log-volume report, as ``construct_box_cp`` returns it."""
+    """The box of one log-volume report (q=1 for CP1, 2 for CP2)."""
     if rep.status == solver.Status.UNBOUNDED:
         raise TriggerError("principal polytope leaves a box coordinate unbounded")
     # A solve stopped at the iteration cap still returns its polished,
-    # strictly feasible point; build_schedule certifies the box.
+    # strictly feasible point; construct_boxes certifies the box.
     accepted_at_cap = rep.status == solver.Status.MAXITER and rep.x is not None
     if rep.status != solver.Status.OPTIMAL and not accepted_at_cap:
         raise TriggerError(f"volume maximization failed: {rep.status}")
@@ -209,24 +229,8 @@ def _cp_box(rep, k, q):
     return BoxResult(HyperRect(-vund, vbar), np.flatnonzero(zero).tolist())
 
 
-def construct_box_lp(pp, q):
-    """Maximum-volume r-constrained box by the linear-program relaxation.
-
-    Both use the per-direction widths of the lifted polytope (single-
-    variable LPs, solved in closed form by row ratios). q=1: one scaling
-    LP over the segment profile, each coordinate's two widths summed,
-    solved as a batch of one of ``build_schedule``'s batched route.
-    q=2: a scalar scaling step over the widths themselves.
-    """
-    if q == 1:
-        return _lp1_box(pp, *_lp1_solve([pp])[0])
-    if q == 2:
-        return _lp2_box(pp)
-    raise ValueError(f"q must be 1 or 2, got {q}")
-
-
 def _lp1_scaling_lp(pp):
-    """Segment profile and scaling LP of ``construct_box_lp(pp, 1)``.
+    """Segment profile and scaling LP of one polytope's LP1 box.
 
     Returns (w, r, A, b): the one-sided widths w, the segment lengths r,
     and the rows and offsets of the LP max lambda over (z, lambda), or
@@ -259,10 +263,10 @@ def _lp1_scaling_lp(pp):
 
 
 def _lp1_solve(pps):
-    """The scaling LPs of ``construct_box_lp(pp, 1)`` for every principal
-    polytope. LPs of one active mask have one shape, and run in one
-    ``solve_lp_batch`` call with per-problem rows. Returns (w, r, report)
-    per polytope, with no report where no LP was needed."""
+    """The LP1 scaling LPs of every principal polytope. LPs of one active
+    mask have one shape, and run in one ``solve_lp_batch`` call with
+    per-problem rows. Returns (w, r, report) per polytope, with no report
+    where no LP was needed."""
     lps = [_lp1_scaling_lp(pp) for pp in pps]
     groups = {}
     for i, (_, r, A, _) in enumerate(lps):
@@ -279,8 +283,7 @@ def _lp1_solve(pps):
 
 
 def _lp1_box(pp, w, r, rep):
-    """The box of one scaling LP's report, as ``construct_box_lp(pp, 1)``
-    returns it."""
+    """The LP1 box of one scaling LP's report."""
     k = pp.k
     if np.any(np.isinf(w)):
         raise TriggerError("principal polytope leaves a box coordinate unbounded")
@@ -387,41 +390,15 @@ class TriggerSchedule:
 def build_schedule(setup, sol, method):
     """Construct E_1..E_{N-1} for an optimal solution with one method.
 
-    Assembles the offsets of every principal polytope in one call. They
-    share the setup's rows W, so for CP1/CP2 their log-volume problems go
-    to one batched solve. LP1 builds all N-1 scaling LPs first and solves
-    those of one active mask in one batch, with per-problem rows; a
-    trigger mostly has one mask. Certifies every built box against the
-    principal rows before accepting it; failures carry the splice index.
+    Assembles the offsets of every principal polytope in one call; the
+    polytopes share the setup's rows, so ``construct_boxes`` builds and
+    certifies all their boxes at once.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown construction method {method!r}")
-    q = 1 if method in (CP1, LP1) else 2
-    exact = method in (CP1, CP2)
     rows = setup.principal_rows
-    d = assemble_principal(setup, sol)
-    pps = [PrincipalPolytope(setup.nx, rows.W, dj, rows.G, rows.meta) for dj in d]
-    if exact:
-        reports = solver.maximize_log_volume_batch(rows.W, d, _cp_mode(q))
-    elif q == 1:
-        lp1 = _lp1_solve(pps)
-    boxes, v1s, v2s, degs = [], [], [], []
-    for j, pp in enumerate(pps, start=1):
-        try:
-            if exact:
-                res = _cp_box(reports[j - 1], pp.k, q)
-            elif q == 1:
-                res = _lp1_box(pp, *lp1[j - 1])
-            else:
-                res = construct_box_lp(pp, q)
-            slack = pp.box_slack(res.box)
-            if slack < -FEAS_TOL:
-                raise TriggerError(f"built box violates principal rows by {-slack:.3e}")
-        except TriggerError as exc:
-            raise TriggerError(f"j={j}: {exc}") from exc
-        boxes.append(res.box)
-        v1, v2 = volumes(res.box)
-        v1s.append(v1)
-        v2s.append(v2)
-        degs.append(res.degenerate)
-    return TriggerSchedule(method, boxes, v1s, v2s, degs, pps)
+    pps = [PrincipalPolytope(setup.nx, rows.W, d, rows.G, rows.meta)
+           for d in assemble_principal(setup, sol)]
+    results = construct_boxes(pps, method)
+    boxes = [res.box for res in results]
+    vol1, vol2 = zip(*map(volumes, boxes))
+    return TriggerSchedule(method, boxes, list(vol1), list(vol2),
+                           [res.degenerate for res in results], pps)

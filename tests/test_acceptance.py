@@ -8,13 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from etrmpc.geometry import (HyperRect, Polytope, pontryagin_diff, shape_ratio,
-                             weighted_projection)
+from etrmpc.geometry import (HyperRect, Polytope, pontryagin_diff, shape_ratios,
+                             weighted_projections)
 from etrmpc.sim import DisturbanceModel, run_closed_loop, trigger_statistics
 from etrmpc.tightening import (PlantModel, is_controllable,
                                synthesize_tightening_gains)
-from etrmpc.trigger import (PrincipalPolytope, construct_box_cp,
-                            construct_box_lp, volumes)
+from etrmpc.trigger import (CP1, CP2, LP1, LP2, PrincipalPolytope, construct_boxes,
+                            volumes)
 
 from batch_reactor import X0, batch_plant, batch_setup
 from oracles import grid_box_volume
@@ -99,9 +99,9 @@ def test_criterion_4_construction_vs_grid_oracle():
         d = np.concatenate([d, rng.uniform(1.0, 3.0, size=4)])
         pp = PrincipalPolytope.from_error_rows(G, d)
         steps = _grid_steps(pp)
-        for q in (1, 2):
-            cp = construct_box_cp(pp, q)
-            lp = construct_box_lp(pp, q)
+        for q, cp_method, lp_method in ((1, CP1, LP1), (2, CP2, LP2)):
+            (cp,) = construct_boxes([pp], cp_method)
+            (lp,) = construct_boxes([pp], lp_method)
             v_cp = volumes(cp.box)[q - 1]
             v_lp = volumes(lp.box)[q - 1]
             mode = "sum_log_width" if q == 1 else "sum_log_both"
@@ -151,9 +151,9 @@ def test_criterion_5_geometry_suite():
         C = HyperRect(-rng.uniform(0.02, 0.25, n), rng.uniform(0.02, 0.25, n))
         diff = pontryagin_diff(B.to_polytope(), C)
         r = rng.uniform(-2.5, 2.5, size=n)
-        d_diff = weighted_projection(r, diff, Mw).distance_sq
+        (d_diff,), _ = weighted_projections([r], [diff], Mw)
         c = C.sample(rng)
-        d_shift = weighted_projection(r + c, B.to_polytope(), Mw).distance_sq
+        (d_shift,), _ = weighted_projections([r + c], [B.to_polytope()], Mw)
         assert d_shift <= d_diff + 1e-9
 
     # Deadbeat gains on the reference pair and 50 random controllable pairs.
@@ -202,21 +202,18 @@ def test_criterion_6_zero_disturbance(setup):
 
 
 def test_criterion_7_shape_diagnostic():
-    assert shape_ratio(Polytope.from_box([-1, -1], [1, 1])) == 1.0
-    assert shape_ratio(Polytope.from_box([-0.3] * 3, [0.3] * 3)) == 1.0
+    square = Polytope.from_box([-1, -1], [1, 1])
+    assert shape_ratios(square.A, square.b)[0] == 1.0
+    cube = Polytope.from_box([-0.3] * 3, [0.3] * 3)
+    assert shape_ratios(cube.A, cube.b)[0] == 1.0
     offset = Polytope.from_box([-0.1, -1.0], [1.9, 1.0])
-    assert shape_ratio(offset) == pytest.approx(10.0, abs=1e-6)
+    assert shape_ratios(offset.A, offset.b)[0] == pytest.approx(10.0, abs=1e-6)
 
     pp = PrincipalPolytope.from_error_rows(ILL_SHAPED_G, ILL_SHAPED_D)
-    sym = {
-        "CP1": _symmetry(construct_box_cp(pp, 1).box),
-        "CP2": _symmetry(construct_box_cp(pp, 2).box),
-        "LP1": _symmetry(construct_box_lp(pp, 1).box),
-        "LP2": _symmetry(construct_box_lp(pp, 2).box),
-    }
+    sym = {m: _symmetry(construct_boxes([pp], m)[0].box) for m in (CP1, CP2, LP1, LP2)}
     assert sym["CP2"] > sym["CP1"]
     assert sym["LP2"] > sym["LP1"]
-    ratio = shape_ratio(Polytope(ILL_SHAPED_G, ILL_SHAPED_D))
+    ratio = shape_ratios(ILL_SHAPED_G, ILL_SHAPED_D)[0]
     assert ratio > 3.0  # ill-shaped: same order as the reported 8.07 example
     print(f"\n[criterion 7] PASS: symmetric boxes -> 1.0 exactly, offset box "
           f"-> 10.0; ill-shaped polytope (r_c/r_o = {ratio:.2f}) symmetry "

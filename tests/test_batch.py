@@ -10,8 +10,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from etrmpc import solver  # noqa: E402
-from etrmpc.solver import (LpProblem, Status, maximize_log_volume,  # noqa: E402
-                           maximize_log_volume_batch, solve_lp, solve_lp_batch)
+from etrmpc.solver import (LpProblem, Status, maximize_log_volume_batch,  # noqa: E402
+                           solve_lp, solve_lp_batch)
 
 from test_solver import same_report  # noqa: E402
 
@@ -239,15 +239,15 @@ def test_log_volume_batch_member_matches_solo_solve(mode, seed, k, extra, raises
         raise FirstSolve(np.array(a[0]))
 
     with mock.patch.object(np.linalg, "solve", first_solve), pytest.raises(FirstSolve) as first:
-        maximize_log_volume(W, D[ridged], mode)
+        maximize_log_volume_batch(W, D[ridged:ridged + 1], mode)
     singular = SingularAt(first.value.args[0], raises)
     loops = []
     path_following = solver._path_following
     with mock.patch.object(np.linalg, "solve", singular):
-        its = outcome(lambda: [maximize_log_volume(W, d, mode).iterations for d in D])
+        its = outcome(lambda: [maximize_log_volume_batch(W, [d], mode)[0].iterations for d in D])
         cap = max(its) - 1 if isinstance(its, list) else solver.MAX_ITER
         with mock.patch.object(solver, "MAX_ITER", cap):
-            solo = outcome(lambda: [maximize_log_volume(W, d, mode) for d in D])
+            solo = outcome(lambda: [maximize_log_volume_batch(W, [d], mode)[0] for d in D])
             singular.hits = 0
             with mock.patch.object(solver, "_path_following",
                                    lambda *a: loops.append(1) or path_following(*a)):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from etrmpc import geometry, solver
-from etrmpc.geometry import (HyperRect, Polytope, pontryagin_diff,
-                             shape_ratio, shape_ratios, support, supports,
-                             weighted_projection, weighted_projections)
+from etrmpc.geometry import (HyperRect, Polytope, pontryagin_diff, shape_ratios,
+                             supports, weighted_projections)
 
 from batch_reactor import batch_setup, cross_polytope_setup
 from oracles import enumerate_vertices, grid_projection, highs_chebyshev
@@ -14,12 +13,25 @@ def unit_box(n=2, half=1.0):
     return Polytope.from_box(-half * np.ones(n), half * np.ones(n))
 
 
+def project(point, target, weight):
+    """(d2, s) of one point's weighted projection, as a batch of one."""
+    d2, S = weighted_projections([point], [target], weight)
+    return d2[0], S[0]
+
+
+def chebyshev(poly):
+    """Chebyshev center and radius of one polytope, as a batch of one."""
+    centers, radii = geometry._chebyshev_lps(poly.A, np.linalg.norm(poly.A, axis=1),
+                                             poly.b[None])
+    return centers[0], radii[0]
+
+
 class TestSupport:
     def test_box_axis_direction(self):
-        assert support(unit_box(), [1.0, 0.0]) == pytest.approx(1.0, abs=1e-8)
+        assert supports(unit_box(), [[1.0, 0.0]])[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_box_vertex_direction(self):
-        assert support(unit_box(), [1.0, 1.0]) == pytest.approx(2.0, abs=1e-8)
+        assert supports(unit_box(), [[1.0, 1.0]])[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_hyperrect_closed_form_is_exact(self):
         box = HyperRect([-0.3, -1.0], [0.7, 2.0])
@@ -36,7 +48,7 @@ class TestSupport:
             poly = Polytope(A, b)
             eta = rng.normal(size=2)
             expected = np.max(enumerate_vertices(A, b) @ eta)
-            assert support(poly, eta) == pytest.approx(expected, abs=1e-9)
+            assert supports(poly, [eta])[0] == pytest.approx(expected, abs=1e-9)
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(9)
@@ -44,21 +56,21 @@ class TestSupport:
         for _ in range(10):
             eta = rng.normal(size=3)
             lam = float(rng.uniform(0.1, 7.0))
-            assert support(poly, lam * eta) == pytest.approx(
-                lam * support(poly, eta), rel=1e-7, abs=1e-9)
+            assert supports(poly, [lam * eta])[0] == pytest.approx(
+                lam * supports(poly, [eta])[0], rel=1e-7, abs=1e-9)
 
     def test_unbounded_direction_raises(self):
         # Half-plane x1 <= 1: unbounded along +x2.
         poly = Polytope([[1.0, 0.0]], [1.0])
         with pytest.raises(geometry.UnboundedSupport):
-            support(poly, [0.0, 1.0])
+            supports(poly, [[0.0, 1.0]])
 
     def test_unbounded_after_iteration_cap_raises(self):
         # The start slack of x_1 >= -0.3 is clamped to 1, so the LP runs to
         # the iteration cap; the recession LP then finds the ray.
         poly = Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 0.3])
         with pytest.raises(geometry.UnboundedSupport):
-            support(poly, [0.5, 1.0])
+            supports(poly, [[0.5, 1.0]])
 
 
 class TestPontryagin:
@@ -75,8 +87,9 @@ class TestPontryagin:
 
     def test_over_erosion_flags_empty(self):
         res = pontryagin_diff(unit_box(2, 1.0), HyperRect([-2.0, -2.0], [2.0, 2.0]))
-        assert res.is_empty()
-        assert not unit_box(2, 1.0).is_empty()
+        assert geometry.are_empty(res.A, res.b)[0]
+        box = unit_box(2, 1.0)
+        assert not geometry.are_empty(box.A, box.b)[0]
 
     def test_image_operand(self):
         # poly ominus (M W) uses support along M^T a.
@@ -100,7 +113,7 @@ class TestPontryagin:
         image = rng.normal(size=(3, 3))
         res = pontryagin_diff(poly, sub, image=image)
         dirs = poly.A @ image
-        single = np.array([support(sub, a) for a in dirs])
+        single = np.array([supports(sub, [a])[0] for a in dirs])
         assert res.b.tobytes() == (poly.b - single).tobytes()
         assert supports(sub, dirs).tobytes() == single.tobytes()
 
@@ -121,24 +134,24 @@ class TestPontryagin:
 
 class TestWeightedProjection:
     def test_interior_point(self):
-        res = weighted_projection([0.1, -0.2], unit_box(), np.eye(2))
-        assert res.distance_sq == 0.0
-        assert np.allclose(res.projection, [0.1, -0.2])
+        d2, s = project([0.1, -0.2], unit_box(), np.eye(2))
+        assert d2 == 0.0
+        assert np.allclose(s, [0.1, -0.2])
 
     def test_box_clamp(self):
-        res = weighted_projection([2.0, 0.0], unit_box(), np.eye(2))
-        assert res.distance_sq == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(res.projection, [1.0, 0.0], atol=1e-9)
+        d2, s = project([2.0, 0.0], unit_box(), np.eye(2))
+        assert d2 == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(s, [1.0, 0.0], atol=1e-9)
 
     def test_matches_grid_oracle(self):
         # Non-diagonal weight exercises the QP path; expected value frozen
         # from the dense grid oracle (grid_projection, n=201).
         M = np.array([[2.0, 0.5], [0.5, 1.0]])
         r = np.array([1.7, -1.3])
-        res = weighted_projection(r, unit_box(), M)
+        d2, s = project(r, unit_box(), M)
         d_grid, _ = grid_projection(r, [-1.0, -1.0], [1.0, 1.0], M)
-        assert res.distance_sq == pytest.approx(d_grid, abs=1e-3)
-        assert res.distance_sq <= d_grid + 1e-9  # QP at least as good as grid
+        assert d2 == pytest.approx(d_grid, abs=1e-3)
+        assert d2 <= d_grid + 1e-9  # QP at least as good as grid
 
     def test_random_against_grid(self):
         rng = np.random.default_rng(31)
@@ -146,31 +159,30 @@ class TestWeightedProjection:
             root = rng.normal(size=(2, 2))
             M = root @ root.T + 0.5 * np.eye(2)
             r = rng.uniform(-3, 3, size=2)
-            res = weighted_projection(r, unit_box(), M)
+            d2, s = project(r, unit_box(), M)
             d_grid, _ = grid_projection(r, [-1.0, -1.0], [1.0, 1.0], M, n=301)
-            assert abs(res.distance_sq - d_grid) <= 1e-3 * max(1.0, d_grid)
+            assert abs(d2 - d_grid) <= 1e-3 * max(1.0, d_grid)
 
     def test_projection_inside_target(self):
-        res = weighted_projection([5.0, 5.0], unit_box(),
-                                  np.array([[1.0, 0.2], [0.2, 2.0]]))
-        assert unit_box().membership_residual(res.projection) <= 1e-8
+        d2, s = project([5.0, 5.0], unit_box(), np.array([[1.0, 0.2], [0.2, 2.0]]))
+        assert unit_box().membership_residual(s) <= 1e-8
 
     def test_idempotent(self):
         M = np.array([[1.0, 0.3], [0.3, 2.0]])
-        res = weighted_projection([3.0, -2.0], unit_box(), M)
-        res2 = weighted_projection(res.projection, unit_box(), M)
-        assert res2.distance_sq <= 1e-9
-        assert np.allclose(res2.projection, res.projection, atol=1e-9)
+        d2, s = project([3.0, -2.0], unit_box(), M)
+        d2_again, s_again = project(s, unit_box(), M)
+        assert d2_again <= 1e-9
+        assert np.allclose(s_again, s, atol=1e-9)
 
     def test_rejects_indefinite_weight(self):
         with pytest.raises(ValueError):
-            weighted_projection([0.0, 0.0], unit_box(), [[1.0, 0.0], [0.0, -1.0]])
+            project([0.0, 0.0], unit_box(), [[1.0, 0.0], [0.0, -1.0]])
 
     @pytest.mark.parametrize("weight", [[[1.0, 0.0], [0.0, 0.0]],    # diagonal, singular
                                         [[1.0, 2.0], [2.0, 1.0]]])   # eigenvalues 3, -1
     def test_rejects_weight_not_positive_definite(self, weight):
         with pytest.raises(ValueError):
-            weighted_projection([0.0, 0.0], unit_box(), weight)
+            project([0.0, 0.0], unit_box(), weight)
 
     def test_non_diagonal_weight_takes_qp_path(self, monkeypatch):
         calls = []
@@ -182,10 +194,10 @@ class TestWeightedProjection:
 
         monkeypatch.setattr(solver, "solve_qp", counting)
         M = np.array([[2.0, 0.5], [0.5, 1.0]])
-        res = weighted_projection([1.7, -1.3], unit_box(), M)
+        d2, s = project([1.7, -1.3], unit_box(), M)
         assert len(calls) == 1
-        assert unit_box().membership_residual(res.projection) <= 1e-8
-        weighted_projection([1.7, -1.3], unit_box(), np.diag([2.0, 1.0]))
+        assert unit_box().membership_residual(s) <= 1e-8
+        project([1.7, -1.3], unit_box(), np.diag([2.0, 1.0]))
         assert len(calls) == 1  # a diagonal weight clamps
 
 
@@ -217,9 +229,8 @@ def stage_points(rng, targets, kinds):
 KINDS = ["inside", "tol_above", "tol_below", "above", "below", "both"]
 
 
-def same_projection(d2, s, res):
-    return (np.float64(d2).tobytes() == np.float64(res.distance_sq).tobytes()
-            and s.tobytes() == res.projection.tobytes())
+def same_projection(d2, s, alone):
+    return d2.tobytes() == alone[0].tobytes() and s.tobytes() == alone[1].tobytes()
 
 
 class TestWeightedProjections:
@@ -235,8 +246,7 @@ class TestWeightedProjections:
                 P = stage_points(rng, targets, kinds)
                 d2, S = weighted_projections(P, targets, M)
                 for k, (t, kind) in enumerate(zip(targets, kinds)):
-                    res = weighted_projection(P[k], t, M)
-                    assert same_projection(d2[k], S[k], res)
+                    assert same_projection(d2[k], S[k], project(P[k], t, M))
                     if kind.startswith("tol") or kind == "inside":
                         # Inside within FEAS_TOL: the point itself, unclipped.
                         assert d2[k] == 0.0 and S[k].tobytes() == P[k].tobytes()
@@ -269,19 +279,19 @@ class TestWeightedProjections:
         d2, S = weighted_projections(P, targets, M)
         assert len(calls) == outside
         for k, t in enumerate(targets):
-            assert same_projection(d2[k], S[k], weighted_projection(P[k], t, M))
+            assert same_projection(d2[k], S[k], project(P[k], t, M))
             assert t.membership_residual(S[k]) <= 1e-8
         assert len(calls) == 2 * outside
 
 
 class TestChebyshev:
     def test_box_center(self):
-        center, radius = geometry.chebyshev_center(unit_box(2, 1.5))
+        center, radius = chebyshev(unit_box(2, 1.5))
         assert np.allclose(center, [0.0, 0.0], atol=1e-6)
         assert radius == pytest.approx(1.5, abs=1e-8)
 
     def test_offset_box(self):
-        center, radius = geometry.chebyshev_center(
+        center, radius = chebyshev(
             Polytope.from_box([-0.1, -1.0], [1.9, 1.0]))
         assert radius == pytest.approx(1.0, abs=1e-8)
         assert center[0] == pytest.approx(0.9, abs=1e-6)
@@ -290,12 +300,12 @@ class TestChebyshev:
         # Right triangle with legs 3 and 4: inradius (3 + 4 - 5) / 2 = 1.
         poly = Polytope([[-1.0, 0.0], [0.0, -1.0], [4.0, 3.0]],
                         [0.0, 0.0, 12.0])
-        _, radius = geometry.chebyshev_center(poly)
+        _, radius = chebyshev(poly)
         assert radius == pytest.approx(1.0, abs=1e-7)
 
     def test_empty_raises(self):
         with pytest.raises(geometry.EmptySetError):
-            geometry.chebyshev_center(Polytope([[1.0], [-1.0]], [-1.0, -1.0]))
+            chebyshev(Polytope([[1.0], [-1.0]], [-1.0, -1.0]))
 
     def test_batched_radii_match_highs(self):
         # 30 polytopes with one G and random offsets, origin inside; the
@@ -323,28 +333,29 @@ class TestShapeRatio:
         G = np.vstack([rng.normal(size=(5, 2)), np.eye(2), -np.eye(2)])
         D = rng.uniform(0.1, 2.0, size=(6, G.shape[0]))
         D[2, 0] = 0.0
-        single = [shape_ratio(Polytope(G, d)) for d in D]
+        single = [shape_ratios(G, d)[0] for d in D]
         assert shape_ratios(G, D) == single
         assert shape_ratios(G, D[::-1]) == single[::-1]
         assert shape_ratios(G, D[:0]) == []
 
     def test_symmetric_box_exact_one(self):
-        assert shape_ratio(unit_box()) == 1.0
+        poly = unit_box()
+        assert shape_ratios(poly.A, poly.b)[0] == 1.0
 
     def test_offset_box_closed_form(self):
         poly = Polytope.from_box([-0.1, -1.0], [1.9, 1.0])
-        assert shape_ratio(poly) == pytest.approx(10.0, abs=1e-6)
+        assert shape_ratios(poly.A, poly.b)[0] == pytest.approx(10.0, abs=1e-6)
 
     def test_origin_on_boundary_infinite(self):
         poly = Polytope.from_box([0.0, -1.0], [2.0, 1.0])
-        assert shape_ratio(poly) == np.inf
+        assert shape_ratios(poly.A, poly.b)[0] == np.inf
 
     def test_always_at_least_one(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
             A = np.vstack([rng.normal(size=(5, 2)), np.eye(2), -np.eye(2)])
             b = np.concatenate([rng.uniform(0.1, 2.0, size=5), np.full(4, 3.0)])
-            assert shape_ratio(Polytope(A, b)) >= 1.0
+            assert shape_ratios(A, b)[0] >= 1.0
 
 
 class TestSetDifferenceBound:
@@ -358,12 +369,12 @@ class TestSetDifferenceBound:
             B = HyperRect(-rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))
             C = HyperRect(-rng.uniform(0.05, 0.3, n), rng.uniform(0.05, 0.3, n))
             BmC_poly = pontryagin_diff(B.to_polytope(), C)
-            assert not BmC_poly.is_empty()
+            assert not geometry.are_empty(BmC_poly.A, BmC_poly.b)[0]
             r = rng.uniform(-3, 3, size=n)
-            d_diff = weighted_projection(r, BmC_poly, M).distance_sq
+            d_diff, _ = project(r, BmC_poly, M)
             for _ in range(100):
                 c = C.sample(rng)
-                d_shift = weighted_projection(r + c, B.to_polytope(), M).distance_sq
+                d_shift, _ = project(r + c, B.to_polytope(), M)
                 assert d_shift <= d_diff + 1e-9
 
 
@@ -434,7 +445,7 @@ class TestTypes:
         offsets = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 0.5, 1.0, 1.0],
                             [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, -2.0, 1.0]])
         assert geometry.are_empty(A, offsets) == [False, True, False, True]
-        assert [Polytope(A, b).is_empty() for b in offsets] == [False, True, False, True]
+        assert [geometry.are_empty(A, b)[0] for b in offsets] == [False, True, False, True]
 
     def test_boundedness_matches_axis_lps(self):
         # The batched probe agrees with one LP per axis direction.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from etrmpc import solver
-from etrmpc.solver import (LpProblem, QpProblem, Status, maximize_log_volume,
+from etrmpc.solver import (LpProblem, QpProblem, Status, maximize_log_volume_batch,
                            solve_lp, solve_lp_batch, solve_qp)
 
 from oracles import (grid_box_volume, highs_max, lp_max_by_vertices,
@@ -462,14 +462,14 @@ class TestLogVolume:
     def test_symmetric_optimum_f2(self):
         # k=1: vbar + vund <= 2 -> vbar = vund = 1.
         W = np.array([[1.0, 1.0]])
-        rep = maximize_log_volume(W, [2.0], solver.MODE_SUM_LOG_BOTH)
+        (rep,) = maximize_log_volume_batch(W, [[2.0]], solver.MODE_SUM_LOG_BOTH)
         assert rep.status == Status.OPTIMAL
         assert np.allclose(rep.x, [1.0, 1.0], atol=1e-5)
 
     def test_width_objective_f1(self):
         # k=1: vbar <= 3, vund <= 1 -> width 4 regardless of split.
         W = np.array([[1.0, 0.0], [0.0, 1.0]])
-        rep = maximize_log_volume(W, [3.0, 1.0], solver.MODE_SUM_LOG_WIDTH)
+        (rep,) = maximize_log_volume_batch(W, [[3.0, 1.0]], solver.MODE_SUM_LOG_WIDTH)
         assert rep.status == Status.OPTIMAL
         assert rep.x[0] + rep.x[1] == pytest.approx(4.0, abs=1e-5)
         assert rep.objective == pytest.approx(np.log(4.0), abs=1e-5)
@@ -486,7 +486,7 @@ class TestLogVolume:
             W = np.vstack([W, np.eye(4)])
             d = np.concatenate([rng.uniform(0.5, 2.5, size=m),
                                 rng.uniform(1.0, 3.0, size=4)])
-            rep = maximize_log_volume(W, d, mode)
+            (rep,) = maximize_log_volume_batch(W, [d], mode)
             assert rep.status == Status.OPTIMAL
             vb, vu = rep.x[:2], rep.x[2:]
             if mode == solver.MODE_SUM_LOG_WIDTH:
@@ -511,7 +511,7 @@ class TestLogVolume:
             W = np.vstack([W, np.eye(2 * k)])
             d = np.concatenate([rng.uniform(0.2, 2.0, size=m),
                                 rng.uniform(0.5, 3.0, size=2 * k)])
-            rep = maximize_log_volume(W, d, mode)
+            (rep,) = maximize_log_volume_batch(W, [d], mode)
             assert rep.status == Status.OPTIMAL
             assert np.max(W @ rep.x - d) <= 1e-12 * (1.0 + np.max(d))
             assert rep.objective >= slsqp_log_volume(W, d, mode) - 1e-9
@@ -527,17 +527,17 @@ class TestLogVolume:
                       [0.0, 1.0], [0.0, -1.0]])
         W = np.hstack([np.maximum(G, 0.0), np.maximum(-G, 0.0)])
         d = np.array([1.0, 1.5, 2.0, 2.0, 2.0, 2.0])
-        ref = maximize_log_volume(W, d, solver.MODE_SUM_LOG_WIDTH)
+        (ref,) = maximize_log_volume_batch(W, [d], solver.MODE_SUM_LOG_WIDTH)
         rng = np.random.default_rng(0)
         for _ in range(20):
             perm = rng.permutation(d.size)
-            rep = maximize_log_volume(W[perm], d[perm], solver.MODE_SUM_LOG_WIDTH)
+            (rep,) = maximize_log_volume_batch(W[perm], [d[perm]], solver.MODE_SUM_LOG_WIDTH)
             assert np.max(np.abs(rep.x - ref.x)) <= 1e-9
 
     def test_strictly_positive_widths_f2(self):
         W = np.vstack([np.array([[1.0, 0.2, 0.5, 0.1]]), np.eye(4)])
         d = np.array([1.0, 2.0, 2.0, 2.0, 2.0])
-        rep = maximize_log_volume(W, d, solver.MODE_SUM_LOG_BOTH)
+        (rep,) = maximize_log_volume_batch(W, [d], solver.MODE_SUM_LOG_BOTH)
         assert rep.status == Status.OPTIMAL
         assert np.all(rep.x > 0)
 
@@ -546,7 +546,7 @@ class TestLogVolume:
         # degenerate and pins both of its sides to zero.
         W = np.vstack([np.array([[0.0, 0.0, 1.0, 0.0]]), np.eye(4)])
         d = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
-        rep = maximize_log_volume(W, d, solver.MODE_SUM_LOG_BOTH)
+        (rep,) = maximize_log_volume_batch(W, [d], solver.MODE_SUM_LOG_BOTH)
         assert rep.status == Status.OPTIMAL
         pinned = np.flatnonzero((rep.x[:2] == 0.0) & (rep.x[2:] == 0.0))
         assert pinned.tolist() == [0]
@@ -556,7 +556,7 @@ class TestLogVolume:
         # as if it were alone.
         W = np.vstack([np.array([[0.0, 0.0, 1.0, 0.0]]), np.eye(4)])
         d = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
-        rep = maximize_log_volume(W, d, solver.MODE_SUM_LOG_BOTH)
+        (rep,) = maximize_log_volume_batch(W, [d], solver.MODE_SUM_LOG_BOTH)
         assert rep.status == Status.OPTIMAL
         assert rep.x[0] == 0.0 and rep.x[2] == 0.0
         assert rep.x[1] == pytest.approx(1.0, abs=1e-5)
@@ -568,7 +568,7 @@ class TestLogVolume:
         # (a one-sided box), only vund_1 is held at zero.
         W = np.vstack([np.array([[0.0, 0.0, 1.0, 0.0]]), np.eye(4)])
         d = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
-        rep = maximize_log_volume(W, d, solver.MODE_SUM_LOG_WIDTH)
+        (rep,) = maximize_log_volume_batch(W, [d], solver.MODE_SUM_LOG_WIDTH)
         assert rep.status == Status.OPTIMAL
         assert rep.x[2] == 0.0
         assert rep.x[0] == pytest.approx(1.0, abs=1e-5)
@@ -579,21 +579,21 @@ class TestLogVolume:
         W = np.vstack([np.array([[1.0, 1.0, 1.0, 1.0]]), np.eye(4)])
         d = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
         for mode in (solver.MODE_SUM_LOG_WIDTH, solver.MODE_SUM_LOG_BOTH):
-            rep = maximize_log_volume(W, d, mode)
+            (rep,) = maximize_log_volume_batch(W, [d], mode)
             assert rep.status == Status.OPTIMAL
             assert not rep.x.any()
 
     def test_determinism(self):
         W = np.vstack([np.array([[1.0, 0.3, 0.4, 0.9]]), np.eye(4)])
         d = np.array([2.0, 3.0, 3.0, 3.0, 3.0])
-        r1 = maximize_log_volume(W, d, solver.MODE_SUM_LOG_WIDTH)
-        r2 = maximize_log_volume(W, d, solver.MODE_SUM_LOG_WIDTH)
+        (r1,) = maximize_log_volume_batch(W, [d], solver.MODE_SUM_LOG_WIDTH)
+        (r2,) = maximize_log_volume_batch(W, [d], solver.MODE_SUM_LOG_WIDTH)
         assert r1.x.tobytes() == r2.x.tobytes()
 
     def test_offsets_need_one_row_per_problem(self):
         W = np.vstack([np.array([[1.0, 0.3, 0.4, 0.9]]), np.eye(4)])
         d = np.array([2.0, 3.0, 3.0, 3.0, 3.0])
         with pytest.raises(ValueError):
-            maximize_log_volume(W, np.tile(d, 2), solver.MODE_SUM_LOG_WIDTH)
+            maximize_log_volume_batch(W, [np.tile(d, 2)], solver.MODE_SUM_LOG_WIDTH)
         with pytest.raises(ValueError):
-            solver.maximize_log_volume_batch(W, d, solver.MODE_SUM_LOG_WIDTH)
+            maximize_log_volume_batch(W, d, solver.MODE_SUM_LOG_WIDTH)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from etrmpc import tightening
-from etrmpc.geometry import HyperRect, Polytope, support
+from etrmpc.geometry import HyperRect, Polytope, are_empty, supports
 from etrmpc.tightening import (EmptyTightenedSet, NilpotencyFailure, PlantModel,
                                RmpcSetup, TerminalAssumptionViolated, build_setup,
                                is_controllable, synthesize_nominal_gain,
@@ -161,15 +161,15 @@ class TestBuildSetup:
             assert setup.report["margins"][m] >= 0.0
         for seq in (setup.Xseq, setup.Useq, setup.TXseq, setup.TUseq):
             for s in seq:
-                assert not s.is_empty()
+                assert not are_empty(s.A, s.b)[0]
 
     def test_nesting_along_facets(self):
         setup = _build(simple_plant())
         for seq in (setup.Xseq, setup.Useq, setup.TXseq, setup.TUseq):
             for i in range(len(seq) - 1):
                 for r in range(seq[i].A.shape[0]):
-                    hi = support(seq[i], seq[i].A[r])
-                    lo = support(seq[i + 1], seq[i].A[r])
+                    hi = supports(seq[i], seq[i].A[r])[0]
+                    lo = supports(seq[i + 1], seq[i].A[r])[0]
                     assert lo <= hi + 1e-9
 
     def test_tilde_sequences(self):

@@ -8,8 +8,8 @@ from etrmpc.rmpc import stage_cost as rmpc_stage
 from etrmpc.tightening import (PlantModel, build_setup, synthesize_nominal_gain,
                                synthesize_tightening_gains)
 from etrmpc.trigger import (CP1, CP2, LP1, LP2, PrincipalPolytope,
-                            assemble_principal, build_schedule, construct_box_cp,
-                            construct_box_lp, extended_plan, volumes)
+                            assemble_principal, build_schedule, construct_boxes,
+                            extended_plan, volumes)
 
 from batch_reactor import X0, batch_setup, cross_polytope_setup
 from oracles import grid_box_volume, highs_lp1_scaling, highs_segment_length
@@ -299,11 +299,38 @@ class TestNewtonSplit:
         assert all(np.all(on == -1) for on in calls)
 
 
+class TestConstructBoxes:
+    SQUARE = np.vstack([np.eye(2), -np.eye(2)])
+
+    def test_polytopes_must_share_rows(self):
+        a = PrincipalPolytope.from_error_rows(self.SQUARE, np.ones(4))
+        b = PrincipalPolytope.from_error_rows(2.0 * self.SQUARE, np.ones(4))
+        for method in trigger.METHODS:
+            with pytest.raises(ValueError, match="^principal polytopes must share their rows W$"):
+                construct_boxes([a, b], method)
+
+    def test_equal_rows_in_other_arrays_are_shared(self):
+        a = PrincipalPolytope.from_error_rows(self.SQUARE, np.ones(4))
+        c = PrincipalPolytope.from_error_rows(self.SQUARE.copy(), 2.0 * np.ones(4))
+        assert c.W is not a.W
+        for method in trigger.METHODS:
+            pair = construct_boxes([a, c], method)
+            for res, pp in zip(pair, (a, c)):
+                (alone,) = construct_boxes([pp], method)
+                assert res.box.lower.tobytes() == alone.box.lower.tobytes()
+                assert res.box.upper.tobytes() == alone.box.upper.tobytes()
+
+    def test_unknown_method_rejected(self):
+        pp = PrincipalPolytope.from_error_rows(self.SQUARE, np.ones(4))
+        with pytest.raises(ValueError, match="^unknown construction method 'CP3'$"):
+            construct_boxes([pp], "CP3")
+
+
 class TestConstructCp:
     def test_symmetric_square_q2(self):
         pp = PrincipalPolytope.from_error_rows(
             np.vstack([np.eye(2), -np.eye(2)]), 2.0 * np.ones(4))
-        res = construct_box_cp(pp, q=2)
+        res = construct_boxes([pp], CP2)[0]
         assert np.allclose(res.box.lower, [-2.0, -2.0], atol=1e-6)
         assert np.allclose(res.box.upper, [2.0, 2.0], atol=1e-6)
 
@@ -316,7 +343,7 @@ class TestConstructCp:
             G = np.vstack([G, np.eye(2), -np.eye(2)])
             d = np.concatenate([d, np.full(4, 3.0)])
             pp = PrincipalPolytope.from_error_rows(G, d)
-            res = construct_box_cp(pp, q)
+            (res,) = construct_boxes([pp], (CP1, CP2)[q - 1])
             v1, v2 = volumes(res.box)
             got = v1 if q == 1 else v2
             mode = "sum_log_width" if q == 1 else "sum_log_both"
@@ -330,8 +357,8 @@ class TestConstructCp:
             G = np.vstack([rng.normal(size=(4, 2)), np.eye(2), -np.eye(2)])
             d = np.concatenate([rng.uniform(0.3, 1.5, 4), np.full(4, 2.0)])
             pp = PrincipalPolytope.from_error_rows(G, d)
-            v1_cp1, _ = volumes(construct_box_cp(pp, 1).box)
-            v1_cp2, _ = volumes(construct_box_cp(pp, 2).box)
+            v1_cp1, _ = volumes(construct_boxes([pp], CP1)[0].box)
+            v1_cp2, _ = volumes(construct_boxes([pp], CP2)[0].box)
             assert v1_cp1 >= v1_cp2 - 1e-9
 
     def test_degenerate_coordinate_clamped(self):
@@ -339,7 +366,7 @@ class TestConstructCp:
         G = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         d = np.array([1.0, 1.0, 0.0, 0.0])
         pp = PrincipalPolytope.from_error_rows(G, d)
-        res = construct_box_cp(pp, q=2)
+        res = construct_boxes([pp], CP2)[0]
         assert res.degenerate == [1]
         assert res.box.lower[1] == 0.0 and res.box.upper[1] == 0.0
         assert res.box.upper[0] == pytest.approx(1.0, abs=1e-6)
@@ -347,10 +374,10 @@ class TestConstructCp:
     def test_iteration_cap_reported_and_box_accepted(self, monkeypatch):
         pp = PrincipalPolytope.from_error_rows(ILL_SHAPED_G, ILL_SHAPED_D)
         monkeypatch.setattr(solver, "MAX_ITER", 5)
-        rep = solver.maximize_log_volume(pp.W, pp.d, solver.MODE_SUM_LOG_BOTH)
+        (rep,) = solver.maximize_log_volume_batch(pp.W, [pp.d], solver.MODE_SUM_LOG_BOTH)
         assert rep.status == solver.Status.MAXITER
         assert rep.iterations == 5
-        res = construct_box_cp(pp, q=2)
+        res = construct_boxes([pp], CP2)[0]
         assert np.array_equal(res.box.upper, rep.x[:2])
         assert np.array_equal(res.box.lower, -rep.x[2:])
         assert res.degenerate == []
@@ -361,8 +388,8 @@ class TestConstructLp:
     def test_symmetric_square_matches_cp(self):
         pp = PrincipalPolytope.from_error_rows(
             np.vstack([np.eye(2), -np.eye(2)]), 2.0 * np.ones(4))
-        for q in (1, 2):
-            lp = construct_box_lp(pp, q).box
+        for method in (LP1, LP2):
+            lp = construct_boxes([pp], method)[0].box
             assert np.allclose(lp.lower, [-2.0, -2.0], atol=1e-6)
             assert np.allclose(lp.upper, [2.0, 2.0], atol=1e-6)
 
@@ -373,15 +400,15 @@ class TestConstructLp:
             G = np.vstack([rng.normal(size=(5, 2)), np.eye(2), -np.eye(2)])
             d = np.concatenate([rng.uniform(0.3, 1.8, 5), np.full(4, 2.5)])
             pp = PrincipalPolytope.from_error_rows(G, d)
-            v_lp = volumes(construct_box_lp(pp, q).box)[q - 1]
-            v_cp = volumes(construct_box_cp(pp, q).box)[q - 1]
-            assert v_lp <= v_cp + 1e-9
-            assert pp.box_slack(construct_box_lp(pp, q).box) >= -1e-8
+            (lp,) = construct_boxes([pp], (LP1, LP2)[q - 1])
+            (cp,) = construct_boxes([pp], (CP1, CP2)[q - 1])
+            assert volumes(lp.box)[q - 1] <= volumes(cp.box)[q - 1] + 1e-9
+            assert pp.box_slack(lp.box) >= -1e-8
 
     def test_fig1_style_lp1_strictly_below_cp1(self):
         pp = PrincipalPolytope.from_error_rows(FIG1_STYLE_G, FIG1_STYLE_D)
-        cp = construct_box_cp(pp, 1)
-        lp = construct_box_lp(pp, 1)
+        cp = construct_boxes([pp], CP1)[0]
+        lp = construct_boxes([pp], LP1)[0]
         # Hand-derived optima: CP1 fills [0,3]x[-0.5,0.5] (vol 3); the LP1
         # r-profile is (3.1, 1) and the scaling trade-off lambda(z1) =
         # min((3-z1)/3.1, 1+z1) peaks at z1 = -1/41, lambda = 40/41.
@@ -405,7 +432,7 @@ class TestConstructLp:
                                        rep.kkt_residual, rep.iterations)]
 
         monkeypatch.setattr(solver, "solve_lp_batch", rounded)
-        box = construct_box_lp(pp, 1).box
+        box = construct_boxes([pp], LP1)[0].box
         assert box.lower[0] == 0.0
         assert volumes(box)[0] == pytest.approx(2.0, rel=1e-6)
         assert pp.box_slack(box) >= 0.0
@@ -414,10 +441,10 @@ class TestConstructLp:
         pp = PrincipalPolytope.from_error_rows(ILL_SHAPED_G, ILL_SHAPED_D)
         sym = {}
         boxes = {}
-        for name, res in (("CP1", construct_box_cp(pp, 1)),
-                          ("CP2", construct_box_cp(pp, 2)),
-                          ("LP1", construct_box_lp(pp, 1)),
-                          ("LP2", construct_box_lp(pp, 2))):
+        for name, res in (("CP1", construct_boxes([pp], CP1)[0]),
+                          ("CP2", construct_boxes([pp], CP2)[0]),
+                          ("LP1", construct_boxes([pp], LP1)[0]),
+                          ("LP2", construct_boxes([pp], LP2)[0])):
             sym[name] = _symmetry(res.box)
             boxes[name] = res.box
         # Hand-derived boxes: CP1/LP1 -> [0,1]^2, CP2 -> [-0.1,0.8]^2,
@@ -455,7 +482,7 @@ class TestLpOracles:
             omega = np.array([highs_segment_length(pp.G, pp.d, j) for j in range(k)])
             assert np.allclose(w[:k] + w[k:], omega, rtol=1e-9, atol=1e-12)
             degenerate = np.flatnonzero(omega <= 1e-9).tolist()
-            assert construct_box_lp(pp, 1).degenerate == degenerate
+            assert construct_boxes([pp], LP1)[0].degenerate == degenerate
 
     def test_scaling_lp_matches_highs(self):
         pytest.importorskip("scipy")
@@ -467,7 +494,7 @@ class TestLpOracles:
             r = w[:k] + w[k:]
             r[r <= 1e-9] = 0.0
             lam = highs_lp1_scaling(pp.G, pp.d, r) if np.any(r > 0) else 0.0
-            box = construct_box_lp(pp, 1).box
+            box = construct_boxes([pp], LP1)[0].box
             assert np.allclose(box.upper - box.lower, lam * r, rtol=1e-6, atol=1e-9)
             assert pp.box_slack(box) >= 0.0
 
@@ -548,21 +575,33 @@ class TestSchedule:
         assert schedules[LP1].vol1[4] == pytest.approx(4.809e-6, rel=1e-3)
 
     def test_no_shape_ratio_while_building(self, sched_all, monkeypatch):
+        # No Chebyshev LP while boxes are built; one batched Chebyshev
+        # solve per to_dict.
         setup, sol, _ = sched_all
+        chebyshev_lps = geometry._chebyshev_lps
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return chebyshev_lps(*args)
 
         def forbidden(*args):
             raise AssertionError("shape diagnostic called while building boxes")
 
-        monkeypatch.setattr(geometry, "shape_ratio", forbidden)
-        monkeypatch.setattr(geometry, "shape_ratios", forbidden)
-        for method in trigger.METHODS:
-            build_schedule(setup, sol, method)
+        monkeypatch.setattr(geometry, "_chebyshev_lps", counting)
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "shape_ratios", forbidden)
+            schedules = [build_schedule(setup, sol, method) for method in trigger.METHODS]
+        assert calls == []
+        for n, sch in enumerate(schedules, start=1):
+            sch.to_dict()
+            assert len(calls) == n
 
     def test_dict_shape_ratio_per_principal(self, sched_all):
         _, _, schedules = sched_all
         for sch in schedules.values():
             ratios = [b["shape_ratio"] for b in sch.to_dict()["boxes"]]
-            assert ratios == [geometry.shape_ratio(pp.error_polytope())
+            assert ratios == [geometry.shape_ratios(pp.G, pp.d)[0]
                               for pp in sch.principals]
 
     def test_unknown_method_rejected(self, sched_all):
@@ -574,12 +613,9 @@ class TestSchedule:
     def test_one_batched_solve_matches_per_j_route(self, sched_all, method, monkeypatch):
         # CP makes one log-volume batch per trigger; LP1 one scaling-LP
         # batch per active mask, where each polytope of a trigger has its
-        # own LP rows.
+        # own LP rows. Each box equals its polytope's built alone.
         setup, sol, _ = sched_all
-        q = 1 if method in (CP1, LP1) else 2
-        construct, single, batched = (
-            (construct_box_lp, "solve_lp", "solve_lp_batch") if method == LP1
-            else (construct_box_cp, "maximize_log_volume", "maximize_log_volume_batch"))
+        batched = "solve_lp_batch" if method == LP1 else "maximize_log_volume_batch"
         batch = getattr(solver, batched)
         calls = []
 
@@ -594,9 +630,9 @@ class TestSchedule:
             plan = extended_plan(setup, s)
             pps = [PrincipalPolytope(setup.nx, *_per_row_principal(setup, plan, j))
                    for j in range(1, setup.N)]
-            per_j = [construct(pp, q) for pp in pps]
+            per_j = [construct_boxes([pp], method)[0] for pp in pps]
             with monkeypatch.context() as m:
-                m.setattr(solver, single, forbidden)
+                m.setattr(solver, "solve_lp", forbidden)
                 m.setattr(solver, batched, counting)
                 sch = build_schedule(setup, s, method)
             if method == LP1:
@@ -612,6 +648,30 @@ class TestSchedule:
                 assert box.upper.tobytes() == res.box.upper.tobytes()
                 assert deg == res.degenerate
         assert any(v > 1e-6 for v in sch.vol1)  # the later state has live boxes
+
+    @pytest.mark.parametrize("method, builder", [(CP1, "_cp_box"), (CP2, "_cp_box"),
+                                                 (LP1, "_lp1_box"), (LP2, "_lp2_box")])
+    def test_box_outside_rows_fails_certification(self, sched_all, method, builder,
+                                                  monkeypatch):
+        # The box of j=3 comes back scaled by 2, so it leaves its rows.
+        setup, _, _ = sched_all
+        sol = solve_rmpc(setup, [0.1, 0.1, -0.1, 0.1])
+        build = getattr(trigger, builder)
+        built = []
+
+        def doubled_at_j3(*args):
+            res = build(*args)
+            built.append(res)
+            if len(built) == 3:
+                res = trigger.BoxResult(HyperRect(2.0 * res.box.lower, 2.0 * res.box.upper),
+                                        res.degenerate)
+            return res
+
+        monkeypatch.setattr(trigger, builder, doubled_at_j3)
+        with pytest.raises(trigger.TriggerError,
+                           match=r"^j=3: built box violates principal rows by"):
+            build_schedule(setup, sol, method)
+        assert len(built) == 3
 
     def test_failing_batch_member_keeps_its_splice_index(self, sched_all, monkeypatch):
         setup, sol, _ = sched_all
