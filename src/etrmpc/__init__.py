@@ -9,12 +9,11 @@ decay certificates.
 
 from .geometry import (HyperRect, Polytope, pontryagin_diff, shape_ratios,
                        supports, weighted_projections)
-from .rmpc import InfeasibleState, MpcSolution, solve_rmpc, stage_cost
+from .rmpc import InfeasibleState, MpcSolution, solve_rmpc
 from .sim import (DisturbanceModel, SimTrace, run_closed_loop,
                   step_trigger_test, trigger_statistics)
-from .solver import (LpProblem, QpProblem, SolveReport, Status,
-                     maximize_log_volume_batch, solve_lp, solve_lp_batch,
-                     solve_qp)
+from .solver import (QpProblem, SolveReport, Status, maximize_log_volume_batch,
+                     solve_lp_batch, solve_qp)
 from .tightening import (PlantModel, RmpcSetup, build_setup,
                          synthesize_nominal_gain, synthesize_tightening_gains)
 from .trigger import (PrincipalPolytope, TriggerSchedule, assemble_principal,
@@ -25,12 +24,11 @@ __version__ = "0.1.0"
 __all__ = [
     "HyperRect", "Polytope", "supports", "pontryagin_diff",
     "weighted_projections", "shape_ratios",
-    "LpProblem", "QpProblem", "SolveReport", "Status", "solve_lp", "solve_lp_batch",
-    "solve_qp",
+    "QpProblem", "SolveReport", "Status", "solve_lp_batch", "solve_qp",
     "maximize_log_volume_batch",
     "PlantModel", "RmpcSetup", "synthesize_nominal_gain",
     "synthesize_tightening_gains", "build_setup",
-    "MpcSolution", "InfeasibleState", "solve_rmpc", "stage_cost",
+    "MpcSolution", "InfeasibleState", "solve_rmpc",
     "PrincipalPolytope", "TriggerSchedule",
     "extended_plan", "assemble_principal", "construct_boxes", "build_schedule",
     "DisturbanceModel", "SimTrace", "step_trigger_test", "run_closed_loop",

@@ -55,10 +55,6 @@ class HyperRect:
     def __repr__(self):
         return f"HyperRect(l={self.lower.tolist()}, u={self.upper.tolist()})"
 
-    @property
-    def widths(self):
-        return self.upper - self.lower
-
     def support(self, eta):
         """h_B(eta) = sum_j max(eta_j * l_j, eta_j * u_j), exact."""
         eta = np.asarray(eta, dtype=float)
@@ -112,10 +108,6 @@ class Polytope:
 
     def __repr__(self):
         return f"Polytope(m={self.A.shape[0]}, n={self.dim})"
-
-    @classmethod
-    def from_box(cls, lower, upper):
-        return HyperRect(lower, upper).to_polytope()
 
     def membership_residual(self, x):
         """max_i (a_i x - b_i); <= 0 means inside."""
@@ -242,7 +234,7 @@ def weighted_projections(points, targets, weight):
         if isinstance(target, HyperRect):
             target = target.to_polytope()
         rep = solver.solve_qp(solver.QpProblem(H=2.0 * M, g=-2.0 * (M @ R[k]),
-                                               A_in=target.A, b_in=target.b), tol=1e-10)
+                                               A_in=target.A, b_in=target.b))
         if rep.status == solver.Status.INFEASIBLE:
             raise EmptySetError("projection target is empty")
         if rep.status != solver.Status.OPTIMAL:

@@ -78,7 +78,7 @@ class DisturbanceModel:
             w = np.where(xi >= 0.0, W.upper, W.lower)
             return w
         from . import solver
-        rep = solver.solve_lp(solver.LpProblem(c=xi, A=W.A, b=W.b))
+        rep = solver.solve_lp_batch(xi, W.A, W.b)[0]
         if rep.status != solver.Status.OPTIMAL:
             raise SimError(f"worst-case disturbance LP failed: {rep.status}")
         return rep.x

@@ -1,27 +1,27 @@
 """Self-contained LP / convex-QP / log-concave maximization routines.
 
 One Mehrotra-style primal-dual interior-point loop handles both LPs
-(H = 0) and convex QPs over ``A_eq x = b_eq, A_in x <= b_in``. It solves
-a batch of problems that share H, A_eq and b_eq in one pass, each with
-its own linear term and ``b_in``, and with ``A_in`` shared or, stacked,
-its own (``solve_lp_batch``; LP1's scaling LPs of one active mask have
-rows of their own); ``solve_lp`` and ``solve_qp`` are batches of one.
-Variables that only one-entry inequality rows touch, with a diagonal
-Hessian block and no equality row, are eliminated from each Newton step
-by a Schur complement, so only the rest is factorized (the RMPC QP's
-inputs); a problem's own rows decide that split, and a problem without
-such variables keeps the plain Newton step. The hyper-rectangle volume
-objectives are maximized by the same scheme on the concave log
-objective, then an active-set Newton polish; log-volume problems that
-share W run in one loop as well (``maximize_log_volume_batch``), a
-single problem being a batch of one. No external solver
-dependencies; every run with the same inputs is bit-identical (fixed
-step rules, no restarts), and a problem's result does not depend on the
-batch it is solved in.
+(H = 0) and convex QPs over ``A_eq x = b_eq, A_in x <= b_in``, with at
+least one inequality row. It solves a batch of problems that share H,
+A_eq and b_eq in one pass, each with its own linear term and ``b_in``,
+and with ``A_in`` shared or, stacked, its own (LP1's scaling LPs of one
+active mask). ``solve_lp_batch`` is the one LP entry, a single LP being
+a batch of one. A ``QpProblem`` eliminates the variables that only
+one-entry inequality rows touch, with a diagonal Hessian block and no
+equality row, from each Newton step by a Schur complement, so only the
+rest is factorized (the RMPC QP's inputs); LPs take the plain Newton
+step. The hyper-rectangle volume objectives are maximized by the same
+scheme on the concave log objective, then an active-set Newton polish;
+log-volume problems that share W run in one loop as well
+(``maximize_log_volume_batch``), a single problem being a batch of one.
+No external solver dependencies; every run with the same inputs is
+bit-identical (fixed step rules, no restarts), and a problem's result
+does not depend on the batch it is solved in.
 
-Project-wide tolerances: the LP/QP loop stops when the scaled primal and
+Project-wide tolerances: the LP loop stops when the scaled primal and
 dual residuals and the mean complementarity z.s/m, relative to
-1 + max|g| + max|H|, are all at most 1e-8; the log-volume loop stops on
+1 + max|g| + max|H|, are all at most the caller's tolerance (1e-8 by
+default), a QP when they are at most 1e-10; the log-volume loop stops on
 the total gap u.t <= 1e-8. At most 200 iterations per solve.
 """
 
@@ -33,6 +33,17 @@ import numpy as np
 FEAS_TOL = 1e-8
 GAP_TOL = 1e-8
 MAX_ITER = 200
+
+# QPs are solved tighter than FEAS_TOL, so that the RMPC plan's
+# re-propagated states keep their tightened-set memberships within
+# FEAS_TOL and re-projected stage costs match the QP value.
+QP_TOL = 1e-10
+
+# Feasible width below which a box coordinate is degenerate and gets zero
+# width. maximize_log_volume_batch keeps a width >= it live; the LP box
+# routes of trigger.py zero a width <= it, so a width of exactly this
+# value is live for CP and degenerate for LP.
+DEGENERATE_WIDTH = 1e-9
 
 # Objective magnitude beyond which a feasible minimizing sequence is
 # declared an unbounded ray.
@@ -50,24 +61,13 @@ class Status(enum.Enum):
     MAXITER = "MaxIter"
 
 
-class LpProblem:
-    """maximize c.x  s.t.  A x <= b, optional A_eq x = b_eq."""
-
-    def __init__(self, c, A=None, b=None, A_eq=None, b_eq=None):
-        self.c = np.asarray(c, dtype=float).reshape(-1)
-        self.A = None if A is None else np.ascontiguousarray(A, dtype=float)
-        self.b = None if b is None else np.asarray(b, dtype=float).reshape(-1)
-        self.A_eq = None if A_eq is None else np.ascontiguousarray(A_eq, dtype=float)
-        self.b_eq = None if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
-        _check_dims(self.c.size, self.A, self.b, self.A_eq, self.b_eq)
-
-
 class QpProblem:
     """minimize 0.5 x.H x + g.x  s.t.  A_eq x = b_eq, A_in x <= b_in.
 
     H must be symmetric positive semidefinite (eigenvalue floor -1e-10
-    before symmetrization). The split of its Newton step (``_rows_on``,
-    ``_Newton``) is made here once and shared by ``with_vectors``.
+    before symmetrization), and A_in must have rows. The split of its
+    Newton step (``_Newton``) is made here once, with the rows it
+    eliminates gathered, and shared by ``with_vectors``.
     """
 
     def __init__(self, H, g, A_in=None, b_in=None, A_eq=None, b_eq=None):
@@ -81,9 +81,8 @@ class QpProblem:
         self.A_eq = None if A_eq is None else np.ascontiguousarray(A_eq, dtype=float)
         self.b_eq = None if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
         _check_dims(self.g.size, self.A_in, self.b_in, self.A_eq, self.b_eq)
-        G = self.A_in if self.A_in is not None else _empty(self.g.size)[0]
         A = self.A_eq if self.A_eq is not None else _empty(self.g.size)[0]
-        self._newton = _Newton(self.H, A, _rows_on(self.H, A, G))
+        self._newton = _Newton(self.H, A, self.A_in)
 
     def with_vectors(self, g, b_in):
         """This problem with its own linear term g and row offsets b_in.
@@ -94,7 +93,7 @@ class QpProblem:
         p = copy.copy(self)
         p.g = np.asarray(g, dtype=float).reshape(-1)
         p.b_in = np.asarray(b_in, dtype=float).reshape(-1)
-        if self.b_in is None or p.g.shape != self.g.shape or p.b_in.shape != self.b_in.shape:
+        if p.g.shape != self.g.shape or p.b_in.shape != self.b_in.shape:
             raise ValueError("linear term or row offsets have inconsistent dimensions")
         if not (np.all(np.isfinite(p.g)) and np.all(np.isfinite(p.b_in))):
             raise ValueError("linear term and row offsets must be finite")
@@ -106,8 +105,7 @@ class SolveReport:
 
     From the LP/QP loop, OPTIMAL means that the scaled primal residual,
     dual residual and mean complementarity z.s/m are each at most the
-    solve's tolerance; kkt_residual is the largest of them. A problem
-    without inequality rows takes one KKT solve, accepted at 1e-6. The
+    solve's tolerance; kkt_residual is the largest of them. The
     duality gap is m times the mean complementarity, so an LP objective
     can be off by about m * tol * scale_d wherever ``_crossover`` keeps
     the interior point; a vertex it snaps to violates no row by more than
@@ -130,7 +128,7 @@ class SolveReport:
 
 def _check_dims(n, A_in, b_in, A_eq, b_eq):
     """A matrix is shared (m, n), or stacked (B, m, n) beside one row of
-    b per problem."""
+    b per problem. The inequality rows are required, and at least one."""
     for mat, vec, name in ((A_in, b_in, "inequality"), (A_eq, b_eq, "equality")):
         if (mat is None) != (vec is None):
             raise ValueError(f"{name} matrix and rhs must be given together")
@@ -141,6 +139,8 @@ def _check_dims(n, A_in, b_in, A_eq, b_eq):
                 raise ValueError(f"{name} block has inconsistent dimensions")
             if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(vec))):
                 raise ValueError(f"{name} block must be finite")
+    if A_in is None or not A_in.shape[-2]:
+        raise ValueError("every problem needs inequality rows")
 
 
 def _empty(n):
@@ -181,76 +181,79 @@ def _kkt_matrices(M, A, reg):
 
 
 def _rows_on(H, A, G):
-    """For every inequality row, the variable it eliminates, or -1.
+    """For every inequality row of G (m, n), the variable it eliminates,
+    or -1.
 
     A variable is eliminated (is in S) when inequality rows touch it and
     each of them touches nothing else, no equality row touches it, and H
     has a nonnegative diagonal entry there and couples it to no other such
     variable. A row on an S variable returns that variable; every other
-    row touches only the rest, U. G is (m, n), giving (m,), or a stack
-    (B, m, n), giving one row of (B, m) per problem from its own rows.
+    row touches only the rest, U.
     """
     nz = G != 0
-    one = nz.sum(-1) == 1
-    S = nz.any(-2) & ~(nz & ~one[..., None]).any(-2)
+    one = nz.sum(1) == 1
+    S = nz.any(0) & ~(nz & ~one[:, None]).any(0)
     if not S.any():
-        return np.full(G.shape[:-1], -1)
+        return np.full(G.shape[0], -1)
     S &= ~(A != 0).any(0) & (np.diagonal(H) >= 0)
     coupled = (H != 0) & ~np.eye(H.shape[0], dtype=bool)
-    S &= ~(coupled & S[..., None, :]).any(-1)
-    col = np.argmax(nz, axis=-1)
-    return np.where(one & np.take_along_axis(S, col, axis=-1), col, -1)
+    S &= ~(coupled & S).any(1)
+    col = np.argmax(nz, axis=1)
+    return np.where(one & S[col], col, -1)
 
 
 class _Newton:
-    """One problem's Newton step on H + G^T diag(d) G + reg I, with the
-    equality rows A, for the split of ``_rows_on`` (``on``).
+    """Newton step on H + G^T diag(d) G + reg I, with the equality rows A.
 
-    The rows on S add a diagonal to H's diagonal S block, so S is
-    eliminated by the Schur complement on U; only the rows on U are
-    multiplied out, on U's columns. With S empty this is the plain
-    Newton matrix and solve. Built once per problem; H and A are shared.
+    Built with a problem's rows G (``QpProblem`` does, once), it
+    eliminates the variables S that ``_rows_on`` finds: the rows on S add
+    a diagonal to H's diagonal S block, so S is eliminated by the Schur
+    complement on U, and only the rows on U, gathered here, are multiplied
+    out, on U's columns. Built without G, or with S empty, it is the plain
+    Newton matrix and solve over the rows ``matrix`` is given, shared or
+    stacked (the LPs). H and A are shared.
     """
 
-    def __init__(self, H, A, on):
+    def __init__(self, H, A, G=None):
         self.H, self.A = H, A
         self.n = H.shape[0]
-        self.r1 = np.flatnonzero(on >= 0)
-        self.S = self.r1  # no row on S: S is empty, the step is the plain one
-        if not self.r1.size:
+        self.S = np.empty(0, dtype=int)  # S empty: the step is the plain one
+        if G is None:
             return
-        self.r2 = np.flatnonzero(on < 0)
-        self.on1 = on[self.r1]
+        on = _rows_on(H, A, G)
+        r1, r2 = np.flatnonzero(on >= 0), np.flatnonzero(on < 0)
+        if not r1.size:
+            return
+        on1 = on[r1]
         eliminated = np.zeros(self.n, dtype=bool)
-        eliminated[self.on1] = True
+        eliminated[on1] = True
         self.S, self.U = np.flatnonzero(eliminated), np.flatnonzero(~eliminated)
-        self.c1 = np.searchsorted(self.S, self.on1)  # each S row's place in S
+        self.c1 = np.searchsorted(self.S, on1)  # each S row's place in S
+        a = G[r1, on1]
+        self.r1, self.r2, self.a2 = r1, r2, a * a
+        self.G_U = G[r2[:, None], self.U]
         self.H_SS = np.diagonal(H)[self.S]
         self.H_US = H[np.ix_(self.U, self.S)]
         self.H_SU = H[np.ix_(self.S, self.U)]
         self.H_UU = H[np.ix_(self.U, self.U)]
         self.A_U = A[:, self.U]
         self._at = tuple(_as_slice(ix) for ix in (self.S, self.U))
-        self._rows = (None,)
 
     def matrix(self, G, d, reg):
         """The matrix to solve with, per row of d (B, m) and reg (B,), and
-        the inverse of the S block's diagonal (B, |S|)."""
+        the inverse of the S block's diagonal (B, |S|). The plain step
+        multiplies out G, the live problems' rows; an eliminated step
+        uses the rows it gathered when built."""
         nb, ns = d.shape[0], self.S.size
         if not ns:
             M = self.H + np.matmul(G.swapaxes(-1, -2), d[:, :, None] * G)
             return _kkt_matrices(M, self.A, reg), np.empty((nb, 0))
-        rows = self._rows
-        if rows[0] is not G:  # gathered once per rows array
-            a = G[..., self.r1, self.on1]
-            rows = self._rows = (G, a * a, G[..., self.r2[:, None], self.U])
-        _, a2, G_U = rows
         # bincount sums each problem's rows in order, whatever the batch.
         diag = np.bincount((np.arange(nb)[:, None] * ns + self.c1).ravel(),
-                           weights=(d[:, self.r1] * a2).ravel(),
+                           weights=(d[:, self.r1] * self.a2).ravel(),
                            minlength=nb * ns).reshape(nb, ns)
         inv = 1.0 / (self.H_SS + diag + reg[:, None])
-        M = (self.H_UU + np.matmul(G_U.swapaxes(-1, -2), d[:, self.r2, None] * G_U)
+        M = (self.H_UU + np.matmul(self.G_U.T, d[:, self.r2, None] * self.G_U)
              - np.matmul(self.H_US * inv[:, None, :], self.H_SU))
         return _kkt_matrices(M, self.A_U, reg), inv
 
@@ -282,23 +285,22 @@ def _as_slice(ix):
 def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None):
     """Mehrotra predictor-corrector on min 0.5 x.H x + g[k].x, Ax=b, G x<=h[k].
 
-    Solves one problem per row k of g (B, n) and h (B, m); H, A and b are
-    shared, and so is G when it is (m, n); a (B, m, n) G gives problem k
-    the rows G[k]. Each problem has its own iterates, convergence test,
-    regularization retry and phase-1 classification (then, for an LP that
-    phase 1 finds feasible, the recession LP), and leaves the batch, with
-    its rows, once it is decided. The arithmetic is stacked only through
+    Solves one problem per row k of g (B, n) and h (B, m), with m >= 1;
+    H, A and b are shared, and so is G when it is (m, n); a (B, m, n) G
+    gives problem k the rows G[k]. Each problem has its own iterates,
+    convergence test, regularization retry and phase-1 classification
+    (then, for an LP that phase 1 finds feasible, the recession LP), and
+    leaves the batch, with its rows, once it is decided. The arithmetic is stacked only through
     operations that give each slice the bits of the one-problem call
     (``_mv``, ``_dot``, stacked ``np.linalg.solve``, ``np.float_power``),
     so a problem's result does not depend on the rest of its batch.
 
-    The Newton step eliminates the variables S that ``_rows_on`` finds in
-    a problem's own rows (``_Newton``): their rows and H's diagonal S
-    block make a diagonal, so one Schur complement on the other variables
-    is formed per iteration and serves the predictor and the corrector.
-    Without such variables the step is the plain Newton matrix and solve.
-    A stack whose problems split differently runs one loop per split.
-    ``newton`` is a problem's prebuilt step (``QpProblem`` keeps one).
+    ``newton`` is the prebuilt step of a QP (``QpProblem`` keeps one),
+    which eliminates the variables S that ``_rows_on`` finds in its rows:
+    their rows and H's diagonal S block make a diagonal, so one Schur
+    complement on the other variables is formed per iteration and serves
+    the predictor and the corrector. Without it (the LPs) the step is the
+    plain Newton matrix and solve.
 
     Returns one (status, x, kkt_residual, iterations, certificate) tuple
     per problem.
@@ -308,21 +310,7 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None):
     g_all, h_all, G_all = g, h, G
     stacked = G.ndim == 3
     if newton is None:
-        on = _rows_on(H, A, G)
-        if stacked:
-            # A stack's problems split by their own rows; one loop per split.
-            groups = {}
-            for k, key in enumerate(on):
-                groups.setdefault(key.tobytes(), []).append(k)
-            if len(groups) > 1:
-                out = [None] * nb
-                for members in groups.values():
-                    for k, r in zip(members, _ipm(H, g[members], A, b, G[members], h[members],
-                                                  tol, classify)):
-                        out[k] = r
-                return out
-            on = on[0]
-        newton = _Newton(H, A, on)
+        newton = _Newton(H, A)
 
     scale_p = 1.0 + np.maximum(np.max(np.abs(b), initial=0.0),
                                np.max(np.abs(h), axis=1, initial=0.0))
@@ -337,28 +325,9 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None):
     z = np.ones((nb, m))
 
     def residuals(x, y, z, s, g, h):
-        rd = (_mv(H, x) + g + (_mv(A.T, y) if p else 0.0)
-              + (_mv(G.swapaxes(-1, -2), z) if m else 0.0))
+        rd = _mv(H, x) + g + (_mv(A.T, y) if p else 0.0) + _mv(G.swapaxes(-1, -2), z)
         rp = (_mv(A, x) - b) if p else np.zeros((x.shape[0], 0))
-        rg = (_mv(G, x) + s - h) if m else None
-        return rd, rp, rg
-
-    if m == 0:
-        # Pure equality-constrained QPs: one KKT solve each.
-        K = np.block([[H, A.T], [A, np.zeros((p, p))]]) if p else H
-        rhs = np.concatenate([-g, np.broadcast_to(b, (nb, p))], axis=1)
-        try:
-            sol = np.linalg.solve(K + 1e-12 * np.eye(K.shape[0]), rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            return [(Status.MAXITER, None, np.inf, 0, None)] * nb
-        x, y = sol[:, :n], sol[:, n:]
-        rd, rp, _ = residuals(x, y, z, s, g, h)
-        res = np.maximum(np.max(np.abs(rd), axis=1) / scale_d,
-                         (np.max(np.abs(rp), axis=1) / scale_p) if p else 0.0)
-        # Singular H with a drift direction: unbounded below.
-        drift = Status.UNBOUNDED if classify else Status.MAXITER
-        return [(Status.OPTIMAL, x[k], res[k], 1, None) if res[k] <= 1e-6
-                else (drift, None, res[k], 1, None) for k in range(nb)]
+        return rd, rp, _mv(G, x) + s - h
 
     quadratic = H.any()  # with H = 0, 0.5 x.H x is a signed zero that cannot move obj
     unbounded_below = -_DIVERGE * scale_d
@@ -550,23 +519,17 @@ def _phase1(A, b, G, h):
             for (st, xt, _, _, _), sk in zip(reports, scale)]
 
 
-def solve_lp(p, tol=FEAS_TOL):
-    """Maximize c.x subject to the problem's constraints."""
-    n = p.c.size
-    G, h = (p.A, p.b) if p.A is not None else _empty(n)
-    A, b = (p.A_eq, p.b_eq) if p.A_eq is not None else _empty(n)
-    return _lp_reports(p.c[None], G, h[None], A, b, tol)[0]
-
-
-def solve_lp_batch(c, A, b, tol=FEAS_TOL):
-    """solve_lp for a batch of LPs max c[k].x s.t. A[k] x <= b[k].
+def solve_lp_batch(c, A, b, A_eq=None, b_eq=None, tol=FEAS_TOL):
+    """Maximize c[k].x s.t. A[k] x <= b[k], A_eq x = b_eq, for every k.
 
     Row k of c (B, n), of b (B, m) and of a stacked A (B, m, n) gives
-    problem k; a 1-D c or b, or a 2-D A, is shared by every problem.
+    problem k; a 1-D c or b, or a 2-D A, is shared by every problem, and
+    the optional equality rows always are. A needs at least one row.
     Per-problem rows serve LPs of one shape whose rows differ, such as
-    LP1's scaling LPs of one active mask. All problems run in one
-    interior-point loop, and each report is bit-identical to solve_lp on
-    that problem alone.
+    LP1's scaling LPs of one active mask; a single LP is a batch of one
+    (``solve_lp_batch(c, A, b)[0]``). All problems run in one
+    interior-point loop with the plain Newton step, and each report is
+    bit-identical to that problem's batch of one.
     """
     c = np.atleast_2d(np.asarray(c, dtype=float))
     A = np.ascontiguousarray(A, dtype=float)
@@ -574,8 +537,12 @@ def solve_lp_batch(c, A, b, tol=FEAS_TOL):
     n = c.shape[1]
     nb = max(len(c), len(b), len(A) if A.ndim == 3 else 1)
     b = np.broadcast_to(b, (nb, b.shape[1]))
-    _check_dims(n, A, b, None, None)
-    return _lp_reports(np.broadcast_to(c, (nb, n)), A, b, *_empty(n), tol)
+    if A_eq is None:
+        A_eq, b_eq = _empty(n)
+    A_eq = np.ascontiguousarray(A_eq, dtype=float)
+    b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
+    _check_dims(n, A, b, A_eq, b_eq)
+    return _lp_reports(np.broadcast_to(c, (nb, n)), A, b, A_eq, b_eq, tol)
 
 
 def _lp_reports(c, G, h, A, b, tol):
@@ -629,12 +596,12 @@ def _crossover(c, A, b, G, h, x):
     return x
 
 
-def solve_qp(p, tol=FEAS_TOL):
-    """Minimize 0.5 x.H x + g.x subject to the problem's constraints."""
-    n = p.g.size
-    G, h = (p.A_in, p.b_in) if p.A_in is not None else _empty(n)
-    A, b = (p.A_eq, p.b_eq) if p.A_eq is not None else _empty(n)
-    st, x, kkt, it, cert = _ipm(p.H, p.g[None], A, b, G, h[None], tol, newton=p._newton)[0]
+def solve_qp(p):
+    """Minimize 0.5 x.H x + g.x subject to the problem's constraints, to
+    QP_TOL."""
+    A, b = (p.A_eq, p.b_eq) if p.A_eq is not None else _empty(p.g.size)
+    st, x, kkt, it, cert = _ipm(p.H, p.g[None], A, b, p.A_in, p.b_in[None], QP_TOL,
+                                newton=p._newton)[0]
     obj = float(0.5 * x @ p.H @ x + p.g @ x) if x is not None and st == Status.OPTIMAL else None
     return SolveReport(st, x, obj, kkt, it, cert)
 
@@ -681,8 +648,8 @@ def maximize_log_volume_batch(W, d, mode):
     vund (last k) of a box around the origin. ``mode`` selects f1
     (sum of log total widths) or f2 (sum of logs of both one-sided widths).
 
-    A coordinate pair whose feasible width is below 1e-9 (in f1 the larger
-    side, in f2 the smaller) is degenerate: it is pinned to zero width and
+    A coordinate pair whose feasible width is below DEGENERATE_WIDTH (in
+    f1 the larger side, in f2 the smaller) is degenerate: it is pinned to zero width and
     left out of the objective. In f1 mode a pair may survive with one side
     forced to zero (one-sided box); that side is fixed rather than treated
     as degenerate. A report has Unbounded status when some width is
@@ -708,7 +675,7 @@ def maximize_log_volume_batch(W, d, mode):
     up, dn = widths[:, :k], widths[:, k:]
     pair_width = np.maximum(up, dn) if mode == MODE_SUM_LOG_WIDTH else np.minimum(up, dn)
     # Live variables: members of kept pairs with nonvanishing width.
-    live = np.tile(pair_width >= 1e-9, 2) & (widths >= 1e-9)
+    live = np.tile(pair_width >= DEGENERATE_WIDTH, 2) & (widths >= DEGENERATE_WIDTH)
     reports = [None] * len(d)
     groups = {}
     for i in range(len(d)):

@@ -201,10 +201,10 @@ def _min_erosion_schedule(A, B, M):
     # Columns [theta | |theta|, |L| | t, s] to [theta | |theta|, t | |L|, s].
     o_b = 2 * n_th + n_L
     order = np.r_[:2 * n_th, o_b:o_b + M, 2 * n_th:o_b, o_b + M:G.shape[1]]
-    rep = solver.solve_lp(solver.LpProblem(
-        c=np.where(order >= o_b, -1.0, 0.0), A=G[:, order], b=h,
+    rep = solver.solve_lp_batch(
+        np.where(order >= o_b, -1.0, 0.0), G[:, order], h,
         A_eq=np.hstack([maps[M], np.zeros((n * n, G.shape[1] - n_th))]),  # L_M = 0
-        b_eq=-Apow[M].reshape(-1)), tol=EROSION_LP_TOL)
+        b_eq=-Apow[M].reshape(-1), tol=EROSION_LP_TOL)[0]
     if rep.status != solver.Status.OPTIMAL:
         return None
     return list(rep.x[:n_th].reshape(M, nu, n))
@@ -340,10 +340,6 @@ class RmpcSetup:
     @property
     def nu(self):
         return self.plant.nu
-
-    @property
-    def A_cl(self):
-        return self.plant.A + self.plant.B @ self.F
 
 
 def build_setup(plant, N, M, F, K, Q, R):

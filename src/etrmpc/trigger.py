@@ -86,10 +86,6 @@ class PrincipalPolytope:
         meta = [("raw", 0, r) for r in range(G.shape[0])]
         return cls(G.shape[1], W, np.maximum(d, 0.0), G, meta)
 
-    @property
-    def n_rows(self):
-        return self.d.size
-
     def box_slack(self, box):
         """min over rows of d - w.[vbar; vund]; >= 0 certifies the box."""
         v = np.concatenate([box.upper, -box.lower])
@@ -181,11 +177,12 @@ def construct_boxes(pps, method):
 
     CP1/CP2, the exact convex-program route, maximize the product of total
     widths (CP1) or of both one-sided widths (CP2) in one batched solve;
-    coordinates with feasible width below 1e-9 are clamped to zero width
-    and reported as degenerate. LP1/LP2 relax over the per-direction
-    widths of the lifted polytope (row ratios): LP1 by one scaling LP per
-    polytope over the summed widths, batched per active mask, LP2 by a
-    scalar scaling step over the widths themselves. Each box is certified
+    coordinates with feasible width below solver.DEGENERATE_WIDTH get
+    zero width and are reported as degenerate. LP1/LP2 relax over the
+    per-direction widths of the lifted polytope (row ratios): LP1 by one
+    scaling LP per polytope over the summed widths, batched per active
+    mask, LP2 by a scalar scaling step over the widths themselves, and
+    zero a width at or below that threshold. Each box is certified
     against its rows; failures carry the 1-based ``j=`` of the first.
     """
     if method not in METHODS:
@@ -246,7 +243,7 @@ def _lp1_scaling_lp(pp):
     # threshold collapse to zero-width coordinates.
     w = solver.coordinate_widths(pp.W, d)
     r = w[:k] + w[k:]
-    r[r <= 1e-9] = 0.0
+    r[r <= solver.DEGENERATE_WIDTH] = 0.0
     act = r > 0.0
     if np.any(np.isinf(w)) or not np.any(act):
         return w, r, None, None
@@ -334,7 +331,7 @@ def _lp2_box(pp):
     r = solver.coordinate_widths(W, d)
     if np.any(np.isinf(r)):
         raise TriggerError("principal polytope leaves a box coordinate unbounded")
-    r[r <= 1e-9] = 0.0
+    r[r <= solver.DEGENERATE_WIDTH] = 0.0
     prof = W @ r
     pos = prof > 0
     lam = float(np.min(d[pos] / prof[pos])) if np.any(pos) else 0.0

@@ -135,7 +135,7 @@ def _floor_snap_volume(box, steps, q):
 
 def test_criterion_5_geometry_suite():
     # Pontryagin box erosion closed forms, exact to 1e-12.
-    outer = Polytope.from_box([-2.0, -2.0], [2.0, 2.0])
+    outer = HyperRect([-2.0, -2.0], [2.0, 2.0]).to_polytope()
     eroded = pontryagin_diff(outer, HyperRect([-0.5, -0.5], [0.5, 0.5]))
     assert np.max(np.abs(eroded.b - 1.5)) <= 1e-12
     eroded = pontryagin_diff(outer, HyperRect([-0.02] * 2, [0.02] * 2))
@@ -202,11 +202,11 @@ def test_criterion_6_zero_disturbance(setup):
 
 
 def test_criterion_7_shape_diagnostic():
-    square = Polytope.from_box([-1, -1], [1, 1])
+    square = HyperRect([-1, -1], [1, 1]).to_polytope()
     assert shape_ratios(square.A, square.b)[0] == 1.0
-    cube = Polytope.from_box([-0.3] * 3, [0.3] * 3)
+    cube = HyperRect([-0.3] * 3, [0.3] * 3).to_polytope()
     assert shape_ratios(cube.A, cube.b)[0] == 1.0
-    offset = Polytope.from_box([-0.1, -1.0], [1.9, 1.0])
+    offset = HyperRect([-0.1, -1.0], [1.9, 1.0]).to_polytope()
     assert shape_ratios(offset.A, offset.b)[0] == pytest.approx(10.0, abs=1e-6)
 
     pp = PrincipalPolytope.from_error_rows(ILL_SHAPED_G, ILL_SHAPED_D)

@@ -10,8 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from etrmpc import solver  # noqa: E402
-from etrmpc.solver import (LpProblem, Status, maximize_log_volume_batch,  # noqa: E402
-                           solve_lp, solve_lp_batch)
+from etrmpc.solver import Status, maximize_log_volume_batch, solve_lp_batch  # noqa: E402
 
 from test_solver import same_report  # noqa: E402
 
@@ -56,7 +55,7 @@ def test_batch_member_matches_solo_solve(seed, n, m, kinds):
     batch = solve_lp_batch(C, A, B)
     assert len(batch) == len(kinds)
     for (c, b), rep in zip(members, batch):
-        assert same_report(rep, solve_lp(LpProblem(c=c, A=A, b=b)))
+        assert same_report(rep, solve_lp_batch(c, A, b)[0])
 
 
 def own_rows_member(rng, n, m, kind):
@@ -95,12 +94,12 @@ def test_per_problem_rows_member_matches_solo_solve(seed, n, m, kinds):
     rng = np.random.default_rng(seed)
     kinds = ["bounded", "infeasible", "opposed", "unbounded", "slow"] + kinds
     members = [own_rows_member(rng, n, m, kinds[i]) for i in rng.permutation(len(kinds))]
-    free = [solve_lp(LpProblem(c=c, A=A, b=b)) for A, c, b in members]
+    free = [solve_lp_batch(c, A, b)[0] for A, c, b in members]
     A, C, B = (np.array(v) for v in zip(*members))
     assert all(same_report(a, b) for a, b in zip(solve_lp_batch(C, A, B), free))
     cap = max(r.iterations for r in free if r.status == Status.OPTIMAL) - 1
     with mock.patch.object(solver, "MAX_ITER", cap):
-        solo = [solve_lp(LpProblem(c=c, A=Ak, b=b)) for Ak, c, b in members]
+        solo = [solve_lp_batch(c, Ak, b)[0] for Ak, c, b in members]
         batch = solve_lp_batch(C, A, B)
     assert len(batch) == len(members)
     assert all(same_report(a, b) for a, b in zip(batch, solo))
@@ -109,51 +108,48 @@ def test_per_problem_rows_member_matches_solo_solve(seed, n, m, kinds):
                           for k in capped)
 
 
-def split_rows_member(rng, n, m, kind):
-    """Rows, objective and offsets of one LP whose one-entry rows sit in
-    places of its own. Every variable is boxed by one-entry rows, and m
-    rows touch a random subset of the variables (all of them for a dense
-    member, none for a boxed one). A variable that only its box touches is
-    eliminated from the Newton step. An unbounded member loses one
-    variable's upper bound and rises along it; an infeasible one has
-    opposed bounds on one variable."""
-    eye = np.eye(n)
-    touched = {"dense": np.ones(n, bool), "boxed": np.zeros(n, bool)}.get(
-        kind, rng.random(n) < 0.5)
-    A = np.vstack([rng.normal(size=(m, n)) * touched, eye, -eye])
-    b = A @ (rng.normal(size=n) * 0.5) + rng.uniform(0.1, 1.5, size=A.shape[0])
-    c = rng.normal(size=n)
-    j = rng.integers(n)
-    if kind == "unbounded":
-        A[:m, j] = A[m + j, j] = 0.0
-        c[j] = abs(c[j]) + 0.1
-    elif kind == "infeasible":
-        b[m + j] = b[m + n + j] = -1.0  # x_j <= -1 and x_j >= 1
-    return A, c, b
-
-
 @hypothesis.settings(max_examples=30, deadline=None)
 @hypothesis.given(seed=st.integers(0, 2**32 - 1),
-                  n=st.integers(2, 4), m=st.integers(1, 6),
+                  n=st.integers(3, 5), m=st.integers(1, 8), p=st.integers(1, 2),
                   kinds=st.lists(st.sampled_from(["bounded", "infeasible", "unbounded"]),
                                  max_size=4))
-def test_eliminated_variables_come_from_own_rows(seed, n, m, kinds):
-    # Each member of the stack has its one-entry rows in places of its own,
-    # so each has its own set of eliminated variables; none comes from the
-    # rest of the batch. Every member must equal its solo solve, at the
-    # full cap and with the cap one short of the slowest optimal member.
+def test_equality_rows_member_matches_solo_solve(seed, n, m, p, kinds):
+    # The min-erosion LP's route: shared equality rows beside the shared
+    # inequality rows. The equality rows pass through one point x0, inside
+    # every member's inequality rows but an infeasible member's box, and
+    # leave x_last free, so e_last stays the unbounded members' ray. Every
+    # batch holds a bounded, an infeasible and an unbounded member. Each
+    # must equal its solo solve, at the full cap and with the cap one short
+    # of the slowest optimal member.
     rng = np.random.default_rng(seed)
-    kinds = ["dense", "boxed", "bounded", "infeasible", "unbounded"] + kinds
-    members = [split_rows_member(rng, n, m, kinds[i]) for i in rng.permutation(len(kinds))]
-    A, C, B = (np.array(v) for v in zip(*members))
-    splits = {solver._rows_on(np.zeros((n, n)), np.zeros((0, n)), Ak).tobytes() for Ak in A}
-    assert len(splits) >= 2
-    free = [solve_lp(LpProblem(c=c, A=Ak, b=b)) for Ak, c, b in members]
-    assert all(same_report(a, b) for a, b in zip(solve_lp_batch(C, A, B), free))
+    A = shared_rows(rng, n, m)
+    p = min(p, n - 2)
+    A_eq = np.hstack([rng.normal(size=(p, n - 1)), np.zeros((p, 1))])
+    x0 = rng.normal(size=n) * 0.5
+    b_eq = A_eq @ x0
+    kinds = ["bounded", "infeasible", "unbounded"] + kinds
+    C, B = [], []
+    for i in rng.permutation(len(kinds)):
+        c, _ = member(rng, A, kinds[i])
+        b = A @ x0 + rng.uniform(0.1, 1.5, size=A.shape[0])
+        if kinds[i] == "infeasible":
+            b[m] = b[m + n - 1] = -1.0  # x_0 <= -1 and x_0 >= 1
+        C.append(c)
+        B.append(b)
+    C, B = np.array(C), np.array(B)
+    free = [solve_lp_batch(c, A, b, A_eq, b_eq)[0] for c, b in zip(C, B)]
+    batch = solve_lp_batch(C, A, B, A_eq, b_eq)
+    assert len(batch) == len(kinds)
+    assert all(same_report(a, b) for a, b in zip(batch, free))
+    statuses = {r.status for r in free}
+    assert {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED} <= statuses
+    scale = 1.0 + max(np.max(np.abs(B)), np.max(np.abs(b_eq)))
+    assert all(np.max(np.abs(A_eq @ r.x - b_eq)) <= 1e-8 * scale
+               for r in free if r.status == Status.OPTIMAL)
     cap = max(r.iterations for r in free if r.status == Status.OPTIMAL) - 1
     with mock.patch.object(solver, "MAX_ITER", cap):
-        solo = [solve_lp(LpProblem(c=c, A=Ak, b=b)) for Ak, c, b in members]
-        batch = solve_lp_batch(C, A, B)
+        solo = [solve_lp_batch(c, A, b, A_eq, b_eq)[0] for c, b in zip(C, B)]
+        batch = solve_lp_batch(C, A, B, A_eq, b_eq)
     assert all(same_report(a, b) for a, b in zip(batch, solo))
 
 

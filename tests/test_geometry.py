@@ -10,7 +10,7 @@ from oracles import enumerate_vertices, grid_projection, highs_chebyshev
 
 
 def unit_box(n=2, half=1.0):
-    return Polytope.from_box(-half * np.ones(n), half * np.ones(n))
+    return HyperRect(-half * np.ones(n), half * np.ones(n)).to_polytope()
 
 
 def project(point, target, weight):
@@ -99,7 +99,7 @@ class TestPontryagin:
         assert np.allclose(res.b, [0.8, 0.95, 0.8, 0.95], atol=1e-12)
 
     def test_polytope_subtrahend_via_lp(self):
-        sub = Polytope.from_box([-0.25, -0.25], [0.25, 0.25])
+        sub = HyperRect([-0.25, -0.25], [0.25, 0.25]).to_polytope()
         res = pontryagin_diff(unit_box(2, 1.0), sub)
         assert np.allclose(res.b, 0.75 * np.ones(4), atol=1e-7)
 
@@ -188,9 +188,9 @@ class TestWeightedProjection:
         calls = []
         solve_qp = solver.solve_qp
 
-        def counting(p, tol):
+        def counting(p):
             calls.append(p)
-            return solve_qp(p, tol)
+            return solve_qp(p)
 
         monkeypatch.setattr(solver, "solve_qp", counting)
         M = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -258,9 +258,9 @@ class TestWeightedProjections:
         calls = []
         solve_qp = solver.solve_qp
 
-        def counting(p, tol):
+        def counting(p):
             calls.append(p)
-            return solve_qp(p, tol)
+            return solve_qp(p)
 
         monkeypatch.setattr(solver, "solve_qp", counting)
         if case == "non_diagonal_weight":
@@ -292,7 +292,7 @@ class TestChebyshev:
 
     def test_offset_box(self):
         center, radius = chebyshev(
-            Polytope.from_box([-0.1, -1.0], [1.9, 1.0]))
+            HyperRect([-0.1, -1.0], [1.9, 1.0]).to_polytope())
         assert radius == pytest.approx(1.0, abs=1e-8)
         assert center[0] == pytest.approx(0.9, abs=1e-6)
 
@@ -343,11 +343,11 @@ class TestShapeRatio:
         assert shape_ratios(poly.A, poly.b)[0] == 1.0
 
     def test_offset_box_closed_form(self):
-        poly = Polytope.from_box([-0.1, -1.0], [1.9, 1.0])
+        poly = HyperRect([-0.1, -1.0], [1.9, 1.0]).to_polytope()
         assert shape_ratios(poly.A, poly.b)[0] == pytest.approx(10.0, abs=1e-6)
 
     def test_origin_on_boundary_infinite(self):
-        poly = Polytope.from_box([0.0, -1.0], [2.0, 1.0])
+        poly = HyperRect([0.0, -1.0], [2.0, 1.0]).to_polytope()
         assert shape_ratios(poly.A, poly.b)[0] == np.inf
 
     def test_always_at_least_one(self):
@@ -383,7 +383,7 @@ class TestTypes:
         with pytest.raises(ValueError):
             HyperRect([1.0], [0.0])
         box = HyperRect([0.0], [0.0])  # zero width allowed
-        assert box.widths[0] == 0.0
+        assert (box.upper - box.lower)[0] == 0.0
 
     def test_box_to_polytope_layout(self):
         box = HyperRect([-1.0, -2.0], [3.0, 4.0])
@@ -456,6 +456,6 @@ class TestTypes:
             b = A @ rng.normal(size=n) + rng.uniform(0.1, 1.0, size=A.shape[0])
             poly = Polytope(A, b)
             per_axis = all(
-                solver.solve_lp(solver.LpProblem(c=sgn * e, A=A, b=b)).status
+                solver.solve_lp_batch(sgn * e, A, b)[0].status
                 == solver.Status.OPTIMAL for e in np.eye(n) for sgn in (1.0, -1.0))
             assert poly.is_bounded() == per_axis

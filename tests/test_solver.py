@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from etrmpc import solver
-from etrmpc.solver import (LpProblem, QpProblem, Status, maximize_log_volume_batch,
-                           solve_lp, solve_lp_batch, solve_qp)
+from etrmpc.solver import (QpProblem, Status, maximize_log_volume_batch, solve_lp_batch,
+                           solve_qp)
 
 from oracles import (grid_box_volume, highs_max, lp_max_by_vertices,
                      projected_gradient_qp, slsqp_log_volume)
@@ -18,7 +18,7 @@ def box_rows(n, half):
 class TestLp:
     def test_max_coordinate_over_unit_box(self):
         A, b = box_rows(2, 1.0)
-        rep = solve_lp(LpProblem(c=[1.0, 0.0], A=A, b=b))
+        rep = solve_lp_batch([1.0, 0.0], A, b)[0]
         assert rep.status == Status.OPTIMAL
         assert rep.objective == pytest.approx(1.0, abs=1e-7)
 
@@ -26,7 +26,7 @@ class TestLp:
         # max x1+x2 on the simplex: any optimal vertex gives 1.
         A = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         b = np.array([1.0, 0.0, 0.0])
-        rep = solve_lp(LpProblem(c=[1.0, 1.0], A=A, b=b))
+        rep = solve_lp_batch([1.0, 1.0], A, b)[0]
         assert rep.status == Status.OPTIMAL
         assert rep.objective == pytest.approx(1.0, abs=1e-7)
 
@@ -44,7 +44,7 @@ class TestLp:
                 A = np.vstack([A, Abox])
                 b = np.concatenate([b, bbox])
                 c = rng.normal(size=n)
-                rep = solve_lp(LpProblem(c=c, A=A, b=b))
+                rep = solve_lp_batch(c, A, b)[0]
                 assert rep.status == Status.OPTIMAL
                 assert rep.objective == pytest.approx(
                     lp_max_by_vertices(c, A, b), abs=1e-7)
@@ -68,7 +68,7 @@ class TestLp:
                 A_eq = rng.normal(size=(int(rng.integers(1, n)), n))
                 b_eq = A_eq @ x0
             c = rng.normal(size=n)
-            rep = solve_lp(LpProblem(c=c, A=A, b=b, A_eq=A_eq, b_eq=b_eq))
+            rep = solve_lp_batch(c, A, b, A_eq, b_eq)[0]
             assert rep.status == Status.OPTIMAL
             assert rep.objective == pytest.approx(
                 highs_max(c, A, b, A_eq, b_eq), rel=1e-7)
@@ -76,13 +76,13 @@ class TestLp:
     def test_infeasible(self):
         A = np.array([[1.0], [-1.0]])
         b = np.array([-1.0, -1.0])  # x <= -1 and x >= 1
-        rep = solve_lp(LpProblem(c=[1.0], A=A, b=b))
+        rep = solve_lp_batch([1.0], A, b)[0]
         assert rep.status == Status.INFEASIBLE
 
     def test_unbounded(self):
         A = np.array([[-1.0, 0.0], [0.0, -1.0]])
         b = np.zeros(2)
-        rep = solve_lp(LpProblem(c=[1.0, 1.0], A=A, b=b))
+        rep = solve_lp_batch([1.0, 1.0], A, b)[0]
         assert rep.status == Status.UNBOUNDED
 
     def test_unbounded_from_infeasible_start(self):
@@ -90,7 +90,7 @@ class TestLp:
         # never pass the divergence test and the loop runs to the cap; the
         # recession LP max c.d, G d <= 0, |d| <= 1 has optimum 1.
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
-        rep = solve_lp(LpProblem(c=[0.5, 1.0], A=A, b=[1.0, 1.0, 0.3]))
+        rep = solve_lp_batch([0.5, 1.0], A, [1.0, 1.0, 0.3])[0]
         assert rep.status == Status.UNBOUNDED
         assert rep.x is None and rep.objective is None
 
@@ -108,16 +108,16 @@ class TestLp:
     def test_objective_scaling_keeps_argmax(self):
         A, b = box_rows(2, 1.0)
         c = np.array([0.7, -0.3])
-        r1 = solve_lp(LpProblem(c=c, A=A, b=b))
-        r2 = solve_lp(LpProblem(c=5.0 * c, A=A, b=b))
+        r1 = solve_lp_batch(c, A, b)[0]
+        r2 = solve_lp_batch(5.0 * c, A, b)[0]
         assert np.allclose(r1.x, r2.x, atol=1e-6)
         assert r2.objective == pytest.approx(5.0 * r1.objective, rel=1e-7)
 
     def test_determinism(self):
         A, b = box_rows(3, 2.0)
         c = np.array([0.3, -1.1, 0.2])
-        r1 = solve_lp(LpProblem(c=c, A=A, b=b))
-        r2 = solve_lp(LpProblem(c=c, A=A, b=b))
+        r1 = solve_lp_batch(c, A, b)[0]
+        r2 = solve_lp_batch(c, A, b)[0]
         assert r1.x.tobytes() == r2.x.tobytes()
         assert r1.objective == r2.objective
 
@@ -128,8 +128,8 @@ class TestLp:
         A = np.vstack([rng.normal(size=(8, 3)), *box_rows(3, 2.0)[:1]])
         b = np.concatenate([rng.uniform(0.2, 1.0, size=8), np.full(6, 2.0)])
         c = rng.normal(size=3)
-        r1 = solve_lp(LpProblem(c=c, A=A, b=b))
-        r2 = solve_lp(LpProblem(c=c, A=np.asfortranarray(A), b=b))
+        r1 = solve_lp_batch(c, A, b)[0]
+        r2 = solve_lp_batch(c, np.asfortranarray(A), b)[0]
         assert same_report(r1, r2)
 
     def test_capped_feasible_lp_with_large_offsets_is_not_infeasible(self, monkeypatch):
@@ -146,12 +146,12 @@ class TestLp:
         b = np.array([8.7508737031176850e+07, 1.4424782534987053e+08, 2.0293702665065527e+07,
                       -3.2565288338756524e+07, 1.2679107962602997e+08, 2.4359327248408563e+07,
                       -1.2679107817519549e+08, -2.4359326363812324e+07, -1.7445708910479489e+08])
-        full = solve_lp(LpProblem(c=c, A=A, b=b))
+        full = solve_lp_batch(c, A, b)[0]
         assert full.status == Status.OPTIMAL and full.iterations > 14
         assert solver.feasibility(A, b[None])[0] is not None
         for cap in (14, full.iterations - 1):
             monkeypatch.setattr(solver, "MAX_ITER", cap)
-            assert solve_lp(LpProblem(c=c, A=A, b=b)).status == Status.MAXITER
+            assert solve_lp_batch(c, A, b)[0].status == Status.MAXITER
 
 
 def same_report(a, b):
@@ -171,7 +171,7 @@ class TestLpBatch:
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
         C = np.array([[0.5, -1.0], [0.5, 1.0], [0.5, 1.0], [0.5, 1.0]])
         B = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.3]])
-        solo = [solve_lp(LpProblem(c=c, A=A, b=b)) for c, b in zip(C, B)]
+        solo = [solve_lp_batch(c, A, b)[0] for c, b in zip(C, B)]
         assert [r.status for r in solo[:3]] == [Status.OPTIMAL, Status.INFEASIBLE,
                                                 Status.UNBOUNDED]
         for order in (slice(None), slice(None, None, -1)):
@@ -182,10 +182,10 @@ class TestLpBatch:
         A, b = box_rows(2, 1.0)
         C = np.array([[1.0, 0.5], [-0.3, 2.0]])
         batch = solve_lp_batch(C, A, b)
-        assert all(same_report(r, solve_lp(LpProblem(c=c, A=A, b=b))) for r, c in zip(batch, C))
+        assert all(same_report(r, solve_lp_batch(c, A, b)[0]) for r, c in zip(batch, C))
         B = np.array([b, 2.0 * b])
         batch = solve_lp_batch(C[0], A, B)
-        assert all(same_report(r, solve_lp(LpProblem(c=C[0], A=A, b=bk)))
+        assert all(same_report(r, solve_lp_batch(C[0], A, bk)[0])
                    for r, bk in zip(batch, B))
 
     def test_singular_kkt_retried_per_member(self):
@@ -197,35 +197,46 @@ class TestLpBatch:
         A = np.array([[1e10, 1e10], [-1e10, -1e10]])
         C = np.array([[1.0, 1.0], [1e30, 1e30], [1.0, 1.0]])
         B = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
-        solo = [solve_lp(LpProblem(c=c, A=A, b=b)) for c, b in zip(C, B)]
+        solo = [solve_lp_batch(c, A, b)[0] for c, b in zip(C, B)]
         assert solo[1].status == Status.OPTIMAL
         batch = solve_lp_batch(C, A, B)
         assert all(same_report(a, b) for a, b in zip(batch, solo))
 
     def test_singular_newton_retried_with_eliminated_variable(self, monkeypatch):
-        # The rows of the test above plus a third variable boxed by
-        # one-entry rows, which the Newton step eliminates: the retries
-        # rebuild the Schur complement and the S block per member.
-        A = np.array([[1e10, 1e10, 0.0], [-1e10, -1e10, 0.0], [0.0, 0.0, 1.0],
-                      [0.0, 0.0, -1.0]])
-        C = np.array([[1.0, 1.0, 1.0], [1e30, 1e30, 1.0], [1.0, 1.0, -1.0]])
-        B = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 2.0, 0.0], [3.0, 3.0, 1.0, 1.0]])
-        assert solver._rows_on(np.zeros((3, 3)), np.zeros((0, 3)), A).tolist() == [-1, -1, 2, 2]
-        raised = []
-        solve = solver._Newton.solve
+        # A QP on the rows of the test above, scaled to 1e5, plus a third
+        # variable boxed by one-entry rows, which its Newton step
+        # eliminates. H is zero on the first two variables, so a ridge of
+        # 1e-12 * scale_d is lost in the entries of about 1e10 and the
+        # first Newton solve fails; the retries rebuild the Schur
+        # complement and the S block with a larger ridge until one holds.
+        a = 1e5
+        A = np.array([[a, a, 0.0], [-a, -a, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        p = QpProblem(H=np.diag([0.0, 0.0, 1.0]), g=[-10.0, -10.0, 2.0], A_in=A,
+                      b_in=np.ones(4))
+        assert p._newton.S.tolist() == [2]
+        solves, built = [], []
+        solve, matrix = solver._Newton.solve, solver._Newton.matrix
 
         def counting(self, K, inv, rhs):
             try:
-                return solve(self, K, inv, rhs)
+                out = solve(self, K, inv, rhs)
             except np.linalg.LinAlgError:
-                raised.append(len(rhs))
+                solves.append(False)
                 raise
+            solves.append(True)
+            return out
 
         monkeypatch.setattr(solver._Newton, "solve", counting)
-        solo = [solve_lp(LpProblem(c=c, A=A, b=b)) for c, b in zip(C, B)]
-        batch = solve_lp_batch(C, A, B)
-        assert 3 in raised and 1 in raised  # the stacked solve and the retries
-        assert all(same_report(a, b) for a, b in zip(batch, solo))
+        monkeypatch.setattr(solver._Newton, "matrix",
+                            lambda self, G, d, reg: built.append(reg[0])
+                            or matrix(self, G, d, reg))
+        rep = solve_qp(p)
+        assert solves[0] is False  # the first Newton solve fails
+        assert len(built) > rep.iterations  # rebuilt with a larger ridge
+        assert max(built) >= 1e4 * min(built)
+        assert rep.status == Status.OPTIMAL
+        assert rep.x[2] == pytest.approx(-1.0, abs=1e-8)
+        assert a * (rep.x[0] + rep.x[1]) == pytest.approx(1.0, abs=1e-6)
 
     def test_per_problem_rows_leave_with_their_member(self):
         # Members 0 and 2 have the singular rows of the test above and
@@ -235,7 +246,7 @@ class TestLpBatch:
                       [[1e10, 1e10], [-1e10, -1e10]]])
         C = np.ones((3, 2))
         B = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
-        solo = [solve_lp(LpProblem(c=c, A=Ak, b=b)) for c, Ak, b in zip(C, A, B)]
+        solo = [solve_lp_batch(c, Ak, b)[0] for c, Ak, b in zip(C, A, B)]
         assert solo[1].status == Status.OPTIMAL and solo[0].status != Status.OPTIMAL
         for order in (slice(None), slice(None, None, -1)):
             batch = solve_lp_batch(C[order], A[order], B[order])
@@ -248,10 +259,8 @@ class TestLpBatch:
             solve_lp_batch(np.ones(2), stack, np.array([b, b, b]))
         with pytest.raises(ValueError):
             solve_lp_batch(np.ones((3, 2)), stack, b)
-        with pytest.raises(ValueError):
-            LpProblem(c=np.ones(2), A=stack, b=b)
         batch = solve_lp_batch(np.ones(2), stack, b)  # shared c and b
-        assert all(same_report(r, solve_lp(LpProblem(c=np.ones(2), A=A, b=b))) for r in batch)
+        assert all(same_report(r, solve_lp_batch(np.ones(2), A, b)[0]) for r in batch)
 
     def test_iteration_cap_stays_with_its_member(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -260,7 +269,7 @@ class TestLpBatch:
         B = np.array([A @ (rng.normal(size=n) * 0.3) + rng.uniform(0.05, 1.5, size=A.shape[0])
                       for _ in range(5)])
         C = rng.normal(size=(5, n))
-        solo = [solve_lp(LpProblem(c=c, A=A, b=b)) for c, b in zip(C, B)]
+        solo = [solve_lp_batch(c, A, b)[0] for c, b in zip(C, B)]
         its = [r.iterations for r in solo]
         slow = int(np.argmax(its))
         assert sorted(its)[-2] < its[slow]  # one member needs the most iterations
@@ -269,7 +278,7 @@ class TestLpBatch:
         assert [r.status for r in batch] == [
             Status.MAXITER if k == slow else Status.OPTIMAL for k in range(len(its))]
         assert batch[slow].iterations == its[slow] - 1
-        assert same_report(batch[slow], solve_lp(LpProblem(c=C[slow], A=A, b=B[slow])))
+        assert same_report(batch[slow], solve_lp_batch(C[slow], A, B[slow])[0])
         assert all(same_report(r, solo[k]) for k, r in enumerate(batch) if k != slow)
 
 
@@ -302,7 +311,7 @@ class TestNewtonStep:
         for _ in range(5):
             H, A, G = structured_qp(rng, nu, ns, p)
             n, m = H.shape[0], G.shape[0]
-            newton = solver._Newton(H, A, solver._rows_on(H, A, G))
+            newton = solver._Newton(H, A, G)
             assert newton.S.tolist() == list(range(nu, n))
             d = rng.uniform(0.1, 10.0, size=(nb, m))
             reg = 1e-12 * rng.uniform(1.0, 10.0, nb)
@@ -324,7 +333,7 @@ class TestNewtonStep:
         root = rng.normal(size=(n, n))
         H, G = root @ root.T, rng.normal(size=(m, n))
         A = np.zeros((0, n))
-        newton = solver._Newton(H, A, solver._rows_on(H, A, G))
+        newton = solver._Newton(H, A, G)
         assert newton.S.size == 0
         d, reg, rhs = rng.uniform(0.1, 10.0, (2, m)), np.full(2, 1e-12), rng.normal(size=(2, n))
         K, inv = newton.matrix(G, d, reg)
@@ -350,9 +359,6 @@ class TestNewtonStep:
         # A variable no row touches is not eliminated.
         assert solver._rows_on(np.eye(3), none, G[:, :2] @ np.eye(2, 3)).tolist() == \
             [0, 1, -1, 0, 1, -1]
-        # A stack splits each problem by its own rows.
-        on = solver._rows_on(np.eye(3), none, np.array([G, G2[1:]]))
-        assert on.tolist() == [[0, 1, 2, 0, 1, 2], [-1, -1, 0, -1, -1, -1]]
 
     def test_diagonal_box_qp_eliminates_every_variable(self):
         # Every variable is eliminated, so the factorized matrix is empty;
@@ -362,7 +368,7 @@ class TestNewtonStep:
         A, b = box_rows(3, 1.0)
         p = QpProblem(H=np.diag(h), g=g, A_in=A, b_in=b)
         assert p._newton.U.size == 0
-        rep = solve_qp(p, tol=1e-10)
+        rep = solve_qp(p)
         assert rep.status == Status.OPTIMAL
         assert np.allclose(rep.x, np.clip(-g / h, -1.0, 1.0), atol=1e-8)
 
@@ -377,7 +383,7 @@ class TestNewtonStep:
             b_eq = A_eq @ rng.uniform(-0.2, 0.2, 6)
             p = QpProblem(H=H, g=g, A_in=G, b_in=h, A_eq=A_eq, b_eq=b_eq)
             assert p._newton.S.tolist() == [3, 4, 5]
-            rep = solve_qp(p, tol=1e-10)
+            rep = solve_qp(p)
             assert rep.status == Status.OPTIMAL
             ref = minimize(lambda x: 0.5 * x @ H @ x + g @ x, np.zeros(6),
                            jac=lambda x: H @ x + g, method="SLSQP",
@@ -404,13 +410,14 @@ class TestQp:
         assert 2 * rep.objective == pytest.approx(2.0, abs=1e-6)  # x.x = 1
 
     def test_unconstrained_analytic(self):
+        # Every problem needs inequality rows; one without them is rejected.
         rng = np.random.default_rng(3)
         Hroot = rng.normal(size=(4, 4))
         H = Hroot @ Hroot.T + 4.0 * np.eye(4)
         g = rng.normal(size=4)
-        rep = solve_qp(QpProblem(H=H, g=g))
-        assert rep.status == Status.OPTIMAL
-        assert np.allclose(rep.x, -np.linalg.solve(H, g), atol=1e-8)
+        for rows in ({}, {"A_in": np.zeros((0, 4)), "b_in": np.zeros(0)}):
+            with pytest.raises(ValueError):
+                QpProblem(H=H, g=g, **rows)
 
     def test_random_box_qps_match_projected_gradient(self):
         rng = np.random.default_rng(11)

@@ -271,7 +271,7 @@ class TestPlantValidation:
 
     def test_point_disturbance_set_allowed(self):
         plant = simple_plant(W_half=0.0)
-        assert np.all(plant.W.widths == 0.0)
+        assert np.all(plant.W.upper - plant.W.lower == 0.0)
 
     def test_polytope_sets_accepted(self):
         A = np.array([[1.1, 0.4], [0.0, 0.9]])

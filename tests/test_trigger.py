@@ -4,7 +4,6 @@ import pytest
 from etrmpc import geometry, solver, trigger
 from etrmpc.geometry import HyperRect
 from etrmpc.rmpc import MpcSolution, solve_rmpc
-from etrmpc.rmpc import stage_cost as rmpc_stage
 from etrmpc.tightening import (PlantModel, build_setup, synthesize_nominal_gain,
                                synthesize_tightening_gains)
 from etrmpc.trigger import (CP1, CP2, LP1, LP2, PrincipalPolytope,
@@ -13,6 +12,7 @@ from etrmpc.trigger import (CP1, CP2, LP1, LP2, PrincipalPolytope,
 
 from batch_reactor import X0, batch_setup, cross_polytope_setup
 from oracles import grid_box_volume, highs_lp1_scaling, highs_segment_length
+from test_rmpc import stage_cost as rmpc_stage
 
 
 # Hand-verified 2D polytopes (rows are in error coordinates, origin inside).
@@ -279,24 +279,25 @@ class TestNewtonSplit:
     def test_lps_eliminate_no_variable(self, monkeypatch):
         # LP1's scaling LPs, the Chebyshev LPs of the shape diagnostic and
         # the phase-1 LPs (here over the principal rows and over the box
-        # rows of the tightened targets) have no variable that only
-        # one-entry rows touch, so their Newton step stays the plain one.
+        # rows of the tightened targets) take the plain Newton step: only
+        # a QpProblem looks for variables to eliminate, so no LP calls
+        # _rows_on.
         setup = batch_setup()
         sol = solve_rmpc(setup, X0)
-        calls = []
-        rows_on = solver._rows_on
-        monkeypatch.setattr(solver, "_rows_on",
-                            lambda H, A, G: calls.append(rows_on(H, A, G)) or calls[-1])
+        split, loops = [], []
+        ipm = solver._ipm
+        monkeypatch.setattr(solver, "_rows_on", lambda *a: split.append(a))
+        monkeypatch.setattr(solver, "_ipm", lambda *a, **k: loops.append(a) or ipm(*a, **k))
         sched = build_schedule(setup, sol, LP1)
-        counts = [len(calls)]
+        counts = [len(loops)]
         sched.to_dict()
-        counts.append(len(calls))
+        counts.append(len(loops))
         solver.feasibility(setup.principal_rows.G, assemble_principal(setup, sol))
-        counts.append(len(calls))
+        counts.append(len(loops))
         geometry.are_empty(setup.TXseq[0].A, [t.b for t in setup.TXseq])
-        counts.append(len(calls))
+        counts.append(len(loops))
         assert np.all(np.diff([0] + counts) > 0)  # every kind of LP was solved
-        assert all(np.all(on == -1) for on in calls)
+        assert split == []
 
 
 class TestConstructBoxes:
@@ -623,16 +624,12 @@ class TestSchedule:
             calls.append(args)
             return batch(*args)
 
-        def forbidden(*args):
-            raise AssertionError("per-j solve on the trigger path")
-
         for s in (sol, solve_rmpc(setup, [0.1, 0.1, -0.1, 0.1])):
             plan = extended_plan(setup, s)
             pps = [PrincipalPolytope(setup.nx, *_per_row_principal(setup, plan, j))
                    for j in range(1, setup.N)]
             per_j = [construct_boxes([pp], method)[0] for pp in pps]
             with monkeypatch.context() as m:
-                m.setattr(solver, "solve_lp", forbidden)
                 m.setattr(solver, batched, counting)
                 sch = build_schedule(setup, s, method)
             if method == LP1:
