@@ -55,11 +55,6 @@ class HyperRect:
     def __repr__(self):
         return f"HyperRect(l={self.lower.tolist()}, u={self.upper.tolist()})"
 
-    def support(self, eta):
-        """h_B(eta) = sum_j max(eta_j * l_j, eta_j * u_j), exact."""
-        eta = np.asarray(eta, dtype=float)
-        return float(np.sum(np.maximum(eta * self.lower, eta * self.upper)))
-
     def contains(self, x, tol=FEAS_TOL):
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
@@ -167,14 +162,15 @@ def supports(poly, etas):
     """Support function h_S(eta) = max <eta, s> over the set, along every
     row of ``etas`` (B, n).
 
-    Exact closed form for a HyperRect. A general Polytope takes one
+    Exact closed form for a HyperRect B(l, u),
+    sum_j max(eta_j * l_j, eta_j * u_j). A general Polytope takes one
     batched LP solve for all directions; each value is bit-identical to
     that direction's LP solved alone. Raises UnboundedSupport /
     EmptySetError when an LP says so.
     """
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     if isinstance(poly, HyperRect):
-        return np.array([poly.support(eta) for eta in etas])
+        return np.sum(np.maximum(etas * poly.lower, etas * poly.upper), axis=1)
     reps = solver.solve_lp_batch(etas, poly.A, poly.b)
     for eta, rep in zip(etas, reps):
         if rep.status == solver.Status.UNBOUNDED:

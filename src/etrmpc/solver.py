@@ -11,9 +11,10 @@ one-entry inequality rows touch, with a diagonal Hessian block and no
 equality row, from each Newton step by a Schur complement, so only the
 rest is factorized (the RMPC QP's inputs); LPs take the plain Newton
 step. The hyper-rectangle volume objectives are maximized by the same
-scheme on the concave log objective, then an active-set Newton polish;
-log-volume problems that share W run in one loop as well
-(``maximize_log_volume_batch``), a single problem being a batch of one.
+scheme on the concave log objective, the result being the loop's last,
+interior iterate; log-volume problems that share W run in one loop as
+well (``maximize_log_volume_batch``), a single problem being a batch of
+one.
 No external solver dependencies; every run with the same inputs is
 bit-identical (fixed step rules, no restarts), and a problem's result
 does not depend on the batch it is solved in.
@@ -22,7 +23,7 @@ Project-wide tolerances: the LP loop stops when the scaled primal and
 dual residuals and the mean complementarity z.s/m, relative to
 1 + max|g| + max|H|, are all at most the caller's tolerance (1e-8 by
 default), a QP when they are at most 1e-10; the log-volume loop stops on
-the total gap u.t <= 1e-8. At most 200 iterations per solve.
+the total gap u.t <= 1e-10. At most 200 iterations per solve.
 """
 
 import copy
@@ -31,7 +32,7 @@ import enum
 import numpy as np
 
 FEAS_TOL = 1e-8
-GAP_TOL = 1e-8
+GAP_TOL = 1e-10
 MAX_ITER = 200
 
 # QPs are solved tighter than FEAS_TOL, so that the RMPC plan's
@@ -39,10 +40,8 @@ MAX_ITER = 200
 # FEAS_TOL and re-projected stage costs match the QP value.
 QP_TOL = 1e-10
 
-# Feasible width below which a box coordinate is degenerate and gets zero
-# width. maximize_log_volume_batch keeps a width >= it live; the LP box
-# routes of trigger.py zero a width <= it, so a width of exactly this
-# value is live for CP and degenerate for LP.
+# Feasible width at or below which a box coordinate is degenerate and
+# gets zero width, on the CP and the LP routes alike.
 DEGENERATE_WIDTH = 1e-9
 
 # Objective magnitude beyond which a feasible minimizing sequence is
@@ -571,6 +570,8 @@ def _crossover(c, A, b, G, h, x):
     n = x.size
     scale = 1.0 + float(np.max(np.abs(h), initial=0.0))
     slack = h - G @ x
+    if A.shape[0] + np.count_nonzero(slack <= 1e-5 * scale) < n:
+        return x  # the basis takes only these rows, so it cannot be full
     order = np.argsort(slack, kind="stable")
     rows = []
     basis = [A[i] for i in range(A.shape[0])]
@@ -648,15 +649,16 @@ def maximize_log_volume_batch(W, d, mode):
     vund (last k) of a box around the origin. ``mode`` selects f1
     (sum of log total widths) or f2 (sum of logs of both one-sided widths).
 
-    A coordinate pair whose feasible width is below DEGENERATE_WIDTH (in
-    f1 the larger side, in f2 the smaller) is degenerate: it is pinned to zero width and
-    left out of the objective. In f1 mode a pair may survive with one side
-    forced to zero (one-sided box); that side is fixed rather than treated
-    as degenerate. A report has Unbounded status when some width is
-    infinite, and MaxIter with the polished point when the interior-point
-    loop stops at MAX_ITER iterations before converging. Problems with the
-    same live variables (neither pinned nor degenerate) run in one loop;
-    each report is bit-identical to that problem's batch of one.
+    A coordinate pair whose feasible width is at most DEGENERATE_WIDTH (in
+    f1 the larger side, in f2 the smaller) is degenerate: it is pinned to
+    zero width and left out of the objective. In f1 mode a pair may survive
+    with one side forced to zero (one-sided box); that side is fixed rather
+    than treated as degenerate. A report has Unbounded status when some
+    width is infinite, and MaxIter when the interior-point loop stops at
+    MAX_ITER iterations before converging. The point is the loop's last
+    iterate, with every live variable positive. Problems with the same live
+    variables (neither pinned nor degenerate) run in one loop; each report
+    is bit-identical to that problem's batch of one.
     """
     W = np.asarray(W, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -675,7 +677,7 @@ def maximize_log_volume_batch(W, d, mode):
     up, dn = widths[:, :k], widths[:, k:]
     pair_width = np.maximum(up, dn) if mode == MODE_SUM_LOG_WIDTH else np.minimum(up, dn)
     # Live variables: members of kept pairs with nonvanishing width.
-    live = np.tile(pair_width >= DEGENERATE_WIDTH, 2) & (widths >= DEGENERATE_WIDTH)
+    live = np.tile(pair_width > DEGENERATE_WIDTH, 2) & (widths > DEGENERATE_WIDTH)
     reports = [None] * len(d)
     groups = {}
     for i in range(len(d)):
@@ -701,24 +703,15 @@ def maximize_log_volume_batch(W, d, mode):
         keep = np.max(np.abs(Wa), axis=1) > 0
         Wa, da = Wa[keep], d[members][:, keep]
         solved = _path_following(Wa, da, S, widths[members][:, mask])
-        for i, dk, (v, residual, iters, converged) in zip(members, da, solved):
+        for i, (v, residual, iters, converged) in zip(members, solved):
             if v is None:
                 reports[i] = SolveReport(Status.MAXITER, None, None, np.inf, iters)
                 continue
-            v = _kkt_polish(Wa, dk, S, v)
             full = np.zeros(2 * k)
             full[mask] = v
             status = Status.OPTIMAL if converged else Status.MAXITER
-            reports[i] = SolveReport(status, full, _log_volume(v, S), residual, iters)
+            reports[i] = SolveReport(status, full, sum(np.log(S @ v).tolist()), residual, iters)
     return reports
-
-
-def _log_volume(v, S):
-    """sum over log terms of log(S v); -inf off-domain."""
-    s = S @ v
-    if np.any(s <= 0):
-        return -np.inf
-    return sum(np.log(s).tolist())
 
 
 def _log_volume_derivatives(v, S):
@@ -846,65 +839,3 @@ def _ridge_solve(Hm, rhs):
             return None
         reg = max(reg * 100.0, 1e-14 * max(scale, 1.0))
     return None
-
-
-def _kkt_polish(W, d, S, v):
-    """Active-set Newton refinement to machine accuracy.
-
-    Pins the (near-)active constraint rows and near-zero variables as
-    equalities and runs equality-constrained Newton on the smooth concave
-    objective. A variable that is a log term on its own is never pinned.
-    The polished point is accepted only when it is feasible, stays in the
-    objective domain, and does not lose objective value; otherwise the
-    interior-point iterate is returned unchanged.
-    """
-    nv = v.size
-    scale = 1.0 + float(np.max(np.abs(d), initial=0.0))
-    slack = d - W @ v
-    act_rows = np.flatnonzero(slack <= 1e-5 * scale)
-    single = S.T @ (S.sum(axis=1) == 1) > 0
-    act_vars = np.flatnonzero((v <= 1e-5 * scale) & ~single)
-    E = np.vstack([W[act_rows], np.eye(nv)[act_vars]])
-    r = np.concatenate([d[act_rows], np.zeros(act_vars.size)])
-    p = E.shape[0]
-
-    vp = v.copy()
-    lam = np.zeros(p)
-    for _ in range(40):
-        gf, hf = (a[0] for a in _log_volume_derivatives(vp[None], S))
-        # f1 is flat along the split of a width into vbar and vund; where the
-        # pinned rows leave it free, the proximal term keeps rounding in the
-        # residual from moving the point along it.
-        prox = 1e-8 * (1.0 + np.max(np.abs(hf))) * np.eye(nv)
-        res_d = -gf + E.T @ lam
-        res_p = E @ vp - r
-        K = np.block([[-hf + prox, E.T],
-                      [E, np.zeros((p, p))]])
-        sol = _ridge_solve(K, -np.concatenate([res_d, res_p]))
-        if sol is None:
-            return v
-        dv = sol[:nv]
-        dl = sol[nv:]
-        alpha = 1.0
-        for _ in range(60):
-            if _log_volume(vp + alpha * dv, S) > -np.inf:
-                break
-            alpha *= 0.5
-        else:
-            return v
-        vp = vp + alpha * dv
-        lam = lam + alpha * dl
-        if max(np.max(np.abs(res_d), initial=0.0),
-               np.max(np.abs(res_p), initial=0.0)) <= 1e-13 * scale and alpha == 1.0:
-            break
-    vp[act_vars] = 0.0
-    vp = np.maximum(vp, 0.0)
-
-    ok = (np.min(d - W @ vp, initial=np.inf) >= -1e-12 * scale
-          and _log_volume(vp, S) >= _log_volume(v, S))
-    if not ok:
-        return v
-    lam_rows = lam[:act_rows.size]
-    if lam_rows.size and np.min(lam_rows) < -1e-6:
-        return v
-    return vp

@@ -35,7 +35,7 @@ class TestSupport:
 
     def test_hyperrect_closed_form_is_exact(self):
         box = HyperRect([-0.3, -1.0], [0.7, 2.0])
-        assert box.support([2.0, -1.0]) == 2.0 * 0.7 + (-1.0) * (-1.0)
+        assert supports(box, [[2.0, -1.0]])[0] == 2.0 * 0.7 + (-1.0) * (-1.0)
 
     def test_random_polytopes_match_vertex_enumeration(self):
         rng = np.random.default_rng(5)

@@ -154,6 +154,38 @@ class TestLp:
             assert solve_lp_batch(c, A, b)[0].status == Status.MAXITER
 
 
+class TestCrossover:
+    G = np.vstack([np.eye(3), -np.eye(3)])
+    h = np.ones(6)
+    c = np.array([1.0, 1.0, 0.0])
+
+    def count_ranks(self, monkeypatch):
+        ranks, rank = [], np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "matrix_rank",
+                            lambda *a, **k: ranks.append(a) or rank(*a, **k))
+        return ranks
+
+    def test_basis_that_cannot_be_full_skips_rank_tests(self, monkeypatch):
+        # Three variables, no equality row and only two rows within
+        # 1e-5 * scale of x: the basis takes only those rows, so it cannot
+        # reach three, and x comes back without a rank test.
+        ranks = self.count_ranks(monkeypatch)
+        x = np.array([1.0, 1.0, 0.0])
+        A, b = np.zeros((0, 3)), np.zeros(0)
+        assert solver._crossover(self.c, A, b, self.G, self.h, x) is x
+        assert ranks == []
+
+    def test_equality_rows_count_toward_the_basis(self, monkeypatch):
+        # The same two tight rows plus one equality row can make a full
+        # basis, so the rank tests run and the vertex is solved for.
+        ranks = self.count_ranks(monkeypatch)
+        x = np.array([1.0 - 1e-9, 1.0 - 1e-9, 0.0])
+        xv = solver._crossover(self.c, np.array([[0.0, 0.0, 1.0]]), np.zeros(1),
+                               self.G, self.h, x)
+        assert len(ranks) == 2
+        assert xv.tolist() == [1.0, 1.0, 0.0]
+
+
 def same_report(a, b):
     return (a.status == b.status and a.iterations == b.iterations
             and a.objective == b.objective and a.kkt_residual == b.kkt_residual

@@ -4,6 +4,7 @@ import pytest
 from etrmpc import geometry, solver, trigger
 from etrmpc.geometry import HyperRect
 from etrmpc.rmpc import MpcSolution, solve_rmpc
+from etrmpc.sim import DisturbanceModel, run_closed_loop
 from etrmpc.tightening import (PlantModel, build_setup, synthesize_nominal_gain,
                                synthesize_tightening_gains)
 from etrmpc.trigger import (CP1, CP2, LP1, LP2, PrincipalPolytope,
@@ -371,6 +372,28 @@ class TestConstructCp:
         assert res.degenerate == [1]
         assert res.box.lower[1] == 0.0 and res.box.upper[1] == 0.0
         assert res.box.upper[0] == pytest.approx(1.0, abs=1e-6)
+
+    def test_width_at_threshold_degenerate_for_cp_and_lp(self):
+        # W = I: the one coordinate's upper side has a feasible width of
+        # exactly DEGENERATE_WIDTH. CP2, whose pair width is the smaller
+        # side, and LP2 both report the coordinate degenerate.
+        pp = PrincipalPolytope.from_error_rows([[1.0], [-1.0]], [1e-9, 1.0])
+        assert np.array_equal(pp.W, np.eye(2)) and pp.d[0] == solver.DEGENERATE_WIDTH
+        for method in (CP2, LP2):
+            assert construct_boxes([pp], method)[0].degenerate == [0], method
+
+    @pytest.mark.parametrize("method", [CP1, CP2])
+    def test_reference_run_boxes_inside_rows_exactly(self, method):
+        # The log-volume loop returns an interior iterate, so no nonzero box
+        # of the seed-1234 reference run reaches past a principal row, not
+        # even by rounding.
+        trace = run_closed_loop(batch_setup(), X0, method,
+                                DisturbanceModel("uniform", seed=1234), T=60)
+        slacks = [pp.box_slack(box) for sch in trace.schedules.values()
+                  for box, pp in zip(sch.boxes, sch.principals)
+                  if box.lower.any() or box.upper.any()]
+        assert len(slacks) > 100
+        assert min(slacks) >= 0.0
 
     def test_iteration_cap_reported_and_box_accepted(self, monkeypatch):
         pp = PrincipalPolytope.from_error_rows(ILL_SHAPED_G, ILL_SHAPED_D)
