@@ -55,10 +55,6 @@ class HyperRect:
     def __repr__(self):
         return f"HyperRect(l={self.lower.tolist()}, u={self.upper.tolist()})"
 
-    def contains(self, x, tol=FEAS_TOL):
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
     def violating_coords(self, x, tol=FEAS_TOL):
         """Indices where x leaves the box (decentralized per-coordinate test)."""
         x = np.asarray(x, dtype=float)
@@ -199,11 +195,13 @@ def pontryagin_diff(poly, sub, image=None):
 def weighted_projections(points, targets, weight):
     """The weighted projection of points[k] onto targets[k] for every k:
     min (r-s)^T M (r-s) over s in the target, M = ``weight`` symmetric
-    positive definite.
+    positive definite. The targets are Polytopes, as the setup's
+    tightened sets are.
 
     A point inside its target within the global tolerance is its own
-    projection, at distance 0. Fast path: a diagonal M and box targets
-    clamp every point coordinatewise in one array pass (exact), so a
+    projection, at distance 0. Fast path: a diagonal M and targets whose
+    rows are a box (``Polytope.as_box``) clamp every point coordinatewise
+    in one array pass (exact), so a
     point's bits do not depend on the batch. General path, one target at
     a time: convex QP, unique minimizer since the target is convex, solved
     to the RMPC QP's 1e-10 so that re-projected plan values agree with the
@@ -217,7 +215,7 @@ def weighted_projections(points, targets, weight):
         raise ValueError("weight must be positive definite")
 
     inside = np.array([t.contains(r) for t, r in zip(targets, R)], dtype=bool)
-    boxes = [t if isinstance(t, HyperRect) else t.as_box() for t in targets]
+    boxes = [t.as_box() for t in targets]
     clamp = np.array([diag and box is not None for box in boxes], dtype=bool) & ~inside
     d2, S = np.zeros(len(R)), R.copy()
     c = np.flatnonzero(clamp)
@@ -226,11 +224,8 @@ def weighted_projections(points, targets, weight):
         D = R[c] - S[c]
         d2[c] = np.sum(D * w * D, axis=1)
     for k in np.flatnonzero(~clamp & ~inside):
-        target = targets[k]
-        if isinstance(target, HyperRect):
-            target = target.to_polytope()
         rep = solver.solve_qp(solver.QpProblem(H=2.0 * M, g=-2.0 * (M @ R[k]),
-                                               A_in=target.A, b_in=target.b))
+                                               A_in=targets[k].A, b_in=targets[k].b))
         if rep.status == solver.Status.INFEASIBLE:
             raise EmptySetError("projection target is empty")
         if rep.status != solver.Status.OPTIMAL:

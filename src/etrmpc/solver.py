@@ -1,29 +1,30 @@
 """Self-contained LP / convex-QP / log-concave maximization routines.
 
-One Mehrotra-style primal-dual interior-point loop handles both LPs
-(H = 0) and convex QPs over ``A_eq x = b_eq, A_in x <= b_in``, with at
-least one inequality row. It solves a batch of problems that share H,
-A_eq and b_eq in one pass, each with its own linear term and ``b_in``,
-and with ``A_in`` shared or, stacked, its own (LP1's scaling LPs of one
-active mask). ``solve_lp_batch`` is the one LP entry, a single LP being
-a batch of one. A ``QpProblem`` eliminates the variables that only
-one-entry inequality rows touch, with a diagonal Hessian block and no
-equality row, from each Newton step by a Schur complement, so only the
-rest is factorized (the RMPC QP's inputs); LPs take the plain Newton
-step. The hyper-rectangle volume objectives are maximized by the same
-scheme on the concave log objective, the result being the loop's last,
-interior iterate; log-volume problems that share W run in one loop as
-well (``maximize_log_volume_batch``), a single problem being a batch of
-one.
+One Mehrotra-style primal-dual interior-point loop, ``_ipm``, solves
+LPs (H = 0), convex QPs and the box log-volume problems over
+``A_eq x = b_eq, A_in x <= b_in``, with at least one inequality row,
+taking the objective's gradient and Hessian at each iterate. It solves
+a batch of problems that share H, A_eq and b_eq in one pass, each with
+its own linear term and ``b_in``, and with ``A_in`` shared or, stacked,
+its own (LP1's scaling LPs of one active mask). ``solve_lp_batch`` is
+the one LP entry, a single LP being a batch of one. A ``QpProblem``
+eliminates the variables that only one-entry inequality rows touch,
+with a diagonal Hessian block and no equality row, from each Newton
+step by a Schur complement, so only the rest is factorized (the RMPC
+QP's inputs); the others take the plain Newton step.
+``maximize_log_volume_batch`` poses the hyper-rectangle volume
+objectives as ``-sum log(S v)`` over ``[W; -I] v <= [d; 0]``, one loop
+per set of live variables.
 No external solver dependencies; every run with the same inputs is
 bit-identical (fixed step rules, no restarts), and a problem's result
 does not depend on the batch it is solved in.
 
-Project-wide tolerances: the LP loop stops when the scaled primal and
-dual residuals and the mean complementarity z.s/m, relative to
-1 + max|g| + max|H|, are all at most the caller's tolerance (1e-8 by
-default), a QP when they are at most 1e-10; the log-volume loop stops on
-the total gap u.t <= 1e-10. At most 200 iterations per solve.
+Project-wide tolerances, one stop rule per objective: an LP stops when
+the scaled primal and dual residuals and the mean complementarity z.s/m,
+relative to 1 + max|g| + max|H|, are all at most the caller's tolerance
+(1e-8 by default), a QP when they are at most 1e-10; a log-volume
+problem when its scaled residuals are at most 1e-8 and the total gap
+z.s at most 1e-10. At most 200 iterations per solve.
 """
 
 import copy
@@ -102,13 +103,17 @@ class QpProblem:
 class SolveReport:
     """Outcome of one solve. Immutable.
 
-    From the LP/QP loop, OPTIMAL means that the scaled primal residual,
+    For an LP or QP, OPTIMAL means that the scaled primal residual,
     dual residual and mean complementarity z.s/m are each at most the
     solve's tolerance; kkt_residual is the largest of them. The
     duality gap is m times the mean complementarity, so an LP objective
     can be off by about m * tol * scale_d wherever ``_crossover`` keeps
     the interior point; a vertex it snaps to violates no row by more than
-    1e-9 relative. ``maximize_log_volume_batch`` states its own guarantee.
+    1e-9 relative. For a log-volume problem, the same loop applies its
+    own rule (``_ipm``), and kkt_residual is the largest of the scaled
+    residuals and the total gap. ``iterations`` counts the loop's
+    convergence checks, one more than its Newton steps, or MAX_ITER when
+    the loop stopped undecided.
     """
 
     def __init__(self, status, x, objective, kkt_residual, iterations, certificate=None):
@@ -204,18 +209,19 @@ def _rows_on(H, A, G):
 class _Newton:
     """Newton step on H + G^T diag(d) G + reg I, with the equality rows A.
 
-    Built with a problem's rows G (``QpProblem`` does, once), it
+    Built with a QP's H and rows G (``QpProblem`` does, once), it
     eliminates the variables S that ``_rows_on`` finds: the rows on S add
     a diagonal to H's diagonal S block, so S is eliminated by the Schur
     complement on U, and only the rows on U, gathered here, are multiplied
     out, on U's columns. Built without G, or with S empty, it is the plain
-    Newton matrix and solve over the rows ``matrix`` is given, shared or
-    stacked (the LPs). H and A are shared.
+    Newton matrix and solve over the Hessian and rows ``matrix`` is given,
+    each shared or stacked (the LPs and the log-volume problems). A is
+    shared.
     """
 
     def __init__(self, H, A, G=None):
-        self.H, self.A = H, A
-        self.n = H.shape[0]
+        self.A = A
+        self.n = A.shape[1]
         self.S = np.empty(0, dtype=int)  # S empty: the step is the plain one
         if G is None:
             return
@@ -238,14 +244,15 @@ class _Newton:
         self.A_U = A[:, self.U]
         self._at = tuple(_as_slice(ix) for ix in (self.S, self.U))
 
-    def matrix(self, G, d, reg):
+    def matrix(self, H, G, d, reg):
         """The matrix to solve with, per row of d (B, m) and reg (B,), and
         the inverse of the S block's diagonal (B, |S|). The plain step
-        multiplies out G, the live problems' rows; an eliminated step
-        uses the rows it gathered when built."""
+        multiplies out H and G, the live problems' Hessian and rows; an
+        eliminated step uses the blocks of H and the rows it gathered when
+        built."""
         nb, ns = d.shape[0], self.S.size
         if not ns:
-            M = self.H + np.matmul(G.swapaxes(-1, -2), d[:, :, None] * G)
+            M = H + np.matmul(G.swapaxes(-1, -2), d[:, :, None] * G)
             return _kkt_matrices(M, self.A, reg), np.empty((nb, 0))
         # bincount sums each problem's rows in order, whatever the batch.
         diag = np.bincount((np.arange(nb)[:, None] * ns + self.c1).ravel(),
@@ -281,25 +288,37 @@ def _as_slice(ix):
     return ix
 
 
-def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None):
-    """Mehrotra predictor-corrector on min 0.5 x.H x + g[k].x, Ax=b, G x<=h[k].
+def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows=None):
+    """Mehrotra predictor-corrector on min f_k(x), Ax=b, G x<=h[k].
 
-    Solves one problem per row k of g (B, n) and h (B, m), with m >= 1;
-    H, A and b are shared, and so is G when it is (m, n); a (B, m, n) G
-    gives problem k the rows G[k]. Each problem has its own iterates,
+    f_k is the quadratic 0.5 x.H x + g[k].x or, given ``log_rows`` S (r, n)
+    (H unused), g[k].x - sum log(S x), whose Hessian is per problem. Solves
+    one problem per row k of g (B, n) and h (B, m), with m >= 1; H, A, b
+    and S are shared, and so is G when it is (m, n); a (B, m, n) G gives
+    problem k the rows G[k]. Each problem has its own iterates,
     convergence test, regularization retry and phase-1 classification
     (then, for an LP that phase 1 finds feasible, the recession LP), and
-    leaves the batch, with its rows, once it is decided. The arithmetic is stacked only through
-    operations that give each slice the bits of the one-problem call
-    (``_mv``, ``_dot``, stacked ``np.linalg.solve``, ``np.float_power``),
-    so a problem's result does not depend on the rest of its batch.
+    leaves the batch, with its rows, once it is decided. The arithmetic
+    is stacked only through operations that give each slice the bits of
+    the one-problem call (``_mv``, ``_dot``, stacked ``np.linalg.solve``,
+    ``np.float_power``), so a problem's result does not depend on the
+    rest of its batch.
 
+    The objective decides the stop rule. A quadratic stops when the
+    primal residual over 1 + max(|b|, |h[k]|), and the dual residual and
+    mean complementarity z.s/m over 1 + max|g[k]| + max|H|, are all at
+    most tol. A log-volume problem stops when the same primal residual and
+    the dual residual over the gradient's largest entry are at most tol,
+    and the total gap z.s at most GAP_TOL.
+
+    The start is the least-squares point of the equalities, or
+    ``start`` = (x, s = h - G x) strictly interior, with z = 1/s.
     ``newton`` is the prebuilt step of a QP (``QpProblem`` keeps one),
     which eliminates the variables S that ``_rows_on`` finds in its rows:
     their rows and H's diagonal S block make a diagonal, so one Schur
     complement on the other variables is formed per iteration and serves
-    the predictor and the corrector. Without it (the LPs) the step is the
-    plain Newton matrix and solve.
+    the predictor and the corrector. Without it (the LPs and the
+    log-volume problems) the step is the plain Newton matrix and solve.
 
     Returns one (status, x, kkt_residual, iterations, certificate) tuple
     per problem.
@@ -307,28 +326,26 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None):
     nb, n = g.shape
     p, m = A.shape[0], G.shape[-2]
     g_all, h_all, G_all = g, h, G
-    stacked = G.ndim == 3
     if newton is None:
         newton = _Newton(H, A)
 
     scale_p = 1.0 + np.maximum(np.max(np.abs(b), initial=0.0),
                                np.max(np.abs(h), axis=1, initial=0.0))
+    quadratic = log_rows is None and H.any()  # with H = 0, 0.5 x.H x cannot move obj
     scale_d = (1.0 + np.max(np.abs(g), axis=1, initial=0.0)
-               + (np.max(np.abs(H)) if H.size else 0.0))
+               + (np.max(np.abs(H)) if log_rows is None and H.size else 0.0))
 
-    # Deterministic start: least-squares on the equalities, unit slacks.
-    x0 = np.linalg.lstsq(A, b, rcond=None)[0] if p > 0 else np.zeros(n)
-    x = np.tile(x0, (nb, 1))
+    if start is None:
+        # Deterministic start: least-squares on the equalities, unit slacks.
+        x0 = np.linalg.lstsq(A, b, rcond=None)[0] if p > 0 else np.zeros(n)
+        x = np.tile(x0, (nb, 1))
+        s = np.maximum(h - G @ x0, 1.0)  # G @ x0 is (m,) or (B, m)
+        z = np.ones((nb, m))
+    else:
+        x, s = start
+        z = 1.0 / s
     y = np.zeros((nb, p))
-    s = np.maximum(h - G @ x0, 1.0)  # G @ x0 is (m,) or (B, m)
-    z = np.ones((nb, m))
 
-    def residuals(x, y, z, s, g, h):
-        rd = _mv(H, x) + g + (_mv(A.T, y) if p else 0.0) + _mv(G.swapaxes(-1, -2), z)
-        rp = (_mv(A, x) - b) if p else np.zeros((x.shape[0], 0))
-        return rd, rp, _mv(G, x) + s - h
-
-    quadratic = H.any()  # with H = 0, 0.5 x.H x is a signed zero that cannot move obj
     unbounded_below = -_DIVERGE * scale_d
     out = [None] * nb
     idx = np.arange(nb)          # problems still iterating
@@ -345,17 +362,27 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None):
             idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt, best_x = (
                 v[live] for v in (idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below,
                                   best_kkt, best_x))
-            G = G[live] if stacked else G
+            G = _member(G, live)
         if not idx.size:
             break
-        rd, rp, rg = residuals(x, y, z, s, g, h)
-        mu = _dot(z, s) / m
+        if log_rows is None:
+            grad, hess = _mv(H, x) + g, H
+        else:
+            sx = np.maximum(_mv(log_rows, x), 1e-150)
+            grad = g - _mv(log_rows.T, 1.0 / sx)
+            hess = np.matmul(log_rows.T * (1.0 / (sx * sx))[:, None, :], log_rows)
+            scale_d = np.max(np.abs(grad), axis=1)
+        rd = grad + (_mv(A.T, y) if p else 0.0) + _mv(G.swapaxes(-1, -2), z)
+        rp = (_mv(A, x) - b) if p else np.zeros((x.shape[0], 0))
+        rg = _mv(G, x) + s - h
+        gap = _dot(z, s)
+        mu = gap / m
         res_p = np.abs(rg).max(1)
         if p:
             res_p = np.maximum(np.abs(rp).max(1), res_p)
         res_p = res_p / scale_p
         res_d = np.abs(rd).max(1) / scale_d
-        res_g = mu / scale_d
+        res_g = mu / scale_d if log_rows is None else gap
         kkt = np.maximum(np.maximum(res_p, res_d), res_g)
         if it == 1:
             best_kkt, best_x = kkt, x
@@ -363,7 +390,9 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None):
             better = kkt < best_kkt
             best_kkt = np.where(better, kkt, best_kkt)
             best_x = np.where(better[:, None], x, best_x)
-        converged = kkt <= tol  # all three residuals; a NaN fails both ways
+        # A NaN residual fails either rule.
+        converged = (kkt <= tol if log_rows is None
+                     else (np.maximum(res_p, res_d) <= tol) & (gap <= GAP_TOL))
         done = converged
         if classify:
             obj = _dot(g, x)
@@ -382,7 +411,7 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None):
                 rd, rp, rg, mu = (v[keep] for v in (
                     idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt,
                     best_x, rd, rp, rg, mu))
-            G = G[keep] if stacked else G
+            G, hess = _member(G, keep), _member(hess, keep)
 
         d = z / s
 
@@ -391,21 +420,22 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None):
         rhs_x = -(rd + _mv(G.swapaxes(-1, -2), d * rg - z))
         rhs = np.concatenate([rhs_x, -rp], axis=1) if p else rhs_x
         reg = 1e-12 * scale_d
-        K, inv = newton.matrix(G, d, reg)
+        K, inv = newton.matrix(hess, G, d, reg)
         try:
             sol = newton.solve(K, inv, rhs)
         except np.linalg.LinAlgError:
             sol = np.empty_like(rhs)
             solved = np.ones(idx.size, dtype=bool)
             for k in range(idx.size):
+                one = slice(k, k + 1)
                 for _ in range(6):
                     try:
-                        sol[k] = newton.solve(K[k:k + 1], inv[k:k + 1], rhs[k:k + 1])[0]
+                        sol[k] = newton.solve(K[one], inv[one], rhs[one])[0]
                         break
                     except np.linalg.LinAlgError:
                         reg[k] *= 100.0
                         K[k], inv[k] = (a[0] for a in newton.matrix(
-                            G[k:k + 1] if stacked else G, d[k:k + 1], reg[k:k + 1]))
+                            _member(hess, one), _member(G, one), d[one], reg[one]))
                 else:
                     solved[k] = False
             if not solved.all():
@@ -414,7 +444,7 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None):
                     rd, rp, rg, mu, d, K, inv, sol = (v[solved] for v in (
                         idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt,
                         best_x, rd, rp, rg, mu, d, K, inv, sol))
-                G = G[solved] if stacked else G
+                G = _member(G, solved)
                 if not idx.size:
                     break
         dx_a = sol[:, :n]
@@ -448,11 +478,11 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None):
     if not stopped:
         return out
     rows = [i for i, _, _ in stopped]
-    phase = (_phase1(A, b, _rows_of(G_all, rows), h_all[rows]) if classify
+    phase = (_phase1(A, b, _member(G_all, rows), h_all[rows]) if classify
              else [(None, None)] * len(rows))
     feasible = [i for i, (t, _) in zip(rows, phase) if t is not None and t <= 1e-7]
     rays = set() if quadratic or not feasible else {
-        i for i, ray in zip(feasible, _descends_along_ray(A, _rows_of(G_all, feasible),
+        i for i, ray in zip(feasible, _descends_along_ray(A, _member(G_all, feasible),
                                                           g_all[feasible])) if ray}
     for (i, kkt_i, x_i), (t, cert) in zip(stopped, phase):
         if t is not None and t > 1e-7:
@@ -464,9 +494,10 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None):
     return out
 
 
-def _rows_of(G, k):
-    """The rows of problem(s) k: G[k] of a stack, G itself when shared."""
-    return G[k] if G.ndim == 3 else G
+def _member(M, k):
+    """Problem(s) k of M: M[k] of a stack (B, ...), M itself when shared
+    (rows (m, n) or a Hessian (n, n))."""
+    return M[k] if M.ndim == 3 else M
 
 
 def _max_step(v, dv):
@@ -552,7 +583,7 @@ def _lp_reports(c, G, h, A, b, tol):
     outcomes = _ipm(np.zeros((n, n)), -c, A, b, G, h, tol)
     for k, ((st, x, kkt, it, cert), ck, hk) in enumerate(zip(outcomes, c, h)):
         if st == Status.OPTIMAL:
-            x = _crossover(ck, A, b, _rows_of(G, k), hk, x)
+            x = _crossover(ck, A, b, _member(G, k), hk, x)
         obj = float(ck @ x) if x is not None and st == Status.OPTIMAL else None
         reports.append(SolveReport(st, x, obj, kkt, it, cert))
     return reports
@@ -654,11 +685,17 @@ def maximize_log_volume_batch(W, d, mode):
     zero width and left out of the objective. In f1 mode a pair may survive
     with one side forced to zero (one-sided box); that side is fixed rather
     than treated as degenerate. A report has Unbounded status when some
-    width is infinite, and MaxIter when the interior-point loop stops at
-    MAX_ITER iterations before converging. The point is the loop's last
-    iterate, with every live variable positive. Problems with the same live
-    variables (neither pinned nor degenerate) run in one loop; each report
-    is bit-identical to that problem's batch of one.
+    width is infinite, and MaxIter when ``_ipm`` leaves it undecided: at
+    MAX_ITER iterations, or earlier when its iterate diverges or its
+    Newton matrix stays singular. Each problem is passed to ``_ipm`` as
+    the rows ``[W; -I] v <= [d; 0]`` with the objective
+    ``-sum log(S v)``, one row of S per log term, from a strictly
+    interior start. The point of an
+    Optimal report is the loop's last iterate, and of a MaxIter report
+    its iterate with the smallest residual; either has every live
+    variable positive. Problems with the same live variables (neither
+    pinned nor degenerate) run in one loop; each report is bit-identical
+    to that problem's batch of one.
     """
     W = np.asarray(W, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -689,7 +726,7 @@ def maximize_log_volume_batch(W, d, mode):
             groups.setdefault(live[i].tobytes(), []).append(i)
 
     eye = np.eye(2 * k)
-    for members in groups.values():
+    for members in map(np.array, groups.values()):
         mask = live[members[0]]
         # One row of S per log term: f2 logs each side of a pair, f1 their
         # sum. A pair is kept exactly when one of its sides is live.
@@ -702,140 +739,25 @@ def maximize_log_volume_batch(W, d, mode):
         Wa = W[:, mask]
         keep = np.max(np.abs(Wa), axis=1) > 0
         Wa, da = Wa[keep], d[members][:, keep]
-        solved = _path_following(Wa, da, S, widths[members][:, mask])
-        for i, (v, residual, iters, converged) in zip(members, solved):
-            if v is None:
-                reports[i] = SolveReport(Status.MAXITER, None, None, np.inf, iters)
-                continue
+        # A strictly interior start: 0.3 of each variable's feasible width,
+        # halved until every row has slack.
+        v = 0.3 * widths[members][:, mask]
+        for _ in range(200):
+            sl = da - _mv(Wa, v)
+            inside = np.all(sl > 0, axis=1)
+            if inside.all():
+                break
+            v[~inside] *= 0.5
+        for i in members[~inside]:
+            reports[i] = SolveReport(Status.MAXITER, None, None, np.inf, 0)
+        # The rows W v <= d and -v <= 0, with the slacks [d - W v; v].
+        nv = v.shape[1]
+        h = np.concatenate([da, np.zeros(v.shape)], axis=1)[inside]
+        start = (v[inside], np.concatenate([sl, v], axis=1)[inside])
+        solved = _ipm(None, np.zeros((len(h), nv)), *_empty(nv), np.vstack([Wa, -np.eye(nv)]),
+                      h, FEAS_TOL, classify=False, start=start, log_rows=S)
+        for i, (status, x, kkt, iters, _) in zip(members[inside], solved):
             full = np.zeros(2 * k)
-            full[mask] = v
-            status = Status.OPTIMAL if converged else Status.MAXITER
-            reports[i] = SolveReport(status, full, sum(np.log(S @ v).tolist()), residual, iters)
+            full[mask] = x
+            reports[i] = SolveReport(status, full, sum(np.log(S @ x).tolist()), kkt, iters)
     return reports
-
-
-def _log_volume_derivatives(v, S):
-    """Gradient S^T (1/s) and Hessian -S^T diag(1/s^2) S of the log
-    objective, for every row of v (B, n)."""
-    s = np.maximum(_mv(S, v), 1e-150)
-    return _mv(S.T, 1.0 / s), np.matmul(-(S.T * (1.0 / (s * s))[:, None, :]), S)
-
-
-def _path_following(W, d, S, wid):
-    """Mehrotra predictor-corrector on max sum log(S v), W v <= d[k], v >= 0.
-
-    ``_ipm``'s loop with the objective's curvature in place of H, for
-    every row k of d (B, m) and wid (B, n); W and S are shared. Slacks
-    t = [d - W v; v] and duals u = [z; y] are iterates, so rounding in
-    d - W v never reaches a division. Each iteration builds
-    S^T diag(1/s^2) S + W^T diag(z/t) W + diag(y/v) once per problem and
-    solves with it twice; steps stop short of the boundary, with no line
-    search. ``wid`` holds per-variable feasible maxima for a strictly
-    interior start. A problem leaves the loop when it converges or its
-    Newton solve fails even with a ridge, and the arithmetic is stacked
-    only as in ``_ipm``, so its result does not depend on the batch.
-    Returns one (v, residual, iterations, converged) tuple per problem;
-    converged is False when MAX_ITER iterations ran out before u.t fell
-    to GAP_TOL and the scaled dual and row residuals to FEAS_TOL.
-    """
-    nb, m = d.shape
-    out = [(None, np.inf, 0, False)] * nb
-    v = 0.3 * np.minimum(wid, np.max(wid, axis=1, keepdims=True))
-    for _ in range(200):
-        sl = d - _mv(W, v)
-        inside = np.all(sl > 0, axis=1)
-        if inside.all():
-            break
-        v[~inside] *= 0.5
-    idx = np.flatnonzero(inside)
-    t = np.concatenate([sl, v], axis=1)[idx]
-    u = 1.0 / t
-    d = d[idx]
-    scale_p = 1.0 + np.max(d, axis=1)
-    diag = np.arange(W.shape[1])
-    gone = np.zeros(idx.size, dtype=bool)  # left after a failed Newton solve
-    for it in range(MAX_ITER + 1):
-        if gone.any():
-            idx, t, u, d, scale_p = (a[~gone] for a in (idx, t, u, d, scale_p))
-        if not idx.size:
-            break
-        v = t[:, m:]
-        gf, hf = _log_volume_derivatives(v, S)
-        rd = _mv(W.T, u[:, :m]) - u[:, m:] - gf
-        rg = _mv(W, v) + t[:, :m] - d
-        gap = _dot(u, t)
-        res_dp = np.maximum(np.max(np.abs(rd), axis=1) / np.max(gf, axis=1),
-                            np.max(np.abs(rg), axis=1) / scale_p)
-        res = np.maximum(res_dp, gap)
-        converged = (res_dp <= FEAS_TOL) & (gap <= GAP_TOL)
-        for k in np.flatnonzero(converged | (it == MAX_ITER)):
-            out[idx[k]] = (v[k], res[k], it, bool(converged[k]))
-        if it == MAX_ITER or converged.all():
-            break
-        if converged.any():
-            idx, t, u, d, scale_p, v, hf, rd, rg, gap, res = (
-                a[~converged] for a in (idx, t, u, d, scale_p, v, hf, rd, rg, gap, res))
-        D = u / t
-        Dv = np.zeros(hf.shape)
-        Dv[:, diag, diag] = D[:, m:]
-        M = -hf + np.matmul(W.T * D[:, None, :m], W) + Dv
-        u_rg = np.concatenate([u[:, :m] * rg, np.zeros(v.shape)], axis=1)
-
-        def direction(c):
-            """Newton step for the complementarity target t*u -> c; a zero
-            step where the solve fails."""
-            q = (c + u_rg) / t
-            dv, ok = _stacked_solve(M, -rd - _mv(W.T, q[:, :m]) + q[:, m:])
-            dt = np.concatenate([-rg - _mv(W, dv), dv], axis=1)
-            du = (c - u * dt) / t
-            dt[~ok] = du[~ok] = 0.0
-            return dt, du, ok
-
-        dt_a, du_a, ok = direction(-t * u)
-        gap_aff = _dot(u + _max_step(u, du_a)[:, None] * du_a,
-                       t + _max_step(t, dt_a)[:, None] * dt_a)
-        sigma_mu = np.float_power(gap_aff / gap, 3) * gap / t.shape[1]
-        dt, du, ok_c = direction(sigma_mu[:, None] - t * u - dt_a * du_a)
-        gone = ~(ok & ok_c)
-        for k in np.flatnonzero(gone):
-            out[idx[k]] = (v[k], res[k], it, False)
-        alpha = (0.995 * np.minimum(_max_step(t, dt), _max_step(u, du)))[:, None]
-        t = t + alpha * dt
-        u = u + alpha * du
-    return out
-
-
-def _stacked_solve(M, rhs):
-    """M[k] x = rhs[k] for every k by one stacked solve. When that raises,
-    every problem, and otherwise each one whose solution is non-finite,
-    is solved again by ``_ridge_solve``. Returns the solutions and a mask
-    of the problems solved (the others get zeros)."""
-    try:
-        sol = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
-        retry = ~np.all(np.isfinite(sol), axis=1)
-    except np.linalg.LinAlgError:
-        sol, retry = np.empty_like(rhs), np.ones(len(rhs), dtype=bool)
-    ok = np.ones(len(rhs), dtype=bool)
-    for k in np.flatnonzero(retry):
-        x = _ridge_solve(M[k], rhs[k])
-        ok[k] = x is not None
-        sol[k] = x if ok[k] else 0.0
-    return sol, ok
-
-
-def _ridge_solve(Hm, rhs):
-    """Solve Hm x = rhs; when that fails, retry up to seven times with a
-    diagonal ridge growing 100-fold from 1e-14 of the largest entry."""
-    reg = 0.0
-    for _ in range(8):
-        try:
-            out = np.linalg.solve(Hm + reg * np.eye(Hm.shape[0]) if reg else Hm, rhs)
-            if np.all(np.isfinite(out)):
-                return out
-        except np.linalg.LinAlgError:
-            pass
-        scale = np.max(np.abs(Hm))
-        if not np.isfinite(scale):
-            return None
-        reg = max(reg * 100.0, 1e-14 * max(scale, 1.0))
-    return None

@@ -216,8 +216,8 @@ def _cp_box(rep, k, q):
     """The box of one log-volume report (q=1 for CP1, 2 for CP2)."""
     if rep.status == solver.Status.UNBOUNDED:
         raise TriggerError("principal polytope leaves a box coordinate unbounded")
-    # A solve stopped at the iteration cap still returns its last interior
-    # iterate; construct_boxes certifies the box.
+    # A solve left undecided (at the iteration cap) still returns an
+    # interior iterate, its best; construct_boxes certifies the box.
     accepted_at_cap = rep.status == solver.Status.MAXITER and rep.x is not None
     if rep.status != solver.Status.OPTIMAL and not accepted_at_cap:
         raise TriggerError(f"volume maximization failed: {rep.status}")

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's solver paths: vertex enumeration,
-grid search, Monte Carlo, long-running projected gradient, and scipy's
+grid search, Monte Carlo, active-set enumeration of box QPs, and scipy's
 SLSQP and HiGHS (callers skip without scipy).
 """
 
@@ -56,16 +56,31 @@ def grid_projection(point, lower, upper, weight, n=201):
     return float(best), best_s
 
 
-def projected_gradient_qp(H, g, lower, upper, iters=1_000_000):
-    """Box-constrained QP by projected gradient, run to many iterations."""
+def box_qp_by_active_sets(H, g, lower, upper):
+    """min 0.5 x.H x + g.x over lower <= x <= upper, H positive definite,
+    exactly: enumerate the 3^n lower/free/upper patterns. Each pattern
+    fixes its bound variables and solves the free block's stationarity
+    H_FF x_F = -(g_F + H_FB x_B); the pattern whose point lies within the
+    bounds (primal feasible) and whose gradient H x + g is >= 0 at lower
+    and <= 0 at upper bounds (dual feasible) satisfies KKT, and its point
+    is the unique minimizer."""
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
-    L = float(np.max(np.linalg.eigvalsh(H)))
-    step = 1.0 / L
-    x = np.clip(np.zeros_like(g), lower, upper)
-    for _ in range(iters):
-        x = np.clip(x - step * (H @ x + g), lower, upper)
-    return x, float(0.5 * x @ H @ x + g @ x)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    tol = 1e-9 * (1.0 + np.max(np.abs(g)) + np.max(np.abs(H)))
+    for pattern in itertools.product((-1, 0, 1), repeat=g.size):
+        side = np.array(pattern)
+        free = side == 0
+        x = np.where(side < 0, lower, upper)
+        if free.any():
+            x[free] = np.linalg.solve(H[np.ix_(free, free)],
+                                      -(g[free] + H[np.ix_(free, ~free)] @ x[~free]))
+        grad = H @ x + g
+        if (np.all(x >= lower - tol) and np.all(x <= upper + tol)
+                and np.all(grad[side < 0] >= -tol) and np.all(grad[side > 0] <= tol)):
+            return x, float(0.5 * x @ H @ x + g @ x)
+    raise ValueError("no lower/free/upper pattern satisfies KKT")
 
 
 def grid_box_volume(W, d, mode, n=200):

@@ -221,7 +221,10 @@ def outcome(solve):
 def test_log_volume_batch_member_matches_solo_solve(mode, seed, k, extra, raises, kinds):
     # Every batch holds two live masks (interior and pinned), an
     # all-degenerate member, an unbounded one, one capped at MAX_ITER and
-    # one whose first Newton matrix fails and takes the ridge retry.
+    # one whose first Newton matrix fails. When that solve raises, the
+    # member takes _ipm's regularization retry. When it comes out NaN,
+    # nothing retries: the NaN step makes the iterate non-finite, and the
+    # member leaves through _ipm's divergence filter with MaxIter.
     rng = np.random.default_rng(seed)
     W = log_volume_rows(rng, k, extra)
     kinds = ["interior", "pinned", "degenerate", "unbounded", "interior"] + kinds
@@ -238,15 +241,15 @@ def test_log_volume_batch_member_matches_solo_solve(mode, seed, k, extra, raises
         maximize_log_volume_batch(W, D[ridged:ridged + 1], mode)
     singular = SingularAt(first.value.args[0], raises)
     loops = []
-    path_following = solver._path_following
+    ipm = solver._ipm
     with mock.patch.object(np.linalg, "solve", singular):
         its = outcome(lambda: [maximize_log_volume_batch(W, [d], mode)[0].iterations for d in D])
         cap = max(its) - 1 if isinstance(its, list) else solver.MAX_ITER
         with mock.patch.object(solver, "MAX_ITER", cap):
             solo = outcome(lambda: [maximize_log_volume_batch(W, [d], mode)[0] for d in D])
             singular.hits = 0
-            with mock.patch.object(solver, "_path_following",
-                                   lambda *a: loops.append(1) or path_following(*a)):
+            with mock.patch.object(solver, "_ipm",
+                                   lambda *a, **k: loops.append(1) or ipm(*a, **k)):
                 batch = outcome(lambda: maximize_log_volume_batch(W, D, mode))
     if isinstance(solo, RuntimeWarning):
         # Some f2 members never converge and overflow on the way; the

@@ -5,8 +5,8 @@ from etrmpc import solver
 from etrmpc.solver import (QpProblem, Status, maximize_log_volume_batch, solve_lp_batch,
                            solve_qp)
 
-from oracles import (grid_box_volume, highs_max, lp_max_by_vertices,
-                     projected_gradient_qp, slsqp_log_volume)
+from oracles import (box_qp_by_active_sets, grid_box_volume, highs_max, lp_max_by_vertices,
+                     slsqp_log_volume)
 
 
 def box_rows(n, half):
@@ -260,8 +260,8 @@ class TestLpBatch:
 
         monkeypatch.setattr(solver._Newton, "solve", counting)
         monkeypatch.setattr(solver._Newton, "matrix",
-                            lambda self, G, d, reg: built.append(reg[0])
-                            or matrix(self, G, d, reg))
+                            lambda self, H, G, d, reg: built.append(reg[0])
+                            or matrix(self, H, G, d, reg))
         rep = solve_qp(p)
         assert solves[0] is False  # the first Newton solve fails
         assert len(built) > rep.iterations  # rebuilt with a larger ridge
@@ -348,7 +348,7 @@ class TestNewtonStep:
             d = rng.uniform(0.1, 10.0, size=(nb, m))
             reg = 1e-12 * rng.uniform(1.0, 10.0, nb)
             rhs = rng.normal(size=(nb, n + p))
-            K, inv = newton.matrix(G, d, reg)
+            K, inv = newton.matrix(H, G, d, reg)
             assert K.shape[-1] == nu + p  # the factorized matrix is U's
             sol = newton.solve(K, inv, rhs)
             for k in range(nb):
@@ -368,7 +368,7 @@ class TestNewtonStep:
         newton = solver._Newton(H, A, G)
         assert newton.S.size == 0
         d, reg, rhs = rng.uniform(0.1, 10.0, (2, m)), np.full(2, 1e-12), rng.normal(size=(2, n))
-        K, inv = newton.matrix(G, d, reg)
+        K, inv = newton.matrix(H, G, d, reg)
         M = H + np.matmul(G.T, d[:, :, None] * G) + reg[:, None, None] * np.eye(n)
         assert K.tobytes() == M.tobytes() and inv.shape == (2, 0)
         want = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
@@ -451,7 +451,7 @@ class TestQp:
             with pytest.raises(ValueError):
                 QpProblem(H=H, g=g, **rows)
 
-    def test_random_box_qps_match_projected_gradient(self):
+    def test_random_box_qps_match_active_set_enumeration(self):
         rng = np.random.default_rng(11)
         for _ in range(3):
             n = 3
@@ -461,7 +461,7 @@ class TestQp:
             A, b = box_rows(n, 1.0)
             rep = solve_qp(QpProblem(H=H, g=g, A_in=A, b_in=b))
             assert rep.status == Status.OPTIMAL
-            _, obj = projected_gradient_qp(H, g, -np.ones(n), np.ones(n))
+            _, obj = box_qp_by_active_sets(H, g, -np.ones(n), np.ones(n))
             assert rep.objective == pytest.approx(obj, abs=1e-6)
 
     def test_equality_constrained(self):
