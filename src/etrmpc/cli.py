@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import sim, tightening, trigger
+from . import geometry, sim, tightening, trigger
 from .geometry import HyperRect, Polytope
 from .sim import DisturbanceModel, run_closed_loop, trigger_statistics
 from .tightening import (PlantModel, build_setup, synthesize_nominal_gain,
@@ -205,7 +205,14 @@ def cmd_run(config, out_dir=None, method=None, seed=None, steps=None,
             for t in range(trace.x.shape[0]))),
     }
     (directory / "summary.json").write_text(json.dumps(summary, indent=2))
-    schedules = {t: s.to_dict() for t, s in trace.schedules.items()}
+    # One shape diagnostic over every principal polytope of the run; each
+    # schedule writes its slice.
+    ratios = geometry.shape_ratios(setup.principal_rows.G, [
+        pp.d for s in trace.schedules.values() for pp in s.principals])
+    schedules, used = {}, 0
+    for t, s in trace.schedules.items():
+        schedules[t] = s.to_dict(ratios[used:used + len(s.principals)])
+        used += len(s.principals)
     (directory / "schedules.json").write_text(json.dumps(
         {"provenance": prov, "per_trigger": _json_safe(schedules)}, indent=2))
     (directory / "plot_data.json").write_text(json.dumps(

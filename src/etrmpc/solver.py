@@ -29,6 +29,7 @@ z.s at most 1e-10. At most 200 iterations per solve.
 
 import copy
 import enum
+from itertools import repeat
 
 import numpy as np
 
@@ -111,9 +112,11 @@ class SolveReport:
     the interior point; a vertex it snaps to violates no row by more than
     1e-9 relative. For a log-volume problem, the same loop applies its
     own rule (``_ipm``), and kkt_residual is the largest of the scaled
-    residuals and the total gap. ``iterations`` counts the loop's
-    convergence checks, one more than its Newton steps, or MAX_ITER when
-    the loop stopped undecided.
+    residuals and the total gap. ``iterations`` counts the convergence
+    checks the loop made on the problem: one more than its Newton steps
+    when it converged, MAX_ITER at the cap, and fewer when it left
+    undecided earlier (a diverged iterate, a Newton matrix that stayed
+    singular).
     """
 
     def __init__(self, status, x, objective, kkt_residual, iterations, certificate=None):
@@ -320,8 +323,10 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
     the predictor and the corrector. Without it (the LPs and the
     log-volume problems) the step is the plain Newton matrix and solve.
 
-    Returns one (status, x, kkt_residual, iterations, certificate) tuple
-    per problem.
+    The loop makes at most MAX_ITER convergence checks and takes a Newton
+    step after each check but the last. Returns one (status, x,
+    kkt_residual, iterations, certificate) tuple per problem, iterations
+    being the checks made on it.
     """
     nb, n = g.shape
     p, m = A.shape[0], G.shape[-2]
@@ -350,7 +355,7 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
     out = [None] * nb
     idx = np.arange(nb)          # problems still iterating
     best_kkt, best_x = np.zeros(nb), x  # their best iterates so far
-    stopped = []                 # (problem, best kkt, best x) left undecided
+    stopped = []  # (problem, best kkt, best x, convergence checks) left undecided
     for it in range(1, MAX_ITER + 1):
         # The bounds on s also reject a non-finite s, and the one on z a NaN
         # or +inf z; the step rule cannot make z -inf without a NaN.
@@ -358,7 +363,7 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
                 & (z.max(1) < 1e100))
         if not live.all():
             # Diverged; such problems go to classification.
-            stopped.extend(zip(idx[~live], best_kkt[~live], best_x[~live]))
+            stopped.extend(zip(idx[~live], best_kkt[~live], best_x[~live], repeat(it - 1)))
             idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt, best_x = (
                 v[live] for v in (idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below,
                                   best_kkt, best_x))
@@ -412,6 +417,8 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
                     idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt,
                     best_x, rd, rp, rg, mu))
             G, hess = _member(G, keep), _member(hess, keep)
+        if it == MAX_ITER:
+            break  # no later check would read the step's iterate
 
         d = z / s
 
@@ -439,7 +446,7 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
                 else:
                     solved[k] = False
             if not solved.all():
-                stopped.extend(zip(idx[~solved], best_kkt[~solved], best_x[~solved]))
+                stopped.extend(zip(idx[~solved], best_kkt[~solved], best_x[~solved], repeat(it)))
                 idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt, best_x, \
                     rd, rp, rg, mu, d, K, inv, sol = (v[solved] for v in (
                         idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt,
@@ -474,23 +481,23 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
 
     # Not converged: classify via an elastic phase-1 LP and, for a feasible
     # LP, a recession LP; never report a silent wrong answer.
-    stopped.extend(zip(idx, best_kkt, best_x))
+    stopped.extend(zip(idx, best_kkt, best_x, repeat(MAX_ITER)))
     if not stopped:
         return out
-    rows = [i for i, _, _ in stopped]
+    rows = [i for i, _, _, _ in stopped]
     phase = (_phase1(A, b, _member(G_all, rows), h_all[rows]) if classify
              else [(None, None)] * len(rows))
     feasible = [i for i, (t, _) in zip(rows, phase) if t is not None and t <= 1e-7]
     rays = set() if quadratic or not feasible else {
         i for i, ray in zip(feasible, _descends_along_ray(A, _member(G_all, feasible),
                                                           g_all[feasible])) if ray}
-    for (i, kkt_i, x_i), (t, cert) in zip(stopped, phase):
+    for (i, kkt_i, x_i, checks), (t, cert) in zip(stopped, phase):
         if t is not None and t > 1e-7:
-            out[i] = (Status.INFEASIBLE, None, kkt_i, MAX_ITER, cert)
+            out[i] = (Status.INFEASIBLE, None, kkt_i, checks, cert)
         elif i in rays:
-            out[i] = (Status.UNBOUNDED, None, kkt_i, MAX_ITER, None)
+            out[i] = (Status.UNBOUNDED, None, kkt_i, checks, None)
         else:
-            out[i] = (Status.MAXITER, x_i, kkt_i, MAX_ITER, None)
+            out[i] = (Status.MAXITER, x_i, kkt_i, checks, None)
     return out
 
 

@@ -20,7 +20,7 @@ two linear-program relaxations (LP1/LP2) are provided.
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import geometry, solver
+from . import solver
 from .geometry import FEAS_TOL, HyperRect
 
 CP1, CP2, LP1, LP2 = "CP1", "CP2", "LP1", "LP2"
@@ -364,13 +364,11 @@ class TriggerSchedule:
         """E_j for j in [1, N-1]."""
         return self.boxes[j - 1]
 
-    def to_dict(self):
-        """The boxes with their shape ratios r_c/r_o, a diagnostic of each
-        principal polytope that no trigger decision reads. The principal
-        polytopes of a schedule share the setup's rows G, so all their
-        Chebyshev LPs run as one batched solve."""
-        pps = self.principals
-        ratios = geometry.shape_ratios(pps[0].G, [pp.d for pp in pps]) if pps else []
+    def to_dict(self, ratios):
+        """The boxes with the shape ratios r_c/r_o of their principal
+        polytopes, a diagnostic that no trigger decision reads. ``ratios``
+        holds one per box, this schedule's slice of the run's one
+        ``geometry.shape_ratios`` call (``cli.cmd_run``)."""
         return {
             "method": self.method,
             "boxes": [{"j": j + 1,

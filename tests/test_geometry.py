@@ -4,8 +4,9 @@ import pytest
 from etrmpc import geometry, solver
 from etrmpc.geometry import (HyperRect, Polytope, pontryagin_diff, shape_ratios,
                              supports, weighted_projections)
+from etrmpc.sim import DisturbanceModel, run_closed_loop
 
-from batch_reactor import batch_setup, cross_polytope_setup
+from batch_reactor import X0, batch_setup, cross_polytope_setup
 from oracles import enumerate_vertices, grid_projection, highs_chebyshev
 
 
@@ -20,10 +21,10 @@ def project(point, target, weight):
 
 
 def chebyshev(poly):
-    """Chebyshev center and radius of one polytope, as a batch of one."""
-    centers, radii = geometry._chebyshev_lps(poly.A, np.linalg.norm(poly.A, axis=1),
-                                             poly.b[None])
-    return centers[0], radii[0]
+    """Chebyshev center and radius of one polytope, from its own LP and an
+    empty vertex cache, as a set that no cached vertex certifies takes."""
+    norms = np.linalg.norm(poly.A, axis=1)
+    return geometry._chebyshev(poly.A, norms, poly.b, geometry._DualVertices(poly.A, norms))
 
 
 class TestSupport:
@@ -349,6 +350,27 @@ class TestShapeRatio:
     def test_origin_on_boundary_infinite(self):
         poly = HyperRect([0.0, -1.0], [2.0, 1.0]).to_polytope()
         assert shape_ratios(poly.A, poly.b)[0] == np.inf
+
+    @pytest.mark.parametrize("method", ["LP2", "CP1"])
+    def test_reference_run_matches_highs(self, method, monkeypatch):
+        # One call over every principal polytope of a reference run: each
+        # inner ratio times r_o is the HiGHS Chebyshev radius to 1e-8
+        # relative, from at most 20 Chebyshev LPs (the cache answers the
+        # rest).
+        pytest.importorskip("scipy")
+        trace = run_closed_loop(batch_setup(), X0, method,
+                                DisturbanceModel("uniform", seed=1234), T=60)
+        pps = [pp for sch in trace.schedules.values() for pp in sch.principals]
+        G, D = pps[0].G, np.array([pp.d for pp in pps])
+        lps, solve = [], solver.solve_lp_batch
+        monkeypatch.setattr(solver, "solve_lp_batch", lambda *a, **k: lps.append(a) or solve(*a, **k))
+        ratios = shape_ratios(G, D)
+        assert 0 < len(lps) <= 20
+        r_origin = np.min(D / np.linalg.norm(G, axis=1), axis=1)
+        inner = np.flatnonzero(r_origin > 0.0)
+        assert inner.size > 100
+        for k in inner:
+            assert ratios[k] * r_origin[k] == pytest.approx(highs_chebyshev(G, D[k]), rel=1e-8)
 
     def test_always_at_least_one(self):
         rng = np.random.default_rng(41)

@@ -555,6 +555,39 @@ class TestLogVolume:
             assert np.max(W @ rep.x - d) <= 1e-12 * (1.0 + np.max(d))
             assert rep.objective >= slsqp_log_volume(W, d, mode) - 1e-9
 
+    # A small f2 problem that stalls: one collapsed slack blocks the
+    # shared primal-dual step, and the Newton matrix turns singular.
+    STALL_W = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.01657819],
+                        [1.09344352, 0.0, 0.0, 0.0, 0.0, 0.0],
+                        [0.87590619, 0.49436755, 0.9030161, 0.65234524, 0.84642051, 0.0]])
+    STALL_D = np.array([0.38126648, 0.26948743, 1.46350906])
+
+    def test_capped_loop_steps_only_between_checks(self, monkeypatch):
+        # Capped at 5 convergence checks, the loop takes a Newton step (two
+        # solves) after each check but the last.
+        solves, solve = [], solver._Newton.solve
+        monkeypatch.setattr(solver._Newton, "solve",
+                            lambda self, *a: solves.append(a) or solve(self, *a))
+        monkeypatch.setattr(solver, "MAX_ITER", 5)
+        (rep,) = maximize_log_volume_batch(self.STALL_W, [self.STALL_D],
+                                           solver.MODE_SUM_LOG_BOTH)
+        assert rep.status == Status.MAXITER
+        assert rep.iterations == 5
+        assert len(solves) == 2 * (5 - 1)
+
+    def test_early_exit_reports_the_checks_made(self, monkeypatch):
+        # The stall example leaves the loop when its 14th Newton matrix
+        # stays singular through six larger regularizations: 14 checks
+        # made, not MAX_ITER.
+        matrices, matrix = [], solver._Newton.matrix
+        monkeypatch.setattr(solver._Newton, "matrix",
+                            lambda self, *a: matrices.append(a) or matrix(self, *a))
+        (rep,) = maximize_log_volume_batch(self.STALL_W, [self.STALL_D],
+                                           solver.MODE_SUM_LOG_BOTH)
+        assert rep.status == Status.MAXITER
+        assert rep.iterations == 14
+        assert len(matrices) == 14 + 6
+
     def test_f1_split_independent_of_row_order(self):
         # The rows fix only vbar_1 + vbar_2 and vund_1 + vund_2, so the f1
         # optimum is a segment along which both widths keep their value

@@ -1,7 +1,11 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
 from etrmpc import geometry, solver, trigger
+from etrmpc.cli import ExperimentConfig, cmd_run
 from etrmpc.geometry import HyperRect
 from etrmpc.rmpc import MpcSolution, solve_rmpc
 from etrmpc.sim import DisturbanceModel, run_closed_loop
@@ -14,6 +18,8 @@ from etrmpc.trigger import (CP1, CP2, LP1, LP2, PrincipalPolytope,
 from batch_reactor import X0, batch_setup, cross_polytope_setup
 from oracles import grid_box_volume, highs_lp1_scaling, highs_segment_length
 from test_rmpc import stage_cost as rmpc_stage
+
+CONFIG_PATH = "configs/batch_reactor.json"
 
 
 # Hand-verified 2D polytopes (rows are in error coordinates, origin inside).
@@ -291,7 +297,7 @@ class TestNewtonSplit:
         monkeypatch.setattr(solver, "_ipm", lambda *a, **k: loops.append(a) or ipm(*a, **k))
         sched = build_schedule(setup, sol, LP1)
         counts = [len(loops)]
-        sched.to_dict()
+        geometry.shape_ratios(setup.principal_rows.G, [pp.d for pp in sched.principals])
         counts.append(len(loops))
         solver.feasibility(setup.principal_rows.G, assemble_principal(setup, sol))
         counts.append(len(loops))
@@ -598,35 +604,44 @@ class TestSchedule:
         _, _, schedules = sched_all
         assert schedules[LP1].vol1[4] == pytest.approx(4.809e-6, rel=1e-3)
 
-    def test_no_shape_ratio_while_building(self, sched_all, monkeypatch):
-        # No Chebyshev LP while boxes are built; one batched Chebyshev
-        # solve per to_dict.
+    def test_no_shape_ratio_while_building(self, sched_all, monkeypatch, tmp_path):
+        # No Chebyshev LP while boxes are built; one shape diagnostic call
+        # per cmd_run, over every schedule of the run.
         setup, sol, _ = sched_all
-        chebyshev_lps = geometry._chebyshev_lps
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return chebyshev_lps(*args)
+        chebyshev, shape_ratios = geometry._chebyshev, geometry.shape_ratios
+        lps, calls = [], []
 
         def forbidden(*args):
             raise AssertionError("shape diagnostic called while building boxes")
 
-        monkeypatch.setattr(geometry, "_chebyshev_lps", counting)
+        monkeypatch.setattr(geometry, "_chebyshev", lambda *a: lps.append(a) or chebyshev(*a))
         with monkeypatch.context() as m:
             m.setattr(geometry, "shape_ratios", forbidden)
-            schedules = [build_schedule(setup, sol, method) for method in trigger.METHODS]
-        assert calls == []
-        for n, sch in enumerate(schedules, start=1):
-            sch.to_dict()
+            for method in trigger.METHODS:
+                build_schedule(setup, sol, method)
+        assert lps == []
+        monkeypatch.setattr(geometry, "shape_ratios",
+                            lambda *a: calls.append(a) or shape_ratios(*a))
+        config = ExperimentConfig.from_file(CONFIG_PATH)
+        for n, method in enumerate(trigger.METHODS, start=1):
+            trace, _ = cmd_run(config, out_dir=tmp_path / method, method=method, steps=3,
+                               out=io.StringIO())
             assert len(calls) == n
+            assert len(calls[-1][1]) == sum(len(s.principals) for s in trace.schedules.values())
+        assert lps
 
-    def test_dict_shape_ratio_per_principal(self, sched_all):
-        _, _, schedules = sched_all
-        for sch in schedules.values():
-            ratios = [b["shape_ratio"] for b in sch.to_dict()["boxes"]]
-            assert ratios == [geometry.shape_ratios(pp.G, pp.d)[0]
-                              for pp in sch.principals]
+    def test_dict_shape_ratio_per_principal(self, tmp_path):
+        # Every ratio cmd_run writes, from its one call over the run, equals
+        # its polytope's batch of one, bit for bit.
+        config = ExperimentConfig.from_file(CONFIG_PATH)
+        for method in trigger.METHODS:
+            trace, _ = cmd_run(config, out_dir=tmp_path / method, method=method, steps=10,
+                               out=io.StringIO())
+            written = json.loads((tmp_path / method / "schedules.json").read_text())
+            for t, sch in trace.schedules.items():
+                ratios = [b["shape_ratio"] for b in written["per_trigger"][str(t)]["boxes"]]
+                single = [geometry.shape_ratios(pp.G, pp.d)[0] for pp in sch.principals]
+                assert ratios == [None if r == np.inf else r for r in single]
 
     def test_unknown_method_rejected(self, sched_all):
         setup, sol, _ = sched_all
