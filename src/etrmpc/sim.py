@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 
 from . import rmpc, trigger
-from .geometry import FEAS_TOL, HyperRect
+from .geometry import FEAS_TOL, GeometryError, HyperRect, Vertices
 
 DECAY_TOL = 1e-6
 
@@ -53,9 +53,14 @@ class DisturbanceModel:
         self.allow_out_of_set = bool(allow_out_of_set)
         if kind == "replay" and self.sequence is None:
             raise ValueError("replay disturbance needs a sequence")
+        self._vertices = None
 
     def realize(self, W, T):
-        """Materialize w_0..w_{T-1} when state-independent, else None."""
+        """Materialize w_0..w_{T-1} when state-independent, else None.
+
+        A run calls this once, at its start. For the worst case it starts
+        the run's vertex cache afresh and returns None.
+        """
         if self.kind == "zero":
             return np.zeros((T, W.dim))
         if self.kind == "uniform":
@@ -70,18 +75,26 @@ class DisturbanceModel:
                     if _residual(W, seq[t]) > FEAS_TOL:
                         raise ValueError(f"replay disturbance at t={t} leaves the set")
             return seq
+        self._vertices = None
         return None  # worst_case is state-dependent
 
     def worst_case(self, W, xi):
-        """argmax over W of xi.w; ties on box sets resolve to +w_max."""
+        """argmax over W of xi.w; ties on box sets resolve to +w_max.
+
+        A polytopic W answers from a vertex cache that lives for one run
+        (``geometry.Vertices.find``): a cached vertex whose rows certify
+        xi, or else the vertex, or where xi's optimal face is not a vertex
+        the point, of xi's own LP; a vertex it finds joins the cache.
+        """
         if isinstance(W, HyperRect):
             w = np.where(xi >= 0.0, W.upper, W.lower)
             return w
-        from . import solver
-        rep = solver.solve_lp_batch(xi, W.A, W.b)[0]
-        if rep.status != solver.Status.OPTIMAL:
-            raise SimError(f"worst-case disturbance LP failed: {rep.status}")
-        return rep.x
+        if self._vertices is None or self._vertices.poly is not W:
+            self._vertices = Vertices(W)
+        try:
+            return self._vertices.find(xi)[1]
+        except GeometryError as exc:
+            raise SimError(f"worst-case disturbance LP failed: {exc}") from exc
 
 
 def _residual(W, w):

@@ -605,34 +605,42 @@ def _crossover(c, A, b, G, h, x):
     unpolished iterate is kept. Removes the O(gap) objective bias of the
     barrier iterate on non-degenerate LPs.
     """
-    n = x.size
+    n, m_eq = x.size, A.shape[0]
     scale = 1.0 + float(np.max(np.abs(h), initial=0.0))
     slack = h - G @ x
-    if A.shape[0] + np.count_nonzero(slack <= 1e-5 * scale) < n:
+    tight = np.count_nonzero(slack <= 1e-5 * scale)
+    if m_eq + tight < n:
         return x  # the basis takes only these rows, so it cannot be full
-    order = np.argsort(slack, kind="stable")
-    rows = []
-    basis = [A[i] for i in range(A.shape[0])]
-    rhs = [b[i] for i in range(A.shape[0])]
-    for i in order:
-        if slack[i] > 1e-5 * scale or len(basis) == n:
-            break
-        trial = np.array(basis + [G[i]])
-        if np.linalg.matrix_rank(trial, tol=1e-10) == len(basis) + 1:
-            basis.append(G[i])
-            rhs.append(h[i])
-            rows.append(i)
-    if len(basis) != n:
-        return x
-    try:
-        xv = np.linalg.solve(np.array(basis), np.array(rhs))
-    except np.linalg.LinAlgError:
+    order = m_eq + np.argsort(slack, kind="stable")[:tight]
+    xv = vertex_on_rows(np.vstack([A, G]), np.concatenate([b, h]), order, fixed=m_eq)
+    if xv is None:
         return x
     feas_ok = (np.max(G @ xv - h, initial=0.0) <= 1e-9 * scale
                and (A.shape[0] == 0 or np.max(np.abs(A @ xv - b)) <= 1e-9 * scale))
     if feas_ok and c @ xv >= c @ x - 1e-9 * scale:
         return xv
     return x
+
+
+def vertex_on_rows(M, rhs, order, fixed=0):
+    """The point x with M_S x = rhs_S, where S is the first ``fixed`` rows
+    of M and then each row of ``order``, in that order, that raises the
+    rank of S, until S has n = M.shape[1] rows. None when S stays short
+    of n rows or is singular. The point depends only on S, never on how
+    ``order`` was found."""
+    n = M.shape[1]
+    S = list(range(fixed))
+    for i in order:
+        if len(S) == n:
+            break
+        if np.linalg.matrix_rank(M[S + [int(i)]], tol=1e-10) == len(S) + 1:
+            S.append(int(i))
+    if len(S) != n:
+        return None
+    try:
+        return np.linalg.solve(M[S], rhs[S])
+    except np.linalg.LinAlgError:
+        return None
 
 
 def solve_qp(p):

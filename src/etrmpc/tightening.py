@@ -352,6 +352,12 @@ def build_setup(plant, N, M, F, K, Q, R):
     state/input sets. One-step invariance of the terminal set is reported
     as a diagnostic margin (see below). Raises on any gate violation; the
     returned report carries the numeric margins.
+
+    The erosion offsets of all four chains come from one
+    ``geometry.supports`` call over W: exact closed forms for a box W;
+    for a polytope, each offset is eta.v at a vertex v whose rows certify
+    eta, from a vertex cache that lives for that call, or else from
+    eta's own LP.
     """
     A, B = plant.A, plant.B
     n, nu = plant.nx, plant.nu
@@ -389,20 +395,23 @@ def build_setup(plant, N, M, F, K, Q, R):
         Ltilde.append((A + B @ Ktilde[i]) @ Ltilde[i])
     Ltilde[M + 1:] = [np.zeros((n, n)) for _ in range(M + 1, N + 1)]
 
-    W = plant.W
-    Useq = [_as_polytope(plant.U)]
-    Xseq = [_as_polytope(plant.X)]
-    TUseq = [_as_polytope(plant.Tu)]
-    TXseq = [_as_polytope(plant.Tx)]
-    for i in range(N - 1):
-        KL = K[i] @ L[i]
-        Useq.append(pontryagin_diff(Useq[i], W, image=KL))
-        Xseq.append(pontryagin_diff(Xseq[i], W, image=L[i]))
-        TUseq.append(pontryagin_diff(TUseq[i], W, image=KL))
-        TXseq.append(pontryagin_diff(TXseq[i], W, image=L[i]))
+    # Each family's chain S_{i+1} = S_i ominus (image_i W) keeps the rows of
+    # S_0, so every direction A image_i is known up front: one supports call
+    # answers the whole chain from one vertex cache, and then
+    # b_{i+1} = b_i - h_i, in order.
+    KL = [K[i] @ L[i] for i in range(N - 1)]
+    families = [(_as_polytope(S), images) for S, images in
+                ((plant.U, KL), (plant.X, L), (plant.Tu, KL), (plant.Tx, L))]
+    dirs = [S.A @ images[i] for i in range(N - 1) for S, images in families]
+    h = np.split(geometry.supports(plant.W, np.vstack(dirs)),
+                 np.cumsum([len(d) for d in dirs])[:-1])
+    Useq, Xseq, TUseq, TXseq = seqs = [[S] for S, _ in families]
+    for k, h_k in enumerate(h):
+        seq = seqs[k % 4]
+        seq.append(Polytope(seq[-1].A, seq[-1].b - h_k))
 
     for name, seq in (("U", Useq), ("X", Xseq), ("TU", TUseq), ("TX", TXseq)):
-        # pontryagin_diff keeps the rows, so a family's sets share A and one
+        # The erosion keeps the rows, so a family's sets share A and one
         # batched phase-1 solve checks them all.
         empty = geometry.are_empty(seq[0].A, [s.b for s in seq[1:]])
         if any(empty):

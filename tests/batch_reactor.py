@@ -1,6 +1,9 @@
 """Shared batch-reactor fixture data (the reference experiment system)."""
 
+import importlib.util
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -59,3 +62,16 @@ def cross_polytope_setup():
     F = synthesize_nominal_gain(plant, 2.0 * np.eye(4), 10.0 * np.eye(2))
     K = synthesize_tightening_gains(plant, M=4, N=10)
     return build_setup(plant, N=10, M=4, F=F, K=K, Q=2.0 * np.eye(4), R=np.eye(2))
+
+
+def polytope_worst_case_data():
+    """Config data of the benchmark's polytope_worst_case workload
+    (``perfbench/workloads.py``): the reference experiment with
+    W = {w : ||w||_1 <= 0.02} as 16 sign-vector rows and worst-case
+    draws."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    base = json.loads((root / "configs" / "batch_reactor.json").read_text())
+    return workloads.polytope_config(base)

@@ -1,6 +1,10 @@
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,10 @@ import pytest
 from etrmpc.cli import (ConfigError, ExperimentConfig, cmd_compare, cmd_run,
                         cmd_validate, main)
 
+from batch_reactor import polytope_worst_case_data
+
 CONFIG_PATH = "configs/batch_reactor.json"
+OUTPUT_FILES = ("trace.csv", "summary.json", "schedules.json", "plot_data.json")
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +117,30 @@ class TestRun:
         cmd_run(config, out_dir=b, steps=15, out=io.StringIO())
         assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+    def test_worst_case_runs_share_no_vertex_state(self, tmp_path):
+        # Under a polytopic worst case, runs reuse one config, and so one W
+        # object: LP2 then periodic, and the reverse. Each run's outputs
+        # must equal, byte for byte, those of a run in a fresh process.
+        path = tmp_path / "polytope.json"
+        path.write_text(json.dumps(polytope_worst_case_data()))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        for method in ("LP2", "periodic"):
+            subprocess.run([sys.executable, "-c",
+                            "import sys; from etrmpc.cli import main; sys.exit(main(sys.argv[1:]))",
+                            "run", "--config", str(path), "--method", method,
+                            "--out-dir", str(tmp_path / f"fresh_{method}")],
+                           env=env, check=True, capture_output=True, timeout=300)
+        config = ExperimentConfig.from_file(str(path))
+        for order in (("LP2", "periodic"), ("periodic", "LP2")):
+            for method in order:
+                out = tmp_path / f"{order[0]}_first_{method}"
+                cmd_run(config, out_dir=out, method=method, out=io.StringIO())
+                for name in OUTPUT_FILES:
+                    fresh = tmp_path / f"fresh_{method}" / name
+                    assert (out / name).read_bytes() == fresh.read_bytes(), (order, method, name)
 
     def test_plot_data_series_are_flat(self, config, tmp_path):
         cmd_run(config, out_dir=tmp_path, steps=12, out=io.StringIO())

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etrmpc import geometry, solver
 from etrmpc.geometry import (HyperRect, Polytope, pontryagin_diff, shape_ratios,
@@ -7,7 +10,7 @@ from etrmpc.geometry import (HyperRect, Polytope, pontryagin_diff, shape_ratios,
 from etrmpc.sim import DisturbanceModel, run_closed_loop
 
 from batch_reactor import X0, batch_setup, cross_polytope_setup
-from oracles import enumerate_vertices, grid_projection, highs_chebyshev
+from oracles import enumerate_vertices, grid_projection, highs_chebyshev, highs_max
 
 
 def unit_box(n=2, half=1.0):
@@ -18,6 +21,32 @@ def project(point, target, weight):
     """(d2, s) of one point's weighted projection, as a batch of one."""
     d2, S = weighted_projections([point], [target], weight)
     return d2[0], S[0]
+
+
+def cross_polytope(n=4, radius=0.02):
+    """{w : ||w||_1 <= radius} as one row per sign vector."""
+    A = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    return Polytope(A, np.full(len(A), radius))
+
+
+def random_polytope(rng, n, m, duplicates, cuts):
+    """A bounded polytope with small integer normals (so ties and
+    degenerate vertices are common), ``duplicates`` repeated rows and
+    ``cuts`` rows through a vertex, each of which leaves that vertex with
+    more than n active rows."""
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    A = A[np.any(A != 0.0, axis=1)]
+    b = A @ (0.2 * rng.integers(-2, 3, size=n)) + rng.integers(1, 4, size=len(A))
+    A = np.vstack([A, np.eye(n), -np.eye(n)])
+    b = np.concatenate([b, np.full(2 * n, 4.0)])
+    rows = rng.integers(0, len(A), size=duplicates)
+    A, b = np.vstack([A, A[rows]]), np.concatenate([b, b[rows]])
+    for _ in range(cuts):
+        V = enumerate_vertices(A, b)
+        v, a = V[rng.integers(len(V))], rng.integers(-3, 4, size=n).astype(float)
+        if np.min(V @ a) < a @ v - 0.1:  # keeps an interior
+            A, b = np.vstack([A, a]), np.append(b, a @ v)
+    return Polytope(A, b)
 
 
 def chebyshev(poly):
@@ -59,6 +88,57 @@ class TestSupport:
             lam = float(rng.uniform(0.1, 7.0))
             assert supports(poly, [lam * eta])[0] == pytest.approx(
                 lam * supports(poly, [eta])[0], rel=1e-7, abs=1e-9)
+
+    def test_cross_polytope_closed_form(self):
+        # h(eta) = r ||eta||_inf at the vertex r sign(eta_j) e_j, for
+        # random, zero and tied directions, in one call.
+        rng = np.random.default_rng(3)
+        etas = np.vstack([rng.normal(size=(200, 4)), np.zeros((3, 4)),
+                          [[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 1.0, -1.0],
+                           [0.0, 0.0, 0.0, 3.0], [-2.0, 2.0, -2.0, 1.0],
+                           [0.0, -0.5, 0.5, 0.0]],
+                          rng.integers(-2, 3, size=(40, 4))])
+        np.testing.assert_allclose(supports(cross_polytope(), etas),
+                                   0.02 * np.max(np.abs(etas), axis=1),
+                                   rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), m=st.integers(2, 6),
+           duplicates=st.integers(0, 3), cuts=st.integers(0, 2))
+    def test_random_polytopes_match_highs(self, seed, n, m, duplicates, cuts):
+        # Integer, zero, facet-normal and random directions. Every value
+        # matches HiGHS; where the optimal vertex is unique (a gap to the
+        # next vertex), it equals its batch of one bit for bit.
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(seed)
+        poly = random_polytope(rng, n, m, duplicates, cuts)
+        etas = np.vstack([rng.integers(-2, 3, size=(8, n)), np.zeros((1, n)),
+                          poly.A[rng.integers(0, len(poly.A), size=4)],
+                          rng.normal(size=(8, n))])
+        etas = etas[rng.permutation(len(etas))]
+        values = supports(poly, etas)
+        V = enumerate_vertices(poly.A, poly.b)
+        for eta, value in zip(etas, values):
+            expected = highs_max(eta, poly.A, poly.b)
+            assert abs(value - expected) <= 1e-9 * (1.0 + abs(expected))
+            top = np.sort(V @ eta)[::-1]
+            if len(top) == 1 or top[0] - top[1] > 1e-6:
+                assert supports(poly, [eta])[0] == value
+
+    def test_empty_and_unbounded_raise_with_zero_directions(self):
+        empty = Polytope([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0])
+        for etas in ([[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]):
+            with pytest.raises(geometry.EmptySetError):
+                supports(empty, etas)
+        # Half-plane x1 <= 1, no vertex; quadrant x >= 0, vertex 0, whose
+        # rows certify the directions before the unbounded one.
+        half = Polytope([[1.0, 0.0]], [1.0])
+        quadrant = Polytope([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
+        for poly, etas in ((half, [[0.0, 0.0], [0.0, 1.0]]),
+                           (quadrant, [[-1.0, -2.0], [0.0, 0.0], [1.0, 0.0]])):
+            with pytest.raises(geometry.UnboundedSupport):
+                supports(poly, etas)
+        assert supports(quadrant, [[-1.0, -2.0], [0.0, 0.0]]).tolist() == [0.0, 0.0]
 
     def test_unbounded_direction_raises(self):
         # Half-plane x1 <= 1: unbounded along +x2.
@@ -105,7 +185,7 @@ class TestPontryagin:
         assert np.allclose(res.b, 0.75 * np.ones(4), atol=1e-7)
 
     def test_polytope_offsets_match_single_supports(self):
-        # One batched LP solve gives each facet the bits of its own LP.
+        # Every offset has the bits of its direction's supports call alone.
         rng = np.random.default_rng(23)
         poly = Polytope(np.vstack([rng.normal(size=(6, 3)), np.eye(3), -np.eye(3)]),
                         np.concatenate([rng.uniform(0.8, 2.0, size=6), np.full(6, 3.0)]))

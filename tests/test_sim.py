@@ -1,14 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from etrmpc import sim
-from etrmpc.geometry import HyperRect
+from etrmpc import sim, solver
+from etrmpc.cli import ExperimentConfig
+from etrmpc.geometry import HyperRect, Polytope
 from etrmpc.rmpc import solve_rmpc
 from etrmpc.sim import (DisturbanceModel, run_closed_loop, step_trigger_test,
                         trigger_statistics)
 from etrmpc.trigger import TriggerSchedule, build_schedule
 
-from batch_reactor import X0, batch_setup
+from batch_reactor import X0, batch_setup, polytope_worst_case_data
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +264,45 @@ class TestPolytopeDisturbanceSet:
         assert np.max(np.abs(tr.x)) <= 3.0 + 1e-8
         for _, _, lhs, rhs, _, exempt in tr.decay_checks:
             assert exempt or lhs <= rhs + 1e-6
+
+
+class TestPolytopeWorstCase:
+    def test_cross_polytope_closed_form_vertex(self):
+        # On {w : ||w||_1 <= 0.02} the worst case for an untied xi is the
+        # vertex 0.02 sign(xi_j) e_j, j = argmax |xi_j|.
+        rows = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
+        W = Polytope(rows, np.full(16, 0.02))
+        dm = DisturbanceModel("worst_case")
+        for xi in np.random.default_rng(8).normal(size=(100, 4)):
+            j = int(np.argmax(np.abs(xi)))
+            expected = np.zeros(4)
+            expected[j] = 0.02 * np.sign(xi[j])
+            assert np.array_equal(dm.worst_case(W, xi), expected)
+
+    @pytest.mark.parametrize("method", ["LP2", "periodic"])
+    def test_run_solves_few_worst_case_lps(self, method, monkeypatch):
+        # The benchmark's polytope_worst_case config: one draw per step, at
+        # most 8 LPs per run (one per vertex of the cross-polytope).
+        cfg = ExperimentConfig(polytope_worst_case_data())
+        setup = cfg.build()
+        calls, per_draw = [], []
+        lp, draw = solver.solve_lp_batch, DisturbanceModel.worst_case
+
+        def counted_lp(*args, **kwargs):
+            calls.append(1)
+            return lp(*args, **kwargs)
+
+        def counted_draw(self, W, xi):
+            before = len(calls)
+            w = draw(self, W, xi)
+            per_draw.append(len(calls) - before)
+            return w
+
+        monkeypatch.setattr(solver, "solve_lp_batch", counted_lp)
+        monkeypatch.setattr(DisturbanceModel, "worst_case", counted_draw)
+        run_closed_loop(setup, cfg.x0, method, cfg.disturbance_model(), cfg.steps)
+        assert len(per_draw) == cfg.steps
+        assert sum(per_draw) <= 8
 
 
 class TestStatistics:

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from etrmpc import tightening
+from etrmpc import solver, tightening
+from etrmpc.cli import ExperimentConfig
 from etrmpc.geometry import HyperRect, Polytope, are_empty, supports
 from etrmpc.tightening import (EmptyTightenedSet, NilpotencyFailure, PlantModel,
                                RmpcSetup, TerminalAssumptionViolated, build_setup,
                                is_controllable, synthesize_nominal_gain,
                                synthesize_tightening_gains)
 
-from batch_reactor import batch_plant, batch_setup
+from batch_reactor import batch_plant, batch_setup, polytope_worst_case_data
 from oracles import deadbeat_erosion, highs_min_erosion
 
 
@@ -249,6 +250,41 @@ class TestBuildSetup:
             RmpcSetup(*args)
         args[9][3] = X3
         RmpcSetup(*args)
+
+
+class TestPolytopeDisturbance:
+    """The benchmark's polytope_worst_case config: W = {w : ||w||_1 <= r},
+    r = 0.02, so h_W(eta) = r ||eta||_inf."""
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        return ExperimentConfig(polytope_worst_case_data())
+
+    def test_offsets_match_closed_form(self, config):
+        setup = config.build()
+        KL = [setup.K[i] @ setup.L[i] for i in range(setup.N - 1)]
+        for seq, images in ((setup.Useq, KL), (setup.Xseq, setup.L),
+                            (setup.TUseq, KL), (setup.TXseq, setup.L)):
+            b = seq[0].b
+            for i in range(setup.N - 1):
+                b = b - 0.02 * np.max(np.abs(seq[0].A @ images[i]), axis=1)
+                np.testing.assert_allclose(seq[i + 1].b, b, rtol=1e-15, atol=0.0)
+
+    def test_build_setup_solves_few_support_lps(self, config, monkeypatch):
+        # One LP per vertex of the cross-polytope at most.
+        plant = PlantModel(config.A, config.B, X=config.X, U=config.U, W=config.W,
+                           Tx=config.Tx, Tu=config.Tu, Xf=config.Xf)
+        F = synthesize_nominal_gain(plant, config.Qlqr, config.Rlqr)
+        K = synthesize_tightening_gains(plant, config.M, N=config.N)
+        calls, lp = [], solver.solve_lp_batch
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lp(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_lp_batch", counted)
+        build_setup(plant, N=config.N, M=config.M, F=F, K=K, Q=config.Q, R=config.R)
+        assert 1 <= len(calls) <= 8
 
 
 class TestPlantValidation:
