@@ -11,12 +11,13 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import geometry, sim, tightening, trigger
+from . import geometry, rmpc, sim, tightening, trigger
 from .geometry import HyperRect, Polytope
 from .sim import DisturbanceModel, run_closed_loop, trigger_statistics
 from .tightening import (PlantModel, build_setup, synthesize_nominal_gain,
@@ -318,7 +319,7 @@ def _json_safe(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        return None if not np.isfinite(obj) else float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
@@ -372,7 +373,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (tightening.TighteningError, sim.SimError) as exc:
+    except (tightening.TighteningError, sim.SimError, rmpc.RmpcError,
+            trigger.TriggerError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -324,9 +324,10 @@ def weighted_projections(points, targets, weight):
     tightened sets are.
 
     A point inside its target within the global tolerance is its own
-    projection, at distance 0. Fast path: a diagonal M and targets whose
-    rows are a box (``Polytope.as_box``) clamp every point coordinatewise
-    in one array pass (exact), so a
+    projection, at distance 0; that test is one stacked product per set of
+    targets with the same rows (``contains``, bit for bit). Fast path: a
+    diagonal M and targets whose rows are a box (``Polytope.as_box``)
+    clamp every point coordinatewise in one array pass (exact), so a
     point's bits do not depend on the batch. General path, one target at
     a time: convex QP, unique minimizer since the target is convex, solved
     to the RMPC QP's 1e-10 so that re-projected plan values agree with the
@@ -339,7 +340,7 @@ def weighted_projections(points, targets, weight):
     if not np.all((w if diag else np.linalg.eigvalsh(0.5 * (M + M.T))) > 0):
         raise ValueError("weight must be positive definite")
 
-    inside = np.array([t.contains(r) for t, r in zip(targets, R)], dtype=bool)
+    inside = _contains_each(targets, R)
     boxes = [t.as_box() for t in targets]
     clamp = np.array([diag and box is not None for box in boxes], dtype=bool) & ~inside
     d2, S = np.zeros(len(R)), R.copy()
@@ -358,6 +359,21 @@ def weighted_projections(points, targets, weight):
         S[k] = rep.x
         d2[k] = max(float((R[k] - S[k]) @ M @ (R[k] - S[k])), 0.0)
     return d2, S
+
+
+def _contains_each(targets, R):
+    """targets[k].contains(R[k]) for every k. Targets with the same rows
+    take one stacked product, which gives each point the bits of its own
+    (``solver._mv``)."""
+    groups = {}
+    for k, t in enumerate(targets):
+        groups.setdefault((t.A.shape, t.A.tobytes()), []).append(k)
+    inside = np.empty(len(R), dtype=bool)
+    for ks in groups.values():
+        at = ks if len(ks) < len(R) else slice(None)  # one set of rows: no gather
+        res = solver._mv(targets[ks[0]].A, R[at]) - np.array([targets[k].b for k in ks])
+        inside[at] = np.maximum.reduce(res, axis=1) <= FEAS_TOL
+    return inside
 
 
 # Relative slack at or below which a row is active at an LP's Chebyshev

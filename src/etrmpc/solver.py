@@ -172,18 +172,19 @@ def _dot(u, v):
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def _kkt_matrices(M, A, reg):
-    """[[M + reg I, A^T], [A, -reg I]] per problem; M (B, n, n), reg (B,)."""
+def _kkt_matrices(M, A, reg, eyes):
+    """[[M + reg I, A^T], [A, -reg I]] per problem; M (B, n, n), reg (B,),
+    and ``eyes`` the identities of n and of A's rows."""
     n, p = M.shape[-1], A.shape[0]
     r = reg[:, None, None]
-    top = M + r * np.eye(n)
+    top = M + r * eyes[0]
     if not p:
         return top
     K = np.empty((M.shape[0], n + p, n + p))
     K[:, :n, :n] = top
     K[:, :n, n:] = A.T
     K[:, n:, :n] = A
-    K[:, n:, n:] = -r * np.eye(p)
+    K[:, n:, n:] = -r * eyes[1]
     return K
 
 
@@ -226,6 +227,7 @@ class _Newton:
         self.A = A
         self.n = A.shape[1]
         self.S = np.empty(0, dtype=int)  # S empty: the step is the plain one
+        self._eyes = np.eye(self.n), np.eye(A.shape[0])  # of the matrix's two blocks
         if G is None:
             return
         on = _rows_on(H, A, G)
@@ -246,6 +248,8 @@ class _Newton:
         self.H_UU = H[np.ix_(self.U, self.U)]
         self.A_U = A[:, self.U]
         self._at = tuple(_as_slice(ix) for ix in (self.S, self.U))
+        self._eyes = np.eye(self.U.size), self._eyes[1]
+        self._bins = {}  # per batch size: each problem's S rows in bincount's bins
 
     def matrix(self, H, G, d, reg):
         """The matrix to solve with, per row of d (B, m) and reg (B,), and
@@ -256,15 +260,17 @@ class _Newton:
         nb, ns = d.shape[0], self.S.size
         if not ns:
             M = H + np.matmul(G.swapaxes(-1, -2), d[:, :, None] * G)
-            return _kkt_matrices(M, self.A, reg), np.empty((nb, 0))
+            return _kkt_matrices(M, self.A, reg, self._eyes), np.empty((nb, 0))
         # bincount sums each problem's rows in order, whatever the batch.
-        diag = np.bincount((np.arange(nb)[:, None] * ns + self.c1).ravel(),
-                           weights=(d[:, self.r1] * self.a2).ravel(),
+        bins = self._bins.get(nb)
+        if bins is None:
+            bins = self._bins[nb] = (np.arange(nb)[:, None] * ns + self.c1).ravel()
+        diag = np.bincount(bins, weights=(d.take(self.r1, axis=1) * self.a2).ravel(),
                            minlength=nb * ns).reshape(nb, ns)
         inv = 1.0 / (self.H_SS + diag + reg[:, None])
-        M = (self.H_UU + np.matmul(self.G_U.T, d[:, self.r2, None] * self.G_U)
+        M = (self.H_UU + np.matmul(self.G_U.T, d.take(self.r2, axis=1)[:, :, None] * self.G_U)
              - np.matmul(self.H_US * inv[:, None, :], self.H_SU))
-        return _kkt_matrices(M, self.A_U, reg), inv
+        return _kkt_matrices(M, self.A_U, reg, self._eyes), inv
 
     def solve(self, K, inv, rhs):
         """The step for every row of rhs (B, n + p), from ``matrix``."""
@@ -323,6 +329,13 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
     the predictor and the corrector. Without it (the LPs and the
     log-volume problems) the step is the plain Newton matrix and solve.
 
+    Each problem keeps x beside y and s beside z, one array per pair, so
+    a Newton step is two updates and s and z take their step lengths in
+    one ``_max_step`` pass. The divergence test runs on the whole batch
+    first, and on each problem only when that fails; the objective of the
+    unbounded test is formed only when some problem is primal feasible to
+    1e-6. Neither shortcut changes an element's arithmetic.
+
     The loop makes at most MAX_ITER convergence checks and takes a Newton
     step after each check but the last. Returns one (status, x,
     kkt_residual, iterations, certificate) tuple per problem, iterations
@@ -340,70 +353,86 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
     scale_d = (1.0 + np.max(np.abs(g), axis=1, initial=0.0)
                + (np.max(np.abs(H)) if log_rows is None and H.size else 0.0))
 
+    xy = np.zeros((nb, n + p))
+    sz = np.empty((nb, 2, m))
     if start is None:
         # Deterministic start: least-squares on the equalities, unit slacks.
         x0 = np.linalg.lstsq(A, b, rcond=None)[0] if p > 0 else np.zeros(n)
-        x = np.tile(x0, (nb, 1))
-        s = np.maximum(h - G @ x0, 1.0)  # G @ x0 is (m,) or (B, m)
-        z = np.ones((nb, m))
+        xy[:, :n] = x0
+        sz[:, 0] = np.maximum(h - G @ x0, 1.0)  # G @ x0 is (m,) or (B, m)
+        sz[:, 1] = 1.0
     else:
-        x, s = start
-        z = 1.0 / s
-    y = np.zeros((nb, p))
+        xy[:, :n] = start[0]
+        sz[:, 0] = start[1]
+        np.divide(1.0, start[1], out=sz[:, 1])
 
+    GT = G.swapaxes(-1, -2)
     unbounded_below = -_DIVERGE * scale_d
     out = [None] * nb
     idx = np.arange(nb)          # problems still iterating
-    best_kkt, best_x = np.zeros(nb), x  # their best iterates so far
+    best_kkt, best_x = np.zeros(nb), xy[:, :n]  # their best iterates so far
     stopped = []  # (problem, best kkt, best x, convergence checks) left undecided
     for it in range(1, MAX_ITER + 1):
+        x, s = xy[:, :n], sz[:, 0]
         # The bounds on s also reject a non-finite s, and the one on z a NaN
-        # or +inf z; the step rule cannot make z -inf without a NaN.
-        live = (np.isfinite(x).all(1) & (s.max(1) < 1e100) & (s.min(1) > 1e-200)
-                & (z.max(1) < 1e100))
-        if not live.all():
+        # or +inf z; the step rule cannot make z -inf without a NaN. The
+        # whole batch is tested first, each problem only when that fails.
+        if not (np.isfinite(x).all()
+                and np.maximum.reduce(sz, axis=None, initial=-np.inf) < 1e100
+                and np.minimum.reduce(s, axis=None, initial=np.inf) > 1e-200):
             # Diverged; such problems go to classification.
+            live = (np.isfinite(x).all(1) & (np.maximum.reduce(s, axis=1) < 1e100)
+                    & (np.minimum.reduce(s, axis=1) > 1e-200)
+                    & (np.maximum.reduce(sz[:, 1], axis=1) < 1e100))
             stopped.extend(zip(idx[~live], best_kkt[~live], best_x[~live], repeat(it - 1)))
-            idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt, best_x = (
-                v[live] for v in (idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below,
+            idx, xy, sz, g, h, scale_p, scale_d, unbounded_below, best_kkt, best_x = (
+                v[live] for v in (idx, xy, sz, g, h, scale_p, scale_d, unbounded_below,
                                   best_kkt, best_x))
             G = _member(G, live)
+            GT = G.swapaxes(-1, -2)
+            x, s = xy[:, :n], sz[:, 0]
         if not idx.size:
             break
+        y, z = xy[:, n:], sz[:, 1]
         if log_rows is None:
             grad, hess = _mv(H, x) + g, H
         else:
             sx = np.maximum(_mv(log_rows, x), 1e-150)
             grad = g - _mv(log_rows.T, 1.0 / sx)
             hess = np.matmul(log_rows.T * (1.0 / (sx * sx))[:, None, :], log_rows)
-            scale_d = np.max(np.abs(grad), axis=1)
-        rd = grad + (_mv(A.T, y) if p else 0.0) + _mv(G.swapaxes(-1, -2), z)
+            scale_d = np.maximum.reduce(np.abs(grad), axis=1)
+        rd = grad + (_mv(A.T, y) if p else 0.0) + _mv(GT, z)
         rp = (_mv(A, x) - b) if p else np.zeros((x.shape[0], 0))
         rg = _mv(G, x) + s - h
         gap = _dot(z, s)
         mu = gap / m
-        res_p = np.abs(rg).max(1)
+        res_p = np.maximum.reduce(np.abs(rg), axis=1)
         if p:
-            res_p = np.maximum(np.abs(rp).max(1), res_p)
+            res_p = np.maximum(np.maximum.reduce(np.abs(rp), axis=1), res_p)
         res_p = res_p / scale_p
-        res_d = np.abs(rd).max(1) / scale_d
+        res_d = np.maximum.reduce(np.abs(rd), axis=1) / scale_d
         res_g = mu / scale_d if log_rows is None else gap
         kkt = np.maximum(np.maximum(res_p, res_d), res_g)
         if it == 1:
             best_kkt, best_x = kkt, x
         else:
             better = kkt < best_kkt
-            best_kkt = np.where(better, kkt, best_kkt)
-            best_x = np.where(better[:, None], x, best_x)
+            if better.all():
+                best_kkt, best_x = kkt, x
+            else:
+                best_kkt = np.where(better, kkt, best_kkt)
+                best_x = np.where(better[:, None], x, best_x)
         # A NaN residual fails either rule.
         converged = (kkt <= tol if log_rows is None
                      else (np.maximum(res_p, res_d) <= tol) & (gap <= GAP_TOL))
         done = converged
         if classify:
-            obj = _dot(g, x)
-            if quadratic:
-                obj = _dot(np.matmul((0.5 * x)[:, None, :], H)[:, 0], x) + obj
-            done = converged | ((res_p <= 1e-6) & (obj < unbounded_below))
+            feasible = res_p <= 1e-6
+            if feasible.any():  # else the objective cannot decide
+                obj = _dot(g, x)
+                if quadratic:
+                    obj = _dot(np.matmul((0.5 * x)[:, None, :], H)[:, 0], x) + obj
+                done = converged | (feasible & (obj < unbounded_below))
         if done.any():
             for k in np.flatnonzero(done):
                 out[idx[k]] = ((Status.OPTIMAL, x[k], kkt[k], it, None) if converged[k]
@@ -412,19 +441,21 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
                 idx = idx[:0]  # none left for classification
                 break
             keep = ~done
-            idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt, best_x, \
+            idx, xy, sz, s, z, g, h, scale_p, scale_d, unbounded_below, best_kkt, best_x, \
                 rd, rp, rg, mu = (v[keep] for v in (
-                    idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt,
+                    idx, xy, sz, s, z, g, h, scale_p, scale_d, unbounded_below, best_kkt,
                     best_x, rd, rp, rg, mu))
             G, hess = _member(G, keep), _member(hess, keep)
+            GT = G.swapaxes(-1, -2)
         if it == MAX_ITER:
             break  # no later check would read the step's iterate
 
         d = z / s
+        dgz = d * rg - z  # both right-hand sides share it
 
         # Affine scaling (predictor) direction; a singular Newton matrix is
         # retried with a larger regularization, problem by problem.
-        rhs_x = -(rd + _mv(G.swapaxes(-1, -2), d * rg - z))
+        rhs_x = -(rd + _mv(GT, dgz))
         rhs = np.concatenate([rhs_x, -rp], axis=1) if p else rhs_x
         reg = 1e-12 * scale_d
         K, inv = newton.matrix(hess, G, d, reg)
@@ -447,37 +478,36 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
                     solved[k] = False
             if not solved.all():
                 stopped.extend(zip(idx[~solved], best_kkt[~solved], best_x[~solved], repeat(it)))
-                idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt, best_x, \
-                    rd, rp, rg, mu, d, K, inv, sol = (v[solved] for v in (
-                        idx, x, y, z, s, g, h, scale_p, scale_d, unbounded_below, best_kkt,
-                        best_x, rd, rp, rg, mu, d, K, inv, sol))
+                idx, xy, sz, s, z, g, h, scale_p, scale_d, unbounded_below, best_kkt, \
+                    best_x, rd, rp, rg, mu, d, dgz, K, inv, sol = (v[solved] for v in (
+                        idx, xy, sz, s, z, g, h, scale_p, scale_d, unbounded_below, best_kkt,
+                        best_x, rd, rp, rg, mu, d, dgz, K, inv, sol))
                 G = _member(G, solved)
+                GT = G.swapaxes(-1, -2)
                 if not idx.size:
                     break
-        dx_a = sol[:, :n]
-        ds_a = -rg - _mv(G, dx_a)
-        dz_a = -z - d * ds_a
+        nrg = -rg
+        dsz_a = np.empty_like(sz)
+        ds_a = np.subtract(nrg, _mv(G, sol[:, :n]), out=dsz_a[:, 0])
+        dz_a = np.subtract(-z, d * ds_a, out=dsz_a[:, 1])
 
-        a_p = _max_step(s, ds_a)
-        a_d = _max_step(z, dz_a)
-        mu_aff = _dot(z + a_d[:, None] * dz_a, s + a_p[:, None] * ds_a) / m
+        aff = sz + _max_step(sz, dsz_a)[:, :, None] * dsz_a  # s and z after the steps
+        mu_aff = _dot(aff[:, 1], aff[:, 0]) / m
         # sigma = (mu_aff / mu)^3, and 0 where mu = 0.
         sigma_mu = (np.float_power(mu_aff / np.where(mu > 0.0, mu, np.inf), 3) * mu)[:, None]
 
         # Corrector.
         corr = (sigma_mu - ds_a * dz_a) / s
-        rhs_x = -(rd + _mv(G.swapaxes(-1, -2), d * rg - z + corr))
+        rhs_x = -(rd + _mv(GT, dgz + corr))
         rhs = np.concatenate([rhs_x, -rp], axis=1) if p else rhs_x
         sol = newton.solve(K, inv, rhs)
-        dx, dy = sol[:, :n], sol[:, n:]
-        ds = -rg - _mv(G, dx)
-        dz = (sigma_mu - ds_a * dz_a) / s - z - d * ds
+        dsz = np.empty_like(sz)
+        ds = np.subtract(nrg, _mv(G, sol[:, :n]), out=dsz[:, 0])
+        np.subtract(corr - z, d * ds, out=dsz[:, 1])
 
-        alpha = (0.995 * np.minimum(_max_step(s, ds), _max_step(z, dz)))[:, None]
-        x = x + alpha * dx
-        y = y + alpha * dy
-        s = s + alpha * ds
-        z = z + alpha * dz
+        alpha = 0.995 * np.minimum.reduce(_max_step(sz, dsz), axis=1)
+        xy = xy + alpha[:, None] * sol
+        sz = sz + alpha[:, None, None] * dsz
 
     # Not converged: classify via an elastic phase-1 LP and, for a feasible
     # LP, a recession LP; never report a silent wrong answer.
@@ -508,10 +538,13 @@ def _member(M, k):
 
 
 def _max_step(v, dv):
-    """Largest step in [0, 1] that keeps v + step * dv >= 0, per row."""
+    """Largest step in [0, 1] that keeps v + step * dv >= 0, over the last
+    axis, for v without NaN: min(1, min of -v/dv where dv < 0). As
+    -v/dv is -(v/dv) exactly, that is -max(-1, max of v/dv where dv < 0);
+    every other entry gives -1."""
     neg = dv < 0.0
-    ratio = np.where(neg, -v, np.inf) / np.where(neg, dv, 1.0)
-    return np.fmin(ratio.min(-1), 1.0)
+    q = np.where(neg, v, -1.0) / np.where(neg, dv, 1.0)
+    return -np.maximum.reduce(q, axis=-1, initial=-1.0)
 
 
 def _descends_along_ray(A, G, g):
@@ -730,12 +763,13 @@ def maximize_log_volume_batch(W, d, mode):
     pair_width = np.maximum(up, dn) if mode == MODE_SUM_LOG_WIDTH else np.minimum(up, dn)
     # Live variables: members of kept pairs with nonvanishing width.
     live = np.tile(pair_width > DEGENERATE_WIDTH, 2) & (widths > DEGENERATE_WIDTH)
+    unbounded, none_live = np.isinf(widths).any(1), ~live.any(1)
     reports = [None] * len(d)
     groups = {}
     for i in range(len(d)):
-        if np.any(np.isinf(widths[i])):
+        if unbounded[i]:
             reports[i] = SolveReport(Status.UNBOUNDED, None, None, np.inf, 0)
-        elif not np.any(live[i]):
+        elif none_live[i]:
             reports[i] = SolveReport(Status.OPTIMAL, np.zeros(2 * k), 0.0, 0.0, 0)
         else:
             groups.setdefault(live[i].tobytes(), []).append(i)

@@ -236,6 +236,15 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "trace.csv").exists()
 
+    def test_run_from_state_outside_x_is_an_error(self, config, tmp_path, capsys):
+        # An x0 outside X has no feasible RMPC plan: exit 1 with the error
+        # named on one line, not a traceback.
+        path = tmp_path / "far.json"
+        path.write_text(_mutated(config, lambda d: d.update(x0=[100.0] * 4)).canonical_json())
+        code = main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: InfeasibleState: ")
+
     def test_compare_via_main(self, tmp_path):
         code = main(["compare", "--config", CONFIG_PATH, "--methods",
                      "CP1,LP1", "--steps", "12", "--out-dir", str(tmp_path)])

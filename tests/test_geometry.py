@@ -365,6 +365,44 @@ class TestWeightedProjections:
         assert len(calls) == 2 * outside
 
 
+def facet_points(rng, target):
+    """Points on a facet of the target and inside its other rows, then
+    each moved 1e-8 inward and outward along the facet's unit normal."""
+    V = enumerate_vertices(target.A, target.b)
+    points = []
+    for i in rng.permutation(len(target.A))[:4]:
+        on = V[np.abs(V @ target.A[i] - target.b[i]) <= 1e-9]
+        if not len(on):
+            continue  # a redundant row
+        p = np.mean(on, axis=0)
+        unit = target.A[i] / np.linalg.norm(target.A[i])
+        points += [p, p - 1e-8 * unit, p + 1e-8 * unit]
+    return points
+
+
+class TestStackedMembership:
+    """``weighted_projections`` tests each point against its target in one
+    stacked product per set of shared rows; each answer is ``contains``'s."""
+
+    @pytest.mark.parametrize("kind", ["box", "polytope"])
+    def test_matches_contains_at_facets(self, kind):
+        rng = np.random.default_rng(47)
+        if kind == "box":
+            setup = batch_setup()
+            targets = list(setup.TXseq) + list(setup.TUseq)
+        else:
+            polys = [random_polytope(rng, n, 5, 1, 1) for n in (2, 3, 3)]
+            targets = [Polytope(q.A, q.b - 0.05 * k) for q in polys for k in range(4)]
+        assert all((t.as_box() is not None) == (kind == "box") for t in targets)
+        pairs = [(t, r) for t in targets for r in facet_points(rng, t)]
+        order = rng.permutation(len(pairs))  # the shared rows interleave
+        for dim in {t.dim for t in targets}:
+            ts, P = zip(*[pairs[k] for k in order if pairs[k][0].dim == dim])
+            want = [t.contains(r) for t, r in zip(ts, P)]
+            assert 0 < sum(want) < len(want)
+            assert geometry._contains_each(ts, np.array(P)).tolist() == want
+
+
 class TestChebyshev:
     def test_box_center(self):
         center, radius = chebyshev(unit_box(2, 1.5))

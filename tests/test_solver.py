@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etrmpc import solver
 from etrmpc.solver import (QpProblem, Status, maximize_log_volume_batch, solve_lp_batch,
@@ -495,6 +496,40 @@ class TestQp:
                      ([np.nan, 0.0], [2.0, 2.0]), ([0.0, 0.0], [np.inf, 2.0])):
             with pytest.raises(ValueError):
                 p.with_vectors(g, b)
+
+
+# Slacks and multipliers of the loop: 0, near the divergence floor 1e-200,
+# or moderate; their steps: both signed zeros, negative or positive.
+STEP_V = st.one_of(st.just(0.0), st.floats(1e-200, 1e-199), st.floats(1e-12, 1e10))
+STEP_DV = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e10, -1e-10),
+                    st.floats(1e-10, 1e10))
+
+
+def plain_step(v, dv):
+    """min(1, min over dv < 0 of -v/dv), in Python floats."""
+    return min([1.0] + [-a / b for a, b in zip(v, dv) if b < 0.0])
+
+
+class TestStepLength:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 8).flatmap(lambda m: st.lists(
+        st.lists(st.tuples(STEP_V, STEP_DV), min_size=m, max_size=m), min_size=1, max_size=4)))
+    def test_equals_plain_rule_bit_for_bit(self, rows):
+        # Every drawn row, then the same row with every step negative and
+        # with none negative; also as the loop's (B, 2, m/2) stack of s
+        # beside z.
+        m = len(rows[0])
+        v, dv = np.array(rows).transpose(2, 0, 1)
+        v = np.vstack([v, v, v])
+        dv = np.vstack([dv, -np.abs(dv) - 1e-3, np.abs(dv)])
+        want = np.array([plain_step(a, b) for a, b in zip(v, dv)])
+        assert solver._max_step(v, dv).tobytes() == want.tobytes()
+        if m % 2 == 0:
+            half = m // 2
+            got = solver._max_step(v.reshape(-1, 2, half), dv.reshape(-1, 2, half))
+            want = np.array([[plain_step(a[:half], b[:half]), plain_step(a[half:], b[half:])]
+                             for a, b in zip(v, dv)])
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLogVolume:
