@@ -8,7 +8,9 @@ Exports BASE_REF of this repository into a temporary directory
 reference config and LP2 and periodic on the polytopic worst-case config
 of ``perfbench/workloads.py``: seed 1234, one OpenBLAS thread. Prints
 each output file as identical or moved and, for a moved ``trace.csv``,
-its first row that differs. Exits 1 if any file moved, 2 if a run fails.
+its first row that differs. For a run with a moved file it also prints
+whether its trigger times and solve count held, from both
+``summary.json`` files. Exits 1 if any file moved, 2 if a run fails.
 """
 
 import argparse
@@ -57,6 +59,16 @@ def first_moved_row(a, b):
     return f"{len(rows_a)} rows against {len(rows_b)}"
 
 
+def triggers_held(a, b):
+    """Whether two runs' summary.json files give the same trigger times and
+    solve count, as a line to print."""
+    base, this = (json.loads(p.read_text())["statistics"] for p in (a, b))
+    moved = [k for k in ("trigger_times", "solves") if base[k] != this[k]]
+    if not moved:
+        return f"    trigger times and solve count held ({this['solves']} solves)"
+    return f"    moved: {' and '.join(moved)} ({base['solves']} -> {this['solves']} solves)"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_ref", help="commit, branch or tag to compare against")
@@ -76,13 +88,18 @@ def main(argv=None):
             for side, tree in (("base", tmp / "base"), ("this", ROOT)):
                 outs[side] = tmp / "out" / side / name / method
                 run(tree, tmp / f"{name}.json", method, outs[side])
+            run_moved = False
             for f in FILES:
                 a, b = outs["base"] / f, outs["this"] / f
                 same = a.read_bytes() == b.read_bytes()
+                run_moved |= not same
                 moved += not same
                 print(f"{name:20s} {method:9s} {f:15s} {'identical' if same else 'moved'}")
                 if not same and f == "trace.csv":
                     print("    first moved " + first_moved_row(a, b))
+            if run_moved:
+                print(triggers_held(outs["base"] / "summary.json",
+                                    outs["this"] / "summary.json"))
     print(f"{moved} of {len(RUNS) * len(FILES)} files moved against {args.base_ref}")
     return 1 if moved else 0
 

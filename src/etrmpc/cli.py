@@ -77,8 +77,13 @@ class ExperimentConfig:
             raise ConfigError(f"missing config field: {exc.args[0]}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
-        if self.steps < 1:
-            raise ConfigError("steps must be positive")
+        _check_steps(self.steps)
+        nx = self.A.shape[0]
+        if self.x0.shape != (nx,):
+            raise ConfigError(f"x0: need {nx} entries, got shape {self.x0.shape}")
+        if self.replay_sequence is not None and self.replay_sequence.shape[1] != nx:
+            raise ConfigError(f"disturbance_model.sequence: need {nx} columns, "
+                              f"got {self.replay_sequence.shape[1]}")
 
     @classmethod
     def from_file(cls, path):
@@ -123,6 +128,12 @@ class ExperimentConfig:
             plant, self.M, N=self.N)
         return build_setup(plant, N=self.N, M=self.M, F=F, K=K,
                            Q=self.Q, R=self.R)
+
+
+def _check_steps(steps):
+    if steps < 1:
+        raise ConfigError(f"steps must be positive, got {steps}")
+    return steps
 
 
 def _matrix(rows, field):
@@ -182,7 +193,7 @@ def cmd_run(config, out_dir=None, method=None, seed=None, steps=None,
     """Run one experiment and write trace, summary, schedules and plot data."""
     method = method or config.method
     seed = config.seed if seed is None else seed
-    steps = steps or config.steps
+    steps = config.steps if steps is None else _check_steps(steps)
     setup = config.build()
     dist = config.disturbance_model(seed=seed)
     trace = run_closed_loop(setup, config.x0, method, dist, steps)
@@ -231,11 +242,13 @@ def cmd_compare(config, methods, out_dir=None, seed=None, steps=None,
     method sees the same sequence; the state-dependent worst case cannot
     be shared and runs per method (flagged in the report).
     """
+    if not methods:
+        raise ConfigError("no method to compare")
     for m in methods:
         if m not in ALL_METHODS:
             raise ConfigError(f"unknown method {m!r}")
     seed = config.seed if seed is None else seed
-    steps = steps or config.steps
+    steps = config.steps if steps is None else _check_steps(steps)
     setup = config.build()
     dist = config.disturbance_model(seed=seed)
 
@@ -374,7 +387,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (tightening.TighteningError, sim.SimError, rmpc.RmpcError,
-            trigger.TriggerError) as exc:
+            trigger.TriggerError, geometry.GeometryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

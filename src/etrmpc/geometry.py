@@ -4,18 +4,20 @@ All sets are carried as ``{x : A x <= b}``. Hyper-rectangles get their own
 type because axis-aligned boxes admit closed-form support functions and
 projections, which keeps the constraint-tightening chain exact.
 
-LPs over fixed rows are answered from vertex caches, and the few LPs that
-no cached vertex certifies are solved alone. Support functions over one
-polytope (``supports``) use its vertices (``Vertices``), each certified
-for a direction by NNLS; the cache lives for one call, or for one run of
-worst-case draws. The shape diagnostic ``shape_ratios`` is one call over
+Support functions over a bounded polytope (``supports``) come from its
+vertex set (``Polytope.vertices``), enumerated once from its rows and kept
+on the object. The shape diagnostic ``shape_ratios`` is one call over
 every principal polytope of a run; their Chebyshev LPs share the rows,
 and so one dual feasible set, whose vertices a cache local to the call
 keeps.
 
-Everything else here is immutable after construction and safe to share
+A polytope's kept box and vertex set are functions of its rows alone;
+everything else here is immutable after construction and safe to share
 across workers.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -105,6 +107,7 @@ class Polytope:
         self.dim = A.shape[1]
         self._box = None
         self._box_checked = False
+        self._vertices = None
 
     def __repr__(self):
         return f"Polytope(m={self.A.shape[0]}, n={self.dim})"
@@ -150,11 +153,67 @@ class Polytope:
         self._box = HyperRect(lo, hi)
         return self._box
 
+    def _axis_statuses(self):
+        """The statuses of max ±x_j over the set, one batched LP solve."""
+        eye = np.eye(self.dim)
+        return {rep.status for rep in solver.solve_lp_batch(np.vstack([eye, -eye]),
+                                                             self.A, self.b)}
+
     def is_bounded(self):
         """Finite support along all 2n axis directions, one batched LP solve."""
-        eye = np.eye(self.dim)
-        reps = solver.solve_lp_batch(np.vstack([eye, -eye]), self.A, self.b)
-        return all(rep.status == solver.Status.OPTIMAL for rep in reps)
+        return self._axis_statuses() == {solver.Status.OPTIMAL}
+
+    def vertices(self):
+        """The vertices (k, n) of a nonempty, bounded polytope, computed once
+        and kept, as ``as_box`` is.
+
+        One batched LP over ±e_j decides emptiness, then boundedness.
+        Vertex enumeration over the rows (Avis & Fukuda, *Discrete Comput.
+        Geom.* 8, 1992): each subset of n rows of full rank meets in a
+        point, kept where it lies in the polytope. The points are merged by
+        their active rows T (slack at most ``_VERTEX_SLACK`` of the scale),
+        and each vertex is computed from T alone (``solver.vertex_on_rows``,
+        in index order), so its bits depend only on the rows. The vertices
+        come in the order of their tuples T. Raises EmptySetError,
+        UnboundedSupport, or GeometryError above ``_MAX_SUBSETS`` subsets.
+        """
+        if self._vertices is not None:
+            return self._vertices
+        A, b, (m, n) = self.A, self.b, self.A.shape
+        statuses = self._axis_statuses()
+        if solver.Status.INFEASIBLE in statuses:
+            raise EmptySetError("vertices of an empty polytope")
+        if statuses != {solver.Status.OPTIMAL}:
+            raise UnboundedSupport("vertices of an unbounded polyhedron")
+        count = math.comb(m, n)
+        if count > _MAX_SUBSETS:
+            raise GeometryError(f"vertex enumeration of {m} rows in {n} dimensions "
+                                f"needs {count} subsets, above {_MAX_SUBSETS}")
+        tol = _VERTEX_SLACK * (1.0 + np.max(np.abs(b)))
+        live = np.linalg.norm(A, axis=1) > 0.0
+        subsets, active = itertools.combinations(range(m), n), set()
+        while chunk := list(itertools.islice(subsets, _CHUNK)):
+            S = np.array(chunk)
+            S = S[np.linalg.matrix_rank(A[S], tol=1e-10) == n]
+            X = np.linalg.solve(A[S], b[S][:, :, None])[:, :, 0]
+            slack = b - X @ A.T
+            for rows in (slack[np.min(slack, axis=1) >= -tol] <= tol) & live:
+                active.add(tuple(np.flatnonzero(rows).tolist()))
+        V = [v for v in (solver.vertex_on_rows(A, b, T) for T in sorted(active))
+             if v is not None and np.max(A @ v - b) <= tol]
+        if not V:
+            raise GeometryError("no vertex found in a nonempty, bounded polytope")
+        self._vertices = _freeze(V)
+        return self._vertices
+
+
+# Relative slack at or below which a row is active at a vertex.
+_VERTEX_SLACK = 1e-9
+
+# Subsets of n rows that ``Polytope.vertices`` goes through at most, and in
+# one stacked pass.
+_MAX_SUBSETS = 100_000
+_CHUNK = 4096
 
 
 def are_empty(A, offsets):
@@ -163,154 +222,43 @@ def are_empty(A, offsets):
     return [point is None for point in solver.feasibility(A, offsets)]
 
 
-# Relative slack at or below which a row is active at a vertex; relative
-# NNLS residual at or below which a vertex's rows certify a direction.
-_VERTEX_SLACK = 1e-9
-_CERTIFY_TOL = 1e-12
-
-
-class Vertices:
-    """Vertices of one Polytope {x : A x <= b}, answering max eta.x over it.
-
-    A vertex is kept with its active rows T and the point computed from T
-    alone (``solver.vertex_on_rows`` in index order). It maximizes eta.x
-    exactly when eta is a nonnegative combination of the rows A_T (LP
-    optimality; Bertsimas & Tsitsiklis, *Introduction to Linear
-    Optimization*, 1997, ch. 5), which an NNLS over the normalized rows
-    checks. The cache is local to its owner: one ``supports`` call or one
-    closed-loop run (``sim.DisturbanceModel.worst_case``).
-    """
-
-    def __init__(self, poly):
-        self.poly = poly
-        self.norms = np.linalg.norm(poly.A, axis=1)
-        self.V = np.zeros((0, poly.dim))
-        self.rows = []
-
-    def _certifies(self, k, eta):
-        """Whether eta lies in the cone of vertex k's rows, to _CERTIFY_TOL."""
-        size = np.linalg.norm(eta)
-        if size == 0.0:
-            return True
-        T = self.rows[k]
-        E, f = (self.poly.A[T] / self.norms[T, None]).T, eta / size
-        return np.max(np.abs(E @ _nnls(E, f) - f)) <= _CERTIFY_TOL
-
-    def _learn(self, x):
-        """Index of the vertex on the rows T active at the point x, which
-        joins the cache; None unless T holds n independent rows whose
-        vertex lies in the polytope."""
-        A, b = self.poly.A, self.poly.b
-        tol = _VERTEX_SLACK * (1.0 + np.max(np.abs(b)))
-        T = np.flatnonzero((b - A @ x <= tol) & (self.norms > 0.0)).tolist()
-        if T not in self.rows:
-            v = solver.vertex_on_rows(A, b, T)
-            if v is None or np.max(A @ v - b) > tol:
-                return None
-            self.V = np.vstack([self.V, v])
-            self.rows.append(T)
-        return self.rows.index(T)
-
-    def find(self, eta):
-        """(k, x) with x a maximizer of eta.x: x = V[k] for a vertex whose
-        rows certify eta, or k = -1 and x the point of eta's own LP.
-
-        The cached vertex with the largest eta.v (the first of ties) is
-        tried first. Otherwise eta's LP is solved alone, and the vertex on
-        its active rows joins the cache. Raises UnboundedSupport /
-        EmptySetError when the LP says so.
-        """
-        if self.rows:
-            k = int(np.argmax(self.V @ eta))
-            if self._certifies(k, eta):
-                return k, self.V[k]
-        rep = solver.solve_lp_batch(eta, self.poly.A, self.poly.b)[0]
-        if rep.status == solver.Status.UNBOUNDED:
-            raise UnboundedSupport(f"support unbounded along {eta.tolist()}")
-        if rep.status == solver.Status.INFEASIBLE:
-            raise EmptySetError("support of an empty polytope")
-        if rep.status != solver.Status.OPTIMAL:
-            raise GeometryError(f"support LP did not converge: {rep.status}")
-        k = self._learn(rep.x)
-        return (k, self.V[k]) if k is not None and self._certifies(k, eta) else (-1, rep.x)
-
-    def support(self, eta):
-        """h(eta) = eta.x at the maximizer that ``find`` gives. Where that
-        is an LP point, the LP stopped inside a face: the point then walks
-        to a vertex (``_face_vertex``), and where that vertex's rows certify
-        eta the value is exact. Failing that, the LP point's value stands."""
-        k, x = self.find(eta)
-        if k < 0 and eta.any():
-            v = self._face_vertex(x, eta)
-            k = None if v is None else self._learn(v)
-            if k is not None and self._certifies(k, eta):
-                x = self.V[k]
-        return eta @ x
-
-    def _face_vertex(self, x, eta):
-        """A vertex reached from the point x without lowering eta.x, or
-        None where the walk finds none.
-
-        The rows within 1e-5 of the scale of x fix a face, as in
-        ``solver._crossover``. x steps within the face, along eta projected
-        onto the null space of its rows or, where eta is constant on the
-        face, along a fixed direction in general position, to the first
-        row it meets, which joins them, until they have rank n. The vertex
-        is computed from the rows (``solver.vertex_on_rows``).
-        """
-        A, b = self.poly.A, self.poly.b
-        n = self.poly.dim
-        T = np.flatnonzero(b - A @ x <= 1e-5 * (1.0 + np.max(np.abs(b)))).tolist()
-        for _ in range(n):
-            _, sv, vt = np.linalg.svd(A[T] if T else np.zeros((1, n)))
-            N = vt[np.count_nonzero(sv > 1e-10 * max(sv[0], 1e-300)):].T
-            if not N.size:
-                break
-            d = N @ (N.T @ eta)
-            if np.linalg.norm(d) <= 1e-12 * np.linalg.norm(eta):
-                d = N @ (N.T @ np.sqrt(np.arange(n) + np.pi))
-            ad = A @ d
-            hit = ad > 1e-12 * self.norms * np.linalg.norm(d)
-            if not hit.any():
-                return None
-            steps = (b - A @ x)[hit] / ad[hit]
-            x = x + max(np.min(steps), 0.0) * d
-            T.append(int(np.flatnonzero(hit)[np.argmin(steps)]))
-        return solver.vertex_on_rows(A, b, T)
-
-
 def supports(poly, etas):
     """Support function h_S(eta) = max <eta, s> over the set, along every
     row of ``etas`` (B, n).
 
     Exact closed form for a HyperRect B(l, u),
-    sum_j max(eta_j * l_j, eta_j * u_j). A general Polytope answers the
-    directions in order from a vertex cache that lives for this call
-    (``Vertices.support``): each value is eta.v at a vertex v whose rows
-    certify eta, found in the cache or from eta's own LP, whose active
-    rows add a vertex; only where no vertex is certified does the LP's
-    own value stand. A value depends only on eta and the rows that
-    certify it, so it equals its batch of one wherever eta's optimal
-    vertex is unique. Raises UnboundedSupport / EmptySetError when an LP
-    says so.
+    sum_j max(eta_j * l_j, eta_j * u_j). A bounded Polytope gives
+    eta.v at the first vertex v of ``Polytope.vertices`` that maximizes
+    V eta, so each value depends only on eta and the rows, and equals its
+    batch of one. An unbounded polyhedron has no vertex set to answer from:
+    one batched LP gives each direction's value, and raises
+    UnboundedSupport when a direction is unbounded. Raises EmptySetError
+    on an empty polytope.
     """
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     if isinstance(poly, HyperRect):
         return np.sum(np.maximum(etas * poly.lower, etas * poly.upper), axis=1)
-    vertices = Vertices(poly)
-    return np.array([vertices.support(eta) for eta in etas])
+    try:
+        V = poly.vertices()
+    except UnboundedSupport:
+        reps = solver.solve_lp_batch(etas, poly.A, poly.b)
+        for eta, rep in zip(etas, reps):
+            if rep.status == solver.Status.UNBOUNDED:
+                raise UnboundedSupport(f"support unbounded along {eta.tolist()}")
+        if any(rep.status != solver.Status.OPTIMAL for rep in reps):
+            raise GeometryError("support LP did not converge")
+        return np.array([rep.objective for rep in reps])
+    return np.array([eta @ V[np.argmax(V @ eta)] for eta in etas])
 
 
 def pontryagin_diff(poly, sub, image=None):
     """Pontryagin difference ``poly ominus (image @ sub)``.
 
     Facet-wise: {z : a_i z <= b_i - h_sub(image^T a_i)}. ``sub`` may be a
-    HyperRect (closed-form offsets, exact) or a Polytope (one ``supports``
-    call: each offset from a certified vertex of a cache that lives for
-    the call, or from its own LP); it must be bounded along the mapped
-    facet normals, unbounded subtrahends are not supported. The result may
-    be empty; callers detect that with ``are_empty`` and own the decision
-    to abort.
+    HyperRect (closed-form offsets, exact) or a bounded Polytope (one
+    ``supports`` call: each offset from a vertex of ``sub``). The result
+    may be empty; callers detect that with ``are_empty`` and own the
+    decision to abort.
     """
     A = poly.A
     dirs = A if image is None else A @ image

@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 
 from . import rmpc, trigger
-from .geometry import FEAS_TOL, GeometryError, HyperRect, Vertices
+from .geometry import FEAS_TOL, GeometryError, HyperRect
 
 DECAY_TOL = 1e-6
 
@@ -53,14 +53,10 @@ class DisturbanceModel:
         self.allow_out_of_set = bool(allow_out_of_set)
         if kind == "replay" and self.sequence is None:
             raise ValueError("replay disturbance needs a sequence")
-        self._vertices = None
 
     def realize(self, W, T):
-        """Materialize w_0..w_{T-1} when state-independent, else None.
-
-        A run calls this once, at its start. For the worst case it starts
-        the run's vertex cache afresh and returns None.
-        """
+        """Materialize w_0..w_{T-1} when state-independent, else None (the
+        worst case). A run calls this once, at its start."""
         if self.kind == "zero":
             return np.zeros((T, W.dim))
         if self.kind == "uniform":
@@ -75,26 +71,23 @@ class DisturbanceModel:
                     if _residual(W, seq[t]) > FEAS_TOL:
                         raise ValueError(f"replay disturbance at t={t} leaves the set")
             return seq
-        self._vertices = None
         return None  # worst_case is state-dependent
 
     def worst_case(self, W, xi):
         """argmax over W of xi.w; ties on box sets resolve to +w_max.
 
-        A polytopic W answers from a vertex cache that lives for one run
-        (``geometry.Vertices.find``): a cached vertex whose rows certify
-        xi, or else the vertex, or where xi's optimal face is not a vertex
-        the point, of xi's own LP; a vertex it finds joins the cache.
+        A polytopic W answers from its vertex set (``Polytope.vertices``,
+        a function of its rows alone): the first vertex that maximizes
+        xi.w, so a tied draw is a vertex that depends only on xi and W.
         """
         if isinstance(W, HyperRect):
             w = np.where(xi >= 0.0, W.upper, W.lower)
             return w
-        if self._vertices is None or self._vertices.poly is not W:
-            self._vertices = Vertices(W)
         try:
-            return self._vertices.find(xi)[1]
+            V = W.vertices()
         except GeometryError as exc:
-            raise SimError(f"worst-case disturbance LP failed: {exc}") from exc
+            raise SimError(f"worst-case disturbance failed: {exc}") from exc
+        return V[np.argmax(V @ xi)]
 
 
 def _residual(W, w):
@@ -109,12 +102,10 @@ def _uniform_samples(W, T, rng):
     box = W.as_box()
     if box is not None:
         return rng.uniform(box.lower, box.upper, size=(T, box.dim))
-    # General polytope: rejection sampling from the support bounding box.
-    from . import geometry
-    n = W.dim
-    lo = -geometry.supports(W, -np.eye(n))
-    hi = geometry.supports(W, np.eye(n))
-    out = np.zeros((T, n))
+    # General polytope: rejection sampling from its vertices' bounding box.
+    V = W.vertices()
+    lo, hi = np.min(V, axis=0), np.max(V, axis=0)
+    out = np.zeros((T, W.dim))
     for t in range(T):
         for _ in range(10_000):
             w = rng.uniform(lo, hi)

@@ -355,9 +355,8 @@ def build_setup(plant, N, M, F, K, Q, R):
 
     The erosion offsets of all four chains come from one
     ``geometry.supports`` call over W: exact closed forms for a box W;
-    for a polytope, each offset is eta.v at a vertex v whose rows certify
-    eta, from a vertex cache that lives for that call, or else from
-    eta's own LP.
+    for a polytope, each offset is eta.v at the first vertex v of W's
+    vertex set (``Polytope.vertices``) that maximizes eta.v.
     """
     A, B = plant.A, plant.B
     n, nu = plant.nx, plant.nu
@@ -397,8 +396,7 @@ def build_setup(plant, N, M, F, K, Q, R):
 
     # Each family's chain S_{i+1} = S_i ominus (image_i W) keeps the rows of
     # S_0, so every direction A image_i is known up front: one supports call
-    # answers the whole chain from one vertex cache, and then
-    # b_{i+1} = b_i - h_i, in order.
+    # answers the whole chain, and then b_{i+1} = b_i - h_i, in order.
     KL = [K[i] @ L[i] for i in range(N - 1)]
     families = [(_as_polytope(S), images) for S, images in
                 ((plant.U, KL), (plant.X, L), (plant.Tu, KL), (plant.Tx, L))]

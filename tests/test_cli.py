@@ -245,6 +245,45 @@ class TestMain:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: InfeasibleState: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--steps", "-3"],
+        ["run", "--steps", "0"],
+        ["compare", "--methods", "CP1", "--steps", "0"],
+        ["compare", "--methods", ","],
+    ])
+    def test_bad_arguments_are_config_errors(self, argv, tmp_path, capsys):
+        code = main(argv + ["--config", CONFIG_PATH, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.update(x0=[0.1] * 3),
+        lambda d: d.update(disturbance_model={"kind": "replay",
+                                              "sequence": np.zeros((80, 3)).tolist()}),
+    ], ids=["x0", "replay_width"])
+    def test_wrong_widths_are_config_errors(self, config, mutate, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        data = copy.deepcopy(config.to_dict())
+        mutate(data)
+        path.write_text(json.dumps(data))
+        code = main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_geometry_error_exits_1(self, tmp_path, capsys):
+        # W in 4-D with 41 rows: vertex enumeration would need C(41, 4) =
+        # 101,270 subsets of rows, above its cap.
+        data = polytope_worst_case_data()
+        A, b = data["sets"]["disturbance"]["A"], data["sets"]["disturbance"]["b"]
+        extra = np.random.default_rng(0).normal(size=(25, 4))
+        data["sets"]["disturbance"] = {"A": A + extra.tolist(), "b": b + [1.0] * 25}
+        path = tmp_path / "many_rows.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: GeometryError: ")
+
     def test_compare_via_main(self, tmp_path):
         code = main(["compare", "--config", CONFIG_PATH, "--methods",
                      "CP1,LP1", "--steps", "12", "--out-dir", str(tmp_path)])

@@ -107,8 +107,8 @@ class TestSupport:
            duplicates=st.integers(0, 3), cuts=st.integers(0, 2))
     def test_random_polytopes_match_highs(self, seed, n, m, duplicates, cuts):
         # Integer, zero, facet-normal and random directions. Every value
-        # matches HiGHS; where the optimal vertex is unique (a gap to the
-        # next vertex), it equals its batch of one bit for bit.
+        # matches HiGHS and equals its batch of one bit for bit, ties
+        # included.
         pytest.importorskip("scipy")
         rng = np.random.default_rng(seed)
         poly = random_polytope(rng, n, m, duplicates, cuts)
@@ -117,13 +117,10 @@ class TestSupport:
                           rng.normal(size=(8, n))])
         etas = etas[rng.permutation(len(etas))]
         values = supports(poly, etas)
-        V = enumerate_vertices(poly.A, poly.b)
         for eta, value in zip(etas, values):
             expected = highs_max(eta, poly.A, poly.b)
             assert abs(value - expected) <= 1e-9 * (1.0 + abs(expected))
-            top = np.sort(V @ eta)[::-1]
-            if len(top) == 1 or top[0] - top[1] > 1e-6:
-                assert supports(poly, [eta])[0] == value
+            assert supports(poly, [eta]).tobytes() == value.tobytes()
 
     def test_empty_and_unbounded_raise_with_zero_directions(self):
         empty = Polytope([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0])
@@ -139,6 +136,25 @@ class TestSupport:
             with pytest.raises(geometry.UnboundedSupport):
                 supports(poly, etas)
         assert supports(quadrant, [[-1.0, -2.0], [0.0, 0.0]]).tolist() == [0.0, 0.0]
+
+    def test_vertices_match_enumeration_and_are_kept(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            poly = random_polytope(rng, 3, 5, 2, 1)
+            V = poly.vertices()
+            expected = enumerate_vertices(poly.A, poly.b)
+            assert len(V) == len(expected)
+            assert max(np.min(np.linalg.norm(expected - v, axis=1)) for v in V) <= 1e-12
+            assert poly.vertices() is V
+
+    def test_vertex_enumeration_over_the_subset_cap_raises(self):
+        # 40 rows in 5-D: C(40, 5) = 658,008 subsets, above the cap of 100,000.
+        A = np.vstack([np.random.default_rng(2).normal(size=(30, 5)), np.eye(5), -np.eye(5)])
+        poly = Polytope(A, np.ones(40))
+        with pytest.raises(geometry.GeometryError, match="658008"):
+            poly.vertices()
+        with pytest.raises(geometry.GeometryError, match="658008"):
+            supports(poly, [np.ones(5)])
 
     def test_unbounded_direction_raises(self):
         # Half-plane x1 <= 1: unbounded along +x2.

@@ -266,12 +266,17 @@ class TestPolytopeDisturbanceSet:
             assert exempt or lhs <= rhs + 1e-6
 
 
+def cross_polytope():
+    """{w : ||w||_1 <= 0.02} as one row per sign vector."""
+    rows = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
+    return Polytope(rows, np.full(16, 0.02))
+
+
 class TestPolytopeWorstCase:
     def test_cross_polytope_closed_form_vertex(self):
         # On {w : ||w||_1 <= 0.02} the worst case for an untied xi is the
         # vertex 0.02 sign(xi_j) e_j, j = argmax |xi_j|.
-        rows = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
-        W = Polytope(rows, np.full(16, 0.02))
+        W = cross_polytope()
         dm = DisturbanceModel("worst_case")
         for xi in np.random.default_rng(8).normal(size=(100, 4)):
             j = int(np.argmax(np.abs(xi)))
@@ -279,10 +284,27 @@ class TestPolytopeWorstCase:
             expected[j] = 0.02 * np.sign(xi[j])
             assert np.array_equal(dm.worst_case(W, xi), expected)
 
+    def test_tied_draw_is_a_vertex_that_other_draws_do_not_move(self):
+        # The benchmark's x0 ties all four coordinates. A fresh model's draw
+        # is a maximizing vertex 0.02 sign(xi_j) e_j, not a point inside a
+        # face, and 100 other draws leave it as it was.
+        xi = np.array([1.5, 1.5, -1.5, 1.5])
+        W, dm = cross_polytope(), DisturbanceModel("worst_case")
+        first = dm.worst_case(W, xi)
+        assert np.count_nonzero(first) == 1
+        assert np.max(np.abs(first)) == 0.02
+        assert xi @ first == 0.02 * np.max(np.abs(xi))
+        for other in np.random.default_rng(4).normal(size=(100, 4)):
+            dm.worst_case(W, other)
+        assert dm.worst_case(W, xi).tobytes() == first.tobytes()
+        assert DisturbanceModel("worst_case").worst_case(
+            cross_polytope(), xi).tobytes() == first.tobytes()
+
     @pytest.mark.parametrize("method", ["LP2", "periodic"])
     def test_run_solves_few_worst_case_lps(self, method, monkeypatch):
         # The benchmark's polytope_worst_case config: one draw per step, at
-        # most 8 LPs per run (one per vertex of the cross-polytope).
+        # most 8 LPs per run (none: the setup has already enumerated W's
+        # vertices, and W keeps them).
         cfg = ExperimentConfig(polytope_worst_case_data())
         setup = cfg.build()
         calls, per_draw = [], []

@@ -270,8 +270,11 @@ class TestPolytopeDisturbance:
                 b = b - 0.02 * np.max(np.abs(seq[0].A @ images[i]), axis=1)
                 np.testing.assert_allclose(seq[i + 1].b, b, rtol=1e-15, atol=0.0)
 
-    def test_build_setup_solves_few_support_lps(self, config, monkeypatch):
-        # One LP per vertex of the cross-polytope at most.
+    def test_build_setup_solves_few_support_lps(self, monkeypatch):
+        # A fresh config, whose W has no vertex set kept yet: the supports
+        # call makes one LP batch, the emptiness and boundedness check of
+        # vertex enumeration.
+        config = ExperimentConfig(polytope_worst_case_data())
         plant = PlantModel(config.A, config.B, X=config.X, U=config.U, W=config.W,
                            Tx=config.Tx, Tu=config.Tu, Xf=config.Xf)
         F = synthesize_nominal_gain(plant, config.Qlqr, config.Rlqr)
