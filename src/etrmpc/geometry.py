@@ -4,16 +4,16 @@ All sets are carried as ``{x : A x <= b}``. Hyper-rectangles get their own
 type because axis-aligned boxes admit closed-form support functions and
 projections, which keeps the constraint-tightening chain exact.
 
-Support functions over a bounded polytope (``supports``) come from its
-vertex set (``Polytope.vertices``), enumerated once from its rows and kept
-on the object. The shape diagnostic ``shape_ratios`` is one call over
-every principal polytope of a run; their Chebyshev LPs share the rows,
-and so one dual feasible set, whose vertices a cache local to the call
-keeps.
+Support functions over a polytope (``supports``) come from its vertex set
+(``Polytope.vertices``), enumerated once from its rows. The origin
+witnesses that a set with no negative offset is not empty (``are_empty``).
+The shape diagnostic ``shape_ratios`` is one call over every principal
+polytope of a run; their Chebyshev LPs share the rows, and so one dual
+feasible set, whose vertices a cache local to the call keeps.
 
-A polytope's kept box and vertex set are functions of its rows alone;
-everything else here is immutable after construction and safe to share
-across workers.
+A polytope keeps its box, its vertices and its ±e_j LP statuses, each
+computed once from its rows alone; everything else here is immutable
+after construction and safe to share across workers.
 """
 
 import itertools
@@ -108,6 +108,7 @@ class Polytope:
         self._box = None
         self._box_checked = False
         self._vertices = None
+        self._axes = None
 
     def __repr__(self):
         return f"Polytope(m={self.A.shape[0]}, n={self.dim})"
@@ -154,28 +155,31 @@ class Polytope:
         return self._box
 
     def _axis_statuses(self):
-        """The statuses of max ±x_j over the set, one batched LP solve."""
-        eye = np.eye(self.dim)
-        return {rep.status for rep in solver.solve_lp_batch(np.vstack([eye, -eye]),
-                                                             self.A, self.b)}
+        """The statuses of max ±x_j over the set: one batched LP, kept."""
+        if self._axes is None:
+            eye = np.eye(self.dim)
+            self._axes = {rep.status for rep in solver.solve_lp_batch(
+                np.vstack([eye, -eye]), self.A, self.b)}
+        return self._axes
 
     def is_bounded(self):
-        """Finite support along all 2n axis directions, one batched LP solve."""
+        """Finite support along all 2n axis directions (kept statuses)."""
         return self._axis_statuses() == {solver.Status.OPTIMAL}
 
     def vertices(self):
         """The vertices (k, n) of a nonempty, bounded polytope, computed once
         and kept, as ``as_box`` is.
 
-        One batched LP over ±e_j decides emptiness, then boundedness.
-        Vertex enumeration over the rows (Avis & Fukuda, *Discrete Comput.
-        Geom.* 8, 1992): each subset of n rows of full rank meets in a
-        point, kept where it lies in the polytope. The points are merged by
-        their active rows T (slack at most ``_VERTEX_SLACK`` of the scale),
-        and each vertex is computed from T alone (``solver.vertex_on_rows``,
-        in index order), so its bits depend only on the rows. The vertices
-        come in the order of their tuples T. Raises EmptySetError,
-        UnboundedSupport, or GeometryError above ``_MAX_SUBSETS`` subsets.
+        The ±e_j LP statuses that ``is_bounded`` keeps decide emptiness,
+        then boundedness. Vertex enumeration over the rows (Avis & Fukuda,
+        *Discrete Comput. Geom.* 8, 1992): each subset of n rows of full
+        rank meets in a point, kept where it lies in the polytope. The
+        points are merged by their active rows T (slack at most
+        ``_VERTEX_SLACK`` of the scale), and each vertex is computed from T
+        alone (``solver.vertex_on_rows``, in index order), so its bits
+        depend only on the rows. The vertices come in the order of their
+        tuples T. Raises EmptySetError, UnboundedSupport, or GeometryError
+        above ``_MAX_SUBSETS`` subsets.
         """
         if self._vertices is not None:
             return self._vertices
@@ -218,8 +222,14 @@ _CHUNK = 4096
 
 def are_empty(A, offsets):
     """Whether {x : A x <= b} is empty, for every row b of ``offsets``
-    (flagged, never raised), from one batched phase-1 solve."""
-    return [point is None for point in solver.feasibility(A, offsets)]
+    (flagged, never raised). A row with no b_i < 0 holds the origin; the
+    others, in order, take one batched phase-1 solve."""
+    B = np.asarray(offsets, dtype=float).reshape(-1, np.shape(A)[0])
+    empty, out = [False] * len(B), np.flatnonzero(np.any(B < 0.0, axis=1))
+    if out.size:  # an empty batch would still enter the interior-point loop
+        for k, point in zip(out.tolist(), solver.feasibility(A, B[out])):
+            empty[k] = point is None
+    return empty
 
 
 def supports(poly, etas):
@@ -227,27 +237,16 @@ def supports(poly, etas):
     row of ``etas`` (B, n).
 
     Exact closed form for a HyperRect B(l, u),
-    sum_j max(eta_j * l_j, eta_j * u_j). A bounded Polytope gives
-    eta.v at the first vertex v of ``Polytope.vertices`` that maximizes
-    V eta, so each value depends only on eta and the rows, and equals its
-    batch of one. An unbounded polyhedron has no vertex set to answer from:
-    one batched LP gives each direction's value, and raises
-    UnboundedSupport when a direction is unbounded. Raises EmptySetError
-    on an empty polytope.
+    sum_j max(eta_j * l_j, eta_j * u_j). A Polytope gives eta.v at the
+    first vertex v of ``Polytope.vertices`` that maximizes V eta, so each
+    value depends only on eta and the rows, and equals its batch of one.
+    Raises what ``vertices`` raises: EmptySetError on an empty polytope
+    and UnboundedSupport on an unbounded one, whatever the directions.
     """
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     if isinstance(poly, HyperRect):
         return np.sum(np.maximum(etas * poly.lower, etas * poly.upper), axis=1)
-    try:
-        V = poly.vertices()
-    except UnboundedSupport:
-        reps = solver.solve_lp_batch(etas, poly.A, poly.b)
-        for eta, rep in zip(etas, reps):
-            if rep.status == solver.Status.UNBOUNDED:
-                raise UnboundedSupport(f"support unbounded along {eta.tolist()}")
-        if any(rep.status != solver.Status.OPTIMAL for rep in reps):
-            raise GeometryError("support LP did not converge")
-        return np.array([rep.objective for rep in reps])
+    V = poly.vertices()
     return np.array([eta @ V[np.argmax(V @ eta)] for eta in etas])
 
 

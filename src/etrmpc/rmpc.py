@@ -22,15 +22,10 @@ class RmpcError(Exception):
 
 
 class InfeasibleState(RmpcError):
-    """The query state admits no feasible plan (value +inf).
+    """The query state admits no feasible plan (value +inf)."""
 
-    ``certificate`` carries the phase-1 dual evidence from the solver
-    when the infeasibility was detected inside the QP.
-    """
-
-    def __init__(self, x0, detail="", certificate=None):
+    def __init__(self, x0, detail=""):
         self.x0 = np.asarray(x0, dtype=float)
-        self.certificate = certificate
         super().__init__(f"RMPC infeasible at x0={self.x0.tolist()} {detail}".strip())
 
 
@@ -132,7 +127,7 @@ def solve_rmpc(setup, x0):
     # An iterate that reaches FEAS_TOL but not QP_TOL is still accepted.
     rep = solver.solve_qp(qp.problem.with_vectors(g, qp.b_in - qp.C_x0 @ x0))
     if rep.status == solver.Status.INFEASIBLE:
-        raise InfeasibleState(x0, "(QP infeasible)", certificate=rep.certificate)
+        raise InfeasibleState(x0, "(QP infeasible)")
     accepted_loose = (rep.status == solver.Status.MAXITER and rep.x is not None
                       and rep.kkt_residual <= solver.FEAS_TOL)
     if rep.status != solver.Status.OPTIMAL and not accepted_loose:

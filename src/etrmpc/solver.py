@@ -119,7 +119,7 @@ class SolveReport:
     singular).
     """
 
-    def __init__(self, status, x, objective, kkt_residual, iterations, certificate=None):
+    def __init__(self, status, x, objective, kkt_residual, iterations):
         self.status = status
         self.x = None if x is None else np.array(x, dtype=float)
         if self.x is not None:
@@ -127,7 +127,6 @@ class SolveReport:
         self.objective = None if objective is None else float(objective)
         self.kkt_residual = float(kkt_residual)
         self.iterations = int(iterations)
-        self.certificate = certificate
 
     def __repr__(self):
         return f"SolveReport({self.status.value}, obj={self.objective}, kkt={self.kkt_residual:.2e})"
@@ -338,8 +337,8 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
 
     The loop makes at most MAX_ITER convergence checks and takes a Newton
     step after each check but the last. Returns one (status, x,
-    kkt_residual, iterations, certificate) tuple per problem, iterations
-    being the checks made on it.
+    kkt_residual, iterations) tuple per problem, iterations being the
+    checks made on it.
     """
     nb, n = g.shape
     p, m = A.shape[0], G.shape[-2]
@@ -435,8 +434,8 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
                 done = converged | (feasible & (obj < unbounded_below))
         if done.any():
             for k in np.flatnonzero(done):
-                out[idx[k]] = ((Status.OPTIMAL, x[k], kkt[k], it, None) if converged[k]
-                               else (Status.UNBOUNDED, None, kkt[k], it, None))
+                out[idx[k]] = ((Status.OPTIMAL, x[k], kkt[k], it) if converged[k]
+                               else (Status.UNBOUNDED, None, kkt[k], it))
             if done.all():
                 idx = idx[:0]  # none left for classification
                 break
@@ -521,13 +520,13 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
     rays = set() if quadratic or not feasible else {
         i for i, ray in zip(feasible, _descends_along_ray(A, _member(G_all, feasible),
                                                           g_all[feasible])) if ray}
-    for (i, kkt_i, x_i, checks), (t, cert) in zip(stopped, phase):
+    for (i, kkt_i, x_i, checks), (t, _) in zip(stopped, phase):
         if t is not None and t > 1e-7:
-            out[i] = (Status.INFEASIBLE, None, kkt_i, checks, cert)
+            out[i] = (Status.INFEASIBLE, None, kkt_i, checks)
         elif i in rays:
-            out[i] = (Status.UNBOUNDED, None, kkt_i, checks, None)
+            out[i] = (Status.UNBOUNDED, None, kkt_i, checks)
         else:
-            out[i] = (Status.MAXITER, x_i, kkt_i, checks, None)
+            out[i] = (Status.MAXITER, x_i, kkt_i, checks)
     return out
 
 
@@ -561,7 +560,7 @@ def _descends_along_ray(A, G, g):
     reports = _ipm(np.zeros((n, n)), g, A, np.zeros(A.shape[0]), G,
                    np.broadcast_to(h, (len(g), h.size)), FEAS_TOL, classify=False)
     return [st == Status.OPTIMAL and gk @ d < -1e-6 * (1.0 + np.max(np.abs(gk)))
-            for (st, d, _, _, _), gk in zip(reports, g)]
+            for (st, d, _, _), gk in zip(reports, g)]
 
 
 def _phase1(A, b, G, h):
@@ -586,7 +585,7 @@ def _phase1(A, b, G, h):
     scale = 1.0 + np.maximum(np.max(np.abs(b), initial=0.0),
                              np.max(np.abs(h), axis=1, initial=0.0))
     return [(float(xt[-1] / sk), xt) if st == Status.OPTIMAL and xt is not None else (None, None)
-            for (st, xt, _, _, _), sk in zip(reports, scale)]
+            for (st, xt, _, _), sk in zip(reports, scale)]
 
 
 def solve_lp_batch(c, A, b, A_eq=None, b_eq=None, tol=FEAS_TOL):
@@ -621,11 +620,11 @@ def _lp_reports(c, G, h, A, b, tol):
     n = c.shape[1]
     reports = []
     outcomes = _ipm(np.zeros((n, n)), -c, A, b, G, h, tol)
-    for k, ((st, x, kkt, it, cert), ck, hk) in enumerate(zip(outcomes, c, h)):
+    for k, ((st, x, kkt, it), ck, hk) in enumerate(zip(outcomes, c, h)):
         if st == Status.OPTIMAL:
             x = _crossover(ck, A, b, _member(G, k), hk, x)
         obj = float(ck @ x) if x is not None and st == Status.OPTIMAL else None
-        reports.append(SolveReport(st, x, obj, kkt, it, cert))
+        reports.append(SolveReport(st, x, obj, kkt, it))
     return reports
 
 
@@ -680,10 +679,10 @@ def solve_qp(p):
     """Minimize 0.5 x.H x + g.x subject to the problem's constraints, to
     QP_TOL."""
     A, b = (p.A_eq, p.b_eq) if p.A_eq is not None else _empty(p.g.size)
-    st, x, kkt, it, cert = _ipm(p.H, p.g[None], A, b, p.A_in, p.b_in[None], QP_TOL,
-                                newton=p._newton)[0]
+    st, x, kkt, it = _ipm(p.H, p.g[None], A, b, p.A_in, p.b_in[None], QP_TOL,
+                          newton=p._newton)[0]
     obj = float(0.5 * x @ p.H @ x + p.g @ x) if x is not None and st == Status.OPTIMAL else None
-    return SolveReport(st, x, obj, kkt, it, cert)
+    return SolveReport(st, x, obj, kkt, it)
 
 
 def feasibility(A, b):
@@ -805,7 +804,7 @@ def maximize_log_volume_batch(W, d, mode):
         start = (v[inside], np.concatenate([sl, v], axis=1)[inside])
         solved = _ipm(None, np.zeros((len(h), nv)), *_empty(nv), np.vstack([Wa, -np.eye(nv)]),
                       h, FEAS_TOL, classify=False, start=start, log_rows=S)
-        for i, (status, x, kkt, iters, _) in zip(members[inside], solved):
+        for i, (status, x, kkt, iters) in zip(members[inside], solved):
             full = np.zeros(2 * k)
             full[mask] = x
             reports[i] = SolveReport(status, full, sum(np.log(S @ x).tolist()), kkt, iters)

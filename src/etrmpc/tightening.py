@@ -356,7 +356,9 @@ def build_setup(plant, N, M, F, K, Q, R):
     The erosion offsets of all four chains come from one
     ``geometry.supports`` call over W: exact closed forms for a box W;
     for a polytope, each offset is eta.v at the first vertex v of W's
-    vertex set (``Polytope.vertices``) that maximizes eta.v.
+    vertex set (``Polytope.vertices``, kept on W) that maximizes eta.v.
+    A tightened set with no negative offset holds the origin, so its
+    emptiness check (``geometry.are_empty``) solves no LP.
     """
     A, B = plant.A, plant.B
     n, nu = plant.nx, plant.nu
@@ -410,7 +412,7 @@ def build_setup(plant, N, M, F, K, Q, R):
 
     for name, seq in (("U", Useq), ("X", Xseq), ("TU", TUseq), ("TX", TXseq)):
         # The erosion keeps the rows, so a family's sets share A and one
-        # batched phase-1 solve checks them all.
+        # call checks them all.
         empty = geometry.are_empty(seq[0].A, [s.b for s in seq[1:]])
         if any(empty):
             raise EmptyTightenedSet(empty.index(True) + 1, name)

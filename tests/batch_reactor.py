@@ -64,14 +64,20 @@ def cross_polytope_setup():
     return build_setup(plant, N=10, M=4, F=F, K=K, Q=2.0 * np.eye(4), R=np.eye(2))
 
 
-def polytope_worst_case_data():
-    """Config data of the benchmark's polytope_worst_case workload
-    (``perfbench/workloads.py``): the reference experiment with
-    W = {w : ||w||_1 <= 0.02} as 16 sign-vector rows and worst-case
-    draws."""
-    root = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def benchmark_workloads():
+    """The benchmark's workload module, ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    base = json.loads((root / "configs" / "batch_reactor.json").read_text())
-    return workloads.polytope_config(base)
+    return workloads
+
+
+def polytope_worst_case_data():
+    """Config data of the benchmark's polytope_worst_case workload: the
+    reference experiment with W = {w : ||w||_1 <= 0.02} as 16 sign-vector
+    rows and worst-case draws."""
+    base = json.loads((ROOT / "configs" / "batch_reactor.json").read_text())
+    return benchmark_workloads().polytope_config(base)

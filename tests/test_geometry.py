@@ -9,7 +9,7 @@ from etrmpc.geometry import (HyperRect, Polytope, pontryagin_diff, shape_ratios,
                              supports, weighted_projections)
 from etrmpc.sim import DisturbanceModel, run_closed_loop
 
-from batch_reactor import X0, batch_setup, cross_polytope_setup
+from batch_reactor import X0, batch_setup, benchmark_workloads, cross_polytope_setup
 from oracles import enumerate_vertices, grid_projection, highs_chebyshev, highs_max
 
 
@@ -127,15 +127,15 @@ class TestSupport:
         for etas in ([[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]):
             with pytest.raises(geometry.EmptySetError):
                 supports(empty, etas)
-        # Half-plane x1 <= 1, no vertex; quadrant x >= 0, vertex 0, whose
-        # rows certify the directions before the unbounded one.
+        # Half-plane x1 <= 1 and quadrant x >= 0: neither has a vertex set,
+        # so every direction set raises, even one whose values are finite.
         half = Polytope([[1.0, 0.0]], [1.0])
         quadrant = Polytope([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
-        for poly, etas in ((half, [[0.0, 0.0], [0.0, 1.0]]),
-                           (quadrant, [[-1.0, -2.0], [0.0, 0.0], [1.0, 0.0]])):
-            with pytest.raises(geometry.UnboundedSupport):
-                supports(poly, etas)
-        assert supports(quadrant, [[-1.0, -2.0], [0.0, 0.0]]).tolist() == [0.0, 0.0]
+        for poly in (half, quadrant):
+            for etas in ([[0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]],
+                         [[-1.0, -2.0], [0.0, 0.0]], [[-1.0, -2.0], [0.0, 0.0], [1.0, 0.0]]):
+                with pytest.raises(geometry.UnboundedSupport):
+                    supports(poly, etas)
 
     def test_vertices_match_enumeration_and_are_kept(self):
         rng = np.random.default_rng(12)
@@ -163,8 +163,7 @@ class TestSupport:
             supports(poly, [[0.0, 1.0]])
 
     def test_unbounded_after_iteration_cap_raises(self):
-        # The start slack of x_1 >= -0.3 is clamped to 1, so the LP runs to
-        # the iteration cap; the recession LP then finds the ray.
+        # Unbounded along +x_2: no vertex set, whatever the direction.
         poly = Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 0.3])
         with pytest.raises(geometry.UnboundedSupport):
             supports(poly, [[0.5, 1.0]])
@@ -595,13 +594,27 @@ class TestTypes:
         assert unit_box().is_bounded()
         assert not Polytope([[1.0, 0.0]], [1.0]).is_bounded()
 
-    def test_emptiness_batch_in_order(self):
+    def test_emptiness_batch_in_order(self, monkeypatch):
         # x_0 in [-b_1, b_0] and x_1 in [-b_3, b_2]: members 1 and 3 empty.
+        # Members 0 and 2 hold the origin (-0.0 >= 0), so they take no LP;
+        # member 4, x_0 in [0.5, 1], leaves it out and takes phase 1.
         A = np.vstack([np.eye(2)[0], -np.eye(2)[0], np.eye(2)[1], -np.eye(2)[1]])
         offsets = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 0.5, 1.0, 1.0],
-                            [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, -2.0, 1.0]])
-        assert geometry.are_empty(A, offsets) == [False, True, False, True]
-        assert [geometry.are_empty(A, b)[0] for b in offsets] == [False, True, False, True]
+                            [0.0, -0.0, 0.0, 0.0], [1.0, 1.0, -2.0, 1.0],
+                            [1.0, -0.5, 1.0, 1.0]])
+        expected = [False, True, False, True, False]
+        solved, feasibility = [], solver.feasibility
+        monkeypatch.setattr(solver, "feasibility",
+                            lambda A, b: solved.append(np.array(b)) or feasibility(A, b))
+        assert geometry.are_empty(A, offsets) == expected
+        assert len(solved) == 1 and np.array_equal(solved[0], offsets[[1, 3, 4]])
+        assert [geometry.are_empty(A, b)[0] for b in offsets] == expected
+
+    def test_benchmark_cross_polytope_is_not_empty(self):
+        # ||w||_1 <= 0.02 as 16 rows: phase 1 stops with t above its
+        # emptiness threshold here, but the origin witnesses the set.
+        A, b = benchmark_workloads().cross_polytope_rows(4, 0.02)
+        assert geometry.are_empty(np.array(A), [b]) == [False]
 
     def test_boundedness_matches_axis_lps(self):
         # The batched probe agrees with one LP per axis direction.

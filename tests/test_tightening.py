@@ -9,7 +9,7 @@ from etrmpc.tightening import (EmptyTightenedSet, NilpotencyFailure, PlantModel,
                                is_controllable, synthesize_nominal_gain,
                                synthesize_tightening_gains)
 
-from batch_reactor import batch_plant, batch_setup, polytope_worst_case_data
+from batch_reactor import ROOT, batch_plant, batch_setup, polytope_worst_case_data
 from oracles import deadbeat_erosion, highs_min_erosion
 
 
@@ -270,24 +270,43 @@ class TestPolytopeDisturbance:
                 b = b - 0.02 * np.max(np.abs(seq[0].A @ images[i]), axis=1)
                 np.testing.assert_allclose(seq[i + 1].b, b, rtol=1e-15, atol=0.0)
 
+    @staticmethod
+    def setup_solves(config, monkeypatch):
+        """The LP batches and phase-1 solves that PlantModel and build_setup
+        make on ``config``; the gain synthesis between them is not counted."""
+        calls = []
+        for name in ("solve_lp_batch", "_phase1"):
+            monkeypatch.setattr(solver, name, lambda *a, f=getattr(solver, name), name=name,
+                                **k: calls.append(name) or f(*a, **k))
+        plant = PlantModel(config.A, config.B, X=config.X, U=config.U, W=config.W,
+                           Tx=config.Tx, Tu=config.Tu, Xf=config.Xf)
+        counted = list(calls)
+        F = synthesize_nominal_gain(plant, config.Qlqr, config.Rlqr)
+        K = synthesize_tightening_gains(plant, config.M, N=config.N)
+        del calls[:]
+        build_setup(plant, N=config.N, M=config.M, F=F, K=K, Q=config.Q, R=config.R)
+        monkeypatch.undo()
+        return counted + calls
+
     def test_build_setup_solves_few_support_lps(self, monkeypatch):
-        # A fresh config, whose W has no vertex set kept yet: the supports
-        # call makes one LP batch, the emptiness and boundedness check of
-        # vertex enumeration.
+        # A fresh W: PlantModel's boundedness check makes the one ±e_j LP
+        # batch, whose statuses W keeps for its vertex enumeration; every
+        # tightened set holds the origin, so no phase-1 LP runs.
         config = ExperimentConfig(polytope_worst_case_data())
+        assert self.setup_solves(config, monkeypatch) == ["solve_lp_batch"]
+        # The same W again: its statuses and vertices are kept.
+        assert self.setup_solves(config, monkeypatch) == []
+
+    def test_reference_setup_runs_no_interior_point_loop(self, monkeypatch):
+        config = ExperimentConfig.from_file(str(ROOT / "configs" / "batch_reactor.json"))
         plant = PlantModel(config.A, config.B, X=config.X, U=config.U, W=config.W,
                            Tx=config.Tx, Tu=config.Tu, Xf=config.Xf)
         F = synthesize_nominal_gain(plant, config.Qlqr, config.Rlqr)
         K = synthesize_tightening_gains(plant, config.M, N=config.N)
-        calls, lp = [], solver.solve_lp_batch
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return lp(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "solve_lp_batch", counted)
+        loops, ipm = [], solver._ipm
+        monkeypatch.setattr(solver, "_ipm", lambda *a, **k: loops.append(1) or ipm(*a, **k))
         build_setup(plant, N=config.N, M=config.M, F=F, K=K, Q=config.Q, R=config.R)
-        assert 1 <= len(calls) <= 8
+        assert loops == []
 
 
 class TestPlantValidation:

@@ -286,9 +286,10 @@ class TestNewtonSplit:
     def test_lps_eliminate_no_variable(self, monkeypatch):
         # LP1's scaling LPs, the Chebyshev LPs of the shape diagnostic and
         # the phase-1 LPs (here over the principal rows and over the box
-        # rows of the tightened targets) take the plain Newton step: only
-        # a QpProblem looks for variables to eliminate, so no LP calls
-        # _rows_on.
+        # rows of the tightened targets, moved by (1, 1, 1, 1) so that none
+        # holds the origin and each takes phase 1) take the plain Newton
+        # step: only a QpProblem looks for variables to eliminate, so no LP
+        # calls _rows_on.
         setup = batch_setup()
         sol = solve_rmpc(setup, X0)
         split, loops = [], []
@@ -301,7 +302,8 @@ class TestNewtonSplit:
         counts.append(len(loops))
         solver.feasibility(setup.principal_rows.G, assemble_principal(setup, sol))
         counts.append(len(loops))
-        geometry.are_empty(setup.TXseq[0].A, [t.b for t in setup.TXseq])
+        shift = setup.TXseq[0].A @ np.ones(setup.nx)
+        geometry.are_empty(setup.TXseq[0].A, [t.b + shift for t in setup.TXseq])
         counts.append(len(loops))
         assert np.all(np.diff([0] + counts) > 0)  # every kind of LP was solved
         assert split == []
