@@ -225,10 +225,12 @@ def cmd_run(config, out_dir=None, method=None, seed=None, steps=None,
     for t, s in trace.schedules.items():
         schedules[t] = s.to_dict(ratios[used:used + len(s.principals)])
         used += len(s.principals)
+    # The two large files are compact: with indent, json takes its
+    # pure-Python encoder.
     (directory / "schedules.json").write_text(json.dumps(
-        {"provenance": prov, "per_trigger": _json_safe(schedules)}, indent=2))
+        {"provenance": prov, "per_trigger": _json_safe(schedules)}, separators=(",", ":")))
     (directory / "plot_data.json").write_text(json.dumps(
-        {"provenance": prov, **_plot_data(trace)}, indent=2))
+        {"provenance": prov, **_plot_data(trace)}, separators=(",", ":")))
     print(f"run {method}: {stats['solves']} solves in {steps} steps "
           f"-> {directory}", file=out)
     return trace, stats

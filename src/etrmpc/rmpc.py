@@ -10,6 +10,12 @@ diagonal, only the box rows touch the slack points and the cost is
 diagonal on them, so the solver eliminates them from its Newton step
 and factorizes the inputs' block alone; the re-projection after a solve
 clamps all stages in one array pass.
+
+The optimum is piecewise affine in the state over critical regions
+(explicit MPC). One region is kept per setup, the unconstrained one, as
+the affine law of its least-norm minimizer. A solve first certifies the
+law's plan with the interior-point stop test and runs the interior-point
+loop only when that fails.
 """
 
 import numpy as np
@@ -32,7 +38,9 @@ class InfeasibleState(RmpcError):
 class MpcSolution:
     """Optimal plan: u_0..u_{N-1}, states phi_0..phi_N, per-stage slack
     projections and the optimal value, with the QP's KKT residual and
-    iteration count (0 for a plan not solved for)."""
+    interior-point iteration count. 0 iterations means that the
+    unconstrained region's law answered (``solve_rmpc``); it is also the
+    count of a plan built by hand."""
 
     def __init__(self, u, x, sx, su, value, stage_costs, kkt_residual, iterations=0):
         self.u = np.array(u, dtype=float)
@@ -64,6 +72,13 @@ class RmpcQp:
     ``x0 @ c_x0 @ x0`` of the value. The stage-0 state rows hold x0 only
     and drop out. ``problem`` is the QP with H validated once; a solve
     gives it only its own linear term and offsets.
+
+    ``law`` (n_z, nx) is the least-norm unconstrained minimizer
+    ``z = law @ x0``, which equals ``-pinv(H) @ g_x0 @ x0``. Q and R are
+    positive definite, so the unconstrained minimizers are the plans with
+    sx_i = x_i and su_i = u_i, at value 0; the least-norm one takes the
+    inputs u that minimize 2|u|^2 + sum_i |x_i|^2, one SPD solve of
+    size N nu over the stage-state map.
     """
 
     def __init__(self, setup):
@@ -99,7 +114,10 @@ class RmpcQp:
         self.A_in = np.ascontiguousarray(rows[:, nx:])
         self.C_x0 = np.ascontiguousarray(rows[:, :nx])
         self.b_in = np.concatenate([np.delete(offsets, x0_rows), Xf.b])
-        for a in (self.H, self.g_x0, self.c_x0, self.A_in, self.C_x0, self.b_in):
+        phi_x, phi_u = x_stage[:, :nx], x_stage[:, nx:nx + N * nu]
+        law_u = -np.linalg.solve(2.0 * np.eye(N * nu) + phi_u.T @ phi_u, phi_u.T @ phi_x)
+        self.law = np.vstack([law_u, phi_x + phi_u @ law_u, law_u])
+        for a in (self.H, self.g_x0, self.c_x0, self.A_in, self.C_x0, self.b_in, self.law):
             a.flags.writeable = False
         self.problem = solver.QpProblem(H=self.H, g=np.zeros(self.H.shape[0]),
                                         A_in=self.A_in, b_in=self.b_in)
@@ -107,6 +125,12 @@ class RmpcQp:
 
 def solve_rmpc(setup, x0):
     """Solve the tightened optimal-control QP from state x0.
+
+    The plan is the least-norm unconstrained minimizer ``qp.law @ x0``
+    (0 iterations) when it passes the interior-point loop's stop test at
+    QP_TOL: primal residual max(A_in z - b)+ over 1 + max|b| and dual
+    residual |H z + g|_inf over 1 + max|g| + max|H|. Otherwise it is
+    ``solver.solve_qp``'s point, bit for bit.
 
     Raises InfeasibleState when x0 lies outside the feasible region
     (including x0 outside the raw state set). The returned solution has
@@ -123,17 +147,27 @@ def solve_rmpc(setup, x0):
     qp = setup.qp
     A, B = setup.plant.A, setup.plant.B
     g = qp.g_x0 @ x0
+    b = qp.b_in - qp.C_x0 @ x0
 
-    # An iterate that reaches FEAS_TOL but not QP_TOL is still accepted.
-    rep = solver.solve_qp(qp.problem.with_vectors(g, qp.b_in - qp.C_x0 @ x0))
-    if rep.status == solver.Status.INFEASIBLE:
-        raise InfeasibleState(x0, "(QP infeasible)")
-    accepted_loose = (rep.status == solver.Status.MAXITER and rep.x is not None
-                      and rep.kkt_residual <= solver.FEAS_TOL)
-    if rep.status != solver.Status.OPTIMAL and not accepted_loose:
-        raise RmpcError(f"RMPC QP failed with status {rep.status}")
+    # The unconstrained region's law answers when its plan passes the
+    # interior-point stop test at QP_TOL, with no multipliers and so no
+    # complementarity term; a NaN residual fails the test.
+    z = qp.law @ x0
+    kkt = max(np.max(qp.A_in @ z - b, initial=0.0) / (1.0 + np.max(np.abs(b))),
+              np.max(np.abs(qp.H @ z + g))
+              / (1.0 + np.max(np.abs(g)) + np.max(np.abs(qp.H))))
+    iterations = 0
+    if not kkt <= solver.QP_TOL:
+        # An iterate that reaches FEAS_TOL but not QP_TOL is still accepted.
+        rep = solver.solve_qp(qp.problem.with_vectors(g, b))
+        if rep.status == solver.Status.INFEASIBLE:
+            raise InfeasibleState(x0, "(QP infeasible)")
+        accepted_loose = (rep.status == solver.Status.MAXITER and rep.x is not None
+                          and rep.kkt_residual <= solver.FEAS_TOL)
+        if rep.status != solver.Status.OPTIMAL and not accepted_loose:
+            raise RmpcError(f"RMPC QP failed with status {rep.status}")
+        z, kkt, iterations = rep.x, rep.kkt_residual, rep.iterations
 
-    z = rep.x
     u = z[qp.u].reshape(N, nu)
 
     # Exact re-propagation kills the equality residual; re-projection then
@@ -151,4 +185,4 @@ def solve_rmpc(setup, x0):
     if abs(value - qp_value) > 1e-6 * max(1.0, abs(qp_value)):
         raise RmpcError(
             f"re-projected value {value:.9g} deviates from QP value {qp_value:.9g}")
-    return MpcSolution(u, x, sx, su, value, stage, rep.kkt_residual, rep.iterations)
+    return MpcSolution(u, x, sx, su, value, stage, kkt, iterations)

@@ -156,7 +156,11 @@ class SimTrace:
         self.decay_checks = []   # (tau_prev, tau_new, lhs, rhs, margin, exempt)
         self.recovery_events = []  # impulse application times
         self.schedules = {}      # trigger time -> TriggerSchedule
-        self.solve_count = 0
+        self.qp_iterations = []  # per solve; 0 where the unconstrained law answered
+
+    @property
+    def solve_count(self):
+        return len(self.qp_iterations)
 
     @property
     def trigger_times(self):
@@ -225,7 +229,7 @@ def run_closed_loop(setup, x0, method, dist, T):
             tau = t
             impulse_since_trigger = False
             trace.v_star[t] = sol.value
-            trace.solve_count += 1
+            trace.qp_iterations.append(sol.iterations)
             trace.cause[t] = decision.cause
             trace.coords[t] = decision.coords
 
@@ -272,7 +276,12 @@ def _check_decay(trace, setup, sol, tau_prev, tau_new, v_new, exempt):
 
 
 def trigger_statistics(trace):
-    """Counts, inter-execution times, cause histogram and decay margins."""
+    """Counts, inter-execution times, cause histogram and decay margins.
+
+    ``qp_law_answers`` counts the solves that the unconstrained law
+    answered, and ``qp_iterations`` sums the interior-point iterations of
+    the others.
+    """
     times = trace.trigger_times
     if not times:
         raise ValueError("empty trace")
@@ -291,4 +300,6 @@ def trigger_statistics(trace):
         "decay_margins": margins,
         "min_decay_margin": float(np.min(margins)) if margins else None,
         "recovery_events": list(trace.recovery_events),
+        "qp_law_answers": trace.qp_iterations.count(0),
+        "qp_iterations": sum(trace.qp_iterations),
     }

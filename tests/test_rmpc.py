@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from etrmpc import rmpc, solver
+from etrmpc import rmpc, sim, solver
 from etrmpc.geometry import HyperRect, weighted_projections
 from etrmpc.rmpc import InfeasibleState, solve_rmpc
 from etrmpc.tightening import (PlantModel, build_setup, synthesize_nominal_gain,
@@ -259,10 +260,13 @@ class TestQpData:
     def test_solution_keeps_qp_iterations(self):
         setup = batch_setup()
         qp = setup.qp
-        for x0 in (X0, -0.6 * X0):
+        for x0 in (X0, -0.6 * X0):  # V* > 0: the interior-point loop answers
             sol = solve_rmpc(setup, x0)
             rep = solver.solve_qp(qp.problem.with_vectors(qp.g_x0 @ x0, qp.b_in - qp.C_x0 @ x0))
             assert sol.iterations == rep.iterations > 0
+        sol = solve_rmpc(setup, np.zeros(setup.nx))  # the law answers
+        assert sol.iterations == 0
+        assert not sol.u.any()
 
     def test_hessian_validated_once_per_setup(self, monkeypatch):
         shapes = []
@@ -277,6 +281,76 @@ class TestQpData:
         a = solve_rmpc(setup, [1.0, -0.5])
         solve_rmpc(setup, setup.plant.A @ a.x[0] + setup.plant.B @ a.u[0])
         assert shapes.count(setup.qp.H.shape) == 1
+
+
+_law_cases = {}
+
+
+def _law_case(make):
+    """The setup of ``make``, pinv(H), its explicit-state QP and the states
+    of a 15-step periodic run from X0."""
+    if make not in _law_cases:
+        setup = make()
+        trace = sim.run_closed_loop(setup, X0, sim.PERIODIC,
+                                    sim.DisturbanceModel("uniform", seed=1234), 15)
+        _law_cases[make] = (setup, np.linalg.pinv(setup.qp.H), _per_stage_qp(setup),
+                            trace.x[:15])
+    return _law_cases[make]
+
+
+def _check_law_or_ipm(make, x0):
+    """solve_rmpc at x0 against its oracles; True where the law answered.
+
+    A law answer is -pinv(H) g, passes the interior-point stop test at
+    QP_TOL and has the explicit-state QP's value. Any other answer is
+    solver.solve_qp's point, bit for bit, and it is the only answer where
+    the least-norm point leaves a row.
+    """
+    setup, H_pinv, (H, A_eq, A_in, b_in), _ = _law_case(make)
+    qp = setup.qp
+    g, b = qp.g_x0 @ x0, qp.b_in - qp.C_x0 @ x0
+    z = -H_pinv @ g
+    sol = solve_rmpc(setup, x0)
+    if np.max(qp.A_in @ z - b) > solver.QP_TOL * (1.0 + np.max(np.abs(b))):
+        assert sol.iterations > 0
+    if sol.iterations > 0:
+        rep = solver.solve_qp(qp.problem.with_vectors(g, b))
+        assert sol.u.tobytes() == rep.x[qp.u].tobytes()
+        return False
+    law = qp.law @ x0
+    assert np.max(np.abs(law - z)) <= 1e-9
+    assert sol.u.tobytes() == law[qp.u].tobytes()
+    res_p = np.max(qp.A_in @ law - b, initial=0.0) / (1.0 + np.max(np.abs(b)))
+    res_d = np.max(np.abs(qp.H @ law + g)) / (1.0 + np.max(np.abs(g)) + np.max(np.abs(qp.H)))
+    assert max(res_p, res_d) <= solver.QP_TOL
+    g_e, b_eq = _explicit_x0_terms(setup, x0)
+    explicit = solver.solve_qp(
+        solver.QpProblem(H=H, g=g_e, A_in=A_in, b_in=b_in, A_eq=A_eq, b_eq=b_eq))
+    assert explicit.status == solver.Status.OPTIMAL
+    want = explicit.objective + x0 @ setup.Q @ x0
+    assert abs(sol.value - want) <= 1e-8 * max(1.0, abs(want))
+    return True
+
+
+class TestUnconstrainedLaw:
+    """The least-norm law of the unconstrained region against -pinv(H) g,
+    the explicit-state QP and solver.solve_qp."""
+
+    @pytest.mark.parametrize("make", [batch_setup, cross_polytope_setup])
+    def test_periodic_run_states(self, make):
+        answered = [_check_law_or_ipm(make, x0) for x0 in _law_case(make)[3]]
+        assert any(answered) and not all(answered)
+
+    @settings(max_examples=40, deadline=None)
+    @given(make=st.sampled_from([batch_setup, cross_polytope_setup]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_feasible_region_draws(self, make, seed):
+        # The feasible region is convex and holds the origin, so a scaled
+        # convex combination of the run's states is a feasible state. About
+        # a third of these draws end in the unconstrained region.
+        states = _law_case(make)[3]
+        rng = np.random.default_rng(seed)
+        _check_law_or_ipm(make, rng.uniform() * rng.dirichlet(np.ones(len(states))) @ states)
 
 
 def _per_stage_qp(setup):
