@@ -228,7 +228,7 @@ def cmd_run(config, out_dir=None, method=None, seed=None, steps=None,
     # The two large files are compact: with indent, json takes its
     # pure-Python encoder.
     (directory / "schedules.json").write_text(json.dumps(
-        {"provenance": prov, "per_trigger": _json_safe(schedules)}, separators=(",", ":")))
+        {"provenance": prov, "per_trigger": schedules}, separators=(",", ":")))
     (directory / "plot_data.json").write_text(json.dumps(
         {"provenance": prov, **_plot_data(trace)}, separators=(",", ":")))
     print(f"run {method}: {stats['solves']} solves in {steps} steps "

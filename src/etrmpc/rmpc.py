@@ -13,14 +13,20 @@ clamps all stages in one array pass.
 
 The optimum is piecewise affine in the state over critical regions
 (explicit MPC). One region is kept per setup, the unconstrained one, as
-the affine law of its least-norm minimizer. A solve first certifies the
-law's plan with the interior-point stop test and runs the interior-point
-loop only when that fails.
+the affine law of its least-norm minimizer. A solve has three answers,
+each certified by the interior-point stop test: the law's plan; else,
+where some plan has value 0, the least-norm one, which is the law's plan
+projected onto the rows in the law's metric by a dual active-set method
+(``solver.least_distance``); else the interior-point loop's point.
 """
 
 import numpy as np
 
 from . import geometry, solver
+
+
+# The answers of solve_rmpc (MpcSolution.path).
+LAW, FACE, IPM = "law", "face", "ipm"
 
 
 class RmpcError(Exception):
@@ -37,12 +43,18 @@ class InfeasibleState(RmpcError):
 
 class MpcSolution:
     """Optimal plan: u_0..u_{N-1}, states phi_0..phi_N, per-stage slack
-    projections and the optimal value, with the QP's KKT residual and
-    interior-point iteration count. 0 iterations means that the
-    unconstrained region's law answered (``solve_rmpc``); it is also the
-    count of a plan built by hand."""
+    projections and the optimal value, with the QP's KKT residual.
 
-    def __init__(self, u, x, sx, su, value, stage_costs, kkt_residual, iterations=0):
+    ``path`` names the answer of ``solve_rmpc``: LAW (the unconstrained
+    region's law), FACE (the least-norm value-0 plan) or IPM (the
+    interior-point loop); it is None for a plan built by hand.
+    ``iterations`` counts the interior-point iterations (0 unless IPM)
+    and ``face_steps`` the active-set steps of the least-norm projection,
+    also where the loop then answered (0 on a law answer).
+    """
+
+    def __init__(self, u, x, sx, su, value, stage_costs, kkt_residual, iterations=0,
+                 path=None, face_steps=0):
         self.u = np.array(u, dtype=float)
         self.x = np.array(x, dtype=float)
         self.sx = np.array(sx, dtype=float)
@@ -51,6 +63,8 @@ class MpcSolution:
         self.stage_costs = np.array(stage_costs, dtype=float)
         self.kkt_residual = float(kkt_residual)
         self.iterations = int(iterations)
+        self.path = path
+        self.face_steps = int(face_steps)
         for a in (self.u, self.x, self.sx, self.su, self.stage_costs):
             a.flags.writeable = False
 
@@ -79,6 +93,15 @@ class RmpcQp:
     sx_i = x_i and su_i = u_i, at value 0; the least-norm one takes the
     inputs u that minimize 2|u|^2 + sum_i |x_i|^2, one SPD solve of
     size N nu over the stage-state map.
+
+    The same plans with other inputs are z = law @ x0 + face_map @ y:
+    with T = [I; Phi_u; I] the map of the inputs' change, ``face_map`` is
+    T L^-T, where L L^T = T^T T = 2I + Phi_u^T Phi_u is the law's metric,
+    so |z - law @ x0| = |y|. Where such a plan meets the rows, it is
+    optimal (value 0), and the least-norm one takes the y nearest the
+    origin with ``face_rows @ y <= b - A_in @ law @ x0``, where
+    ``face_rows = A_in @ face_map``. Rows with no input in them, such as
+    TX_0 on sx_0 = x0, are zero there and are decided by their offset.
     """
 
     def __init__(self, setup):
@@ -115,9 +138,16 @@ class RmpcQp:
         self.C_x0 = np.ascontiguousarray(rows[:, :nx])
         self.b_in = np.concatenate([np.delete(offsets, x0_rows), Xf.b])
         phi_x, phi_u = x_stage[:, :nx], x_stage[:, nx:nx + N * nu]
-        law_u = -np.linalg.solve(2.0 * np.eye(N * nu) + phi_u.T @ phi_u, phi_u.T @ phi_x)
+        metric = 2.0 * np.eye(N * nu) + phi_u.T @ phi_u
+        law_u = -np.linalg.solve(metric, phi_u.T @ phi_x)
         self.law = np.vstack([law_u, phi_x + phi_u @ law_u, law_u])
-        for a in (self.H, self.g_x0, self.c_x0, self.A_in, self.C_x0, self.b_in, self.law):
+        # The value-0 plans z = law @ x0 + face_map @ y, |z - law @ x0| = |y|.
+        T = np.vstack([np.eye(N * nu), phi_u, np.eye(N * nu)])
+        J = np.linalg.inv(np.linalg.cholesky(metric)).T
+        self.face_map = T @ J
+        self.face_rows = self.A_in @ self.face_map
+        for a in (self.H, self.g_x0, self.c_x0, self.A_in, self.C_x0, self.b_in, self.law,
+                  self.face_map, self.face_rows):
             a.flags.writeable = False
         self.problem = solver.QpProblem(H=self.H, g=np.zeros(self.H.shape[0]),
                                         A_in=self.A_in, b_in=self.b_in)
@@ -126,11 +156,18 @@ class RmpcQp:
 def solve_rmpc(setup, x0):
     """Solve the tightened optimal-control QP from state x0.
 
-    The plan is the least-norm unconstrained minimizer ``qp.law @ x0``
-    (0 iterations) when it passes the interior-point loop's stop test at
-    QP_TOL: primal residual max(A_in z - b)+ over 1 + max|b| and dual
-    residual |H z + g|_inf over 1 + max|g| + max|H|. Otherwise it is
-    ``solver.solve_qp``'s point, bit for bit.
+    One path with three answers (``MpcSolution.path``), each accepted
+    only when it passes the interior-point loop's stop test at QP_TOL:
+    primal residual max(A_in z - b)+ over 1 + max|b| and dual residual
+    |H z + g|_inf over 1 + max|g| + max|H|.
+
+    - LAW: the least-norm unconstrained minimizer ``qp.law @ x0``.
+    - FACE: otherwise, the least-norm plan of value 0, the law's plan
+      projected onto the rows it exceeds (``RmpcQp``); it is unique, so it
+      does not depend on where a loop stopped.
+    - IPM: where no plan has value 0 (the projection finds the rows
+      infeasible or reaches its step cap) or the projected plan fails the
+      test, ``solver.solve_qp``'s point, bit for bit.
 
     Raises InfeasibleState when x0 lies outside the feasible region
     (including x0 outside the raw state set). The returned solution has
@@ -149,24 +186,28 @@ def solve_rmpc(setup, x0):
     g = qp.g_x0 @ x0
     b = qp.b_in - qp.C_x0 @ x0
 
-    # The unconstrained region's law answers when its plan passes the
-    # interior-point stop test at QP_TOL, with no multipliers and so no
-    # complementarity term; a NaN residual fails the test.
+    # The law's plan, else the least-norm plan of value 0, else the
+    # interior-point loop: the first that passes the stop test answers.
     z = qp.law @ x0
-    kkt = max(np.max(qp.A_in @ z - b, initial=0.0) / (1.0 + np.max(np.abs(b))),
-              np.max(np.abs(qp.H @ z + g))
-              / (1.0 + np.max(np.abs(g)) + np.max(np.abs(qp.H))))
-    iterations = 0
+    kkt, excess = _stop_residual(qp, z, g, b)
+    path, steps, iterations = LAW, 0, 0
     if not kkt <= solver.QP_TOL:
-        # An iterate that reaches FEAS_TOL but not QP_TOL is still accepted.
-        rep = solver.solve_qp(qp.problem.with_vectors(g, b))
-        if rep.status == solver.Status.INFEASIBLE:
-            raise InfeasibleState(x0, "(QP infeasible)")
-        accepted_loose = (rep.status == solver.Status.MAXITER and rep.x is not None
-                          and rep.kkt_residual <= solver.FEAS_TOL)
-        if rep.status != solver.Status.OPTIMAL and not accepted_loose:
-            raise RmpcError(f"RMPC QP failed with status {rep.status}")
-        z, kkt, iterations = rep.x, rep.kkt_residual, rep.iterations
+        y, steps = solver.least_distance(qp.face_rows, -excess)
+        if y is not None:
+            z_face = z + qp.face_map @ y
+            kkt_face = _stop_residual(qp, z_face, g, b)[0]
+            if kkt_face <= solver.QP_TOL:
+                z, kkt, path = z_face, kkt_face, FACE
+        if path == LAW:
+            # An iterate that reaches FEAS_TOL but not QP_TOL is still accepted.
+            rep = solver.solve_qp(qp.problem.with_vectors(g, b))
+            if rep.status == solver.Status.INFEASIBLE:
+                raise InfeasibleState(x0, "(QP infeasible)")
+            accepted_loose = (rep.status == solver.Status.MAXITER and rep.x is not None
+                              and rep.kkt_residual <= solver.FEAS_TOL)
+            if rep.status != solver.Status.OPTIMAL and not accepted_loose:
+                raise RmpcError(f"RMPC QP failed with status {rep.status}")
+            z, kkt, iterations, path = rep.x, rep.kkt_residual, rep.iterations, IPM
 
     u = z[qp.u].reshape(N, nu)
 
@@ -185,4 +226,14 @@ def solve_rmpc(setup, x0):
     if abs(value - qp_value) > 1e-6 * max(1.0, abs(qp_value)):
         raise RmpcError(
             f"re-projected value {value:.9g} deviates from QP value {qp_value:.9g}")
-    return MpcSolution(u, x, sx, su, value, stage, kkt, iterations)
+    return MpcSolution(u, x, sx, su, value, stage, kkt, iterations, path, steps)
+
+
+def _stop_residual(qp, z, g, b):
+    """The stop test's residual at z (``solve_rmpc``) with no multipliers,
+    so with no complementarity term, and the rows' excess A_in z - b. A
+    NaN residual fails the test."""
+    excess = qp.A_in @ z - b
+    return max(np.max(excess, initial=0.0) / (1.0 + np.max(np.abs(b))),
+               np.max(np.abs(qp.H @ z + g))
+               / (1.0 + np.max(np.abs(g)) + np.max(np.abs(qp.H)))), excess

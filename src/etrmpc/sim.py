@@ -156,11 +156,11 @@ class SimTrace:
         self.decay_checks = []   # (tau_prev, tau_new, lhs, rhs, margin, exempt)
         self.recovery_events = []  # impulse application times
         self.schedules = {}      # trigger time -> TriggerSchedule
-        self.qp_iterations = []  # per solve; 0 where the unconstrained law answered
+        self.qp_answers = []     # per solve: (path, IPM iterations, active-set steps)
 
     @property
     def solve_count(self):
-        return len(self.qp_iterations)
+        return len(self.qp_answers)
 
     @property
     def trigger_times(self):
@@ -229,7 +229,7 @@ def run_closed_loop(setup, x0, method, dist, T):
             tau = t
             impulse_since_trigger = False
             trace.v_star[t] = sol.value
-            trace.qp_iterations.append(sol.iterations)
+            trace.qp_answers.append((sol.path, sol.iterations, sol.face_steps))
             trace.cause[t] = decision.cause
             trace.coords[t] = decision.coords
 
@@ -278,9 +278,11 @@ def _check_decay(trace, setup, sol, tau_prev, tau_new, v_new, exempt):
 def trigger_statistics(trace):
     """Counts, inter-execution times, cause histogram and decay margins.
 
-    ``qp_law_answers`` counts the solves that the unconstrained law
-    answered, and ``qp_iterations`` sums the interior-point iterations of
-    the others.
+    The RMPC QP's work (``MpcSolution.path``): ``qp_law_answers`` and
+    ``qp_face_answers`` count the solves that the unconstrained law and
+    the least-norm value-0 plan answered, ``qp_iterations`` sums the
+    interior-point iterations of the others, and ``qp_face_steps`` the
+    active-set steps of every solve that ran the projection.
     """
     times = trace.trigger_times
     if not times:
@@ -291,6 +293,7 @@ def trigger_statistics(trace):
         cause = trace.cause[t]
         hist[cause] = hist.get(cause, 0) + 1
     margins = [c[4] for c in trace.decay_checks if not c[5]]
+    paths, iterations, steps = zip(*trace.qp_answers)
     return {
         "solves": trace.solve_count,
         "trigger_times": times,
@@ -300,6 +303,8 @@ def trigger_statistics(trace):
         "decay_margins": margins,
         "min_decay_margin": float(np.min(margins)) if margins else None,
         "recovery_events": list(trace.recovery_events),
-        "qp_law_answers": trace.qp_iterations.count(0),
-        "qp_iterations": sum(trace.qp_iterations),
+        "qp_law_answers": paths.count(rmpc.LAW),
+        "qp_iterations": sum(iterations),
+        "qp_face_answers": paths.count(rmpc.FACE),
+        "qp_face_steps": sum(steps),
     }

@@ -14,7 +14,10 @@ step by a Schur complement, so only the rest is factorized (the RMPC
 QP's inputs); the others take the plain Newton step.
 ``maximize_log_volume_batch`` poses the hyper-rectangle volume
 objectives as ``-sum log(S v)`` over ``[W; -I] v <= [d; 0]``, one loop
-per set of live variables.
+per set of live variables. ``least_distance`` is the one solver outside
+that loop: the point of a polyhedron nearest the origin by Goldfarb and
+Idnani's dual active-set method, exact up to rounding (the RMPC QP's
+least-norm plans of value 0).
 No external solver dependencies; every run with the same inputs is
 bit-identical (fixed step rules, no restarts), and a problem's result
 does not depend on the batch it is solved in.
@@ -24,7 +27,9 @@ the scaled primal and dual residuals and the mean complementarity z.s/m,
 relative to 1 + max|g| + max|H|, are all at most the caller's tolerance
 (1e-8 by default), a QP when they are at most 1e-10; a log-volume
 problem when its scaled residuals are at most 1e-8 and the total gap
-z.s at most 1e-10. At most 200 iterations per solve.
+z.s at most 1e-10; ``least_distance`` when no row exceeds its offset
+by more than 1e-10 (1 + max|b|). At most 200 iterations (active-set
+steps) per solve.
 """
 
 import copy
@@ -683,6 +688,63 @@ def solve_qp(p):
                           newton=p._newton)[0]
     obj = float(0.5 * x @ p.H @ x + p.g @ x) if x is not None and st == Status.OPTIMAL else None
     return SolveReport(st, x, obj, kkt, it)
+
+
+def least_distance(A, b):
+    """The point y of {y : A y <= b} nearest the origin, with the number
+    of active-set steps taken; (None, steps) when no point satisfies the
+    rows or after MAX_ITER steps. A must have rows.
+
+    Goldfarb & Idnani's dual active-set method on min 0.5 |y|^2, started
+    at the origin, its unconstrained minimizer. Each step takes the most
+    violated row p and moves the point and the multipliers of the active
+    rows along the directions that keep those rows tight (from a QR
+    factorization of the active rows): a full step puts p on its boundary
+    and makes it active; a partial one drops the active row whose
+    multiplier reaches zero first and keeps p's multiplier so far. A row
+    in the span of the active rows (a zero row included) moves only the
+    multipliers, and with no multiplier to drop it proves the rows
+    infeasible. The loop stops when no row exceeds its offset by more than
+    QP_TOL (1 + max|b|), the primal residual of the QP stop test.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    tol = QP_TOL * (1.0 + np.max(np.abs(b)))
+    y = np.zeros(A.shape[1])
+    active, lam = [], np.zeros(0)
+    p, steps = None, 0
+    while True:
+        if p is None:
+            excess = A @ y - b
+            p, lam_p = int(np.argmax(excess)), 0.0
+            if excess[p] <= tol:
+                return y, steps
+        if steps == MAX_ITER:
+            return None, steps
+        steps += 1
+        a = A[p]
+        Q, R = np.linalg.qr(A[active].T)
+        Qa = Q.T @ a
+        z = a - Q @ Qa           # the point's direction, off the active rows
+        r = np.linalg.solve(R, Qa)  # the active multipliers' direction
+        full = np.inf
+        if np.linalg.norm(z) > QP_TOL * np.linalg.norm(a):
+            full = (a @ y - b[p]) / (z @ z)
+        blocking = np.flatnonzero(r > 0.0)
+        ratios = lam[blocking] / r[blocking]
+        t = min(full, np.min(ratios, initial=np.inf))
+        if t == np.inf:
+            return None, steps
+        if full < np.inf:
+            y = y - t * z
+        lam, lam_p = lam - t * r, lam_p + t
+        if t == full:
+            active.append(p)
+            lam, p = np.append(lam, lam_p), None
+        else:
+            drop = int(blocking[np.argmin(ratios)])
+            del active[drop]
+            lam = np.delete(lam, drop)
 
 
 def feasibility(A, b):

@@ -17,6 +17,8 @@ Two exact convex-program routes (CP1/CP2, one per volume definition) and
 two linear-program relaxations (LP1/LP2) are provided.
 """
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -368,7 +370,9 @@ class TriggerSchedule:
         """The boxes with the shape ratios r_c/r_o of their principal
         polytopes, a diagnostic that no trigger decision reads. ``ratios``
         holds one per box, this schedule's slice of the run's one
-        ``geometry.shape_ratios`` call (``cli.cmd_run``)."""
+        ``geometry.shape_ratios`` call (``cli.cmd_run``). The values are
+        JSON-safe: a ratio that is not finite (+inf where the origin is on
+        the boundary) is None; boxes and volumes are finite."""
         return {
             "method": self.method,
             "boxes": [{"j": j + 1,
@@ -377,8 +381,8 @@ class TriggerSchedule:
                        "vol1": self.vol1[j],
                        "vol2": self.vol2[j],
                        "degenerate_coords": self.degenerate_coords[j],
-                       "shape_ratio": ratios[j]}
-                      for j, b in enumerate(self.boxes)],
+                       "shape_ratio": r if math.isfinite(r) else None}
+                      for j, (b, r) in enumerate(zip(self.boxes, ratios))],
         }
 
 

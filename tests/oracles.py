@@ -165,6 +165,29 @@ def slsqp_log_volume(W, d, mode):
     return float(np.sum(np.log(S @ z)))
 
 
+def slsqp_least_norm(T, t, A, b):
+    """scipy SLSQP minimizer u of |T u + t|^2 subject to A u <= b, started
+    from a HiGHS point of the rows; None where HiGHS finds them infeasible."""
+    from scipy.optimize import linprog, minimize
+
+    T, t, A, b = (np.asarray(v, dtype=float) for v in (T, t, A, b))
+    n = T.shape[1]
+    start = linprog(np.zeros(n), A_ub=A, b_ub=b, bounds=[(None, None)] * n,
+                    method="highs")
+    if start.status == 2:
+        return None
+    assert start.status == 0, start.message
+    res = minimize(lambda u: float(np.sum((T @ u + t) ** 2)), start.x,
+                   jac=lambda u: 2.0 * T.T @ (T @ u + t), method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": lambda u: b - A @ u,
+                                 "jac": lambda u: -A}],
+                   options={"ftol": 1e-15, "maxiter": 1000})
+    # At ftol 1e-15 SLSQP can stop with "positive directional derivative
+    # for linesearch" (status 8) at the optimum; callers compare its point.
+    assert res.status in (0, 8), res.message
+    return res.x
+
+
 def highs_max(c, A, b, A_eq=None, b_eq=None):
     """HiGHS optimum of max c.x s.t. A x <= b, A_eq x = b_eq, x free;
     +inf if unbounded."""

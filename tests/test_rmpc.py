@@ -9,7 +9,7 @@ from etrmpc.tightening import (PlantModel, build_setup, synthesize_nominal_gain,
                                synthesize_tightening_gains)
 
 from batch_reactor import X0, batch_plant, batch_setup, cross_polytope_setup
-from oracles import grid_projection
+from oracles import grid_projection, slsqp_least_norm
 
 
 def stage_cost(setup, x_i, u_i, i):
@@ -263,9 +263,9 @@ class TestQpData:
         for x0 in (X0, -0.6 * X0):  # V* > 0: the interior-point loop answers
             sol = solve_rmpc(setup, x0)
             rep = solver.solve_qp(qp.problem.with_vectors(qp.g_x0 @ x0, qp.b_in - qp.C_x0 @ x0))
-            assert sol.iterations == rep.iterations > 0
+            assert sol.iterations == rep.iterations > 0 and sol.path == rmpc.IPM
         sol = solve_rmpc(setup, np.zeros(setup.nx))  # the law answers
-        assert sol.iterations == 0
+        assert sol.iterations == 0 and sol.path == rmpc.LAW
         assert not sol.u.any()
 
     def test_hessian_validated_once_per_setup(self, monkeypatch):
@@ -298,13 +298,39 @@ def _law_case(make):
     return _law_cases[make]
 
 
-def _check_law_or_ipm(make, x0):
-    """solve_rmpc at x0 against its oracles; True where the law answered.
+def _value_zero_plans(setup, x0):
+    """(T, t) with z = T u + t the QP point at x0 whose slack points are the
+    stage states x_0..x_{N-1} simulated under the inputs u and the inputs
+    themselves: the plans of value 0 wherever they meet the rows."""
+    N, nu = setup.N, setup.nu
 
-    A law answer is -pinv(H) g, passes the interior-point stop test at
-    QP_TOL and has the explicit-state QP's value. Any other answer is
-    solver.solve_qp's point, bit for bit, and it is the only answer where
-    the least-norm point leaves a row.
+    def plan(u):
+        u = u.reshape(N, nu)
+        x = [x0]
+        for i in range(N - 1):
+            x.append(setup.plant.A @ x[i] + setup.plant.B @ u[i])
+        return np.concatenate([u.ravel(), np.ravel(x), u.ravel()])
+
+    t = plan(np.zeros(N * nu))
+    return np.stack([plan(e) - t for e in np.eye(N * nu)], axis=1), t
+
+
+def _stop_residual(qp, z, g, b):
+    res_p = np.max(qp.A_in @ z - b, initial=0.0) / (1.0 + np.max(np.abs(b)))
+    res_d = np.max(np.abs(qp.H @ z + g)) / (1.0 + np.max(np.abs(g)) + np.max(np.abs(qp.H)))
+    return max(res_p, res_d)
+
+
+def _check_answer(make, x0):
+    """solve_rmpc at x0 against its oracles; returns its path.
+
+    A law answer is -pinv(H) g with the law's bytes, passes the
+    interior-point stop test at QP_TOL and has the explicit-state QP's
+    value. Where the law's plan leaves a row by more than QP_TOL (1 +
+    max|b|), the face or the loop answers. A face answer has value 0,
+    passes the same test and is SLSQP's least-norm plan of value 0. The
+    loop answers only where HiGHS finds no plan of value 0, with
+    solver.solve_qp's bytes.
     """
     setup, H_pinv, (H, A_eq, A_in, b_in), _ = _law_case(make)
     qp = setup.qp
@@ -312,34 +338,49 @@ def _check_law_or_ipm(make, x0):
     z = -H_pinv @ g
     sol = solve_rmpc(setup, x0)
     if np.max(qp.A_in @ z - b) > solver.QP_TOL * (1.0 + np.max(np.abs(b))):
-        assert sol.iterations > 0
-    if sol.iterations > 0:
-        rep = solver.solve_qp(qp.problem.with_vectors(g, b))
-        assert sol.u.tobytes() == rep.x[qp.u].tobytes()
-        return False
-    law = qp.law @ x0
-    assert np.max(np.abs(law - z)) <= 1e-9
-    assert sol.u.tobytes() == law[qp.u].tobytes()
-    res_p = np.max(qp.A_in @ law - b, initial=0.0) / (1.0 + np.max(np.abs(b)))
-    res_d = np.max(np.abs(qp.H @ law + g)) / (1.0 + np.max(np.abs(g)) + np.max(np.abs(qp.H)))
-    assert max(res_p, res_d) <= solver.QP_TOL
-    g_e, b_eq = _explicit_x0_terms(setup, x0)
-    explicit = solver.solve_qp(
-        solver.QpProblem(H=H, g=g_e, A_in=A_in, b_in=b_in, A_eq=A_eq, b_eq=b_eq))
-    assert explicit.status == solver.Status.OPTIMAL
-    want = explicit.objective + x0 @ setup.Q @ x0
-    assert abs(sol.value - want) <= 1e-8 * max(1.0, abs(want))
-    return True
+        assert sol.path in (rmpc.FACE, rmpc.IPM)
+    if sol.path == rmpc.LAW:
+        assert sol.iterations == sol.face_steps == 0
+        law = qp.law @ x0
+        assert np.max(np.abs(law - z)) <= 1e-9
+        assert sol.u.tobytes() == law[qp.u].tobytes()
+        assert _stop_residual(qp, law, g, b) <= solver.QP_TOL
+        g_e, b_eq = _explicit_x0_terms(setup, x0)
+        explicit = solver.solve_qp(
+            solver.QpProblem(H=H, g=g_e, A_in=A_in, b_in=b_in, A_eq=A_eq, b_eq=b_eq))
+        assert explicit.status == solver.Status.OPTIMAL
+        want = explicit.objective + x0 @ setup.Q @ x0
+        assert abs(sol.value - want) <= 1e-8 * max(1.0, abs(want))
+        return sol.path
+    T, t = _value_zero_plans(setup, x0)
+    rows, offsets = qp.A_in @ T, b - qp.A_in @ t
+    least_norm = slsqp_least_norm(T, t, rows, offsets)
+    if sol.path == rmpc.FACE:
+        assert sol.iterations == 0 < sol.face_steps
+        assert 0.0 <= sol.value <= 1e-9 and sol.kkt_residual <= solver.QP_TOL
+        assert _stop_residual(qp, T @ sol.u.ravel() + t, g, b) <= solver.QP_TOL
+        assert least_norm is not None
+        assert np.max(np.abs(sol.u.ravel() - least_norm)) <= 1e-7
+        return sol.path
+    assert sol.path == rmpc.IPM and sol.iterations > 0
+    assert least_norm is None
+    rep = solver.solve_qp(qp.problem.with_vectors(g, b))
+    assert sol.u.tobytes() == rep.x[qp.u].tobytes()
+    return sol.path
 
 
 class TestUnconstrainedLaw:
-    """The least-norm law of the unconstrained region against -pinv(H) g,
-    the explicit-state QP and solver.solve_qp."""
+    """The three answers of solve_rmpc: the least-norm law of the
+    unconstrained region against -pinv(H) g and the explicit-state QP, the
+    least-norm plan of value 0 against SLSQP, and the interior-point loop
+    against HiGHS (no plan of value 0) and solver.solve_qp."""
 
     @pytest.mark.parametrize("make", [batch_setup, cross_polytope_setup])
     def test_periodic_run_states(self, make):
-        answered = [_check_law_or_ipm(make, x0) for x0 in _law_case(make)[3]]
-        assert any(answered) and not all(answered)
+        # The run starts with V* > 0 and then keeps its states where a plan
+        # of value 0 exists, on rows that the law's plan crosses.
+        paths = [_check_answer(make, x0) for x0 in _law_case(make)[3]]
+        assert paths[0] == rmpc.IPM and rmpc.FACE in paths
 
     @settings(max_examples=40, deadline=None)
     @given(make=st.sampled_from([batch_setup, cross_polytope_setup]),
@@ -347,10 +388,16 @@ class TestUnconstrainedLaw:
     def test_feasible_region_draws(self, make, seed):
         # The feasible region is convex and holds the origin, so a scaled
         # convex combination of the run's states is a feasible state. About
-        # a third of these draws end in the unconstrained region.
+        # a third of these draws end in the unconstrained region, and nearly
+        # all the rest have value 0.
         states = _law_case(make)[3]
         rng = np.random.default_rng(seed)
-        _check_law_or_ipm(make, rng.uniform() * rng.dirichlet(np.ones(len(states))) @ states)
+        _check_answer(make, rng.uniform() * rng.dirichlet(np.ones(len(states))) @ states)
+
+    def test_each_answer_occurs(self):
+        states = (np.zeros(4), _law_case(batch_setup)[3][-1], X0)
+        assert [_check_answer(batch_setup, x0) for x0 in states] == [rmpc.LAW, rmpc.FACE,
+                                                                       rmpc.IPM]
 
 
 def _per_stage_qp(setup):

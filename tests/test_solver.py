@@ -7,7 +7,7 @@ from etrmpc.solver import (QpProblem, Status, maximize_log_volume_batch, solve_l
                            solve_qp)
 
 from oracles import (box_qp_by_active_sets, grid_box_volume, highs_max, lp_max_by_vertices,
-                     slsqp_log_volume)
+                     slsqp_least_norm, slsqp_log_volume)
 
 
 def box_rows(n, half):
@@ -496,6 +496,55 @@ class TestQp:
                      ([np.nan, 0.0], [2.0, 2.0]), ([0.0, 0.0], [np.inf, 2.0])):
             with pytest.raises(ValueError):
                 p.with_vectors(g, b)
+
+
+class TestLeastDistance:
+    """solver.least_distance, the nearest point of {A y <= b} to the origin."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), m=st.integers(1, 8),
+           n_copies=st.integers(0, 3), n_zero=st.integers(0, 2))
+    def test_matches_slsqp(self, seed, n, m, n_copies, n_zero):
+        # Rows that hold a random point, then duplicates of some rows,
+        # positive multiples of others with looser or tighter offsets, and
+        # zero rows with nonnegative offsets, in random order.
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(m, n))
+        b = A @ rng.uniform(-2.0, 2.0, n) + rng.uniform(0.0, 1.0, m)
+        pick = rng.integers(0, m, n_copies)
+        scale = rng.choice([1.0, 2.5], n_copies)
+        shift = rng.choice([0.0, -0.3, 0.4], n_copies)
+        A = np.vstack([A, scale[:, None] * A[pick], np.zeros((n_zero, n))])
+        b = np.concatenate([b, scale * (b[pick] + shift), rng.uniform(0.0, 1.0, n_zero)])
+        order = rng.permutation(b.size)
+        A, b = A[order], b[order]
+        y, steps = solver.least_distance(A, b)
+        want = slsqp_least_norm(np.eye(n), np.zeros(n), A, b)
+        if want is None:  # a tighter parallel copy can leave no point
+            assert y is None
+            return
+        assert y is not None and steps <= solver.MAX_ITER
+        assert np.max(A @ y - b) <= solver.QP_TOL * (1.0 + np.max(np.abs(b)))
+        assert np.max(np.abs(y - want)) <= 1e-7
+        if np.all(b >= 0.0):
+            assert steps == 0 and not y.any()
+
+    @pytest.mark.parametrize("A, b", [
+        ([[1.0, 1.0], [-1.0, -1.0]], [-1.0, -1.0]),       # an infeasible pair of rows
+        ([[1.0, 0.0], [0.0, 0.0]], [1.0, -1e-3]),          # a zero row with a negative offset
+        ([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [-1.0, -1.0, 1.0])])
+    def test_infeasible_rows_return_none(self, A, b):
+        y, steps = solver.least_distance(A, b)
+        assert y is None and 0 < steps <= solver.MAX_ITER
+
+    def test_step_cap_returns_none(self, monkeypatch):
+        # Two rows, each violated at the origin and at the other's
+        # projection: two steps to the corner (1, 1).
+        A, b = [[-1.0, 0.0], [0.0, -1.0]], [-1.0, -1.0]
+        y, steps = solver.least_distance(A, b)
+        assert steps == 2 and np.max(np.abs(y - 1.0)) <= 1e-15
+        monkeypatch.setattr(solver, "MAX_ITER", 1)
+        assert solver.least_distance(A, b) == (None, 1)
 
 
 # Slacks and multipliers of the loop: 0, near the divergence floor 1e-200,
