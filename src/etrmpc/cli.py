@@ -11,7 +11,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -208,9 +207,10 @@ def cmd_run(config, out_dir=None, method=None, seed=None, steps=None,
     summary = {
         "provenance": prov,
         "steps": steps,
-        "statistics": _json_safe(stats),
+        "statistics": {**stats, "decay_margins": _finite(stats["decay_margins"]),
+                       "min_decay_margin": _finite(stats["min_decay_margin"])},
         "final_state": trace.x[-1].tolist(),
-        "final_value": _json_safe(trace.v_star[trace.trigger_times[-1]]),
+        "final_value": _finite(trace.v_star[trace.trigger_times[-1]]),
         "disturbance_hash": trace.disturbance_hash(),
         "state_bound_violations": int(sum(
             setup.Xseq[0].membership_residual(trace.x[t]) > 1e-8
@@ -261,7 +261,7 @@ def cmd_compare(config, methods, out_dir=None, seed=None, steps=None,
         rows[method] = {
             "solves": stats["solves"],
             "mean_inter_execution": stats["mean_inter_execution"],
-            "final_value": _json_safe(trace.v_star[trace.trigger_times[-1]]),
+            "final_value": _finite(trace.v_star[trace.trigger_times[-1]]),
             "min_decay_margin": stats["min_decay_margin"],
             "disturbance_hash": trace.disturbance_hash(),
         }
@@ -319,25 +319,20 @@ def _plot_data(trace):
     return {
         "t": trace.t.tolist(),
         "states": trace.x.T.tolist(),
-        "band_lower": _json_safe(trace.box_lo.T.tolist()),
-        "band_upper": _json_safe(trace.box_hi.T.tolist()),
-        "inputs": _json_safe(trace.u.T.tolist()),
+        "band_lower": _finite(trace.box_lo.T),
+        "band_upper": _finite(trace.box_hi.T),
+        "inputs": _finite(trace.u.T),
         "trigger_times": trace.trigger_times,
-        "value_at_triggers": [_json_safe(trace.v_star[t]) for t in trace.trigger_times],
-        "decay_bound": _json_safe(trace.decay_bound[:T].tolist()),
+        "value_at_triggers": _finite(trace.v_star[trace.trigger_times]),
+        "decay_bound": _finite(trace.decay_bound[:T]),
     }
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+def _finite(values):
+    """An array, list or number as JSON: its nested lists, with every value
+    that is not finite as None, in one pass over the array."""
+    a = np.asarray(values, dtype=float)
+    return np.where(np.isfinite(a), a, None).tolist()
 
 
 def main(argv=None):

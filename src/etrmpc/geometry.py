@@ -4,7 +4,10 @@ All sets are carried as ``{x : A x <= b}``. Hyper-rectangles get their own
 type because axis-aligned boxes admit closed-form support functions and
 projections, which keeps the constraint-tightening chain exact.
 
-Support functions over a polytope (``supports``) come from its vertex set
+Weighted projections onto targets that share their rows go through one
+``Projection``, which keeps what the rows and the weight fix: the
+stacked box bounds, or the projection QP. Support functions over a
+polytope (``supports``) come from its vertex set
 (``Polytope.vertices``), enumerated once from its rows. The origin
 witnesses that a set with no negative offset is not empty (``are_empty``).
 The shape diagnostic ``shape_ratios`` is one call over every principal
@@ -136,22 +139,9 @@ class Polytope:
         if self._box_checked:
             return self._box
         self._box_checked = True
-        # Rows in reverse: of equal bounds np.minimum.at keeps the later one,
-        # so the first row's bound wins, signed zero included, as with min().
-        A, b = self.A[::-1], self.b[::-1]
-        nz = np.abs(A) > 0
-        if np.any(nz.sum(axis=1) != 1):
-            return None
-        col = np.argmax(nz, axis=1)
-        coef = A[np.arange(A.shape[0]), col]
-        bound, up = b / coef, coef > 0
-        lo = np.full(self.dim, -np.inf)
-        hi = np.full(self.dim, np.inf)
-        np.minimum.at(hi, col[up], bound[up])
-        np.maximum.at(lo, col[~up], bound[~up])
-        if np.any(~np.isfinite(lo)) or np.any(~np.isfinite(hi)) or np.any(lo > hi):
-            return None
-        self._box = HyperRect(lo, hi)
+        bounds = _box_bounds(self.A, self.b[None])
+        if bounds is not None and bounds[2][0]:
+            self._box = HyperRect(bounds[0][0], bounds[1][0])
         return self._box
 
     def _axis_statuses(self):
@@ -211,6 +201,26 @@ class Polytope:
         return self._vertices
 
 
+def _box_bounds(A, B):
+    """The box bounds (lower, upper), each (K, n), of {x : A x <= b} for
+    every row b of B (K, m), and whether each is a bounded, nonempty box;
+    None unless every row of A touches exactly one coordinate."""
+    nz = np.abs(A) > 0
+    if np.any(nz.sum(axis=1) != 1):
+        return None
+    # Rows in reverse: of equal bounds np.minimum.at keeps the later one,
+    # so the first row's bound wins, signed zero included, as with min().
+    col = np.argmax(nz[::-1], axis=1)
+    coef = A[::-1][np.arange(len(A)), col]
+    bound, up = B[:, ::-1] / coef, coef > 0
+    lower = np.full((len(B), A.shape[1]), -np.inf)
+    upper = np.full((len(B), A.shape[1]), np.inf)
+    np.minimum.at(upper, (slice(None), col[up]), bound[:, up])
+    np.maximum.at(lower, (slice(None), col[~up]), bound[:, ~up])
+    return lower, upper, np.all(np.isfinite(lower) & np.isfinite(upper) & (lower <= upper),
+                                axis=1)
+
+
 # Relative slack at or below which a row is active at a vertex.
 _VERTEX_SLACK = 1e-9
 
@@ -264,63 +274,92 @@ def pontryagin_diff(poly, sub, image=None):
     return Polytope(A, poly.b - supports(sub, dirs))
 
 
+class Projection:
+    """Weighted projections onto the targets {x : A x <= b_k}, one per row
+    b_k of ``offsets`` (K, m), which share their rows A: for each k,
+    min (r-s)^T M (r-s) over s in target k, M = ``weight`` symmetric
+    positive definite, a unique minimizer since the target is convex.
+
+    What the rows and the weight fix is worked out here, once: the
+    weight's check and, where M is diagonal and every row touches one
+    coordinate, the K boxes' bounds, stacked (``_box_bounds``, as for
+    ``Polytope.as_box``). Otherwise, and for a target whose bounds make
+    no box, a projection is the QP built here once and given the target's
+    offsets (``QpProblem.with_vectors``). ``RmpcQp`` keeps one per target
+    family; ``weighted_projections`` builds one per call.
+    """
+
+    def __init__(self, A, offsets, weight):
+        A = np.asarray(A, dtype=float)
+        B = np.asarray(offsets, dtype=float).reshape(-1, A.shape[0])
+        M = np.asarray(weight, dtype=float)
+        w = np.diagonal(M)
+        diag = np.count_nonzero(M) == np.count_nonzero(w)  # every off-diagonal entry is 0
+        if not np.all((w if diag else np.linalg.eigvalsh(0.5 * (M + M.T))) > 0):
+            raise ValueError("weight must be positive definite")
+        self.A, self.B, self.M, self.w = A, B, M, w
+        self.clamp = np.zeros(len(B), dtype=bool)  # targets projected by a clamp
+        bounds = _box_bounds(A, B) if diag else None
+        if bounds is not None:
+            self.lower, self.upper, self.clamp = bounds
+        if not self.clamp.all():
+            self._qp = solver.QpProblem(H=2.0 * M, g=np.zeros(A.shape[1]), A_in=A, b_in=B[0])
+
+    def contains(self, R):
+        """Whether R[k] lies in target k within FEAS_TOL, for every k: one
+        stacked product, which gives each point the bits of
+        ``Polytope.contains`` (``solver._mv``)."""
+        return np.maximum.reduce(solver._mv(self.A, R) - self.B, axis=1) <= FEAS_TOL
+
+    def __call__(self, points):
+        """The squared distances (K,) and projections (K, n) of points[k]
+        onto target k.
+
+        A point inside its target within FEAS_TOL is its own projection,
+        at distance 0. A box target clamps its points coordinatewise, all
+        in one array pass (exact), so a point's bits do not depend on the
+        batch. The others solve their QP one at a time, to the RMPC QP's
+        1e-10, so that re-projected plan values agree with the QP value.
+        """
+        R = np.array(points, dtype=float, ndmin=2)
+        inside = self.contains(R)
+        d2, S = np.zeros(len(R)), R.copy()
+        c = np.flatnonzero(self.clamp & ~inside)
+        if c.size:
+            S[c] = np.clip(R[c], self.lower[c], self.upper[c])
+            D = R[c] - S[c]
+            d2[c] = np.sum(D * self.w * D, axis=1)
+        for k in np.flatnonzero(~self.clamp & ~inside):
+            rep = solver.solve_qp(self._qp.with_vectors(-2.0 * (self.M @ R[k]), self.B[k]))
+            if rep.status == solver.Status.INFEASIBLE:
+                raise EmptySetError("projection target is empty")
+            if rep.status != solver.Status.OPTIMAL:
+                raise GeometryError(f"projection QP failed: {rep.status}")
+            S[k] = rep.x
+            d2[k] = max(float((R[k] - S[k]) @ self.M @ (R[k] - S[k])), 0.0)
+        return d2, S
+
+
 def weighted_projections(points, targets, weight):
     """The weighted projection of points[k] onto targets[k] for every k:
     min (r-s)^T M (r-s) over s in the target, M = ``weight`` symmetric
     positive definite. The targets are Polytopes, as the setup's
     tightened sets are.
 
-    A point inside its target within the global tolerance is its own
-    projection, at distance 0; that test is one stacked product per set of
-    targets with the same rows (``contains``, bit for bit). Fast path: a
-    diagonal M and targets whose rows are a box (``Polytope.as_box``)
-    clamp every point coordinatewise in one array pass (exact), so a
-    point's bits do not depend on the batch. General path, one target at
-    a time: convex QP, unique minimizer since the target is convex, solved
-    to the RMPC QP's 1e-10 so that re-projected plan values agree with the
-    QP value. Returns the squared distances (k,) and projections (k, n).
+    The targets with the same rows take one ``Projection``, built here
+    from their rows, their offsets and the weight: a diagonal M and
+    targets whose rows are a box clamp every point coordinatewise in one
+    array pass (exact); other targets solve a convex QP each. Returns the
+    squared distances (k,) and projections (k, n).
     """
     R = np.array(points, dtype=float, ndmin=2)
-    M = np.asarray(weight, dtype=float)
-    w = np.diagonal(M)
-    diag = np.count_nonzero(M) == np.count_nonzero(w)  # every off-diagonal entry is 0
-    if not np.all((w if diag else np.linalg.eigvalsh(0.5 * (M + M.T))) > 0):
-        raise ValueError("weight must be positive definite")
-
-    inside = _contains_each(targets, R)
-    boxes = [t.as_box() for t in targets]
-    clamp = np.array([diag and box is not None for box in boxes], dtype=bool) & ~inside
-    d2, S = np.zeros(len(R)), R.copy()
-    c = np.flatnonzero(clamp)
-    if c.size:
-        S[c] = np.clip(R[c], [boxes[k].lower for k in c], [boxes[k].upper for k in c])
-        D = R[c] - S[c]
-        d2[c] = np.sum(D * w * D, axis=1)
-    for k in np.flatnonzero(~clamp & ~inside):
-        rep = solver.solve_qp(solver.QpProblem(H=2.0 * M, g=-2.0 * (M @ R[k]),
-                                               A_in=targets[k].A, b_in=targets[k].b))
-        if rep.status == solver.Status.INFEASIBLE:
-            raise EmptySetError("projection target is empty")
-        if rep.status != solver.Status.OPTIMAL:
-            raise GeometryError(f"projection QP failed: {rep.status}")
-        S[k] = rep.x
-        d2[k] = max(float((R[k] - S[k]) @ M @ (R[k] - S[k])), 0.0)
-    return d2, S
-
-
-def _contains_each(targets, R):
-    """targets[k].contains(R[k]) for every k. Targets with the same rows
-    take one stacked product, which gives each point the bits of its own
-    (``solver._mv``)."""
     groups = {}
     for k, t in enumerate(targets):
         groups.setdefault((t.A.shape, t.A.tobytes()), []).append(k)
-    inside = np.empty(len(R), dtype=bool)
+    d2, S = np.zeros(len(R)), R.copy()
     for ks in groups.values():
-        at = ks if len(ks) < len(R) else slice(None)  # one set of rows: no gather
-        res = solver._mv(targets[ks[0]].A, R[at]) - np.array([targets[k].b for k in ks])
-        inside[at] = np.maximum.reduce(res, axis=1) <= FEAS_TOL
-    return inside
+        d2[ks], S[ks] = Projection(targets[ks[0]].A, [targets[k].b for k in ks], weight)(R[ks])
+    return d2, S
 
 
 # Relative slack at or below which a row is active at an LP's Chebyshev

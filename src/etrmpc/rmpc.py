@@ -9,7 +9,7 @@ onto the tightened target sets. Where a target is a box and its weight
 diagonal, only the box rows touch the slack points and the cost is
 diagonal on them, so the solver eliminates them from its Newton step
 and factorizes the inputs' block alone; the re-projection after a solve
-clamps all stages in one array pass.
+clamps all stages in one array pass, with bounds kept per setup.
 
 The optimum is piecewise affine in the state over critical regions
 (explicit MPC). One region is kept per setup, the unconstrained one, as
@@ -85,7 +85,11 @@ class RmpcQp:
     ``g_x0 @ x0``, the offsets ``b_in - C_x0 @ x0`` and the constant
     ``x0 @ c_x0 @ x0`` of the value. The stage-0 state rows hold x0 only
     and drop out. ``problem`` is the QP with H validated once; a solve
-    gives it only its own linear term and offsets.
+    gives it only its own linear term and offsets. ``h_max`` is the stop
+    test's max|H|, and ``project_x`` and ``project_u`` re-project a plan's
+    stage states onto the TX targets in the weight Q and its inputs onto
+    the TU targets in R (``geometry.Projection``, each built once from
+    its family's shared rows and stacked offsets).
 
     ``law`` (n_z, nx) is the least-norm unconstrained minimizer
     ``z = law @ x0``, which equals ``-pinv(H) @ g_x0 @ x0``. Q and R are
@@ -151,6 +155,11 @@ class RmpcQp:
             a.flags.writeable = False
         self.problem = solver.QpProblem(H=self.H, g=np.zeros(self.H.shape[0]),
                                         A_in=self.A_in, b_in=self.b_in)
+        self.h_max = np.max(np.abs(self.H))
+        self.project_x = geometry.Projection(setup.TXseq[0].A, [s.b for s in setup.TXseq],
+                                             setup.Q)
+        self.project_u = geometry.Projection(setup.TUseq[0].A, [s.b for s in setup.TUseq],
+                                             setup.R)
 
 
 def solve_rmpc(setup, x0):
@@ -169,11 +178,16 @@ def solve_rmpc(setup, x0):
       infeasible or reaches its step cap) or the projected plan fails the
       test, ``solver.solve_qp``'s point, bit for bit.
 
+    The stop test's max|H| and the targets' bounds or projection QPs are
+    the setup's (``RmpcQp``); a solve computes only what x0 moves.
+
     Raises InfeasibleState when x0 lies outside the feasible region
     (including x0 outside the raw state set). The returned solution has
     exactly consistent dynamics: states are re-propagated from the input
-    sequence and slack points re-projected, so downstream error
-    coordinates are bit-reproducible.
+    sequence and slack points re-projected (``qp.project_x`` and
+    ``qp.project_u``) on every path, and the re-projected value must meet
+    the QP's to 1e-6, so downstream error coordinates are
+    bit-reproducible.
     """
     x0 = np.asarray(x0, dtype=float).reshape(setup.nx)
     N, nx, nu = setup.N, setup.nx, setup.nu
@@ -217,8 +231,8 @@ def solve_rmpc(setup, x0):
     x[0] = x0
     for i in range(N):
         x[i + 1] = A @ x[i] + B @ u[i]
-    dx2, sx = geometry.weighted_projections(x[:N], setup.TXseq, setup.Q)
-    du2, su = geometry.weighted_projections(u, setup.TUseq, setup.R)
+    dx2, sx = qp.project_x(x[:N])
+    du2, su = qp.project_u(u)
     stage = dx2 + du2
 
     value = float(np.sum(stage))
@@ -235,5 +249,4 @@ def _stop_residual(qp, z, g, b):
     NaN residual fails the test."""
     excess = qp.A_in @ z - b
     return max(np.max(excess, initial=0.0) / (1.0 + np.max(np.abs(b))),
-               np.max(np.abs(qp.H @ z + g))
-               / (1.0 + np.max(np.abs(g)) + np.max(np.abs(qp.H)))), excess
+               np.max(np.abs(qp.H @ z + g)) / (1.0 + np.max(np.abs(g)) + qp.h_max)), excess

@@ -699,13 +699,15 @@ def least_distance(A, b):
     at the origin, its unconstrained minimizer. Each step takes the most
     violated row p and moves the point and the multipliers of the active
     rows along the directions that keep those rows tight (from a QR
-    factorization of the active rows): a full step puts p on its boundary
-    and makes it active; a partial one drops the active row whose
-    multiplier reaches zero first and keeps p's multiplier so far. A row
-    in the span of the active rows (a zero row included) moves only the
-    multipliers, and with no multiplier to drop it proves the rows
-    infeasible. The loop stops when no row exceeds its offset by more than
-    QP_TOL (1 + max|b|), the primal residual of the QP stop test.
+    factorization of the active rows; with none active, the point moves
+    along p's row, as an empty factorization would give): a full step
+    puts p on its boundary and makes it active; a partial one drops the
+    active row whose multiplier reaches zero first and keeps p's
+    multiplier so far. A row in the span of the active rows (a zero row
+    included) moves only the multipliers, and with no multiplier to drop
+    it proves the rows infeasible. The loop stops when no row exceeds its
+    offset by more than QP_TOL (1 + max|b|), the primal residual of the QP
+    stop test.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -723,10 +725,12 @@ def least_distance(A, b):
             return None, steps
         steps += 1
         a = A[p]
-        Q, R = np.linalg.qr(A[active].T)
-        Qa = Q.T @ a
-        z = a - Q @ Qa           # the point's direction, off the active rows
-        r = np.linalg.solve(R, Qa)  # the active multipliers' direction
+        z, r = a, np.zeros(0)
+        if active:
+            Q, R = np.linalg.qr(A[active].T)
+            Qa = Q.T @ a
+            z = a - Q @ Qa           # the point's direction, off the active rows
+            r = np.linalg.solve(R, Qa)  # the active multipliers' direction
         full = np.inf
         if np.linalg.norm(z) > QP_TOL * np.linalg.norm(a):
             full = (a @ y - b[p]) / (z @ z)

@@ -90,8 +90,7 @@ class PrincipalPolytope:
 
     def box_slack(self, box):
         """min over rows of d - w.[vbar; vund]; >= 0 certifies the box."""
-        v = np.concatenate([box.upper, -box.lower])
-        return float(np.min(self.d - self.W @ v)) if self.d.size else np.inf
+        return float(_slacks(self.W, self.d[None], box.lower[None], box.upper[None])[0])
 
 
 class PrincipalRows:
@@ -169,9 +168,11 @@ def assemble_principal(setup, sol):
 
 
 class BoxResult:
-    def __init__(self, box, degenerate):
+    def __init__(self, box, degenerate, vol1, vol2):
         self.box = box
         self.degenerate = list(degenerate)
+        self.vol1 = vol1
+        self.vol2 = vol2
 
 
 def construct_boxes(pps, method):
@@ -184,171 +185,197 @@ def construct_boxes(pps, method):
     per-direction widths of the lifted polytope (row ratios): LP1 by one
     scaling LP per polytope over the summed widths, batched per active
     mask, LP2 by a scalar scaling step over the widths themselves, and
-    zero a width at or below that threshold. Each box is certified
-    against its rows; failures carry the 1-based ``j=`` of the first.
+    zero a width at or below that threshold.
+
+    The boxes are built, certified against all their rows and measured
+    (``volumes``) in array passes over the stacked offsets, one stacked
+    product per step (``solver._mv``), so each box has the bits of its
+    batch of one. A failure, in building or in certifying, names the
+    1-based ``j=`` of the first polytope that fails.
     """
     if method not in METHODS:
         raise ValueError(f"unknown construction method {method!r}")
-    W = pps[0].W
+    W, k = pps[0].W, pps[0].k
     if any(pp.W is not W and not np.array_equal(pp.W, W) for pp in pps):
         raise ValueError("principal polytopes must share their rows W")
+    D = np.array([pp.d for pp in pps])
     if method in (CP1, CP2):
-        q = 1 if method == CP1 else 2
-        mode = solver.MODE_SUM_LOG_WIDTH if q == 1 else solver.MODE_SUM_LOG_BOTH
-        reports = solver.maximize_log_volume_batch(W, [pp.d for pp in pps], mode)
-        built = (_cp_box(rep, pp.k, q) for rep, pp in zip(reports, pps))
+        lower, upper, degenerate, error = _cp_boxes(W, D, k, method)
     elif method == LP1:
-        built = (_lp1_box(pp, *lp) for pp, lp in zip(pps, _lp1_solve(pps)))
+        lower, upper, degenerate, error = _lp1_boxes(pps[0].G, W, D, k)
     else:
-        built = map(_lp2_box, pps)
-    results = []
-    for j, pp in enumerate(pps, start=1):
-        try:
-            res = next(built)  # built lazily: box j is certified before box j+1
-            slack = pp.box_slack(res.box)
-            if slack < -FEAS_TOL:
-                raise TriggerError(f"built box violates principal rows by {-slack:.3e}")
-        except TriggerError as exc:
-            raise TriggerError(f"j={j}: {exc}") from exc
-        results.append(res)
-    return results
+        lower, upper, degenerate, error = _lp2_boxes(W, D, k)
+    # Boxes 1..n were built; box n+1, if any, failed with ``error``.
+    j, slack = len(lower) + 1, _slacks(W, D[:len(lower)], lower, upper)
+    bad = np.flatnonzero(slack < -FEAS_TOL)
+    if bad.size:
+        j, error = bad[0] + 1, f"built box violates principal rows by {-slack[bad[0]]:.3e}"
+    if error is not None:
+        raise TriggerError(f"j={j}: {error}")
+    vol1, vol2 = _volumes(lower, upper)
+    return [BoxResult(HyperRect(l, u), deg, v1, v2) for l, u, deg, v1, v2
+            in zip(lower, upper, degenerate, vol1.tolist(), vol2.tolist())]
 
 
-def _cp_box(rep, k, q):
-    """The box of one log-volume report (q=1 for CP1, 2 for CP2)."""
-    if rep.status == solver.Status.UNBOUNDED:
-        raise TriggerError("principal polytope leaves a box coordinate unbounded")
-    # A solve left undecided (at the iteration cap) still returns an
-    # interior iterate, its best; construct_boxes certifies the box.
-    accepted_at_cap = rep.status == solver.Status.MAXITER and rep.x is not None
-    if rep.status != solver.Status.OPTIMAL and not accepted_at_cap:
-        raise TriggerError(f"volume maximization failed: {rep.status}")
-    vbar, vund = rep.x[:k], rep.x[k:]
+_UNBOUNDED = "principal polytope leaves a box coordinate unbounded"
+
+
+def _bounded(w):
+    """The number of leading rows of the widths w that are all finite, and
+    the failure of the row after them (None when every row is)."""
+    inf = np.isinf(w).any(axis=1)
+    return (int(np.argmax(inf)), _UNBOUNDED) if inf.any() else (len(w), None)
+
+
+def _coords(mask):
+    """The indices of the True entries of each row of mask."""
+    return [[j for j, m in enumerate(row) if m] for row in mask.tolist()]
+
+
+def _cp_boxes(W, D, k, method):
+    """The boxes of one batched log-volume solve, up to the first failed
+    report: (lower, upper, degenerate, failure), as ``_lp2_boxes``."""
+    q = 1 if method == CP1 else 2
+    mode = solver.MODE_SUM_LOG_WIDTH if q == 1 else solver.MODE_SUM_LOG_BOTH
+    reports = solver.maximize_log_volume_batch(W, D, mode)
+    n, error = len(reports), None
+    for i, rep in enumerate(reports):
+        # A solve left undecided (at the iteration cap) still returns an
+        # interior iterate, its best; construct_boxes certifies the box.
+        if rep.status == solver.Status.UNBOUNDED:
+            error = _UNBOUNDED
+        elif rep.status != solver.Status.OPTIMAL and not (
+                rep.status == solver.Status.MAXITER and rep.x is not None):
+            error = f"volume maximization failed: {rep.status}"
+        if error is not None:
+            n = i
+            break
+    X = np.array([rep.x for rep in reports[:n]]).reshape(n, 2 * k)
+    vbar, vund = X[:, :k], X[:, k:]
     zero = (vbar + vund == 0) if q == 1 else (vbar == 0) | (vund == 0)
-    return BoxResult(HyperRect(-vund, vbar), np.flatnonzero(zero).tolist())
+    return -vund, vbar, _coords(zero), error
 
 
-def _lp1_scaling_lp(pp):
-    """Segment profile and scaling LP of one polytope's LP1 box.
+def _lp1_boxes(G, W, D, k):
+    """LP1's boxes up to the first polytope that fails (a coordinate
+    unbounded, or its scaling LP): (lower, upper, degenerate, failure).
 
-    Returns (w, r, A, b): the one-sided widths w, the segment lengths r,
-    and the rows and offsets of the LP max lambda over (z, lambda), or
-    None for both where no LP is needed (a coordinate is unbounded, or
-    every one is degenerate). The LP has one column per coordinate with
-    r > 0, so LPs of one active mask share their shape.
+    Each polytope's LP is max lambda over (z, lambda) for its
+    non-degenerate coordinates, with the r-profile box [z, z + lambda r]
+    in the rows and z <= 0 <= z + lambda r (zero-width coordinates pin
+    z_j = 0). It has one column per coordinate with r > 0, so the LPs of
+    one active mask share their shape and run in one ``solve_lp_batch``
+    call, each with its own rows.
     """
-    k = pp.k
-    G, d = pp.G, pp.d
     # Longest axis segment through the origin along e_j: with every other
     # coordinate pinned at zero it runs from -w[k+j] to w[j], the one-sided
     # widths of the lifted polytope. Segments below the degenerate-width
     # threshold collapse to zero-width coordinates.
-    w = solver.coordinate_widths(pp.W, d)
-    r = w[:k] + w[k:]
+    w = solver.coordinate_widths(W, D)
+    n, error = _bounded(w)
+    w, D = w[:n], D[:n]
+    r = w[:, :k] + w[:, k:]
     r[r <= solver.DEGENERATE_WIDTH] = 0.0
     act = r > 0.0
-    if np.any(np.isinf(w)) or not np.any(act):
-        return w, r, None, None
-    # Scaling LP over (z, lambda) for the non-degenerate coordinates: max
-    # lambda with the r-profile box [z, z + lambda r] in the rows and
-    # z <= 0 <= z + lambda r (zero-width coordinates pin z_j = 0).
-    ka = int(np.sum(act))
-    eye = np.eye(ka + 1)
-    A = np.vstack([np.hstack([G[:, act], (np.maximum(G, 0.0) @ r)[:, None]]),
-                   eye[:ka],
-                   np.hstack([-eye[:ka, :ka], -r[act][:, None]]),
-                   np.hstack([eye[ka, :ka], -1.0])])
-    return w, r, A, np.concatenate([d, np.zeros(2 * ka + 1)])
-
-
-def _lp1_solve(pps):
-    """The LP1 scaling LPs of every principal polytope. LPs of one active
-    mask have one shape, and run in one ``solve_lp_batch`` call with
-    per-problem rows. Returns (w, r, report) per polytope, with no report
-    where no LP was needed."""
-    lps = [_lp1_scaling_lp(pp) for pp in pps]
     groups = {}
-    for i, (_, r, A, _) in enumerate(lps):
-        if A is not None:
-            groups.setdefault((r > 0.0).tobytes(), []).append(i)
-    reports = [None] * len(pps)
+    for i, mask in enumerate(act):
+        if mask.any():  # every coordinate degenerate: no LP, the zero box
+            groups.setdefault(mask.tobytes(), []).append(i)
+    m, Gp = G.shape[0], np.maximum(G, 0.0)
+    reports = [None] * n
     for members in groups.values():
-        A = np.array([lps[i][2] for i in members])
-        b = np.array([lps[i][3] for i in members])
-        batch = solver.solve_lp_batch(np.eye(A.shape[-1])[-1], A, b)  # max lambda
-        for i, rep in zip(members, batch):
+        a = act[members[0]]
+        ka = int(np.sum(a))
+        eye = np.eye(ka + 1)
+        A = np.zeros((len(members), m + 2 * ka + 1, ka + 1))
+        A[:, :m, :ka] = G[:, a]
+        A[:, :m, ka] = solver._mv(Gp, r[members])
+        A[:, m:m + ka] = eye[:ka]
+        A[:, m + ka:m + 2 * ka, :ka] = -eye[:ka, :ka]
+        A[:, m + ka:m + 2 * ka, ka] = -r[members][:, a]
+        A[:, -1, ka] = -1.0
+        b = np.concatenate([D[members], np.zeros((len(members), 2 * ka + 1))], axis=1)
+        for i, rep in zip(members, solver.solve_lp_batch(eye[-1], A, b)):  # max lambda
             reports[i] = rep
-    return [(w, r, rep) for (w, r, _, _), rep in zip(lps, reports)]
-
-
-def _lp1_box(pp, w, r, rep):
-    """The LP1 box of one scaling LP's report."""
-    k = pp.k
-    if np.any(np.isinf(w)):
-        raise TriggerError("principal polytope leaves a box coordinate unbounded")
-    degenerate = np.flatnonzero(r == 0.0).tolist()
-    if rep is None:  # every coordinate degenerate
-        return BoxResult(HyperRect(np.zeros(k), np.zeros(k)), degenerate)
-    act = r > 0.0
-    ka = int(np.sum(act))
     # A near-converged iterate will do: the box is fit into the rows below.
-    near = (rep.status == solver.Status.MAXITER and rep.x is not None
-            and rep.kkt_residual <= 1e-6)
-    if rep.status != solver.Status.OPTIMAL and not near:
-        raise TriggerError(f"scaling LP failed: {rep.status}")
-    z = np.zeros(k)
-    z[act] = np.minimum(rep.x[:ka], 0.0)
-    lam = max(rep.x[-1], 0.0)
+    for i, rep in enumerate(reports):
+        if rep is not None and rep.status != solver.Status.OPTIMAL and not (
+                rep.status == solver.Status.MAXITER and rep.x is not None
+                and rep.kkt_residual <= 1e-6):
+            n, error = i, f"scaling LP failed: {rep.status}"
+            break
+    w, D, r = w[:n], D[:n], r[:n]
+    z, lam = np.zeros((n, k)), np.zeros(n)
+    for members in groups.values():
+        members = [i for i in members if i < n]
+        if members:
+            X = np.array([reports[i].x for i in members])
+            z[np.ix_(members, act[members[0]])] = np.minimum(X[:, :-1], 0.0)
+            lam[members] = X[:, -1]
+    lam = np.where(0.0 > lam, 0.0, lam)
     # No box end in the rows reaches past the one-sided width w of its
     # axis. Holding the LP point to w keeps its rounding (z_j = -3e-17
     # where w = 0, say) off rows with zero offset, which _fit_into_rows
     # would otherwise answer by shrinking the whole box to the origin.
-    z = np.where(-z > w[k:], -w[k:], z)
-    upper = np.minimum(np.maximum(z + lam * r, 0.0), w[:k])
-    return BoxResult(_fit_into_rows(pp, HyperRect(z, upper)), degenerate)
+    z = np.where(-z > w[:, k:], -w[:, k:], z)
+    upper = np.minimum(np.maximum(z + lam[:, None] * r, 0.0), w[:, :k])
+    return (*_fit_into_rows(W, D, z, upper), _coords(r == 0.0), error)
 
 
-def _fit_into_rows(pp, box):
-    """Scale a box about the origin until every principal row holds.
+def _lp2_boxes(W, D, k):
+    """LP2's boxes up to the first polytope with an unbounded coordinate:
+    (lower, upper) of the boxes built, their degenerate coordinates, and
+    the failure of the next polytope (None when all were built)."""
+    # Width of the axis segment from the origin in the lifted polytope:
+    # single-variable LPs max {omega : omega W e_j <= d}, solved by ratios.
+    r = solver.coordinate_widths(W, D)
+    n, error = _bounded(r)
+    r, D = r[:n], D[:n]
+    r[r <= solver.DEGENERATE_WIDTH] = 0.0
+    prof = solver._mv(W, r)
+    pos = prof > 0
+    lam = np.min(np.divide(D, prof, out=np.full(D.shape, np.inf), where=pos), axis=1,
+                 initial=np.inf)
+    lam = np.where(pos.any(axis=1) & ~(0.0 > lam), lam, 0.0)
+    r_up, r_dn = r[:, :k], r[:, k:]
+    lower, upper = _fit_into_rows(W, D, -lam[:, None] * r_dn, lam[:, None] * r_up)
+    return lower, upper, _coords((r_up == 0.0) | (r_dn == 0.0)), error
+
+
+def _fit_into_rows(W, D, lower, upper):
+    """Scale each box [lower_i, upper_i] about the origin until every
+    principal row d_i holds.
 
     No-op for certified boxes; a near-converged LP iterate may stick out
     by its KKT residual, and any uniformly shrunk copy is still a valid
     (more conservative) trigger set.
     """
-    v = np.concatenate([box.upper, -box.lower])
-    prof = pp.W @ v
-    mask = prof > pp.d
-    if not np.any(mask):
-        return box
-    theta = float(np.min(pp.d[mask] / prof[mask]))
-    theta = max(0.0, min(theta, 1.0)) * (1.0 - 1e-12)
-    return HyperRect(theta * box.lower, theta * box.upper)
+    prof = solver._mv(W, np.hstack([upper, -lower]))
+    out = prof > D
+    theta = np.min(np.divide(D, prof, out=np.full(D.shape, np.inf), where=out), axis=1,
+                   initial=np.inf)
+    theta = np.where(1.0 < theta, 1.0, theta)
+    theta = np.where(theta > 0.0, theta, 0.0)[:, None] * (1.0 - 1e-12)
+    shrink = out.any(axis=1)[:, None]
+    return np.where(shrink, theta * lower, lower), np.where(shrink, theta * upper, upper)
 
 
-def _lp2_box(pp):
-    k = pp.k
-    W, d = pp.W, pp.d
-    # Width of the axis segment from the origin in the lifted polytope:
-    # single-variable LPs max {omega : omega W e_j <= d}, solved by ratios.
-    r = solver.coordinate_widths(W, d)
-    if np.any(np.isinf(r)):
-        raise TriggerError("principal polytope leaves a box coordinate unbounded")
-    r[r <= solver.DEGENERATE_WIDTH] = 0.0
-    prof = W @ r
-    pos = prof > 0
-    lam = float(np.min(d[pos] / prof[pos])) if np.any(pos) else 0.0
-    lam = max(lam, 0.0)
-    r_up, r_dn = r[:k], r[k:]
-    box = _fit_into_rows(pp, HyperRect(-lam * r_dn, lam * r_up))
-    degenerate = np.flatnonzero((r_up == 0.0) | (r_dn == 0.0)).tolist()
-    return BoxResult(box, degenerate)
+def _slacks(W, D, lower, upper):
+    """min over rows of d - W [u; -l] for each box [l, u] and offsets d;
+    >= 0 certifies the box."""
+    return np.min(D - solver._mv(W, np.hstack([upper, -lower])), axis=1, initial=np.inf)
+
+
+def _volumes(lower, upper):
+    """Per box: the product of total widths and of one-sided widths."""
+    up, dn = upper, -lower
+    return np.prod(up + dn, axis=1), np.prod(up * dn, axis=1)
 
 
 def volumes(box):
     """(vol_1, vol_2): product of total widths and of one-sided widths."""
-    up = box.upper
-    dn = -box.lower
-    return float(np.prod(up + dn)), float(np.prod(up * dn))
+    vol1, vol2 = _volumes(box.lower[None], box.upper[None])
+    return float(vol1[0]), float(vol2[0])
 
 
 class TriggerSchedule:
@@ -397,7 +424,6 @@ def build_schedule(setup, sol, method):
     pps = [PrincipalPolytope(setup.nx, rows.W, d, rows.G, rows.meta)
            for d in assemble_principal(setup, sol)]
     results = construct_boxes(pps, method)
-    boxes = [res.box for res in results]
-    vol1, vol2 = zip(*map(volumes, boxes))
-    return TriggerSchedule(method, boxes, list(vol1), list(vol2),
+    return TriggerSchedule(method, [res.box for res in results],
+                           [res.vol1 for res in results], [res.vol2 for res in results],
                            [res.degenerate for res in results], pps)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -8,8 +9,10 @@ from etrmpc import geometry, solver
 from etrmpc.geometry import (HyperRect, Polytope, pontryagin_diff, shape_ratios,
                              supports, weighted_projections)
 from etrmpc.sim import DisturbanceModel, run_closed_loop
+from etrmpc.tightening import build_setup, synthesize_nominal_gain, synthesize_tightening_gains
 
-from batch_reactor import X0, batch_setup, benchmark_workloads, cross_polytope_setup
+from batch_reactor import (X0, batch_plant, batch_setup, benchmark_workloads,
+                           cross_polytope_setup)
 from oracles import enumerate_vertices, grid_projection, highs_chebyshev, highs_max
 
 
@@ -380,6 +383,63 @@ class TestWeightedProjections:
         assert len(calls) == 2 * outside
 
 
+@functools.lru_cache(maxsize=None)
+def kept_projections(case):
+    """(Projection, targets, weight) of the two target families of a
+    setup's RmpcQp: box targets with diagonal weights, a polytopic state
+    target, or a non-diagonal Q."""
+    if case == "box_diagonal":
+        setup = batch_setup()
+    elif case == "polytopic_target":
+        setup = cross_polytope_setup()
+    else:
+        plant = batch_plant()
+        F = synthesize_nominal_gain(plant, 2.0 * np.eye(4), 10.0 * np.eye(2))
+        K = synthesize_tightening_gains(plant, M=4, N=10)
+        Q = 2.0 * np.eye(4) + 0.3 * (np.eye(4, k=1) + np.eye(4, k=-1))
+        setup = build_setup(plant, N=10, M=4, F=F, K=K, Q=Q, R=np.eye(2))
+    return ((setup.qp.project_x, setup.TXseq, setup.Q),
+            (setup.qp.project_u, setup.TUseq, setup.R))
+
+
+# Where a point lies on the way from the middle of its target to a vertex:
+# 0 at the middle, 1 at the vertex (within rounding), outside beyond.
+TOWARDS_VERTEX = (st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-10, 1.0 + 1e-7, 2.0])
+                  | st.floats(0.0, 3.0))
+
+
+def towards_vertex(data, target, t):
+    """c + t (v - c), c the mean of the target's vertices and v a drawn one."""
+    V = target.vertices()
+    c = V.mean(axis=0)
+    return c + t * (V[data.draw(st.integers(0, len(V) - 1))] - c)
+
+
+class TestKeptProjection:
+    @pytest.mark.parametrize("case", ["box_diagonal", "polytopic_target",
+                                      "non_diagonal_weight"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_matches_batch_of_one(self, case, data):
+        # The setup's Projection of each family against weighted_projections
+        # of one point and one target, bit for bit: a clamp where the
+        # targets are boxes and the weight diagonal, else a QP per point
+        # outside. Stage 0's point is outside, stage 1's on the boundary.
+        families = kept_projections(case)
+        for proj, targets, M in families:
+            ts = [2.0, 1.0] + [data.draw(TOWARDS_VERTEX) for _ in targets[2:]]
+            P = np.array([towards_vertex(data, tg, t) for tg, t in zip(targets, ts)])
+            d2, S = proj(P)
+            assert proj.contains(P).tolist() == [t.contains(p) for t, p in zip(targets, P)]
+            assert d2[0] > 0.0
+            for k, t in enumerate(targets):
+                assert same_projection(d2[k], S[k], project(P[k], t, M))
+        (proj_x, _, _), (proj_u, _, _) = families
+        assert proj_u.clamp.all()
+        assert proj_x.clamp.all() == (case == "box_diagonal")
+        assert proj_x.clamp.any() == (case == "box_diagonal")
+
+
 def facet_points(rng, target):
     """Points on a facet of the target and inside its other rows, then
     each moved 1e-8 inward and outward along the facet's unit normal."""
@@ -396,8 +456,8 @@ def facet_points(rng, target):
 
 
 class TestStackedMembership:
-    """``weighted_projections`` tests each point against its target in one
-    stacked product per set of shared rows; each answer is ``contains``'s."""
+    """A ``Projection`` tests each point against its target in one stacked
+    product over the shared rows; each answer is ``contains``'s."""
 
     @pytest.mark.parametrize("kind", ["box", "polytope"])
     def test_matches_contains_at_facets(self, kind):
@@ -415,7 +475,10 @@ class TestStackedMembership:
             ts, P = zip(*[pairs[k] for k in order if pairs[k][0].dim == dim])
             want = [t.contains(r) for t, r in zip(ts, P)]
             assert 0 < sum(want) < len(want)
-            assert geometry._contains_each(ts, np.array(P)).tolist() == want
+            for A in {t.A.tobytes(): t.A for t in ts}.values():
+                ks = [k for k, t in enumerate(ts) if np.array_equal(t.A, A)]
+                proj = geometry.Projection(A, [ts[k].b for k in ks], np.eye(dim))
+                assert proj.contains(np.array(P)[ks]).tolist() == [want[k] for k in ks]
 
 
 class TestChebyshev:

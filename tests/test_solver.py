@@ -498,26 +498,81 @@ class TestQp:
                 p.with_vectors(g, b)
 
 
+def least_distance_rows(seed, n, m, n_copies, n_zero):
+    """Rows that hold a random point, then duplicates of some rows,
+    positive multiples of others with looser or tighter offsets, and zero
+    rows with nonnegative offsets, in random order."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, n))
+    b = A @ rng.uniform(-2.0, 2.0, n) + rng.uniform(0.0, 1.0, m)
+    pick = rng.integers(0, m, n_copies)
+    scale = rng.choice([1.0, 2.5], n_copies)
+    shift = rng.choice([0.0, -0.3, 0.4], n_copies)
+    A = np.vstack([A, scale[:, None] * A[pick], np.zeros((n_zero, n))])
+    b = np.concatenate([b, scale * (b[pick] + shift), rng.uniform(0.0, 1.0, n_zero)])
+    order = rng.permutation(b.size)
+    return A[order], b[order]
+
+
+def least_distance_qr_every_step(A, b):
+    """``solver.least_distance`` as it was before it skipped the QR
+    factorization of an empty active set: the reference for its bits."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    tol = solver.QP_TOL * (1.0 + np.max(np.abs(b)))
+    y = np.zeros(A.shape[1])
+    active, lam = [], np.zeros(0)
+    p, steps = None, 0
+    while True:
+        if p is None:
+            excess = A @ y - b
+            p, lam_p = int(np.argmax(excess)), 0.0
+            if excess[p] <= tol:
+                return y, steps
+        if steps == solver.MAX_ITER:
+            return None, steps
+        steps += 1
+        a = A[p]
+        Q, R = np.linalg.qr(A[active].T)
+        Qa = Q.T @ a
+        z = a - Q @ Qa
+        r = np.linalg.solve(R, Qa)
+        full = np.inf
+        if np.linalg.norm(z) > solver.QP_TOL * np.linalg.norm(a):
+            full = (a @ y - b[p]) / (z @ z)
+        blocking = np.flatnonzero(r > 0.0)
+        ratios = lam[blocking] / r[blocking]
+        t = min(full, np.min(ratios, initial=np.inf))
+        if t == np.inf:
+            return None, steps
+        if full < np.inf:
+            y = y - t * z
+        lam, lam_p = lam - t * r, lam_p + t
+        if t == full:
+            active.append(p)
+            lam, p = np.append(lam, lam_p), None
+        else:
+            drop = int(blocking[np.argmin(ratios)])
+            del active[drop]
+            lam = np.delete(lam, drop)
+
+
+LEAST_DISTANCE_ROWS = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+                           m=st.integers(1, 8), n_copies=st.integers(0, 3),
+                           n_zero=st.integers(0, 2))
+INFEASIBLE_ROWS = [
+    ([[1.0, 1.0], [-1.0, -1.0]], [-1.0, -1.0]),       # an infeasible pair of rows
+    ([[1.0, 0.0], [0.0, 0.0]], [1.0, -1e-3]),          # a zero row with a negative offset
+    ([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [-1.0, -1.0, 1.0])]
+
+
 class TestLeastDistance:
     """solver.least_distance, the nearest point of {A y <= b} to the origin."""
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), m=st.integers(1, 8),
-           n_copies=st.integers(0, 3), n_zero=st.integers(0, 2))
+    @given(**LEAST_DISTANCE_ROWS)
     def test_matches_slsqp(self, seed, n, m, n_copies, n_zero):
-        # Rows that hold a random point, then duplicates of some rows,
-        # positive multiples of others with looser or tighter offsets, and
-        # zero rows with nonnegative offsets, in random order.
-        rng = np.random.default_rng(seed)
-        A = rng.normal(size=(m, n))
-        b = A @ rng.uniform(-2.0, 2.0, n) + rng.uniform(0.0, 1.0, m)
-        pick = rng.integers(0, m, n_copies)
-        scale = rng.choice([1.0, 2.5], n_copies)
-        shift = rng.choice([0.0, -0.3, 0.4], n_copies)
-        A = np.vstack([A, scale[:, None] * A[pick], np.zeros((n_zero, n))])
-        b = np.concatenate([b, scale * (b[pick] + shift), rng.uniform(0.0, 1.0, n_zero)])
-        order = rng.permutation(b.size)
-        A, b = A[order], b[order]
+        A, b = least_distance_rows(seed, n, m, n_copies, n_zero)
         y, steps = solver.least_distance(A, b)
         want = slsqp_least_norm(np.eye(n), np.zeros(n), A, b)
         if want is None:  # a tighter parallel copy can leave no point
@@ -529,13 +584,22 @@ class TestLeastDistance:
         if np.all(b >= 0.0):
             assert steps == 0 and not y.any()
 
-    @pytest.mark.parametrize("A, b", [
-        ([[1.0, 1.0], [-1.0, -1.0]], [-1.0, -1.0]),       # an infeasible pair of rows
-        ([[1.0, 0.0], [0.0, 0.0]], [1.0, -1e-3]),          # a zero row with a negative offset
-        ([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [-1.0, -1.0, 1.0])])
+    @pytest.mark.parametrize("A, b", INFEASIBLE_ROWS)
     def test_infeasible_rows_return_none(self, A, b):
         y, steps = solver.least_distance(A, b)
         assert y is None and 0 < steps <= solver.MAX_ITER
+
+    @settings(max_examples=200, deadline=None)
+    @given(**LEAST_DISTANCE_ROWS, shift=st.sampled_from([0.0, -0.5, -2.0]))
+    def test_same_bits_as_qr_every_step(self, seed, n, m, n_copies, n_zero, shift):
+        # Rows moved by a shift leave the origin, so the first step starts
+        # from an empty active set; every infeasible case as well.
+        A, b = least_distance_rows(seed, n, m, n_copies, n_zero)
+        for A, b in [(A, b + shift)] + INFEASIBLE_ROWS:
+            y, steps = solver.least_distance(A, b)
+            want, want_steps = least_distance_qr_every_step(A, b)
+            assert steps == want_steps
+            assert (y is None and want is None) or y.tobytes() == want.tobytes()
 
     def test_step_cap_returns_none(self, monkeypatch):
         # Two rows, each violated at the origin and at the other's

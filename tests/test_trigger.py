@@ -335,6 +335,44 @@ class TestConstructBoxes:
         with pytest.raises(ValueError, match="^unknown construction method 'CP3'$"):
             construct_boxes([pp], "CP3")
 
+    @staticmethod
+    def trigger_polytopes(setup, x0):
+        rows = setup.principal_rows
+        return [PrincipalPolytope(setup.nx, rows.W, d, rows.G, rows.meta)
+                for d in assemble_principal(setup, solve_rmpc(setup, x0))]
+
+    @pytest.mark.parametrize("method", trigger.METHODS)
+    def test_each_box_equals_its_batch_of_one(self, method):
+        # The N-1 boxes of a trigger from the reference state (CP2 leaves
+        # some of them zero) and from states nearer the origin.
+        setup = batch_setup()
+        live = 0
+        for x0 in (X0, [0.1, 0.1, -0.1, 0.1], 0.3 * X0, 0.05 * X0):
+            pps = self.trigger_polytopes(setup, x0)
+            for res, pp in zip(construct_boxes(pps, method), pps):
+                (alone,) = construct_boxes([pp], method)
+                assert res.box.lower.tobytes() == alone.box.lower.tobytes()
+                assert res.box.upper.tobytes() == alone.box.upper.tobytes()
+                assert res.degenerate == alone.degenerate
+                vols = np.array([res.vol1, res.vol2])
+                assert vols.tobytes() == np.array([alone.vol1, alone.vol2]).tobytes()
+                assert vols.tobytes() == np.array(volumes(res.box)).tobytes()
+                live += res.vol1 > 0.0
+        assert 0 < live < 4 * (setup.N - 1)
+
+    @pytest.mark.parametrize("method", trigger.METHODS)
+    def test_corrupted_polytope_names_first_failing_j(self, method):
+        # The polytopes of j=3 and j=6 lose every row (infinite offsets),
+        # so no box coordinate of theirs is bounded: j=3 is named.
+        setup = batch_setup()
+        pps = self.trigger_polytopes(setup, [0.1, 0.1, -0.1, 0.1])
+        for j in (3, 6):
+            pp = pps[j - 1]
+            pps[j - 1] = PrincipalPolytope(pp.k, pp.W, np.full_like(pp.d, np.inf), pp.G, pp.meta)
+        with pytest.raises(trigger.TriggerError,
+                           match=r"^j=3: principal polytope leaves a box coordinate unbounded$"):
+            construct_boxes(pps, method)
+
 
 class TestConstructCp:
     def test_symmetric_square_q2(self):
@@ -686,29 +724,26 @@ class TestSchedule:
                 assert deg == res.degenerate
         assert any(v > 1e-6 for v in sch.vol1)  # the later state has live boxes
 
-    @pytest.mark.parametrize("method, builder", [(CP1, "_cp_box"), (CP2, "_cp_box"),
-                                                 (LP1, "_lp1_box"), (LP2, "_lp2_box")])
+    @pytest.mark.parametrize("method, builder", [(CP1, "_cp_boxes"), (CP2, "_cp_boxes"),
+                                                 (LP1, "_lp1_boxes"), (LP2, "_lp2_boxes")])
     def test_box_outside_rows_fails_certification(self, sched_all, method, builder,
                                                   monkeypatch):
-        # The box of j=3 comes back scaled by 2, so it leaves its rows.
+        # The boxes of j=3 and j=5 come back scaled by 2, so they leave
+        # their rows; the first of them is named.
         setup, _, _ = sched_all
         sol = solve_rmpc(setup, [0.1, 0.1, -0.1, 0.1])
         build = getattr(trigger, builder)
-        built = []
 
-        def doubled_at_j3(*args):
-            res = build(*args)
-            built.append(res)
-            if len(built) == 3:
-                res = trigger.BoxResult(HyperRect(2.0 * res.box.lower, 2.0 * res.box.upper),
-                                        res.degenerate)
-            return res
+        def doubled_at_j3_and_j5(*args):
+            lower, upper, degenerate, error = build(*args)
+            scale = np.ones((len(lower), 1))
+            scale[[2, 4]] = 2.0
+            return scale * lower, scale * upper, degenerate, error
 
-        monkeypatch.setattr(trigger, builder, doubled_at_j3)
+        monkeypatch.setattr(trigger, builder, doubled_at_j3_and_j5)
         with pytest.raises(trigger.TriggerError,
                            match=r"^j=3: built box violates principal rows by"):
             build_schedule(setup, sol, method)
-        assert len(built) == 3
 
     def test_failing_batch_member_keeps_its_splice_index(self, sched_all, monkeypatch):
         setup, sol, _ = sched_all
@@ -743,10 +778,9 @@ class TestSchedule:
                                                     np.inf, 0)
             return reports
 
-        def unbounded_at_j6(W, dj):
-            w = widths(W, dj)
-            if np.array_equal(dj, d[5]):
-                w[0] = np.inf
+        def unbounded_at_j6(W, D):
+            w = widths(W, D)
+            w[np.all(D == d[5], axis=-1), 0] = np.inf  # the row of j=6
             return w
 
         monkeypatch.setattr(solver, "solve_lp_batch", infeasible_at_j4)
