@@ -7,8 +7,8 @@ relaxations, and an event-triggered closed-loop simulator with runtime
 decay certificates.
 """
 
-from .geometry import (HyperRect, Polytope, pontryagin_diff, shape_ratios,
-                       supports, weighted_projections)
+from .geometry import (HyperRect, Polytope, Projection, pontryagin_diff,
+                       shape_ratios, supports)
 from .rmpc import InfeasibleState, MpcSolution, solve_rmpc
 from .sim import (DisturbanceModel, SimTrace, run_closed_loop,
                   step_trigger_test, trigger_statistics)
@@ -22,8 +22,8 @@ from .trigger import (PrincipalPolytope, TriggerSchedule, assemble_principal,
 __version__ = "0.1.0"
 
 __all__ = [
-    "HyperRect", "Polytope", "supports", "pontryagin_diff",
-    "weighted_projections", "shape_ratios",
+    "HyperRect", "Polytope", "supports", "pontryagin_diff", "Projection",
+    "shape_ratios",
     "QpProblem", "SolveReport", "Status", "solve_lp_batch", "solve_qp",
     "maximize_log_volume_batch",
     "PlantModel", "RmpcSetup", "synthesize_nominal_gain",

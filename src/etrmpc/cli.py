@@ -219,12 +219,12 @@ def cmd_run(config, out_dir=None, method=None, seed=None, steps=None,
     (directory / "summary.json").write_text(json.dumps(summary, indent=2))
     # One shape diagnostic over every principal polytope of the run; each
     # schedule writes its slice.
-    ratios = geometry.shape_ratios(setup.principal_rows.G, [
-        pp.d for s in trace.schedules.values() for pp in s.principals])
+    ratios = geometry.shape_ratios(setup.principal_rows.G, np.array(
+        [s.offsets for s in trace.schedules.values()]))
     schedules, used = {}, 0
     for t, s in trace.schedules.items():
-        schedules[t] = s.to_dict(ratios[used:used + len(s.principals)])
-        used += len(s.principals)
+        schedules[t] = s.to_dict(ratios[used:used + len(s.offsets)])
+        used += len(s.offsets)
     # The two large files are compact: with indent, json takes its
     # pure-Python encoder.
     (directory / "schedules.json").write_text(json.dumps(

@@ -286,7 +286,7 @@ class Projection:
     ``Polytope.as_box``). Otherwise, and for a target whose bounds make
     no box, a projection is the QP built here once and given the target's
     offsets (``QpProblem.with_vectors``). ``RmpcQp`` keeps one per target
-    family; ``weighted_projections`` builds one per call.
+    family.
     """
 
     def __init__(self, A, offsets, weight):
@@ -338,28 +338,6 @@ class Projection:
             S[k] = rep.x
             d2[k] = max(float((R[k] - S[k]) @ self.M @ (R[k] - S[k])), 0.0)
         return d2, S
-
-
-def weighted_projections(points, targets, weight):
-    """The weighted projection of points[k] onto targets[k] for every k:
-    min (r-s)^T M (r-s) over s in the target, M = ``weight`` symmetric
-    positive definite. The targets are Polytopes, as the setup's
-    tightened sets are.
-
-    The targets with the same rows take one ``Projection``, built here
-    from their rows, their offsets and the weight: a diagonal M and
-    targets whose rows are a box clamp every point coordinatewise in one
-    array pass (exact); other targets solve a convex QP each. Returns the
-    squared distances (k,) and projections (k, n).
-    """
-    R = np.array(points, dtype=float, ndmin=2)
-    groups = {}
-    for k, t in enumerate(targets):
-        groups.setdefault((t.A.shape, t.A.tobytes()), []).append(k)
-    d2, S = np.zeros(len(R)), R.copy()
-    for ks in groups.values():
-        d2[ks], S[ks] = Projection(targets[ks[0]].A, [targets[k].b for k in ks], weight)(R[ks])
-    return d2, S
 
 
 # Relative slack at or below which a row is active at an LP's Chebyshev

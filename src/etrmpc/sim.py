@@ -129,7 +129,7 @@ def step_trigger_test(boxes, nominal, xi, k):
 
     Returns the violating coordinate set; any nonempty set means trigger.
     """
-    if not 1 <= k <= len(boxes.boxes):
+    if not 1 <= k <= len(boxes.lower):
         raise IndexError(f"trigger test step {k} outside [1, N-1]")
     e = np.asarray(xi, dtype=float) - nominal[k]
     coords = boxes.box(k).violating_coords(e)
@@ -237,9 +237,8 @@ def run_closed_loop(setup, x0, method, dist, T):
         trace.tau[t] = tau
         trace.decay_bound[t] = sol.value - float(np.sum(sol.stage_costs[:k]))
         if method != PERIODIC and 1 <= k < setup.N:
-            box = schedule.box(k)
-            trace.box_lo[t] = sol.x[k] + box.lower
-            trace.box_hi[t] = sol.x[k] + box.upper
+            trace.box_lo[t] = sol.x[k] + schedule.lower[k - 1]
+            trace.box_hi[t] = sol.x[k] + schedule.upper[k - 1]
 
         u = sol.u[k]
         trace.u[t] = u

@@ -70,8 +70,7 @@ class PrincipalPolytope:
     of each row as (family, stage, facet).
     """
 
-    def __init__(self, k, W, d, G, meta):
-        self.k = k
+    def __init__(self, W, d, G, meta):
         self.W = W
         self.d = d
         self.G = G
@@ -84,13 +83,14 @@ class PrincipalPolytope:
         d = np.asarray(d, dtype=float).reshape(-1)
         if np.min(d, initial=0.0) < -FEAS_TOL:
             raise InfeasibleCandidate("origin outside the supplied rows")
-        W = np.hstack([np.maximum(G, 0.0), np.maximum(-G, 0.0)])
         meta = [("raw", 0, r) for r in range(G.shape[0])]
-        return cls(G.shape[1], W, np.maximum(d, 0.0), G, meta)
+        return cls(_lifted(G), np.maximum(d, 0.0), G, meta)
 
-    def box_slack(self, box):
-        """min over rows of d - w.[vbar; vund]; >= 0 certifies the box."""
-        return float(_slacks(self.W, self.d[None], box.lower[None], box.upper[None])[0])
+
+def _lifted(G):
+    """The lifted rows W = [max(G, 0), max(-G, 0)] of the error-space rows
+    G: w.[vbar; vund] is the largest g.e over the box [-vund, vbar]."""
+    return np.hstack([np.maximum(G, 0.0), np.maximum(-G, 0.0)])
 
 
 class PrincipalRows:
@@ -129,7 +129,7 @@ class PrincipalRows:
         self.starts = np.array(starts[:-1])
         self.keep = np.array(keep, dtype=int)
         self.G = np.vstack(Gs) if Gs else np.zeros((0, setup.nx))
-        self.W = np.hstack([np.maximum(self.G, 0.0), np.maximum(-self.G, 0.0)])
+        self.W = _lifted(self.G)
         self.G.flags.writeable = self.W.flags.writeable = False
 
 
@@ -167,16 +167,19 @@ def assemble_principal(setup, sol):
     return d
 
 
-class BoxResult:
-    def __init__(self, box, degenerate, vol1, vol2):
-        self.box = box
-        self.degenerate = list(degenerate)
-        self.vol1 = vol1
-        self.vol2 = vol2
-
-
 def construct_boxes(pps, method):
-    """One certified BoxResult per principal polytope; all share rows W.
+    """The certified boxes of hand-built principal polytopes, which share
+    their rows W, as one TriggerSchedule (``_schedule``)."""
+    W = pps[0].W
+    if any(pp.W is not W and not np.array_equal(pp.W, W) for pp in pps):
+        raise ValueError("principal polytopes must share their rows W")
+    return _schedule(method, pps[0], np.array([pp.d for pp in pps]))
+
+
+def _schedule(method, rows, D):
+    """The TriggerSchedule of the offsets D (one row per polytope) over the
+    shared G, W and meta of ``rows``: the setup's PrincipalRows, or the
+    first of hand-built polytopes.
 
     CP1/CP2, the exact convex-program route, maximize the product of total
     widths (CP1) or of both one-sided widths (CP2) in one batched solve;
@@ -187,34 +190,31 @@ def construct_boxes(pps, method):
     mask, LP2 by a scalar scaling step over the widths themselves, and
     zero a width at or below that threshold.
 
-    The boxes are built, certified against all their rows and measured
-    (``volumes``) in array passes over the stacked offsets, one stacked
+    The offsets are checked once, before any solve: the origin must lie
+    in every row. The boxes are built, then checked and measured by the
+    schedule, in array passes over the stacked offsets, one stacked
     product per step (``solver._mv``), so each box has the bits of its
-    batch of one. A failure, in building or in certifying, names the
-    1-based ``j=`` of the first polytope that fails.
+    batch of one. A failure names the 1-based ``j=`` of the first
+    polytope that fails.
     """
     if method not in METHODS:
         raise ValueError(f"unknown construction method {method!r}")
-    W, k = pps[0].W, pps[0].k
-    if any(pp.W is not W and not np.array_equal(pp.W, W) for pp in pps):
-        raise ValueError("principal polytopes must share their rows W")
-    D = np.array([pp.d for pp in pps])
+    out = D < -FEAS_TOL
+    if out.any():
+        j, r = np.unravel_index(np.argmax(out), out.shape)
+        raise TriggerError(f"j={j + 1}: origin outside principal row {r} by {-D[j, r]:.3e}")
+    W, k = rows.W, rows.G.shape[1]
     if method in (CP1, CP2):
         lower, upper, degenerate, error = _cp_boxes(W, D, k, method)
     elif method == LP1:
-        lower, upper, degenerate, error = _lp1_boxes(pps[0].G, W, D, k)
+        lower, upper, degenerate, error = _lp1_boxes(rows.G, W, D, k)
     else:
         lower, upper, degenerate, error = _lp2_boxes(W, D, k)
     # Boxes 1..n were built; box n+1, if any, failed with ``error``.
-    j, slack = len(lower) + 1, _slacks(W, D[:len(lower)], lower, upper)
-    bad = np.flatnonzero(slack < -FEAS_TOL)
-    if bad.size:
-        j, error = bad[0] + 1, f"built box violates principal rows by {-slack[bad[0]]:.3e}"
+    schedule = TriggerSchedule(method, rows, D[:len(lower)], lower, upper, degenerate)
     if error is not None:
-        raise TriggerError(f"j={j}: {error}")
-    vol1, vol2 = _volumes(lower, upper)
-    return [BoxResult(HyperRect(l, u), deg, v1, v2) for l, u, deg, v1, v2
-            in zip(lower, upper, degenerate, vol1.tolist(), vol2.tolist())]
+        raise TriggerError(f"j={len(lower) + 1}: {error}")
+    return schedule
 
 
 _UNBOUNDED = "principal polytope leaves a box coordinate unbounded"
@@ -241,7 +241,7 @@ def _cp_boxes(W, D, k, method):
     n, error = len(reports), None
     for i, rep in enumerate(reports):
         # A solve left undecided (at the iteration cap) still returns an
-        # interior iterate, its best; construct_boxes certifies the box.
+        # interior iterate, its best; the schedule certifies the box.
         if rep.status == solver.Status.UNBOUNDED:
             error = _UNBOUNDED
         elif rep.status != solver.Status.OPTIMAL and not (
@@ -372,26 +372,50 @@ def _volumes(lower, upper):
     return np.prod(up + dn, axis=1), np.prod(up * dn, axis=1)
 
 
-def volumes(box):
-    """(vol_1, vol_2): product of total widths and of one-sided widths."""
-    vol1, vol2 = _volumes(box.lower[None], box.upper[None])
-    return float(vol1[0]), float(vol2[0])
-
-
 class TriggerSchedule:
-    """Error boxes E_1..E_{N-1} around a plan (E_0 is all of R^nx)."""
+    """Error boxes E_1..E_{N-1} around a plan (E_0 is all of R^nx), stacked.
 
-    def __init__(self, method, boxes, vol1, vol2, degenerate_coords, principals):
+    Row j-1 of ``lower`` and ``upper`` (N-1, nx) bounds E_j; ``vol1`` and
+    ``vol2`` hold the product of its total and of its one-sided widths,
+    ``degenerate_coords`` its zero-width coordinates, and row j-1 of
+    ``offsets`` the offsets of its principal polytope over the shared
+    ``rows`` (G, W and meta). The boxes are checked here, once for all:
+    finite, lower <= upper and inside their principal rows; the first
+    that is not raises TriggerError with its ``j=``.
+    """
+
+    def __init__(self, method, rows, offsets, lower, upper, degenerate_coords):
+        ok = np.all(np.isfinite(lower) & np.isfinite(upper) & (lower <= upper), axis=1)
+        n = int(np.argmin(ok)) if not ok.all() else len(ok)
+        slack = _slacks(rows.W, offsets[:n], lower[:n], upper[:n])
+        bad = np.flatnonzero(slack < -FEAS_TOL)
+        if bad.size:
+            raise TriggerError(f"j={bad[0] + 1}: built box violates principal rows "
+                               f"by {-slack[bad[0]]:.3e}")
+        if n < len(ok):
+            raise TriggerError(f"j={n + 1}: built box is not finite with lower <= upper")
         self.method = method
-        self.boxes = boxes
-        self.vol1 = vol1
-        self.vol2 = vol2
+        self.rows = rows
+        self.offsets = offsets
+        self.lower = lower
+        self.upper = upper
+        self.vol1, self.vol2 = _volumes(lower, upper)
         self.degenerate_coords = degenerate_coords
-        self.principals = principals
 
     def box(self, j):
         """E_j for j in [1, N-1]."""
-        return self.boxes[j - 1]
+        return HyperRect(self.lower[j - 1], self.upper[j - 1])
+
+    @property
+    def boxes(self):
+        """E_1..E_{N-1} as HyperRects, built on access."""
+        return [HyperRect(l, u) for l, u in zip(self.lower, self.upper)]
+
+    @property
+    def principals(self):
+        """The principal polytope of each box, built on access."""
+        return [PrincipalPolytope(self.rows.W, d, self.rows.G, self.rows.meta)
+                for d in self.offsets]
 
     def to_dict(self, ratios):
         """The boxes with the shape ratios r_c/r_o of their principal
@@ -402,14 +426,12 @@ class TriggerSchedule:
         the boundary) is None; boxes and volumes are finite."""
         return {
             "method": self.method,
-            "boxes": [{"j": j + 1,
-                       "lower": b.lower.tolist(),
-                       "upper": b.upper.tolist(),
-                       "vol1": self.vol1[j],
-                       "vol2": self.vol2[j],
-                       "degenerate_coords": self.degenerate_coords[j],
+            "boxes": [{"j": j, "lower": l, "upper": u, "vol1": v1, "vol2": v2,
+                       "degenerate_coords": deg,
                        "shape_ratio": r if math.isfinite(r) else None}
-                      for j, (b, r) in enumerate(zip(self.boxes, ratios))],
+                      for j, (l, u, v1, v2, deg, r) in enumerate(zip(
+                          self.lower.tolist(), self.upper.tolist(), self.vol1.tolist(),
+                          self.vol2.tolist(), self.degenerate_coords, ratios), start=1)],
         }
 
 
@@ -417,13 +439,7 @@ def build_schedule(setup, sol, method):
     """Construct E_1..E_{N-1} for an optimal solution with one method.
 
     Assembles the offsets of every principal polytope in one call; the
-    polytopes share the setup's rows, so ``construct_boxes`` builds and
+    polytopes share the setup's rows, so ``_schedule`` builds and
     certifies all their boxes at once.
     """
-    rows = setup.principal_rows
-    pps = [PrincipalPolytope(setup.nx, rows.W, d, rows.G, rows.meta)
-           for d in assemble_principal(setup, sol)]
-    results = construct_boxes(pps, method)
-    return TriggerSchedule(method, [res.box for res in results],
-                           [res.vol1 for res in results], [res.vol2 for res in results],
-                           [res.degenerate for res in results], pps)
+    return _schedule(method, setup.principal_rows, assemble_principal(setup, sol))

@@ -8,17 +8,15 @@ import time
 import numpy as np
 import pytest
 
-from etrmpc.geometry import (HyperRect, Polytope, pontryagin_diff, shape_ratios,
-                             weighted_projections)
+from etrmpc.geometry import HyperRect, Polytope, Projection, pontryagin_diff, shape_ratios
 from etrmpc.sim import DisturbanceModel, run_closed_loop, trigger_statistics
 from etrmpc.tightening import (PlantModel, is_controllable,
                                synthesize_tightening_gains)
-from etrmpc.trigger import (CP1, CP2, LP1, LP2, PrincipalPolytope, construct_boxes,
-                            volumes)
+from etrmpc.trigger import CP1, CP2, LP1, LP2, PrincipalPolytope, construct_boxes
 
 from batch_reactor import X0, batch_plant, batch_setup
 from oracles import grid_box_volume
-from test_trigger import ILL_SHAPED_D, ILL_SHAPED_G, _symmetry
+from test_trigger import ILL_SHAPED_D, ILL_SHAPED_G, _symmetry, box_slack
 
 REFERENCE_SEED = 1234
 
@@ -100,10 +98,10 @@ def test_criterion_4_construction_vs_grid_oracle():
         pp = PrincipalPolytope.from_error_rows(G, d)
         steps = _grid_steps(pp)
         for q, cp_method, lp_method in ((1, CP1, LP1), (2, CP2, LP2)):
-            (cp,) = construct_boxes([pp], cp_method)
-            (lp,) = construct_boxes([pp], lp_method)
-            v_cp = volumes(cp.box)[q - 1]
-            v_lp = volumes(lp.box)[q - 1]
+            cp = construct_boxes([pp], cp_method)
+            lp = construct_boxes([pp], lp_method)
+            v_cp = (cp.vol1, cp.vol2)[q - 1][0]
+            v_lp = (lp.vol1, lp.vol2)[q - 1][0]
             mode = "sum_log_width" if q == 1 else "sum_log_both"
             grid = grid_box_volume(pp.W, pp.d, mode, n=200)
             # Within 1% of the oracle from below; the upper side carries the
@@ -111,8 +109,8 @@ def test_criterion_4_construction_vs_grid_oracle():
             # box is a grid point, so the oracle found at least its volume)
             # plus the CP feasibility certificate (cannot exceed the truth).
             assert v_cp >= 0.99 * grid
-            assert grid >= _floor_snap_volume(cp.box, steps, q) - 1e-12
-            assert pp.box_slack(cp.box) >= -1e-8
+            assert grid >= _floor_snap_volume(cp.box(1), steps, q) - 1e-12
+            assert box_slack(pp, cp.box(1)) >= -1e-8
             assert v_lp <= v_cp + 1e-9
             worst_low = min(worst_low, v_cp / grid if grid > 0 else 1.0)
     print(f"\n[criterion 4] PASS: 20 random principal polytopes, CP within 1% "
@@ -151,9 +149,10 @@ def test_criterion_5_geometry_suite():
         C = HyperRect(-rng.uniform(0.02, 0.25, n), rng.uniform(0.02, 0.25, n))
         diff = pontryagin_diff(B.to_polytope(), C)
         r = rng.uniform(-2.5, 2.5, size=n)
-        (d_diff,), _ = weighted_projections([r], [diff], Mw)
+        (d_diff,), _ = Projection(diff.A, [diff.b], Mw)([r])
         c = C.sample(rng)
-        (d_shift,), _ = weighted_projections([r + c], [B.to_polytope()], Mw)
+        box = B.to_polytope()
+        (d_shift,), _ = Projection(box.A, [box.b], Mw)([r + c])
         assert d_shift <= d_diff + 1e-9
 
     # Deadbeat gains on the reference pair and 50 random controllable pairs.
@@ -210,7 +209,7 @@ def test_criterion_7_shape_diagnostic():
     assert shape_ratios(offset.A, offset.b)[0] == pytest.approx(10.0, abs=1e-6)
 
     pp = PrincipalPolytope.from_error_rows(ILL_SHAPED_G, ILL_SHAPED_D)
-    sym = {m: _symmetry(construct_boxes([pp], m)[0].box) for m in (CP1, CP2, LP1, LP2)}
+    sym = {m: _symmetry(construct_boxes([pp], m).box(1)) for m in (CP1, CP2, LP1, LP2)}
     assert sym["CP2"] > sym["CP1"]
     assert sym["LP2"] > sym["LP1"]
     ratio = shape_ratios(ILL_SHAPED_G, ILL_SHAPED_D)[0]

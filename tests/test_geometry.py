@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etrmpc import geometry, solver
-from etrmpc.geometry import (HyperRect, Polytope, pontryagin_diff, shape_ratios,
-                             supports, weighted_projections)
+from etrmpc.geometry import (HyperRect, Polytope, Projection, pontryagin_diff,
+                             shape_ratios, supports)
 from etrmpc.sim import DisturbanceModel, run_closed_loop
 from etrmpc.tightening import build_setup, synthesize_nominal_gain, synthesize_tightening_gains
 
@@ -22,8 +22,15 @@ def unit_box(n=2, half=1.0):
 
 def project(point, target, weight):
     """(d2, s) of one point's weighted projection, as a batch of one."""
-    d2, S = weighted_projections([point], [target], weight)
+    d2, S = Projection(target.A, [target.b], weight)([point])
     return d2[0], S[0]
+
+
+def project_each(points, targets, weight):
+    """(d2, S) of points[k] projected onto targets[k], through one
+    Projection over the targets' shared rows."""
+    assert all(np.array_equal(t.A, targets[0].A) for t in targets)
+    return Projection(targets[0].A, [t.b for t in targets], weight)(points)
 
 
 def cross_polytope(n=4, radius=0.02):
@@ -343,7 +350,7 @@ class TestWeightedProjections:
             for _ in range(4):
                 kinds = [KINDS[i % len(KINDS)] for i in rng.permutation(len(targets))]
                 P = stage_points(rng, targets, kinds)
-                d2, S = weighted_projections(P, targets, M)
+                d2, S = project_each(P, targets, M)
                 for k, (t, kind) in enumerate(zip(targets, kinds)):
                     assert same_projection(d2[k], S[k], project(P[k], t, M))
                     if kind.startswith("tol") or kind == "inside":
@@ -375,7 +382,7 @@ class TestWeightedProjections:
             P[[k for k, kind in enumerate(kinds) if kind == "inside"]] = 0.0
         outside = sum(not t.contains(r) for t, r in zip(targets, P))
         assert outside >= 3
-        d2, S = weighted_projections(P, targets, M)
+        d2, S = project_each(P, targets, M)
         assert len(calls) == outside
         for k, t in enumerate(targets):
             assert same_projection(d2[k], S[k], project(P[k], t, M))
@@ -421,8 +428,8 @@ class TestKeptProjection:
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_matches_batch_of_one(self, case, data):
-        # The setup's Projection of each family against weighted_projections
-        # of one point and one target, bit for bit: a clamp where the
+        # The setup's Projection of each family against a Projection of one
+        # point onto one target, bit for bit: a clamp where the
         # targets are boxes and the weight diagonal, else a QP per point
         # outside. Stage 0's point is outside, stage 1's on the boundary.
         families = kept_projections(case)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etrmpc import rmpc, sim, solver
-from etrmpc.geometry import HyperRect, weighted_projections
+from etrmpc.geometry import HyperRect, Projection
 from etrmpc.rmpc import InfeasibleState, solve_rmpc
 from etrmpc.tightening import (PlantModel, build_setup, synthesize_nominal_gain,
                                synthesize_tightening_gains)
@@ -13,10 +13,11 @@ from oracles import grid_projection, slsqp_least_norm
 
 
 def stage_cost(setup, x_i, u_i, i):
-    """l(x_i, u_i) = d_Q(x_i, Tx_i) + d_R(u_i, Tu_i), from
-    weighted_projections with a batch of one."""
-    dx, _ = weighted_projections([x_i], [setup.TXseq[i]], setup.Q)
-    du, _ = weighted_projections([u_i], [setup.TUseq[i]], setup.R)
+    """l(x_i, u_i) = d_Q(x_i, Tx_i) + d_R(u_i, Tu_i), from a Projection
+    onto each target alone."""
+    Tx, Tu = setup.TXseq[i], setup.TUseq[i]
+    dx, _ = Projection(Tx.A, [Tx.b], setup.Q)([x_i])
+    du, _ = Projection(Tu.A, [Tu.b], setup.R)([u_i])
     return float(dx[0] + du[0])
 
 
