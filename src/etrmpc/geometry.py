@@ -1,12 +1,16 @@
 """H-representation polytope algebra.
 
-All sets are carried as ``{x : A x <= b}``. Hyper-rectangles get their own
-type because axis-aligned boxes admit closed-form support functions and
-projections, which keeps the constraint-tightening chain exact.
+All sets are carried as ``{x : A x <= b}``. A ``HyperRect`` is the
+``Polytope`` with rows [I; -I] that also keeps its bounds. Axis-aligned
+boxes admit closed-form support functions, draws and projections, which
+keep the constraint-tightening chain exact; ``Polytope.as_box`` alone
+decides whether a set is a box, from its rows, so a box written as rows
+gets the same answers as a ``HyperRect``.
 
 Weighted projections onto targets that share their rows go through one
 ``Projection``, which keeps what the rows and the weight fix: the
-stacked box bounds, or the projection QP. Support functions over a
+stacked box bounds, or the rows of a least-distance problem in the
+weight's Cholesky coordinates. Support functions over a
 polytope (``supports``) come from its vertex set
 (``Polytope.vertices``), enumerated once from its rows. The origin
 witnesses that a set with no negative offset is not empty (``are_empty``).
@@ -44,45 +48,6 @@ def _freeze(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
-
-
-class HyperRect:
-    """Axis-aligned box B(l, u) = {x : l <= x <= u}.
-
-    Zero-width coordinates (l_j == u_j) are allowed; they arise from
-    degenerate trigger-set coordinates and from point disturbance sets.
-    """
-
-    def __init__(self, lower, upper):
-        l = _freeze(np.atleast_1d(np.asarray(lower, dtype=float)))
-        u = _freeze(np.atleast_1d(np.asarray(upper, dtype=float)))
-        if l.shape != u.shape or l.ndim != 1:
-            raise ValueError("lower/upper must be vectors of equal length")
-        if not (np.all(np.isfinite(l)) and np.all(np.isfinite(u))):
-            raise ValueError("box bounds must be finite")
-        if np.any(l > u):
-            raise ValueError("need lower <= upper componentwise")
-        self.lower = l
-        self.upper = u
-        self.dim = l.size
-
-    def __repr__(self):
-        return f"HyperRect(l={self.lower.tolist()}, u={self.upper.tolist()})"
-
-    def violating_coords(self, x, tol=FEAS_TOL):
-        """Indices where x leaves the box (decentralized per-coordinate test)."""
-        x = np.asarray(x, dtype=float)
-        bad = (x < self.lower - tol) | (x > self.upper + tol)
-        return np.flatnonzero(bad).tolist()
-
-    def to_polytope(self):
-        n = self.dim
-        A = np.vstack([np.eye(n), -np.eye(n)])
-        b = np.concatenate([self.upper, -self.lower])
-        return Polytope(A, b)
-
-    def sample(self, rng, size=None):
-        return rng.uniform(self.lower, self.upper, size=(size, self.dim) if size else self.dim)
 
 
 class Polytope:
@@ -134,7 +99,9 @@ class Polytope:
         """Return an equivalent HyperRect when every facet is axis-aligned.
 
         Detection is structural: each row must touch exactly one coordinate.
-        Returns None when the H-rep is not a (bounded) box.
+        Returns None when the H-rep is not a (bounded, nonempty) box. Every
+        operation whose answer depends on the set's shape asks this, and
+        nothing else, so a box gets its closed forms however it is written.
         """
         if self._box_checked:
             return self._box
@@ -153,8 +120,9 @@ class Polytope:
         return self._axes
 
     def is_bounded(self):
-        """Finite support along all 2n axis directions (kept statuses)."""
-        return self._axis_statuses() == {solver.Status.OPTIMAL}
+        """A box (``as_box``), or finite support along all 2n axis
+        directions (kept statuses)."""
+        return self.as_box() is not None or self._axis_statuses() == {solver.Status.OPTIMAL}
 
     def vertices(self):
         """The vertices (k, n) of a nonempty, bounded polytope, computed once
@@ -199,6 +167,39 @@ class Polytope:
             raise GeometryError("no vertex found in a nonempty, bounded polytope")
         self._vertices = _freeze(V)
         return self._vertices
+
+
+class HyperRect(Polytope):
+    """Axis-aligned box B(l, u) = {x : l <= x <= u}: the Polytope with
+    rows [I; -I] and offsets [u; -l], which keeps its bounds and is its
+    own ``as_box``.
+
+    Zero-width coordinates (l_j == u_j) are allowed; they arise from
+    degenerate trigger-set coordinates and from point disturbance sets.
+    """
+
+    def __init__(self, lower, upper):
+        l = _freeze(np.atleast_1d(np.asarray(lower, dtype=float)))
+        u = _freeze(np.atleast_1d(np.asarray(upper, dtype=float)))
+        if l.shape != u.shape or l.ndim != 1:
+            raise ValueError("lower/upper must be vectors of equal length")
+        if not (np.all(np.isfinite(l)) and np.all(np.isfinite(u))):
+            raise ValueError("box bounds must be finite")
+        if np.any(l > u):
+            raise ValueError("need lower <= upper componentwise")
+        eye = np.eye(l.size)
+        super().__init__(np.vstack([eye, -eye]), np.concatenate([u, -l]))
+        self.lower = l
+        self.upper = u
+
+    def __repr__(self):
+        return f"HyperRect(l={self.lower.tolist()}, u={self.upper.tolist()})"
+
+    def as_box(self):
+        return self
+
+    def sample(self, rng, size=None):
+        return rng.uniform(self.lower, self.upper, size=(size, self.dim) if size else self.dim)
 
 
 def _box_bounds(A, B):
@@ -246,16 +247,17 @@ def supports(poly, etas):
     """Support function h_S(eta) = max <eta, s> over the set, along every
     row of ``etas`` (B, n).
 
-    Exact closed form for a HyperRect B(l, u),
-    sum_j max(eta_j * l_j, eta_j * u_j). A Polytope gives eta.v at the
+    Exact closed form for a box B(l, u) (``Polytope.as_box``),
+    sum_j max(eta_j * l_j, eta_j * u_j). Any other polytope gives eta.v at the
     first vertex v of ``Polytope.vertices`` that maximizes V eta, so each
     value depends only on eta and the rows, and equals its batch of one.
     Raises what ``vertices`` raises: EmptySetError on an empty polytope
     and UnboundedSupport on an unbounded one, whatever the directions.
     """
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
-    if isinstance(poly, HyperRect):
-        return np.sum(np.maximum(etas * poly.lower, etas * poly.upper), axis=1)
+    box = poly.as_box()
+    if box is not None:
+        return np.sum(np.maximum(etas * box.lower, etas * box.upper), axis=1)
     V = poly.vertices()
     return np.array([eta @ V[np.argmax(V @ eta)] for eta in etas])
 
@@ -263,9 +265,9 @@ def supports(poly, etas):
 def pontryagin_diff(poly, sub, image=None):
     """Pontryagin difference ``poly ominus (image @ sub)``.
 
-    Facet-wise: {z : a_i z <= b_i - h_sub(image^T a_i)}. ``sub`` may be a
-    HyperRect (closed-form offsets, exact) or a bounded Polytope (one
-    ``supports`` call: each offset from a vertex of ``sub``). The result
+    Facet-wise: {z : a_i z <= b_i - h_sub(image^T a_i)}, by one
+    ``supports`` call: closed-form offsets where ``sub`` is a box, else
+    each offset from a vertex of the bounded polytope ``sub``. The result
     may be empty; callers detect that with ``are_empty`` and own the
     decision to abort.
     """
@@ -284,9 +286,10 @@ class Projection:
     weight's check and, where M is diagonal and every row touches one
     coordinate, the K boxes' bounds, stacked (``_box_bounds``, as for
     ``Polytope.as_box``). Otherwise, and for a target whose bounds make
-    no box, a projection is the QP built here once and given the target's
-    offsets (``QpProblem.with_vectors``). ``RmpcQp`` keeps one per target
-    family.
+    no box, a projection is the point nearest the origin in the weight's
+    Cholesky coordinates t = L^T (s - r), M = L L^T: one
+    ``solver.least_distance`` over the rows A L^-T, kept here, and the
+    offsets b_k - A r. ``RmpcQp`` keeps one per target family.
     """
 
     def __init__(self, A, offsets, weight):
@@ -297,13 +300,14 @@ class Projection:
         diag = np.count_nonzero(M) == np.count_nonzero(w)  # every off-diagonal entry is 0
         if not np.all((w if diag else np.linalg.eigvalsh(0.5 * (M + M.T))) > 0):
             raise ValueError("weight must be positive definite")
-        self.A, self.B, self.M, self.w = A, B, M, w
+        self.A, self.B, self.w = A, B, w
         self.clamp = np.zeros(len(B), dtype=bool)  # targets projected by a clamp
         bounds = _box_bounds(A, B) if diag else None
         if bounds is not None:
             self.lower, self.upper, self.clamp = bounds
         if not self.clamp.all():
-            self._qp = solver.QpProblem(H=2.0 * M, g=np.zeros(A.shape[1]), A_in=A, b_in=B[0])
+            self._inv_lt = np.linalg.inv(np.linalg.cholesky(0.5 * (M + M.T))).T
+            self._rows = A @ self._inv_lt
 
     def contains(self, R):
         """Whether R[k] lies in target k within FEAS_TOL, for every k: one
@@ -318,8 +322,10 @@ class Projection:
         A point inside its target within FEAS_TOL is its own projection,
         at distance 0. A box target clamps its points coordinatewise, all
         in one array pass (exact), so a point's bits do not depend on the
-        batch. The others solve their QP one at a time, to the RMPC QP's
-        1e-10, so that re-projected plan values agree with the QP value.
+        batch. The others take one least-distance solve each, to the QP
+        stop test's 1e-10, so that re-projected plan values agree with the
+        QP value. Raises EmptySetError where a target has no point, and
+        GeometryError where the solve reaches its step cap.
         """
         R = np.array(points, dtype=float, ndmin=2)
         inside = self.contains(R)
@@ -330,13 +336,13 @@ class Projection:
             D = R[c] - S[c]
             d2[c] = np.sum(D * self.w * D, axis=1)
         for k in np.flatnonzero(~self.clamp & ~inside):
-            rep = solver.solve_qp(self._qp.with_vectors(-2.0 * (self.M @ R[k]), self.B[k]))
-            if rep.status == solver.Status.INFEASIBLE:
+            t, steps = solver.least_distance(self._rows, self.B[k] - self.A @ R[k])
+            if t is None and steps == solver.MAX_ITER:
+                raise GeometryError(f"projection reached its step cap of {steps}")
+            if t is None:
                 raise EmptySetError("projection target is empty")
-            if rep.status != solver.Status.OPTIMAL:
-                raise GeometryError(f"projection QP failed: {rep.status}")
-            S[k] = rep.x
-            d2[k] = max(float((R[k] - S[k]) @ self.M @ (R[k] - S[k])), 0.0)
+            S[k] = R[k] + self._inv_lt @ t
+            d2[k] = t @ t
         return d2, S
 
 

@@ -131,7 +131,6 @@ class RmpcQp:
         m_u = setup.Useq[0].A.shape[0]
         x0_rows = np.s_[m_u:m_u + setup.Xseq[0].A.shape[0]]
         Xf = setup.plant.Xf
-        Xf = Xf.to_polytope() if isinstance(Xf, geometry.HyperRect) else Xf
         rows = np.vstack([np.delete(rows, x0_rows, axis=0), Xf.A @ phi[N]])
 
         self.u = slice(0, N * nu)
@@ -178,8 +177,8 @@ def solve_rmpc(setup, x0):
       infeasible or reaches its step cap) or the projected plan fails the
       test, ``solver.solve_qp``'s point, bit for bit.
 
-    The stop test's max|H| and the targets' bounds or projection QPs are
-    the setup's (``RmpcQp``); a solve computes only what x0 moves.
+    The stop test's max|H| and the targets' bounds or projection rows
+    are the setup's (``RmpcQp``); a solve computes only what x0 moves.
 
     Raises InfeasibleState when x0 lies outside the feasible region
     (including x0 outside the raw state set). The returned solution has
@@ -227,10 +226,12 @@ def solve_rmpc(setup, x0):
 
     # Exact re-propagation kills the equality residual; re-projection then
     # keeps the value and slack invariants consistent to machine level.
+    # Only the state chain is sequential: B u_i is one stacked product.
     x = np.zeros((N + 1, nx))
     x[0] = x0
+    Bu = solver._mv(B, u)
     for i in range(N):
-        x[i + 1] = A @ x[i] + B @ u[i]
+        x[i + 1] = A @ x[i] + Bu[i]
     dx2, sx = qp.project_x(x[:N])
     du2, su = qp.project_u(u)
     stage = dx2 + du2

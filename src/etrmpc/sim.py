@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 
 from . import rmpc, trigger
-from .geometry import FEAS_TOL, GeometryError, HyperRect
+from .geometry import FEAS_TOL, GeometryError
 
 DECAY_TOL = 1e-6
 
@@ -68,21 +68,22 @@ class DisturbanceModel:
             seq = self.sequence[:T]
             if not self.allow_out_of_set:
                 for t in range(T):
-                    if _residual(W, seq[t]) > FEAS_TOL:
+                    if W.membership_residual(seq[t]) > FEAS_TOL:
                         raise ValueError(f"replay disturbance at t={t} leaves the set")
             return seq
         return None  # worst_case is state-dependent
 
     def worst_case(self, W, xi):
-        """argmax over W of xi.w; ties on box sets resolve to +w_max.
+        """argmax over W of xi.w; ties on box sets (``Polytope.as_box``)
+        resolve to +w_max.
 
-        A polytopic W answers from its vertex set (``Polytope.vertices``,
+        Any other W answers from its vertex set (``Polytope.vertices``,
         a function of its rows alone): the first vertex that maximizes
         xi.w, so a tied draw is a vertex that depends only on xi and W.
         """
-        if isinstance(W, HyperRect):
-            w = np.where(xi >= 0.0, W.upper, W.lower)
-            return w
+        box = W.as_box()
+        if box is not None:
+            return np.where(xi >= 0.0, box.upper, box.lower)
         try:
             V = W.vertices()
         except GeometryError as exc:
@@ -90,15 +91,7 @@ class DisturbanceModel:
         return V[np.argmax(V @ xi)]
 
 
-def _residual(W, w):
-    if isinstance(W, HyperRect):
-        return max(np.max(w - W.upper), np.max(W.lower - w))
-    return W.membership_residual(w)
-
-
 def _uniform_samples(W, T, rng):
-    if isinstance(W, HyperRect):
-        return rng.uniform(W.lower, W.upper, size=(T, W.dim))
     box = W.as_box()
     if box is not None:
         return rng.uniform(box.lower, box.upper, size=(T, box.dim))
@@ -132,7 +125,8 @@ def step_trigger_test(boxes, nominal, xi, k):
     if not 1 <= k <= len(boxes.lower):
         raise IndexError(f"trigger test step {k} outside [1, N-1]")
     e = np.asarray(xi, dtype=float) - nominal[k]
-    coords = boxes.box(k).violating_coords(e)
+    coords = np.flatnonzero((e < boxes.lower[k - 1] - FEAS_TOL)
+                            | (e > boxes.upper[k - 1] + FEAS_TOL)).tolist()
     if coords:
         return TriggerDecision(True, CAUSE_COORD, coords)
     return TriggerDecision(False, None)

@@ -10,7 +10,7 @@ images K_i L_i W and L_i W of the disturbance set.
 import numpy as np
 
 from . import geometry, solver
-from .geometry import HyperRect, Polytope, pontryagin_diff
+from .geometry import Polytope, pontryagin_diff
 from .rmpc import RmpcQp
 from .trigger import PrincipalRows
 
@@ -89,20 +89,14 @@ class PlantModel:
 
 
 def _check_set(name, s, dim, strict_interior):
-    if isinstance(s, HyperRect):
-        if s.dim != dim:
-            raise ValueError(f"{name} has dimension {s.dim}, expected {dim}")
-        inside = np.all(s.lower <= -INTERIOR_MARGIN) and np.all(s.upper >= INTERIOR_MARGIN)
-        closure = np.all(s.lower <= 0.0) and np.all(s.upper >= 0.0)
-    elif isinstance(s, Polytope):
-        if s.dim != dim:
-            raise ValueError(f"{name} has dimension {s.dim}, expected {dim}")
-        if not s.is_bounded():
-            raise ValueError(f"{name} must be a compact polytope")
-        inside = bool(np.all(s.b >= INTERIOR_MARGIN * np.linalg.norm(s.A, axis=1)))
-        closure = bool(np.all(s.b >= 0.0))
-    else:
+    if not isinstance(s, Polytope):
         raise TypeError(f"{name} must be a Polytope or HyperRect")
+    if s.dim != dim:
+        raise ValueError(f"{name} has dimension {s.dim}, expected {dim}")
+    if not s.is_bounded():
+        raise ValueError(f"{name} must be a compact polytope")
+    inside = bool(np.all(s.b >= INTERIOR_MARGIN * np.linalg.norm(s.A, axis=1)))
+    closure = bool(np.all(s.b >= 0.0))
     if strict_interior and not inside:
         raise ValueError(f"{name} must contain the origin in its interior")
     if not strict_interior and not closure:
@@ -400,8 +394,7 @@ def build_setup(plant, N, M, F, K, Q, R):
     # S_0, so every direction A image_i is known up front: one supports call
     # answers the whole chain, and then b_{i+1} = b_i - h_i, in order.
     KL = [K[i] @ L[i] for i in range(N - 1)]
-    families = [(_as_polytope(S), images) for S, images in
-                ((plant.U, KL), (plant.X, L), (plant.Tu, KL), (plant.Tx, L))]
+    families = ((plant.U, KL), (plant.X, L), (plant.Tu, KL), (plant.Tx, L))
     dirs = [S.A @ images[i] for i in range(N - 1) for S, images in families]
     h = np.split(geometry.supports(plant.W, np.vstack(dirs)),
                  np.cumsum([len(d) for d in dirs])[:-1])
@@ -417,7 +410,6 @@ def build_setup(plant, N, M, F, K, Q, R):
         if any(empty):
             raise EmptyTightenedSet(empty.index(True) + 1, name)
 
-    Xf = _as_polytope(plant.Xf)
     A_cl = A + B @ F
     margins = {}
 
@@ -437,7 +429,8 @@ def build_setup(plant, N, M, F, K, Q, R):
     # may keep the tail candidates well inside the tightened sets; the
     # candidate row checks at trigger-construction time are the hard gate
     # for what the guarantees actually consume.
-    margins["terminal_invariance"] = float(np.min(pontryagin_diff(Xf, plant.Xf, image=A_cl).b))
+    margins["terminal_invariance"] = float(np.min(
+        pontryagin_diff(plant.Xf, plant.Xf, image=A_cl).b))
 
     report = {
         "nilpotency_residual": float(nilpotency),
@@ -452,7 +445,3 @@ def build_setup(plant, N, M, F, K, Q, R):
     }
     return RmpcSetup(plant, N, M, F, K, L, Ktilde, Ltilde,
                      Useq, Xseq, TUseq, TXseq, Q, R, report)
-
-
-def _as_polytope(s):
-    return s.to_polytope() if isinstance(s, HyperRect) else s

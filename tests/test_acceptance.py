@@ -133,7 +133,7 @@ def _floor_snap_volume(box, steps, q):
 
 def test_criterion_5_geometry_suite():
     # Pontryagin box erosion closed forms, exact to 1e-12.
-    outer = HyperRect([-2.0, -2.0], [2.0, 2.0]).to_polytope()
+    outer = HyperRect([-2.0, -2.0], [2.0, 2.0])
     eroded = pontryagin_diff(outer, HyperRect([-0.5, -0.5], [0.5, 0.5]))
     assert np.max(np.abs(eroded.b - 1.5)) <= 1e-12
     eroded = pontryagin_diff(outer, HyperRect([-0.02] * 2, [0.02] * 2))
@@ -147,12 +147,11 @@ def test_criterion_5_geometry_suite():
         Mw = root @ root.T + 0.2 * np.eye(n)
         B = HyperRect(-rng.uniform(0.4, 1.5, n), rng.uniform(0.4, 1.5, n))
         C = HyperRect(-rng.uniform(0.02, 0.25, n), rng.uniform(0.02, 0.25, n))
-        diff = pontryagin_diff(B.to_polytope(), C)
+        diff = pontryagin_diff(B, C)
         r = rng.uniform(-2.5, 2.5, size=n)
         (d_diff,), _ = Projection(diff.A, [diff.b], Mw)([r])
         c = C.sample(rng)
-        box = B.to_polytope()
-        (d_shift,), _ = Projection(box.A, [box.b], Mw)([r + c])
+        (d_shift,), _ = Projection(B.A, [B.b], Mw)([r + c])
         assert d_shift <= d_diff + 1e-9
 
     # Deadbeat gains on the reference pair and 50 random controllable pairs.
@@ -201,11 +200,11 @@ def test_criterion_6_zero_disturbance(setup):
 
 
 def test_criterion_7_shape_diagnostic():
-    square = HyperRect([-1, -1], [1, 1]).to_polytope()
+    square = HyperRect([-1, -1], [1, 1])
     assert shape_ratios(square.A, square.b)[0] == 1.0
-    cube = HyperRect([-0.3] * 3, [0.3] * 3).to_polytope()
+    cube = HyperRect([-0.3] * 3, [0.3] * 3)
     assert shape_ratios(cube.A, cube.b)[0] == 1.0
-    offset = HyperRect([-0.1, -1.0], [1.9, 1.0]).to_polytope()
+    offset = HyperRect([-0.1, -1.0], [1.9, 1.0])
     assert shape_ratios(offset.A, offset.b)[0] == pytest.approx(10.0, abs=1e-6)
 
     pp = PrincipalPolytope.from_error_rows(ILL_SHAPED_G, ILL_SHAPED_D)

@@ -17,7 +17,7 @@ from oracles import enumerate_vertices, grid_projection, highs_chebyshev, highs_
 
 
 def unit_box(n=2, half=1.0):
-    return HyperRect(-half * np.ones(n), half * np.ones(n)).to_polytope()
+    return HyperRect(-half * np.ones(n), half * np.ones(n))
 
 
 def project(point, target, weight):
@@ -205,7 +205,8 @@ class TestPontryagin:
         assert np.allclose(res.b, [0.8, 0.95, 0.8, 0.95], atol=1e-12)
 
     def test_polytope_subtrahend_via_lp(self):
-        sub = HyperRect([-0.25, -0.25], [0.25, 0.25]).to_polytope()
+        box = HyperRect([-0.25, -0.25], [0.25, 0.25])
+        sub = Polytope(box.A, box.b)
         res = pontryagin_diff(unit_box(2, 1.0), sub)
         assert np.allclose(res.b, 0.75 * np.ones(4), atol=1e-7)
 
@@ -250,14 +251,14 @@ class TestWeightedProjection:
         assert np.allclose(s, [1.0, 0.0], atol=1e-9)
 
     def test_matches_grid_oracle(self):
-        # Non-diagonal weight exercises the QP path; expected value frozen
-        # from the dense grid oracle (grid_projection, n=201).
+        # Non-diagonal weight exercises the least-distance path; expected
+        # value frozen from the dense grid oracle (grid_projection, n=201).
         M = np.array([[2.0, 0.5], [0.5, 1.0]])
         r = np.array([1.7, -1.3])
         d2, s = project(r, unit_box(), M)
         d_grid, _ = grid_projection(r, [-1.0, -1.0], [1.0, 1.0], M)
         assert d2 == pytest.approx(d_grid, abs=1e-3)
-        assert d2 <= d_grid + 1e-9  # QP at least as good as grid
+        assert d2 <= d_grid + 1e-9  # solve at least as good as grid
 
     def test_random_against_grid(self):
         rng = np.random.default_rng(31)
@@ -292,19 +293,32 @@ class TestWeightedProjection:
 
     def test_non_diagonal_weight_takes_qp_path(self, monkeypatch):
         calls = []
-        solve_qp = solver.solve_qp
+        least_distance = solver.least_distance
 
-        def counting(p):
-            calls.append(p)
-            return solve_qp(p)
+        def counting(A, b):
+            calls.append(b)
+            return least_distance(A, b)
 
-        monkeypatch.setattr(solver, "solve_qp", counting)
+        monkeypatch.setattr(solver, "least_distance", counting)
         M = np.array([[2.0, 0.5], [0.5, 1.0]])
         d2, s = project([1.7, -1.3], unit_box(), M)
         assert len(calls) == 1
         assert unit_box().membership_residual(s) <= 1e-8
         project([1.7, -1.3], unit_box(), np.diag([2.0, 1.0]))
         assert len(calls) == 1  # a diagonal weight clamps
+
+    def test_empty_target_and_step_cap_raise(self, monkeypatch):
+        # x <= -1 and -x <= -1 meet nowhere. From (3, 0), the projection
+        # onto |x|_1 <= 1 needs two active-set steps: it stops at a cap of one.
+        empty = Polytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                         [-1.0, -1.0, 1.0, 1.0])
+        with pytest.raises(geometry.EmptySetError):
+            project([0.0, 0.0], empty, np.eye(2))
+        diamond = Polytope([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], [1.0] * 4)
+        assert np.allclose(project([3.0, 0.0], diamond, np.eye(2))[1], [1.0, 0.0], atol=1e-12)
+        monkeypatch.setattr(solver, "MAX_ITER", 1)
+        with pytest.raises(geometry.GeometryError, match="step cap of 1"):
+            project([3.0, 0.0], diamond, np.eye(2))
 
 
 def stage_points(rng, targets, kinds):
@@ -313,7 +327,7 @@ def stage_points(rng, targets, kinds):
     tol = geometry.FEAS_TOL
     points = []
     for target, kind in zip(targets, kinds):
-        box = target.as_box() if isinstance(target, Polytope) else target
+        box = target.as_box()
         lo, hi = box.lower, box.upper
         r = rng.uniform(lo, hi)
         j = rng.integers(r.size)
@@ -342,8 +356,8 @@ def same_projection(d2, s, alone):
 class TestWeightedProjections:
     def test_stage_batch_matches_per_stage_bits(self, monkeypatch):
         # The reference plant's tightened targets are boxes and Q, R are
-        # diagonal: one clamp over all stages, no projection QP.
-        monkeypatch.setattr(solver, "solve_qp", None)
+        # diagonal: one clamp over all stages, no least-distance solve.
+        monkeypatch.setattr(solver, "least_distance", None)
         setup = batch_setup()
         rng = np.random.default_rng(41)
         for targets, M in ((setup.TXseq, setup.Q), (setup.TUseq, setup.R)):
@@ -362,13 +376,13 @@ class TestWeightedProjections:
     @pytest.mark.parametrize("case", ["non_diagonal_weight", "polytopic_target"])
     def test_qp_path_per_stage(self, case, monkeypatch):
         calls = []
-        solve_qp = solver.solve_qp
+        least_distance = solver.least_distance
 
-        def counting(p):
-            calls.append(p)
-            return solve_qp(p)
+        def counting(A, b):
+            calls.append(b)
+            return least_distance(A, b)
 
-        monkeypatch.setattr(solver, "solve_qp", counting)
+        monkeypatch.setattr(solver, "least_distance", counting)
         if case == "non_diagonal_weight":
             targets, box_targets = batch_setup().TXseq, None
             M = np.diag([2.0, 2.0, 2.0, 2.0]) + 0.3 * (np.eye(4, k=1) + np.eye(4, k=-1))
@@ -430,7 +444,7 @@ class TestKeptProjection:
     def test_matches_batch_of_one(self, case, data):
         # The setup's Projection of each family against a Projection of one
         # point onto one target, bit for bit: a clamp where the
-        # targets are boxes and the weight diagonal, else a QP per point
+        # targets are boxes and the weight diagonal, else a solve per point
         # outside. Stage 0's point is outside, stage 1's on the boundary.
         families = kept_projections(case)
         for proj, targets, M in families:
@@ -496,7 +510,7 @@ class TestChebyshev:
 
     def test_offset_box(self):
         center, radius = chebyshev(
-            HyperRect([-0.1, -1.0], [1.9, 1.0]).to_polytope())
+            HyperRect([-0.1, -1.0], [1.9, 1.0]))
         assert radius == pytest.approx(1.0, abs=1e-8)
         assert center[0] == pytest.approx(0.9, abs=1e-6)
 
@@ -547,11 +561,11 @@ class TestShapeRatio:
         assert shape_ratios(poly.A, poly.b)[0] == 1.0
 
     def test_offset_box_closed_form(self):
-        poly = HyperRect([-0.1, -1.0], [1.9, 1.0]).to_polytope()
+        poly = HyperRect([-0.1, -1.0], [1.9, 1.0])
         assert shape_ratios(poly.A, poly.b)[0] == pytest.approx(10.0, abs=1e-6)
 
     def test_origin_on_boundary_infinite(self):
-        poly = HyperRect([0.0, -1.0], [2.0, 1.0]).to_polytope()
+        poly = HyperRect([0.0, -1.0], [2.0, 1.0])
         assert shape_ratios(poly.A, poly.b)[0] == np.inf
 
     @pytest.mark.parametrize("method", ["LP2", "CP1"])
@@ -593,13 +607,13 @@ class TestSetDifferenceBound:
             M = root @ root.T + 0.3 * np.eye(n)
             B = HyperRect(-rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))
             C = HyperRect(-rng.uniform(0.05, 0.3, n), rng.uniform(0.05, 0.3, n))
-            BmC_poly = pontryagin_diff(B.to_polytope(), C)
+            BmC_poly = pontryagin_diff(B, C)
             assert not geometry.are_empty(BmC_poly.A, BmC_poly.b)[0]
             r = rng.uniform(-3, 3, size=n)
             d_diff, _ = project(r, BmC_poly, M)
             for _ in range(100):
                 c = C.sample(rng)
-                d_shift, _ = project(r + c, B.to_polytope(), M)
+                d_shift, _ = project(r + c, B, M)
                 assert d_shift <= d_diff + 1e-9
 
 
@@ -612,9 +626,9 @@ class TestTypes:
 
     def test_box_to_polytope_layout(self):
         box = HyperRect([-1.0, -2.0], [3.0, 4.0])
-        poly = box.to_polytope()
-        assert np.array_equal(poly.A, np.vstack([np.eye(2), -np.eye(2)]))
-        assert np.array_equal(poly.b, [3.0, 4.0, 1.0, 2.0])
+        assert isinstance(box, Polytope) and box.as_box() is box
+        assert np.array_equal(box.A, np.vstack([np.eye(2), -np.eye(2)]))
+        assert np.array_equal(box.b, [3.0, 4.0, 1.0, 2.0])
 
     def test_as_box_detection(self):
         poly = Polytope([[2.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -4.0]],

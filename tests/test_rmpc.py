@@ -443,7 +443,7 @@ def _per_stage_qp(setup):
         if i > 0:
             blocks.append((setup.Xseq[i], x(i)))
         blocks += [(setup.TXseq[i], sx(i)), (setup.TUseq[i], su(i))]
-    blocks.append((setup.plant.Xf.to_polytope(), x(N)))
+    blocks.append((setup.plant.Xf, x(N)))
     A_in = np.zeros((sum(S.A.shape[0] for S, _ in blocks), nv))
     start = 0
     for S, cols in blocks:

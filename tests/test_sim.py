@@ -2,13 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etrmpc import sim, solver
 from etrmpc.cli import ExperimentConfig
-from etrmpc.geometry import HyperRect, Polytope
+from etrmpc.geometry import HyperRect, Polytope, supports
 from etrmpc.rmpc import solve_rmpc
 from etrmpc.sim import (DisturbanceModel, run_closed_loop, step_trigger_test,
                         trigger_statistics)
+from etrmpc.tightening import PlantModel, TighteningError, build_setup
 from etrmpc.trigger import TriggerSchedule, build_schedule
 
 from batch_reactor import X0, batch_setup, polytope_worst_case_data
@@ -325,6 +327,93 @@ class TestPolytopeWorstCase:
         run_closed_loop(setup, cfg.x0, method, cfg.disturbance_model(), cfg.steps)
         assert len(per_draw) == cfg.steps
         assert sum(per_draw) <= 8
+
+
+def as_rows(S):
+    """The set as plain rows, a Polytope that is not a HyperRect."""
+    return Polytope(S.A, S.b)
+
+
+def rows_plant(plant):
+    """The plant with every set written as plain rows."""
+    return PlantModel(plant.A, plant.B, X=as_rows(plant.X), U=as_rows(plant.U),
+                      W=as_rows(plant.W), Tx=as_rows(plant.Tx), Tu=as_rows(plant.Tu),
+                      Xf=as_rows(plant.Xf))
+
+
+def box_bounds(dim, half):
+    """(lower, upper) of a box holding the origin, half-widths up to ``half``."""
+    side = st.lists(st.floats(0.0, half), min_size=dim, max_size=dim)
+    return st.tuples(side.map(lambda v: -np.array(v)), side.map(np.array))
+
+
+def directions(dim):
+    """Directions with exact zero entries (ties in a worst-case draw)."""
+    entry = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+    return st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=8)
+
+
+class TestBoxWrittenAsRows:
+    """A box given as a HyperRect and as its plain rows takes the same
+    closed forms (``Polytope.as_box``), so every answer has the same bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4))
+    def test_supports_draws_and_samples_match(self, data, dim):
+        box = HyperRect(*data.draw(box_bounds(dim, 2.0)))
+        rows = as_rows(box)
+        etas = np.array(data.draw(directions(dim)))
+        assert supports(rows, etas).tobytes() == supports(box, etas).tobytes()
+        dm = DisturbanceModel("worst_case")
+        for xi in etas:
+            assert dm.worst_case(rows, xi).tobytes() == dm.worst_case(box, xi).tobytes()
+        uniform = DisturbanceModel("uniform", seed=data.draw(st.integers(0, 2**32)))
+        assert uniform.realize(rows, 20).tobytes() == uniform.realize(box, 20).tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(bounds=box_bounds(4, 0.03))
+    def test_setup_report_matches(self, bounds):
+        ref = batch_setup()
+        plant = ref.plant
+        reports = []
+        for W in (HyperRect(*bounds), as_rows(HyperRect(*bounds))):
+            p = PlantModel(plant.A, plant.B, X=plant.X, U=plant.U, W=W, Tx=plant.Tx,
+                           Tu=plant.Tu, Xf=plant.Xf)
+            try:
+                reports.append(repr(build_setup(p, N=10, M=4, F=ref.F, K=ref.K,
+                                                Q=ref.Q, R=ref.R).report))
+            except TighteningError as exc:
+                reports.append(repr(exc))
+        assert reports[0] == reports[1]
+
+    def test_plant_checks_rows_box_without_lps(self, monkeypatch):
+        # A box written as rows is bounded by its rows alone (as_box).
+        monkeypatch.setattr(solver, "solve_lp_batch", None)
+        plant = rows_plant(batch_setup().plant)
+        assert not any(isinstance(S, HyperRect)
+                       for S in (plant.X, plant.U, plant.W, plant.Tx, plant.Tu, plant.Xf))
+
+    @pytest.mark.parametrize("method", ["CP1", "LP2"])
+    def test_run_builds_no_box(self, method, monkeypatch):
+        # The trigger test reads the schedule's bounds; a run of a setup
+        # whose sets are rows builds no HyperRect, and runs as the
+        # HyperRect setup does, bit for bit.
+        ref = batch_setup()
+        setup = build_setup(rows_plant(ref.plant), N=10, M=4, F=ref.F, K=ref.K,
+                            Q=ref.Q, R=ref.R)
+        expected = run_closed_loop(ref, X0, method, DisturbanceModel("uniform", seed=1234), T=30)
+        built, init = [], HyperRect.__init__
+
+        def counted(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(HyperRect, "__init__", counted)
+        for s in (ref, setup):
+            tr = run_closed_loop(s, X0, method, DisturbanceModel("uniform", seed=1234), T=30)
+            assert tr.x.tobytes() == expected.x.tobytes()
+            assert tr.trigger_times == expected.trigger_times
+        assert built == []
 
 
 class TestStatistics:
