@@ -10,7 +10,11 @@ of ``perfbench/workloads.py``: seed 1234, one OpenBLAS thread. Prints
 each output file as identical or moved and, for a moved ``trace.csv``,
 its first row that differs. For a run with a moved file it also prints
 whether its trigger times and solve count held, from both
-``summary.json`` files. Exits 1 if any file moved, 2 if a run fails.
+``summary.json`` files. Then it runs ``etrmpc validate`` on both configs
+in both trees and prints its stdout as identical or moved, counted as
+one more output. Last, it prints the line count of ``src/etrmpc/*.py``
+(as ``wc -l`` counts it) in both trees. Exits 1 if any output moved, 2
+if a command fails.
 """
 
 import argparse
@@ -40,15 +44,25 @@ def export(ref, dest):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run(tree, config, method, out_dir):
+def cli(tree, *args):
+    """The stdout of the command line ``args`` in ``tree``; exits 2 if it fails."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", MAIN, "run", "--config", str(config), "--method", method,
-         "--seed", str(SEED), "--out-dir", str(out_dir)],
-        cwd=tree, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", MAIN, *map(str, args)],
+                          cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        print(f"{tree}: {method} on {config.name} failed:\n{proc.stderr}", file=sys.stderr)
+        print(f"{tree}: {' '.join(map(str, args))} failed:\n{proc.stderr}", file=sys.stderr)
         sys.exit(2)
+    return proc.stdout
+
+
+def run(tree, config, method, out_dir):
+    cli(tree, "run", "--config", config, "--method", method, "--seed", SEED,
+        "--out-dir", out_dir)
+
+
+def src_lines(tree):
+    """The lines of ``src/etrmpc/*.py``, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "etrmpc").glob("*.py"))
 
 
 def first_moved_row(a, b):
@@ -100,7 +114,18 @@ def main(argv=None):
             if run_moved:
                 print(triggers_held(outs["base"] / "summary.json",
                                     outs["this"] / "summary.json"))
-    print(f"{moved} of {len(RUNS) * len(FILES)} files moved against {args.base_ref}")
+        for name in configs:
+            base_out, this_out = (cli(tree, "validate", "--config", tmp / f"{name}.json")
+                                  for tree in (tmp / "base", ROOT))
+            moved += base_out != this_out
+            print(f"{name:20s} {'validate':9s} {'stdout':15s} "
+                  f"{'identical' if base_out == this_out else 'moved'}")
+        lines = src_lines(tmp / "base"), src_lines(ROOT)
+    total = len(RUNS) * len(FILES) + len(configs)
+    print(f"{moved} of {total} outputs moved against {args.base_ref} "
+          f"({len(RUNS) * len(FILES)} files and {len(configs)} validate stdouts)")
+    print(f"src/etrmpc/*.py: {lines[0]} lines at {args.base_ref}, {lines[1]} here "
+          f"({lines[1] - lines[0]:+d})")
     return 1 if moved else 0
 
 

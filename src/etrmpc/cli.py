@@ -68,8 +68,9 @@ class ExperimentConfig:
             self.allow_out_of_set = bool(dm.get("allow_out_of_set", False))
             self.x0 = np.asarray(data["x0"], dtype=float)
             self.steps = int(data["steps"])
-            self.seed = int(data.get("seed", 0))
+            self.seed = _check_seed(int(data.get("seed", 0)))
             self.output_dir = str(data.get("output_dir", "out"))
+            self.disturbance_model()  # an unknown kind or a replay with no sequence
         except ConfigError:
             raise
         except KeyError as exc:
@@ -83,6 +84,10 @@ class ExperimentConfig:
         if self.replay_sequence is not None and self.replay_sequence.shape[1] != nx:
             raise ConfigError(f"disturbance_model.sequence: need {nx} columns, "
                               f"got {self.replay_sequence.shape[1]}")
+        for t, p, _ in self.impulses:
+            if t < 1 or not 0 <= p < nx:
+                raise ConfigError(f"disturbance_model.impulses: need time >= 1 and "
+                                  f"coordinate in [0, {nx}), got time {t}, coordinate {p}")
 
     @classmethod
     def from_file(cls, path):
@@ -133,6 +138,26 @@ def _check_steps(steps):
     if steps < 1:
         raise ConfigError(f"steps must be positive, got {steps}")
     return steps
+
+
+def _check_seed(seed):
+    if not 0 <= seed < 2**128:  # the key range of the Philox stream
+        raise ConfigError(f"seed must lie in [0, 2**128), got {seed}")
+    return seed
+
+
+def _prepare(config, seed, steps):
+    """The seed, steps, setup and disturbance model of a run; a replay is
+    checked against the steps (``DisturbanceModel.realize``) first."""
+    seed = config.seed if seed is None else _check_seed(seed)
+    steps = config.steps if steps is None else _check_steps(steps)
+    dist = config.disturbance_model(seed=seed)
+    if dist.kind == "replay":
+        try:
+            dist.realize(config.W, steps)
+        except ValueError as exc:
+            raise ConfigError(f"disturbance_model.sequence: {exc}") from exc
+    return seed, steps, config.build(), dist
 
 
 def _matrix(rows, field):
@@ -191,10 +216,7 @@ def cmd_run(config, out_dir=None, method=None, seed=None, steps=None,
             out=sys.stdout):
     """Run one experiment and write trace, summary, schedules and plot data."""
     method = method or config.method
-    seed = config.seed if seed is None else seed
-    steps = config.steps if steps is None else _check_steps(steps)
-    setup = config.build()
-    dist = config.disturbance_model(seed=seed)
+    seed, steps, setup, dist = _prepare(config, seed, steps)
     trace = run_closed_loop(setup, config.x0, method, dist, steps)
     stats = trigger_statistics(trace)
 
@@ -213,7 +235,7 @@ def cmd_run(config, out_dir=None, method=None, seed=None, steps=None,
         "final_value": _finite(trace.v_star[trace.trigger_times[-1]]),
         "disturbance_hash": trace.disturbance_hash(),
         "state_bound_violations": int(sum(
-            setup.Xseq[0].membership_residual(trace.x[t]) > 1e-8
+            setup.plant.X.membership_residual(trace.x[t]) > 1e-8
             for t in range(trace.x.shape[0]))),
     }
     (directory / "summary.json").write_text(json.dumps(summary, indent=2))
@@ -249,10 +271,7 @@ def cmd_compare(config, methods, out_dir=None, seed=None, steps=None,
     for m in methods:
         if m not in ALL_METHODS:
             raise ConfigError(f"unknown method {m!r}")
-    seed = config.seed if seed is None else seed
-    steps = config.steps if steps is None else _check_steps(steps)
-    setup = config.build()
-    dist = config.disturbance_model(seed=seed)
+    seed, steps, setup, dist = _prepare(config, seed, steps)
 
     rows = {}
     for method in methods:

@@ -89,12 +89,6 @@ class Polytope:
     def contains(self, x, tol=FEAS_TOL):
         return self.membership_residual(x) <= tol
 
-    def with_rows_of(self, other):
-        """Intersection by row concatenation (same ambient dimension)."""
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return Polytope(np.vstack([self.A, other.A]), np.concatenate([self.b, other.b]))
-
     def as_box(self):
         """Return an equivalent HyperRect when every facet is axis-aligned.
 

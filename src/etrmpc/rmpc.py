@@ -80,16 +80,17 @@ class RmpcQp:
     plant). Over w = [x0 | z], stage i's state is x_i = Phi_i w, with
     Phi_0 = [I | 0] and Phi_{i+1} = A Phi_i + B E_i where E_i selects u_i.
     The cost and the rows are Kronecker products over the stages applied
-    to selectors of w; a family's tightened sets share their rows. Their
-    x0 columns split off into what a solve applies: the linear term
-    ``g_x0 @ x0``, the offsets ``b_in - C_x0 @ x0`` and the constant
-    ``x0 @ c_x0 @ x0`` of the value. The stage-0 state rows hold x0 only
-    and drop out. ``problem`` is the QP with H validated once; a solve
-    gives it only its own linear term and offsets. ``h_max`` is the stop
-    test's max|H|, and ``project_x`` and ``project_u`` re-project a plan's
-    stage states onto the TX targets in the weight Q and its inputs onto
-    the TU targets in R (``geometry.Projection``, each built once from
-    its family's shared rows and stacked offsets).
+    to selectors of w; a family's rows are its plant set's, its offsets
+    the setup's (N, m) array. Their x0 columns split off into what a solve
+    applies: the linear term ``g_x0 @ x0``, the offsets
+    ``b_in - C_x0 @ x0`` and the constant ``x0 @ c_x0 @ x0`` of the
+    value. The stage-0 state rows hold x0 only and drop out. ``problem``
+    is the QP with H validated once; a solve gives it only its own linear
+    term and offsets. ``h_max`` is the stop test's max|H|, and
+    ``project_x`` and ``project_u`` re-project a plan's stage states onto
+    the TX targets in the weight Q and its inputs onto the TU targets in
+    R (``geometry.Projection``, each built once from its family's rows
+    and offsets).
 
     ``law`` (n_z, nx) is the least-norm unconstrained minimizer
     ``z = law @ x0``, which equals ``-pinv(H) @ g_x0 @ x0``. Q and R are
@@ -109,8 +110,8 @@ class RmpcQp:
     """
 
     def __init__(self, setup):
-        N, nx, nu = setup.N, setup.nx, setup.nu
-        A, B = setup.plant.A, setup.plant.B
+        N, nx, nu, plant = setup.N, setup.nx, setup.nu, setup.plant
+        A, B = plant.A, plant.B
         nw = nx + N * (nx + 2 * nu)
         e_x0, e_u, e_sx, e_su = np.split(np.eye(nw), np.cumsum([nx, N * nu, N * nx]))
         phi = [e_x0]
@@ -123,15 +124,13 @@ class RmpcQp:
              + e_du.T @ np.kron(I_N, 2.0 * setup.R) @ e_du)
 
         # Rows stage by stage: U_i on u_i, X_i on x_i, TX_i on sx_i, TU_i on su_i.
-        families = ((setup.Useq, e_u), (setup.Xseq, x_stage),
-                    (setup.TXseq, e_sx), (setup.TUseq, e_su))
-        rows = np.concatenate([(np.kron(I_N, seq[0].A) @ sel).reshape(N, -1, nw)
-                               for seq, sel in families], axis=1).reshape(-1, nw)
-        offsets = np.concatenate([[s.b for s in seq] for seq, _ in families], axis=1).ravel()
-        m_u = setup.Useq[0].A.shape[0]
-        x0_rows = np.s_[m_u:m_u + setup.Xseq[0].A.shape[0]]
-        Xf = setup.plant.Xf
-        rows = np.vstack([np.delete(rows, x0_rows, axis=0), Xf.A @ phi[N]])
+        families = ((plant.U.A, setup.U_offsets, e_u), (plant.X.A, setup.X_offsets, x_stage),
+                    (plant.Tx.A, setup.TX_offsets, e_sx), (plant.Tu.A, setup.TU_offsets, e_su))
+        rows = np.concatenate([(np.kron(I_N, A_S) @ sel).reshape(N, -1, nw)
+                               for A_S, _, sel in families], axis=1).reshape(-1, nw)
+        offsets = np.concatenate([b for _, b, _ in families], axis=1).ravel()
+        x0_rows = np.s_[len(plant.U.A):len(plant.U.A) + len(plant.X.A)]
+        rows = np.vstack([np.delete(rows, x0_rows, axis=0), plant.Xf.A @ phi[N]])
 
         self.u = slice(0, N * nu)
         self.H = np.ascontiguousarray(H[nx:, nx:])
@@ -139,7 +138,7 @@ class RmpcQp:
         self.c_x0 = 0.5 * H[:nx, :nx]
         self.A_in = np.ascontiguousarray(rows[:, nx:])
         self.C_x0 = np.ascontiguousarray(rows[:, :nx])
-        self.b_in = np.concatenate([np.delete(offsets, x0_rows), Xf.b])
+        self.b_in = np.concatenate([np.delete(offsets, x0_rows), plant.Xf.b])
         phi_x, phi_u = x_stage[:, :nx], x_stage[:, nx:nx + N * nu]
         metric = 2.0 * np.eye(N * nu) + phi_u.T @ phi_u
         law_u = -np.linalg.solve(metric, phi_u.T @ phi_x)
@@ -155,10 +154,8 @@ class RmpcQp:
         self.problem = solver.QpProblem(H=self.H, g=np.zeros(self.H.shape[0]),
                                         A_in=self.A_in, b_in=self.b_in)
         self.h_max = np.max(np.abs(self.H))
-        self.project_x = geometry.Projection(setup.TXseq[0].A, [s.b for s in setup.TXseq],
-                                             setup.Q)
-        self.project_u = geometry.Projection(setup.TUseq[0].A, [s.b for s in setup.TUseq],
-                                             setup.R)
+        self.project_x = geometry.Projection(plant.Tx.A, setup.TX_offsets, setup.Q)
+        self.project_u = geometry.Projection(plant.Tu.A, setup.TU_offsets, setup.R)
 
 
 def solve_rmpc(setup, x0):
@@ -191,7 +188,7 @@ def solve_rmpc(setup, x0):
     x0 = np.asarray(x0, dtype=float).reshape(setup.nx)
     N, nx, nu = setup.N, setup.nx, setup.nu
 
-    if setup.Xseq[0].membership_residual(x0) > geometry.FEAS_TOL:
+    if setup.plant.X.membership_residual(x0) > geometry.FEAS_TOL:
         raise InfeasibleState(x0, "(outside the state constraint set)")
 
     qp = setup.qp

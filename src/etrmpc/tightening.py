@@ -2,9 +2,9 @@
 
 The controller needs two kinds of feedback gains: a stabilizing nominal
 gain F and a sequence of tightening gains K whose closed-loop transition
-matrices L_i vanish after M steps. The tightened input/state/target set
-sequences then follow from repeated Pontryagin differences against the
-images K_i L_i W and L_i W of the disturbance set.
+matrices L_i vanish after M steps. The offsets of the tightened input,
+state and target sets then follow from repeated Pontryagin differences
+against the images K_i L_i W and L_i W of the disturbance set.
 """
 
 import numpy as np
@@ -297,14 +297,15 @@ class RmpcSetup:
     """Immutable bundle of everything the controller and trigger need.
 
     Built by :func:`build_setup`; holds the plant, horizon data, gains,
-    transition matrices (plain and shifted), the four tightened set
-    sequences, the cost weights, and the two plan-independent parts of the
-    controller: the RMPC QP data and the principal rows of the triggering
-    sets.
+    transition matrices (plain and shifted), the cost weights, and the two
+    plan-independent parts of the controller: the RMPC QP data and the
+    principal rows of the triggering sets. A tightened family is its plant
+    set's rows and one (N, m) offset array, row i for stage i:
+    ``U_offsets``, ``X_offsets``, ``TU_offsets`` and ``TX_offsets``.
     """
 
     def __init__(self, plant, N, M, F, K, L, Ktilde, Ltilde,
-                 Useq, Xseq, TUseq, TXseq, Q, R, report):
+                 U_offsets, X_offsets, TU_offsets, TX_offsets, Q, R, report):
         self.plant = plant
         self.N = N
         self.M = M
@@ -313,17 +314,13 @@ class RmpcSetup:
         self.L = L
         self.Ktilde = Ktilde
         self.Ltilde = Ltilde
-        self.Useq = Useq
-        self.Xseq = Xseq
-        self.TUseq = TUseq
-        self.TXseq = TXseq
+        self.U_offsets = U_offsets
+        self.X_offsets = X_offsets
+        self.TU_offsets = TU_offsets
+        self.TX_offsets = TX_offsets
         self.Q = Q
         self.R = R
         self.report = report
-        for name, seq in (("U", Useq), ("X", Xseq), ("TU", TUseq), ("TX", TXseq)):
-            # RmpcQp and PrincipalRows read a family's rows off its first set.
-            if not all(np.array_equal(S.A, seq[0].A) for S in seq):
-                raise ValueError(f"the {name} sets of the horizon must share their rows")
         self.qp = RmpcQp(self)
         self.principal_rows = PrincipalRows(self)
 
@@ -340,12 +337,12 @@ def build_setup(plant, N, M, F, K, Q, R):
     """Assemble and validate an RmpcSetup.
 
     Computes L_i and the shifted gain/transition sequences, erodes the
-    four set sequences by the disturbance images, and hard-gates the
-    setup-time assumptions: nilpotency of the supplied gains, nonempty
-    tightened sets, and the terminal-set inclusions in the most tightened
-    state/input sets. One-step invariance of the terminal set is reported
-    as a diagnostic margin (see below). Raises on any gate violation; the
-    returned report carries the numeric margins.
+    offsets of the four set families by the disturbance images, and
+    hard-gates the setup-time assumptions: nilpotency of the supplied
+    gains, nonempty tightened sets, and the terminal-set inclusions in the
+    most tightened state/input sets. One-step invariance of the terminal
+    set is reported as a diagnostic margin (see below). Raises on any gate
+    violation; the returned report carries the numeric margins.
 
     The erosion offsets of all four chains come from one
     ``geometry.supports`` call over W: exact closed forms for a box W;
@@ -392,23 +389,20 @@ def build_setup(plant, N, M, F, K, Q, R):
 
     # Each family's chain S_{i+1} = S_i ominus (image_i W) keeps the rows of
     # S_0, so every direction A image_i is known up front: one supports call
-    # answers the whole chain, and then b_{i+1} = b_i - h_i, in order.
+    # answers the whole chain, and then b_{i+1} = b_i - h_i, in order: a
+    # cumulative sum adds in sequence, and b + (-h) is b - h bit for bit.
     KL = [K[i] @ L[i] for i in range(N - 1)]
-    families = ((plant.U, KL), (plant.X, L), (plant.Tu, KL), (plant.Tx, L))
-    dirs = [S.A @ images[i] for i in range(N - 1) for S, images in families]
-    h = np.split(geometry.supports(plant.W, np.vstack(dirs)),
-                 np.cumsum([len(d) for d in dirs])[:-1])
-    Useq, Xseq, TUseq, TXseq = seqs = [[S] for S, _ in families]
-    for k, h_k in enumerate(h):
-        seq = seqs[k % 4]
-        seq.append(Polytope(seq[-1].A, seq[-1].b - h_k))
-
-    for name, seq in (("U", Useq), ("X", Xseq), ("TU", TUseq), ("TX", TXseq)):
-        # The erosion keeps the rows, so a family's sets share A and one
-        # call checks them all.
-        empty = geometry.are_empty(seq[0].A, [s.b for s in seq[1:]])
+    families = (("U", plant.U, KL), ("X", plant.X, L), ("TU", plant.Tu, KL), ("TX", plant.Tx, L))
+    dirs = [S.A @ images[i] for i in range(N - 1) for _, S, images in families]
+    h = geometry.supports(plant.W, np.vstack(dirs)).reshape(N - 1, -1)
+    h = np.split(h, np.cumsum([len(S.A) for _, S, _ in families])[:-1], axis=1)
+    offsets = [np.cumsum(np.vstack([S.b, -h_S]), axis=0) for (_, S, _), h_S in zip(families, h)]
+    for (name, S, _), b in zip(families, offsets):
+        b.flags.writeable = False
+        empty = geometry.are_empty(S.A, b[1:])
         if any(empty):
             raise EmptyTightenedSet(empty.index(True) + 1, name)
+    U_b, X_b, TU_b, TX_b = offsets
 
     A_cl = A + B @ F
     margins = {}
@@ -416,10 +410,12 @@ def build_setup(plant, N, M, F, K, Q, R):
     # Terminal-set assumption, hard gates: Xf inside X_{N-1} and Tx_{N-1},
     # F Xf inside U_{N-1} and Tu_{N-1}. An inclusion margin is the least
     # offset of outer ominus (image @ inner); >= 0 means the image is inside.
-    margins["terminal_in_tight_state"] = float(np.min(pontryagin_diff(
-        Xseq[N - 1].with_rows_of(TXseq[N - 1]), plant.Xf).b))
-    margins["terminal_input_in_tight_input"] = float(np.min(pontryagin_diff(
-        Useq[N - 1].with_rows_of(TUseq[N - 1]), plant.Xf, image=F).b))
+    margins["terminal_in_tight_state"] = float(np.min(pontryagin_diff(Polytope(
+        np.vstack([plant.X.A, plant.Tx.A]), np.concatenate([X_b[-1], TX_b[-1]])),
+        plant.Xf).b))
+    margins["terminal_input_in_tight_input"] = float(np.min(pontryagin_diff(Polytope(
+        np.vstack([plant.U.A, plant.Tu.A]), np.concatenate([U_b[-1], TU_b[-1]])),
+        plant.Xf, image=F).b))
     for name, margin in margins.items():
         if margin < -geometry.FEAS_TOL:
             raise TerminalAssumptionViolated(f"{name} margin {margin:.3e}")
@@ -436,12 +432,7 @@ def build_setup(plant, N, M, F, K, Q, R):
         "nilpotency_residual": float(nilpotency),
         "closed_loop_spectral_radius": float(np.max(np.abs(np.linalg.eigvals(A_cl)))),
         "margins": {k: float(v) for k, v in margins.items()},
-        "tightened_offsets": {
-            "U": [s.b.tolist() for s in Useq],
-            "X": [s.b.tolist() for s in Xseq],
-            "TU": [s.b.tolist() for s in TUseq],
-            "TX": [s.b.tolist() for s in TXseq],
-        },
+        "tightened_offsets": {name: b.tolist() for (name, _, _), b in zip(families, offsets)},
     }
     return RmpcSetup(plant, N, M, F, K, L, Ktilde, Ltilde,
-                     Useq, Xseq, TUseq, TXseq, Q, R, report)
+                     U_b, X_b, TU_b, TX_b, Q, R, report)

@@ -97,25 +97,22 @@ class PrincipalRows:
     """G, W and meta of the principal rows, which depend on the setup only.
 
     ``families`` holds, in the order of ``extended_plan``'s arrays, each
-    family's name, the rows its N tightened sets share and their offsets
-    as an (N, m) array. A candidate's offsets b - a.x are laid out by
-    family, stage and facet; ``starts`` marks where each (family, stage)
-    block begins and ``keep`` gathers the surviving facets. A plan only
-    moves the offsets, and every block is checked, even one whose rows
-    all vanish.
+    family's name, its plant set's rows and the setup's (N, m) offsets.
+    A candidate's offsets b - a.x are laid out by family, stage and
+    facet; ``starts`` marks where each (family, stage) block begins and
+    ``keep`` gathers the surviving facets. A plan only moves the offsets,
+    and every block is checked, even one whose rows all vanish.
     """
 
     def __init__(self, setup):
-        families = (
-            ("state", setup.Xseq, False),
-            ("input", setup.Useq, True),
-            ("slack_state", setup.TXseq, False),
-            ("slack_input", setup.TUseq, True),
-        )
-        self.families, Gs, self.meta, keep, starts = [], [], [], [], [0]
-        for name, sets, via_gain in families:
-            A = sets[0].A
-            self.families.append((name, A, np.array([S.b for S in sets])))
+        plant = setup.plant
+        self.families = [("state", plant.X.A, setup.X_offsets),
+                         ("input", plant.U.A, setup.U_offsets),
+                         ("slack_state", plant.Tx.A, setup.TX_offsets),
+                         ("slack_input", plant.Tu.A, setup.TU_offsets)]
+        Gs, self.meta, keep, starts = [], [], [], [0]
+        for name, A, _ in self.families:
+            via_gain = name.endswith("input")  # input and slack_input
             for i in range(setup.N):
                 Mhat = setup.Ktilde[i] @ setup.Ltilde[i] if via_gain else setup.Ltilde[i]
                 # Blocks with a vanishing map (nilpotent tail) only check.
@@ -136,12 +133,12 @@ class PrincipalRows:
 def assemble_principal(setup, sol):
     """Offsets d of the principal rows, one row per splice index 1..N-1.
 
-    The N sets of a family share their rows a, so one stacked product
-    (with the bits of the single one) gives a.x at every point of the
-    extended plan, and stage i of candidate j reads point j+i through a
-    sliding window. Blocks whose map vanishes (nilpotent tail) are only
-    checked. Raises InfeasibleCandidate for the first block that fails
-    its check, in the order j, family, stage.
+    The N sets of a family have the rows a of its plant set, so one
+    stacked product (with the bits of the single one) gives a.x at every
+    point of the extended plan, and stage i of candidate j reads point
+    j+i through a sliding window. Blocks whose map vanishes (nilpotent
+    tail) are only checked. Raises InfeasibleCandidate for the first
+    block that fails its check, in the order j, family, stage.
     """
     rows = setup.principal_rows
     N = setup.N

@@ -81,3 +81,19 @@ def polytope_worst_case_data():
     rows and worst-case draws."""
     base = json.loads((ROOT / "configs" / "batch_reactor.json").read_text())
     return benchmark_workloads().polytope_config(base)
+
+
+FAMILIES = ("U", "X", "TU", "TX")
+
+
+def plant_set(setup, family):
+    """The plant set of ``family`` (U, X, TU or TX), whose rows it keeps."""
+    plant = setup.plant
+    return {"U": plant.U, "X": plant.X, "TU": plant.Tu, "TX": plant.Tx}[family]
+
+
+def stage_sets(setup, family):
+    """The N tightened sets of ``family`` as polytopes: its rows with each
+    row of its (N, m) offsets."""
+    rows = plant_set(setup, family).A
+    return [Polytope(rows, b) for b in getattr(setup, f"{family}_offsets")]

@@ -58,7 +58,7 @@ class TestConfig:
                       [0, 0, 1, 0], [0, 0, -1, 0], [0, 0, 0, 1], [0, 0, 0, -1]],
                 "b": [2, 2, 2, 2, 2, 2, 2, 2]}
         cfg = _mutated(config, swap)
-        assert cfg.build().Xseq[0].A.shape == (8, 4)
+        assert cfg.build().plant.X.A.shape == (8, 4)
 
 
 class TestValidate:
@@ -219,7 +219,7 @@ class TestReplayConfig:
     def test_replay_too_short_rejected(self, config, tmp_path):
         cfg = _mutated(config, lambda d: d.update(disturbance_model={
             "kind": "replay", "sequence": np.zeros((3, 4)).tolist()}))
-        with pytest.raises(ValueError, match="shorter"):
+        with pytest.raises(ConfigError, match="shorter"):
             cmd_run(cfg, out_dir=tmp_path, steps=20, out=io.StringIO())
 
 
@@ -250,6 +250,9 @@ class TestMain:
         ["run", "--steps", "0"],
         ["compare", "--methods", "CP1", "--steps", "0"],
         ["compare", "--methods", ","],
+        ["run", "--seed", "-1"],
+        ["run", "--seed", str(2**128)],
+        ["compare", "--methods", "CP1", "--seed", "-1"],
     ])
     def test_bad_arguments_are_config_errors(self, argv, tmp_path, capsys):
         code = main(argv + ["--config", CONFIG_PATH, "--out-dir", str(tmp_path)])
@@ -270,6 +273,37 @@ class TestMain:
         code = main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("command", [["run"], ["compare", "--methods", "CP1"]])
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.update(disturbance_model={
+            "kind": "zero", "impulses": [{"time": 3, "coordinate": 4, "value": 0.1}]}),
+        lambda d: d.update(disturbance_model={
+            "kind": "zero", "impulses": [{"time": 3, "coordinate": -1, "value": 0.1}]}),
+        lambda d: d.update(disturbance_model={
+            "kind": "zero", "impulses": [{"time": 0, "coordinate": 0, "value": 0.1}]}),
+        lambda d: d.update(seed=-1),
+        lambda d: d.update(seed=2**128),
+        lambda d: d.update(disturbance_model={"kind": "replay",
+                                              "sequence": np.zeros((3, 4)).tolist()}),
+        lambda d: d.update(disturbance_model={"kind": "replay",
+                                              "sequence": np.full((80, 4), 0.5).tolist()}),
+        lambda d: d.update(disturbance_model={"kind": "replay"}),
+        lambda d: d.update(disturbance_model={"kind": "gusty"}),
+    ], ids=["impulse_coordinate_4", "impulse_coordinate_-1", "impulse_time_0", "seed_-1",
+            "seed_2**128", "replay_too_short", "replay_leaves_W", "replay_no_sequence",
+            "unknown_kind"])
+    def test_config_mistakes_are_config_errors(self, config, command, mutate, tmp_path,
+                                               capsys):
+        # Checked before the run starts: exit 2 on one line, no output.
+        path = tmp_path / "bad.json"
+        data = copy.deepcopy(config.to_dict())
+        mutate(data)
+        path.write_text(json.dumps(data))
+        code = main(command + ["--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_geometry_error_exits_1(self, tmp_path, capsys):
         # W in 4-D with 41 rows: vertex enumeration would need C(41, 4) =

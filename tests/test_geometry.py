@@ -12,7 +12,7 @@ from etrmpc.sim import DisturbanceModel, run_closed_loop
 from etrmpc.tightening import build_setup, synthesize_nominal_gain, synthesize_tightening_gains
 
 from batch_reactor import (X0, batch_plant, batch_setup, benchmark_workloads,
-                           cross_polytope_setup)
+                           cross_polytope_setup, stage_sets)
 from oracles import enumerate_vertices, grid_projection, highs_chebyshev, highs_max
 
 
@@ -360,7 +360,8 @@ class TestWeightedProjections:
         monkeypatch.setattr(solver, "least_distance", None)
         setup = batch_setup()
         rng = np.random.default_rng(41)
-        for targets, M in ((setup.TXseq, setup.Q), (setup.TUseq, setup.R)):
+        for targets, M in ((stage_sets(setup, "TX"), setup.Q),
+                           (stage_sets(setup, "TU"), setup.R)):
             for _ in range(4):
                 kinds = [KINDS[i % len(KINDS)] for i in rng.permutation(len(targets))]
                 P = stage_points(rng, targets, kinds)
@@ -384,11 +385,12 @@ class TestWeightedProjections:
 
         monkeypatch.setattr(solver, "least_distance", counting)
         if case == "non_diagonal_weight":
-            targets, box_targets = batch_setup().TXseq, None
+            targets, box_targets = stage_sets(batch_setup(), "TX"), None
             M = np.diag([2.0, 2.0, 2.0, 2.0]) + 0.3 * (np.eye(4, k=1) + np.eye(4, k=-1))
         else:
-            targets, M = cross_polytope_setup().TXseq, np.diag([2.0, 1.0, 2.0, 1.0])
-            box_targets = batch_setup().TXseq
+            targets = stage_sets(cross_polytope_setup(), "TX")
+            M = np.diag([2.0, 1.0, 2.0, 1.0])
+            box_targets = stage_sets(batch_setup(), "TX")
         rng = np.random.default_rng(43)
         kinds = [KINDS[i % len(KINDS)] for i in range(len(targets))]
         P = stage_points(rng, box_targets or targets, kinds)
@@ -419,8 +421,8 @@ def kept_projections(case):
         K = synthesize_tightening_gains(plant, M=4, N=10)
         Q = 2.0 * np.eye(4) + 0.3 * (np.eye(4, k=1) + np.eye(4, k=-1))
         setup = build_setup(plant, N=10, M=4, F=F, K=K, Q=Q, R=np.eye(2))
-    return ((setup.qp.project_x, setup.TXseq, setup.Q),
-            (setup.qp.project_u, setup.TUseq, setup.R))
+    return ((setup.qp.project_x, stage_sets(setup, "TX"), setup.Q),
+            (setup.qp.project_u, stage_sets(setup, "TU"), setup.R))
 
 
 # Where a point lies on the way from the middle of its target to a vertex:
@@ -485,7 +487,7 @@ class TestStackedMembership:
         rng = np.random.default_rng(47)
         if kind == "box":
             setup = batch_setup()
-            targets = list(setup.TXseq) + list(setup.TUseq)
+            targets = stage_sets(setup, "TX") + stage_sets(setup, "TU")
         else:
             polys = [random_polytope(rng, n, 5, 1, 1) for n in (2, 3, 3)]
             targets = [Polytope(q.A, q.b - 0.05 * k) for q in polys for k in range(4)]

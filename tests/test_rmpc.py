@@ -8,16 +8,15 @@ from etrmpc.rmpc import InfeasibleState, solve_rmpc
 from etrmpc.tightening import (PlantModel, build_setup, synthesize_nominal_gain,
                                synthesize_tightening_gains)
 
-from batch_reactor import X0, batch_plant, batch_setup, cross_polytope_setup
+from batch_reactor import X0, batch_plant, batch_setup, cross_polytope_setup, stage_sets
 from oracles import grid_projection, slsqp_least_norm
 
 
 def stage_cost(setup, x_i, u_i, i):
     """l(x_i, u_i) = d_Q(x_i, Tx_i) + d_R(u_i, Tu_i), from a Projection
     onto each target alone."""
-    Tx, Tu = setup.TXseq[i], setup.TUseq[i]
-    dx, _ = Projection(Tx.A, [Tx.b], setup.Q)([x_i])
-    du, _ = Projection(Tu.A, [Tu.b], setup.R)([u_i])
+    dx, _ = Projection(setup.plant.Tx.A, [setup.TX_offsets[i]], setup.Q)([x_i])
+    du, _ = Projection(setup.plant.Tu.A, [setup.TU_offsets[i]], setup.R)([u_i])
     return float(dx[0] + du[0])
 
 
@@ -59,11 +58,12 @@ class TestSolve:
     def test_memberships_and_value(self):
         setup = small_setup()
         sol = solve_rmpc(setup, [1.5, -0.5])
+        U, X, TX, TU = (stage_sets(setup, f) for f in ("U", "X", "TX", "TU"))
         for i in range(setup.N):
-            assert setup.Useq[i].membership_residual(sol.u[i]) <= 1e-8
-            assert setup.Xseq[i].membership_residual(sol.x[i]) <= 1e-8
-            assert setup.TXseq[i].membership_residual(sol.sx[i]) <= 1e-8
-            assert setup.TUseq[i].membership_residual(sol.su[i]) <= 1e-8
+            assert U[i].membership_residual(sol.u[i]) <= 1e-8
+            assert X[i].membership_residual(sol.x[i]) <= 1e-8
+            assert TX[i].membership_residual(sol.sx[i]) <= 1e-8
+            assert TU[i].membership_residual(sol.su[i]) <= 1e-8
         total = 0.0
         for i in range(setup.N):
             total += ((sol.x[i] - sol.sx[i]) @ setup.Q @ (sol.x[i] - sol.sx[i])
@@ -95,10 +95,11 @@ class TestSolve:
         cost = 0.0
         x = x1.copy()
         feas = True
+        U, X = stage_sets(setup, "U"), stage_sets(setup, "X")
         for i in range(setup.N):
             u = np.atleast_1d(u_cand[i])
-            feas &= setup.Useq[i].membership_residual(u) <= 1e-8
-            feas &= setup.Xseq[i].membership_residual(x) <= 1e-8
+            feas &= U[i].membership_residual(u) <= 1e-8
+            feas &= X[i].membership_residual(x) <= 1e-8
             cost += stage_cost(setup, x, u, i)
             x = setup.plant.A @ x + setup.plant.B @ u
         assert feas
@@ -132,10 +133,9 @@ class TestStageCost:
         x = np.array([2.1, -1.7])
         u = np.array([2.6])
         got = stage_cost(setup, x, u, 0)
-        dx, _ = grid_projection(x, setup.TXseq[0].as_box().lower,
-                                setup.TXseq[0].as_box().upper, setup.Q, n=401)
-        du, _ = grid_projection(u, setup.TUseq[0].as_box().lower,
-                                setup.TUseq[0].as_box().upper, setup.R, n=401)
+        Tx, Tu = stage_sets(setup, "TX")[0].as_box(), stage_sets(setup, "TU")[0].as_box()
+        dx, _ = grid_projection(x, Tx.lower, Tx.upper, setup.Q, n=401)
+        du, _ = grid_projection(u, Tu.lower, Tu.upper, setup.R, n=401)
         assert got == pytest.approx(dx + du, abs=1e-6)
 
 
@@ -254,7 +254,7 @@ class TestQpData:
         N, nx, nu = setup.N, setup.nx, setup.nu
         S = setup.qp.problem._newton.S
         su = np.arange(N * (nu + nx), N * (2 * nu + nx))
-        boxed = setup.TXseq[0].as_box() is not None
+        boxed = setup.plant.Tx.as_box() is not None
         want = np.concatenate([np.arange(N * nu, N * (nu + nx)), su]) if boxed else su
         assert S.tolist() == want.tolist()
 
@@ -438,11 +438,12 @@ def _per_stage_qp(setup):
             A_eq[rows, x(i)] = setup.plant.A
 
     blocks = []
+    U, X, TX, TU = (stage_sets(setup, f) for f in ("U", "X", "TX", "TU"))
     for i in range(N):
-        blocks.append((setup.Useq[i], u(i)))
+        blocks.append((U[i], u(i)))
         if i > 0:
-            blocks.append((setup.Xseq[i], x(i)))
-        blocks += [(setup.TXseq[i], sx(i)), (setup.TUseq[i], su(i))]
+            blocks.append((X[i], x(i)))
+        blocks += [(TX[i], sx(i)), (TU[i], su(i))]
     blocks.append((setup.plant.Xf, x(N)))
     A_in = np.zeros((sum(S.A.shape[0] for S, _ in blocks), nv))
     start = 0

@@ -4,12 +4,13 @@ import pytest
 from etrmpc import solver, tightening
 from etrmpc.cli import ExperimentConfig
 from etrmpc.geometry import HyperRect, Polytope, are_empty, supports
-from etrmpc.tightening import (EmptyTightenedSet, NilpotencyFailure, PlantModel,
-                               RmpcSetup, TerminalAssumptionViolated, build_setup,
+from etrmpc.tightening import (NILPOTENCY_TOL, EmptyTightenedSet, NilpotencyFailure,
+                               PlantModel, TerminalAssumptionViolated, build_setup,
                                is_controllable, synthesize_nominal_gain,
                                synthesize_tightening_gains)
 
-from batch_reactor import ROOT, batch_plant, batch_setup, polytope_worst_case_data
+from batch_reactor import (FAMILIES, ROOT, batch_plant, batch_setup, plant_set,
+                           polytope_worst_case_data, stage_sets)
 from oracles import deadbeat_erosion, highs_min_erosion
 
 
@@ -118,6 +119,37 @@ class TestTighteningGains:
             assert np.linalg.norm(L, "fro") <= 1e-8
             done += 1
 
+    @staticmethod
+    def fallback_gains(plant, M, monkeypatch):
+        """The gains of ``plant``, asserting that the subspace-chain
+        fallback made them."""
+        calls, chain = [], tightening._subspace_chain_gains
+        monkeypatch.setattr(tightening, "_subspace_chain_gains",
+                            lambda *a: calls.append(1) or chain(*a))
+        K = synthesize_tightening_gains(plant, M=M)
+        assert calls == [1]
+        L = np.eye(plant.nx)
+        for i in range(M):
+            L = (plant.A + plant.B @ K[i]) @ L
+        return np.linalg.norm(L, "fro")
+
+    def test_fallback_when_schedule_not_realizable(self, monkeypatch):
+        # Of 200 controllable plants drawn this way, draws 5, 11, 83, 115
+        # and 132 (all with two inputs) have a min-erosion schedule that no
+        # state feedback realizes; draw 5 is the first.
+        rng = np.random.default_rng(0)
+        for _ in range(6):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+            A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+        assert (n, m) == (3, 2)
+        assert self.fallback_gains(_wide_plant(A, B), n, monkeypatch) <= NILPOTENCY_TOL
+
+    def test_fallback_when_no_schedule(self, monkeypatch):
+        # The fallback's gains on the reference plant are nilpotent but not
+        # minimum-erosion (build_setup then finds an empty tightened set).
+        monkeypatch.setattr(tightening, "_min_erosion_schedule", lambda *a: None)
+        assert self.fallback_gains(batch_plant(), 4, monkeypatch) <= NILPOTENCY_TOL
+
     def test_min_erosion_objective_matches_highs(self):
         pytest.importorskip("scipy")
         plant = batch_plant()
@@ -146,27 +178,27 @@ class TestBuildSetup:
         plant = simple_plant(W_half=0.0)
         setup = _build(plant)
         for i in range(setup.N):
-            assert np.allclose(setup.Xseq[i].b, setup.Xseq[0].b)
-            assert np.allclose(setup.Useq[i].b, setup.Useq[0].b)
+            assert np.allclose(setup.X_offsets[i], setup.X_offsets[0])
+            assert np.allclose(setup.U_offsets[i], setup.U_offsets[0])
 
     def test_first_step_box_erosion_closed_form(self):
         # X_1 = X_0 erode W regardless of K (L_0 = I).
         plant = simple_plant(W_half=0.02)
         setup = _build(plant)
-        assert np.allclose(setup.Xseq[1].b, setup.Xseq[0].b - 0.02, atol=1e-12)
+        assert np.allclose(setup.X_offsets[1], setup.X_offsets[0] - 0.02, atol=1e-12)
 
     def test_batch_reactor_setup(self):
         setup = batch_setup()
         assert setup.report["nilpotency_residual"] <= 1e-8
         for m in ("terminal_in_tight_state", "terminal_input_in_tight_input"):
             assert setup.report["margins"][m] >= 0.0
-        for seq in (setup.Xseq, setup.Useq, setup.TXseq, setup.TUseq):
-            for s in seq:
-                assert not are_empty(s.A, s.b)[0]
+        for family in FAMILIES:
+            for b in getattr(setup, f"{family}_offsets"):
+                assert not are_empty(plant_set(setup, family).A, b)[0]
 
     def test_nesting_along_facets(self):
         setup = _build(simple_plant())
-        for seq in (setup.Xseq, setup.Useq, setup.TXseq, setup.TUseq):
+        for seq in (stage_sets(setup, family) for family in FAMILIES):
             for i in range(len(seq) - 1):
                 for r in range(seq[i].A.shape[0]):
                     hi = supports(seq[i], seq[i].A[r])[0]
@@ -196,8 +228,8 @@ class TestBuildSetup:
     def test_deterministic_rebuild(self):
         s1 = _build(simple_plant())
         s2 = _build(simple_plant())
-        for a, b in zip(s1.Xseq, s2.Xseq):
-            assert np.array_equal(a.b, b.b)
+        for a, b in zip(s1.X_offsets, s2.X_offsets):
+            assert np.array_equal(a, b)
         assert np.array_equal(s1.F, s2.F)
 
     def test_oversized_disturbance_empties(self):
@@ -236,20 +268,37 @@ class TestBuildSetup:
             build_setup(plant, N=6, M=2, F=F, K=bad_K,
                         Q=np.eye(2), R=np.eye(1))
 
-    def test_sets_of_a_family_share_their_rows(self):
-        # The QP data and the principal rows read each family's rows off
-        # its first set, so a stage whose rows are permuted is rejected.
-        s = batch_setup()
-        X3 = s.Xseq[3]
-        perm = np.roll(np.arange(X3.A.shape[0]), 1)
-        Xseq = list(s.Xseq)
-        Xseq[3] = Polytope(X3.A[perm], X3.b[perm])
-        args = (s.plant, s.N, s.M, s.F, s.K, s.L, s.Ktilde, s.Ltilde,
-                s.Useq, Xseq, s.TUseq, s.TXseq, s.Q, s.R, s.report)
-        with pytest.raises(ValueError, match="X sets"):
-            RmpcSetup(*args)
-        args[9][3] = X3
-        RmpcSetup(*args)
+
+class TestFamilyOffsets:
+    """A tightened family is its plant set's rows and an (N, m) offset
+    array, eroded stage by stage."""
+
+    @pytest.fixture(scope="class", params=["box_W", "cross_polytope_W"])
+    def config(self, request):
+        if request.param == "box_W":
+            return ExperimentConfig.from_file(str(ROOT / "configs" / "batch_reactor.json"))
+        return ExperimentConfig(polytope_worst_case_data())
+
+    def test_build_constructs_few_polytopes(self, config, monkeypatch):
+        # Two stacked sets and three Pontryagin differences for the margins.
+        count, init = [], Polytope.__init__
+        monkeypatch.setattr(Polytope, "__init__",
+                            lambda self, *a, **k: count.append(1) or init(self, *a, **k))
+        config.build()
+        assert len(count) <= 5
+
+    def test_offsets_follow_sequential_erosion(self, config):
+        setup = config.build()
+        W = setup.plant.W
+        KL = [setup.K[i] @ setup.L[i] for i in range(setup.N - 1)]
+        for family, images in zip(FAMILIES, (KL, setup.L, KL, setup.L)):
+            S, offsets = plant_set(setup, family), getattr(setup, f"{family}_offsets")
+            assert offsets.shape == (setup.N, len(S.A))
+            b = S.b
+            assert np.array_equal(offsets[0], b)
+            for i in range(setup.N - 1):
+                b = b - supports(W, S.A @ images[i])
+                assert np.array_equal(offsets[i + 1], b)
 
 
 class TestPolytopeDisturbance:
@@ -263,12 +312,12 @@ class TestPolytopeDisturbance:
     def test_offsets_match_closed_form(self, config):
         setup = config.build()
         KL = [setup.K[i] @ setup.L[i] for i in range(setup.N - 1)]
-        for seq, images in ((setup.Useq, KL), (setup.Xseq, setup.L),
-                            (setup.TUseq, KL), (setup.TXseq, setup.L)):
-            b = seq[0].b
+        for family, images in zip(FAMILIES, (KL, setup.L, KL, setup.L)):
+            rows, offsets = plant_set(setup, family).A, getattr(setup, f"{family}_offsets")
+            b = offsets[0]
             for i in range(setup.N - 1):
-                b = b - 0.02 * np.max(np.abs(seq[0].A @ images[i]), axis=1)
-                np.testing.assert_allclose(seq[i + 1].b, b, rtol=1e-15, atol=0.0)
+                b = b - 0.02 * np.max(np.abs(rows @ images[i]), axis=1)
+                np.testing.assert_allclose(offsets[i + 1], b, rtol=1e-15, atol=0.0)
 
     @staticmethod
     def setup_solves(config, monkeypatch):
@@ -342,7 +391,7 @@ class TestPlantValidation:
                            Tu=HyperRect([-2.0], [2.0]),
                            Xf=HyperRect([-0.3, -0.3], [0.3, 0.3]))
         setup = _build(plant)
-        assert setup.Xseq[1].A.shape[0] == 5
+        assert setup.X_offsets.shape[1] == 5
 
 
 def _wide_plant(A, B):

@@ -15,7 +15,7 @@ from etrmpc.trigger import (CP1, CP2, LP1, LP2, PrincipalPolytope,
                             assemble_principal, build_schedule, construct_boxes,
                             extended_plan)
 
-from batch_reactor import X0, batch_setup, cross_polytope_setup
+from batch_reactor import X0, batch_setup, cross_polytope_setup, stage_sets
 from oracles import grid_box_volume, highs_lp1_scaling, highs_segment_length
 from test_rmpc import stage_cost as rmpc_stage
 
@@ -101,11 +101,12 @@ class TestCandidates:
         assert np.array_equal(sx[:N - j], sol.sx[j:])
         assert np.array_equal(su[:N - j], sol.su[j:])
         # Tail self-projections: points already inside the targets.
+        TX, TU = stage_sets(setup, "TX"), stage_sets(setup, "TU")
         for i in range(N - j, N):
             assert np.array_equal(sx[i], phi[i])
             assert np.array_equal(su[i], u[i])
-            assert setup.TXseq[i].membership_residual(sx[i]) <= 1e-8
-            assert setup.TUseq[i].membership_residual(su[i]) <= 1e-8
+            assert TX[i].membership_residual(sx[i]) <= 1e-8
+            assert TU[i].membership_residual(su[i]) <= 1e-8
 
     def test_index_range(self):
         # The extended plan holds full windows for j <= N-1 only, and the
@@ -189,7 +190,7 @@ class TestPrincipal:
         setup = batch_setup()
         sol = solve_rmpc(setup, X0)
         u = sol.u.copy()
-        u[5, 0] = setup.Useq[4].b[0] + 5e-9
+        u[5, 0] = setup.U_offsets[4, 0] + 5e-9
         near = MpcSolution(u, sol.x, sol.sx, sol.su, sol.value, sol.stage_costs,
                            sol.kkt_residual)
         d = assemble_principal(setup, near)
@@ -205,7 +206,7 @@ class TestPrincipal:
         setup = batch_setup()
         sol = solve_rmpc(setup, X0)
         u = sol.u.copy()
-        u[5, 0] = setup.Useq[4].b[0] + 1e-6
+        u[5, 0] = setup.U_offsets[4, 0] + 1e-6
         far = MpcSolution(u, sol.x, sol.sx, sol.su, sol.value, sol.stage_costs,
                           sol.kkt_residual)
         with pytest.raises(trigger.InfeasibleCandidate,
@@ -251,10 +252,10 @@ def _per_row_principal(setup, plan, j):
     N = setup.N
     x, u, sx, su = (a[j:j + N] for a in plan)
     families = (
-        ("state", x, setup.Xseq, lambda i: setup.Ltilde[i]),
-        ("input", u, setup.Useq, lambda i: setup.Ktilde[i] @ setup.Ltilde[i]),
-        ("slack_state", sx, setup.TXseq, lambda i: setup.Ltilde[i]),
-        ("slack_input", su, setup.TUseq,
+        ("state", x, stage_sets(setup, "X"), lambda i: setup.Ltilde[i]),
+        ("input", u, stage_sets(setup, "U"), lambda i: setup.Ktilde[i] @ setup.Ltilde[i]),
+        ("slack_state", sx, stage_sets(setup, "TX"), lambda i: setup.Ltilde[i]),
+        ("slack_input", su, stage_sets(setup, "TU"),
          lambda i: setup.Ktilde[i] @ setup.Ltilde[i]),
     )
     Wrows, ds, Gs, meta = [], [], [], []
@@ -302,8 +303,8 @@ class TestNewtonSplit:
         counts.append(len(loops))
         solver.feasibility(setup.principal_rows.G, assemble_principal(setup, sol))
         counts.append(len(loops))
-        shift = setup.TXseq[0].A @ np.ones(setup.nx)
-        geometry.are_empty(setup.TXseq[0].A, [t.b + shift for t in setup.TXseq])
+        shift = setup.plant.Tx.A @ np.ones(setup.nx)
+        geometry.are_empty(setup.plant.Tx.A, setup.TX_offsets + shift)
         counts.append(len(loops))
         assert np.all(np.diff([0] + counts) > 0)  # every kind of LP was solved
         assert split == []
@@ -702,6 +703,7 @@ class TestSchedule:
         setup, sol, schedules = sched_all
         rng = np.random.default_rng(7)
         sch = schedules[CP1]
+        U, X = stage_sets(setup, "U"), stage_sets(setup, "X")
         for j in range(1, setup.N):
             box = sch.box(j)
             phi, u, _, _ = _candidate(setup, sol, j)
@@ -710,8 +712,8 @@ class TestSchedule:
                 for i in range(setup.N):
                     u_c = u[i] + setup.Ktilde[i] @ setup.Ltilde[i] @ e
                     x_c = phi[i] + setup.Ltilde[i] @ e
-                    assert setup.Useq[i].membership_residual(u_c) <= 1e-7
-                    assert setup.Xseq[i].membership_residual(x_c) <= 1e-7
+                    assert U[i].membership_residual(u_c) <= 1e-7
+                    assert X[i].membership_residual(x_c) <= 1e-7
 
     def test_lp1_box_kept_at_zero_offset_rows(self, sched_all):
         # At j=5 the LP1 scaling point meets principal rows with zero
