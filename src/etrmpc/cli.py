@@ -45,8 +45,8 @@ class ExperimentConfig:
             self.Tx = _set_spec(sets["state_target"], "sets.state_target")
             self.Tu = _set_spec(sets["input_target"], "sets.input_target")
             self.Xf = _set_spec(sets["terminal"], "sets.terminal")
-            self.N = int(data["horizon"])
-            self.M = int(data.get("nilpotency_steps", self.A.shape[0]))
+            self.N = _integer(data["horizon"], "horizon")
+            self.M = _integer(data.get("nilpotency_steps", self.A.shape[0]), "nilpotency_steps")
             self.Q = _matrix(data["weights"]["Q"], "weights.Q")
             self.R = _matrix(data["weights"]["R"], "weights.R")
             gw = data.get("nominal_gain_weights")
@@ -61,14 +61,17 @@ class ExperimentConfig:
                 raise ConfigError(f"method must be one of {ALL_METHODS}")
             dm = data.get("disturbance_model", {"kind": "zero"})
             self.disturbance_kind = str(dm.get("kind", "zero"))
-            self.impulses = [(int(s["time"]), int(s["coordinate"]), float(s["value"]))
-                             for s in dm.get("impulses", [])]
+            self.impulses = [(_integer(s["time"], "disturbance_model.impulses.time"),
+                              _integer(s["coordinate"], "disturbance_model.impulses.coordinate"),
+                              float(s["value"])) for s in dm.get("impulses", [])]
             self.replay_sequence = (_matrix(dm["sequence"], "disturbance_model.sequence")
                                     if "sequence" in dm else None)
-            self.allow_out_of_set = bool(dm.get("allow_out_of_set", False))
+            self.allow_out_of_set = dm.get("allow_out_of_set", False)
+            if not isinstance(self.allow_out_of_set, bool):
+                raise ConfigError("disturbance_model.allow_out_of_set: need true or false")
             self.x0 = np.asarray(data["x0"], dtype=float)
-            self.steps = int(data["steps"])
-            self.seed = _check_seed(int(data.get("seed", 0)))
+            self.steps = _check_steps(_integer(data["steps"], "steps"))
+            self.seed = _check_seed(_integer(data.get("seed", 0), "seed"))
             self.output_dir = str(data.get("output_dir", "out"))
             self.disturbance_model()  # an unknown kind or a replay with no sequence
         except ConfigError:
@@ -77,10 +80,9 @@ class ExperimentConfig:
             raise ConfigError(f"missing config field: {exc.args[0]}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
-        _check_steps(self.steps)
         nx = self.A.shape[0]
-        if self.x0.shape != (nx,):
-            raise ConfigError(f"x0: need {nx} entries, got shape {self.x0.shape}")
+        if self.x0.shape != (nx,) or not np.all(np.isfinite(self.x0)):
+            raise ConfigError(f"x0: need {nx} finite entries, got {self.x0.tolist()}")
         if self.replay_sequence is not None and self.replay_sequence.shape[1] != nx:
             raise ConfigError(f"disturbance_model.sequence: need {nx} columns, "
                               f"got {self.replay_sequence.shape[1]}")
@@ -134,6 +136,13 @@ class ExperimentConfig:
                            Q=self.Q, R=self.R)
 
 
+def _integer(value, field):
+    """A number with no fractional part, not a boolean or a string."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ConfigError(f"{field}: need an integer, got {value!r}")
+    return int(value)
+
+
 def _check_steps(steps):
     if steps < 1:
         raise ConfigError(f"steps must be positive, got {steps}")
@@ -147,11 +156,14 @@ def _check_seed(seed):
 
 
 def _prepare(config, seed, steps):
-    """The seed, steps, setup and disturbance model of a run; a replay is
-    checked against the steps (``DisturbanceModel.realize``) first."""
+    """The seed, steps, setup and disturbance model of a run; the impulse
+    times and a replay (``DisturbanceModel.realize``) fit the steps."""
     seed = config.seed if seed is None else _check_seed(seed)
     steps = config.steps if steps is None else _check_steps(steps)
     dist = config.disturbance_model(seed=seed)
+    for t, _, _ in dist.impulses:
+        if t > steps:
+            raise ConfigError(f"disturbance_model.impulses: time {t} is past the {steps} steps")
     if dist.kind == "replay":
         try:
             dist.realize(config.W, steps)

@@ -151,8 +151,7 @@ class RmpcQp:
         for a in (self.H, self.g_x0, self.c_x0, self.A_in, self.C_x0, self.b_in, self.law,
                   self.face_map, self.face_rows):
             a.flags.writeable = False
-        self.problem = solver.QpProblem(H=self.H, g=np.zeros(self.H.shape[0]),
-                                        A_in=self.A_in, b_in=self.b_in)
+        self.problem = solver.QpProblem(self.H, self.A_in)
         self.h_max = np.max(np.abs(self.H))
         self.project_x = geometry.Projection(plant.Tx.A, setup.TX_offsets, setup.Q)
         self.project_u = geometry.Projection(plant.Tu.A, setup.TU_offsets, setup.R)
@@ -177,15 +176,17 @@ def solve_rmpc(setup, x0):
     The stop test's max|H| and the targets' bounds or projection rows
     are the setup's (``RmpcQp``); a solve computes only what x0 moves.
 
-    Raises InfeasibleState when x0 lies outside the feasible region
-    (including x0 outside the raw state set). The returned solution has
-    exactly consistent dynamics: states are re-propagated from the input
-    sequence and slack points re-projected (``qp.project_x`` and
-    ``qp.project_u``) on every path, and the re-projected value must meet
-    the QP's to 1e-6, so downstream error coordinates are
-    bit-reproducible.
+    Raises ValueError for a non-finite x0, InfeasibleState for one
+    outside the feasible region (or the raw state set). The returned
+    solution has exactly consistent dynamics: states are re-propagated
+    from the input sequence and slack points re-projected
+    (``qp.project_x`` and ``qp.project_u``) on every path, and the
+    re-projected value must meet the QP's to 1e-6, so downstream error
+    coordinates are bit-reproducible.
     """
     x0 = np.asarray(x0, dtype=float).reshape(setup.nx)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     N, nx, nu = setup.N, setup.nx, setup.nu
 
     if setup.plant.X.membership_residual(x0) > geometry.FEAS_TOL:
@@ -210,7 +211,7 @@ def solve_rmpc(setup, x0):
                 z, kkt, path = z_face, kkt_face, FACE
         if path == LAW:
             # An iterate that reaches FEAS_TOL but not QP_TOL is still accepted.
-            rep = solver.solve_qp(qp.problem.with_vectors(g, b))
+            rep = solver.solve_qp(qp.problem, g, b)
             if rep.status == solver.Status.INFEASIBLE:
                 raise InfeasibleState(x0, "(QP infeasible)")
             accepted_loose = (rep.status == solver.Status.MAXITER and rep.x is not None

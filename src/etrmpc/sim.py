@@ -49,6 +49,8 @@ class DisturbanceModel:
         self.kind = kind
         self.seed = int(seed)
         self.impulses = [(int(t), int(p), float(v)) for t, p, v in impulses]
+        if not all(np.isfinite(v) for _, _, v in self.impulses):
+            raise ValueError("impulse values must be finite")
         self.sequence = None if sequence is None else np.asarray(sequence, dtype=float)
         self.allow_out_of_set = bool(allow_out_of_set)
         if kind == "replay" and self.sequence is None:

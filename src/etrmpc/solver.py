@@ -32,7 +32,6 @@ by more than 1e-10 (1 + max|b|). At most 200 iterations (active-set
 steps) per solve.
 """
 
-import copy
 import enum
 from itertools import repeat
 
@@ -68,42 +67,29 @@ class Status(enum.Enum):
 
 
 class QpProblem:
-    """minimize 0.5 x.H x + g.x  s.t.  A_eq x = b_eq, A_in x <= b_in.
+    """minimize 0.5 x.H x + g.x  s.t.  A_eq x = b_eq, A_in x <= b_in, with
+    the g and b_in of each solve (``solve_qp``).
 
     H must be symmetric positive semidefinite (eigenvalue floor -1e-10
     before symmetrization), and A_in must have rows. The split of its
     Newton step (``_Newton``) is made here once, with the rows it
-    eliminates gathered, and shared by ``with_vectors``.
+    eliminates gathered.
     """
 
-    def __init__(self, H, g, A_in=None, b_in=None, A_eq=None, b_eq=None):
+    def __init__(self, H, A_in, A_eq=None, b_eq=None):
         H = np.asarray(H, dtype=float)
         self.H = 0.5 * (H + H.T)
-        self.g = np.asarray(g, dtype=float).reshape(-1)
         if np.min(np.linalg.eigvalsh(self.H)) < -1e-10:
             raise ValueError("H must be positive semidefinite")
-        self.A_in = None if A_in is None else np.ascontiguousarray(A_in, dtype=float)
-        self.b_in = None if b_in is None else np.asarray(b_in, dtype=float).reshape(-1)
-        self.A_eq = None if A_eq is None else np.ascontiguousarray(A_eq, dtype=float)
-        self.b_eq = None if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
-        _check_dims(self.g.size, self.A_in, self.b_in, self.A_eq, self.b_eq)
-        A = self.A_eq if self.A_eq is not None else _empty(self.g.size)[0]
-        self._newton = _Newton(self.H, A, self.A_in)
-
-    def with_vectors(self, g, b_in):
-        """This problem with its own linear term g and row offsets b_in.
-
-        H and the rows are shared, not copied or validated again; g and
-        b_in must keep their sizes and be finite.
-        """
-        p = copy.copy(self)
-        p.g = np.asarray(g, dtype=float).reshape(-1)
-        p.b_in = np.asarray(b_in, dtype=float).reshape(-1)
-        if p.g.shape != self.g.shape or p.b_in.shape != self.b_in.shape:
-            raise ValueError("linear term or row offsets have inconsistent dimensions")
-        if not (np.all(np.isfinite(p.g)) and np.all(np.isfinite(p.b_in))):
-            raise ValueError("linear term and row offsets must be finite")
-        return p
+        n = len(self.H)
+        if A_eq is None:
+            A_eq, b_eq = _empty(n)
+        self.A_in = np.ascontiguousarray(A_in, dtype=float)
+        self.A_eq = np.ascontiguousarray(A_eq, dtype=float)
+        self.b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
+        # The rows' shape and finiteness; each solve checks its own b_in.
+        _check_dims(n, self.A_in, np.zeros(self.A_in.shape[:1]), self.A_eq, self.b_eq)
+        self._newton = _Newton(self.H, self.A_eq, self.A_in)
 
 
 class SolveReport:
@@ -680,13 +666,18 @@ def vertex_on_rows(M, rhs, order, fixed=0):
         return None
 
 
-def solve_qp(p):
-    """Minimize 0.5 x.H x + g.x subject to the problem's constraints, to
-    QP_TOL."""
-    A, b = (p.A_eq, p.b_eq) if p.A_eq is not None else _empty(p.g.size)
-    st, x, kkt, it = _ipm(p.H, p.g[None], A, b, p.A_in, p.b_in[None], QP_TOL,
+def solve_qp(p, g, b_in):
+    """Minimize 0.5 x.H x + g.x subject to the problem's equality rows and
+    A_in x <= b_in, to QP_TOL. g and b_in must keep the problem's sizes
+    and be finite."""
+    g, b_in = (np.asarray(v, dtype=float).reshape(-1) for v in (g, b_in))
+    if g.shape != (len(p.H),) or b_in.shape != (len(p.A_in),):
+        raise ValueError("linear term or row offsets have inconsistent dimensions")
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(b_in))):
+        raise ValueError("linear term and row offsets must be finite")
+    st, x, kkt, it = _ipm(p.H, g[None], p.A_eq, p.b_eq, p.A_in, b_in[None], QP_TOL,
                           newton=p._newton)[0]
-    obj = float(0.5 * x @ p.H @ x + p.g @ x) if x is not None and st == Status.OPTIMAL else None
+    obj = float(0.5 * x @ p.H @ x + g @ x) if x is not None and st == Status.OPTIMAL else None
     return SolveReport(st, x, obj, kkt, it)
 
 

@@ -63,7 +63,7 @@ def extended_plan(setup, sol):
 
 
 class PrincipalPolytope:
-    """Constraint rows over the box-vertex parameters [vbar; vund].
+    """One box's rows over the box-vertex parameters [vbar; vund].
 
     G holds the error-space normals (one per surviving row), W the lifted
     vertex-support rows, d the offsets b - a.xi, and meta the provenance
@@ -75,16 +75,6 @@ class PrincipalPolytope:
         self.d = d
         self.G = G
         self.meta = meta
-
-    @classmethod
-    def from_error_rows(cls, G, d):
-        """Build directly from error-space rows G e <= d (origin inside)."""
-        G = np.asarray(G, dtype=float)
-        d = np.asarray(d, dtype=float).reshape(-1)
-        if np.min(d, initial=0.0) < -FEAS_TOL:
-            raise InfeasibleCandidate("origin outside the supplied rows")
-        meta = [("raw", 0, r) for r in range(G.shape[0])]
-        return cls(_lifted(G), np.maximum(d, 0.0), G, meta)
 
 
 def _lifted(G):
@@ -164,19 +154,19 @@ def assemble_principal(setup, sol):
     return d
 
 
-def construct_boxes(pps, method):
-    """The certified boxes of hand-built principal polytopes, which share
-    their rows W, as one TriggerSchedule (``_schedule``)."""
-    W = pps[0].W
-    if any(pp.W is not W and not np.array_equal(pp.W, W) for pp in pps):
-        raise ValueError("principal polytopes must share their rows W")
-    return _schedule(method, pps[0], np.array([pp.d for pp in pps]))
+def construct_boxes(G, D, method):
+    """The certified boxes of hand-written error-space rows G e <= d, one
+    row d of D per polytope, as one TriggerSchedule (``_schedule``); row
+    r of G has the provenance ("raw", 0, r)."""
+    rows = PrincipalRows.__new__(PrincipalRows)
+    rows.G = np.array(G, dtype=float)
+    rows.W, rows.meta = _lifted(rows.G), [("raw", 0, r) for r in range(len(rows.G))]
+    return _schedule(method, rows, np.array(D, dtype=float, ndmin=2))
 
 
 def _schedule(method, rows, D):
     """The TriggerSchedule of the offsets D (one row per polytope) over the
-    shared G, W and meta of ``rows``: the setup's PrincipalRows, or the
-    first of hand-built polytopes.
+    shared G, W and meta of the PrincipalRows ``rows``.
 
     CP1/CP2, the exact convex-program route, maximize the product of total
     widths (CP1) or of both one-sided widths (CP2) in one batched solve;
@@ -188,18 +178,21 @@ def _schedule(method, rows, D):
     zero a width at or below that threshold.
 
     The offsets are checked once, before any solve: the origin must lie
-    in every row. The boxes are built, then checked and measured by the
-    schedule, in array passes over the stacked offsets, one stacked
-    product per step (``solver._mv``), so each box has the bits of its
-    batch of one. A failure names the 1-based ``j=`` of the first
-    polytope that fails.
+    in every row to FEAS_TOL (InfeasibleCandidate), and a smaller
+    negative offset counts as zero. The boxes are built, then checked and
+    measured by the schedule, in array passes over the stacked offsets,
+    one stacked product per step (``solver._mv``), so each box has the
+    bits of its batch of one. A failure names the 1-based ``j=`` of the
+    first polytope that fails.
     """
     if method not in METHODS:
         raise ValueError(f"unknown construction method {method!r}")
     out = D < -FEAS_TOL
     if out.any():
         j, r = np.unravel_index(np.argmax(out), out.shape)
-        raise TriggerError(f"j={j + 1}: origin outside principal row {r} by {-D[j, r]:.3e}")
+        raise InfeasibleCandidate(f"j={j + 1}: origin outside principal row {r} "
+                                  f"by {-D[j, r]:.3e}")
+    D = np.maximum(D, 0.0)
     W, k = rows.W, rows.G.shape[1]
     if method in (CP1, CP2):
         lower, upper, degenerate, error = _cp_boxes(W, D, k, method)

@@ -12,7 +12,7 @@ from etrmpc.geometry import HyperRect, Polytope, Projection, pontryagin_diff, sh
 from etrmpc.sim import DisturbanceModel, run_closed_loop, trigger_statistics
 from etrmpc.tightening import (PlantModel, is_controllable,
                                synthesize_tightening_gains)
-from etrmpc.trigger import CP1, CP2, LP1, LP2, PrincipalPolytope, construct_boxes
+from etrmpc.trigger import CP1, CP2, LP1, LP2, construct_boxes
 
 from batch_reactor import X0, batch_plant, batch_setup
 from oracles import grid_box_volume
@@ -95,11 +95,11 @@ def test_criterion_4_construction_vs_grid_oracle():
         d = rng.uniform(0.4, 2.0, size=m)
         G = np.vstack([G, np.eye(2), -np.eye(2)])
         d = np.concatenate([d, rng.uniform(1.0, 3.0, size=4)])
-        pp = PrincipalPolytope.from_error_rows(G, d)
-        steps = _grid_steps(pp)
         for q, cp_method, lp_method in ((1, CP1, LP1), (2, CP2, LP2)):
-            cp = construct_boxes([pp], cp_method)
-            lp = construct_boxes([pp], lp_method)
+            cp = construct_boxes(G, [d], cp_method)
+            lp = construct_boxes(G, [d], lp_method)
+            (pp,) = cp.principals
+            steps = _grid_steps(pp)
             v_cp = (cp.vol1, cp.vol2)[q - 1][0]
             v_lp = (lp.vol1, lp.vol2)[q - 1][0]
             mode = "sum_log_width" if q == 1 else "sum_log_both"
@@ -207,8 +207,8 @@ def test_criterion_7_shape_diagnostic():
     offset = HyperRect([-0.1, -1.0], [1.9, 1.0])
     assert shape_ratios(offset.A, offset.b)[0] == pytest.approx(10.0, abs=1e-6)
 
-    pp = PrincipalPolytope.from_error_rows(ILL_SHAPED_G, ILL_SHAPED_D)
-    sym = {m: _symmetry(construct_boxes([pp], m).box(1)) for m in (CP1, CP2, LP1, LP2)}
+    sym = {m: _symmetry(construct_boxes(ILL_SHAPED_G, [ILL_SHAPED_D], m).box(1))
+           for m in (CP1, CP2, LP1, LP2)}
     assert sym["CP2"] > sym["CP1"]
     assert sym["LP2"] > sym["LP1"]
     ratio = shape_ratios(ILL_SHAPED_G, ILL_SHAPED_D)[0]

@@ -290,9 +290,27 @@ class TestMain:
                                               "sequence": np.full((80, 4), 0.5).tolist()}),
         lambda d: d.update(disturbance_model={"kind": "replay"}),
         lambda d: d.update(disturbance_model={"kind": "gusty"}),
+        lambda d: d.update(x0=[float("nan"), 0.0, 0.0, 0.0]),
+        lambda d: d.update(x0=[float("inf"), 0.0, 0.0, 0.0]),
+        lambda d: d.update(disturbance_model={
+            "kind": "zero", "impulses": [{"time": 3, "coordinate": 0, "value": float("nan")}]}),
+        lambda d: d.update(horizon=10.7),
+        lambda d: d.update(nilpotency_steps=4.5),
+        lambda d: d.update(disturbance_model={
+            "kind": "zero", "impulses": [{"time": 2.9, "coordinate": 1, "value": 0.1}]}),
+        lambda d: d.update(disturbance_model={
+            "kind": "zero", "impulses": [{"time": 2, "coordinate": 1.7, "value": 0.1}]}),
+        lambda d: d.update(seed=True),
+        lambda d: d.update(steps="20"),
+        lambda d: d.update(disturbance_model={"kind": "replay", "allow_out_of_set": "false",
+                                              "sequence": np.full((80, 4), 0.5).tolist()}),
+        lambda d: d.update(steps=20, disturbance_model={
+            "kind": "zero", "impulses": [{"time": 21, "coordinate": 0, "value": 0.1}]}),
     ], ids=["impulse_coordinate_4", "impulse_coordinate_-1", "impulse_time_0", "seed_-1",
             "seed_2**128", "replay_too_short", "replay_leaves_W", "replay_no_sequence",
-            "unknown_kind"])
+            "unknown_kind", "x0_nan", "x0_infinity", "impulse_value_nan", "horizon_10.7",
+            "nilpotency_steps_4.5", "impulse_time_2.9", "impulse_coordinate_1.7", "seed_true",
+            "steps_string", "allow_out_of_set_string", "impulse_past_steps"])
     def test_config_mistakes_are_config_errors(self, config, command, mutate, tmp_path,
                                                capsys):
         # Checked before the run starts: exit 2 on one line, no output.

@@ -48,6 +48,14 @@ class TestSolve:
         with pytest.raises(InfeasibleState):
             solve_rmpc(setup, [10.0, 0.0])
 
+    def test_non_finite_state_rejected(self):
+        # A NaN state would pass the membership test (NaN > tol is False),
+        # so it is rejected before it, as is an infinite one.
+        setup = batch_setup()
+        for x0 in ([np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="^x0 must be finite"):
+                solve_rmpc(setup, x0)
+
     def test_dynamics_exact(self):
         setup = small_setup()
         sol = solve_rmpc(setup, [1.5, -0.5])
@@ -219,10 +227,9 @@ class TestQpData:
         for x0 in (X0, x1, -0.6 * X0, np.array([-1.0, 1.0, 1.0, -1.0])):
             g, b_eq = _explicit_x0_terms(setup, x0)
             explicit = solver.solve_qp(
-                solver.QpProblem(H=H, g=g, A_in=A_in, b_in=b_in, A_eq=A_eq, b_eq=b_eq))
+                solver.QpProblem(H=H, A_in=A_in, A_eq=A_eq, b_eq=b_eq), g, b_in)
             condensed = solver.solve_qp(
-                solver.QpProblem(H=qp.H, g=qp.g_x0 @ x0, A_in=qp.A_in,
-                                 b_in=qp.b_in - qp.C_x0 @ x0))
+                solver.QpProblem(H=qp.H, A_in=qp.A_in), qp.g_x0 @ x0, qp.b_in - qp.C_x0 @ x0)
             assert explicit.status == condensed.status == solver.Status.OPTIMAL
             want = explicit.objective + x0 @ setup.Q @ x0
             assert want > 1e-3
@@ -263,7 +270,7 @@ class TestQpData:
         qp = setup.qp
         for x0 in (X0, -0.6 * X0):  # V* > 0: the interior-point loop answers
             sol = solve_rmpc(setup, x0)
-            rep = solver.solve_qp(qp.problem.with_vectors(qp.g_x0 @ x0, qp.b_in - qp.C_x0 @ x0))
+            rep = solver.solve_qp(qp.problem, qp.g_x0 @ x0, qp.b_in - qp.C_x0 @ x0)
             assert sol.iterations == rep.iterations > 0 and sol.path == rmpc.IPM
         sol = solve_rmpc(setup, np.zeros(setup.nx))  # the law answers
         assert sol.iterations == 0 and sol.path == rmpc.LAW
@@ -348,7 +355,7 @@ def _check_answer(make, x0):
         assert _stop_residual(qp, law, g, b) <= solver.QP_TOL
         g_e, b_eq = _explicit_x0_terms(setup, x0)
         explicit = solver.solve_qp(
-            solver.QpProblem(H=H, g=g_e, A_in=A_in, b_in=b_in, A_eq=A_eq, b_eq=b_eq))
+            solver.QpProblem(H=H, A_in=A_in, A_eq=A_eq, b_eq=b_eq), g_e, b_in)
         assert explicit.status == solver.Status.OPTIMAL
         want = explicit.objective + x0 @ setup.Q @ x0
         assert abs(sol.value - want) <= 1e-8 * max(1.0, abs(want))
@@ -365,7 +372,7 @@ def _check_answer(make, x0):
         return sol.path
     assert sol.path == rmpc.IPM and sol.iterations > 0
     assert least_norm is None
-    rep = solver.solve_qp(qp.problem.with_vectors(g, b))
+    rep = solver.solve_qp(qp.problem, g, b)
     assert sol.u.tobytes() == rep.x[qp.u].tobytes()
     return sol.path
 

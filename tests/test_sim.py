@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from etrmpc import sim, solver
 from etrmpc.cli import ExperimentConfig
 from etrmpc.geometry import HyperRect, Polytope, supports
-from etrmpc.rmpc import solve_rmpc
+from etrmpc.rmpc import InfeasibleState, solve_rmpc
 from etrmpc.sim import (DisturbanceModel, run_closed_loop, step_trigger_test,
                         trigger_statistics)
 from etrmpc.tightening import PlantModel, TighteningError, build_setup
@@ -427,3 +427,58 @@ class TestStatistics:
 
     def test_solves_never_exceed_steps(self, setup, uniform_trace):
         assert trigger_statistics(uniform_trace)["solves"] <= 60
+
+
+def vertex_failures(setup, trace, scale=1.0):
+    """The paper's two guarantees at the box vertices of a run, each box
+    E_k scaled by ``scale`` about the nominal state sol.x[k].
+
+    V* is convex and its feasible states form a convex set, so every state
+    of a box has a feasible plan with V* <= V*(x_tau) - sum of the first k
+    stage costs when every vertex does. Returns the number of vertex
+    solves and the failures (tau, k, vertex, margin), the margin scaled by
+    1 + V*(vertex) and None where no plan exists. Each trigger's re-solve
+    must give the run's V*.
+    """
+    solves, failures = 0, []
+    for tau in trace.trigger_times:
+        sol = solve_rmpc(setup, trace.x[tau])
+        assert sol.value == trace.v_star[tau]
+        sch = trace.schedules[tau]
+        for k in range(1, setup.N):
+            lower, upper = scale * sch.lower[k - 1], scale * sch.upper[k - 1]
+            if not (upper - lower).any():
+                continue
+            bound = sol.value - float(np.sum(sol.stage_costs[:k]))
+            for corner in set(itertools.product(*zip(lower.tolist(), upper.tolist()))):
+                vertex = sol.x[k] + np.array(corner)
+                solves += 1
+                try:
+                    value = solve_rmpc(setup, vertex).value
+                except InfeasibleState:
+                    failures.append((tau, k, vertex.tolist(), None))
+                    continue
+                margin = (bound - value) / (1.0 + value)
+                if margin < -1e-9:
+                    failures.append((tau, k, vertex.tolist(), margin))
+    return solves, failures
+
+
+class TestVertexCertificate:
+    """Robust recursive feasibility and value decay hold at every vertex of
+    every nonzero box of a reference run (uniform disturbance, T = 60)."""
+
+    @pytest.mark.parametrize("seed", [1234, 1240])
+    @pytest.mark.parametrize("method", ["CP1", "CP2", "LP1", "LP2"])
+    def test_every_box_vertex_keeps_both_guarantees(self, setup, method, seed):
+        trace = run_closed_loop(setup, X0, method, DisturbanceModel("uniform", seed=seed), T=60)
+        solves, failures = vertex_failures(setup, trace)
+        assert solves > 1000
+        assert failures == []
+
+    def test_boxes_scaled_past_the_construction_fail(self, setup):
+        # Sharpness: CP1's boxes grown by 1% leave the guarantee at some
+        # vertex (at tau = 0, k = 9 on this seed), so the check can fail.
+        trace = run_closed_loop(setup, X0, "CP1", DisturbanceModel("uniform", seed=1234), T=60)
+        _, failures = vertex_failures(setup, trace, scale=1.01)
+        assert (0, 9) in {(tau, k) for tau, k, _, _ in failures}

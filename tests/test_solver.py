@@ -244,8 +244,7 @@ class TestLpBatch:
         # complement and the S block with a larger ridge until one holds.
         a = 1e5
         A = np.array([[a, a, 0.0], [-a, -a, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-        p = QpProblem(H=np.diag([0.0, 0.0, 1.0]), g=[-10.0, -10.0, 2.0], A_in=A,
-                      b_in=np.ones(4))
+        p = QpProblem(H=np.diag([0.0, 0.0, 1.0]), A_in=A)
         assert p._newton.S.tolist() == [2]
         solves, built = [], []
         solve, matrix = solver._Newton.solve, solver._Newton.matrix
@@ -263,7 +262,7 @@ class TestLpBatch:
         monkeypatch.setattr(solver._Newton, "matrix",
                             lambda self, H, G, d, reg: built.append(reg[0])
                             or matrix(self, H, G, d, reg))
-        rep = solve_qp(p)
+        rep = solve_qp(p, [-10.0, -10.0, 2.0], np.ones(4))
         assert solves[0] is False  # the first Newton solve fails
         assert len(built) > rep.iterations  # rebuilt with a larger ridge
         assert max(built) >= 1e4 * min(built)
@@ -399,9 +398,9 @@ class TestNewtonStep:
         rng = np.random.default_rng(29)
         h, g = rng.uniform(0.5, 2.0, 3), rng.normal(size=3) * 3.0
         A, b = box_rows(3, 1.0)
-        p = QpProblem(H=np.diag(h), g=g, A_in=A, b_in=b)
+        p = QpProblem(H=np.diag(h), A_in=A)
         assert p._newton.U.size == 0
-        rep = solve_qp(p)
+        rep = solve_qp(p, g, b)
         assert rep.status == Status.OPTIMAL
         assert np.allclose(rep.x, np.clip(-g / h, -1.0, 1.0), atol=1e-8)
 
@@ -414,9 +413,9 @@ class TestNewtonStep:
             h = np.abs(G) @ np.full(6, 0.5) + rng.uniform(0.1, 1.0, G.shape[0])
             g = rng.normal(size=6) * 3.0
             b_eq = A_eq @ rng.uniform(-0.2, 0.2, 6)
-            p = QpProblem(H=H, g=g, A_in=G, b_in=h, A_eq=A_eq, b_eq=b_eq)
+            p = QpProblem(H=H, A_in=G, A_eq=A_eq, b_eq=b_eq)
             assert p._newton.S.tolist() == [3, 4, 5]
-            rep = solve_qp(p)
+            rep = solve_qp(p, g, h)
             assert rep.status == Status.OPTIMAL
             ref = minimize(lambda x: 0.5 * x @ H @ x + g @ x, np.zeros(6),
                            jac=lambda x: H @ x + g, method="SLSQP",
@@ -437,7 +436,7 @@ class TestQp:
         g = np.zeros(n)
         A = np.zeros((1, n))
         A[0, 0] = -1.0
-        rep = solve_qp(QpProblem(H=H, g=g, A_in=A, b_in=[-1.0]))
+        rep = solve_qp(QpProblem(H=H, A_in=A), g, [-1.0])
         assert rep.status == Status.OPTIMAL
         assert np.allclose(rep.x, [1.0, 0.0, 0.0], atol=1e-6)
         assert 2 * rep.objective == pytest.approx(2.0, abs=1e-6)  # x.x = 1
@@ -448,9 +447,9 @@ class TestQp:
         Hroot = rng.normal(size=(4, 4))
         H = Hroot @ Hroot.T + 4.0 * np.eye(4)
         g = rng.normal(size=4)
-        for rows in ({}, {"A_in": np.zeros((0, 4)), "b_in": np.zeros(0)}):
+        for A_in in (None, np.zeros((0, 4))):
             with pytest.raises(ValueError):
-                QpProblem(H=H, g=g, **rows)
+                QpProblem(H=H, A_in=A_in)
 
     def test_random_box_qps_match_active_set_enumeration(self):
         rng = np.random.default_rng(11)
@@ -460,42 +459,43 @@ class TestQp:
             H = Hroot @ Hroot.T + 1.0 * np.eye(n)
             g = rng.normal(size=n) * 2.0
             A, b = box_rows(n, 1.0)
-            rep = solve_qp(QpProblem(H=H, g=g, A_in=A, b_in=b))
+            rep = solve_qp(QpProblem(H=H, A_in=A), g, b)
             assert rep.status == Status.OPTIMAL
             _, obj = box_qp_by_active_sets(H, g, -np.ones(n), np.ones(n))
             assert rep.objective == pytest.approx(obj, abs=1e-6)
 
     def test_equality_constrained(self):
         H = 2.0 * np.eye(2)
-        rep = solve_qp(QpProblem(H=H, g=np.zeros(2),
-                                 A_eq=[[1.0, 1.0]], b_eq=[2.0],
-                                 A_in=-np.eye(2), b_in=np.zeros(2)))
+        rep = solve_qp(QpProblem(H=H, A_eq=[[1.0, 1.0]], b_eq=[2.0], A_in=-np.eye(2)),
+                       np.zeros(2), np.zeros(2))
         assert rep.status == Status.OPTIMAL
         assert np.allclose(rep.x, [1.0, 1.0], atol=1e-6)
 
     def test_infeasible_qp(self):
         A = np.array([[1.0], [-1.0]])
-        rep = solve_qp(QpProblem(H=[[2.0]], g=[0.0], A_in=A, b_in=[-2.0, 1.0]))
+        rep = solve_qp(QpProblem(H=[[2.0]], A_in=A), [0.0], [-2.0, 1.0])
         assert rep.status == Status.INFEASIBLE
 
     def test_rejects_indefinite_hessian(self):
         with pytest.raises(ValueError):
-            QpProblem(H=[[-1.0]], g=[0.0])
+            QpProblem(H=[[-1.0]], A_in=[[1.0]])
 
     def test_rejects_hessian_with_negative_eigenvalue(self):
         with pytest.raises(ValueError):
-            QpProblem(H=np.diag([1.0, -1.0]), g=np.zeros(2))
+            QpProblem(H=np.diag([1.0, -1.0]), A_in=np.eye(2))
 
     def test_with_vectors_checks_size_and_finiteness(self):
-        p = QpProblem(H=np.eye(2), g=np.zeros(2), A_in=np.eye(2), b_in=np.ones(2))
-        rep = solve_qp(p.with_vectors([1.0, -1.0], [2.0, 0.5]))
-        ref = solve_qp(QpProblem(H=np.eye(2), g=[1.0, -1.0], A_in=np.eye(2), b_in=[2.0, 0.5]))
+        # One problem serves solves with other vectors, each checked: a
+        # solve's report is that of a problem built for it alone.
+        p = QpProblem(H=np.eye(2), A_in=np.eye(2))
+        solve_qp(p, np.zeros(2), np.ones(2))
+        rep = solve_qp(p, [1.0, -1.0], [2.0, 0.5])
+        ref = solve_qp(QpProblem(H=np.eye(2), A_in=np.eye(2)), [1.0, -1.0], [2.0, 0.5])
         assert same_report(rep, ref)
-        assert p.g.tobytes() == np.zeros(2).tobytes()  # the validated problem is unchanged
         for g, b in (([1.0], [2.0, 2.0]), ([0.0, 0.0], [2.0]),
                      ([np.nan, 0.0], [2.0, 2.0]), ([0.0, 0.0], [np.inf, 2.0])):
             with pytest.raises(ValueError):
-                p.with_vectors(g, b)
+                solve_qp(p, g, b)
 
 
 def least_distance_rows(seed, n, m, n_copies, n_zero):

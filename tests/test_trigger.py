@@ -124,8 +124,8 @@ class TestPrincipal:
     def test_scalar_hand_expansion(self):
         # X = [-1, 1], mapped one-to-one, candidate at 0.2:
         # support rows become vbar <= 0.8 and vund <= 1.2.
-        pp = PrincipalPolytope.from_error_rows(
-            np.array([[1.0], [-1.0]]), np.array([1.0 - 0.2, 1.0 + 0.2]))
+        (pp,) = construct_boxes(np.array([[1.0], [-1.0]]),
+                                [np.array([1.0 - 0.2, 1.0 + 0.2])], LP2).principals
         assert np.allclose(pp.W, [[1.0, 0.0], [0.0, 1.0]])
         assert np.allclose(pp.d, [0.8, 1.2])
 
@@ -146,8 +146,9 @@ class TestPrincipal:
         assert np.min(assemble_principal(setup, sol)) >= 0.0
 
     def test_infeasible_candidate_detected(self):
-        with pytest.raises(trigger.InfeasibleCandidate):
-            PrincipalPolytope.from_error_rows(np.array([[1.0]]), np.array([-1.0]))
+        for method in trigger.METHODS:
+            with pytest.raises(trigger.InfeasibleCandidate):
+                construct_boxes(np.array([[1.0]]), [np.array([-1.0])], method)
 
     def test_rows_match_per_row_build(self):
         cases = ((batch_setup(), (X0, [0.1, 0.1, -0.1, 0.1])),
@@ -313,34 +314,38 @@ class TestNewtonSplit:
 class TestConstructBoxes:
     SQUARE = np.vstack([np.eye(2), -np.eye(2)])
 
-    def test_polytopes_must_share_rows(self):
-        a = PrincipalPolytope.from_error_rows(self.SQUARE, np.ones(4))
-        b = PrincipalPolytope.from_error_rows(2.0 * self.SQUARE, np.ones(4))
-        for method in trigger.METHODS:
-            with pytest.raises(ValueError, match="^principal polytopes must share their rows W$"):
-                construct_boxes([a, b], method)
-
     def test_equal_rows_in_other_arrays_are_shared(self):
-        a = PrincipalPolytope.from_error_rows(self.SQUARE, np.ones(4))
-        c = PrincipalPolytope.from_error_rows(self.SQUARE.copy(), 2.0 * np.ones(4))
-        assert c.W is not a.W
+        # A batch of two polytopes over one copy of the rows: each box is
+        # its batch of one's, built over rows in another array.
+        D = np.array([np.ones(4), 2.0 * np.ones(4)])
         for method in trigger.METHODS:
-            pair = construct_boxes([a, c], method)
-            for i, pp in enumerate((a, c)):
-                alone = construct_boxes([pp], method)
+            pair = construct_boxes(self.SQUARE, D, method)
+            for i, d in enumerate(D):
+                alone = construct_boxes(self.SQUARE.copy(), [d], method)
+                assert alone.rows.W is not pair.rows.W
                 assert pair.lower[i].tobytes() == alone.lower[0].tobytes()
                 assert pair.upper[i].tobytes() == alone.upper[0].tobytes()
 
     def test_unknown_method_rejected(self):
-        pp = PrincipalPolytope.from_error_rows(self.SQUARE, np.ones(4))
         with pytest.raises(ValueError, match="^unknown construction method 'CP3'$"):
-            construct_boxes([pp], "CP3")
+            construct_boxes(self.SQUARE, [np.ones(4)], "CP3")
 
     @staticmethod
-    def trigger_polytopes(setup, x0):
-        rows = setup.principal_rows
-        return [PrincipalPolytope(rows.W, d, rows.G, rows.meta)
-                for d in assemble_principal(setup, solve_rmpc(setup, x0))]
+    def trigger_offsets(setup, x0):
+        return assemble_principal(setup, solve_rmpc(setup, x0))
+
+    @pytest.mark.parametrize("method", trigger.METHODS)
+    def test_setup_rows_by_hand_match_build_schedule(self, method):
+        # The setup's rows written by hand, with a trigger's offsets, give
+        # build_schedule's boxes, volumes and degenerate lists.
+        setup = batch_setup()
+        for x0 in (X0, [0.1, 0.1, -0.1, 0.1]):
+            sol = solve_rmpc(setup, x0)
+            got = construct_boxes(setup.principal_rows.G, assemble_principal(setup, sol), method)
+            want = build_schedule(setup, sol, method)
+            for name in ("lower", "upper", "vol1", "vol2"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.degenerate_coords == want.degenerate_coords
 
     @pytest.mark.parametrize("method", trigger.METHODS)
     def test_each_box_equals_its_batch_of_one(self, method):
@@ -350,12 +355,13 @@ class TestConstructBoxes:
         # one's.
         setup = batch_setup()
         live = 0
+        G = setup.principal_rows.G
         for x0 in (X0, [0.1, 0.1, -0.1, 0.1], 0.3 * X0, 0.05 * X0):
-            pps = self.trigger_polytopes(setup, x0)
-            sch = construct_boxes(pps, method)
-            assert len(sch.lower) == len(pps)
-            for i, pp in enumerate(pps):
-                alone = construct_boxes([pp], method)
+            D = self.trigger_offsets(setup, x0)
+            sch = construct_boxes(G, D, method)
+            assert len(sch.lower) == len(D)
+            for i, d in enumerate(D):
+                alone = construct_boxes(G, [d], method)
                 for name in ("lower", "upper", "vol1", "vol2"):
                     got, want = getattr(sch, name)[i], getattr(alone, name)[0]
                     assert got.tobytes() == want.tobytes(), name
@@ -370,34 +376,34 @@ class TestConstructBoxes:
         # The polytopes of j=3 and j=6 lose every row (infinite offsets),
         # so no box coordinate of theirs is bounded: j=3 is named.
         setup = batch_setup()
-        pps = self.trigger_polytopes(setup, [0.1, 0.1, -0.1, 0.1])
+        D = self.trigger_offsets(setup, [0.1, 0.1, -0.1, 0.1])
         for j in (3, 6):
-            pp = pps[j - 1]
-            pps[j - 1] = PrincipalPolytope(pp.W, np.full_like(pp.d, np.inf), pp.G, pp.meta)
+            D[j - 1] = np.inf
         with pytest.raises(trigger.TriggerError,
                            match=r"^j=3: principal polytope leaves a box coordinate unbounded$"):
-            construct_boxes(pps, method)
+            construct_boxes(setup.principal_rows.G, D, method)
 
     @pytest.mark.parametrize("method", trigger.METHODS)
     def test_origin_outside_names_its_j_before_any_solve(self, method, monkeypatch):
         # Row 0 of j=3 and of j=6 holds the origin out by 1e-3: every
         # method names j=3 from the offsets, and no solver runs.
         setup = batch_setup()
-        pps = self.trigger_polytopes(setup, [0.1, 0.1, -0.1, 0.1])
+        D = self.trigger_offsets(setup, [0.1, 0.1, -0.1, 0.1])
         for j in (3, 6):
-            pps[j - 1].d[0] = -1e-3
+            D[j - 1, 0] = -1e-3
         for name in ("maximize_log_volume_batch", "solve_lp_batch", "coordinate_widths"):
             monkeypatch.setattr(solver, name, None)
         with pytest.raises(trigger.TriggerError,
-                           match=r"^j=3: origin outside principal row 0 by 1\.000e-03$"):
-            construct_boxes(pps, method)
+                           match=r"^j=3: origin outside principal row 0 by 1\.000e-03$") as err:
+            construct_boxes(setup.principal_rows.G, D, method)
+        assert isinstance(err.value, trigger.InfeasibleCandidate)
 
     @pytest.mark.parametrize("fault", ["nan", "inverted"])
     def test_unchecked_box_names_its_j(self, fault, monkeypatch):
         # LP2's builder returns box j=3 with a NaN bound or with lower above
         # upper (and j=5 doubled, outside its rows): j=3 is named.
         setup = batch_setup()
-        pps = self.trigger_polytopes(setup, [0.1, 0.1, -0.1, 0.1])
+        D = self.trigger_offsets(setup, [0.1, 0.1, -0.1, 0.1])
         build = trigger._lp2_boxes
 
         def faulty(*args):
@@ -413,7 +419,7 @@ class TestConstructBoxes:
         monkeypatch.setattr(trigger, "_lp2_boxes", faulty)
         with pytest.raises(trigger.TriggerError,
                            match=r"^j=3: built box is not finite with lower <= upper$"):
-            construct_boxes(pps, LP2)
+            construct_boxes(setup.principal_rows.G, D, LP2)
 
     def test_schedule_builds_no_per_j_objects(self, monkeypatch):
         # A trigger's schedule is its stacked arrays: no HyperRect and no
@@ -440,9 +446,7 @@ class TestConstructBoxes:
 
 class TestConstructCp:
     def test_symmetric_square_q2(self):
-        pp = PrincipalPolytope.from_error_rows(
-            np.vstack([np.eye(2), -np.eye(2)]), 2.0 * np.ones(4))
-        res = construct_boxes([pp], CP2)
+        res = construct_boxes(np.vstack([np.eye(2), -np.eye(2)]), [2.0 * np.ones(4)], CP2)
         assert np.allclose(res.box(1).lower, [-2.0, -2.0], atol=1e-6)
         assert np.allclose(res.box(1).upper, [2.0, 2.0], atol=1e-6)
 
@@ -454,8 +458,8 @@ class TestConstructCp:
             d = rng.uniform(0.4, 2.0, size=5)
             G = np.vstack([G, np.eye(2), -np.eye(2)])
             d = np.concatenate([d, np.full(4, 3.0)])
-            pp = PrincipalPolytope.from_error_rows(G, d)
-            res = construct_boxes([pp], (CP1, CP2)[q - 1])
+            res = construct_boxes(G, [d], (CP1, CP2)[q - 1])
+            (pp,) = res.principals
             v1, v2 = volumes(res)
             got = v1 if q == 1 else v2
             mode = "sum_log_width" if q == 1 else "sum_log_both"
@@ -468,17 +472,15 @@ class TestConstructCp:
         for _ in range(8):
             G = np.vstack([rng.normal(size=(4, 2)), np.eye(2), -np.eye(2)])
             d = np.concatenate([rng.uniform(0.3, 1.5, 4), np.full(4, 2.0)])
-            pp = PrincipalPolytope.from_error_rows(G, d)
-            v1_cp1, _ = volumes(construct_boxes([pp], CP1))
-            v1_cp2, _ = volumes(construct_boxes([pp], CP2))
+            v1_cp1, _ = volumes(construct_boxes(G, [d], CP1))
+            v1_cp2, _ = volumes(construct_boxes(G, [d], CP2))
             assert v1_cp1 >= v1_cp2 - 1e-9
 
     def test_degenerate_coordinate_clamped(self):
         # Second coordinate has zero feasible width.
         G = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         d = np.array([1.0, 1.0, 0.0, 0.0])
-        pp = PrincipalPolytope.from_error_rows(G, d)
-        res = construct_boxes([pp], CP2)
+        res = construct_boxes(G, [d], CP2)
         assert res.degenerate_coords[0] == [1]
         assert res.box(1).lower[1] == 0.0 and res.box(1).upper[1] == 0.0
         assert res.box(1).upper[0] == pytest.approx(1.0, abs=1e-6)
@@ -487,10 +489,11 @@ class TestConstructCp:
         # W = I: the one coordinate's upper side has a feasible width of
         # exactly DEGENERATE_WIDTH. CP2, whose pair width is the smaller
         # side, and LP2 both report the coordinate degenerate.
-        pp = PrincipalPolytope.from_error_rows([[1.0], [-1.0]], [1e-9, 1.0])
-        assert np.array_equal(pp.W, np.eye(2)) and pp.d[0] == solver.DEGENERATE_WIDTH
         for method in (CP2, LP2):
-            assert construct_boxes([pp], method).degenerate_coords[0] == [0], method
+            sch = construct_boxes([[1.0], [-1.0]], [[1e-9, 1.0]], method)
+            (pp,) = sch.principals
+            assert np.array_equal(pp.W, np.eye(2)) and pp.d[0] == solver.DEGENERATE_WIDTH
+            assert sch.degenerate_coords[0] == [0], method
 
     @pytest.mark.parametrize("method", [CP1, CP2])
     def test_reference_run_boxes_inside_rows_exactly(self, method):
@@ -506,12 +509,12 @@ class TestConstructCp:
         assert min(slacks) >= 0.0
 
     def test_iteration_cap_reported_and_box_accepted(self, monkeypatch):
-        pp = PrincipalPolytope.from_error_rows(ILL_SHAPED_G, ILL_SHAPED_D)
         monkeypatch.setattr(solver, "MAX_ITER", 5)
+        res = construct_boxes(ILL_SHAPED_G, [ILL_SHAPED_D], CP2)
+        (pp,) = res.principals
         (rep,) = solver.maximize_log_volume_batch(pp.W, [pp.d], solver.MODE_SUM_LOG_BOTH)
         assert rep.status == solver.Status.MAXITER
         assert rep.iterations == 5
-        res = construct_boxes([pp], CP2)
         assert np.array_equal(res.box(1).upper, rep.x[:2])
         assert np.array_equal(res.box(1).lower, -rep.x[2:])
         assert res.degenerate_coords[0] == []
@@ -520,10 +523,9 @@ class TestConstructCp:
 
 class TestConstructLp:
     def test_symmetric_square_matches_cp(self):
-        pp = PrincipalPolytope.from_error_rows(
-            np.vstack([np.eye(2), -np.eye(2)]), 2.0 * np.ones(4))
         for method in (LP1, LP2):
-            lp = construct_boxes([pp], method).box(1)
+            lp = construct_boxes(np.vstack([np.eye(2), -np.eye(2)]), [2.0 * np.ones(4)],
+                                 method).box(1)
             assert np.allclose(lp.lower, [-2.0, -2.0], atol=1e-6)
             assert np.allclose(lp.upper, [2.0, 2.0], atol=1e-6)
 
@@ -533,16 +535,14 @@ class TestConstructLp:
         for _ in range(10):
             G = np.vstack([rng.normal(size=(5, 2)), np.eye(2), -np.eye(2)])
             d = np.concatenate([rng.uniform(0.3, 1.8, 5), np.full(4, 2.5)])
-            pp = PrincipalPolytope.from_error_rows(G, d)
-            lp = construct_boxes([pp], (LP1, LP2)[q - 1])
-            cp = construct_boxes([pp], (CP1, CP2)[q - 1])
+            lp = construct_boxes(G, [d], (LP1, LP2)[q - 1])
+            cp = construct_boxes(G, [d], (CP1, CP2)[q - 1])
             assert volumes(lp)[q - 1] <= volumes(cp)[q - 1] + 1e-9
-            assert box_slack(pp, lp.box(1)) >= -1e-8
+            assert box_slack(lp.principals[0], lp.box(1)) >= -1e-8
 
     def test_fig1_style_lp1_strictly_below_cp1(self):
-        pp = PrincipalPolytope.from_error_rows(FIG1_STYLE_G, FIG1_STYLE_D)
-        cp = construct_boxes([pp], CP1)
-        lp = construct_boxes([pp], LP1)
+        cp = construct_boxes(FIG1_STYLE_G, [FIG1_STYLE_D], CP1)
+        lp = construct_boxes(FIG1_STYLE_G, [FIG1_STYLE_D], LP1)
         # Hand-derived optima: CP1 fills [0,3]x[-0.5,0.5] (vol 3); the LP1
         # r-profile is (3.1, 1) and the scaling trade-off lambda(z1) =
         # min((3-z1)/3.1, 1+z1) peaks at z1 = -1/41, lambda = 40/41.
@@ -555,7 +555,6 @@ class TestConstructLp:
         # A scaling-LP point with z_0 = -3e-17 instead of 0 must not make
         # the box shrink to the origin against that row.
         G = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        pp = PrincipalPolytope.from_error_rows(G, np.array([0.0, 1.0, 1.0, 1.0]))
         solve_lp_batch = solver.solve_lp_batch
 
         def rounded(c, A, b):
@@ -566,20 +565,17 @@ class TestConstructLp:
                                        rep.kkt_residual, rep.iterations)]
 
         monkeypatch.setattr(solver, "solve_lp_batch", rounded)
-        sch = construct_boxes([pp], LP1)
+        sch = construct_boxes(G, [np.array([0.0, 1.0, 1.0, 1.0])], LP1)
         box = sch.box(1)
         assert box.lower[0] == 0.0
         assert volumes(sch)[0] == pytest.approx(2.0, rel=1e-6)
-        assert box_slack(pp, box) >= 0.0
+        assert box_slack(sch.principals[0], box) >= 0.0
 
     def test_ill_shaped_symmetry_ordering(self):
-        pp = PrincipalPolytope.from_error_rows(ILL_SHAPED_G, ILL_SHAPED_D)
         sym = {}
         boxes = {}
-        for name, res in (("CP1", construct_boxes([pp], CP1)),
-                          ("CP2", construct_boxes([pp], CP2)),
-                          ("LP1", construct_boxes([pp], LP1)),
-                          ("LP2", construct_boxes([pp], LP2))):
+        for name, res in ((m, construct_boxes(ILL_SHAPED_G, [ILL_SHAPED_D], m))
+                          for m in (CP1, CP2, LP1, LP2)):
             sym[name] = _symmetry(res.box(1))
             boxes[name] = res.box(1)
         # Hand-derived boxes: CP1/LP1 -> [0,1]^2, CP2 -> [-0.1,0.8]^2,
@@ -603,7 +599,7 @@ def _random_lp1_polytope(rng, k):
     side[0, rng.integers(k)] = rng.choice([-1.0, 1.0])
     G = np.vstack([G, side, np.eye(k), -np.eye(k)])
     d = np.concatenate([d, [0.0], np.full(2 * k, 2.0)])
-    return PrincipalPolytope.from_error_rows(G, d)
+    return G, d
 
 
 class TestLpOracles:
@@ -612,24 +608,26 @@ class TestLpOracles:
         rng = np.random.default_rng(66)
         for _ in range(30):
             k = int(rng.integers(2, 5))
-            pp = _random_lp1_polytope(rng, k)
+            sch = construct_boxes(*_random_lp1_polytope(rng, k), LP1)
+            (pp,) = sch.principals
             w = solver.coordinate_widths(pp.W, pp.d)
             omega = np.array([highs_segment_length(pp.G, pp.d, j) for j in range(k)])
             assert np.allclose(w[:k] + w[k:], omega, rtol=1e-9, atol=1e-12)
             degenerate = np.flatnonzero(omega <= 1e-9).tolist()
-            assert construct_boxes([pp], LP1).degenerate_coords[0] == degenerate
+            assert sch.degenerate_coords[0] == degenerate
 
     def test_scaling_lp_matches_highs(self):
         pytest.importorskip("scipy")
         rng = np.random.default_rng(77)
         for _ in range(30):
             k = int(rng.integers(2, 5))
-            pp = _random_lp1_polytope(rng, k)
+            sch = construct_boxes(*_random_lp1_polytope(rng, k), LP1)
+            (pp,) = sch.principals
             w = solver.coordinate_widths(pp.W, pp.d)
             r = w[:k] + w[k:]
             r[r <= 1e-9] = 0.0
             lam = highs_lp1_scaling(pp.G, pp.d, r) if np.any(r > 0) else 0.0
-            box = construct_boxes([pp], LP1).box(1)
+            box = sch.box(1)
             assert np.allclose(box.upper - box.lower, lam * r, rtol=1e-6, atol=1e-9)
             assert box_slack(pp, box) >= 0.0
 
@@ -783,7 +781,7 @@ class TestSchedule:
             plan = extended_plan(setup, s)
             pps = [PrincipalPolytope(*_per_row_principal(setup, plan, j))
                    for j in range(1, setup.N)]
-            per_j = [construct_boxes([pp], method) for pp in pps]
+            per_j = [construct_boxes(pp.G, [pp.d], method) for pp in pps]
             with monkeypatch.context() as m:
                 m.setattr(solver, batched, counting)
                 sch = build_schedule(setup, s, method)
