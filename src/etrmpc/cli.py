@@ -16,18 +16,21 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry, rmpc, sim, tightening, trigger
-from .geometry import HyperRect, Polytope
-from .sim import DisturbanceModel, run_closed_loop, trigger_statistics
+from . import geometry, rmpc, sim, solver, tightening, trigger
+from .geometry import FEAS_TOL, HyperRect, Polytope
+from .sim import METHODS, DisturbanceModel, integer, run_closed_loop, trigger_statistics
 from .tightening import (PlantModel, build_setup, synthesize_nominal_gain,
                          synthesize_tightening_gains)
 
 TRACE_VERSION = "etrmpc-trace-v1"
-ALL_METHODS = trigger.METHODS + (sim.PERIODIC,)
 
 
 class ConfigError(Exception):
     """Config parse/validation failure with field context."""
+
+
+class SetupError(ValueError):
+    """A ValueError of the setup's build, reported as ``validate`` does."""
 
 
 class ExperimentConfig:
@@ -45,8 +48,8 @@ class ExperimentConfig:
             self.Tx = _set_spec(sets["state_target"], "sets.state_target")
             self.Tu = _set_spec(sets["input_target"], "sets.input_target")
             self.Xf = _set_spec(sets["terminal"], "sets.terminal")
-            self.N = _integer(data["horizon"], "horizon")
-            self.M = _integer(data.get("nilpotency_steps", self.A.shape[0]), "nilpotency_steps")
+            self.N = integer(data["horizon"], "horizon")
+            self.M = integer(data.get("nilpotency_steps", self.A.shape[0]), "nilpotency_steps")
             self.Q = _matrix(data["weights"]["Q"], "weights.Q")
             self.R = _matrix(data["weights"]["R"], "weights.R")
             gw = data.get("nominal_gain_weights")
@@ -57,23 +60,16 @@ class ExperimentConfig:
             self.K = [_matrix(k, f"gains.K[{i}]")
                       for i, k in enumerate(gains["K"])] if "K" in gains else None
             self.method = str(data.get("method", "CP1"))
-            if self.method not in ALL_METHODS:
-                raise ConfigError(f"method must be one of {ALL_METHODS}")
+            if self.method not in METHODS:
+                raise ConfigError(f"method must be one of {METHODS}")
             dm = data.get("disturbance_model", {"kind": "zero"})
-            self.disturbance_kind = str(dm.get("kind", "zero"))
-            self.impulses = [(_integer(s["time"], "disturbance_model.impulses.time"),
-                              _integer(s["coordinate"], "disturbance_model.impulses.coordinate"),
-                              float(s["value"])) for s in dm.get("impulses", [])]
-            self.replay_sequence = (_matrix(dm["sequence"], "disturbance_model.sequence")
-                                    if "sequence" in dm else None)
-            self.allow_out_of_set = dm.get("allow_out_of_set", False)
-            if not isinstance(self.allow_out_of_set, bool):
-                raise ConfigError("disturbance_model.allow_out_of_set: need true or false")
+            self.disturbance = dict(  # DisturbanceModel's arguments, which it checks
+                kind=dm.get("kind", "zero"), seed=data.get("seed", 0), sequence=dm.get("sequence"),
+                impulses=[(s["time"], s["coordinate"], s["value"]) for s in dm.get("impulses", [])],
+                allow_out_of_set=dm.get("allow_out_of_set", False))
             self.x0 = np.asarray(data["x0"], dtype=float)
-            self.steps = _check_steps(_integer(data["steps"], "steps"))
-            self.seed = _check_seed(_integer(data.get("seed", 0), "seed"))
+            self.steps = integer(data["steps"], "steps")
             self.output_dir = str(data.get("output_dir", "out"))
-            self.disturbance_model()  # an unknown kind or a replay with no sequence
         except ConfigError:
             raise
         except KeyError as exc:
@@ -83,13 +79,6 @@ class ExperimentConfig:
         nx = self.A.shape[0]
         if self.x0.shape != (nx,) or not np.all(np.isfinite(self.x0)):
             raise ConfigError(f"x0: need {nx} finite entries, got {self.x0.tolist()}")
-        if self.replay_sequence is not None and self.replay_sequence.shape[1] != nx:
-            raise ConfigError(f"disturbance_model.sequence: need {nx} columns, "
-                              f"got {self.replay_sequence.shape[1]}")
-        for t, p, _ in self.impulses:
-            if t < 1 or not 0 <= p < nx:
-                raise ConfigError(f"disturbance_model.impulses: need time >= 1 and "
-                                  f"coordinate in [0, {nx}), got time {t}, coordinate {p}")
 
     @classmethod
     def from_file(cls, path):
@@ -117,12 +106,8 @@ class ExperimentConfig:
                 and self.canonical_json() == other.canonical_json())
 
     def disturbance_model(self, seed=None):
-        return DisturbanceModel(
-            kind=self.disturbance_kind,
-            seed=self.seed if seed is None else seed,
-            impulses=self.impulses,
-            sequence=self.replay_sequence,
-            allow_out_of_set=self.allow_out_of_set)
+        return DisturbanceModel(**(self.disturbance if seed is None
+                                   else {**self.disturbance, "seed": seed}))
 
     def build(self):
         """Construct the validated RmpcSetup (gains synthesized if absent)."""
@@ -136,40 +121,29 @@ class ExperimentConfig:
                            Q=self.Q, R=self.R)
 
 
-def _integer(value, field):
-    """A number with no fractional part, not a boolean or a string."""
-    if not (type(value) is int or type(value) is float and value.is_integer()):
-        raise ConfigError(f"{field}: need an integer, got {value!r}")
-    return int(value)
-
-
-def _check_steps(steps):
+def _checked_run(config, seed, steps):
+    """The steps and disturbance model of a run, the model checked against
+    W and the steps (``DisturbanceModel.realize``). A ValueError is a
+    config error."""
+    steps = config.steps if steps is None else steps
     if steps < 1:
         raise ConfigError(f"steps must be positive, got {steps}")
-    return steps
-
-
-def _check_seed(seed):
-    if not 0 <= seed < 2**128:  # the key range of the Philox stream
-        raise ConfigError(f"seed must lie in [0, 2**128), got {seed}")
-    return seed
+    try:
+        dist = config.disturbance_model(seed)
+        dist.realize(config.W, steps)
+    except ValueError as exc:
+        raise ConfigError(f"disturbance_model: {exc}") from exc
+    return steps, dist
 
 
 def _prepare(config, seed, steps):
-    """The seed, steps, setup and disturbance model of a run; the impulse
-    times and a replay (``DisturbanceModel.realize``) fit the steps."""
-    seed = config.seed if seed is None else _check_seed(seed)
-    steps = config.steps if steps is None else _check_steps(steps)
-    dist = config.disturbance_model(seed=seed)
-    for t, _, _ in dist.impulses:
-        if t > steps:
-            raise ConfigError(f"disturbance_model.impulses: time {t} is past the {steps} steps")
-    if dist.kind == "replay":
-        try:
-            dist.realize(config.W, steps)
-        except ValueError as exc:
-            raise ConfigError(f"disturbance_model.sequence: {exc}") from exc
-    return seed, steps, config.build(), dist
+    """The steps, disturbance model and setup of a run; a ValueError of
+    the build is a SetupError."""
+    steps, dist = _checked_run(config, seed, steps)
+    try:
+        return steps, dist, config.build()
+    except ValueError as exc:
+        raise SetupError(exc) from exc
 
 
 def _matrix(rows, field):
@@ -204,7 +178,9 @@ def _set_spec(spec, field):
 # ---------------------------------------------------------------------------
 
 def cmd_validate(config, out=sys.stdout):
-    """Build the setup and print assumption margins; nonzero on violation."""
+    """Build the setup and print assumption margins; nonzero on violation.
+    The steps and the disturbance model are checked first."""
+    _checked_run(config, None, None)
     try:
         setup = config.build()
     except (tightening.TighteningError, ValueError) as exc:
@@ -228,14 +204,15 @@ def cmd_run(config, out_dir=None, method=None, seed=None, steps=None,
             out=sys.stdout):
     """Run one experiment and write trace, summary, schedules and plot data."""
     method = method or config.method
-    seed, steps, setup, dist = _prepare(config, seed, steps)
+    steps, dist, setup = _prepare(config, seed, steps)
     trace = run_closed_loop(setup, config.x0, method, dist, steps)
     stats = trigger_statistics(trace)
 
     directory = Path(out_dir or config.output_dir)
     directory.mkdir(parents=True, exist_ok=True)
+    X = setup.plant.X
     prov = {"trace_version": TRACE_VERSION, "config_sha256": config.config_hash(),
-            "seed": seed, "method": method}
+            "seed": dist.seed, "method": method}
 
     _write_trace_csv(directory / "trace.csv", trace, prov)
     summary = {
@@ -246,9 +223,8 @@ def cmd_run(config, out_dir=None, method=None, seed=None, steps=None,
         "final_state": trace.x[-1].tolist(),
         "final_value": _finite(trace.v_star[trace.trigger_times[-1]]),
         "disturbance_hash": trace.disturbance_hash(),
-        "state_bound_violations": int(sum(
-            setup.plant.X.membership_residual(trace.x[t]) > 1e-8
-            for t in range(trace.x.shape[0]))),
+        "state_bound_violations": int(np.count_nonzero(np.max(
+            solver._mv(X.A, trace.x) - X.b, axis=1) > FEAS_TOL)),
     }
     (directory / "summary.json").write_text(json.dumps(summary, indent=2))
     # One shape diagnostic over every principal polytope of the run; each
@@ -281,9 +257,9 @@ def cmd_compare(config, methods, out_dir=None, seed=None, steps=None,
     if not methods:
         raise ConfigError("no method to compare")
     for m in methods:
-        if m not in ALL_METHODS:
+        if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
-    seed, steps, setup, dist = _prepare(config, seed, steps)
+    steps, dist, setup = _prepare(config, seed, steps)
 
     rows = {}
     for method in methods:
@@ -298,7 +274,7 @@ def cmd_compare(config, methods, out_dir=None, seed=None, steps=None,
         }
 
     table = {
-        "provenance": {"config_sha256": config.config_hash(), "seed": seed,
+        "provenance": {"config_sha256": config.config_hash(), "seed": dist.seed,
                        "steps": steps,
                        "shared_replay": dist.kind != "worst_case"},
         "methods": rows,
@@ -374,51 +350,41 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("validate", help="parse a config and check assumptions")
-    p_val.add_argument("--config", required=True)
-
     p_run = sub.add_parser("run", help="run one closed-loop experiment")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out-dir", default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--method", default=None, choices=ALL_METHODS)
-    p_run.add_argument("--steps", type=int, default=None)
-
     p_cmp = sub.add_parser("compare", help="run methods under a shared replay")
-    p_cmp.add_argument("--config", required=True)
+    for p in (p_val, p_run, p_cmp):
+        p.add_argument("--config", required=True)
+    for p in (p_run, p_cmp):
+        p.add_argument("--out-dir", default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--steps", type=int, default=None)
+    p_run.add_argument("--method", default=None, choices=METHODS)
     p_cmp.add_argument("--methods", required=True,
                        help="comma-separated, e.g. CP1,LP1,periodic")
-    p_cmp.add_argument("--out-dir", default=None)
-    p_cmp.add_argument("--seed", type=int, default=None)
-    p_cmp.add_argument("--steps", type=int, default=None)
 
     args = parser.parse_args(argv)
     try:
         config = ExperimentConfig.from_file(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "validate":
-            code, _ = cmd_validate(config)
-            return code
+            return cmd_validate(config)[0]
         if args.command == "run":
             cmd_run(config, out_dir=args.out_dir, method=args.method,
                     seed=args.seed, steps=args.steps)
-            return 0
-        if args.command == "compare":
+        else:
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
             cmd_compare(config, methods, out_dir=args.out_dir,
                         seed=args.seed, steps=args.steps)
-            return 0
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except SetupError as exc:
+        print(f"error: ValueError: {exc}", file=sys.stderr)
+        return 1
     except (tightening.TighteningError, sim.SimError, rmpc.RmpcError,
             trigger.TriggerError, geometry.GeometryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -82,8 +82,11 @@ class Polytope:
         return f"Polytope(m={self.A.shape[0]}, n={self.dim})"
 
     def membership_residual(self, x):
-        """max_i (a_i x - b_i); <= 0 means inside."""
+        """max_i (a_i x - b_i); <= 0 means inside. A point with a
+        non-finite entry is outside: +inf."""
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            return np.inf
         return float(np.max(self.A @ x - self.b))
 
     def contains(self, x, tol=FEAS_TOL):

@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-from . import rmpc, trigger
+from . import rmpc, solver, trigger
 from .geometry import FEAS_TOL, GeometryError
 
 DECAY_TOL = 1e-6
@@ -22,6 +22,16 @@ CAUSE_MANDATORY = "Mandatory"
 CAUSE_COORD = "CoordinateExit"
 CAUSE_PERIODIC = "Periodic"
 PERIODIC = "periodic"
+METHODS = trigger.METHODS + (PERIODIC,)
+
+
+def integer(value, name):
+    """value as an int: a Python or NumPy int, or a float with no
+    fractional part, but never a bool; else ValueError."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name}: need an integer, got {value!r}")
+    return int(value)
 
 
 class SimError(Exception):
@@ -40,38 +50,52 @@ class DisturbanceModel:
     'replay' (explicit sequence). Impulses are (time, coordinate, value)
     state overrides applied after the dynamics update; they may leave the
     admissible set by design.
+
+    A model checks its arguments for every caller (ValueError); the rules
+    that depend on W and the run's length are ``realize``'s.
     """
 
     def __init__(self, kind="zero", seed=0, impulses=(), sequence=None,
                  allow_out_of_set=False):
         if kind not in ("zero", "uniform", "worst_case", "replay"):
             raise ValueError(f"unknown disturbance kind {kind!r}")
-        self.kind = kind
-        self.seed = int(seed)
-        self.impulses = [(int(t), int(p), float(v)) for t, p, v in impulses]
-        if not all(np.isfinite(v) for _, _, v in self.impulses):
-            raise ValueError("impulse values must be finite")
-        self.sequence = None if sequence is None else np.asarray(sequence, dtype=float)
-        self.allow_out_of_set = bool(allow_out_of_set)
-        if kind == "replay" and self.sequence is None:
-            raise ValueError("replay disturbance needs a sequence")
+        if not isinstance(allow_out_of_set, bool):
+            raise ValueError(f"allow_out_of_set: need a bool, got {allow_out_of_set!r}")
+        self.kind, self.allow_out_of_set = kind, allow_out_of_set
+        self.seed = integer(seed, "seed")
+        if not 0 <= self.seed < 2**128:  # the key range of the Philox stream
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
+        self.impulses = [(integer(t, "impulse time"), integer(p, "impulse coordinate"),
+                          float(v)) for t, p, v in impulses]
+        if any(t < 1 or p < 0 or not np.isfinite(v) for t, p, v in self.impulses):
+            raise ValueError(f"impulses {self.impulses}: need times >= 1, "
+                             "coordinates >= 0 and finite values")
+        self.sequence = None if sequence is None else np.array(sequence, float, ndmin=2)
+        if kind == "replay" and (sequence is None or not np.all(np.isfinite(self.sequence))):
+            raise ValueError("replay disturbance needs a finite sequence")
 
     def realize(self, W, T):
         """Materialize w_0..w_{T-1} when state-independent, else None (the
-        worst case). A run calls this once, at its start."""
+        worst case). A run calls this once, at its start. Raises ValueError
+        for an impulse past T or on a coordinate >= W.dim, and for a replay
+        shorter than T, not W.dim wide or, without ``allow_out_of_set``,
+        leaving W (at the first such t, from one stacked product)."""
+        if any(t > T or p >= W.dim for t, p, _ in self.impulses):
+            raise ValueError(f"impulses {self.impulses}: need times <= {T} "
+                             f"and coordinates < {W.dim}")
         if self.kind == "zero":
             return np.zeros((T, W.dim))
         if self.kind == "uniform":
             rng = np.random.Generator(np.random.Philox(key=self.seed))
             return _uniform_samples(W, T, rng)
         if self.kind == "replay":
-            if self.sequence.shape[0] < T:
-                raise ValueError(f"replay sequence shorter than {T} steps")
             seq = self.sequence[:T]
-            if not self.allow_out_of_set:
-                for t in range(T):
-                    if W.membership_residual(seq[t]) > FEAS_TOL:
-                        raise ValueError(f"replay disturbance at t={t} leaves the set")
+            if seq.shape != (T, W.dim):
+                raise ValueError(f"replay sequence of shape {self.sequence.shape}: shorter "
+                                 f"than {T} steps or not {W.dim} wide")
+            out = np.flatnonzero(np.max(solver._mv(W.A, seq) - W.b, axis=1) > FEAS_TOL)
+            if out.size and not self.allow_out_of_set:
+                raise ValueError(f"replay disturbance at t={out[0]} leaves the set")
             return seq
         return None  # worst_case is state-dependent
 
@@ -171,12 +195,14 @@ def run_closed_loop(setup, x0, method, dist, T):
     """Simulate T steps of the event-triggered loop from x0.
 
     method is one of the four construction routes or 'periodic' (solve at
-    every step, no trigger sets: the baseline). Raises on an infeasible
+    every step, no trigger sets: the baseline). Raises ValueError before
+    the first step for an unknown method or a disturbance model that does
+    not fit W and T (``DisturbanceModel.realize``); raises on an infeasible
     re-solve when every applied disturbance was admissible; after an
     impulse override a recovery is attempted and failures surface with
     that context.
     """
-    if method != PERIODIC and method not in trigger.METHODS:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     x0 = np.asarray(x0, dtype=float).reshape(setup.nx)
     W = setup.plant.W

@@ -208,6 +208,36 @@ class TestCompare:
         assert set(table["methods"]) == {"CP1", "LP1"}
 
 
+class TestSuppliedGains:
+    @pytest.mark.parametrize("method", ["CP1", "LP2"])
+    def test_synthesized_gains_written_in_give_the_same_run(self, config, method, tmp_path):
+        setup = config.build()
+        cfg = _mutated(config, lambda d: d.update(gains={
+            "F": setup.F.tolist(), "K": [k.tolist() for k in setup.K]}))
+        for c, name in ((config, "plain"), (cfg, "gains")):
+            cmd_run(c, out_dir=tmp_path / name, method=method, steps=30, out=io.StringIO())
+        plain, gains = tmp_path / "plain", tmp_path / "gains"
+        # The first trace.csv line is provenance: the config hash differs.
+        assert ((plain / "trace.csv").read_text().splitlines()[1:]
+                == (gains / "trace.csv").read_text().splitlines()[1:])
+        for name in ("summary.json", "schedules.json"):
+            a, b = (json.loads((d / name).read_text()) for d in (plain, gains))
+            assert a.pop("provenance") != b.pop("provenance")
+            assert a == b
+
+    def test_zero_tightening_gains_are_a_nilpotency_failure(self, config, tmp_path, capsys):
+        K = np.zeros((config.N - 1, config.B.shape[1], config.A.shape[0]))
+        cfg = _mutated(config, lambda d: d.update(gains={"K": K.tolist()}))
+        out = io.StringIO()
+        assert cmd_validate(cfg, out=out)[0] == 1
+        assert out.getvalue().startswith("INVALID: NilpotencyFailure")
+        path = tmp_path / "zero_k.json"
+        path.write_text(cfg.canonical_json())
+        code = main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: NilpotencyFailure: ")
+
+
 class TestReplayConfig:
     def test_replay_sequence_through_run(self, config, tmp_path):
         seq = (0.015 * np.sin(np.arange(80) / 3.0))[:, None] * np.ones(4)
@@ -321,6 +351,24 @@ class TestMain:
         code = main(command + ["--config", str(path), "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["compare", "--methods", "CP1"]])
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["weights"].update(Q=np.zeros((4, 4)).tolist()),
+        lambda d: d.update(horizon=3),
+    ], ids=["Q_zero", "horizon_3"])
+    def test_setup_build_errors_exit_1(self, config, command, mutate, tmp_path, capsys):
+        # As validate reports them: one line naming the ValueError, no
+        # traceback, no output.
+        path = tmp_path / "bad.json"
+        data = copy.deepcopy(config.to_dict())
+        mutate(data)
+        path.write_text(json.dumps(data))
+        code = main(command + ["--config", str(path), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_geometry_error_exits_1(self, tmp_path, capsys):

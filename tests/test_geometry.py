@@ -504,6 +504,20 @@ class TestStackedMembership:
                 assert proj.contains(np.array(P)[ks]).tolist() == [want[k] for k in ks]
 
 
+class TestNonFiniteMembership:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("kind", ["box", "cross_polytope"])
+    def test_non_finite_point_is_outside(self, kind, value):
+        # +inf (outside) with no RuntimeWarning; pytest makes one an error.
+        P = HyperRect(-2 * np.ones(4), 2 * np.ones(4)) if kind == "box" else cross_polytope()
+        for j in range(4):
+            x = np.zeros(4)
+            x[j] = value
+            assert P.membership_residual(x) == np.inf
+            assert not P.contains(x)
+        assert P.contains(np.zeros(4))
+
+
 class TestChebyshev:
     def test_box_center(self):
         center, radius = chebyshev(unit_box(2, 1.5))

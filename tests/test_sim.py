@@ -1,11 +1,13 @@
+import io
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from etrmpc import sim, solver
-from etrmpc.cli import ExperimentConfig
+from etrmpc.cli import ExperimentConfig, cmd_run
 from etrmpc.geometry import HyperRect, Polytope, supports
 from etrmpc.rmpc import InfeasibleState, solve_rmpc
 from etrmpc.sim import (DisturbanceModel, run_closed_loop, step_trigger_test,
@@ -58,6 +60,66 @@ class TestDisturbanceModel:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             DisturbanceModel("gaussian")
+
+
+class TestModelChecks:
+    """Every rule on a disturbance model is the model's: each broken one
+    raises ValueError from ``DisturbanceModel`` or from ``run_closed_loop``
+    (``realize``) before the first solve."""
+
+    T = 20
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(impulses=[(0, 1, 0.1)]),
+        dict(impulses=[(2.9, 1, 0.1)]),
+        dict(impulses=[(T + 1, 1, 0.1)]),
+        dict(impulses=[(3, -1, 0.1)]),
+        dict(impulses=[(3, 1.7, 0.1)]),
+        dict(impulses=[(3, 4, 0.1)]),
+        dict(impulses=[(3, 1, float("nan"))]),
+        dict(kind="uniform", seed=-1),
+        dict(kind="uniform", seed=2**128),
+        dict(kind="uniform", seed=True),
+        dict(kind="uniform", seed=2.7),
+        dict(kind="replay", sequence=np.zeros((T, 4)), allow_out_of_set="false"),
+        dict(kind="replay", sequence=np.zeros((T - 1, 4))),
+        dict(kind="replay", sequence=np.zeros((T, 3))),
+        dict(kind="replay", sequence=np.full((T, 4), 0.5)),
+        dict(kind="replay"),
+        dict(kind="gusty"),
+    ], ids=["impulse_time_0", "impulse_time_2.9", "impulse_time_T+1",
+            "impulse_coordinate_-1", "impulse_coordinate_1.7", "impulse_coordinate_nx",
+            "impulse_value_nan", "seed_-1", "seed_2**128", "seed_true", "seed_2.7",
+            "allow_out_of_set_string", "replay_short", "replay_3_wide", "replay_leaves_W",
+            "replay_no_sequence", "unknown_kind"])
+    def test_rejected_before_any_solve(self, setup, kwargs, monkeypatch):
+        solves, solve = [], sim.rmpc.solve_rmpc
+
+        def counted(*args):
+            solves.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(sim.rmpc, "solve_rmpc", counted)
+        with pytest.raises(ValueError):
+            run_closed_loop(setup, X0, "LP2", DisturbanceModel(**kwargs), self.T)
+        assert solves == []
+
+    def test_integral_floats_and_numpy_integers_accepted(self, setup):
+        dm = DisturbanceModel("uniform", seed=np.uint64(42), impulses=[(np.int32(3), 2.0, 0.1)])
+        assert dm.impulses == [(3, 2, 0.1)]
+        assert all(type(v) is int for v in (dm.seed, *dm.impulses[0][:2]))
+        w = dm.realize(setup.plant.W, 10)
+        assert np.array_equal(w, DisturbanceModel("uniform", seed=42.0).realize(setup.plant.W, 10))
+
+    def test_cli_provenance_seed_stays_an_int(self, tmp_path):
+        cfg = ExperimentConfig.from_file("configs/batch_reactor.json")
+        data = cfg.to_dict()
+        data["seed"] = 1234.0
+        cmd_run(ExperimentConfig(data), out_dir=tmp_path, steps=5, out=io.StringIO())
+        text = (tmp_path / "summary.json").read_text()
+        assert json.loads(text)["provenance"]["seed"] == 1234
+        assert '"seed": 1234,' in text
+        assert " seed=1234 " in (tmp_path / "trace.csv").read_text().splitlines()[0]
 
 
 class TestTriggerTest:
