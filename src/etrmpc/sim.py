@@ -9,6 +9,7 @@ certificate at every trigger instance.
 """
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -32,6 +33,17 @@ def integer(value, name):
                                        or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{name}: need an integer, got {value!r}")
     return int(value)
+
+
+def _finite_real(value):
+    """Whether value is a real number that a float holds finitely: a
+    Python or NumPy int or float, never a bool or a str."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 class SimError(Exception):
@@ -65,14 +77,20 @@ class DisturbanceModel:
         self.seed = integer(seed, "seed")
         if not 0 <= self.seed < 2**128:  # the key range of the Philox stream
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
-        self.impulses = [(integer(t, "impulse time"), integer(p, "impulse coordinate"),
-                          float(v)) for t, p, v in impulses]
-        if any(t < 1 or p < 0 or not np.isfinite(v) for t, p, v in self.impulses):
-            raise ValueError(f"impulses {self.impulses}: need times >= 1, "
-                             "coordinates >= 0 and finite values")
-        self.sequence = None if sequence is None else np.array(sequence, float, ndmin=2)
-        if kind == "replay" and (sequence is None or not np.all(np.isfinite(self.sequence))):
-            raise ValueError("replay disturbance needs a finite sequence")
+        impulses = [(integer(t, "impulse time"), integer(p, "impulse coordinate"), v)
+                    for t, p, v in impulses]
+        if any(t < 1 or p < 0 or not _finite_real(v) for t, p, v in impulses):
+            raise ValueError(f"impulses {impulses}: need times >= 1, "
+                             "coordinates >= 0 and finite real values")
+        self.impulses = [(t, p, float(v)) for t, p, v in impulses]
+        if sequence is not None:
+            sequence = np.array(sequence, object, ndmin=2)
+            if not all(map(_finite_real, sequence.flat)):
+                raise ValueError("replay disturbance needs a finite sequence of real numbers")
+            sequence = sequence.astype(float)
+        elif kind == "replay":
+            raise ValueError("replay disturbance needs a finite sequence of real numbers")
+        self.sequence = sequence
 
     def realize(self, W, T):
         """Materialize w_0..w_{T-1} when state-independent, else None (the

@@ -6,7 +6,8 @@ prediction, a feasible shifted plan is guaranteed to exist and the value
 function keeps decaying. The box is the maximum-volume hyper-rectangle
 (containing the origin) inscribed in a principal polytope whose rows
 encode, per facet of every tightened set, how much constraint slack the
-candidate plan leaves for prediction errors.
+candidate plan leaves for prediction errors. Facets with the same normal
+share one row, which keeps the least of their slacks.
 
 The candidate plan of splice index j is the optimal plan shifted by j
 steps and extended by the nominal feedback F. Every tail starts at x_N,
@@ -65,9 +66,10 @@ def extended_plan(setup, sol):
 class PrincipalPolytope:
     """One box's rows over the box-vertex parameters [vbar; vund].
 
-    G holds the error-space normals (one per surviving row), W the lifted
-    vertex-support rows, d the offsets b - a.xi, and meta the provenance
-    of each row as (family, stage, facet).
+    G holds the error-space normals (one per distinct normal), W the
+    lifted vertex-support rows, d the offsets b - a.xi, and meta the
+    provenance of each row: the (family, stage, facet) tags of the facets
+    it merges.
     """
 
     def __init__(self, W, d, G, meta):
@@ -92,6 +94,10 @@ class PrincipalRows:
     facet; ``starts`` marks where each (family, stage) block begins and
     ``keep`` gathers the surviving facets. A plan only moves the offsets,
     and every block is checked, even one whose rows all vanish.
+
+    Surviving facets with bit-equal normals share one row (``_merge``)
+    whose offset is the least of theirs (``least``), so the polytope is
+    the same set with fewer rows.
     """
 
     def __init__(self, setup):
@@ -100,7 +106,7 @@ class PrincipalRows:
                          ("input", plant.U.A, setup.U_offsets),
                          ("slack_state", plant.Tx.A, setup.TX_offsets),
                          ("slack_input", plant.Tu.A, setup.TU_offsets)]
-        Gs, self.meta, keep, starts = [], [], [], [0]
+        Gs, tags, keep, starts = [], [], [], [0]
         for name, A, _ in self.families:
             via_gain = name.endswith("input")  # input and slack_input
             for i in range(setup.N):
@@ -110,14 +116,33 @@ class PrincipalRows:
                     Gblock = A @ Mhat
                     kept = np.flatnonzero(np.any(Gblock != 0.0, axis=1))
                     Gs.append(Gblock[kept])
-                    self.meta.extend((name, i, int(r)) for r in kept)
+                    tags.extend((name, i, int(r)) for r in kept)
                     keep.extend(starts[-1] + kept)
                 starts.append(starts[-1] + A.shape[0])
         self.starts = np.array(starts[:-1])
         self.keep = np.array(keep, dtype=int)
-        self.G = np.vstack(Gs) if Gs else np.zeros((0, setup.nx))
+        self._merge(np.vstack(Gs) if Gs else np.zeros((0, setup.nx)), tags)
+
+    def _merge(self, G, tags):
+        """One row per distinct (bit-equal) normal of the source rows G, in
+        first-occurrence order; meta[r] holds the tags of row r's sources.
+        ``order`` lists the sources grouped by row, and ``first`` marks
+        where each row's group starts."""
+        groups = {}
+        for s, g in enumerate(G):
+            groups.setdefault(g.tobytes(), []).append(s)
+        sources = list(groups.values())
+        self.order = np.array([s for grp in sources for s in grp], dtype=int)
+        self.first = np.cumsum([0] + [len(grp) for grp in sources], dtype=int)[:-1]
+        self.meta = [tuple(tags[s] for s in grp) for grp in sources]
+        self.G = G[self.order[self.first]]
         self.W = _lifted(self.G)
         self.G.flags.writeable = self.W.flags.writeable = False
+
+    def least(self, D):
+        """The offsets of the rows from the offsets D of the source rows,
+        one row of D per polytope: each the least of its sources'."""
+        return np.minimum.reduceat(D[:, self.order], self.first, axis=1)
 
 
 def assemble_principal(setup, sol):
@@ -126,9 +151,11 @@ def assemble_principal(setup, sol):
     The N sets of a family have the rows a of its plant set, so one
     stacked product (with the bits of the single one) gives a.x at every
     point of the extended plan, and stage i of candidate j reads point
-    j+i through a sliding window. Blocks whose map vanishes (nilpotent
-    tail) are only checked. Raises InfeasibleCandidate for the first
-    block that fails its check, in the order j, family, stage.
+    j+i through a sliding window. Every (family, stage) block is checked
+    on its own offsets, and blocks whose map vanishes (nilpotent tail)
+    are only checked. Raises InfeasibleCandidate for the first block that
+    fails its check, in the order j, family, stage. Each row then takes
+    the least offset of the facets it merges (``PrincipalRows.least``).
     """
     rows = setup.principal_rows
     N = setup.N
@@ -149,7 +176,7 @@ def assemble_principal(setup, sol):
         r = int(np.argmin(offs[j, start:start + A.shape[0]]))
         raise InfeasibleCandidate(f"candidate j={j + 1}: {name}[{block % N}] violates "
                                   f"facet {r} by {-worst[j, block]:.3e}")
-    d = offs[:, rows.keep]
+    d = rows.least(offs[:, rows.keep])
     d[d < 0.0] = 0.0
     return d
 
@@ -157,11 +184,17 @@ def assemble_principal(setup, sol):
 def construct_boxes(G, D, method):
     """The certified boxes of hand-written error-space rows G e <= d, one
     row d of D per polytope, as one TriggerSchedule (``_schedule``); row
-    r of G has the provenance ("raw", 0, r)."""
+    r of G has the provenance ("raw", 0, r). Rows with bit-equal normals
+    merge as the setup's do (``PrincipalRows._merge``), each with the
+    least of their offsets, and the schedule's rows and offsets, and the
+    row an error names, are the merged ones."""
     rows = PrincipalRows.__new__(PrincipalRows)
-    rows.G = np.array(G, dtype=float)
-    rows.W, rows.meta = _lifted(rows.G), [("raw", 0, r) for r in range(len(rows.G))]
-    return _schedule(method, rows, np.array(D, dtype=float, ndmin=2))
+    G = np.array(G, dtype=float)
+    D = np.array(D, dtype=float, ndmin=2)
+    if D.shape[1] != len(G):
+        raise ValueError(f"offsets of width {D.shape[1]} for {len(G)} rows")
+    rows._merge(G, [("raw", 0, r) for r in range(len(G))])
+    return _schedule(method, rows, rows.least(D))
 
 
 def _schedule(method, rows, D):
@@ -369,9 +402,10 @@ class TriggerSchedule:
     ``vol2`` hold the product of its total and of its one-sided widths,
     ``degenerate_coords`` its zero-width coordinates, and row j-1 of
     ``offsets`` the offsets of its principal polytope over the shared
-    ``rows`` (G, W and meta). The boxes are checked here, once for all:
-    finite, lower <= upper and inside their principal rows; the first
-    that is not raises TriggerError with its ``j=``.
+    ``rows`` (G, W and meta, one row per distinct normal). The boxes are
+    checked here, once for all: finite, lower <= upper and inside their
+    principal rows; the first that is not raises TriggerError with its
+    ``j=``.
     """
 
     def __init__(self, method, rows, offsets, lower, upper, degenerate_coords):

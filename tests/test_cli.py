@@ -336,11 +336,14 @@ class TestMain:
                                               "sequence": np.full((80, 4), 0.5).tolist()}),
         lambda d: d.update(steps=20, disturbance_model={
             "kind": "zero", "impulses": [{"time": 21, "coordinate": 0, "value": 0.1}]}),
+        lambda d: d.update(disturbance_model={
+            "kind": "zero", "impulses": [{"time": 3, "coordinate": 0, "value": "0.1"}]}),
     ], ids=["impulse_coordinate_4", "impulse_coordinate_-1", "impulse_time_0", "seed_-1",
             "seed_2**128", "replay_too_short", "replay_leaves_W", "replay_no_sequence",
             "unknown_kind", "x0_nan", "x0_infinity", "impulse_value_nan", "horizon_10.7",
             "nilpotency_steps_4.5", "impulse_time_2.9", "impulse_coordinate_1.7", "seed_true",
-            "steps_string", "allow_out_of_set_string", "impulse_past_steps"])
+            "steps_string", "allow_out_of_set_string", "impulse_past_steps",
+            "impulse_value_string"])
     def test_config_mistakes_are_config_errors(self, config, command, mutate, tmp_path,
                                                capsys):
         # Checked before the run starts: exit 2 on one line, no output.

@@ -87,11 +87,18 @@ class TestModelChecks:
         dict(kind="replay", sequence=np.full((T, 4), 0.5)),
         dict(kind="replay"),
         dict(kind="gusty"),
+        dict(impulses=[(3, 1, "0.1")]),
+        dict(impulses=[(3, 1, True)]),
+        dict(impulses=[(3, 1, 10**400)]),
+        dict(kind="replay", sequence=[["0.01", 0.0, 0.0, 0.0]] * T),
+        dict(kind="replay", sequence=[[0.01, True, 0.0, 0.0]] * T, allow_out_of_set=True),
     ], ids=["impulse_time_0", "impulse_time_2.9", "impulse_time_T+1",
             "impulse_coordinate_-1", "impulse_coordinate_1.7", "impulse_coordinate_nx",
             "impulse_value_nan", "seed_-1", "seed_2**128", "seed_true", "seed_2.7",
             "allow_out_of_set_string", "replay_short", "replay_3_wide", "replay_leaves_W",
-            "replay_no_sequence", "unknown_kind"])
+            "replay_no_sequence", "unknown_kind", "impulse_value_string", "impulse_value_true",
+            "impulse_value_past_float",
+            "replay_string_entry", "replay_true_entry"])
     def test_rejected_before_any_solve(self, setup, kwargs, monkeypatch):
         solves, solve = [], sim.rmpc.solve_rmpc
 
@@ -103,6 +110,14 @@ class TestModelChecks:
         with pytest.raises(ValueError):
             run_closed_loop(setup, X0, "LP2", DisturbanceModel(**kwargs), self.T)
         assert solves == []
+
+    def test_numpy_and_python_reals_accepted(self, setup):
+        seq = [[np.float32(0.01), 0, np.int64(0), -0.01]] * 10
+        dm = DisturbanceModel("replay", impulses=[(3, 1, 1), (4, 0, np.float32(0.5))],
+                              sequence=seq)
+        assert dm.impulses == [(3, 1, 1.0), (4, 0, 0.5)]
+        assert all(type(v) is float for _, _, v in dm.impulses)
+        assert np.array_equal(dm.realize(setup.plant.W, 10), np.array(seq, dtype=float))
 
     def test_integral_floats_and_numpy_integers_accepted(self, setup):
         dm = DisturbanceModel("uniform", seed=np.uint64(42), impulses=[(np.int32(3), 2.0, 0.1)])

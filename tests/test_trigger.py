@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etrmpc import geometry, solver, trigger
 from etrmpc.cli import ExperimentConfig, cmd_run
@@ -132,7 +133,7 @@ class TestPrincipal:
     def test_nilpotent_tail_rows_dropped(self):
         setup = small_setup()
         # Ltilde vanishes beyond M, so no rows from those stages survive.
-        stages = {(fam, i) for fam, i, _ in setup.principal_rows.meta}
+        stages = {(fam, i) for tags in setup.principal_rows.meta for fam, i, _ in tags}
         for fam, i in stages:
             if fam in ("state", "slack_state"):
                 assert i <= setup.M
@@ -151,6 +152,9 @@ class TestPrincipal:
                 construct_boxes(np.array([[1.0]]), [np.array([-1.0])], method)
 
     def test_rows_match_per_row_build(self):
+        # The rows are the per-row build's distinct rows, in first-occurrence
+        # order, each with the tags of its sources and exactly the least of
+        # their offsets.
         cases = ((batch_setup(), (X0, [0.1, 0.1, -0.1, 0.1])),
                  (small_setup(), ([1.0, -0.5], [0.2, 0.1])),
                  (cross_polytope_setup(), (X0, [0.1, 0.1, -0.1, 0.1])))
@@ -161,12 +165,21 @@ class TestPrincipal:
                 d = assemble_principal(setup, sol)
                 plan = extended_plan(setup, sol)
                 for j in range(1, setup.N):
-                    W, dj, G, meta = _per_row_principal(setup, plan, j)
+                    W, dj, G, meta = _merged(*_per_row_principal(setup, plan, j))
                     for got, want in ((rows.W, W), (d[j - 1], dj), (rows.G, G)):
                         assert got.shape == want.shape
                         assert got.tobytes() == want.tobytes()
                     assert list(rows.meta) == meta
             assert np.any(sol.x[setup.N] != 0.0)  # the later state has a tail
+
+    @pytest.mark.parametrize("make, rows", [(batch_setup, 56), (cross_polytope_setup, 136)])
+    def test_no_two_rows_equal(self, make, rows):
+        # Rows with equal normals are merged: on the reference setup the
+        # state and slack_state facets share theirs, as do the input and
+        # slack_input ones, so 112 facets give 56 rows.
+        G = make().principal_rows.G
+        assert len(G) == rows
+        assert len(np.unique(G, axis=0)) == len(G)
 
     def test_infeasible_candidate_message(self):
         setup = batch_setup()
@@ -195,10 +208,11 @@ class TestPrincipal:
         near = MpcSolution(u, sol.x, sol.sx, sol.su, sol.value, sol.stage_costs,
                            sol.kkt_residual)
         d = assemble_principal(setup, near)
-        row = setup.principal_rows.meta.index(("input", 4, 0))
+        (row,) = [r for r, tags in enumerate(setup.principal_rows.meta)
+                  if ("input", 4, 0) in tags]
         assert d[0, row] == 0.0
         plan = extended_plan(setup, near)
-        assert d[0].tobytes() == _per_row_principal(setup, plan, 1)[1].tobytes()
+        assert d[0].tobytes() == _merged(*_per_row_principal(setup, plan, 1))[1].tobytes()
 
     def test_violation_above_tolerance_names_its_facet(self):
         # u_5 past facet 0 of U_4 by 1e-6: above the feasibility
@@ -284,6 +298,19 @@ def _per_row_principal(setup, plan, j):
     return np.array(Wrows), np.array(ds), np.array(Gs), meta
 
 
+def _merged(W, d, G, meta):
+    """A per-row build with its rows of bit-equal normal merged, row by
+    row: the distinct rows in first-occurrence order, each offset the least
+    of its sources' and each tag list the tuple of its sources' tags."""
+    merged = {}
+    for w, dr, g, tag in zip(W, d, G, meta):
+        row = merged.setdefault(g.tobytes(), [w, dr, g, ()])
+        row[1] = min(row[1], dr)
+        row[3] += (tag,)
+    W, d, G, meta = zip(*merged.values())
+    return np.array(W), np.array(d), np.array(G), list(meta)
+
+
 class TestNewtonSplit:
     def test_lps_eliminate_no_variable(self, monkeypatch):
         # LP1's scaling LPs, the Chebyshev LPs of the shape diagnostic and
@@ -311,6 +338,13 @@ class TestNewtonSplit:
         assert split == []
 
 
+@pytest.fixture(scope="module")
+def reference_rows():
+    """The reference setup's rows with the offsets of the trigger at X0."""
+    setup = batch_setup()
+    return setup.principal_rows.G, assemble_principal(setup, solve_rmpc(setup, X0))
+
+
 class TestConstructBoxes:
     SQUARE = np.vstack([np.eye(2), -np.eye(2)])
 
@@ -325,6 +359,34 @@ class TestConstructBoxes:
                 assert alone.rows.W is not pair.rows.W
                 assert pair.lower[i].tobytes() == alone.lower[0].tobytes()
                 assert pair.upper[i].tobytes() == alone.upper[0].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(["fig1", "ill_shaped", "square", "reference"]),
+           pick=st.integers(0, 10**6),
+           extra=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=9,
+                          max_size=9))
+    def test_appended_copy_of_a_row_changes_no_box(self, reference_rows, case, pick, extra):
+        # A copy of row r with offsets at least row r's (per polytope) is the
+        # same set, and it merges into row r: every method gives the same
+        # bytes with the copy appended as without it.
+        G, D = {"fig1": (FIG1_STYLE_G, [FIG1_STYLE_D]),
+                "ill_shaped": (ILL_SHAPED_G, [ILL_SHAPED_D]),
+                "square": (self.SQUARE, [np.ones(4), [0.5, 2.0, 1.0, 0.0]]),
+                "reference": reference_rows}[case]
+        G, D = np.asarray(G), np.asarray(D, dtype=float)
+        r = pick % len(G)
+        G2 = np.vstack([G, G[r]])
+        D2 = np.hstack([D, D[:, r:r + 1] + np.array(extra[:len(D)])[:, None]])
+        for method in trigger.METHODS:
+            want, got = construct_boxes(G, D, method), construct_boxes(G2, D2, method)
+            for name in ("lower", "upper", "vol1", "vol2"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.degenerate_coords == want.degenerate_coords
+            assert got.rows.meta[r] == (("raw", 0, r), ("raw", 0, len(G)))
+
+    def test_offsets_must_match_the_rows(self):
+        with pytest.raises(ValueError, match="^offsets of width 3 for 4 rows$"):
+            construct_boxes(self.SQUARE, [np.ones(3)], LP2)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="^unknown construction method 'CP3'$"):
