@@ -8,7 +8,10 @@ Exports BASE_REF of this repository into a temporary directory
 reference config and LP2 and periodic on the polytopic worst-case config
 of ``perfbench/workloads.py``: seed 1234, one OpenBLAS thread. Prints
 each output file as identical or moved and, for a moved ``trace.csv``,
-its first row that differs. For a run with a moved file it also prints
+its first row that differs; for a moved ``schedules.json``, whether any
+field but the shape ratios moved (bounds, volumes, degenerate
+coordinates) and, if not, how many ratios moved and the largest
+relative move. For a run with a moved file it also prints
 whether its trigger times and solve count held, from both
 ``summary.json`` files. Then it runs ``etrmpc validate`` on both configs
 in both trees and prints its stdout as identical or moved, counted as
@@ -29,6 +32,7 @@ solves moved counts as one more moved output.
 import argparse
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -94,6 +98,21 @@ def first_moved_row(a, b):
         if ra != rb:
             return f"row {i + 1}:\n      base: {ra}\n      this: {rb}"
     return f"{len(rows_a)} rows against {len(rows_b)}"
+
+
+def ratio_moves(a, b):
+    """For two schedules.json files, whether any field but the shape
+    ratios moved (bounds, volumes, degenerate coordinates), how many
+    ratios moved and the largest relative move, as a line to print."""
+    base, this = (json.loads(p.read_text()) for p in (a, b))
+    pop = [[box.pop("shape_ratio") for sch in doc["per_trigger"].values() for box in sch["boxes"]]
+           for doc in (base, this)]
+    if base != this:
+        return "    fields other than shape_ratio moved"
+    moves = [abs(y - x) / abs(x) if None not in (x, y) else math.inf
+             for x, y in zip(*pop) if x != y]
+    return (f"    only shape_ratio moved: {len(moves)} of {len(pop[0])} ratios, "
+            f"largest relative move {max(moves, default=0.0):.3g}")
 
 
 def statistics(out_dir):
@@ -178,6 +197,8 @@ def main(argv=None):
                 print(f"{name:20s} {method:9s} {f:15s} {'identical' if same else 'moved'}")
                 if not same and f == "trace.csv":
                     print("    first moved " + first_moved_row(a, b))
+                if not same and f == "schedules.json":
+                    print(ratio_moves(a, b))
             if run_moved:
                 print(triggers_held(outs["base"], outs["this"]))
         for name in configs:

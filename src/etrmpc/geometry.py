@@ -15,8 +15,9 @@ polytope (``supports``) come from its vertex set
 (``Polytope.vertices``), enumerated once from its rows. The origin
 witnesses that a set with no negative offset is not empty (``are_empty``).
 The shape diagnostic ``shape_ratios`` is one call over every principal
-polytope of a run; their Chebyshev LPs share the rows, and so one dual
-feasible set, whose vertices a cache local to the call keeps.
+polytope of a run. The origin is in each of them, so each Chebyshev LP,
+in split form, starts from a vertex, and ``solver.simplex_batch`` solves
+it exactly, batched over windows of sets.
 
 A polytope keeps its box, its vertices and its ±e_j LP statuses, each
 computed once from its rows alone; everything else here is immutable
@@ -246,8 +247,9 @@ def supports(poly, etas):
 
     Exact closed form for a box B(l, u) (``Polytope.as_box``),
     sum_j max(eta_j * l_j, eta_j * u_j). Any other polytope gives eta.v at the
-    first vertex v of ``Polytope.vertices`` that maximizes V eta, so each
-    value depends only on eta and the rows, and equals its batch of one.
+    first vertex v of ``Polytope.vertices`` that maximizes V eta, from
+    stacked products (``solver._mv``, ``solver._dot``), so each value
+    depends only on eta and the rows, and equals its batch of one.
     Raises what ``vertices`` raises: EmptySetError on an empty polytope
     and UnboundedSupport on an unbounded one, whatever the directions.
     """
@@ -256,7 +258,7 @@ def supports(poly, etas):
     if box is not None:
         return np.sum(np.maximum(etas * box.lower, etas * box.upper), axis=1)
     V = poly.vertices()
-    return np.array([eta @ V[np.argmax(V @ eta)] for eta in etas])
+    return solver._dot(etas, V[np.argmax(solver._mv(V, etas), axis=1)])
 
 
 def pontryagin_diff(poly, sub, image=None):
@@ -343,152 +345,9 @@ class Projection:
         return d2, S
 
 
-# Relative slack at or below which a row is active at an LP's Chebyshev
-# center; on the reference runs active rows sit below 1e-8, others above
-# 1e-4.
-_ACTIVE_SLACK = 1e-6
-
-# Sets that one pass of ``shape_ratios`` certifies at most.
+# Sets whose Chebyshev LPs one ``solver.simplex_batch`` call takes at
+# most; the window bounds the memory of one call.
 _WINDOW = 32
-
-
-def _nnls(E, f):
-    """min ||E u - f|| over u >= 0, by the active-set method of Lawson &
-    Hanson (*Solving Least Squares Problems*, 1974, ch. 23)."""
-    u, free = np.zeros(E.shape[1]), np.zeros(E.shape[1], dtype=bool)
-    for _ in range(3 * E.shape[1]):
-        r = f - E @ u
-        w = np.where(free, -np.inf, E.T @ r)
-        if np.max(w) <= 1e-13 or np.max(np.abs(r)) <= 1e-13:
-            break
-        free[np.argmax(w)] = True
-        while True:
-            s = np.zeros_like(u)
-            s[free] = np.linalg.lstsq(E[:, free], f, rcond=None)[0]
-            if np.min(s[free], initial=np.inf) > 0.0:
-                break
-            out = free & (s <= 0.0)
-            u += np.min(u[out] / (u[out] - s[out])) * (s - u)
-            free &= u > 1e-15
-            u[~free] = 0.0
-        u = s
-    return u
-
-
-def _least_distance(G, h):
-    """min ||z|| s.t. G z >= h, or None when no z is feasible: the NNLS
-    min ||E u - f|| over u >= 0, E = [G^T; h^T], f = e_last."""
-    E = np.vstack([G.T, h])
-    f = np.eye(len(E))[-1]
-    r = E @ _nnls(E, f) - f
-    return None if r[-1] > -1e-12 else r[:-1] / -r[-1]
-
-
-class _DualVertices:
-    """Dual vertices of the Chebyshev LPs max r s.t. a_i x + ||a_i|| r <= b_i.
-
-    The LPs share the rows A, and so the dual feasible set
-    {y >= 0 : A^T y = 0, ||a||.y = 1}, and r_c(b) = min b.y over its
-    vertices (LP duality; Bertsimas & Tsitsiklis, *Introduction to Linear
-    Optimization*, 1997, ch. 4-5). A vertex keeps its rows T, the
-    pseudo-inverse of A_T and a basis of A_T's null space, all computed
-    from T alone. The cache lives for one ``shape_ratios`` call.
-    """
-
-    def __init__(self, A, norms):
-        self.A, self.norms = A, norms
-        self.Y = np.zeros((0, A.shape[0]))
-        self.rows, self.pinvs, self.nulls = [], [], []
-
-    def learn(self, T):
-        """Index of the vertex on the rows T, from [A_T ||a_T||]^T y_T = e;
-        None unless y_T > 0 with a small residual."""
-        T = T.tolist()
-        if tuple(T) in self.rows:
-            return self.rows.index(tuple(T))
-        M = np.vstack([self.A[T].T, self.norms[T]])
-        e = np.eye(len(M))[-1]
-        y_T = np.linalg.lstsq(M, e, rcond=None)[0]
-        if not T or np.min(y_T) <= 0.0 or np.max(np.abs(M @ y_T - e)) > 1e-9:
-            return None
-        self.Y = np.vstack([self.Y, np.zeros(self.A.shape[0])])
-        self.Y[-1, T] = y_T
-        self.rows.append(tuple(T))
-        # The rows of a vertex are dependent (A_T^T y_T = 0): singular
-        # values below 1e-10 of the largest are round-off.
-        u, sv, vt = np.linalg.svd(self.A[T])
-        rank = np.count_nonzero(sv > 1e-10 * sv[0])
-        self.pinvs.append((vt[:rank].T / sv[:rank]) @ u[:, :rank].T)
-        self.nulls.append(vt[rank:].T)
-        return len(self.rows) - 1
-
-    def least(self, B):
-        """For every row b of B, the stored vertex with the least b.y, ties
-        to the smaller row set; -1 while none is stored."""
-        if not self.rows:
-            return np.full(len(B), -1)
-        vals = solver._mv(self.Y, B)
-        tied = vals == vals.min(axis=1, keepdims=True)
-        ks = np.argmax(tied, axis=1)
-        for i in np.flatnonzero(tied.sum(axis=1) > 1):
-            ks[i] = min(np.flatnonzero(tied[i]), key=self.rows.__getitem__)
-        return ks
-
-    def certify(self, B, ks):
-        """Centers and radii that vertex ks[i] certifies for each row b of
-        B, up to the first row it does not (or ks[i] < 0); that row and the
-        rest get a NaN radius.
-
-        Vertex k, with rows T, bounds r_c by U = b.y_k. Its center is the
-        point nearest the origin of the face {A_T x + ||a_T|| U = b_T,
-        A x + ||a|| U <= b}: the origin moved by least change onto the rows
-        T or, where that point leaves another row, the least-distance
-        point over A_T's null space. It depends only on b and T, and it is
-        accepted when its inscribed radius, re-evaluated over every row, is
-        at least (1 - FEAS_TOL) U. That radius is returned; it never
-        overshoots.
-        """
-        A, norms = self.A, self.norms
-        X = np.zeros((len(B), A.shape[1]))
-        U = np.full(len(B), np.nan)
-        for k in sorted(set(ks.tolist()) - {-1}):
-            i, T = np.flatnonzero(ks == k), list(self.rows[k])
-            U[i] = np.sum(B[i][:, T] * self.Y[k, T], axis=1)
-            X[i] = solver._mv(self.pinvs[k], B[i][:, T] - norms[T] * U[i, None])
-        radii = np.min((B - solver._mv(A, X)) / norms, axis=1)
-        for i in np.flatnonzero(~(radii >= (1.0 - FEAS_TOL) * U)):
-            N = self.nulls[ks[i]] if ks[i] >= 0 else np.zeros((0, 0))
-            # Each row in units of U: (b - a.(x + U N z)) / (||a|| U) >= 1.
-            z = _least_distance(-(A @ N) / norms[:, None],
-                                1.0 - (B[i] - A @ X[i]) / (norms * U[i])) if N.size else None
-            if z is not None:
-                X[i] += U[i] * (N @ z)
-                radii[i] = np.min((B[i] - A @ X[i]) / norms)
-            if not radii[i] >= (1.0 - FEAS_TOL) * U[i]:
-                radii[i:] = np.nan
-                break
-        return X, np.maximum(radii, 0.0)
-
-
-def _chebyshev(A, norms, b, vertices):
-    """Chebyshev center and radius of {x : A x <= b} from its own LP
-    max r s.t. a_i x + ||a_i|| r <= b_i, r >= 0, solved alone: certified
-    by the vertex on the LP's active rows, which joins ``vertices``, or
-    else the LP's center with its radius re-evaluated over every row."""
-    n = A.shape[1]
-    rows = np.vstack([np.hstack([A, norms[:, None]]), -np.eye(n + 1)[-1:]])
-    rep = solver.solve_lp_batch(np.eye(n + 1)[-1], rows, np.append(b, 0.0))[0]
-    if rep.status == solver.Status.INFEASIBLE:
-        raise EmptySetError("chebyshev center of an empty polytope")
-    if rep.status != solver.Status.OPTIMAL:
-        raise GeometryError(f"chebyshev LP failed: {rep.status}")
-    center, r = rep.x[:n], rep.x[n]
-    slack = b - A @ center - norms * r
-    k = vertices.learn(np.flatnonzero(slack <= _ACTIVE_SLACK * (1.0 + np.max(np.abs(b)))))
-    X, radii = vertices.certify(b[None], np.array([-1 if k is None else k]))
-    if not np.isnan(radii[0]):
-        return X[0], float(radii[0])
-    return center, max(float(np.min((b - A @ center) / norms)), 0.0)
 
 
 def shape_ratios(A, offsets):
@@ -501,16 +360,16 @@ def shape_ratios(A, offsets):
     the origin; large values flag directional sensitivity.
 
     One call serves a whole run (``cli.cmd_run`` passes every principal
-    polytope of it). The Chebyshev LPs of all the sets share the rows A,
-    and so one dual feasible set. The sets are taken in order, and every
-    r_c comes from a certified vertex or from an interior-point solve:
-    each set is first certified, where it can be, by the cached dual
-    vertex with the least b.y (``_DualVertices.certify``); a set that no
-    cached vertex certifies solves its own LP alone, and the LP's active
-    rows add a vertex to the cache (``_chebyshev``). The cache lives for
-    the call. A ratio depends on its b and on the rows of the vertex that
-    certifies it, so it equals its batch of one wherever its LP has one
-    optimal dual vertex. Returns a list of floats.
+    polytope of it). r_c is the optimum of the set's Chebyshev LP
+    max r s.t. a_i x + ||a_i|| r <= b_i, posed in split form: x = x+ - x-,
+    so that v = (x+, x-, r) >= 0 over the rows [A, -A, ||a||], and v = 0,
+    the origin with r = 0, is a vertex. ``solver.simplex_batch`` solves
+    the LPs of up to ``_WINDOW`` sets per call, each exactly, from that
+    vertex; r_c is the last entry of the optimal vertex. Each ratio
+    depends only on its own b and the rows A, so it equals its batch of
+    one. Raises GeometryError for a zero row, a set that does not hold
+    the origin, or an LP that ends other than OPTIMAL. Returns a list of
+    floats.
     """
     A = np.asarray(A, dtype=float)
     offsets = np.asarray(offsets, dtype=float).reshape(-1, A.shape[0])
@@ -521,21 +380,16 @@ def shape_ratios(A, offsets):
     if np.any(r_origin < -FEAS_TOL):
         raise GeometryError("origin lies outside the polytope")
     r_cheb = np.zeros(r_origin.size)
-    vertices = _DualVertices(A, norms)
+    rows = np.hstack([A, -A, norms[:, None]])
+    c = np.eye(rows.shape[1])[-1]
     todo = np.flatnonzero(r_origin > 0.0)
-    while todo.size:
-        # Certify the next sets in order up to the first miss, which solves
-        # its LP and so may add the vertex that the later sets need. The
-        # window bounds the memory of one pass.
-        B = offsets[todo[:_WINDOW]]
-        _, radii = vertices.certify(B, vertices.least(B))
-        miss = np.isnan(radii)
-        done = int(np.argmax(miss)) if miss.any() else len(B)
-        r_cheb[todo[:done]] = radii[:done]
-        if miss.any():
-            r_cheb[todo[done]] = _chebyshev(A, norms, B[done], vertices)[1]
-            done += 1
-        todo = todo[done:]
+    for start in range(0, todo.size, _WINDOW):
+        sets = todo[start:start + _WINDOW]
+        reports = solver.simplex_batch(c, rows, offsets[sets])
+        for rep in reports:
+            if rep.status != solver.Status.OPTIMAL:
+                raise GeometryError(f"chebyshev LP failed: {rep.status}")
+        r_cheb[sets] = [rep.x[-1] for rep in reports]
     # r_c >= r_o holds mathematically; the clamp removes round-off.
     return [max(rc / ro, 1.0) if ro > 0.0 else np.inf
             for rc, ro in zip(r_cheb.tolist(), r_origin.tolist())]

@@ -14,10 +14,12 @@ step by a Schur complement, so only the rest is factorized (the RMPC
 QP's inputs); the others take the plain Newton step.
 ``maximize_log_volume_batch`` poses the hyper-rectangle volume
 objectives as ``-sum log(S v)`` over ``[W; -I] v <= [d; 0]``, one loop
-per set of live variables. ``least_distance`` is the one solver outside
-that loop: the point of a polyhedron nearest the origin by Goldfarb and
-Idnani's dual active-set method, exact up to rounding (the RMPC QP's
-least-norm plans of value 0).
+per set of live variables. Two solvers run outside that loop, each
+exact up to rounding. ``least_distance`` finds the point of a
+polyhedron nearest the origin by Goldfarb and Idnani's dual active-set
+method (the RMPC QP's least-norm plans of value 0). ``simplex_batch``
+maximizes c.v over {A v <= b, v >= 0} with b >= 0 by the primal simplex
+from the vertex v = 0 (the shape diagnostic's Chebyshev LPs).
 No external solver dependencies; every run with the same inputs is
 bit-identical (fixed step rules, no restarts), and a problem's result
 does not depend on the batch it is solved in.
@@ -28,8 +30,9 @@ relative to 1 + max|g| + max|H|, are all at most the caller's tolerance
 (1e-8 by default), a QP when they are at most 1e-10; a log-volume
 problem when its scaled residuals are at most 1e-8 and the total gap
 z.s at most 1e-10; ``least_distance`` when no row exceeds its offset
-by more than 1e-10 (1 + max|b|). At most 200 iterations (active-set
-steps) per solve.
+by more than 1e-10 (1 + max|b|); ``simplex_batch`` when no dual is
+negative beyond its round-off bound. At most 200 iterations (active-set
+steps, pivots) per solve.
 """
 
 import enum
@@ -740,6 +743,71 @@ def least_distance(A, b):
             drop = int(blocking[np.argmin(ratios)])
             del active[drop]
             lam = np.delete(lam, drop)
+
+
+def simplex_batch(c, A, B):
+    """Maximize c.v s.t. A v <= b, v >= 0 for every row b >= 0 of B (K, m),
+    with c and A shared; one report per row.
+
+    The primal simplex in inequality form (Bertsimas & Tsitsiklis,
+    *Introduction to Linear Optimization*, 1997, ch. 3), started at the
+    vertex v = 0, which b >= 0 makes feasible. A basis is n rows of
+    [A; -I], tight at its vertex; with M those rows, the vertex solves
+    M v = b_M and the rows' duals M^T y = c. While a dual is negative,
+    the lowest-index such row leaves: the vertex moves along the edge
+    that loosens it, and the first row the edge meets enters, ties to the
+    lowest index (Bland's rule, *Math. Oper. Res.* 2(2), 1977, so no
+    basis repeats). A dual is negative below its round-off bound,
+    n eps max|M| max|M^-1| max|y| (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, ch. 7), which the rounding of a zero
+    dual, as the split x = x+ - x- of a free variable makes, stays
+    under. A row blocks the edge only where its rate along it
+    exceeds QP_TOL times the row's and the edge's largest entries, so a
+    basis stays nonsingular. An edge that no row blocks is UNBOUNDED;
+    after MAX_ITER pivots the vertex reached is MAXITER. ``iterations``
+    counts the pivots and ``kkt_residual`` is the most negative dual's
+    magnitude. Every step is stacked (``np.linalg.inv``, ``np.matmul``,
+    ``_mv``), so each report has the bits of its batch of one.
+    """
+    c, A = np.asarray(c, dtype=float), np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float).reshape(-1, A.shape[0])
+    if not all(np.all(np.isfinite(a)) for a in (c, A, B)) or np.any(B < 0.0):
+        raise ValueError("simplex_batch needs finite rows and offsets b >= 0")
+    (m, n), eye = A.shape, np.eye(A.shape[1])
+    R = np.vstack([A, -eye])
+    row_scale = np.max(np.abs(R), axis=1)
+    idx, H = np.arange(len(B)), np.hstack([B, np.zeros((len(B), n))])
+    basis = np.tile(np.arange(m, m + n), (len(B), 1))  # v = 0: the rows -v <= 0
+    reports = [None] * len(B)
+    for pivots in range(MAX_ITER + 1):
+        M = R[basis]
+        inv = np.linalg.inv(M)
+        y = np.matmul(c, inv)
+        v = _mv(inv, np.take_along_axis(H, basis, axis=1))
+        bound = (n * np.finfo(float).eps * np.max(np.abs(M), axis=(1, 2))
+                 * np.max(np.abs(inv), axis=(1, 2)) * np.max(np.abs(y), axis=1))
+        leaving = y < -bound[:, None]
+        p = np.argmin(np.where(leaving, basis, m + n), axis=1)  # its place in the basis
+        d = -inv[np.arange(len(idx)), :, p]  # the edge off row p
+        rate = _mv(R, d)
+        blocks = rate > QP_TOL * row_scale * np.max(np.abs(d), axis=1)[:, None]
+        np.put_along_axis(blocks, basis, False, axis=1)
+        slack = np.maximum(H - _mv(R, v), 0.0)
+        enter = np.argmin(np.where(blocks, slack, np.inf) / np.where(blocks, rate, 1.0), axis=1)
+        optimal = ~leaving.any(axis=1)
+        done = optimal | ~blocks.any(axis=1) | (pivots == MAX_ITER)
+        residual = np.maximum(-np.min(y, axis=1), 0.0)
+        for k in np.flatnonzero(done):
+            if optimal[k] or pivots == MAX_ITER:
+                status = Status.OPTIMAL if optimal[k] else Status.MAXITER
+                reports[idx[k]] = SolveReport(status, v[k], c @ v[k], residual[k], pivots)
+            else:
+                reports[idx[k]] = SolveReport(Status.UNBOUNDED, None, None, residual[k], pivots)
+        live = ~done
+        if not live.any():
+            return reports
+        idx, H, basis, p, enter = idx[live], H[live], basis[live], p[live], enter[live]
+        basis[np.arange(len(idx)), p] = enter
 
 
 def feasibility(A, b):

@@ -445,7 +445,9 @@ class TriggerSchedule:
         """The boxes with the shape ratios r_c/r_o of their principal
         polytopes, a diagnostic that no trigger decision reads. ``ratios``
         holds one per box, this schedule's slice of the run's one
-        ``geometry.shape_ratios`` call (``cli.cmd_run``). The values are
+        ``geometry.shape_ratios`` call (``cli.cmd_run``); each comes from
+        its polytope's own Chebyshev LP, solved exactly, so it does not
+        depend on the run's other polytopes. The values are
         JSON-safe: a ratio that is not finite (+inf where the origin is on
         the boundary) is None; boxes and volumes are finite."""
         return {

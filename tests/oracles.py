@@ -188,13 +188,13 @@ def slsqp_least_norm(T, t, A, b):
     return res.x
 
 
-def highs_max(c, A, b, A_eq=None, b_eq=None):
+def highs_max(c, A, b, A_eq=None, b_eq=None, options=None):
     """HiGHS optimum of max c.x s.t. A x <= b, A_eq x = b_eq, x free;
-    +inf if unbounded."""
+    +inf if unbounded. ``options`` go to HiGHS as they are."""
     from scipy.optimize import linprog
 
     res = linprog(-np.asarray(c, dtype=float), A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(None, None)] * len(c), method="highs")
+                  bounds=[(None, None)] * len(c), method="highs", options=options)
     if res.status == 3:
         return np.inf
     assert res.status == 0, res.message
@@ -203,11 +203,16 @@ def highs_max(c, A, b, A_eq=None, b_eq=None):
 
 def highs_chebyshev(A, b):
     """HiGHS radius of the largest 2-norm ball in {x : A x <= b}: max r
-    s.t. a_i x + ||a_i|| r <= b_i, with r free and x free."""
+    s.t. a_i x + ||a_i|| r <= b_i, with r free and x free.
+
+    At HiGHS's tightest feasibility tolerances, 1e-10: at its defaults
+    (1e-7) its point on one reference-run set violates a row by 1.0e-9,
+    and its radius is 1.1e-9 relative above the exact optimum."""
     A = np.asarray(A, dtype=float)
     n = A.shape[1]
     rows = np.hstack([A, np.linalg.norm(A, axis=1)[:, None]])
-    return highs_max(np.eye(n + 1)[n], rows, b)
+    return highs_max(np.eye(n + 1)[n], rows, b, options={
+        "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
 
 
 def highs_segment_length(G, d, j):

@@ -60,10 +60,14 @@ def random_polytope(rng, n, m, duplicates, cuts):
 
 
 def chebyshev(poly):
-    """Chebyshev center and radius of one polytope, from its own LP and an
-    empty vertex cache, as a set that no cached vertex certifies takes."""
-    norms = np.linalg.norm(poly.A, axis=1)
-    return geometry._chebyshev(poly.A, norms, poly.b, geometry._DualVertices(poly.A, norms))
+    """Chebyshev center and radius of a polytope that holds the origin,
+    from the split-form LP that ``shape_ratios`` poses: the optimal vertex
+    (x+, x-, r) of ``solver.simplex_batch`` over the rows [A, -A, ||a||]."""
+    n = poly.dim
+    rows = np.hstack([poly.A, -poly.A, np.linalg.norm(poly.A, axis=1)[:, None]])
+    rep = solver.simplex_batch(np.eye(2 * n + 1)[-1], rows, poly.b)[0]
+    assert rep.status == solver.Status.OPTIMAL
+    return rep.x[:n] - rep.x[n:2 * n], rep.x[-1]
 
 
 class TestSupport:
@@ -538,8 +542,9 @@ class TestChebyshev:
         assert radius == pytest.approx(1.0, abs=1e-7)
 
     def test_empty_raises(self):
-        with pytest.raises(geometry.EmptySetError):
-            chebyshev(Polytope([[1.0], [-1.0]], [-1.0, -1.0]))
+        # An empty set does not hold the origin.
+        with pytest.raises(geometry.GeometryError, match="origin lies outside"):
+            shape_ratios([[1.0], [-1.0]], [-1.0, -1.0])
 
     def test_batched_radii_match_highs(self):
         # 30 polytopes with one G and random offsets, origin inside; the
@@ -588,17 +593,24 @@ class TestShapeRatio:
     def test_reference_run_matches_highs(self, method, monkeypatch):
         # One call over every principal polytope of a reference run: each
         # inner ratio times r_o is the HiGHS Chebyshev radius to 1e-8
-        # relative, from at most 20 Chebyshev LPs (the cache answers the
-        # rest).
+        # relative, with no interior-point LP and every simplex optimal.
         pytest.importorskip("scipy")
         trace = run_closed_loop(batch_setup(), X0, method,
                                 DisturbanceModel("uniform", seed=1234), T=60)
         pps = [pp for sch in trace.schedules.values() for pp in sch.principals]
         G, D = pps[0].G, np.array([pp.d for pp in pps])
-        lps, solve = [], solver.solve_lp_batch
-        monkeypatch.setattr(solver, "solve_lp_batch", lambda *a, **k: lps.append(a) or solve(*a, **k))
+        lps, reports, simplex = [], [], solver.simplex_batch
+
+        def recorded(*args):
+            out = simplex(*args)
+            reports.extend(out)
+            return out
+
+        monkeypatch.setattr(solver, "solve_lp_batch", lambda *a, **k: lps.append(a))
+        monkeypatch.setattr(solver, "simplex_batch", recorded)
         ratios = shape_ratios(G, D)
-        assert 0 < len(lps) <= 20
+        assert lps == []
+        assert {rep.status for rep in reports} == {solver.Status.OPTIMAL}
         r_origin = np.min(D / np.linalg.norm(G, axis=1), axis=1)
         inner = np.flatnonzero(r_origin > 0.0)
         assert inner.size > 100

@@ -314,6 +314,62 @@ class TestLpBatch:
         assert all(same_report(r, solo[k]) for k, r in enumerate(batch) if k != slow)
 
 
+def simplex_lp(rng, n, m, zeros=0):
+    """Rows A (m, n), offsets b >= 0 with ``zeros`` of them 0 (so v = 0 and
+    later vertices are degenerate), and an objective c. A box row on every
+    variable keeps the LP bounded."""
+    A = np.vstack([rng.normal(size=(m, n)), np.eye(n)])
+    b = np.concatenate([rng.uniform(0.0, 2.0, size=m), rng.uniform(1.0, 3.0, size=n)])
+    b[rng.choice(m, size=zeros, replace=False)] = 0.0
+    return A, b, rng.normal(size=n)
+
+
+class TestSimplex:
+    def test_random_lps_match_highs(self):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(29)
+        for draw in range(40):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(1, 3 * n))
+            A, b, c = simplex_lp(rng, n, m, zeros=draw % min(m + 1, 4))
+            rep = solver.simplex_batch(c, A, b)[0]
+            assert rep.status == Status.OPTIMAL
+            assert np.max(A @ rep.x - b) <= 1e-12 and np.min(rep.x) >= -1e-12
+            assert rep.objective == c @ rep.x
+            expected = highs_max(c, np.vstack([A, -np.eye(n)]), np.concatenate([b, np.zeros(n)]),
+                                 options={"primal_feasibility_tolerance": 1e-10,
+                                          "dual_feasibility_tolerance": 1e-10})
+            assert rep.objective == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    def test_unbounded(self):
+        # v_1 rises along (1, 1) without bound: x_0 - x_1 <= 1, and c.(1, 1) > 0.
+        rep = solver.simplex_batch([-1.0, 2.0], [[1.0, -1.0]], [1.0])[0]
+        assert rep.status == Status.UNBOUNDED
+        assert rep.x is None and rep.objective is None
+
+    def test_origin_optimal_without_pivot(self):
+        rep = solver.simplex_batch([-1.0, 0.0], [[1.0, 1.0]], [2.0])[0]
+        assert rep.status == Status.OPTIMAL and rep.iterations == 0
+        assert rep.x.tolist() == [0.0, 0.0]
+
+    def test_offsets_must_be_nonnegative_and_finite(self):
+        for b in ([-1.0], [np.inf], [np.nan]):
+            with pytest.raises(ValueError):
+                solver.simplex_batch([1.0], [[1.0]], b)
+
+    def test_pivot_cap_reports_maxiter(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        A, b, _ = simplex_lp(rng, 5, 12, zeros=2)
+        c = np.ones(5)  # every variable would rise: several pivots
+        solo = solver.simplex_batch(c, A, b)[0]
+        assert solo.status == Status.OPTIMAL and solo.iterations >= 3
+        for cap in range(solo.iterations):
+            monkeypatch.setattr(solver, "MAX_ITER", cap)
+            rep = solver.simplex_batch(c, A, np.array([b, b]))[0]
+            assert rep.status == Status.MAXITER and rep.iterations == cap
+            assert np.max(A @ rep.x - b) <= 1e-12 and rep.objective <= solo.objective
+
+
 def structured_qp(rng, nu, ns, p):
     """A convex QP over [u | s] (nu + ns variables) with p equality rows on
     u. Each s_j is touched by two one-entry rows and H is diagonal on s,

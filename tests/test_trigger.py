@@ -16,8 +16,9 @@ from etrmpc.trigger import (CP1, CP2, LP1, LP2, PrincipalPolytope,
                             assemble_principal, build_schedule, construct_boxes,
                             extended_plan)
 
-from batch_reactor import X0, batch_setup, cross_polytope_setup, stage_sets
-from oracles import grid_box_volume, highs_lp1_scaling, highs_segment_length
+from batch_reactor import (X0, batch_setup, cross_polytope_setup, polytope_worst_case_data,
+                           stage_sets)
+from oracles import grid_box_volume, highs_chebyshev, highs_lp1_scaling, highs_segment_length
 from test_rmpc import stage_cost as rmpc_stage
 
 CONFIG_PATH = "configs/batch_reactor.json"
@@ -313,12 +314,12 @@ def _merged(W, d, G, meta):
 
 class TestNewtonSplit:
     def test_lps_eliminate_no_variable(self, monkeypatch):
-        # LP1's scaling LPs, the Chebyshev LPs of the shape diagnostic and
-        # the phase-1 LPs (here over the principal rows and over the box
-        # rows of the tightened targets, moved by (1, 1, 1, 1) so that none
-        # holds the origin and each takes phase 1) take the plain Newton
-        # step: only a QpProblem looks for variables to eliminate, so no LP
-        # calls _rows_on.
+        # LP1's scaling LPs and the phase-1 LPs (here over the principal
+        # rows and over the box rows of the tightened targets, moved by
+        # (1, 1, 1, 1) so that none holds the origin and each takes phase
+        # 1) take the plain Newton step: only a QpProblem looks for
+        # variables to eliminate, so no LP calls _rows_on. The Chebyshev
+        # LPs of the shape diagnostic run no interior-point loop at all.
         setup = batch_setup()
         sol = solve_rmpc(setup, X0)
         split, loops = [], []
@@ -328,7 +329,7 @@ class TestNewtonSplit:
         sched = build_schedule(setup, sol, LP1)
         counts = [len(loops)]
         geometry.shape_ratios(setup.principal_rows.G, sched.offsets)
-        counts.append(len(loops))
+        assert len(loops) == counts[0]
         solver.feasibility(setup.principal_rows.G, assemble_principal(setup, sol))
         counts.append(len(loops))
         shift = setup.plant.Tx.A @ np.ones(setup.nx)
@@ -782,16 +783,16 @@ class TestSchedule:
         assert schedules[LP1].vol1[4] == pytest.approx(4.809e-6, rel=1e-3)
 
     def test_no_shape_ratio_while_building(self, sched_all, monkeypatch, tmp_path):
-        # No Chebyshev LP while boxes are built; one shape diagnostic call
-        # per cmd_run, over every schedule of the run.
+        # No Chebyshev LP (no simplex) while boxes are built; one shape
+        # diagnostic call per cmd_run, over every schedule of the run.
         setup, sol, _ = sched_all
-        chebyshev, shape_ratios = geometry._chebyshev, geometry.shape_ratios
+        simplex, shape_ratios = solver.simplex_batch, geometry.shape_ratios
         lps, calls = [], []
 
         def forbidden(*args):
             raise AssertionError("shape diagnostic called while building boxes")
 
-        monkeypatch.setattr(geometry, "_chebyshev", lambda *a: lps.append(a) or chebyshev(*a))
+        monkeypatch.setattr(solver, "simplex_batch", lambda *a: lps.append(a) or simplex(*a))
         with monkeypatch.context() as m:
             m.setattr(geometry, "shape_ratios", forbidden)
             for method in trigger.METHODS:
@@ -819,6 +820,27 @@ class TestSchedule:
                 ratios = [b["shape_ratio"] for b in written["per_trigger"][str(t)]["boxes"]]
                 single = [geometry.shape_ratios(pp.G, pp.d)[0] for pp in sch.principals]
                 assert ratios == [None if r == np.inf else r for r in single]
+
+    def test_polytopic_run_ratios_match_highs(self, tmp_path):
+        # LP2 on the polytopic worst-case config past its t=1 trigger, whose
+        # j=4 ratio a dual-vertex cache once left 5.4e-8 low: every finite
+        # ratio written, times r_o, is the HiGHS Chebyshev radius to 1e-10.
+        pytest.importorskip("scipy")
+        path = tmp_path / "polytope.json"
+        path.write_text(json.dumps(polytope_worst_case_data()))
+        trace, _ = cmd_run(ExperimentConfig.from_file(path), out_dir=tmp_path / "out",
+                           method=LP2, steps=3, out=io.StringIO())
+        assert 1 in trace.schedules
+        written = json.loads((tmp_path / "out" / "schedules.json").read_text())["per_trigger"]
+        checked = 0
+        for t, sch in trace.schedules.items():
+            G = sch.rows.G
+            for d, box in zip(sch.offsets, written[str(t)]["boxes"]):
+                if box["shape_ratio"] is not None:
+                    radius = box["shape_ratio"] * np.min(d / np.linalg.norm(G, axis=1))
+                    assert radius == pytest.approx(highs_chebyshev(G, d), rel=1e-10, abs=0.0)
+                    checked += 1
+        assert checked >= 9
 
     def test_unknown_method_rejected(self, sched_all):
         setup, sol, _ = sched_all
