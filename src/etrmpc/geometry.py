@@ -13,13 +13,17 @@ stacked box bounds, or the rows of a least-distance problem in the
 weight's Cholesky coordinates. Support functions over a
 polytope (``supports``) come from its vertex set
 (``Polytope.vertices``), enumerated once from its rows. The origin
-witnesses that a set with no negative offset is not empty (``are_empty``).
-The shape diagnostic ``shape_ratios`` is one call over every principal
-polytope of a run. The origin is in each of them, so each Chebyshev LP,
+witnesses that a set with no negative offset is not empty; any other
+set is empty exactly when ``solver.least_distance`` finds no point in it
+(``are_empty``). A nonempty set is bounded exactly when its recession
+cone is {0}, which one ``solver.simplex_batch`` call decides
+(``Polytope.is_bounded``), so no verdict here runs an interior-point
+loop. The shape diagnostic ``shape_ratios`` is one call over every
+principal polytope of a run. The origin is in each of them, so each Chebyshev LP,
 in split form, starts from a vertex, and ``solver.simplex_batch`` solves
 it exactly, batched over windows of sets.
 
-A polytope keeps its box, its vertices and its ±e_j LP statuses, each
+A polytope keeps its box, its vertices and its boundedness, each
 computed once from its rows alone; everything else here is immutable
 after construction and safe to share across workers.
 """
@@ -77,7 +81,7 @@ class Polytope:
         self._box = None
         self._box_checked = False
         self._vertices = None
-        self._axes = None
+        self._bounded = None
 
     def __repr__(self):
         return f"Polytope(m={self.A.shape[0]}, n={self.dim})"
@@ -109,41 +113,37 @@ class Polytope:
             self._box = HyperRect(bounds[0][0], bounds[1][0])
         return self._box
 
-    def _axis_statuses(self):
-        """The statuses of max ±x_j over the set: one batched LP, kept."""
-        if self._axes is None:
-            eye = np.eye(self.dim)
-            self._axes = {rep.status for rep in solver.solve_lp_batch(
-                np.vstack([eye, -eye]), self.A, self.b)}
-        return self._axes
-
     def is_bounded(self):
-        """A box (``as_box``), or finite support along all 2n axis
-        directions (kept statuses)."""
-        return self.as_box() is not None or self._axis_statuses() == {solver.Status.OPTIMAL}
+        """Whether the set is nonempty and bounded, computed once and kept,
+        as ``as_box`` is: a box, or a set that ``are_empty`` finds nonempty
+        and whose recession cone holds no ray (``_recedes``)."""
+        if self._bounded is None:
+            self._bounded = self.as_box() is not None or (
+                not are_empty(self.A, self.b)[0] and not _recedes(self.A))
+        return self._bounded
 
     def vertices(self):
         """The vertices (k, n) of a nonempty, bounded polytope, computed once
         and kept, as ``as_box`` is.
 
-        The ±e_j LP statuses that ``is_bounded`` keeps decide emptiness,
-        then boundedness. Vertex enumeration over the rows (Avis & Fukuda,
-        *Discrete Comput. Geom.* 8, 1992): each subset of n rows of full
-        rank meets in a point, kept where it lies in the polytope. The
-        points are merged by their active rows T (slack at most
-        ``_VERTEX_SLACK`` of the scale), and each vertex is computed from T
-        alone (``solver.vertex_on_rows``, in index order), so its bits
-        depend only on the rows. The vertices come in the order of their
-        tuples T. Raises EmptySetError, UnboundedSupport, or GeometryError
-        above ``_MAX_SUBSETS`` subsets.
+        ``is_bounded`` (kept) decides that the set is both; where it is
+        not, ``are_empty`` tells which fails. Vertex enumeration over the
+        rows (Avis & Fukuda, *Discrete Comput. Geom.* 8, 1992): each
+        subset of n rows of full rank meets in a point, kept where it lies
+        in the polytope. The points are merged by their active rows T
+        (slack at most ``_VERTEX_SLACK`` of the scale), and each vertex is
+        computed from T alone (``solver.vertex_on_rows``, in index order),
+        so its bits depend only on the rows. The vertices come in the
+        order of their tuples T. Raises EmptySetError, UnboundedSupport,
+        or GeometryError above ``_MAX_SUBSETS`` subsets or where a solve
+        reaches its step cap.
         """
         if self._vertices is not None:
             return self._vertices
         A, b, (m, n) = self.A, self.b, self.A.shape
-        statuses = self._axis_statuses()
-        if solver.Status.INFEASIBLE in statuses:
-            raise EmptySetError("vertices of an empty polytope")
-        if statuses != {solver.Status.OPTIMAL}:
+        if not self.is_bounded():
+            if are_empty(A, b)[0]:
+                raise EmptySetError("vertices of an empty polytope")
             raise UnboundedSupport("vertices of an unbounded polyhedron")
         count = math.comb(m, n)
         if count > _MAX_SUBSETS:
@@ -231,14 +231,42 @@ _CHUNK = 4096
 
 def are_empty(A, offsets):
     """Whether {x : A x <= b} is empty, for every row b of ``offsets``
-    (flagged, never raised). A row with no b_i < 0 holds the origin; the
-    others, in order, take one batched phase-1 solve."""
-    B = np.asarray(offsets, dtype=float).reshape(-1, np.shape(A)[0])
-    empty, out = [False] * len(B), np.flatnonzero(np.any(B < 0.0, axis=1))
-    if out.size:  # an empty batch would still enter the interior-point loop
-        for k, point in zip(out.tolist(), solver.feasibility(A, B[out])):
-            empty[k] = point is None
+    (flagged, not raised). A row with no b_i < 0 holds the origin; each
+    other one is empty exactly when ``solver.least_distance`` proves that
+    its rows have no point (``_nearest``, which raises GeometryError at
+    its step cap)."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(offsets, dtype=float).reshape(-1, A.shape[0])
+    empty = [False] * len(B)
+    for k in np.flatnonzero(np.any(B < 0.0, axis=1)).tolist():
+        empty[k] = _nearest(A, B[k]) is None
     return empty
+
+
+def _nearest(A, b):
+    """The point of {y : A y <= b} nearest the origin, or None when there
+    is none (``solver.least_distance``). Raises GeometryError where the
+    solve reaches its step cap, so no verdict is guessed."""
+    y, steps = solver.least_distance(A, b)
+    if y is None and steps == solver.MAX_ITER:
+        raise GeometryError(f"least-distance solve reached its step cap of {steps}")
+    return y
+
+
+def _recedes(A):
+    """Whether the cone {d : A d <= 0} holds a ray d != 0: exactly when
+    max d_j or max -d_j over it is unbounded for some j. One
+    ``solver.simplex_batch`` call solves the 2n LPs in split form
+    d = d+ - d-: the rows [A, -A], offsets 0 and the objectives
+    ±(e_j, -e_j). Raises GeometryError where a solve reaches its step
+    cap."""
+    eye = np.eye(A.shape[1])
+    C = np.vstack([eye, -eye])
+    reports = solver.simplex_batch(np.hstack([C, -C]), np.hstack([A, -A]),
+                                   np.zeros((len(C), len(A))))
+    if any(rep.status == solver.Status.MAXITER for rep in reports):
+        raise GeometryError(f"recession-cone LP reached its step cap of {solver.MAX_ITER}")
+    return any(rep.status == solver.Status.UNBOUNDED for rep in reports)
 
 
 def supports(poly, etas):
@@ -335,9 +363,7 @@ class Projection:
             D = R[c] - S[c]
             d2[c] = np.sum(D * self.w * D, axis=1)
         for k in np.flatnonzero(~self.clamp & ~inside):
-            t, steps = solver.least_distance(self._rows, self.B[k] - self.A @ R[k])
-            if t is None and steps == solver.MAX_ITER:
-                raise GeometryError(f"projection reached its step cap of {steps}")
+            t = _nearest(self._rows, self.B[k] - self.A @ R[k])
             if t is None:
                 raise EmptySetError("projection target is empty")
             S[k] = R[k] + self._inv_lt @ t

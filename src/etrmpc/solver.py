@@ -17,9 +17,12 @@ objectives as ``-sum log(S v)`` over ``[W; -I] v <= [d; 0]``, one loop
 per set of live variables. Two solvers run outside that loop, each
 exact up to rounding. ``least_distance`` finds the point of a
 polyhedron nearest the origin by Goldfarb and Idnani's dual active-set
-method (the RMPC QP's least-norm plans of value 0). ``simplex_batch``
-maximizes c.v over {A v <= b, v >= 0} with b >= 0 by the primal simplex
-from the vertex v = 0 (the shape diagnostic's Chebyshev LPs).
+method (the RMPC QP's least-norm plans of value 0, and every emptiness
+verdict). ``simplex_batch`` maximizes c.v over {A v <= b, v >= 0} with
+b >= 0 by the primal simplex from the vertex v = 0 (the shape
+diagnostic's Chebyshev LPs, and every verdict that a recession cone
+holds a ray). An LP or QP that the loop leaves undecided is classified
+by these two, never by a threshold.
 No external solver dependencies; every run with the same inputs is
 bit-identical (fixed step rules, no restarts), and a problem's result
 does not depend on the batch it is solved in.
@@ -290,7 +293,7 @@ def _as_slice(ix):
     return ix
 
 
-def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows=None):
+def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
     """Mehrotra predictor-corrector on min f_k(x), Ax=b, G x<=h[k].
 
     f_k is the quadratic 0.5 x.H x + g[k].x or, given ``log_rows`` S (r, n)
@@ -298,20 +301,21 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
     one problem per row k of g (B, n) and h (B, m), with m >= 1; H, A, b
     and S are shared, and so is G when it is (m, n); a (B, m, n) G gives
     problem k the rows G[k]. Each problem has its own iterates,
-    convergence test, regularization retry and phase-1 classification
-    (then, for an LP that phase 1 finds feasible, the recession LP), and
-    leaves the batch, with its rows, once it is decided. The arithmetic
-    is stacked only through operations that give each slice the bits of
-    the one-problem call (``_mv``, ``_dot``, stacked ``np.linalg.solve``,
-    ``np.float_power``), so a problem's result does not depend on the
-    rest of its batch.
+    convergence test and regularization retry, and leaves the batch, with
+    its rows, once it is decided. The arithmetic is stacked only through
+    operations that give each slice the bits of the one-problem call
+    (``_mv``, ``_dot``, stacked ``np.linalg.solve``, ``np.float_power``),
+    so a problem's result does not depend on the rest of its batch.
 
     The objective decides the stop rule. A quadratic stops when the
     primal residual over 1 + max(|b|, |h[k]|), and the dual residual and
     mean complementarity z.s/m over 1 + max|g[k]| + max|H|, are all at
     most tol. A log-volume problem stops when the same primal residual and
     the dual residual over the gradient's largest entry are at most tol,
-    and the total gap z.s at most GAP_TOL.
+    and the total gap z.s at most GAP_TOL. An LP or QP is UNBOUNDED where
+    its objective falls below -_DIVERGE times its dual scale at an
+    iterate primal feasible to 1e-6; where the loop leaves it undecided,
+    ``_undecided`` gives its status, and a log-volume problem's is MAXITER.
 
     The start is the least-squares point of the equalities, or
     ``start`` = (x, s = h - G x) strictly interior, with z = 1/s.
@@ -419,7 +423,7 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
         converged = (kkt <= tol if log_rows is None
                      else (np.maximum(res_p, res_d) <= tol) & (gap <= GAP_TOL))
         done = converged
-        if classify:
+        if log_rows is None:
             feasible = res_p <= 1e-6
             if feasible.any():  # else the objective cannot decide
                 obj = _dot(g, x)
@@ -502,26 +506,34 @@ def _ipm(H, g, A, b, G, h, tol, classify=True, newton=None, start=None, log_rows
         xy = xy + alpha[:, None] * sol
         sz = sz + alpha[:, None, None] * dsz
 
-    # Not converged: classify via an elastic phase-1 LP and, for a feasible
-    # LP, a recession LP; never report a silent wrong answer.
+    # Not converged: an LP or QP takes an exact verdict (``_undecided``),
+    # never a guessed one; a log-volume problem is MAXITER.
     stopped.extend(zip(idx, best_kkt, best_x, repeat(MAX_ITER)))
-    if not stopped:
-        return out
-    rows = [i for i, _, _, _ in stopped]
-    phase = (_phase1(A, b, _member(G_all, rows), h_all[rows]) if classify
-             else [(None, None)] * len(rows))
-    feasible = [i for i, (t, _) in zip(rows, phase) if t is not None and t <= 1e-7]
-    rays = set() if quadratic or not feasible else {
-        i for i, ray in zip(feasible, _descends_along_ray(A, _member(G_all, feasible),
-                                                          g_all[feasible])) if ray}
-    for (i, kkt_i, x_i, checks), (t, _) in zip(stopped, phase):
-        if t is not None and t > 1e-7:
-            out[i] = (Status.INFEASIBLE, None, kkt_i, checks)
-        elif i in rays:
-            out[i] = (Status.UNBOUNDED, None, kkt_i, checks)
-        else:
-            out[i] = (Status.MAXITER, x_i, kkt_i, checks)
+    for i, kkt_i, x_i, checks in stopped:
+        status = Status.MAXITER if log_rows is not None else _undecided(
+            A, b, _member(G_all, i), h_all[i], None if quadratic else g_all[i])
+        out[i] = (status, x_i if status == Status.MAXITER else None, kkt_i, checks)
     return out
+
+
+def _undecided(A, b, G, h, g):
+    """The status of min g.x (a QP where g is None) over {A x = b, G x <= h}
+    that the interior-point loop left undecided. INFEASIBLE when
+    ``least_distance`` proves the rows [G; A; -A] have no point; for an
+    LP, UNBOUNDED when ``simplex_batch``, in split form d = d+ - d-, finds
+    a ray of {G d <= 0, A d = 0} along which g.d falls; else MAXITER, a
+    step cap of either routine included.
+    """
+    rows = np.vstack([G, A, -A])
+    point, steps = least_distance(rows, np.concatenate([h, b, -b]))
+    if point is None:
+        return Status.INFEASIBLE if steps < MAX_ITER else Status.MAXITER
+    if g is not None:
+        ray = simplex_batch(np.concatenate([-g, g]), np.hstack([rows, -rows]),
+                            np.zeros(len(rows)))[0]
+        if ray.status == Status.UNBOUNDED:
+            return Status.UNBOUNDED
+    return Status.MAXITER
 
 
 def _member(M, k):
@@ -538,48 +550,6 @@ def _max_step(v, dv):
     neg = dv < 0.0
     q = np.where(neg, v, -1.0) / np.where(neg, dv, 1.0)
     return -np.maximum.reduce(q, axis=-1, initial=-1.0)
-
-
-def _descends_along_ray(A, G, g):
-    """Whether min g[k].x over a nonempty {Ax = b, Gx <= h} falls without
-    bound, for every row k of g: one batched recession LP
-    min g[k].d s.t. G d <= 0, A d = 0, |d| <= 1, whose optimum is negative
-    exactly when some ray of the feasible set descends. G is shared or
-    stacked, as in ``_ipm``.
-    """
-    n = G.shape[-1]
-    h = np.concatenate([np.zeros(G.shape[-2]), np.ones(2 * n)])
-    box = np.vstack([np.eye(n), -np.eye(n)])
-    G = np.concatenate([G, np.broadcast_to(box, G.shape[:-2] + box.shape)], axis=-2)
-    reports = _ipm(np.zeros((n, n)), g, A, np.zeros(A.shape[0]), G,
-                   np.broadcast_to(h, (len(g), h.size)), FEAS_TOL, classify=False)
-    return [st == Status.OPTIMAL and gk @ d < -1e-6 * (1.0 + np.max(np.abs(gk)))
-            for (st, d, _, _), gk in zip(reports, g)]
-
-
-def _phase1(A, b, G, h):
-    """min t s.t. Gx <= h[k] + t, Ax = b, t >= 0 for every row k of h.
-
-    Classifies feasibility: one (t, point) pair per row, (None, None)
-    where the phase-1 LP itself does not converge. t is given in units of
-    1 + max(|b|, |h[k]|), the scale the loop stops in, so callers compare
-    it with 1e-7 whatever the offsets' magnitude. G is shared or stacked,
-    as in ``_ipm``.
-    """
-    n = G.shape[-1]
-    t_row = np.concatenate([np.zeros(n), [-1.0]])
-    Gx = np.concatenate([G, np.full(G.shape[:-1] + (1,), -1.0)], axis=-1)
-    Gx = np.concatenate([Gx, np.broadcast_to(t_row, G.shape[:-2] + (1, n + 1))], axis=-2)
-    hx = np.hstack([h, np.zeros((h.shape[0], 1))])
-    Ax = np.hstack([A, np.zeros((A.shape[0], 1))]) if A.shape[0] else np.zeros((0, n + 1))
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    reports = _ipm(np.zeros((n + 1, n + 1)), np.broadcast_to(c, (h.shape[0], n + 1)),
-                   Ax, b, Gx, hx, tol=FEAS_TOL, classify=False)
-    scale = 1.0 + np.maximum(np.max(np.abs(b), initial=0.0),
-                             np.max(np.abs(h), axis=1, initial=0.0))
-    return [(float(xt[-1] / sk), xt) if st == Status.OPTIMAL and xt is not None else (None, None)
-            for (st, xt, _, _), sk in zip(reports, scale)]
 
 
 def solve_lp_batch(c, A, b, A_eq=None, b_eq=None, tol=FEAS_TOL):
@@ -746,14 +716,15 @@ def least_distance(A, b):
 
 
 def simplex_batch(c, A, B):
-    """Maximize c.v s.t. A v <= b, v >= 0 for every row b >= 0 of B (K, m),
-    with c and A shared; one report per row.
+    """Maximize c_k.v s.t. A v <= b_k, v >= 0 for every row b_k >= 0 of
+    B (K, m), with A shared and c shared (n,) or one row c_k per problem
+    (K, n); one report per problem.
 
     The primal simplex in inequality form (Bertsimas & Tsitsiklis,
     *Introduction to Linear Optimization*, 1997, ch. 3), started at the
     vertex v = 0, which b >= 0 makes feasible. A basis is n rows of
     [A; -I], tight at its vertex; with M those rows, the vertex solves
-    M v = b_M and the rows' duals M^T y = c. While a dual is negative,
+    M v = b_M and the rows' duals M^T y = c_k. While a dual is negative,
     the lowest-index such row leaves: the vertex moves along the edge
     that loosens it, and the first row the edge meets enters, ties to the
     lowest index (Bland's rule, *Math. Oper. Res.* 2(2), 1977, so no
@@ -774,6 +745,7 @@ def simplex_batch(c, A, B):
     if not all(np.all(np.isfinite(a)) for a in (c, A, B)) or np.any(B < 0.0):
         raise ValueError("simplex_batch needs finite rows and offsets b >= 0")
     (m, n), eye = A.shape, np.eye(A.shape[1])
+    C = np.broadcast_to(c, (len(B), n))
     R = np.vstack([A, -eye])
     row_scale = np.max(np.abs(R), axis=1)
     idx, H = np.arange(len(B)), np.hstack([B, np.zeros((len(B), n))])
@@ -782,7 +754,7 @@ def simplex_batch(c, A, B):
     for pivots in range(MAX_ITER + 1):
         M = R[basis]
         inv = np.linalg.inv(M)
-        y = np.matmul(c, inv)
+        y = np.matmul(C[:, None, :], inv)[:, 0]
         v = _mv(inv, np.take_along_axis(H, basis, axis=1))
         bound = (n * np.finfo(float).eps * np.max(np.abs(M), axis=(1, 2))
                  * np.max(np.abs(inv), axis=(1, 2)) * np.max(np.abs(y), axis=1))
@@ -800,23 +772,14 @@ def simplex_batch(c, A, B):
         for k in np.flatnonzero(done):
             if optimal[k] or pivots == MAX_ITER:
                 status = Status.OPTIMAL if optimal[k] else Status.MAXITER
-                reports[idx[k]] = SolveReport(status, v[k], c @ v[k], residual[k], pivots)
+                reports[idx[k]] = SolveReport(status, v[k], C[k] @ v[k], residual[k], pivots)
             else:
                 reports[idx[k]] = SolveReport(Status.UNBOUNDED, None, None, residual[k], pivots)
         live = ~done
         if not live.any():
             return reports
-        idx, H, basis, p, enter = idx[live], H[live], basis[live], p[live], enter[live]
+        idx, C, H, basis, p, enter = (a[live] for a in (idx, C, H, basis, p, enter))
         basis[np.arange(len(idx)), p] = enter
-
-
-def feasibility(A, b):
-    """A strictly interior-ish point of {x : Ax <= b[k]} for every row k of
-    b (B, m), or None where that set is empty; one batched phase-1 solve."""
-    A = np.ascontiguousarray(A, float)
-    points = _phase1(np.zeros((0, A.shape[1])), np.zeros(0), A,
-                     np.asarray(b, float).reshape(-1, A.shape[0]))
-    return [None if t is None or t > 1e-7 else xt[:-1] for t, xt in points]
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +891,7 @@ def maximize_log_volume_batch(W, d, mode):
         h = np.concatenate([da, np.zeros(v.shape)], axis=1)[inside]
         start = (v[inside], np.concatenate([sl, v], axis=1)[inside])
         solved = _ipm(None, np.zeros((len(h), nv)), *_empty(nv), np.vstack([Wa, -np.eye(nv)]),
-                      h, FEAS_TOL, classify=False, start=start, log_rows=S)
+                      h, FEAS_TOL, start=start, log_rows=S)
         for i, (status, x, kkt, iters) in zip(members[inside], solved):
             full = np.zeros(2 * k)
             full[mask] = x

@@ -349,7 +349,8 @@ def build_setup(plant, N, M, F, K, Q, R):
     for a polytope, each offset is eta.v at the first vertex v of W's
     vertex set (``Polytope.vertices``, kept on W) that maximizes eta.v.
     A tightened set with no negative offset holds the origin, so its
-    emptiness check (``geometry.are_empty``) solves no LP.
+    emptiness check (``geometry.are_empty``) makes no solve; any other
+    one takes one least-distance solve, an exact verdict.
     """
     A, B = plant.A, plant.B
     n, nu = plant.nx, plant.nu

@@ -60,23 +60,23 @@ def test_batch_member_matches_solo_solve(seed, n, m, kinds):
 
 @hypothesis.settings(max_examples=30, deadline=None)
 @hypothesis.given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), m=st.integers(1, 10),
-                  bounded=st.booleans(),
+                  bounded=st.booleans(), own_objectives=st.booleans(),
                   zeros=st.lists(st.integers(0, 3), min_size=1, max_size=6))
-def test_simplex_member_matches_solo_solve(seed, n, m, bounded, zeros):
-    # Shared rows and objective, one offset row per member with some zero
-    # offsets (degenerate vertices) and its own scale; without the box rows
-    # some draws are unbounded.
+def test_simplex_member_matches_solo_solve(seed, n, m, bounded, own_objectives, zeros):
+    # Shared rows, one offset row per member with some zero offsets
+    # (degenerate vertices) and its own scale, and one shared objective or
+    # one per member; without the box rows some draws are unbounded.
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(m, n))
     if bounded:
         A = np.vstack([A, np.eye(n)])
-    c = rng.normal(size=n)
+    C = rng.normal(size=(len(zeros), n) if own_objectives else n)
     B = rng.uniform(0.0, 2.0, size=(len(zeros), len(A))) * 10.0 ** rng.uniform(-3, 3, (len(zeros), 1))
     for b, k in zip(B, zeros):
         b[rng.choice(len(A), size=min(k, len(A)), replace=False)] = 0.0
-    batch = solver.simplex_batch(c, A, B)
+    batch = solver.simplex_batch(C, A, B)
     assert len(batch) == len(zeros)
-    for b, rep in zip(B, batch):
+    for c, b, rep in zip(np.broadcast_to(C, (len(B), n)), B, batch):
         assert same_report(rep, solver.simplex_batch(c, A, b)[0])
 
 

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from etrmpc import geometry, solver
 from etrmpc.geometry import (HyperRect, Polytope, Projection, pontryagin_diff,
@@ -13,7 +13,26 @@ from etrmpc.tightening import build_setup, synthesize_nominal_gain, synthesize_t
 
 from batch_reactor import (X0, batch_plant, batch_setup, benchmark_workloads,
                            cross_polytope_setup, stage_sets)
-from oracles import enumerate_vertices, grid_projection, highs_chebyshev, highs_max
+from oracles import (enumerate_vertices, grid_projection, highs_chebyshev, highs_max,
+                     highs_verdicts)
+
+
+# Two rows in R^4 of norm near 2e3 with offsets near 1e-3, one negative.
+LARGE_ROWS = np.array([
+    [-225.64627420288653, -1294.066153858121, -1181.5497186139082, -639.7846246546997],
+    [288.5441453773337, 1418.820852421519, 2315.9151836428996, 562.736400657831]])
+SMALL_OFFSETS = np.array([-0.0007284410137566201, 0.0023443348312595074])
+
+
+@st.composite
+def scaled_polytopes(draw):
+    """Rows and offsets of {x : A x <= b} in R^2 to R^4 with 1 to 12 normal
+    rows, the rows and the offsets each scaled by 1e-3, 1 or 1e3; the
+    offsets take both signs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 12))
+    row_scale, offset_scale = (draw(st.sampled_from([1e-3, 1.0, 1e3])) for _ in range(2))
+    return rng.normal(size=(m, n)) * row_scale, rng.normal(size=m) * offset_scale
 
 
 def unit_box(n=2, half=1.0):
@@ -708,25 +727,49 @@ class TestTypes:
 
     def test_emptiness_batch_in_order(self, monkeypatch):
         # x_0 in [-b_1, b_0] and x_1 in [-b_3, b_2]: members 1 and 3 empty.
-        # Members 0 and 2 hold the origin (-0.0 >= 0), so they take no LP;
-        # member 4, x_0 in [0.5, 1], leaves it out and takes phase 1.
+        # Members 0 and 2 hold the origin (-0.0 >= 0), so they take no
+        # solve; member 4, x_0 in [0.5, 1], leaves it out. Members 1, 3 and
+        # 4 take one least-distance solve each, in order.
         A = np.vstack([np.eye(2)[0], -np.eye(2)[0], np.eye(2)[1], -np.eye(2)[1]])
         offsets = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 0.5, 1.0, 1.0],
                             [0.0, -0.0, 0.0, 0.0], [1.0, 1.0, -2.0, 1.0],
                             [1.0, -0.5, 1.0, 1.0]])
         expected = [False, True, False, True, False]
-        solved, feasibility = [], solver.feasibility
-        monkeypatch.setattr(solver, "feasibility",
-                            lambda A, b: solved.append(np.array(b)) or feasibility(A, b))
+        solved, least_distance = [], solver.least_distance
+        monkeypatch.setattr(solver, "least_distance",
+                            lambda A, b: solved.append(np.array(b)) or least_distance(A, b))
         assert geometry.are_empty(A, offsets) == expected
-        assert len(solved) == 1 and np.array_equal(solved[0], offsets[[1, 3, 4]])
+        assert np.array_equal(solved, offsets[[1, 3, 4]])
         assert [geometry.are_empty(A, b)[0] for b in offsets] == expected
 
     def test_benchmark_cross_polytope_is_not_empty(self):
-        # ||w||_1 <= 0.02 as 16 rows: phase 1 stops with t above its
-        # emptiness threshold here, but the origin witnesses the set.
+        # ||w||_1 <= 0.02 as 16 rows: the origin witnesses the set, with
+        # no solve.
         A, b = benchmark_workloads().cross_polytope_rows(4, 0.02)
         assert geometry.are_empty(np.array(A), [b]) == [False]
+
+    def test_translated_cross_polytope_is_not_empty(self):
+        # The same set moved by (0.05, 0, 0, 0), so that it no longer holds
+        # the origin: the least-distance solve finds its point nearest the
+        # origin, (0.03, 0, 0, 0).
+        A, b = (np.array(v) for v in benchmark_workloads().cross_polytope_rows(4, 0.02))
+        assert geometry.are_empty(A, [b + A @ [0.05, 0.0, 0.0, 0.0]]) == [False]
+
+    def test_two_large_rows_with_small_offsets_are_not_empty(self):
+        # Two halfspaces whose normals are not opposed always meet.
+        assert geometry.are_empty(LARGE_ROWS, [SMALL_OFFSETS]) == [False]
+
+    @settings(max_examples=200, deadline=None)
+    @given(poly=scaled_polytopes())
+    @example(poly=(LARGE_ROWS, SMALL_OFFSETS))
+    def test_verdicts_match_highs(self, poly):
+        # Emptiness and boundedness agree with HiGHS (``highs_verdicts``)
+        # on every draw, rows and offsets each scaled over six decades.
+        pytest.importorskip("scipy")
+        A, b = poly
+        empty, bounded = highs_verdicts(A, b)
+        assert geometry.are_empty(A, [b]) == [empty]
+        assert Polytope(A, b).is_bounded() == bounded
 
     def test_boundedness_matches_axis_lps(self):
         # The batched probe agrees with one LP per axis direction.

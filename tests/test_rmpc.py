@@ -48,6 +48,13 @@ class TestSolve:
         with pytest.raises(InfeasibleState):
             solve_rmpc(setup, [10.0, 0.0])
 
+    def test_infeasible_qp_inside_state_set(self):
+        # x0 lies in X but no plan keeps its disturbed states in the
+        # tightened sets: the QP's rows have no point, which only the
+        # verdict on the undecided QP can report.
+        with pytest.raises(InfeasibleState, match=r"\(QP infeasible\)$"):
+            solve_rmpc(batch_setup(), [-1.99] * 4)
+
     def test_non_finite_state_rejected(self):
         # A NaN state would pass the membership test (NaN > tol is False),
         # so it is rejected before it, as is an infinite one.

@@ -96,15 +96,21 @@ class TestLp:
         assert rep.x is None and rep.objective is None
 
     def test_recession_lp_separates_rays(self):
-        # One batch: objectives that fall along the ray e_1 of the strip
-        # |x_0| <= 1, x_1 >= -0.3 (as minimization, g = -c), and ones that
-        # do not, whose recession optimum is 0.
+        # The verdict on an undecided LP: objectives that fall along the ray
+        # e_1 of the strip |x_0| <= 1, x_1 >= -0.3 (as minimization, g = -c)
+        # are UNBOUNDED, and ones that do not, whose recession optimum is 0,
+        # stay MAXITER, as every objective over a box does.
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
         g = -np.array([[0.5, 1.0], [0.0, 1e-3], [0.5, -1.0], [1.0, 0.0], [0.0, 0.0]])
-        assert solver._descends_along_ray(np.zeros((0, 2)), A, g) == [
-            True, True, False, False, False]
-        box, _ = box_rows(2, 1.0)
-        assert solver._descends_along_ray(np.zeros((0, 2)), box, g) == [False] * 5
+        no_eq = np.zeros((0, 2)), np.zeros(0)
+        assert [solver._undecided(*no_eq, A, np.array([1.0, 1.0, 0.3]), gk) for gk in g] == [
+            Status.UNBOUNDED, Status.UNBOUNDED, Status.MAXITER, Status.MAXITER, Status.MAXITER]
+        box, h = box_rows(2, 1.0)
+        assert {solver._undecided(*no_eq, box, h, gk) for gk in g} == {Status.MAXITER}
+        # Rows that no point meets are INFEASIBLE, an LP's or a QP's (g None).
+        for gk in (g[0], None):
+            assert solver._undecided(*no_eq, A, np.array([-1.0, -1.0, 0.3]), gk) == (
+                Status.INFEASIBLE)
 
     def test_objective_scaling_keeps_argmax(self):
         A, b = box_rows(2, 1.0)
@@ -134,9 +140,9 @@ class TestLp:
         assert same_report(r1, r2)
 
     def test_capped_feasible_lp_with_large_offsets_is_not_infeasible(self, monkeypatch):
-        # A bounded, feasible LP with offsets near 1e8. Phase 1 stops on a
-        # tolerance relative to 1 + max|b|, and its t of 1.25e-7 must be
-        # judged in those units: it is 7e-16 of the offsets' scale.
+        # A bounded, feasible LP with offsets near 1e8. Where the loop stops
+        # at the cap, the least-distance solve finds a point of its rows, so
+        # the verdict is MAXITER, not INFEASIBLE.
         A = np.array([[0.8422613160907125, -2.9761111715097797, 0.30502388059256774],
                       [1.4498879223987968, -1.2439614718565628, -0.05321059771566779],
                       [1.4998616202102704, -1.1682047539308045, -0.8106216312560561],
@@ -149,7 +155,7 @@ class TestLp:
                       -1.2679107817519549e+08, -2.4359326363812324e+07, -1.7445708910479489e+08])
         full = solve_lp_batch(c, A, b)[0]
         assert full.status == Status.OPTIMAL and full.iterations > 14
-        assert solver.feasibility(A, b[None])[0] is not None
+        assert solver.least_distance(A, b)[0] is not None
         for cap in (14, full.iterations - 1):
             monkeypatch.setattr(solver, "MAX_ITER", cap)
             assert solve_lp_batch(c, A, b)[0].status == Status.MAXITER

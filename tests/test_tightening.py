@@ -321,10 +321,11 @@ class TestPolytopeDisturbance:
 
     @staticmethod
     def setup_solves(config, monkeypatch):
-        """The LP batches and phase-1 solves that PlantModel and build_setup
-        make on ``config``; the gain synthesis between them is not counted."""
+        """The solver calls (interior-point loops, simplex batches and
+        least-distance solves) that PlantModel and build_setup make on
+        ``config``; the gain synthesis between them is not counted."""
         calls = []
-        for name in ("solve_lp_batch", "_phase1"):
+        for name in ("_ipm", "simplex_batch", "least_distance"):
             monkeypatch.setattr(solver, name, lambda *a, f=getattr(solver, name), name=name,
                                 **k: calls.append(name) or f(*a, **k))
         plant = PlantModel(config.A, config.B, X=config.X, U=config.U, W=config.W,
@@ -338,13 +339,22 @@ class TestPolytopeDisturbance:
         return counted + calls
 
     def test_build_setup_solves_few_support_lps(self, monkeypatch):
-        # A fresh W: PlantModel's boundedness check makes the one ±e_j LP
-        # batch, whose statuses W keeps for its vertex enumeration; every
-        # tightened set holds the origin, so no phase-1 LP runs.
+        # A fresh W: PlantModel's boundedness check makes the one simplex
+        # batch over the ±e_j rays of W's recession cone, and W keeps the
+        # answer for its vertex enumeration; W and every tightened set hold
+        # the origin, so no least-distance solve runs, and no LP enters the
+        # interior-point loop.
         config = ExperimentConfig(polytope_worst_case_data())
-        assert self.setup_solves(config, monkeypatch) == ["solve_lp_batch"]
-        # The same W again: its statuses and vertices are kept.
+        assert self.setup_solves(config, monkeypatch) == ["simplex_batch"]
+        # The same W again: its boundedness and vertices are kept.
         assert self.setup_solves(config, monkeypatch) == []
+
+    def test_polytopic_setup_runs_no_interior_point_loop(self, monkeypatch):
+        # W's boundedness and the tightened sets' emptiness come from the
+        # exact solvers: nothing that PlantModel or build_setup asks
+        # enters the interior-point loop.
+        config = ExperimentConfig(polytope_worst_case_data())
+        assert "_ipm" not in self.setup_solves(config, monkeypatch)
 
     def test_reference_setup_runs_no_interior_point_loop(self, monkeypatch):
         config = ExperimentConfig.from_file(str(ROOT / "configs" / "batch_reactor.json"))

@@ -314,28 +314,29 @@ def _merged(W, d, G, meta):
 
 class TestNewtonSplit:
     def test_lps_eliminate_no_variable(self, monkeypatch):
-        # LP1's scaling LPs and the phase-1 LPs (here over the principal
-        # rows and over the box rows of the tightened targets, moved by
-        # (1, 1, 1, 1) so that none holds the origin and each takes phase
-        # 1) take the plain Newton step: only a QpProblem looks for
-        # variables to eliminate, so no LP calls _rows_on. The Chebyshev
-        # LPs of the shape diagnostic run no interior-point loop at all.
+        # LP1's scaling LPs take the plain Newton step: only a QpProblem
+        # looks for variables to eliminate, so no LP calls _rows_on. The
+        # Chebyshev LPs of the shape diagnostic and the emptiness tests (here
+        # over the box rows of the tightened targets, moved by (1, 1, 1, 1)
+        # so that none holds the origin and each takes a least-distance
+        # solve) run no interior-point loop at all.
         setup = batch_setup()
         sol = solve_rmpc(setup, X0)
-        split, loops = [], []
-        ipm = solver._ipm
+        split, loops, nearest = [], [], []
+        ipm, least_distance = solver._ipm, solver.least_distance
         monkeypatch.setattr(solver, "_rows_on", lambda *a: split.append(a))
         monkeypatch.setattr(solver, "_ipm", lambda *a, **k: loops.append(a) or ipm(*a, **k))
+        monkeypatch.setattr(solver, "least_distance",
+                            lambda *a: nearest.append(a) or least_distance(*a))
         sched = build_schedule(setup, sol, LP1)
-        counts = [len(loops)]
+        count = len(loops)
+        assert count > 0
         geometry.shape_ratios(setup.principal_rows.G, sched.offsets)
-        assert len(loops) == counts[0]
-        solver.feasibility(setup.principal_rows.G, assemble_principal(setup, sol))
-        counts.append(len(loops))
         shift = setup.plant.Tx.A @ np.ones(setup.nx)
-        geometry.are_empty(setup.plant.Tx.A, setup.TX_offsets + shift)
-        counts.append(len(loops))
-        assert np.all(np.diff([0] + counts) > 0)  # every kind of LP was solved
+        offsets = setup.TX_offsets + shift
+        assert geometry.are_empty(setup.plant.Tx.A, offsets) == [False] * len(offsets)
+        assert len(nearest) == len(offsets)
+        assert len(loops) == count
         assert split == []
 
 
