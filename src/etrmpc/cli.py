@@ -256,9 +256,11 @@ def cmd_compare(config, methods, out_dir=None, seed=None, steps=None,
     """
     if not methods:
         raise ConfigError("no method to compare")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise ConfigError(f"method {m!r} given twice")
     steps, dist, setup = _prepare(config, seed, steps)
 
     rows = {}

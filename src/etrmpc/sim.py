@@ -218,7 +218,9 @@ def run_closed_loop(setup, x0, method, dist, T):
     not fit W and T (``DisturbanceModel.realize``); raises on an infeasible
     re-solve when every applied disturbance was admissible; after an
     impulse override a recovery is attempted and failures surface with
-    that context.
+    that context (``SimError``). An ``RmpcError``, ``TriggerError`` or
+    ``GeometryError`` of the re-solve or the boxes at time t keeps its
+    type, with ``t=<t>: `` leading its message.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -255,17 +257,19 @@ def run_closed_loop(setup, x0, method, dist, T):
         if decision.triggered:
             try:
                 new_sol = rmpc.solve_rmpc(setup, xi)
-            except rmpc.InfeasibleState:
-                if impulse_since_trigger or trace.recovery_events:
+                if sol is not None:
+                    _check_decay(trace, setup, sol, tau, t, new_sol.value,
+                                 impulse_since_trigger)
+                sol = new_sol
+                if method != PERIODIC:
+                    schedule = trace.schedules[t] = trigger.build_schedule(setup, sol, method)
+            except (rmpc.RmpcError, trigger.TriggerError, GeometryError) as exc:
+                if isinstance(exc, rmpc.InfeasibleState) and (
+                        impulse_since_trigger or trace.recovery_events):
                     raise SimError(
                         f"re-solve infeasible at t={t} after impulse override")
+                exc.args = (f"t={t}: {exc}",)  # its type and attributes stay
                 raise
-            if sol is not None:
-                _check_decay(trace, setup, sol, tau, t, new_sol.value,
-                             impulse_since_trigger)
-            sol = new_sol
-            if method != PERIODIC:
-                schedule = trace.schedules[t] = trigger.build_schedule(setup, sol, method)
             tau = t
             impulse_since_trigger = False
             trace.v_star[t] = sol.value

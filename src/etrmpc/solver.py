@@ -21,8 +21,10 @@ method (the RMPC QP's least-norm plans of value 0, and every emptiness
 verdict). ``simplex_batch`` maximizes c.v over {A v <= b, v >= 0} with
 b >= 0 by the primal simplex from the vertex v = 0 (the shape
 diagnostic's Chebyshev LPs, and every verdict that a recession cone
-holds a ray). An LP or QP that the loop leaves undecided is classified
-by these two, never by a threshold.
+holds a ray). The loop itself decides only OPTIMAL: an LP or QP that
+it leaves undecided is INFEASIBLE, UNBOUNDED or MAXITER by these two,
+never by a threshold, so an unbounded input runs until its iterate
+diverges or the loop reaches its cap.
 No external solver dependencies; every run with the same inputs is
 bit-identical (fixed step rules, no restarts), and a problem's result
 does not depend on the batch it is solved in.
@@ -55,10 +57,6 @@ QP_TOL = 1e-10
 # Feasible width at or below which a box coordinate is degenerate and
 # gets zero width, on the CP and the LP routes alike.
 DEGENERATE_WIDTH = 1e-9
-
-# Objective magnitude beyond which a feasible minimizing sequence is
-# declared an unbounded ray.
-_DIVERGE = 1e12
 
 
 class SolverError(Exception):
@@ -113,7 +111,9 @@ class SolveReport:
     checks the loop made on the problem: one more than its Newton steps
     when it converged, MAX_ITER at the cap, and fewer when it left
     undecided earlier (a diverged iterate, a Newton matrix that stayed
-    singular).
+    singular). An LP or QP that the loop leaves undecided is INFEASIBLE,
+    UNBOUNDED or MAXITER by an exact test of its rows and recession rays
+    (``_undecided``), never by a threshold on its objective or residuals.
     """
 
     def __init__(self, status, x, objective, kkt_residual, iterations):
@@ -312,10 +312,13 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
     mean complementarity z.s/m over 1 + max|g[k]| + max|H|, are all at
     most tol. A log-volume problem stops when the same primal residual and
     the dual residual over the gradient's largest entry are at most tol,
-    and the total gap z.s at most GAP_TOL. An LP or QP is UNBOUNDED where
-    its objective falls below -_DIVERGE times its dual scale at an
-    iterate primal feasible to 1e-6; where the loop leaves it undecided,
-    ``_undecided`` gives its status, and a log-volume problem's is MAXITER.
+    and the total gap z.s at most GAP_TOL. A problem leaves the loop
+    OPTIMAL when it converges, and undecided otherwise: its iterate
+    diverged, its Newton matrix stayed singular, or it reached the cap.
+    ``_undecided`` gives an undecided LP or QP its status, so INFEASIBLE
+    and UNBOUNDED come only from there; a log-volume problem's is MAXITER.
+    No status comes from a threshold on the objective, so an unbounded
+    problem runs until it diverges or reaches the cap.
 
     The start is the least-squares point of the equalities, or
     ``start`` = (x, s = h - G x) strictly interior, with z = 1/s.
@@ -329,9 +332,8 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
     Each problem keeps x beside y and s beside z, one array per pair, so
     a Newton step is two updates and s and z take their step lengths in
     one ``_max_step`` pass. The divergence test runs on the whole batch
-    first, and on each problem only when that fails; the objective of the
-    unbounded test is formed only when some problem is primal feasible to
-    1e-6. Neither shortcut changes an element's arithmetic.
+    first, and on each problem only when that fails, which does not change
+    an element's arithmetic.
 
     The loop makes at most MAX_ITER convergence checks and takes a Newton
     step after each check but the last. Returns one (status, x,
@@ -346,7 +348,6 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
 
     scale_p = 1.0 + np.maximum(np.max(np.abs(b), initial=0.0),
                                np.max(np.abs(h), axis=1, initial=0.0))
-    quadratic = log_rows is None and H.any()  # with H = 0, 0.5 x.H x cannot move obj
     scale_d = (1.0 + np.max(np.abs(g), axis=1, initial=0.0)
                + (np.max(np.abs(H)) if log_rows is None and H.size else 0.0))
 
@@ -364,7 +365,6 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
         np.divide(1.0, start[1], out=sz[:, 1])
 
     GT = G.swapaxes(-1, -2)
-    unbounded_below = -_DIVERGE * scale_d
     out = [None] * nb
     idx = np.arange(nb)          # problems still iterating
     best_kkt, best_x = np.zeros(nb), xy[:, :n]  # their best iterates so far
@@ -382,9 +382,8 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
                     & (np.minimum.reduce(s, axis=1) > 1e-200)
                     & (np.maximum.reduce(sz[:, 1], axis=1) < 1e100))
             stopped.extend(zip(idx[~live], best_kkt[~live], best_x[~live], repeat(it - 1)))
-            idx, xy, sz, g, h, scale_p, scale_d, unbounded_below, best_kkt, best_x = (
-                v[live] for v in (idx, xy, sz, g, h, scale_p, scale_d, unbounded_below,
-                                  best_kkt, best_x))
+            idx, xy, sz, g, h, scale_p, scale_d, best_kkt, best_x = (
+                v[live] for v in (idx, xy, sz, g, h, scale_p, scale_d, best_kkt, best_x))
             G = _member(G, live)
             GT = G.swapaxes(-1, -2)
             x, s = xy[:, :n], sz[:, 0]
@@ -422,26 +421,16 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
         # A NaN residual fails either rule.
         converged = (kkt <= tol if log_rows is None
                      else (np.maximum(res_p, res_d) <= tol) & (gap <= GAP_TOL))
-        done = converged
-        if log_rows is None:
-            feasible = res_p <= 1e-6
-            if feasible.any():  # else the objective cannot decide
-                obj = _dot(g, x)
-                if quadratic:
-                    obj = _dot(np.matmul((0.5 * x)[:, None, :], H)[:, 0], x) + obj
-                done = converged | (feasible & (obj < unbounded_below))
-        if done.any():
-            for k in np.flatnonzero(done):
-                out[idx[k]] = ((Status.OPTIMAL, x[k], kkt[k], it) if converged[k]
-                               else (Status.UNBOUNDED, None, kkt[k], it))
-            if done.all():
+        if converged.any():
+            for k in np.flatnonzero(converged):
+                out[idx[k]] = (Status.OPTIMAL, x[k], kkt[k], it)
+            if converged.all():
                 idx = idx[:0]  # none left for classification
                 break
-            keep = ~done
-            idx, xy, sz, s, z, g, h, scale_p, scale_d, unbounded_below, best_kkt, best_x, \
-                rd, rp, rg, mu = (v[keep] for v in (
-                    idx, xy, sz, s, z, g, h, scale_p, scale_d, unbounded_below, best_kkt,
-                    best_x, rd, rp, rg, mu))
+            keep = ~converged
+            idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt, best_x, rd, rp, rg, mu = (
+                v[keep] for v in (idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt,
+                                  best_x, rd, rp, rg, mu))
             G, hess = _member(G, keep), _member(hess, keep)
             GT = G.swapaxes(-1, -2)
         if it == MAX_ITER:
@@ -475,10 +464,10 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
                     solved[k] = False
             if not solved.all():
                 stopped.extend(zip(idx[~solved], best_kkt[~solved], best_x[~solved], repeat(it)))
-                idx, xy, sz, s, z, g, h, scale_p, scale_d, unbounded_below, best_kkt, \
-                    best_x, rd, rp, rg, mu, d, dgz, K, inv, sol = (v[solved] for v in (
-                        idx, xy, sz, s, z, g, h, scale_p, scale_d, unbounded_below, best_kkt,
-                        best_x, rd, rp, rg, mu, d, dgz, K, inv, sol))
+                idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt, best_x, rd, rp, rg, \
+                    mu, d, dgz, K, inv, sol = (v[solved] for v in (
+                        idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt, best_x, rd,
+                        rp, rg, mu, d, dgz, K, inv, sol))
                 G = _member(G, solved)
                 GT = G.swapaxes(-1, -2)
                 if not idx.size:
@@ -511,29 +500,29 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
     stopped.extend(zip(idx, best_kkt, best_x, repeat(MAX_ITER)))
     for i, kkt_i, x_i, checks in stopped:
         status = Status.MAXITER if log_rows is not None else _undecided(
-            A, b, _member(G_all, i), h_all[i], None if quadratic else g_all[i])
+            H, A, b, _member(G_all, i), h_all[i], g_all[i])
         out[i] = (status, x_i if status == Status.MAXITER else None, kkt_i, checks)
     return out
 
 
-def _undecided(A, b, G, h, g):
-    """The status of min g.x (a QP where g is None) over {A x = b, G x <= h}
-    that the interior-point loop left undecided. INFEASIBLE when
-    ``least_distance`` proves the rows [G; A; -A] have no point; for an
-    LP, UNBOUNDED when ``simplex_batch``, in split form d = d+ - d-, finds
-    a ray of {G d <= 0, A d = 0} along which g.d falls; else MAXITER, a
-    step cap of either routine included.
+def _undecided(H, A, b, G, h, g):
+    """The status of min 0.5 x.H x + g.x over {A x = b, G x <= h} that the
+    interior-point loop left undecided. INFEASIBLE when ``least_distance``
+    proves the rows [G; A; -A] have no point. Else UNBOUNDED exactly when
+    some ray d has G d <= 0, A d = 0, H d = 0 and g.d < 0 (Frank & Wolfe,
+    *Naval Res. Logist. Q.* 3, 1956), which ``simplex_batch`` finds in
+    split form d = d+ - d-, the rows +-H of H's nonzero rows joining the
+    ray's rows (an LP has none). Else MAXITER, a step cap of either
+    routine included.
     """
     rows = np.vstack([G, A, -A])
     point, steps = least_distance(rows, np.concatenate([h, b, -b]))
     if point is None:
         return Status.INFEASIBLE if steps < MAX_ITER else Status.MAXITER
-    if g is not None:
-        ray = simplex_batch(np.concatenate([-g, g]), np.hstack([rows, -rows]),
-                            np.zeros(len(rows)))[0]
-        if ray.status == Status.UNBOUNDED:
-            return Status.UNBOUNDED
-    return Status.MAXITER
+    curved = H[H.any(axis=1)]
+    rows = np.vstack([rows, curved, -curved])
+    ray = simplex_batch(np.concatenate([-g, g]), np.hstack([rows, -rows]), np.zeros(len(rows)))[0]
+    return Status.UNBOUNDED if ray.status == Status.UNBOUNDED else Status.MAXITER
 
 
 def _member(M, k):

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's solver paths: vertex enumeration,
-grid search, Monte Carlo, active-set enumeration of box QPs, and scipy's
+grid search, Monte Carlo, active-set enumeration of QPs, and scipy's
 SLSQP and HiGHS (callers skip without scipy).
 """
 
@@ -56,31 +56,28 @@ def grid_projection(point, lower, upper, weight, n=201):
     return float(best), best_s
 
 
-def box_qp_by_active_sets(H, g, lower, upper):
-    """min 0.5 x.H x + g.x over lower <= x <= upper, H positive definite,
-    exactly: enumerate the 3^n lower/free/upper patterns. Each pattern
-    fixes its bound variables and solves the free block's stationarity
-    H_FF x_F = -(g_F + H_FB x_B); the pattern whose point lies within the
-    bounds (primal feasible) and whose gradient H x + g is >= 0 at lower
-    and <= 0 at upper bounds (dual feasible) satisfies KKT, and its point
-    is the unique minimizer."""
-    H = np.asarray(H, dtype=float)
-    g = np.asarray(g, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    tol = 1e-9 * (1.0 + np.max(np.abs(g)) + np.max(np.abs(H)))
-    for pattern in itertools.product((-1, 0, 1), repeat=g.size):
-        side = np.array(pattern)
-        free = side == 0
-        x = np.where(side < 0, lower, upper)
-        if free.any():
-            x[free] = np.linalg.solve(H[np.ix_(free, free)],
-                                      -(g[free] + H[np.ix_(free, ~free)] @ x[~free]))
-        grad = H @ x + g
-        if (np.all(x >= lower - tol) and np.all(x <= upper + tol)
-                and np.all(grad[side < 0] >= -tol) and np.all(grad[side > 0] <= tol)):
-            return x, float(0.5 * x @ H @ x + g @ x)
-    raise ValueError("no lower/free/upper pattern satisfies KKT")
+def qp_min_by_active_sets(H, g, A, b):
+    """min 0.5 x.H x + g.x over {x : A x <= b}, H positive semidefinite,
+    exactly where the minimizer is unique: enumerate the sets S of at most
+    n rows. Each set's KKT system H x + A_S^T lam = -g, A_S x = b_S is
+    solved where it is nonsingular; the set whose point satisfies every
+    row (primal feasible) and whose lam >= 0 (dual feasible) satisfies
+    KKT, and its point is the minimizer."""
+    H, g, A, b = (np.asarray(v, dtype=float) for v in (H, g, A, b))
+    n = g.size
+    tol = 1e-9 * (1.0 + np.max(np.abs(b)))
+    for k in range(n + 1):
+        for rows in itertools.combinations(range(len(A)), k):
+            S = list(rows)
+            K = np.block([[H, A[S].T], [A[S], np.zeros((k, k))]])
+            if np.linalg.cond(K) > 1e12:
+                continue
+            sol = np.linalg.solve(K, np.concatenate([-g, b[S]]))
+            x, lam = sol[:n], sol[n:]
+            tol_d = 1e-9 * (1.0 + np.max(np.abs(H @ x)) + np.max(np.abs(g)))
+            if np.all(A @ x - b <= tol) and np.all(lam >= -tol_d):
+                return x, float(0.5 * x @ H @ x + g @ x)
+    raise ValueError("no set of rows satisfies KKT")
 
 
 def grid_box_volume(W, d, mode, n=200):
@@ -201,14 +198,17 @@ def highs_max(c, A, b, A_eq=None, b_eq=None, options=None):
     return -float(res.fun)
 
 
-def highs_verdicts(A, b):
-    """HiGHS's (empty, bounded) on {x : A x <= b}, x free. Empty when
-    linprog finds the zero objective infeasible (status 2). Bounded when
-    the set is not empty and the recession LPs max ±d_j s.t. A d <= 0,
-    |d| <= 1 all have optimum 0 (at most 1e-9): linprog's own status for
-    an unbounded max ±x_j is not reliable, as on about 1 in 3,000 random
-    LPs in R^4 with rows of norm 1e3 it reports status 4 (model status
-    not set)."""
+def highs_verdicts(A, b, g=None, H=None):
+    """HiGHS's (empty, bounded) on {x : A x <= b}, x free, or, given g, on
+    min 0.5 x.H x + g.x over it (H = 0 when None). Empty when linprog finds
+    the zero objective infeasible (status 2). Bounded when the set is not
+    empty and the recession LPs max c.d s.t. A d <= 0, H d = 0, |d| <= 1
+    all have optimum 0 (at most 1e-9): c is each ±e_j for the set, and
+    -g for the objective, which a convex quadratic is unbounded below
+    along exactly such rays (Frank & Wolfe, 1956). linprog's own status
+    for an unbounded max ±x_j is not reliable, as on about 1 in 3,000
+    random LPs in R^4 with rows of norm 1e3 it reports status 4 (model
+    status not set)."""
     from scipy.optimize import linprog
 
     A = np.asarray(A, dtype=float)
@@ -217,8 +217,10 @@ def highs_verdicts(A, b):
     assert res.status in (0, 2), res.message
     if res.status == 2:
         return True, False
+    C = np.vstack([np.eye(n), -np.eye(n)]) if g is None else -np.atleast_2d(g)
+    flat = {} if H is None else {"A_eq": H, "b_eq": np.zeros(n)}
     rays = [linprog(-c, A_ub=A, b_ub=np.zeros(len(A)), bounds=[(-1.0, 1.0)] * n,
-                    method="highs") for c in np.vstack([np.eye(n), -np.eye(n)])]
+                    method="highs", **flat) for c in C]
     assert all(r.status == 0 for r in rays), [r.message for r in rays]
     return False, all(-r.fun <= 1e-9 for r in rays)
 

@@ -273,7 +273,7 @@ class TestMain:
         path.write_text(_mutated(config, lambda d: d.update(x0=[100.0] * 4)).canonical_json())
         code = main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: InfeasibleState: ")
+        assert capsys.readouterr().err.startswith("error: InfeasibleState: t=0: RMPC infeasible")
 
     @pytest.mark.parametrize("argv", [
         ["run", "--steps", "-3"],
@@ -283,6 +283,7 @@ class TestMain:
         ["run", "--seed", "-1"],
         ["run", "--seed", str(2**128)],
         ["compare", "--methods", "CP1", "--seed", "-1"],
+        ["compare", "--methods", "LP2,LP2"],
     ])
     def test_bad_arguments_are_config_errors(self, argv, tmp_path, capsys):
         code = main(argv + ["--config", CONFIG_PATH, "--out-dir", str(tmp_path)])

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etrmpc import sim, solver
+from etrmpc import rmpc, sim, solver, trigger
 from etrmpc.cli import ExperimentConfig, cmd_run
-from etrmpc.geometry import HyperRect, Polytope, supports
-from etrmpc.rmpc import InfeasibleState, solve_rmpc
+from etrmpc.geometry import GeometryError, HyperRect, Polytope, supports
+from etrmpc.rmpc import InfeasibleState, RmpcError, solve_rmpc
 from etrmpc.sim import (DisturbanceModel, run_closed_loop, step_trigger_test,
                         trigger_statistics)
 from etrmpc.tightening import PlantModel, TighteningError, build_setup
-from etrmpc.trigger import TriggerSchedule, build_schedule
+from etrmpc.trigger import TriggerError, TriggerSchedule, build_schedule
 
 from batch_reactor import X0, batch_setup, polytope_worst_case_data
 
@@ -274,6 +274,33 @@ class TestImpulseRun:
         exempt_windows = [c for c in tr.decay_checks if c[5]]
         assert len(exempt_windows) >= 1
         assert all(a < 25 <= b for a, b, *_ in exempt_windows)
+
+
+class TestErrorsNameTheirTime:
+    def test_infeasible_start(self, setup):
+        # The type and the state it carries stay; t=0 leads the message.
+        with pytest.raises(InfeasibleState, match=r"^t=0: RMPC infeasible at x0=") as info:
+            run_closed_loop(setup, [100.0] * 4, "LP2", DisturbanceModel("zero"), T=5)
+        assert info.value.x0.tolist() == [100.0] * 4
+
+    @pytest.mark.parametrize("module, name, error", [
+        (trigger, "build_schedule", TriggerError),
+        (rmpc, "solve_rmpc", GeometryError),
+        (rmpc, "solve_rmpc", RmpcError),
+    ])
+    def test_second_trigger_names_its_time(self, setup, monkeypatch, module, name, error):
+        # Without disturbance the second trigger is the mandatory one, at N.
+        real, calls = getattr(module, name), []
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise error("j=3: the second trigger's failure")
+            return real(*args)
+
+        monkeypatch.setattr(module, name, second_fails)
+        with pytest.raises(error, match=rf"^t={setup.N}: j=3: the second trigger's failure$"):
+            run_closed_loop(setup, X0, "LP2", DisturbanceModel("zero"), T=30)
 
 
 class TestPeriodicBaseline:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from etrmpc import solver
 from etrmpc.solver import (QpProblem, Status, maximize_log_volume_batch, solve_lp_batch,
                            solve_qp)
 
-from oracles import (box_qp_by_active_sets, grid_box_volume, highs_max, lp_max_by_vertices,
-                     slsqp_least_norm, slsqp_log_volume)
+from oracles import (grid_box_volume, highs_max, highs_verdicts, lp_max_by_vertices,
+                     qp_min_by_active_sets, slsqp_least_norm, slsqp_log_volume)
 
 
 def box_rows(n, half):
@@ -96,21 +96,34 @@ class TestLp:
         assert rep.x is None and rep.objective is None
 
     def test_recession_lp_separates_rays(self):
-        # The verdict on an undecided LP: objectives that fall along the ray
-        # e_1 of the strip |x_0| <= 1, x_1 >= -0.3 (as minimization, g = -c)
-        # are UNBOUNDED, and ones that do not, whose recession optimum is 0,
-        # stay MAXITER, as every objective over a box does.
+        # The verdict on an undecided LP or QP: objectives that fall along
+        # the ray e_1 of the strip |x_0| <= 1, x_1 >= -0.3 (as minimization,
+        # g = -c) are UNBOUNDED, and ones that do not, whose recession
+        # optimum is 0, stay MAXITER, as every objective over a box does. A
+        # Hessian that leaves e_1 flat, diag(1, 0), keeps the LP's verdicts;
+        # one that curves e_1, diag(0, 1), bounds every objective.
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
         g = -np.array([[0.5, 1.0], [0.0, 1e-3], [0.5, -1.0], [1.0, 0.0], [0.0, 0.0]])
         no_eq = np.zeros((0, 2)), np.zeros(0)
-        assert [solver._undecided(*no_eq, A, np.array([1.0, 1.0, 0.3]), gk) for gk in g] == [
-            Status.UNBOUNDED, Status.UNBOUNDED, Status.MAXITER, Status.MAXITER, Status.MAXITER]
         box, h = box_rows(2, 1.0)
-        assert {solver._undecided(*no_eq, box, h, gk) for gk in g} == {Status.MAXITER}
-        # Rows that no point meets are INFEASIBLE, an LP's or a QP's (g None).
-        for gk in (g[0], None):
-            assert solver._undecided(*no_eq, A, np.array([-1.0, -1.0, 0.3]), gk) == (
-                Status.INFEASIBLE)
+        lp = [Status.UNBOUNDED, Status.UNBOUNDED, Status.MAXITER, Status.MAXITER, Status.MAXITER]
+        for H, verdicts in ((np.zeros((2, 2)), lp), (np.diag([1.0, 0.0]), lp),
+                            (np.diag([0.0, 1.0]), [Status.MAXITER] * 5)):
+            assert [solver._undecided(H, *no_eq, A, np.array([1.0, 1.0, 0.3]), gk)
+                    for gk in g] == verdicts
+            assert {solver._undecided(H, *no_eq, box, h, gk) for gk in g} == {Status.MAXITER}
+            # Rows that no point meets are INFEASIBLE, whatever H and g.
+            assert {solver._undecided(H, *no_eq, A, np.array([-1.0, -1.0, 0.3]), gk)
+                    for gk in g} == {Status.INFEASIBLE}
+
+    def test_large_bound_is_not_unbounded(self):
+        # max x over [0, 1e13] is bounded. At 1e14 the loop cannot meet its
+        # complementarity tolerance, so it reports MAXITER, not a ray.
+        rep = solve_lp_batch([1.0], [[1.0], [-1.0]], [1e13, 0.0])[0]
+        assert rep.status == Status.OPTIMAL
+        assert rep.objective == pytest.approx(1e13, rel=1e-12)
+        assert solve_lp_batch([1.0], [[1.0], [-1.0]], [1e14, 0.0])[0].status != (
+            Status.UNBOUNDED)
 
     def test_objective_scaling_keeps_argmax(self):
         A, b = box_rows(2, 1.0)
@@ -523,7 +536,7 @@ class TestQp:
             A, b = box_rows(n, 1.0)
             rep = solve_qp(QpProblem(H=H, A_in=A), g, b)
             assert rep.status == Status.OPTIMAL
-            _, obj = box_qp_by_active_sets(H, g, -np.ones(n), np.ones(n))
+            _, obj = qp_min_by_active_sets(H, g, A, b)
             assert rep.objective == pytest.approx(obj, abs=1e-6)
 
     def test_equality_constrained(self):
@@ -532,6 +545,24 @@ class TestQp:
                        np.zeros(2), np.zeros(2))
         assert rep.status == Status.OPTIMAL
         assert np.allclose(rep.x, [1.0, 1.0], atol=1e-6)
+
+    def test_large_bound_is_not_unbounded(self):
+        # min 0.5 x_0^2 - x_1 over 0 <= x_1 <= 1e13 is bounded.
+        p = QpProblem(H=np.diag([1.0, 0.0]), A_in=[[0.0, 1.0], [0.0, -1.0]])
+        rep = solve_qp(p, [0.0, -1.0], [1e13, 0.0])
+        assert rep.status == Status.OPTIMAL
+        assert rep.objective == pytest.approx(-1e13, rel=1e-12)
+
+    def test_unbounded_along_flat_ray(self):
+        # x_1 >= 0 with H flat along e_1 and g falling along it: UNBOUNDED
+        # by the ray of the rows +-H. With H curving e_1 it is bounded.
+        rows = [[0.0, -1.0]]
+        rep = solve_qp(QpProblem(H=np.diag([1.0, 0.0]), A_in=rows), [0.0, -1.0], [0.0])
+        assert rep.status == Status.UNBOUNDED
+        assert rep.x is None and rep.objective is None
+        rep = solve_qp(QpProblem(H=np.diag([0.0, 1.0]), A_in=rows), [0.0, -1.0], [0.0])
+        assert rep.status == Status.OPTIMAL
+        assert rep.objective == pytest.approx(-0.5, abs=1e-9)
 
     def test_infeasible_qp(self):
         A = np.array([[1.0], [-1.0]])
@@ -558,6 +589,50 @@ class TestQp:
                      ([np.nan, 0.0], [2.0, 2.0]), ([0.0, 0.0], [np.inf, 2.0])):
             with pytest.raises(ValueError):
                 solve_qp(p, g, b)
+
+
+@st.composite
+def lp_or_qp(draw):
+    """min 0.5 x.H x + g.x s.t. G x <= h: an LP (H = 0) or a convex QP
+    with H = M^T M and M of fewer rows than columns, so that H leaves
+    flat rays and some QPs are unbounded. The offsets lie about a random
+    point, some below it, so that some draws are infeasible, and all are
+    scaled by 10^0 to 10^13."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    M = rng.normal(size=(draw(st.integers(0, n - 1)), n))
+    G = rng.normal(size=(m, n))
+    h = G @ rng.normal(size=n) + rng.uniform(-0.5, 1.5, size=m)
+    h *= 10.0 ** draw(st.integers(0, 13))
+    return M.T @ M, rng.normal(size=n), G, h
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=lp_or_qp())
+@example(problem=(np.zeros((1, 1)), np.array([-1.0]), np.array([[1.0], [-1.0]]),
+                  np.array([1e13, 0.0])))  # max x over [0, 1e13]
+@example(problem=(np.diag([1.0, 0.0]), np.array([0.0, -1.0]),
+                  np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([1e13, 0.0])))  # min x_0^2/2 - x_1
+def test_lp_qp_verdicts_match_highs(problem):
+    # Aim 3: an LP or QP is INFEASIBLE or UNBOUNDED exactly when HiGHS says
+    # so, and every OPTIMAL objective matches the oracle's: HiGHS for an
+    # LP, active-set enumeration for a QP. MAXITER is left to bounded,
+    # feasible problems.
+    pytest.importorskip("scipy")
+    H, g, G, h = problem
+    if H.any():
+        rep = solve_qp(QpProblem(H=H, A_in=G), g, h)
+        objective = rep.objective
+    else:
+        rep = solve_lp_batch(-g, G, h)[0]
+        objective = None if rep.objective is None else -rep.objective
+    empty, bounded = highs_verdicts(G, h, g, H)
+    assert (rep.status == Status.INFEASIBLE) == empty
+    assert (rep.status == Status.UNBOUNDED) == (not empty and not bounded)
+    if rep.status == Status.OPTIMAL:
+        expected = (qp_min_by_active_sets(H, g, G, h)[1] if H.any()
+                    else -highs_max(-g, G, h))
+        assert objective == pytest.approx(expected, rel=1e-7)
 
 
 def least_distance_rows(seed, n, m, n_copies, n_zero):
