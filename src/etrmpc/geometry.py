@@ -90,9 +90,9 @@ class Polytope:
         """max_i (a_i x - b_i); <= 0 means inside. A point with a
         non-finite entry is outside: +inf."""
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             return np.inf
-        return float(np.max(self.A @ x - self.b))
+        return float(np.maximum.reduce(self.A @ x - self.b, axis=None))
 
     def contains(self, x, tol=FEAS_TOL):
         return self.membership_residual(x) <= tol
@@ -329,10 +329,14 @@ class Projection:
             raise ValueError("weight must be positive definite")
         self.A, self.B, self.w = A, B, w
         self.clamp = np.zeros(len(B), dtype=bool)  # targets projected by a clamp
+        self.lower, self.upper = -np.inf, np.inf  # the others' bounds, which clamp nothing
         bounds = _box_bounds(A, B) if diag else None
         if bounds is not None:
-            self.lower, self.upper, self.clamp = bounds
-        if not self.clamp.all():
+            self.clamp = bounds[2]
+            self.lower = np.where(self.clamp[:, None], bounds[0], -np.inf)
+            self.upper = np.where(self.clamp[:, None], bounds[1], np.inf)
+        self._solved = np.flatnonzero(~self.clamp).tolist()
+        if self._solved:
             self._inv_lt = np.linalg.inv(np.linalg.cholesky(0.5 * (M + M.T))).T
             self._rows = A @ self._inv_lt
 
@@ -347,22 +351,23 @@ class Projection:
         onto target k.
 
         A point inside its target within FEAS_TOL is its own projection,
-        at distance 0. A box target clamps its points coordinatewise, all
-        in one array pass (exact), so a point's bits do not depend on the
-        batch. The others take one least-distance solve each, to the QP
-        stop test's 1e-10, so that re-projected plan values agree with the
-        QP value. Raises EmptySetError where a target has no point, and
-        GeometryError where the solve reaches its step cap.
+        at distance 0 (``contains``). Box targets clamp their other points
+        coordinatewise, all in one array pass (exact), so a point's bits
+        do not depend on the batch; where every target is a box, that pass
+        is all there is. A point outside any other target takes one
+        least-distance solve, to the QP stop test's 1e-10, so that
+        re-projected plan values agree with the QP value. Raises
+        EmptySetError where such a target has no point, and GeometryError
+        where the solve reaches its step cap.
         """
         R = np.array(points, dtype=float, ndmin=2)
         inside = self.contains(R)
-        d2, S = np.zeros(len(R)), R.copy()
-        c = np.flatnonzero(self.clamp & ~inside)
-        if c.size:
-            S[c] = np.clip(R[c], self.lower[c], self.upper[c])
-            D = R[c] - S[c]
-            d2[c] = np.sum(D * self.w * D, axis=1)
-        for k in np.flatnonzero(~self.clamp & ~inside):
+        S = np.where(inside[:, None], R, R.clip(self.lower, self.upper))
+        D = R - S
+        d2 = np.add.reduce(D * self.w * D, axis=1)
+        for k in self._solved:
+            if inside[k]:
+                continue
             t = _nearest(self._rows, self.B[k] - self.A @ R[k])
             if t is None:
                 raise EmptySetError("projection target is empty")

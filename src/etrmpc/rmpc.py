@@ -174,7 +174,8 @@ def solve_rmpc(setup, x0):
       test, ``solver.solve_qp``'s point, bit for bit.
 
     The stop test's max|H| and the targets' bounds or projection rows
-    are the setup's (``RmpcQp``); a solve computes only what x0 moves.
+    are the setup's (``RmpcQp``); a solve computes only what x0 moves,
+    and the stop test's normalizers once for every plan it tests.
 
     Raises ValueError for a non-finite x0, InfeasibleState for one
     outside the feasible region (or the raw state set). The returned
@@ -187,26 +188,27 @@ def solve_rmpc(setup, x0):
     x0 = np.asarray(x0, dtype=float).reshape(setup.nx)
     if not np.isfinite(x0).all():
         raise ValueError(f"x0 must be finite, got {x0.tolist()}")
-    N, nx, nu = setup.N, setup.nx, setup.nu
-
-    if setup.plant.X.membership_residual(x0) > geometry.FEAS_TOL:
+    N, nu = setup.N, setup.nu
+    A, B, X = setup.plant.A, setup.plant.B, setup.plant.X
+    if np.maximum.reduce(X.A @ x0 - X.b) > geometry.FEAS_TOL:
         raise InfeasibleState(x0, "(outside the state constraint set)")
 
     qp = setup.qp
-    A, B = setup.plant.A, setup.plant.B
     g = qp.g_x0 @ x0
     b = qp.b_in - qp.C_x0 @ x0
+    scales = (1.0 + np.maximum.reduce(np.abs(b)),
+              1.0 + np.maximum.reduce(np.abs(g)) + qp.h_max)
 
     # The law's plan, else the least-norm plan of value 0, else the
     # interior-point loop: the first that passes the stop test answers.
     z = qp.law @ x0
-    kkt, excess = _stop_residual(qp, z, g, b)
+    kkt, excess = _stop_residual(qp, z, g, b, scales)
     path, steps, iterations = LAW, 0, 0
     if not kkt <= solver.QP_TOL:
         y, steps = solver.least_distance(qp.face_rows, -excess)
         if y is not None:
             z_face = z + qp.face_map @ y
-            kkt_face = _stop_residual(qp, z_face, g, b)[0]
+            kkt_face = _stop_residual(qp, z_face, g, b, scales)[0]
             if kkt_face <= solver.QP_TOL:
                 z, kkt, path = z_face, kkt_face, FACE
         if path == LAW:
@@ -224,17 +226,17 @@ def solve_rmpc(setup, x0):
 
     # Exact re-propagation kills the equality residual; re-projection then
     # keeps the value and slack invariants consistent to machine level.
-    # Only the state chain is sequential: B u_i is one stacked product.
-    x = np.zeros((N + 1, nx))
-    x[0] = x0
-    Bu = solver._mv(B, u)
-    for i in range(N):
-        x[i + 1] = A @ x[i] + Bu[i]
+    # Only the state chain is sequential: B u_i is one stacked product, and
+    # each A x_i is ndarray.dot, the BLAS call of A @ x_i at less overhead.
+    x = [x0]
+    for Bu_i in solver._mv(B, u):
+        x.append(A.dot(x[-1]) + Bu_i)
+    x = np.array(x)
     dx2, sx = qp.project_x(x[:N])
     du2, su = qp.project_u(u)
     stage = dx2 + du2
 
-    value = float(np.sum(stage))
+    value = float(np.add.reduce(stage))
     qp_value = float(0.5 * z @ qp.H @ z + g @ z) + float(x0 @ qp.c_x0 @ x0)
     if abs(value - qp_value) > 1e-6 * max(1.0, abs(qp_value)):
         raise RmpcError(
@@ -242,10 +244,11 @@ def solve_rmpc(setup, x0):
     return MpcSolution(u, x, sx, su, value, stage, kkt, iterations, path, steps)
 
 
-def _stop_residual(qp, z, g, b):
+def _stop_residual(qp, z, g, b, scales):
     """The stop test's residual at z (``solve_rmpc``) with no multipliers,
-    so with no complementarity term, and the rows' excess A_in z - b. A
-    NaN residual fails the test."""
+    so with no complementarity term, and the rows' excess A_in z - b.
+    ``scales`` are the solve's normalizers 1 + max|b| and 1 + max|g| +
+    max|H|. A NaN residual fails the test."""
     excess = qp.A_in @ z - b
-    return max(np.max(excess, initial=0.0) / (1.0 + np.max(np.abs(b))),
-               np.max(np.abs(qp.H @ z + g)) / (1.0 + np.max(np.abs(g)) + qp.h_max)), excess
+    return np.maximum(np.maximum.reduce(excess, initial=0.0) / scales[0],
+                      np.maximum.reduce(np.abs(qp.H @ z + g)) / scales[1]), excess

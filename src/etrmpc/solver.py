@@ -652,44 +652,50 @@ def least_distance(A, b):
     at the origin, its unconstrained minimizer. Each step takes the most
     violated row p and moves the point and the multipliers of the active
     rows along the directions that keep those rows tight (from a QR
-    factorization of the active rows; with none active, the point moves
-    along p's row, as an empty factorization would give): a full step
-    puts p on its boundary and makes it active; a partial one drops the
-    active row whose multiplier reaches zero first and keeps p's
-    multiplier so far. A row in the span of the active rows (a zero row
-    included) moves only the multipliers, and with no multiplier to drop
-    it proves the rows infeasible. The loop stops when no row exceeds its
-    offset by more than QP_TOL (1 + max|b|), the primal residual of the QP
-    stop test.
+    factorization of the active rows): a full step puts p on its
+    boundary and makes it active; a partial one drops the active row
+    whose multiplier reaches zero first and keeps p's multiplier so far.
+    A row in the span of the active rows (a zero row included) moves only
+    the multipliers, and with no multiplier to drop it proves the rows
+    infeasible. With no row active, as at the first step, the point moves
+    along p's row, as an empty factorization would give, and no
+    multiplier can block, so the step takes neither the QR nor the
+    ratios: it is full, or the row is zero. The loop stops when no row
+    exceeds its offset by more than QP_TOL (1 + max|b|), the primal
+    residual of the QP stop test.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    tol = QP_TOL * (1.0 + np.max(np.abs(b)))
+    tol = QP_TOL * (1.0 + np.maximum.reduce(np.abs(b)))
     y = np.zeros(A.shape[1])
     active, lam = [], np.zeros(0)
     p, steps = None, 0
     while True:
         if p is None:
             excess = A @ y - b
-            p, lam_p = int(np.argmax(excess)), 0.0
+            p, lam_p = int(excess.argmax()), 0.0
             if excess[p] <= tol:
                 return y, steps
         if steps == MAX_ITER:
             return None, steps
         steps += 1
         a = A[p]
-        z, r = a, np.zeros(0)
-        if active:
-            Q, R = np.linalg.qr(A[active].T)
-            Qa = Q.T @ a
-            z = a - Q @ Qa           # the point's direction, off the active rows
-            r = np.linalg.solve(R, Qa)  # the active multipliers' direction
-        full = np.inf
-        if np.linalg.norm(z) > QP_TOL * np.linalg.norm(a):
-            full = (a @ y - b[p]) / (z @ z)
+        aa = a @ a
+        if not active:  # z = a, and no ratio blocks the step
+            full = (a @ y - b[p]) / aa if np.sqrt(aa) > QP_TOL * np.sqrt(aa) else np.inf
+            if not full < np.inf:
+                return None, steps
+            y, active, lam, p = y - full * a, [p], np.array([lam_p + full]), None
+            continue
+        Q, R = np.linalg.qr(A[active].T)
+        Qa = Q.T @ a
+        z = a - Q @ Qa           # the point's direction, off the active rows
+        r = np.linalg.solve(R, Qa)  # the active multipliers' direction
+        zz = z @ z
+        full = (a @ y - b[p]) / zz if np.sqrt(zz) > QP_TOL * np.sqrt(aa) else np.inf
         blocking = np.flatnonzero(r > 0.0)
         ratios = lam[blocking] / r[blocking]
-        t = min(full, np.min(ratios, initial=np.inf))
+        t = min(full, np.minimum.reduce(ratios, initial=np.inf))
         if t == np.inf:
             return None, steps
         if full < np.inf:
@@ -699,7 +705,7 @@ def least_distance(A, b):
             active.append(p)
             lam, p = np.append(lam, lam_p), None
         else:
-            drop = int(blocking[np.argmin(ratios)])
+            drop = int(blocking[ratios.argmin()])
             del active[drop]
             lam = np.delete(lam, drop)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etrmpc import rmpc, sim, solver
+from etrmpc import geometry, rmpc, sim, solver
 from etrmpc.geometry import HyperRect, Projection
 from etrmpc.rmpc import InfeasibleState, solve_rmpc
 from etrmpc.tightening import (PlantModel, build_setup, synthesize_nominal_gain,
@@ -192,9 +192,9 @@ class TestLqrCrosscheck:
 
 class TestPolytopicTarget:
     def test_cross_polytope_state_target_two_solves(self):
-        # The target is not a box, so every stage projection goes through
-        # the projection QP and the re-projected plan value must match the
-        # RMPC QP value.
+        # The target is not a box, so every stage state outside it takes
+        # one least-distance solve, and the re-projected plan value must
+        # match the RMPC QP value.
         setup = cross_polytope_setup()
         plant = setup.plant
         sol = solve_rmpc(setup, X0)
@@ -413,6 +413,176 @@ class TestUnconstrainedLaw:
         states = (np.zeros(4), _law_case(batch_setup)[3][-1], X0)
         assert [_check_answer(batch_setup, x0) for x0 in states] == [rmpc.LAW, rmpc.FACE,
                                                                        rmpc.IPM]
+
+
+class ReferenceProjection:
+    """``geometry.Projection`` as it was before it clamped every point in
+    one pass and kept no per-target loop where every target is a box."""
+
+    def __init__(self, A, offsets, weight):
+        A = np.asarray(A, dtype=float)
+        B = np.asarray(offsets, dtype=float).reshape(-1, A.shape[0])
+        M = np.asarray(weight, dtype=float)
+        w = np.diagonal(M)
+        diag = np.count_nonzero(M) == np.count_nonzero(w)
+        self.A, self.B, self.w = A, B, w
+        self.clamp = np.zeros(len(B), dtype=bool)
+        bounds = geometry._box_bounds(A, B) if diag else None
+        if bounds is not None:
+            self.lower, self.upper, self.clamp = bounds
+        if not self.clamp.all():
+            self._inv_lt = np.linalg.inv(np.linalg.cholesky(0.5 * (M + M.T))).T
+            self._rows = A @ self._inv_lt
+
+    def __call__(self, points):
+        R = np.array(points, dtype=float, ndmin=2)
+        inside = np.maximum.reduce(solver._mv(self.A, R) - self.B, axis=1) <= solver.FEAS_TOL
+        d2, S = np.zeros(len(R)), R.copy()
+        c = np.flatnonzero(self.clamp & ~inside)
+        if c.size:
+            S[c] = np.clip(R[c], self.lower[c], self.upper[c])
+            D = R[c] - S[c]
+            d2[c] = np.sum(D * self.w * D, axis=1)
+        for k in np.flatnonzero(~self.clamp & ~inside):
+            t = geometry._nearest(self._rows, self.B[k] - self.A @ R[k])
+            if t is None:
+                raise geometry.EmptySetError("projection target is empty")
+            S[k] = R[k] + self._inv_lt @ t
+            d2[k] = t @ t
+        return d2, S
+
+
+def _reference_stop_residual(qp, z, g, b):
+    excess = qp.A_in @ z - b
+    return max(np.max(excess, initial=0.0) / (1.0 + np.max(np.abs(b))),
+               np.max(np.abs(qp.H @ z + g)) / (1.0 + np.max(np.abs(g)) + qp.h_max)), excess
+
+
+_reference_projections = {}
+
+
+def reference_solve_rmpc(setup, x0):
+    """``rmpc.solve_rmpc`` as it was before its law and face answers were
+    cut to their fixed cost, with its stop residual and projections
+    (``ReferenceProjection``): the reference for the bits of every answer.
+    Both call ``solver.least_distance`` and ``solver.solve_qp``, whose
+    bits ``test_solver`` pins."""
+    if setup not in _reference_projections:
+        plant = setup.plant
+        _reference_projections[setup] = (
+            ReferenceProjection(plant.Tx.A, setup.TX_offsets, setup.Q),
+            ReferenceProjection(plant.Tu.A, setup.TU_offsets, setup.R))
+    project_x, project_u = _reference_projections[setup]
+    x0 = np.asarray(x0, dtype=float).reshape(setup.nx)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+    N, nx, nu = setup.N, setup.nx, setup.nu
+    if setup.plant.X.membership_residual(x0) > solver.FEAS_TOL:
+        raise InfeasibleState(x0, "(outside the state constraint set)")
+    qp = setup.qp
+    A, B = setup.plant.A, setup.plant.B
+    g = qp.g_x0 @ x0
+    b = qp.b_in - qp.C_x0 @ x0
+    z = qp.law @ x0
+    kkt, excess = _reference_stop_residual(qp, z, g, b)
+    path, steps, iterations = rmpc.LAW, 0, 0
+    if not kkt <= solver.QP_TOL:
+        y, steps = solver.least_distance(qp.face_rows, -excess)
+        if y is not None:
+            z_face = z + qp.face_map @ y
+            kkt_face = _reference_stop_residual(qp, z_face, g, b)[0]
+            if kkt_face <= solver.QP_TOL:
+                z, kkt, path = z_face, kkt_face, rmpc.FACE
+        if path == rmpc.LAW:
+            rep = solver.solve_qp(qp.problem, g, b)
+            if rep.status == solver.Status.INFEASIBLE:
+                raise InfeasibleState(x0, "(QP infeasible)")
+            accepted_loose = (rep.status == solver.Status.MAXITER and rep.x is not None
+                              and rep.kkt_residual <= solver.FEAS_TOL)
+            if rep.status != solver.Status.OPTIMAL and not accepted_loose:
+                raise rmpc.RmpcError(f"RMPC QP failed with status {rep.status}")
+            z, kkt, iterations, path = rep.x, rep.kkt_residual, rep.iterations, rmpc.IPM
+    u = z[qp.u].reshape(N, nu)
+    x = np.zeros((N + 1, nx))
+    x[0] = x0
+    Bu = solver._mv(B, u)
+    for i in range(N):
+        x[i + 1] = A @ x[i] + Bu[i]
+    dx2, sx = project_x(x[:N])
+    du2, su = project_u(u)
+    stage = dx2 + du2
+    value = float(np.sum(stage))
+    qp_value = float(0.5 * z @ qp.H @ z + g @ z) + float(x0 @ qp.c_x0 @ x0)
+    if abs(value - qp_value) > 1e-6 * max(1.0, abs(qp_value)):
+        raise rmpc.RmpcError(
+            f"re-projected value {value:.9g} deviates from QP value {qp_value:.9g}")
+    return rmpc.MpcSolution(u, x, sx, su, value, stage, kkt, iterations, path, steps)
+
+
+def assert_same_bits(sol, want):
+    """Every field of two MpcSolutions byte for byte."""
+    for field in ("u", "x", "sx", "su", "stage_costs"):
+        a, b = getattr(sol, field), getattr(want, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+    for field in ("value", "kkt_residual"):
+        assert np.float64(getattr(sol, field)).tobytes() == \
+            np.float64(getattr(want, field)).tobytes(), field
+    assert (sol.path, sol.iterations, sol.face_steps) == (want.path, want.iterations,
+                                                          want.face_steps)
+
+
+class TestAnswerBits:
+    """solve_rmpc against ``reference_solve_rmpc``, byte for byte, and the
+    solver calls each answer makes."""
+
+    @pytest.mark.parametrize("make", [batch_setup, cross_polytope_setup])
+    def test_periodic_run_states(self, make):
+        setup, _, _, states = _law_case(make)
+        paths = set()
+        for x0 in [np.zeros(setup.nx), *states]:  # the law answers at the origin
+            sol = solve_rmpc(setup, x0)
+            assert_same_bits(sol, reference_solve_rmpc(setup, x0))
+            paths.add(sol.path)
+        assert paths == {rmpc.LAW, rmpc.FACE, rmpc.IPM}
+
+    @settings(max_examples=40, deadline=None)
+    @given(make=st.sampled_from([batch_setup, cross_polytope_setup]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_feasible_region_draws(self, make, seed):
+        # Drawn as in TestUnconstrainedLaw: about a third are law answers,
+        # and one in eight draws for the reference plant is an
+        # interior-point answer, near X0.
+        setup, _, _, states = _law_case(make)
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform() * rng.dirichlet(np.ones(len(states))) @ states
+        assert_same_bits(solve_rmpc(setup, x0), reference_solve_rmpc(setup, x0))
+
+    def test_nan_residual_fails_stop_test(self):
+        # A NaN dual residual beside a primal residual of 0 (z = 0 meets
+        # every row): the residual is NaN, which no tolerance passes.
+        qp = batch_setup().qp
+        z, g = np.zeros(qp.H.shape[0]), np.zeros(qp.H.shape[0])
+        g[0] = np.nan
+        kkt, excess = rmpc._stop_residual(qp, z, g, qp.b_in, (1.0, 1.0))
+        assert np.max(excess) <= 0.0 and np.isnan(kkt)
+
+    def test_solver_calls_per_answer(self, monkeypatch):
+        # The law calls no solver, the face one least-distance solve, and
+        # the loop runs once, after the face's solve finds no plan.
+        calls = []
+        for name in ("least_distance", "solve_qp"):
+            solve = getattr(solver, name)
+            monkeypatch.setattr(solver, name,
+                                lambda *a, _name=name, _solve=solve: calls.append(_name)
+                                or _solve(*a))
+        setup = batch_setup()
+        answers = ((np.zeros(4), rmpc.LAW, []),
+                   (_law_case(batch_setup)[3][-1], rmpc.FACE, ["least_distance"]),
+                   (X0, rmpc.IPM, ["least_distance", "solve_qp"]))
+        for x0, path, want in answers:
+            calls.clear()
+            assert solve_rmpc(setup, x0).path == path
+            assert calls == want
 
 
 def _per_stage_qp(setup):
