@@ -377,8 +377,10 @@ class Projection:
 
 
 # Sets whose Chebyshev LPs one ``solver.simplex_batch`` call takes at
-# most; the window bounds the memory of one call.
-_WINDOW = 32
+# most. A window shares each pivot's NumPy calls among its sets, and the
+# ratios have the same bits at any window; on the benchmark workloads 128
+# was faster than 32 and than one window for all of a run's sets.
+_WINDOW = 128
 
 
 def shape_ratios(A, offsets):

@@ -4,25 +4,25 @@ One Mehrotra-style primal-dual interior-point loop, ``_ipm``, solves
 LPs (H = 0), convex QPs and the box log-volume problems over
 ``A_eq x = b_eq, A_in x <= b_in``, with at least one inequality row,
 taking the objective's gradient and Hessian at each iterate. It solves
-a batch of problems that share H, A_eq and b_eq in one pass, each with
-its own linear term and ``b_in``, and with ``A_in`` shared or, stacked,
-its own (LP1's scaling LPs of one active mask). ``solve_lp_batch`` is
-the one LP entry, a single LP being a batch of one. A ``QpProblem``
-eliminates the variables that only one-entry inequality rows touch,
-with a diagonal Hessian block and no equality row, from each Newton
-step by a Schur complement, so only the rest is factorized (the RMPC
-QP's inputs); the others take the plain Newton step.
+a batch of problems that share H and all their rows in one pass, each
+with its own linear term and ``b_in``. ``solve_lp_batch`` is its one LP
+entry (the min-erosion LP), a single LP being a batch of one. A
+``QpProblem`` eliminates the variables that only one-entry inequality
+rows touch, with a diagonal Hessian block and no equality row, from
+each Newton step by a Schur complement, so only the rest is factorized
+(the RMPC QP's inputs); the others take the plain Newton step.
 ``maximize_log_volume_batch`` poses the hyper-rectangle volume
 objectives as ``-sum log(S v)`` over ``[W; -I] v <= [d; 0]``, one loop
 per set of live variables. Two solvers run outside that loop, each
 exact up to rounding. ``least_distance`` finds the point of a
 polyhedron nearest the origin by Goldfarb and Idnani's dual active-set
-method (the RMPC QP's least-norm plans of value 0, and every emptiness
-verdict). ``simplex_batch`` maximizes c.v over {A v <= b, v >= 0} with
-b >= 0 by the primal simplex from the vertex v = 0 (the shape
-diagnostic's Chebyshev LPs, and every verdict that a recession cone
-holds a ray). The loop itself decides only OPTIMAL: an LP or QP that
-it leaves undecided is INFEASIBLE, UNBOUNDED or MAXITER by these two,
+method (the RMPC QP's least-norm plans of value 0, LP1's centred boxes
+and every emptiness verdict). ``simplex_batch`` maximizes c.v over
+{A v <= b, v >= 0} with b >= 0 by the primal simplex from the vertex
+v = 0, A shared or one per problem (LP1's scaling LPs, the shape
+diagnostic's Chebyshev LPs, every verdict that a recession cone holds
+a ray). The loop itself decides only OPTIMAL: an LP or QP that it
+leaves undecided is INFEASIBLE, UNBOUNDED or MAXITER by these two,
 never by a threshold, so an unbounded input runs until its iterate
 diverges or the loop reaches its cap.
 No external solver dependencies; every run with the same inputs is
@@ -130,19 +130,17 @@ class SolveReport:
 
 
 def _check_dims(n, A_in, b_in, A_eq, b_eq):
-    """A matrix is shared (m, n), or stacked (B, m, n) beside one row of
-    b per problem. The inequality rows are required, and at least one."""
+    """Each matrix is (m, n), shared by every problem, beside its rhs. The
+    inequality rows are required, and at least one."""
     for mat, vec, name in ((A_in, b_in, "inequality"), (A_eq, b_eq, "equality")):
         if (mat is None) != (vec is None):
             raise ValueError(f"{name} matrix and rhs must be given together")
         if mat is not None:
-            stacked = mat.ndim == 3 and vec.shape[:-1] == mat.shape[:1]
-            if ((mat.ndim != 2 and not stacked) or mat.shape[-1] != n
-                    or mat.shape[-2] != vec.shape[-1]):
+            if mat.ndim != 2 or mat.shape[1] != n or mat.shape[0] != vec.shape[-1]:
                 raise ValueError(f"{name} block has inconsistent dimensions")
             if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(vec))):
                 raise ValueError(f"{name} block must be finite")
-    if A_in is None or not A_in.shape[-2]:
+    if A_in is None or not A_in.shape[0]:
         raise ValueError("every problem needs inequality rows")
 
 
@@ -214,9 +212,9 @@ class _Newton:
     a diagonal to H's diagonal S block, so S is eliminated by the Schur
     complement on U, and only the rows on U, gathered here, are multiplied
     out, on U's columns. Built without G, or with S empty, it is the plain
-    Newton matrix and solve over the Hessian and rows ``matrix`` is given,
-    each shared or stacked (the LPs and the log-volume problems). A is
-    shared.
+    Newton matrix and solve over the rows and the Hessian ``matrix`` is
+    given, the Hessian shared or, for the log-volume problems, stacked
+    (the LPs and the log-volume problems). The rows are shared.
     """
 
     def __init__(self, H, A, G=None):
@@ -255,7 +253,7 @@ class _Newton:
         built."""
         nb, ns = d.shape[0], self.S.size
         if not ns:
-            M = H + np.matmul(G.swapaxes(-1, -2), d[:, :, None] * G)
+            M = H + np.matmul(G.T, d[:, :, None] * G)
             return _kkt_matrices(M, self.A, reg, self._eyes), np.empty((nb, 0))
         # bincount sums each problem's rows in order, whatever the batch.
         bins = self._bins.get(nb)
@@ -298,11 +296,10 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
 
     f_k is the quadratic 0.5 x.H x + g[k].x or, given ``log_rows`` S (r, n)
     (H unused), g[k].x - sum log(S x), whose Hessian is per problem. Solves
-    one problem per row k of g (B, n) and h (B, m), with m >= 1; H, A, b
-    and S are shared, and so is G when it is (m, n); a (B, m, n) G gives
-    problem k the rows G[k]. Each problem has its own iterates,
-    convergence test and regularization retry, and leaves the batch, with
-    its rows, once it is decided. The arithmetic is stacked only through
+    one problem per row k of g (B, n) and h (B, m), with m >= 1; H, A, b,
+    G (m, n) and S are shared. Each problem has its own iterates,
+    convergence test and regularization retry, and leaves the batch once
+    it is decided. The arithmetic is stacked only through
     operations that give each slice the bits of the one-problem call
     (``_mv``, ``_dot``, stacked ``np.linalg.solve``, ``np.float_power``),
     so a problem's result does not depend on the rest of its batch.
@@ -341,8 +338,8 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
     checks made on it.
     """
     nb, n = g.shape
-    p, m = A.shape[0], G.shape[-2]
-    g_all, h_all, G_all = g, h, G
+    p, m = A.shape[0], G.shape[0]
+    g_all, h_all = g, h
     if newton is None:
         newton = _Newton(H, A)
 
@@ -357,14 +354,14 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
         # Deterministic start: least-squares on the equalities, unit slacks.
         x0 = np.linalg.lstsq(A, b, rcond=None)[0] if p > 0 else np.zeros(n)
         xy[:, :n] = x0
-        sz[:, 0] = np.maximum(h - G @ x0, 1.0)  # G @ x0 is (m,) or (B, m)
+        sz[:, 0] = np.maximum(h - G @ x0, 1.0)
         sz[:, 1] = 1.0
     else:
         xy[:, :n] = start[0]
         sz[:, 0] = start[1]
         np.divide(1.0, start[1], out=sz[:, 1])
 
-    GT = G.swapaxes(-1, -2)
+    GT = G.T
     out = [None] * nb
     idx = np.arange(nb)          # problems still iterating
     best_kkt, best_x = np.zeros(nb), xy[:, :n]  # their best iterates so far
@@ -384,8 +381,6 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
             stopped.extend(zip(idx[~live], best_kkt[~live], best_x[~live], repeat(it - 1)))
             idx, xy, sz, g, h, scale_p, scale_d, best_kkt, best_x = (
                 v[live] for v in (idx, xy, sz, g, h, scale_p, scale_d, best_kkt, best_x))
-            G = _member(G, live)
-            GT = G.swapaxes(-1, -2)
             x, s = xy[:, :n], sz[:, 0]
         if not idx.size:
             break
@@ -431,8 +426,8 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
             idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt, best_x, rd, rp, rg, mu = (
                 v[keep] for v in (idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt,
                                   best_x, rd, rp, rg, mu))
-            G, hess = _member(G, keep), _member(hess, keep)
-            GT = G.swapaxes(-1, -2)
+            if log_rows is not None:
+                hess = hess[keep]  # per problem
         if it == MAX_ITER:
             break  # no later check would read the step's iterate
 
@@ -459,7 +454,7 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
                     except np.linalg.LinAlgError:
                         reg[k] *= 100.0
                         K[k], inv[k] = (a[0] for a in newton.matrix(
-                            _member(hess, one), _member(G, one), d[one], reg[one]))
+                            hess if log_rows is None else hess[one], G, d[one], reg[one]))
                 else:
                     solved[k] = False
             if not solved.all():
@@ -468,8 +463,6 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
                     mu, d, dgz, K, inv, sol = (v[solved] for v in (
                         idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt, best_x, rd,
                         rp, rg, mu, d, dgz, K, inv, sol))
-                G = _member(G, solved)
-                GT = G.swapaxes(-1, -2)
                 if not idx.size:
                     break
         nrg = -rg
@@ -500,7 +493,7 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
     stopped.extend(zip(idx, best_kkt, best_x, repeat(MAX_ITER)))
     for i, kkt_i, x_i, checks in stopped:
         status = Status.MAXITER if log_rows is not None else _undecided(
-            H, A, b, _member(G_all, i), h_all[i], g_all[i])
+            H, A, b, G, h_all[i], g_all[i])
         out[i] = (status, x_i if status == Status.MAXITER else None, kkt_i, checks)
     return out
 
@@ -525,12 +518,6 @@ def _undecided(H, A, b, G, h, g):
     return Status.UNBOUNDED if ray.status == Status.UNBOUNDED else Status.MAXITER
 
 
-def _member(M, k):
-    """Problem(s) k of M: M[k] of a stack (B, ...), M itself when shared
-    (rows (m, n) or a Hessian (n, n))."""
-    return M[k] if M.ndim == 3 else M
-
-
 def _max_step(v, dv):
     """Largest step in [0, 1] that keeps v + step * dv >= 0, over the last
     axis, for v without NaN: min(1, min of -v/dv where dv < 0). As
@@ -542,22 +529,21 @@ def _max_step(v, dv):
 
 
 def solve_lp_batch(c, A, b, A_eq=None, b_eq=None, tol=FEAS_TOL):
-    """Maximize c[k].x s.t. A[k] x <= b[k], A_eq x = b_eq, for every k.
+    """Maximize c[k].x s.t. A x <= b[k], A_eq x = b_eq, for every k.
 
-    Row k of c (B, n), of b (B, m) and of a stacked A (B, m, n) gives
-    problem k; a 1-D c or b, or a 2-D A, is shared by every problem, and
-    the optional equality rows always are. A needs at least one row.
-    Per-problem rows serve LPs of one shape whose rows differ, such as
-    LP1's scaling LPs of one active mask; a single LP is a batch of one
-    (``solve_lp_batch(c, A, b)[0]``). All problems run in one
-    interior-point loop with the plain Newton step, and each report is
-    bit-identical to that problem's batch of one.
+    Row k of c (B, n) and of b (B, m) gives problem k; a 1-D c or b is
+    shared by every problem, and the rows A (m, n) and the optional
+    equality rows always are. A needs at least one row. A single LP is a
+    batch of one (``solve_lp_batch(c, A, b)[0]``), as the min-erosion LP
+    is. All problems run in one interior-point loop with the plain Newton
+    step, and each report is bit-identical to that problem's batch of
+    one.
     """
     c = np.atleast_2d(np.asarray(c, dtype=float))
     A = np.ascontiguousarray(A, dtype=float)
     b = np.atleast_2d(np.asarray(b, dtype=float))
     n = c.shape[1]
-    nb = max(len(c), len(b), len(A) if A.ndim == 3 else 1)
+    nb = max(len(c), len(b))
     b = np.broadcast_to(b, (nb, b.shape[1]))
     if A_eq is None:
         A_eq, b_eq = _empty(n)
@@ -568,14 +554,14 @@ def solve_lp_batch(c, A, b, A_eq=None, b_eq=None, tol=FEAS_TOL):
 
 
 def _lp_reports(c, G, h, A, b, tol):
-    """max c[k].x s.t. G x <= h[k] (G[k] x for a stacked G), A x = b: the
-    interior-point loop, then ``_crossover`` on every problem it solves."""
+    """max c[k].x s.t. G x <= h[k], A x = b: the interior-point loop, then
+    ``_crossover`` on every problem it solves."""
     n = c.shape[1]
     reports = []
     outcomes = _ipm(np.zeros((n, n)), -c, A, b, G, h, tol)
-    for k, ((st, x, kkt, it), ck, hk) in enumerate(zip(outcomes, c, h)):
+    for (st, x, kkt, it), ck, hk in zip(outcomes, c, h):
         if st == Status.OPTIMAL:
-            x = _crossover(ck, A, b, _member(G, k), hk, x)
+            x = _crossover(ck, A, b, G, hk, x)
         obj = float(ck @ x) if x is not None and st == Status.OPTIMAL else None
         reports.append(SolveReport(st, x, obj, kkt, it))
     return reports
@@ -711,9 +697,10 @@ def least_distance(A, b):
 
 
 def simplex_batch(c, A, B):
-    """Maximize c_k.v s.t. A v <= b_k, v >= 0 for every row b_k >= 0 of
-    B (K, m), with A shared and c shared (n,) or one row c_k per problem
-    (K, n); one report per problem.
+    """Maximize c_k.v s.t. A_k v <= b_k, v >= 0 for every row b_k >= 0 of
+    B (K, m). c (n,) and A (m, n) are shared, or either has one row c_k
+    (K, n) or matrix A_k (K, m, n) per problem, beside which one row b may
+    serve all; one report per problem.
 
     The primal simplex in inequality form (Bertsimas & Tsitsiklis,
     *Introduction to Linear Optimization*, 1997, ch. 3), started at the
@@ -736,18 +723,21 @@ def simplex_batch(c, A, B):
     ``_mv``), so each report has the bits of its batch of one.
     """
     c, A = np.asarray(c, dtype=float), np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float).reshape(-1, A.shape[0])
+    B = np.asarray(B, dtype=float).reshape(-1, A.shape[-2])
+    stacked = A.ndim == 3
+    if stacked:
+        B = np.broadcast_to(B, (len(A), B.shape[1]))  # one row per A_k, or one for all
     if not all(np.all(np.isfinite(a)) for a in (c, A, B)) or np.any(B < 0.0):
         raise ValueError("simplex_batch needs finite rows and offsets b >= 0")
-    (m, n), eye = A.shape, np.eye(A.shape[1])
+    m, n = A.shape[-2:]
     C = np.broadcast_to(c, (len(B), n))
-    R = np.vstack([A, -eye])
-    row_scale = np.max(np.abs(R), axis=1)
+    R = np.concatenate([A, np.broadcast_to(-np.eye(n), A.shape[:-2] + (n, n))], axis=-2)
+    row_scale = np.max(np.abs(R), axis=-1)
     idx, H = np.arange(len(B)), np.hstack([B, np.zeros((len(B), n))])
     basis = np.tile(np.arange(m, m + n), (len(B), 1))  # v = 0: the rows -v <= 0
     reports = [None] * len(B)
     for pivots in range(MAX_ITER + 1):
-        M = R[basis]
+        M = np.take_along_axis(R, basis[:, :, None], axis=1) if stacked else R[basis]
         inv = np.linalg.inv(M)
         y = np.matmul(C[:, None, :], inv)[:, 0]
         v = _mv(inv, np.take_along_axis(H, basis, axis=1))
@@ -774,6 +764,8 @@ def simplex_batch(c, A, B):
         if not live.any():
             return reports
         idx, C, H, basis, p, enter = (a[live] for a in (idx, C, H, basis, p, enter))
+        if stacked:
+            R, row_scale = R[live], row_scale[live]
         basis[np.arange(len(idx)), p] = enter
 
 

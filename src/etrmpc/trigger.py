@@ -206,9 +206,10 @@ def _schedule(method, rows, D):
     coordinates with feasible width below solver.DEGENERATE_WIDTH get
     zero width and are reported as degenerate. LP1/LP2 relax over the
     per-direction widths of the lifted polytope (row ratios): LP1 by one
-    scaling LP per polytope over the summed widths, batched per active
-    mask, LP2 by a scalar scaling step over the widths themselves, and
-    zero a width at or below that threshold.
+    scaling LP per polytope over the summed widths, solved exactly by the
+    simplex in one batch per active mask, then centred on the plan by one
+    least-distance solve per polytope; LP2 by a scalar scaling step over
+    the widths themselves. Both zero a width at or below that threshold.
 
     The offsets are checked once, before any solve: the origin must lie
     in every row to FEAS_TOL (InfeasibleCandidate), and a smaller
@@ -281,14 +282,19 @@ def _cp_boxes(W, D, k, method):
 
 def _lp1_boxes(G, W, D, k):
     """LP1's boxes up to the first polytope that fails (a coordinate
-    unbounded, or its scaling LP): (lower, upper, degenerate, failure).
+    unbounded, its scaling LP or its centring): (lower, upper, degenerate,
+    failure).
 
-    Each polytope's LP is max lambda over (z, lambda) for its
-    non-degenerate coordinates, with the r-profile box [z, z + lambda r]
-    in the rows and z <= 0 <= z + lambda r (zero-width coordinates pin
-    z_j = 0). It has one column per coordinate with r > 0, so the LPs of
-    one active mask share their shape and run in one ``solve_lp_batch``
-    call, each with its own rows.
+    A box is [z, z + lam r] with z <= 0 <= z + lam r (zero where r = 0).
+    Its scaling LP, max lam over v = (-z, lam) >= 0 with the rows
+    [-G_a, G+ r] v <= d and [I, -r_a] v <= 0, is solved exactly, one
+    ``solver.simplex_batch`` call per active mask. Of its optimal boxes
+    the one taken has the centre c = z + lam r / 2 nearest the plan (the
+    origin) in units of its sides: min |t|^2 with t = c / r, one
+    ``solver.least_distance`` over G_a diag(r_a) t <= d - lam G+ r +
+    (lam / 2) G_a r_a and |r_j t_j| <= lam r_j / 2, every row in the
+    state's units so that its stop tolerance weighs them alike. The
+    minimizer is unique: the box depends on no solver path or row order.
     """
     # Longest axis segment through the origin along e_j: with every other
     # coordinate pinned at zero it runs from -w[k+j] to w[j], the one-sided
@@ -304,42 +310,42 @@ def _lp1_boxes(G, W, D, k):
     for i, mask in enumerate(act):
         if mask.any():  # every coordinate degenerate: no LP, the zero box
             groups.setdefault(mask.tobytes(), []).append(i)
-    m, Gp = G.shape[0], np.maximum(G, 0.0)
+    m, Gr = G.shape[0], solver._mv(np.maximum(G, 0.0), r)  # G+ r per polytope
     reports = [None] * n
     for members in groups.values():
         a = act[members[0]]
         ka = int(np.sum(a))
-        eye = np.eye(ka + 1)
-        A = np.zeros((len(members), m + 2 * ka + 1, ka + 1))
-        A[:, :m, :ka] = G[:, a]
-        A[:, :m, ka] = solver._mv(Gp, r[members])
-        A[:, m:m + ka] = eye[:ka]
-        A[:, m + ka:m + 2 * ka, :ka] = -eye[:ka, :ka]
-        A[:, m + ka:m + 2 * ka, ka] = -r[members][:, a]
-        A[:, -1, ka] = -1.0
-        b = np.concatenate([D[members], np.zeros((len(members), 2 * ka + 1))], axis=1)
-        for i, rep in zip(members, solver.solve_lp_batch(eye[-1], A, b)):  # max lambda
-            reports[i] = rep
-    # A near-converged iterate will do: the box is fit into the rows below.
+        A = np.zeros((len(members), m + ka, ka + 1))
+        A[:, :m, :ka] = -G[:, a]
+        A[:, :m, ka] = Gr[members]
+        A[:, m:, :ka] = np.eye(ka)
+        A[:, m:, ka] = -r[members][:, a]
+        B = np.hstack([D[members], np.zeros((len(members), ka))])
+        for i, rep in zip(members, solver.simplex_batch(np.eye(ka + 1)[-1], A, B)):
+            reports[i] = rep  # max lambda
+    z, lam = np.zeros((n, k)), np.zeros(n)
     for i, rep in enumerate(reports):
-        if rep is not None and rep.status != solver.Status.OPTIMAL and not (
-                rep.status == solver.Status.MAXITER and rep.x is not None
-                and rep.kkt_residual <= 1e-6):
+        if rep is None:
+            continue
+        if rep.status != solver.Status.OPTIMAL:
             n, error = i, f"scaling LP failed: {rep.status}"
             break
-    w, D, r = w[:n], D[:n], r[:n]
-    z, lam = np.zeros((n, k)), np.zeros(n)
-    for members in groups.values():
-        members = [i for i in members if i < n]
-        if members:
-            X = np.array([reports[i].x for i in members])
-            z[np.ix_(members, act[members[0]])] = np.minimum(X[:, :-1], 0.0)
-            lam[members] = X[:, -1]
-    lam = np.where(0.0 > lam, 0.0, lam)
+        a = act[i]
+        lam[i] = max(rep.x[-1], 0.0)
+        ra, Ga, half = r[i, a], G[:, a], 0.5 * lam[i]
+        side = np.diag(ra)
+        t, _ = solver.least_distance(
+            np.vstack([Ga * ra, side, -side]),
+            np.concatenate([D[i] - lam[i] * Gr[i] + half * (Ga @ ra), half * ra, half * ra]))
+        if t is None:
+            n, error = i, "centring solve found no point"
+            break
+        z[i, a] = np.minimum(ra * (t - half), 0.0)
+    w, D, r, z, lam = w[:n], D[:n], r[:n], z[:n], lam[:n]
     # No box end in the rows reaches past the one-sided width w of its
-    # axis. Holding the LP point to w keeps its rounding (z_j = -3e-17
-    # where w = 0, say) off rows with zero offset, which _fit_into_rows
-    # would otherwise answer by shrinking the whole box to the origin.
+    # axis. Holding the box to w keeps its rounding (z_j = -3e-17 where
+    # w = 0, say) off rows with zero offset, which _fit_into_rows would
+    # otherwise answer by shrinking the whole box to the origin.
     z = np.where(-z > w[:, k:], -w[:, k:], z)
     upper = np.minimum(np.maximum(z + lam[:, None] * r, 0.0), w[:, :k])
     return (*_fit_into_rows(W, D, z, upper), _coords(r == 0.0), error)
@@ -369,9 +375,9 @@ def _fit_into_rows(W, D, lower, upper):
     """Scale each box [lower_i, upper_i] about the origin until every
     principal row d_i holds.
 
-    No-op for certified boxes; a near-converged LP iterate may stick out
-    by its KKT residual, and any uniformly shrunk copy is still a valid
-    (more conservative) trigger set.
+    No-op for certified boxes; LP1's centred box may stick out by the
+    centring solve's stop tolerance, and any uniformly shrunk copy is
+    still a valid (more conservative) trigger set.
     """
     prof = solver._mv(W, np.hstack([upper, -lower]))
     out = prof > D

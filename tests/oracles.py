@@ -256,9 +256,10 @@ def highs_segment_length(G, d, j):
     return highs_max(np.eye(k + 1)[k], A, b)
 
 
-def highs_lp1_scaling(G, d, r):
+def highs_lp1_scaling(G, d, r, options=None):
     """Largest lambda such that some box [z, z + lambda r] with z <= 0 <=
-    z + lambda r lies in {G e <= d}; coordinates with r_j = 0 stay at 0."""
+    z + lambda r lies in {G e <= d}; coordinates with r_j = 0 stay at 0.
+    ``options`` go to HiGHS as they are."""
     G = np.asarray(G, dtype=float)
     act = r > 0
     ka = int(np.sum(act))
@@ -267,7 +268,45 @@ def highs_lp1_scaling(G, d, r):
                    np.hstack([-np.eye(ka), -r[act][:, None]]),
                    np.eye(ka + 1)[ka:] * -1.0])
     b = np.concatenate([d, np.zeros(2 * ka + 1)])
-    return highs_max(np.eye(ka + 1)[ka], A, b)
+    return highs_max(np.eye(ka + 1)[ka], A, b, options=options)
+
+
+def slsqp_lp1_centre(G, d, r, lam):
+    """scipy SLSQP centre c of the box [c - lam r / 2, c + lam r / 2] that
+    minimizes sum (c_j / r_j)^2 over the coordinates with r_j > 0 (the
+    others stay at 0), subject to the box in {G e <= d} and the origin in
+    the box.
+
+    Works in t = c / r over the coordinates with r_j > 0. The largest
+    g.e over the box is g.c + (lam / 2) |g|.r, which keeps it off the
+    library's lifted rows. Starts from the least violating point of the
+    rows by HiGHS (lam is HiGHS's, so they may hold only to its
+    tolerance), and relaxes them by that violation plus 1e-10 (1 +
+    max|b|), so that no face is thinner than rounding. A coordinate that
+    the rows barely touch (r_j near 1e-9) may then move in t by much more
+    than 1e-10, but not in c = r t.
+    """
+    from scipy.optimize import linprog, minimize
+
+    G, d, r = (np.asarray(v, dtype=float) for v in (G, d, r))
+    act = r > 0
+    ka = int(np.sum(act))
+    Gt = G[:, act] * r[act]
+    A = np.vstack([Gt, np.eye(ka), -np.eye(ka)])
+    b = np.concatenate([d - 0.5 * lam * np.abs(Gt).sum(axis=1), np.full(2 * ka, 0.5 * lam)])
+    start = linprog(np.eye(ka + 1)[ka], A_ub=np.hstack([A, -np.ones((len(A), 1))]), b_ub=b,
+                    bounds=[(None, None)] * ka + [(0.0, None)], method="highs")
+    assert start.status == 0, start.message
+    slack = start.x[ka] + 1e-10 * (1.0 + np.max(np.abs(b)))
+    res = minimize(lambda t: float(t @ t), start.x[:ka], jac=lambda t: 2.0 * t,
+                   method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": lambda t: b + slack - A @ t,
+                                 "jac": lambda t: -A}],
+                   options={"ftol": 1e-15, "maxiter": 1000})
+    assert res.status in (0, 8), res.message  # 8: stopped at the optimum
+    c = np.zeros(len(r))
+    c[act] = res.x * r[act]
+    return c
 
 
 def deadbeat_erosion(A, B, thetas):

@@ -80,53 +80,50 @@ def test_simplex_member_matches_solo_solve(seed, n, m, bounded, own_objectives, 
         assert same_report(rep, solver.simplex_batch(c, A, b)[0])
 
 
-def own_rows_member(rng, n, m, kind):
-    """Rows, objective and offsets of one LP with rows of its own, on
-    which its status rests where it can. An opposed member is infeasible
-    by two opposed rows, a x <= -1 and -a x <= -1 (an infeasible one by
-    its box, as ``member`` makes it, and its iterates diverge). A slow
-    one rises along x_last and is bounded only by its row 0, which caps
-    x_last; its optimum lies about 1e8 from the start, so it needs more
-    iterations than the others. Needs m >= 2."""
-    A = shared_rows(rng, n, m)
-    if kind == "opposed":
-        A[1] = -A[0]
+def own_rows_member(rng, n, m, kind, zeros):
+    """Rows, objective and offsets b >= 0 of one simplex LP with rows of
+    its own, ``zeros`` of its first m offsets 0 (degenerate vertices). A
+    box row on every variable bounds it, and a slow member rises along
+    every variable, so that v = 0 is not optimal. An unbounded member's
+    rows cap no v_0 (its column is nonpositive), along which c rises."""
+    A = np.vstack([rng.normal(size=(m, n)), np.eye(n)])
+    c = rng.normal(size=n)
+    if kind == "unbounded":
+        A[:, 0] = -np.abs(A[:, 0])
+        c[0] = abs(c[0]) + 0.1
     elif kind == "slow":
-        A[0, -1] = -A[0, -1]
-    c, b = member(rng, A, {"opposed": "bounded", "slow": "unbounded"}.get(kind, kind))
-    if kind == "opposed":
-        b[:2] = -1.0
-    elif kind == "slow":
-        b = b + A @ (rng.normal(size=n) * 1e8)
+        c = np.abs(c) + 0.1
+    b = rng.uniform(0.0, 2.0, size=m + n) * 10.0 ** rng.uniform(-3, 3)
+    b[rng.choice(m, size=min(zeros, m), replace=False)] = 0.0
     return A, c, b
 
 
 @hypothesis.settings(max_examples=30, deadline=None)
 @hypothesis.given(seed=st.integers(0, 2**32 - 1),
-                  n=st.integers(2, 4), m=st.integers(2, 8),
-                  kinds=st.lists(st.sampled_from(["bounded", "opposed", "unbounded"]),
+                  n=st.integers(2, 5), m=st.integers(1, 10), zeros=st.integers(0, 3),
+                  kinds=st.lists(st.sampled_from(["bounded", "unbounded", "slow"]),
                                  max_size=4))
-def test_per_problem_rows_member_matches_solo_solve(seed, n, m, kinds):
-    # Every member has rows of its own. Every batch holds a bounded, an
-    # unbounded, a slow bounded and both kinds of infeasible member, in
-    # random order. At the full cap, infeasible members diverge and leave
-    # the loop early. Then the cap is patched to one less than the slowest
-    # optimal member's iteration count, so that member stops at MAX_ITER
-    # and goes to classification with the others that reach the cap.
+def test_per_problem_rows_member_matches_solo_solve(seed, n, m, zeros, kinds):
+    # Every member has rows of its own (a stacked A), as LP1's scaling LPs
+    # of one active mask do. Every batch holds a bounded, an unbounded and
+    # a slow member, in random order. Then the cap is patched to one less
+    # than the slowest optimal member's pivot count, so that member stops
+    # at MAX_ITER, after the members that leave earlier with their rows.
     rng = np.random.default_rng(seed)
-    kinds = ["bounded", "infeasible", "opposed", "unbounded", "slow"] + kinds
-    members = [own_rows_member(rng, n, m, kinds[i]) for i in rng.permutation(len(kinds))]
-    free = [solve_lp_batch(c, A, b)[0] for A, c, b in members]
+    kinds = ["bounded", "unbounded", "slow"] + kinds
+    members = [own_rows_member(rng, n, m, kinds[i], zeros) for i in rng.permutation(len(kinds))]
+    free = [solver.simplex_batch(c, A, b)[0] for A, c, b in members]
     A, C, B = (np.array(v) for v in zip(*members))
-    assert all(same_report(a, b) for a, b in zip(solve_lp_batch(C, A, B), free))
+    assert all(same_report(a, b) for a, b in zip(solver.simplex_batch(C, A, B), free))
+    assert Status.UNBOUNDED in {r.status for r in free}
     cap = max(r.iterations for r in free if r.status == Status.OPTIMAL) - 1
     with mock.patch.object(solver, "MAX_ITER", cap):
-        solo = [solve_lp_batch(c, Ak, b)[0] for Ak, c, b in members]
-        batch = solve_lp_batch(C, A, B)
+        solo = [solver.simplex_batch(c, Ak, b)[0] for Ak, c, b in members]
+        batch = solver.simplex_batch(C, A, B)
     assert len(batch) == len(members)
     assert all(same_report(a, b) for a, b in zip(batch, solo))
     capped = [k for k, r in enumerate(free) if r.status == Status.OPTIMAL and r.iterations > cap]
-    assert capped and all(batch[k].iterations == cap and batch[k].status != Status.OPTIMAL
+    assert capped and all(batch[k].iterations == cap and batch[k].status == Status.MAXITER
                           for k in capped)
 
 

@@ -289,30 +289,6 @@ class TestLpBatch:
         assert rep.x[2] == pytest.approx(-1.0, abs=1e-8)
         assert a * (rep.x[0] + rep.x[1]) == pytest.approx(1.0, abs=1e-6)
 
-    def test_per_problem_rows_leave_with_their_member(self):
-        # Members 0 and 2 have the singular rows of the test above and
-        # leave after the regularization retries; member 1 has rows of its
-        # own and runs on without them.
-        A = np.array([[[1e10, 1e10], [-1e10, -1e10]], [[1.0, 0.0], [0.0, 1.0]],
-                      [[1e10, 1e10], [-1e10, -1e10]]])
-        C = np.ones((3, 2))
-        B = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
-        solo = [solve_lp_batch(c, Ak, b)[0] for c, Ak, b in zip(C, A, B)]
-        assert solo[1].status == Status.OPTIMAL and solo[0].status != Status.OPTIMAL
-        for order in (slice(None), slice(None, None, -1)):
-            batch = solve_lp_batch(C[order], A[order], B[order])
-            assert all(same_report(a, b) for a, b in zip(batch, solo[order]))
-
-    def test_stacked_rows_need_one_offset_row_per_problem(self):
-        A, b = box_rows(2, 1.0)
-        stack = np.array([A, A])
-        with pytest.raises(ValueError):
-            solve_lp_batch(np.ones(2), stack, np.array([b, b, b]))
-        with pytest.raises(ValueError):
-            solve_lp_batch(np.ones((3, 2)), stack, b)
-        batch = solve_lp_batch(np.ones(2), stack, b)  # shared c and b
-        assert all(same_report(r, solve_lp_batch(np.ones(2), A, b)[0]) for r in batch)
-
     def test_iteration_cap_stays_with_its_member(self, monkeypatch):
         rng = np.random.default_rng(3)
         n = 3
@@ -375,6 +351,38 @@ class TestSimplex:
         for b in ([-1.0], [np.inf], [np.nan]):
             with pytest.raises(ValueError):
                 solver.simplex_batch([1.0], [[1.0]], b)
+
+    def test_per_problem_rows_leave_with_their_member(self):
+        # Three members with rows of their own leave the batch at different
+        # pivots: one is optimal at v = 0, one unbounded (no row caps v_0,
+        # along which c rises) and one takes several pivots after the
+        # others have left with their rows.
+        rng = np.random.default_rng(1)
+        A, b, _ = simplex_lp(rng, 3, 6, zeros=1)
+        ray = A.copy()
+        ray[:, 0] = -np.abs(ray[:, 0])
+        stack = np.array([A, ray, A])
+        C = np.array([np.ones(3), np.ones(3), -np.ones(3)])
+        solo = [solver.simplex_batch(c, Ak, b)[0] for c, Ak in zip(C, stack)]
+        assert [r.status for r in solo] == [Status.OPTIMAL, Status.UNBOUNDED, Status.OPTIMAL]
+        assert solo[0].iterations >= 3 and solo[2].iterations == 0
+        for order in (slice(None), slice(None, None, -1)):
+            batch = solver.simplex_batch(C[order], stack[order], np.array([b, b, b]))
+            assert all(same_report(x, y) for x, y in zip(batch, solo[order]))
+
+    def test_stacked_rows_need_one_offset_row_per_problem(self):
+        rng = np.random.default_rng(7)
+        A, b, c = simplex_lp(rng, 2, 3)
+        stack = np.array([A, A])
+        with pytest.raises(ValueError):
+            solver.simplex_batch(c, stack, np.array([b, b, b]))
+        with pytest.raises(ValueError):
+            solver.simplex_batch(np.ones((3, 2)), stack, b)
+        batch = solver.simplex_batch(c, stack, b)  # shared c and b
+        assert len(batch) == 2
+        assert all(same_report(r, solver.simplex_batch(c, A, b)[0]) for r in batch)
+        with pytest.raises(ValueError):  # the interior-point LPs share their rows
+            solve_lp_batch(c, stack, np.array([b, b]))
 
     def test_pivot_cap_reports_maxiter(self, monkeypatch):
         rng = np.random.default_rng(5)

@@ -18,7 +18,8 @@ from etrmpc.trigger import (CP1, CP2, LP1, LP2, PrincipalPolytope,
 
 from batch_reactor import (X0, batch_setup, cross_polytope_setup, polytope_worst_case_data,
                            stage_sets)
-from oracles import grid_box_volume, highs_chebyshev, highs_lp1_scaling, highs_segment_length
+from oracles import (grid_box_volume, highs_chebyshev, highs_lp1_scaling, highs_segment_length,
+                     slsqp_lp1_centre)
 from test_rmpc import stage_cost as rmpc_stage
 
 CONFIG_PATH = "configs/batch_reactor.json"
@@ -314,30 +315,35 @@ def _merged(W, d, G, meta):
 
 class TestNewtonSplit:
     def test_lps_eliminate_no_variable(self, monkeypatch):
-        # LP1's scaling LPs take the plain Newton step: only a QpProblem
-        # looks for variables to eliminate, so no LP calls _rows_on. The
-        # Chebyshev LPs of the shape diagnostic and the emptiness tests (here
-        # over the box rows of the tightened targets, moved by (1, 1, 1, 1)
-        # so that none holds the origin and each takes a least-distance
-        # solve) run no interior-point loop at all.
+        # Only a QpProblem looks for variables to eliminate, so no LP calls
+        # _rows_on. LP1's scaling LPs (the simplex) and its centring (one
+        # least-distance solve per polytope with a live coordinate), the
+        # Chebyshev LPs of the shape diagnostic and the emptiness tests
+        # (here over the box rows of the tightened targets, moved by
+        # (1, 1, 1, 1) so that none holds the origin and each takes a
+        # least-distance solve) run no interior-point loop at all.
         setup = batch_setup()
-        sol = solve_rmpc(setup, X0)
-        split, loops, nearest = [], [], []
-        ipm, least_distance = solver._ipm, solver.least_distance
-        monkeypatch.setattr(solver, "_rows_on", lambda *a: split.append(a))
-        monkeypatch.setattr(solver, "_ipm", lambda *a, **k: loops.append(a) or ipm(*a, **k))
-        monkeypatch.setattr(solver, "least_distance",
-                            lambda *a: nearest.append(a) or least_distance(*a))
-        sched = build_schedule(setup, sol, LP1)
-        count = len(loops)
-        assert count > 0
-        geometry.shape_ratios(setup.principal_rows.G, sched.offsets)
-        shift = setup.plant.Tx.A @ np.ones(setup.nx)
-        offsets = setup.TX_offsets + shift
-        assert geometry.are_empty(setup.plant.Tx.A, offsets) == [False] * len(offsets)
-        assert len(nearest) == len(offsets)
-        assert len(loops) == count
-        assert split == []
+        for x in (X0, [0.1, 0.1, -0.1, 0.1]):
+            sol = solve_rmpc(setup, x)
+            split, loops, nearest = [], [], []
+            ipm, least_distance = solver._ipm, solver.least_distance
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_rows_on", lambda *a: split.append(a))
+                m.setattr(solver, "_ipm", lambda *a, **k: loops.append(a) or ipm(*a, **k))
+                m.setattr(solver, "least_distance",
+                          lambda *a: nearest.append(a) or least_distance(*a))
+                sched = build_schedule(setup, sol, LP1)
+                live = sum(len(deg) < setup.nx for deg in sched.degenerate_coords)
+                assert len(nearest) == live
+                nearest.clear()
+                geometry.shape_ratios(setup.principal_rows.G, sched.offsets)
+                shift = setup.plant.Tx.A @ np.ones(setup.nx)
+                offsets = setup.TX_offsets + shift
+                assert geometry.are_empty(setup.plant.Tx.A, offsets) == [False] * len(offsets)
+                assert len(nearest) == len(offsets)
+            assert loops == []
+            assert split == []
+        assert live > 0  # the later state has live boxes
 
 
 @pytest.fixture(scope="module")
@@ -616,24 +622,51 @@ class TestConstructLp:
 
     def test_lp1_rounding_at_zero_offset_row_keeps_box(self, monkeypatch):
         # Row -e_0 <= 0 pins the lower end of coordinate 0 at the origin.
-        # A scaling-LP point with z_0 = -3e-17 instead of 0 must not make
-        # the box shrink to the origin against that row.
+        # A centred point one ulp below t_0 = lam / 2, so z_0 = -6e-17
+        # instead of 0, must not make the box shrink to the origin against
+        # that row.
         G = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        solve_lp_batch = solver.solve_lp_batch
+        least_distance = solver.least_distance
 
-        def rounded(c, A, b):
-            (rep,) = solve_lp_batch(c, A, b)
-            x = rep.x.copy()
-            x[0] = -3e-17
-            return [solver.SolveReport(rep.status, x, rep.objective,
-                                       rep.kkt_residual, rep.iterations)]
+        def rounded(A, b):
+            t, steps = least_distance(A, b)
+            assert t[0] == 0.5  # lam = 1 and r_0 = 1: z_0 = r_0 (t_0 - lam / 2) = 0
+            return np.array([np.nextafter(t[0], 0.0), t[1]]), steps
 
-        monkeypatch.setattr(solver, "solve_lp_batch", rounded)
+        monkeypatch.setattr(solver, "least_distance", rounded)
         sch = construct_boxes(G, [np.array([0.0, 1.0, 1.0, 1.0])], LP1)
         box = sch.box(1)
         assert box.lower[0] == 0.0
         assert volumes(sch)[0] == pytest.approx(2.0, rel=1e-6)
         assert box_slack(sch.principals[0], box) >= 0.0
+
+    def test_lp1_centres_a_coordinate_of_tiny_side(self):
+        # Four principal rows of the reference run (seed 1234, t=2, j=1,
+        # one OpenBLAS thread). Coordinate 2 has a segment of 8e-9, so the
+        # rows barely move with its t_2. With the bounds |t_j| <= lam / 2
+        # in units of t, least_distance's active set became
+        # ill-conditioned (cond 1e9) and it called the optimal face empty;
+        # with the bounds in the state's units it finds the centre.
+        pytest.importorskip("scipy")
+        G = np.array([[-1.3874116639274961e-01, 1.3393228222008282e-02,
+                       -5.0452193355143837e-02, 6.0081514323449832e-02],
+                      [-1.0327909062412144e-09, 1.4565547323910466e-01,
+                       3.8330387389763389e-02, 6.9761305283665764e-01],
+                      [5.0180358642722722e-01, -4.1143768181930707e-01,
+                       -4.5653790115596990e-02, -2.5398290437765443e+00],
+                      [3.9930670489372311e+00, -2.2870350025874073e-01,
+                       1.5505692474169985e+00, -7.2618756511953497e-01]])
+        d = np.array([0.0, 3.0543356732692928e-10, 1.0143465328129413e+00,
+                      1.5056807354388491e-01])
+        sch = construct_boxes(G, [d], LP1)
+        (pp,) = sch.principals
+        r = _lp1_segments(pp)
+        assert 1e-9 < r[2] < 1e-8 and sch.degenerate_coords == [[]]
+        lam = highs_lp1_scaling(G, d, r, HIGHS_TIGHT)
+        box = sch.box(1)
+        assert np.allclose(box.upper - box.lower, lam * r, rtol=1e-9, atol=1e-12)
+        assert np.allclose(0.5 * (box.lower + box.upper), slsqp_lp1_centre(G, d, r, lam),
+                           rtol=0.0, atol=1e-7)
 
     def test_ill_shaped_symmetry_ordering(self):
         sym = {}
@@ -666,6 +699,20 @@ def _random_lp1_polytope(rng, k):
     return G, d
 
 
+@pytest.fixture(scope="module")
+def lp1_polytopes(tmp_path_factory):
+    """(G, d) of 30 random polytopes (``_random_lp1_polytope``) and of
+    every polytope of the first 20 steps of the reference LP1 run."""
+    rng = np.random.default_rng(78)
+    polytopes = [_random_lp1_polytope(rng, int(rng.integers(2, 5))) for _ in range(30)]
+    config = ExperimentConfig.from_file(CONFIG_PATH)
+    trace, _ = cmd_run(config, out_dir=tmp_path_factory.mktemp("lp1"), method=LP1, steps=20,
+                       out=io.StringIO())
+    for sch in trace.schedules.values():
+        polytopes.extend((sch.rows.G, d) for d in sch.offsets)
+    return polytopes
+
+
 class TestLpOracles:
     def test_segment_lengths_match_highs(self):
         pytest.importorskip("scipy")
@@ -680,20 +727,49 @@ class TestLpOracles:
             degenerate = np.flatnonzero(omega <= 1e-9).tolist()
             assert sch.degenerate_coords[0] == degenerate
 
-    def test_scaling_lp_matches_highs(self):
+    def test_scaling_lp_matches_highs(self, lp1_polytopes):
         pytest.importorskip("scipy")
-        rng = np.random.default_rng(77)
-        for _ in range(30):
-            k = int(rng.integers(2, 5))
-            sch = construct_boxes(*_random_lp1_polytope(rng, k), LP1)
+        for G, d in lp1_polytopes:
+            sch = construct_boxes(G, [d], LP1)
             (pp,) = sch.principals
-            w = solver.coordinate_widths(pp.W, pp.d)
-            r = w[:k] + w[k:]
-            r[r <= 1e-9] = 0.0
-            lam = highs_lp1_scaling(pp.G, pp.d, r) if np.any(r > 0) else 0.0
+            r = _lp1_segments(pp)
+            lam = highs_lp1_scaling(pp.G, pp.d, r, HIGHS_TIGHT) if np.any(r > 0) else 0.0
             box = sch.box(1)
-            assert np.allclose(box.upper - box.lower, lam * r, rtol=1e-6, atol=1e-9)
+            assert np.allclose(box.upper - box.lower, lam * r, rtol=1e-9, atol=1e-12)
             assert box_slack(pp, box) >= 0.0
+
+    def test_centre_matches_slsqp(self, lp1_polytopes):
+        # Each box's centre is the one nearest the origin in units of its
+        # sides among the boxes of HiGHS's optimal scaling. On the random
+        # polytopes the optimal box is unique; on most of the reference
+        # run's it is not, and the centring picks one.
+        pytest.importorskip("scipy")
+        checked = 0
+        for G, d in lp1_polytopes:
+            sch = construct_boxes(G, [d], LP1)
+            (pp,) = sch.principals
+            r = _lp1_segments(pp)
+            if not np.any(r > 0):
+                continue
+            lam = highs_lp1_scaling(pp.G, pp.d, r, HIGHS_TIGHT)
+            box = sch.box(1)
+            centre = slsqp_lp1_centre(pp.G, pp.d, r, lam)
+            assert np.allclose(0.5 * (box.lower + box.upper), centre, rtol=0.0, atol=1e-7)
+            checked += 1
+        assert checked >= 80
+
+    def test_bounds_do_not_depend_on_row_order(self, lp1_polytopes):
+        rng = np.random.default_rng(79)
+        for G, d in lp1_polytopes:
+            base = construct_boxes(G, [d], LP1)
+            for _ in range(3):
+                perm = rng.permutation(len(G))
+                sch = construct_boxes(G[perm], [d[perm]], LP1)
+                assert np.allclose(sch.lower, base.lower, rtol=0.0, atol=1e-12)
+                assert np.allclose(sch.upper, base.upper, rtol=0.0, atol=1e-12)
+
+
+HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 def _lp1_segments(pp):
@@ -784,8 +860,10 @@ class TestSchedule:
         assert schedules[LP1].vol1[4] == pytest.approx(4.809e-6, rel=1e-3)
 
     def test_no_shape_ratio_while_building(self, sched_all, monkeypatch, tmp_path):
-        # No Chebyshev LP (no simplex) while boxes are built; one shape
-        # diagnostic call per cmd_run, over every schedule of the run.
+        # No Chebyshev LP while boxes are built: the only simplex calls
+        # there are LP1's scaling LPs, each with rows of its own, where the
+        # Chebyshev LPs share theirs. One shape diagnostic call per
+        # cmd_run, over every schedule of the run.
         setup, sol, _ = sched_all
         simplex, shape_ratios = solver.simplex_batch, geometry.shape_ratios
         lps, calls = [], []
@@ -798,7 +876,9 @@ class TestSchedule:
             m.setattr(geometry, "shape_ratios", forbidden)
             for method in trigger.METHODS:
                 build_schedule(setup, sol, method)
-        assert lps == []
+                assert (len(lps) > 0) == (method == LP1)
+                assert all(np.ndim(args[1]) == 3 for args in lps)
+                lps.clear()
         monkeypatch.setattr(geometry, "shape_ratios",
                             lambda *a: calls.append(a) or shape_ratios(*a))
         config = ExperimentConfig.from_file(CONFIG_PATH)
@@ -807,7 +887,7 @@ class TestSchedule:
                                out=io.StringIO())
             assert len(calls) == n
             assert np.size(calls[-1][1]) == sum(s.offsets.size for s in trace.schedules.values())
-        assert lps
+        assert any(np.ndim(args[1]) == 2 for args in lps)
 
     def test_dict_shape_ratio_per_principal(self, tmp_path):
         # Every ratio cmd_run writes, from its one call over the run, equals
@@ -850,11 +930,11 @@ class TestSchedule:
 
     @pytest.mark.parametrize("method", [CP1, CP2, LP1])
     def test_one_batched_solve_matches_per_j_route(self, sched_all, method, monkeypatch):
-        # CP makes one log-volume batch per trigger; LP1 one scaling-LP
-        # batch per active mask, where each polytope of a trigger has its
-        # own LP rows. Each box equals its polytope's built alone.
+        # CP makes one log-volume batch per trigger; LP1 one simplex call
+        # per active mask, where each polytope of a trigger has its own LP
+        # rows. Each box equals its polytope's built alone.
         setup, sol, _ = sched_all
-        batched = "solve_lp_batch" if method == LP1 else "maximize_log_volume_batch"
+        batched = "simplex_batch" if method == LP1 else "maximize_log_volume_batch"
         batch = getattr(solver, batched)
         calls = []
 
@@ -919,14 +999,15 @@ class TestSchedule:
             build_schedule(setup, sol, CP2)
 
     def test_failing_lp1_member_keeps_its_splice_index(self, sched_all, monkeypatch):
-        # The scaling LP of j=4, found by its offsets, comes back
-        # infeasible from a batch shared with other splice indices, and
-        # the polytope of j=6 leaves a coordinate unbounded. j=4 fails
-        # first, as on a route that builds and solves one j at a time.
+        # The scaling LP of j=4, found by its offsets, comes back at the
+        # pivot cap from a batch shared with other splice indices (with its
+        # vertex and a zero residual: only OPTIMAL builds a box), and the
+        # polytope of j=6 leaves a coordinate unbounded. j=4 fails first,
+        # as on a route that builds and solves one j at a time.
         setup, _, _ = sched_all
         sol = solve_rmpc(setup, [0.1, 0.1, -0.1, 0.1])
         d = assemble_principal(setup, sol)
-        batch, widths = solver.solve_lp_batch, solver.coordinate_widths
+        batch, widths = solver.simplex_batch, solver.coordinate_widths
         hits = []
 
         def infeasible_at_j4(c, A, b):
@@ -934,8 +1015,8 @@ class TestSchedule:
             for i, bk in enumerate(b):
                 if np.array_equal(bk[:d.shape[1]], d[3]):
                     hits.append(len(b))
-                    reports[i] = solver.SolveReport(solver.Status.INFEASIBLE, None, None,
-                                                    np.inf, 0)
+                    reports[i] = solver.SolveReport(solver.Status.MAXITER, reports[i].x,
+                                                    reports[i].objective, 0.0, solver.MAX_ITER)
             return reports
 
         def unbounded_at_j6(W, D):
@@ -943,16 +1024,37 @@ class TestSchedule:
             w[np.all(D == d[5], axis=-1), 0] = np.inf  # the row of j=6
             return w
 
-        monkeypatch.setattr(solver, "solve_lp_batch", infeasible_at_j4)
+        monkeypatch.setattr(solver, "simplex_batch", infeasible_at_j4)
         with pytest.raises(trigger.TriggerError, match=r"^j=4: scaling LP failed: "):
             build_schedule(setup, sol, LP1)
         assert len(hits) == 1 and hits[0] > 1
         monkeypatch.setattr(solver, "coordinate_widths", unbounded_at_j6)
         with pytest.raises(trigger.TriggerError, match=r"^j=4: scaling LP failed: "):
             build_schedule(setup, sol, LP1)
-        monkeypatch.setattr(solver, "solve_lp_batch", batch)
+        monkeypatch.setattr(solver, "simplex_batch", batch)
         with pytest.raises(trigger.TriggerError, match=r"^j=6: .*unbounded"):
             build_schedule(setup, sol, LP1)
+
+    def test_failing_lp1_centring_keeps_its_splice_index(self, sched_all, monkeypatch):
+        # The centring solve of j=4 finds no point: j=4 fails, after the
+        # centring of every earlier polytope with a live coordinate, and
+        # nothing else takes over.
+        setup, _, _ = sched_all
+        sol = solve_rmpc(setup, [0.1, 0.1, -0.1, 0.1])
+        sched = build_schedule(setup, sol, LP1)
+        live = [j for j, deg in enumerate(sched.degenerate_coords, start=1)
+                if len(deg) < setup.nx]
+        at = live.index(4) + 1  # the call that centres j=4
+        calls, least_distance = [], solver.least_distance
+
+        def none_at_j4(A, b):
+            calls.append(A)
+            return (None, 0) if len(calls) == at else least_distance(A, b)
+
+        monkeypatch.setattr(solver, "least_distance", none_at_j4)
+        with pytest.raises(trigger.TriggerError, match=r"^j=4: centring solve found no point$"):
+            build_schedule(setup, sol, LP1)
+        assert len(calls) == at
 
     def test_candidate_cost_upper_bounds_resolve(self, sched_all):
         # Optimality: for an error inside E_j, V* at the disturbed state is
