@@ -5,14 +5,14 @@
 
 Exports BASE_REF of this repository into a temporary directory
 (``git archive``) and runs, in both trees, the five methods on the
-reference config and LP2 and periodic on the polytopic worst-case config
-of ``perfbench/workloads.py``: seed 1234, one OpenBLAS thread. Prints
-each output file as identical or moved and, for a moved ``trace.csv``,
-its first row that differs; for a moved ``schedules.json``, whether any
-field but the shape ratios moved (bounds, volumes, degenerate
-coordinates) and, if not, how many ratios moved and the largest
-relative move. For a run with a moved file it also prints
-whether its trigger times and solve count held, from both
+reference config and LP1, LP2 and periodic on the polytopic worst-case
+config of ``perfbench/workloads.py``: seed 1234, one OpenBLAS thread.
+Prints each output file as identical or moved and, for a moved
+``trace.csv``, its first row that differs; for a moved
+``schedules.json``, whether any field but the shape ratios moved
+(bounds, volumes, degenerate coordinates) and, if not, how many ratios
+moved and the largest relative move. For a run with a moved file it
+also prints whether its trigger times and solve count held, from both
 ``summary.json`` files. Then it runs ``etrmpc validate`` on both configs
 in both trees and prints its stdout as identical or moved, counted as
 one more output. Last, it prints the line count of ``src/etrmpc/*.py``
@@ -47,7 +47,7 @@ import workloads  # noqa: E402
 SEED = 1234
 METHODS = ("CP1", "CP2", "LP1", "LP2", "periodic")
 RUNS = ([("reference", m) for m in METHODS]
-        + [("polytope_worst_case", m) for m in ("LP2", "periodic")])
+        + [("polytope_worst_case", m) for m in ("LP1", "LP2", "periodic")])
 FILES = ("trace.csv", "summary.json", "schedules.json", "plot_data.json")
 MAIN = "import sys; from etrmpc.cli import main; sys.exit(main(sys.argv[1:]))"
 

@@ -13,7 +13,7 @@ from .rmpc import InfeasibleState, MpcSolution, solve_rmpc
 from .sim import (DisturbanceModel, SimTrace, run_closed_loop,
                   step_trigger_test, trigger_statistics)
 from .solver import (QpProblem, SolveReport, Status, maximize_log_volume_batch,
-                     solve_lp_batch, solve_qp)
+                     solve_qp)
 from .tightening import (PlantModel, RmpcSetup, build_setup,
                          synthesize_nominal_gain, synthesize_tightening_gains)
 from .trigger import (PrincipalPolytope, TriggerSchedule, assemble_principal,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "HyperRect", "Polytope", "supports", "pontryagin_diff", "Projection",
     "shape_ratios",
-    "QpProblem", "SolveReport", "Status", "solve_lp_batch", "solve_qp",
+    "QpProblem", "SolveReport", "Status", "solve_qp",
     "maximize_log_volume_batch",
     "PlantModel", "RmpcSetup", "synthesize_nominal_gain",
     "synthesize_tightening_gains", "build_setup",

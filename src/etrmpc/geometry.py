@@ -132,7 +132,7 @@ class Polytope:
         subset of n rows of full rank meets in a point, kept where it lies
         in the polytope. The points are merged by their active rows T
         (slack at most ``_VERTEX_SLACK`` of the scale), and each vertex is
-        computed from T alone (``solver.vertex_on_rows``, in index order),
+        computed from T alone (``_vertex_on_rows``, in index order),
         so its bits depend only on the rows. The vertices come in the
         order of their tuples T. Raises EmptySetError, UnboundedSupport,
         or GeometryError above ``_MAX_SUBSETS`` subsets or where a solve
@@ -159,7 +159,7 @@ class Polytope:
             slack = b - X @ A.T
             for rows in (slack[np.min(slack, axis=1) >= -tol] <= tol) & live:
                 active.add(tuple(np.flatnonzero(rows).tolist()))
-        V = [v for v in (solver.vertex_on_rows(A, b, T) for T in sorted(active))
+        V = [v for v in (_vertex_on_rows(A, b, T) for T in sorted(active))
              if v is not None and np.max(A @ v - b) <= tol]
         if not V:
             raise GeometryError("no vertex found in a nonempty, bounded polytope")
@@ -227,6 +227,26 @@ _VERTEX_SLACK = 1e-9
 # one stacked pass.
 _MAX_SUBSETS = 100_000
 _CHUNK = 4096
+
+
+def _vertex_on_rows(M, rhs, order):
+    """The point x with M_S x = rhs_S, where S takes each row of ``order``,
+    in that order, that raises its rank, until S has n = M.shape[1] rows.
+    None when S stays short of n rows or is singular. The point depends
+    only on S, never on how ``order`` was found."""
+    n = M.shape[1]
+    S = []
+    for i in order:
+        if len(S) == n:
+            break
+        if np.linalg.matrix_rank(M[S + [int(i)]], tol=1e-10) == len(S) + 1:
+            S.append(int(i))
+    if len(S) != n:
+        return None
+    try:
+        return np.linalg.solve(M[S], rhs[S])
+    except np.linalg.LinAlgError:
+        return None
 
 
 def are_empty(A, offsets):

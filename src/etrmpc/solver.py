@@ -5,12 +5,13 @@ LPs (H = 0), convex QPs and the box log-volume problems over
 ``A_eq x = b_eq, A_in x <= b_in``, with at least one inequality row,
 taking the objective's gradient and Hessian at each iterate. It solves
 a batch of problems that share H and all their rows in one pass, each
-with its own linear term and ``b_in``. ``solve_lp_batch`` is its one LP
-entry (the min-erosion LP), a single LP being a batch of one. A
-``QpProblem`` eliminates the variables that only one-entry inequality
-rows touch, with a diagonal Hessian block and no equality row, from
-each Newton step by a Schur complement, so only the rest is factorized
-(the RMPC QP's inputs); the others take the plain Newton step.
+with its own linear term and ``b_in``. ``solve_qp`` is its one LP and QP
+entry: the RMPC QP and the min-erosion LP, an LP being a ``QpProblem``
+with H = 0. A ``QpProblem`` eliminates the variables that only
+one-entry inequality rows touch, with a diagonal Hessian block and no
+equality row, from each Newton step by a Schur complement, so only the
+rest is factorized (the RMPC QP's inputs); the others take the plain
+Newton step.
 ``maximize_log_volume_batch`` poses the hyper-rectangle volume
 objectives as ``-sum log(S v)`` over ``[W; -I] v <= [d; 0]``, one loop
 per set of live variables. Two solvers run outside that loop, each
@@ -29,15 +30,14 @@ No external solver dependencies; every run with the same inputs is
 bit-identical (fixed step rules, no restarts), and a problem's result
 does not depend on the batch it is solved in.
 
-Project-wide tolerances, one stop rule per objective: an LP stops when
-the scaled primal and dual residuals and the mean complementarity z.s/m,
-relative to 1 + max|g| + max|H|, are all at most the caller's tolerance
-(1e-8 by default), a QP when they are at most 1e-10; a log-volume
-problem when its scaled residuals are at most 1e-8 and the total gap
-z.s at most 1e-10; ``least_distance`` when no row exceeds its offset
-by more than 1e-10 (1 + max|b|); ``simplex_batch`` when no dual is
-negative beyond its round-off bound. At most 200 iterations (active-set
-steps, pivots) per solve.
+Project-wide tolerances, one stop rule per objective: an LP or QP stops
+when the scaled primal and dual residuals and the mean complementarity
+z.s/m, relative to 1 + max|g| + max|H|, are all at most 1e-10; a
+log-volume problem when its scaled residuals are at most 1e-8 and the
+total gap z.s at most 1e-10; ``least_distance`` when no row exceeds its
+offset by more than 1e-10 (1 + max|b|); ``simplex_batch`` when no dual
+is negative beyond its round-off bound. At most 200 iterations
+(active-set steps, pivots) per solve.
 """
 
 import enum
@@ -51,7 +51,9 @@ MAX_ITER = 200
 
 # QPs are solved tighter than FEAS_TOL, so that the RMPC plan's
 # re-propagated states keep their tightened-set memberships within
-# FEAS_TOL and re-projected stage costs match the QP value.
+# FEAS_TOL and re-projected stage costs match the QP value; and an LP's
+# objective gap, up to its row count times this tolerance, stays small
+# over the hundreds of rows of the min-erosion LP.
 QP_TOL = 1e-10
 
 # Feasible width at or below which a box coordinate is degenerate and
@@ -74,25 +76,38 @@ class QpProblem:
     """minimize 0.5 x.H x + g.x  s.t.  A_eq x = b_eq, A_in x <= b_in, with
     the g and b_in of each solve (``solve_qp``).
 
-    H must be symmetric positive semidefinite (eigenvalue floor -1e-10
-    before symmetrization), and A_in must have rows. The split of its
-    Newton step (``_Newton``) is made here once, with the rows it
-    eliminates gathered.
+    H is symmetrized, and must then be positive semidefinite (eigenvalue
+    floor -1e-10; an all-zero H, an LP, takes no eigenvalue solve). A_in
+    must have rows; A_eq and b_eq are given together or not at all. The
+    split of its Newton step (``_Newton``) is made here once, with the
+    rows it eliminates gathered.
     """
 
     def __init__(self, H, A_in, A_eq=None, b_eq=None):
         H = np.asarray(H, dtype=float)
-        self.H = 0.5 * (H + H.T)
-        if np.min(np.linalg.eigvalsh(self.H)) < -1e-10:
+        # Halved in place: a second temporary the size of the min-erosion
+        # LP's H measurably slowed the setup.
+        self.H = H + H.T
+        self.H *= 0.5
+        if self.H.any() and np.min(np.linalg.eigvalsh(self.H)) < -1e-10:
             raise ValueError("H must be positive semidefinite")
         n = len(self.H)
+        if (A_eq is None) != (b_eq is None):
+            raise ValueError("equality matrix and rhs must be given together")
         if A_eq is None:
             A_eq, b_eq = _empty(n)
         self.A_in = np.ascontiguousarray(A_in, dtype=float)
         self.A_eq = np.ascontiguousarray(A_eq, dtype=float)
         self.b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
         # The rows' shape and finiteness; each solve checks its own b_in.
-        _check_dims(n, self.A_in, np.zeros(self.A_in.shape[:1]), self.A_eq, self.b_eq)
+        for mat, rhs, name in ((self.A_in, np.zeros(self.A_in.shape[:1]), "inequality"),
+                               (self.A_eq, self.b_eq, "equality")):
+            if mat.ndim != 2 or mat.shape[1] != n or mat.shape[0] != len(rhs):
+                raise ValueError(f"{name} block has inconsistent dimensions")
+            if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(rhs))):
+                raise ValueError(f"{name} block must be finite")
+        if not self.A_in.shape[0]:
+            raise ValueError("every problem needs inequality rows")
         self._newton = _Newton(self.H, self.A_eq, self.A_in)
 
 
@@ -103,17 +118,16 @@ class SolveReport:
     dual residual and mean complementarity z.s/m are each at most the
     solve's tolerance; kkt_residual is the largest of them. The
     duality gap is m times the mean complementarity, so an LP objective
-    can be off by about m * tol * scale_d wherever ``_crossover`` keeps
-    the interior point; a vertex it snaps to violates no row by more than
-    1e-9 relative. For a log-volume problem, the same loop applies its
-    own rule (``_ipm``), and kkt_residual is the largest of the scaled
-    residuals and the total gap. ``iterations`` counts the convergence
-    checks the loop made on the problem: one more than its Newton steps
-    when it converged, MAX_ITER at the cap, and fewer when it left
-    undecided earlier (a diverged iterate, a Newton matrix that stayed
-    singular). An LP or QP that the loop leaves undecided is INFEASIBLE,
-    UNBOUNDED or MAXITER by an exact test of its rows and recession rays
-    (``_undecided``), never by a threshold on its objective or residuals.
+    can be off by about m * tol * scale_d. For a log-volume problem, the
+    same loop applies its own rule (``_ipm``), and kkt_residual is the
+    largest of the scaled residuals and the total gap. ``iterations``
+    counts the convergence checks the loop made on the problem: one more
+    than its Newton steps when it converged, MAX_ITER at the cap, and
+    fewer when it left undecided earlier (a diverged iterate, a Newton
+    matrix that stayed singular). An LP or QP that the loop leaves
+    undecided is INFEASIBLE, UNBOUNDED or MAXITER by an exact test of its
+    rows and recession rays (``_undecided``), never by a threshold on its
+    objective or residuals.
     """
 
     def __init__(self, status, x, objective, kkt_residual, iterations):
@@ -127,21 +141,6 @@ class SolveReport:
 
     def __repr__(self):
         return f"SolveReport({self.status.value}, obj={self.objective}, kkt={self.kkt_residual:.2e})"
-
-
-def _check_dims(n, A_in, b_in, A_eq, b_eq):
-    """Each matrix is (m, n), shared by every problem, beside its rhs. The
-    inequality rows are required, and at least one."""
-    for mat, vec, name in ((A_in, b_in, "inequality"), (A_eq, b_eq, "equality")):
-        if (mat is None) != (vec is None):
-            raise ValueError(f"{name} matrix and rhs must be given together")
-        if mat is not None:
-            if mat.ndim != 2 or mat.shape[1] != n or mat.shape[0] != vec.shape[-1]:
-                raise ValueError(f"{name} block has inconsistent dimensions")
-            if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(vec))):
-                raise ValueError(f"{name} block must be finite")
-    if A_in is None or not A_in.shape[0]:
-        raise ValueError("every problem needs inequality rows")
 
 
 def _empty(n):
@@ -211,10 +210,10 @@ class _Newton:
     eliminates the variables S that ``_rows_on`` finds: the rows on S add
     a diagonal to H's diagonal S block, so S is eliminated by the Schur
     complement on U, and only the rows on U, gathered here, are multiplied
-    out, on U's columns. Built without G, or with S empty, it is the plain
-    Newton matrix and solve over the rows and the Hessian ``matrix`` is
-    given, the Hessian shared or, for the log-volume problems, stacked
-    (the LPs and the log-volume problems). The rows are shared.
+    out, on U's columns. Built without G (the log-volume problems), or
+    with S empty (the min-erosion LP), it is the plain Newton matrix and
+    solve over the rows and the Hessian ``matrix`` is given, the Hessian
+    shared or, for the log-volume problems, stacked. The rows are shared.
     """
 
     def __init__(self, H, A, G=None):
@@ -323,8 +322,8 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
     which eliminates the variables S that ``_rows_on`` finds in its rows:
     their rows and H's diagonal S block make a diagonal, so one Schur
     complement on the other variables is formed per iteration and serves
-    the predictor and the corrector. Without it (the LPs and the
-    log-volume problems) the step is the plain Newton matrix and solve.
+    the predictor and the corrector. Without it (the log-volume problems)
+    the step is the plain Newton matrix and solve.
 
     Each problem keeps x beside y and s beside z, one array per pair, so
     a Newton step is two updates and s and z take their step lengths in
@@ -526,92 +525,6 @@ def _max_step(v, dv):
     neg = dv < 0.0
     q = np.where(neg, v, -1.0) / np.where(neg, dv, 1.0)
     return -np.maximum.reduce(q, axis=-1, initial=-1.0)
-
-
-def solve_lp_batch(c, A, b, A_eq=None, b_eq=None, tol=FEAS_TOL):
-    """Maximize c[k].x s.t. A x <= b[k], A_eq x = b_eq, for every k.
-
-    Row k of c (B, n) and of b (B, m) gives problem k; a 1-D c or b is
-    shared by every problem, and the rows A (m, n) and the optional
-    equality rows always are. A needs at least one row. A single LP is a
-    batch of one (``solve_lp_batch(c, A, b)[0]``), as the min-erosion LP
-    is. All problems run in one interior-point loop with the plain Newton
-    step, and each report is bit-identical to that problem's batch of
-    one.
-    """
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    A = np.ascontiguousarray(A, dtype=float)
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    n = c.shape[1]
-    nb = max(len(c), len(b))
-    b = np.broadcast_to(b, (nb, b.shape[1]))
-    if A_eq is None:
-        A_eq, b_eq = _empty(n)
-    A_eq = np.ascontiguousarray(A_eq, dtype=float)
-    b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
-    _check_dims(n, A, b, A_eq, b_eq)
-    return _lp_reports(np.broadcast_to(c, (nb, n)), A, b, A_eq, b_eq, tol)
-
-
-def _lp_reports(c, G, h, A, b, tol):
-    """max c[k].x s.t. G x <= h[k], A x = b: the interior-point loop, then
-    ``_crossover`` on every problem it solves."""
-    n = c.shape[1]
-    reports = []
-    outcomes = _ipm(np.zeros((n, n)), -c, A, b, G, h, tol)
-    for (st, x, kkt, it), ck, hk in zip(outcomes, c, h):
-        if st == Status.OPTIMAL:
-            x = _crossover(ck, A, b, G, hk, x)
-        obj = float(ck @ x) if x is not None and st == Status.OPTIMAL else None
-        reports.append(SolveReport(st, x, obj, kkt, it))
-    return reports
-
-
-def _crossover(c, A, b, G, h, x):
-    """Snap an interior-point iterate to the active-set vertex.
-
-    Builds a full-rank basis from equality rows plus the tightest
-    inequality rows and re-solves it exactly; accepted only when the
-    refined point is feasible and at least as good, otherwise the
-    unpolished iterate is kept. Removes the O(gap) objective bias of the
-    barrier iterate on non-degenerate LPs.
-    """
-    n, m_eq = x.size, A.shape[0]
-    scale = 1.0 + float(np.max(np.abs(h), initial=0.0))
-    slack = h - G @ x
-    tight = np.count_nonzero(slack <= 1e-5 * scale)
-    if m_eq + tight < n:
-        return x  # the basis takes only these rows, so it cannot be full
-    order = m_eq + np.argsort(slack, kind="stable")[:tight]
-    xv = vertex_on_rows(np.vstack([A, G]), np.concatenate([b, h]), order, fixed=m_eq)
-    if xv is None:
-        return x
-    feas_ok = (np.max(G @ xv - h, initial=0.0) <= 1e-9 * scale
-               and (A.shape[0] == 0 or np.max(np.abs(A @ xv - b)) <= 1e-9 * scale))
-    if feas_ok and c @ xv >= c @ x - 1e-9 * scale:
-        return xv
-    return x
-
-
-def vertex_on_rows(M, rhs, order, fixed=0):
-    """The point x with M_S x = rhs_S, where S is the first ``fixed`` rows
-    of M and then each row of ``order``, in that order, that raises the
-    rank of S, until S has n = M.shape[1] rows. None when S stays short
-    of n rows or is singular. The point depends only on S, never on how
-    ``order`` was found."""
-    n = M.shape[1]
-    S = list(range(fixed))
-    for i in order:
-        if len(S) == n:
-            break
-        if np.linalg.matrix_rank(M[S + [int(i)]], tol=1e-10) == len(S) + 1:
-            S.append(int(i))
-    if len(S) != n:
-        return None
-    try:
-        return np.linalg.solve(M[S], rhs[S])
-    except np.linalg.LinAlgError:
-        return None
 
 
 def solve_qp(p, g, b_in):

@@ -18,9 +18,6 @@ NILPOTENCY_TOL = 1e-8
 RICCATI_TOL = 1e-10
 RICCATI_MAX_ITER = 10_000
 INTERIOR_MARGIN = 1e-9
-# The LP solver stops on mean complementarity, so the objective gap can be
-# the row count times its tolerance; the min-erosion LP has hundreds of rows.
-EROSION_LP_TOL = 1e-10
 
 
 class TighteningError(Exception):
@@ -195,10 +192,14 @@ def _min_erosion_schedule(A, B, M):
     # Columns [theta | |theta|, |L| | t, s] to [theta | |theta|, t | |L|, s].
     o_b = 2 * n_th + n_L
     order = np.r_[:2 * n_th, o_b:o_b + M, 2 * n_th:o_b, o_b + M:G.shape[1]]
-    rep = solver.solve_lp_batch(
-        np.where(order >= o_b, -1.0, 0.0), G[:, order], h,
-        A_eq=np.hstack([maps[M], np.zeros((n * n, G.shape[1] - n_th))]),  # L_M = 0
-        b_eq=-Apow[M].reshape(-1), tol=EROSION_LP_TOL)[0]
+    # An LP (H = 0); every bound column has a sum row, so its Newton step
+    # eliminates no variable.
+    c = np.where(order >= o_b, -1.0, 0.0)
+    n_v = G.shape[1]
+    lp = solver.QpProblem(np.zeros((n_v, n_v)), G[:, order],
+                          A_eq=np.hstack([maps[M], np.zeros((n * n, n_v - n_th))]),  # L_M = 0
+                          b_eq=-Apow[M].reshape(-1))
+    rep = solver.solve_qp(lp, -c, h)
     if rep.status != solver.Status.OPTIMAL:
         return None
     return list(rep.x[:n_th].reshape(M, nu, n))

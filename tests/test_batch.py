@@ -10,9 +10,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from etrmpc import solver  # noqa: E402
-from etrmpc.solver import Status, maximize_log_volume_batch, solve_lp_batch  # noqa: E402
+from etrmpc.solver import Status, maximize_log_volume_batch  # noqa: E402
 
-from test_solver import same_report  # noqa: E402
+from test_solver import ipm_lps, same_report  # noqa: E402
 
 
 def shared_rows(rng, n, m):
@@ -52,10 +52,10 @@ def test_batch_member_matches_solo_solve(seed, n, m, kinds):
     members = [member(rng, A, kind) for kind in kinds]
     C = np.array([c for c, _ in members])
     B = np.array([b for _, b in members])
-    batch = solve_lp_batch(C, A, B)
+    batch = ipm_lps(C, A, B)
     assert len(batch) == len(kinds)
     for (c, b), rep in zip(members, batch):
-        assert same_report(rep, solve_lp_batch(c, A, b)[0])
+        assert same_report(rep, ipm_lps(c, A, b)[0])
 
 
 @hypothesis.settings(max_examples=30, deadline=None)
@@ -156,8 +156,8 @@ def test_equality_rows_member_matches_solo_solve(seed, n, m, p, kinds):
         C.append(c)
         B.append(b)
     C, B = np.array(C), np.array(B)
-    free = [solve_lp_batch(c, A, b, A_eq, b_eq)[0] for c, b in zip(C, B)]
-    batch = solve_lp_batch(C, A, B, A_eq, b_eq)
+    free = [ipm_lps(c, A, b, A_eq, b_eq)[0] for c, b in zip(C, B)]
+    batch = ipm_lps(C, A, B, A_eq, b_eq)
     assert len(batch) == len(kinds)
     assert all(same_report(a, b) for a, b in zip(batch, free))
     statuses = {r.status for r in free}
@@ -167,8 +167,8 @@ def test_equality_rows_member_matches_solo_solve(seed, n, m, p, kinds):
                for r in free if r.status == Status.OPTIMAL)
     cap = max(r.iterations for r in free if r.status == Status.OPTIMAL) - 1
     with mock.patch.object(solver, "MAX_ITER", cap):
-        solo = [solve_lp_batch(c, A, b, A_eq, b_eq)[0] for c, b in zip(C, B)]
-        batch = solve_lp_batch(C, A, B, A_eq, b_eq)
+        solo = [ipm_lps(c, A, b, A_eq, b_eq)[0] for c, b in zip(C, B)]
+        batch = ipm_lps(C, A, B, A_eq, b_eq)
     assert all(same_report(a, b) for a, b in zip(batch, solo))
 
 

@@ -625,7 +625,7 @@ class TestShapeRatio:
             reports.extend(out)
             return out
 
-        monkeypatch.setattr(solver, "solve_lp_batch", lambda *a, **k: lps.append(a))
+        monkeypatch.setattr(solver, "_ipm", lambda *a, **k: lps.append(a))
         monkeypatch.setattr(solver, "simplex_batch", recorded)
         ratios = shape_ratios(G, D)
         assert lps == []
@@ -779,7 +779,8 @@ class TestTypes:
             A = rng.normal(size=(2 + k % 4, n))
             b = A @ rng.normal(size=n) + rng.uniform(0.1, 1.0, size=A.shape[0])
             poly = Polytope(A, b)
+            lp = solver.QpProblem(np.zeros((n, n)), A)
             per_axis = all(
-                solver.solve_lp_batch(sgn * e, A, b)[0].status
+                solver.solve_qp(lp, -sgn * e, b).status
                 == solver.Status.OPTIMAL for e in np.eye(n) for sgn in (1.0, -1.0))
             assert poly.is_bounded() == per_axis

@@ -414,7 +414,7 @@ class TestPolytopeWorstCase:
         cfg = ExperimentConfig(polytope_worst_case_data())
         setup = cfg.build()
         calls, per_draw = [], []
-        lp, draw = solver.solve_lp_batch, DisturbanceModel.worst_case
+        lp, draw = solver._ipm, DisturbanceModel.worst_case
 
         def counted_lp(*args, **kwargs):
             calls.append(1)
@@ -426,7 +426,7 @@ class TestPolytopeWorstCase:
             per_draw.append(len(calls) - before)
             return w
 
-        monkeypatch.setattr(solver, "solve_lp_batch", counted_lp)
+        monkeypatch.setattr(solver, "_ipm", counted_lp)
         monkeypatch.setattr(DisturbanceModel, "worst_case", counted_draw)
         run_closed_loop(setup, cfg.x0, method, cfg.disturbance_model(), cfg.steps)
         assert len(per_draw) == cfg.steps
@@ -492,7 +492,7 @@ class TestBoxWrittenAsRows:
 
     def test_plant_checks_rows_box_without_lps(self, monkeypatch):
         # A box written as rows is bounded by its rows alone (as_box).
-        monkeypatch.setattr(solver, "solve_lp_batch", None)
+        monkeypatch.setattr(solver, "_ipm", None)
         plant = rows_plant(batch_setup().plant)
         assert not any(isinstance(S, HyperRect)
                        for S in (plant.X, plant.U, plant.W, plant.Tx, plant.Tu, plant.Xf))

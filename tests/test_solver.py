@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from etrmpc import solver
-from etrmpc.solver import (QpProblem, Status, maximize_log_volume_batch, solve_lp_batch,
+from etrmpc.solver import (QpProblem, SolveReport, Status, maximize_log_volume_batch,
                            solve_qp)
 
 from oracles import (grid_box_volume, highs_max, highs_verdicts, lp_max_by_vertices,
@@ -16,10 +16,36 @@ def box_rows(n, half):
     return A, b
 
 
+def lp_max(c, A, b, A_eq=None, b_eq=None):
+    """max c.x s.t. A x <= b, A_eq x = b_eq, solved as the QP with H = 0,
+    as the library solves its LPs; the report's objective is c.x."""
+    c = np.asarray(c, dtype=float)
+    rep = solve_qp(QpProblem(np.zeros((len(c), len(c))), A, A_eq, b_eq), -c, b)
+    return SolveReport(rep.status, rep.x, None if rep.objective is None else -rep.objective,
+                       rep.kkt_residual, rep.iterations)
+
+
+def ipm_lps(C, A, B, A_eq=None, b_eq=None):
+    """max C[k].x s.t. A x <= B[k], A_eq x = b_eq for every row k, in one
+    interior-point loop at FEAS_TOL; a 1-D C or B serves every problem.
+    This keeps the loop's per-problem bookkeeping, which the log-volume
+    batches rely on, under test on LPs."""
+    C, B = np.atleast_2d(np.asarray(C, dtype=float)), np.atleast_2d(np.asarray(B, dtype=float))
+    nb, n = max(len(C), len(B)), C.shape[1]
+    C, B = np.broadcast_to(C, (nb, n)), np.broadcast_to(B, (nb, B.shape[1]))
+    if A_eq is None:
+        A_eq, b_eq = np.zeros((0, n)), np.zeros(0)
+    outcomes = solver._ipm(np.zeros((n, n)), -C, np.asarray(A_eq, dtype=float),
+                           np.asarray(b_eq, dtype=float), np.asarray(A, dtype=float), B,
+                           solver.FEAS_TOL)
+    return [SolveReport(st, x, c @ x if st == Status.OPTIMAL else None, kkt, it)
+            for (st, x, kkt, it), c in zip(outcomes, C)]
+
+
 class TestLp:
     def test_max_coordinate_over_unit_box(self):
         A, b = box_rows(2, 1.0)
-        rep = solve_lp_batch([1.0, 0.0], A, b)[0]
+        rep = lp_max([1.0, 0.0], A, b)
         assert rep.status == Status.OPTIMAL
         assert rep.objective == pytest.approx(1.0, abs=1e-7)
 
@@ -27,7 +53,7 @@ class TestLp:
         # max x1+x2 on the simplex: any optimal vertex gives 1.
         A = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         b = np.array([1.0, 0.0, 0.0])
-        rep = solve_lp_batch([1.0, 1.0], A, b)[0]
+        rep = lp_max([1.0, 1.0], A, b)
         assert rep.status == Status.OPTIMAL
         assert rep.objective == pytest.approx(1.0, abs=1e-7)
 
@@ -45,7 +71,7 @@ class TestLp:
                 A = np.vstack([A, Abox])
                 b = np.concatenate([b, bbox])
                 c = rng.normal(size=n)
-                rep = solve_lp_batch(c, A, b)[0]
+                rep = lp_max(c, A, b)
                 assert rep.status == Status.OPTIMAL
                 assert rep.objective == pytest.approx(
                     lp_max_by_vertices(c, A, b), abs=1e-7)
@@ -69,7 +95,7 @@ class TestLp:
                 A_eq = rng.normal(size=(int(rng.integers(1, n)), n))
                 b_eq = A_eq @ x0
             c = rng.normal(size=n)
-            rep = solve_lp_batch(c, A, b, A_eq, b_eq)[0]
+            rep = lp_max(c, A, b, A_eq, b_eq)
             assert rep.status == Status.OPTIMAL
             assert rep.objective == pytest.approx(
                 highs_max(c, A, b, A_eq, b_eq), rel=1e-7)
@@ -77,13 +103,13 @@ class TestLp:
     def test_infeasible(self):
         A = np.array([[1.0], [-1.0]])
         b = np.array([-1.0, -1.0])  # x <= -1 and x >= 1
-        rep = solve_lp_batch([1.0], A, b)[0]
+        rep = lp_max([1.0], A, b)
         assert rep.status == Status.INFEASIBLE
 
     def test_unbounded(self):
         A = np.array([[-1.0, 0.0], [0.0, -1.0]])
         b = np.zeros(2)
-        rep = solve_lp_batch([1.0, 1.0], A, b)[0]
+        rep = lp_max([1.0, 1.0], A, b)
         assert rep.status == Status.UNBOUNDED
 
     def test_unbounded_from_infeasible_start(self):
@@ -91,7 +117,7 @@ class TestLp:
         # never pass the divergence test and the loop runs to the cap; the
         # recession LP max c.d, G d <= 0, |d| <= 1 has optimum 1.
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
-        rep = solve_lp_batch([0.5, 1.0], A, [1.0, 1.0, 0.3])[0]
+        rep = lp_max([0.5, 1.0], A, [1.0, 1.0, 0.3])
         assert rep.status == Status.UNBOUNDED
         assert rep.x is None and rep.objective is None
 
@@ -119,25 +145,25 @@ class TestLp:
     def test_large_bound_is_not_unbounded(self):
         # max x over [0, 1e13] is bounded. At 1e14 the loop cannot meet its
         # complementarity tolerance, so it reports MAXITER, not a ray.
-        rep = solve_lp_batch([1.0], [[1.0], [-1.0]], [1e13, 0.0])[0]
+        rep = lp_max([1.0], [[1.0], [-1.0]], [1e13, 0.0])
         assert rep.status == Status.OPTIMAL
         assert rep.objective == pytest.approx(1e13, rel=1e-12)
-        assert solve_lp_batch([1.0], [[1.0], [-1.0]], [1e14, 0.0])[0].status != (
+        assert lp_max([1.0], [[1.0], [-1.0]], [1e14, 0.0]).status != (
             Status.UNBOUNDED)
 
     def test_objective_scaling_keeps_argmax(self):
         A, b = box_rows(2, 1.0)
         c = np.array([0.7, -0.3])
-        r1 = solve_lp_batch(c, A, b)[0]
-        r2 = solve_lp_batch(5.0 * c, A, b)[0]
+        r1 = lp_max(c, A, b)
+        r2 = lp_max(5.0 * c, A, b)
         assert np.allclose(r1.x, r2.x, atol=1e-6)
         assert r2.objective == pytest.approx(5.0 * r1.objective, rel=1e-7)
 
     def test_determinism(self):
         A, b = box_rows(3, 2.0)
         c = np.array([0.3, -1.1, 0.2])
-        r1 = solve_lp_batch(c, A, b)[0]
-        r2 = solve_lp_batch(c, A, b)[0]
+        r1 = lp_max(c, A, b)
+        r2 = lp_max(c, A, b)
         assert r1.x.tobytes() == r2.x.tobytes()
         assert r1.objective == r2.objective
 
@@ -148,8 +174,8 @@ class TestLp:
         A = np.vstack([rng.normal(size=(8, 3)), *box_rows(3, 2.0)[:1]])
         b = np.concatenate([rng.uniform(0.2, 1.0, size=8), np.full(6, 2.0)])
         c = rng.normal(size=3)
-        r1 = solve_lp_batch(c, A, b)[0]
-        r2 = solve_lp_batch(c, np.asfortranarray(A), b)[0]
+        r1 = lp_max(c, A, b)
+        r2 = lp_max(c, np.asfortranarray(A), b)
         assert same_report(r1, r2)
 
     def test_capped_feasible_lp_with_large_offsets_is_not_infeasible(self, monkeypatch):
@@ -166,44 +192,12 @@ class TestLp:
         b = np.array([8.7508737031176850e+07, 1.4424782534987053e+08, 2.0293702665065527e+07,
                       -3.2565288338756524e+07, 1.2679107962602997e+08, 2.4359327248408563e+07,
                       -1.2679107817519549e+08, -2.4359326363812324e+07, -1.7445708910479489e+08])
-        full = solve_lp_batch(c, A, b)[0]
+        full = lp_max(c, A, b)
         assert full.status == Status.OPTIMAL and full.iterations > 14
         assert solver.least_distance(A, b)[0] is not None
         for cap in (14, full.iterations - 1):
             monkeypatch.setattr(solver, "MAX_ITER", cap)
-            assert solve_lp_batch(c, A, b)[0].status == Status.MAXITER
-
-
-class TestCrossover:
-    G = np.vstack([np.eye(3), -np.eye(3)])
-    h = np.ones(6)
-    c = np.array([1.0, 1.0, 0.0])
-
-    def count_ranks(self, monkeypatch):
-        ranks, rank = [], np.linalg.matrix_rank
-        monkeypatch.setattr(np.linalg, "matrix_rank",
-                            lambda *a, **k: ranks.append(a) or rank(*a, **k))
-        return ranks
-
-    def test_basis_that_cannot_be_full_skips_rank_tests(self, monkeypatch):
-        # Three variables, no equality row and only two rows within
-        # 1e-5 * scale of x: the basis takes only those rows, so it cannot
-        # reach three, and x comes back without a rank test.
-        ranks = self.count_ranks(monkeypatch)
-        x = np.array([1.0, 1.0, 0.0])
-        A, b = np.zeros((0, 3)), np.zeros(0)
-        assert solver._crossover(self.c, A, b, self.G, self.h, x) is x
-        assert ranks == []
-
-    def test_equality_rows_count_toward_the_basis(self, monkeypatch):
-        # The same two tight rows plus one equality row can make a full
-        # basis, so the rank tests run and the vertex is solved for.
-        ranks = self.count_ranks(monkeypatch)
-        x = np.array([1.0 - 1e-9, 1.0 - 1e-9, 0.0])
-        xv = solver._crossover(self.c, np.array([[0.0, 0.0, 1.0]]), np.zeros(1),
-                               self.G, self.h, x)
-        assert len(ranks) == 2
-        assert xv.tolist() == [1.0, 1.0, 0.0]
+            assert lp_max(c, A, b).status == Status.MAXITER
 
 
 def same_report(a, b):
@@ -223,21 +217,21 @@ class TestLpBatch:
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
         C = np.array([[0.5, -1.0], [0.5, 1.0], [0.5, 1.0], [0.5, 1.0]])
         B = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.3]])
-        solo = [solve_lp_batch(c, A, b)[0] for c, b in zip(C, B)]
+        solo = [ipm_lps(c, A, b)[0] for c, b in zip(C, B)]
         assert [r.status for r in solo[:3]] == [Status.OPTIMAL, Status.INFEASIBLE,
                                                 Status.UNBOUNDED]
         for order in (slice(None), slice(None, None, -1)):
-            batch = solve_lp_batch(C[order], A, B[order])
+            batch = ipm_lps(C[order], A, B[order])
             assert all(same_report(a, b) for a, b in zip(batch, solo[order]))
 
     def test_shared_objective_or_offsets(self):
         A, b = box_rows(2, 1.0)
         C = np.array([[1.0, 0.5], [-0.3, 2.0]])
-        batch = solve_lp_batch(C, A, b)
-        assert all(same_report(r, solve_lp_batch(c, A, b)[0]) for r, c in zip(batch, C))
+        batch = ipm_lps(C, A, b)
+        assert all(same_report(r, ipm_lps(c, A, b)[0]) for r, c in zip(batch, C))
         B = np.array([b, 2.0 * b])
-        batch = solve_lp_batch(C[0], A, B)
-        assert all(same_report(r, solve_lp_batch(C[0], A, bk)[0])
+        batch = ipm_lps(C[0], A, B)
+        assert all(same_report(r, ipm_lps(C[0], A, bk)[0])
                    for r, bk in zip(batch, B))
 
     def test_singular_kkt_retried_per_member(self):
@@ -249,9 +243,9 @@ class TestLpBatch:
         A = np.array([[1e10, 1e10], [-1e10, -1e10]])
         C = np.array([[1.0, 1.0], [1e30, 1e30], [1.0, 1.0]])
         B = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
-        solo = [solve_lp_batch(c, A, b)[0] for c, b in zip(C, B)]
+        solo = [ipm_lps(c, A, b)[0] for c, b in zip(C, B)]
         assert solo[1].status == Status.OPTIMAL
-        batch = solve_lp_batch(C, A, B)
+        batch = ipm_lps(C, A, B)
         assert all(same_report(a, b) for a, b in zip(batch, solo))
 
     def test_singular_newton_retried_with_eliminated_variable(self, monkeypatch):
@@ -296,16 +290,16 @@ class TestLpBatch:
         B = np.array([A @ (rng.normal(size=n) * 0.3) + rng.uniform(0.05, 1.5, size=A.shape[0])
                       for _ in range(5)])
         C = rng.normal(size=(5, n))
-        solo = [solve_lp_batch(c, A, b)[0] for c, b in zip(C, B)]
+        solo = [ipm_lps(c, A, b)[0] for c, b in zip(C, B)]
         its = [r.iterations for r in solo]
         slow = int(np.argmax(its))
         assert sorted(its)[-2] < its[slow]  # one member needs the most iterations
         monkeypatch.setattr(solver, "MAX_ITER", its[slow] - 1)
-        batch = solve_lp_batch(C, A, B)
+        batch = ipm_lps(C, A, B)
         assert [r.status for r in batch] == [
             Status.MAXITER if k == slow else Status.OPTIMAL for k in range(len(its))]
         assert batch[slow].iterations == its[slow] - 1
-        assert same_report(batch[slow], solve_lp_batch(C[slow], A, B[slow])[0])
+        assert same_report(batch[slow], ipm_lps(C[slow], A, B[slow])[0])
         assert all(same_report(r, solo[k]) for k, r in enumerate(batch) if k != slow)
 
 
@@ -382,7 +376,7 @@ class TestSimplex:
         assert len(batch) == 2
         assert all(same_report(r, solver.simplex_batch(c, A, b)[0]) for r in batch)
         with pytest.raises(ValueError):  # the interior-point LPs share their rows
-            solve_lp_batch(c, stack, np.array([b, b]))
+            QpProblem(np.zeros((2, 2)), stack)
 
     def test_pivot_cap_reports_maxiter(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -554,6 +548,24 @@ class TestQp:
         assert rep.status == Status.OPTIMAL
         assert np.allclose(rep.x, [1.0, 1.0], atol=1e-6)
 
+    def test_equality_rows_need_their_rhs(self):
+        # Either half of the equality block alone is rejected: a lone b_eq
+        # is not dropped, and a lone A_eq is not called non-finite.
+        for half in ({"b_eq": [2.0]}, {"A_eq": [[1.0, 1.0]]}):
+            with pytest.raises(ValueError,
+                               match="^equality matrix and rhs must be given together$"):
+                QpProblem(H=2.0 * np.eye(2), A_in=-np.eye(2), **half)
+
+    def test_zero_hessian_takes_no_eigenvalue_solve(self, monkeypatch):
+        # An LP's H = 0 is semidefinite without an eigenvalue solve; a
+        # nonzero H still takes one.
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: calls.append(H) or eigvalsh(H))
+        QpProblem(H=np.zeros((3, 3)), A_in=np.eye(3))
+        assert calls == []
+        QpProblem(H=np.diag([0.0, 0.0, 1.0]), A_in=np.eye(3))
+        assert len(calls) == 1
+
     def test_large_bound_is_not_unbounded(self):
         # min 0.5 x_0^2 - x_1 over 0 <= x_1 <= 1e13 is bounded.
         p = QpProblem(H=np.diag([1.0, 0.0]), A_in=[[0.0, 1.0], [0.0, -1.0]])
@@ -632,7 +644,7 @@ def test_lp_qp_verdicts_match_highs(problem):
         rep = solve_qp(QpProblem(H=H, A_in=G), g, h)
         objective = rep.objective
     else:
-        rep = solve_lp_batch(-g, G, h)[0]
+        rep = lp_max(-g, G, h)
         objective = None if rep.objective is None else -rep.objective
     empty, bounded = highs_verdicts(G, h, g, H)
     assert (rep.status == Status.INFEASIBLE) == empty

@@ -150,8 +150,13 @@ class TestTighteningGains:
         monkeypatch.setattr(tightening, "_min_erosion_schedule", lambda *a: None)
         assert self.fallback_gains(batch_plant(), 4, monkeypatch) <= NILPOTENCY_TOL
 
-    def test_min_erosion_objective_matches_highs(self):
+    def test_min_erosion_objective_matches_highs(self, monkeypatch):
+        # The LP is one QpProblem with H = 0 whose Newton step eliminates no
+        # variable, so the interior-point loop takes the plain LP step.
         pytest.importorskip("scipy")
+        problems, solve_qp = [], solver.solve_qp
+        monkeypatch.setattr(solver, "solve_qp",
+                            lambda p, g, b: problems.append(p) or solve_qp(p, g, b))
         plant = batch_plant()
         pairs = [(plant.A, plant.B)]
         rng = np.random.default_rng(31)
@@ -164,6 +169,9 @@ class TestTighteningGains:
             M = A.shape[0]
             thetas = tightening._min_erosion_schedule(A, B, M)
             assert thetas is not None
+            (lp,) = problems
+            assert not lp.H.any() and lp._newton.S.size == 0
+            problems.clear()
             objective, deadbeat_residual = deadbeat_erosion(A, B, thetas)
             assert deadbeat_residual <= 1e-8
             assert abs(objective - highs_min_erosion(A, B, M)) <= 1e-7

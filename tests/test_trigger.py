@@ -315,8 +315,10 @@ def _merged(W, d, G, meta):
 
 class TestNewtonSplit:
     def test_lps_eliminate_no_variable(self, monkeypatch):
-        # Only a QpProblem looks for variables to eliminate, so no LP calls
-        # _rows_on. LP1's scaling LPs (the simplex) and its centring (one
+        # Only a QpProblem looks for variables to eliminate, and the one LP
+        # posed as a QpProblem is the setup's min-erosion LP, so no LP here
+        # calls _rows_on.
+        # LP1's scaling LPs (the simplex) and its centring (one
         # least-distance solve per polytope with a live coordinate), the
         # Chebyshev LPs of the shape diagnostic and the emptiness tests
         # (here over the box rows of the tightened targets, moved by
@@ -461,7 +463,7 @@ class TestConstructBoxes:
         D = self.trigger_offsets(setup, [0.1, 0.1, -0.1, 0.1])
         for j in (3, 6):
             D[j - 1, 0] = -1e-3
-        for name in ("maximize_log_volume_batch", "solve_lp_batch", "coordinate_widths"):
+        for name in ("maximize_log_volume_batch", "_ipm", "coordinate_widths"):
             monkeypatch.setattr(solver, name, None)
         with pytest.raises(trigger.TriggerError,
                            match=r"^j=3: origin outside principal row 0 by 1\.000e-03$") as err:
