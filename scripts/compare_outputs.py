@@ -15,9 +15,11 @@ moved and the largest relative move. For a run with a moved file it
 also prints whether its trigger times and solve count held, from both
 ``summary.json`` files. Then it runs ``etrmpc validate`` on both configs
 in both trees and prints its stdout as identical or moved, counted as
-one more output. Last, it prints the line count of ``src/etrmpc/*.py``
-(as ``wc -l`` counts it) in both trees. Exits 1 if any output moved, 2
-if a command fails.
+one more output, and ``etrmpc compare`` of the five methods on the
+reference config, whose ``comparison.json`` and printed table count as
+two more. Last, it prints the line count of ``src/etrmpc/*.py`` (as
+``wc -l`` counts it) in both trees. Exits 1 if any output moved, 2 if
+a command fails.
 
     python3 scripts/compare_outputs.py BASE_REF --seeds 1234-1245
 
@@ -207,11 +209,22 @@ def main(argv=None):
             moved += base_out != this_out
             print(f"{name:20s} {'validate':9s} {'stdout':15s} "
                   f"{'identical' if base_out == this_out else 'moved'}")
+        compared = {}
+        for side, tree in (("base", tmp / "base"), ("this", ROOT)):
+            out = tmp / "compare" / side
+            table = cli(tree, "compare", "--config", tmp / "reference.json",
+                        "--methods", ",".join(METHODS), "--seed", SEED, "--out-dir", out)
+            compared[side] = ((out / "comparison.json").read_bytes(), table)
+        for f, base_out, this_out in zip(("comparison.json", "stdout"), *compared.values()):
+            moved += base_out != this_out
+            print(f"{'reference':20s} {'compare':9s} {f:15s} "
+                  f"{'identical' if base_out == this_out else 'moved'}")
         lines = src_lines(tmp / "base"), src_lines(ROOT)
         moved_seeds = seeds_table(tmp, args.base_ref, args.seeds) if args.seeds else 0
-    total = len(RUNS) * len(FILES) + len(configs)
+    total = len(RUNS) * len(FILES) + len(configs) + 2
     print(f"{moved} of {total} outputs moved against {args.base_ref} "
-          f"({len(RUNS) * len(FILES)} files and {len(configs)} validate stdouts)")
+          f"({len(RUNS) * len(FILES)} files, {len(configs)} validate stdouts "
+          "and compare's comparison.json and stdout)")
     if args.seeds:
         print(f"{moved_seeds} of {len(METHODS) * len(args.seeds)} seeded reference runs moved their "
               "trigger times or solves")

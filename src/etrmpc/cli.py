@@ -302,25 +302,19 @@ def _write_trace_csv(path, trace, prov):
     cols = (["t"] + [f"x{i}" for i in range(nx)] + [f"u{i}" for i in range(nu)]
             + ["tau", "trigger_cause", "V_star", "decay_bound"]
             + [f"box_lo{i}" for i in range(nx)] + [f"box_hi{i}" for i in range(nx)])
+    # The float cells of every row t = 0..T, u padded by a NaN row at T;
+    # a cell that is not finite (NaN where the run sets none) is blank.
+    table = np.hstack([trace.x, np.vstack([trace.u, np.full((1, nu), np.nan)]),
+                       trace.v_star[:, None], trace.decay_bound[:, None],
+                       trace.box_lo, trace.box_hi])
+    cells = [["" if v is None else repr(v) for v in row] for row in _finite(table)]
     with open(path, "w", newline="") as fh:
         fh.write(f"# {prov['trace_version']} config_sha256={prov['config_sha256']} "
                  f"seed={prov['seed']} method={prov['method']}\n")
         writer = csv.writer(fh)
         writer.writerow(cols)
-        T = trace.u.shape[0]
-        for t in range(T + 1):
-            row = [t]
-            row += [repr(float(v)) for v in trace.x[t]]
-            row += _maybe(trace.u[t]) if t < T else [""] * nu
-            row += [int(trace.tau[t]), trace.cause[t] or ""]
-            row += _maybe([trace.v_star[t]])
-            row += _maybe([trace.decay_bound[t]]) if t < T else [""]
-            row += _maybe(trace.box_lo[t]) + _maybe(trace.box_hi[t])
-            writer.writerow(row)
-
-
-def _maybe(values):
-    return ["" if not np.isfinite(v) else repr(float(v)) for v in np.atleast_1d(values)]
+        for t, (row, tau, cause) in enumerate(zip(cells, trace.tau.tolist(), trace.cause)):
+            writer.writerow([t, *row[:nx + nu], tau, cause or "", *row[nx + nu:]])
 
 
 def _plot_data(trace):

@@ -132,11 +132,12 @@ class Polytope:
         subset of n rows of full rank meets in a point, kept where it lies
         in the polytope. The points are merged by their active rows T
         (slack at most ``_VERTEX_SLACK`` of the scale), and each vertex is
-        computed from T alone (``_vertex_on_rows``, in index order),
-        so its bits depend only on the rows. The vertices come in the
-        order of their tuples T. Raises EmptySetError, UnboundedSupport,
-        or GeometryError above ``_MAX_SUBSETS`` subsets or where a solve
-        reaches its step cap.
+        the point solved for the first subset, in combination order, that
+        gives T: the lexicographically first basis of T, so its bits
+        depend only on the rows, and each basis is solved once. The
+        vertices come in the order of their tuples T. Raises
+        EmptySetError, UnboundedSupport, or GeometryError above
+        ``_MAX_SUBSETS`` subsets or where a solve reaches its step cap.
         """
         if self._vertices is not None:
             return self._vertices
@@ -151,19 +152,18 @@ class Polytope:
                                 f"needs {count} subsets, above {_MAX_SUBSETS}")
         tol = _VERTEX_SLACK * (1.0 + np.max(np.abs(b)))
         live = np.linalg.norm(A, axis=1) > 0.0
-        subsets, active = itertools.combinations(range(m), n), set()
+        subsets, vertex = itertools.combinations(range(m), n), {}
         while chunk := list(itertools.islice(subsets, _CHUNK)):
             S = np.array(chunk)
             S = S[np.linalg.matrix_rank(A[S], tol=1e-10) == n]
             X = np.linalg.solve(A[S], b[S][:, :, None])[:, :, 0]
             slack = b - X @ A.T
-            for rows in (slack[np.min(slack, axis=1) >= -tol] <= tol) & live:
-                active.add(tuple(np.flatnonzero(rows).tolist()))
-        V = [v for v in (_vertex_on_rows(A, b, T) for T in sorted(active))
-             if v is not None and np.max(A @ v - b) <= tol]
-        if not V:
+            inside = np.min(slack, axis=1) >= -tol
+            for x, rows in zip(X[inside], (slack[inside] <= tol) & live):
+                vertex.setdefault(tuple(np.flatnonzero(rows).tolist()), x)
+        if not vertex:
             raise GeometryError("no vertex found in a nonempty, bounded polytope")
-        self._vertices = _freeze(V)
+        self._vertices = _freeze([vertex[T] for T in sorted(vertex)])
         return self._vertices
 
 
@@ -227,26 +227,6 @@ _VERTEX_SLACK = 1e-9
 # one stacked pass.
 _MAX_SUBSETS = 100_000
 _CHUNK = 4096
-
-
-def _vertex_on_rows(M, rhs, order):
-    """The point x with M_S x = rhs_S, where S takes each row of ``order``,
-    in that order, that raises its rank, until S has n = M.shape[1] rows.
-    None when S stays short of n rows or is singular. The point depends
-    only on S, never on how ``order`` was found."""
-    n = M.shape[1]
-    S = []
-    for i in order:
-        if len(S) == n:
-            break
-        if np.linalg.matrix_rank(M[S + [int(i)]], tol=1e-10) == len(S) + 1:
-            S.append(int(i))
-    if len(S) != n:
-        return None
-    try:
-        return np.linalg.solve(M[S], rhs[S])
-    except np.linalg.LinAlgError:
-        return None
 
 
 def are_empty(A, offsets):

@@ -51,16 +51,20 @@ class MpcSolution:
     ``iterations`` counts the interior-point iterations (0 unless IPM)
     and ``face_steps`` the active-set steps of the least-norm projection,
     also where the loop then answered (0 on a law answer).
+
+    The arrays are read-only. A caller's float arrays are frozen in
+    place, not copied, so a caller that goes on to write one passes a
+    copy.
     """
 
     def __init__(self, u, x, sx, su, value, stage_costs, kkt_residual, iterations=0,
                  path=None, face_steps=0):
-        self.u = np.array(u, dtype=float)
-        self.x = np.array(x, dtype=float)
-        self.sx = np.array(sx, dtype=float)
-        self.su = np.array(su, dtype=float)
+        self.u = np.asarray(u, dtype=float)
+        self.x = np.asarray(x, dtype=float)
+        self.sx = np.asarray(sx, dtype=float)
+        self.su = np.asarray(su, dtype=float)
         self.value = float(value)
-        self.stage_costs = np.array(stage_costs, dtype=float)
+        self.stage_costs = np.asarray(stage_costs, dtype=float)
         self.kkt_residual = float(kkt_residual)
         self.iterations = int(iterations)
         self.path = path

@@ -154,26 +154,18 @@ def _uniform_samples(W, T, rng):
     return out
 
 
-class TriggerDecision:
-    def __init__(self, triggered, cause, coords=()):
-        self.triggered = triggered
-        self.cause = cause
-        self.coords = list(coords)
-
-
 def step_trigger_test(boxes, nominal, xi, k):
     """Decentralized per-coordinate test of the prediction error at step k.
 
-    Returns the violating coordinate set; any nonempty set means trigger.
+    Returns the violating coordinates, ascending: the sensors that fire,
+    each on its own coordinate of the error. An empty list means no
+    trigger; a nonempty one means a CoordinateExit trigger.
     """
     if not 1 <= k <= len(boxes.lower):
         raise IndexError(f"trigger test step {k} outside [1, N-1]")
     e = np.asarray(xi, dtype=float) - nominal[k]
-    coords = np.flatnonzero((e < boxes.lower[k - 1] - FEAS_TOL)
-                            | (e > boxes.upper[k - 1] + FEAS_TOL)).tolist()
-    if coords:
-        return TriggerDecision(True, CAUSE_COORD, coords)
-    return TriggerDecision(False, None)
+    return np.flatnonzero((e < boxes.lower[k - 1] - FEAS_TOL)
+                          | (e > boxes.upper[k - 1] + FEAS_TOL)).tolist()
 
 
 class SimTrace:
@@ -242,19 +234,18 @@ def run_closed_loop(setup, x0, method, dist, T):
 
     for t in range(T):
         trace.x[t] = xi
-        decision = None
+        coords = []
         if t == 0:
-            decision = TriggerDecision(True, CAUSE_INITIAL)
+            cause = CAUSE_INITIAL
         elif method == PERIODIC:
-            decision = TriggerDecision(True, CAUSE_PERIODIC)
+            cause = CAUSE_PERIODIC
+        elif t - tau >= setup.N:
+            cause = CAUSE_MANDATORY
         else:
-            k = t - tau
-            if k >= setup.N:
-                decision = TriggerDecision(True, CAUSE_MANDATORY)
-            else:
-                decision = step_trigger_test(schedule, sol.x, xi, k)
+            coords = step_trigger_test(schedule, sol.x, xi, t - tau)
+            cause = CAUSE_COORD if coords else None
 
-        if decision.triggered:
+        if cause is not None:
             try:
                 new_sol = rmpc.solve_rmpc(setup, xi)
                 if sol is not None:
@@ -274,8 +265,8 @@ def run_closed_loop(setup, x0, method, dist, T):
             impulse_since_trigger = False
             trace.v_star[t] = sol.value
             trace.qp_answers.append((sol.path, sol.iterations, sol.face_steps))
-            trace.cause[t] = decision.cause
-            trace.coords[t] = decision.coords
+            trace.cause[t] = cause
+            trace.coords[t] = coords
 
         k = t - tau
         trace.tau[t] = tau

@@ -43,17 +43,13 @@ class TerminalAssumptionViolated(TighteningError):
     pass
 
 
-def controllability_matrix(A, B):
-    n = A.shape[0]
+def is_controllable(A, B):
+    """Whether [B, AB, ..., A^(n-1) B] has rank n, to 1e-9 of its norm."""
     blocks = [B]
-    for _ in range(n - 1):
+    for _ in range(A.shape[0] - 1):
         blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)
-
-
-def is_controllable(A, B, tol=1e-9):
-    C = controllability_matrix(A, B)
-    return np.linalg.matrix_rank(C, tol=tol * max(1.0, np.linalg.norm(C, 2))) == A.shape[0]
+    C = np.hstack(blocks)
+    return np.linalg.matrix_rank(C, tol=1e-9 * max(1.0, np.linalg.norm(C, 2))) == A.shape[0]
 
 
 class PlantModel:
@@ -279,18 +275,19 @@ def _subspace_chain_gains(A, B, M):
     return gains
 
 
-def _preimage_subspace(A, S, tol=1e-9):
-    """Orthonormal basis of {x : A x in span(S)}."""
+def _preimage_subspace(A, S):
+    """Orthonormal basis of {x : A x in span(S)}; singular values at or
+    below 1e-9 of the largest (or of 1) count as zero."""
     n = A.shape[0]
     if S.shape[1] == 0:
         Q = np.zeros((n, 0))
     else:
         u, sv, _ = np.linalg.svd(S, full_matrices=False)
-        Q = u[:, sv > tol * max(1.0, sv[0])]
+        Q = u[:, sv > 1e-9 * max(1.0, sv[0])]
     P_perp = np.eye(n) - Q @ Q.T
     Mx = P_perp @ A
     u, sv, vt = np.linalg.svd(Mx)
-    rank = int(np.sum(sv > tol * max(1.0, sv[0] if sv.size else 1.0)))
+    rank = int(np.sum(sv > 1e-9 * max(1.0, sv[0] if sv.size else 1.0)))
     return vt[rank:].T  # null-space basis, orthonormal columns
 
 

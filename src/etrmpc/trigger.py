@@ -91,13 +91,15 @@ class PrincipalRows:
     ``families`` holds, in the order of ``extended_plan``'s arrays, each
     family's name, its plant set's rows and the setup's (N, m) offsets.
     A candidate's offsets b - a.x are laid out by family, stage and
-    facet; ``starts`` marks where each (family, stage) block begins and
-    ``keep`` gathers the surviving facets. A plan only moves the offsets,
-    and every block is checked, even one whose rows all vanish.
+    facet, and ``starts`` marks where each (family, stage) block begins.
+    A plan only moves the offsets, and every block is checked, even one
+    whose rows all vanish.
 
     Surviving facets with bit-equal normals share one row (``_merge``)
     whose offset is the least of theirs (``least``), so the polytope is
-    the same set with fewer rows.
+    the same set with fewer rows. ``columns`` holds the offset column of
+    each surviving facet, grouped by row, so ``least`` gathers a
+    candidate's offsets once.
     """
 
     def __init__(self, setup):
@@ -120,29 +122,32 @@ class PrincipalRows:
                     keep.extend(starts[-1] + kept)
                 starts.append(starts[-1] + A.shape[0])
         self.starts = np.array(starts[:-1])
-        self.keep = np.array(keep, dtype=int)
-        self._merge(np.vstack(Gs) if Gs else np.zeros((0, setup.nx)), tags)
+        self._merge(np.vstack(Gs) if Gs else np.zeros((0, setup.nx)), tags,
+                    np.array(keep, dtype=int))
 
-    def _merge(self, G, tags):
+    def _merge(self, G, tags, columns):
         """One row per distinct (bit-equal) normal of the source rows G, in
         first-occurrence order; meta[r] holds the tags of row r's sources.
-        ``order`` lists the sources grouped by row, and ``first`` marks
-        where each row's group starts."""
+        Source s reads the offset column columns[s]; ``columns`` becomes
+        those columns grouped by row, and ``first`` marks where each row's
+        group starts."""
         groups = {}
         for s, g in enumerate(G):
             groups.setdefault(g.tobytes(), []).append(s)
         sources = list(groups.values())
-        self.order = np.array([s for grp in sources for s in grp], dtype=int)
+        order = np.array([s for grp in sources for s in grp], dtype=int)
+        self.columns = columns[order]
         self.first = np.cumsum([0] + [len(grp) for grp in sources], dtype=int)[:-1]
         self.meta = [tuple(tags[s] for s in grp) for grp in sources]
-        self.G = G[self.order[self.first]]
+        self.G = G[order[self.first]]
         self.W = _lifted(self.G)
         self.G.flags.writeable = self.W.flags.writeable = False
 
     def least(self, D):
-        """The offsets of the rows from the offsets D of the source rows,
-        one row of D per polytope: each the least of its sources'."""
-        return np.minimum.reduceat(D[:, self.order], self.first, axis=1)
+        """The offsets of the rows from the offsets D, one row of D per
+        polytope laid out as ``columns`` reads them: each the least of its
+        sources', in one gather."""
+        return np.minimum.reduceat(D[:, self.columns], self.first, axis=1)
 
 
 def assemble_principal(setup, sol):
@@ -176,7 +181,7 @@ def assemble_principal(setup, sol):
         r = int(np.argmin(offs[j, start:start + A.shape[0]]))
         raise InfeasibleCandidate(f"candidate j={j + 1}: {name}[{block % N}] violates "
                                   f"facet {r} by {-worst[j, block]:.3e}")
-    d = rows.least(offs[:, rows.keep])
+    d = rows.least(offs)
     d[d < 0.0] = 0.0
     return d
 
@@ -193,7 +198,7 @@ def construct_boxes(G, D, method):
     D = np.array(D, dtype=float, ndmin=2)
     if D.shape[1] != len(G):
         raise ValueError(f"offsets of width {D.shape[1]} for {len(G)} rows")
-    rows._merge(G, [("raw", 0, r) for r in range(len(G))])
+    rows._merge(G, [("raw", 0, r) for r in range(len(G))], np.arange(len(G)))
     return _schedule(method, rows, rows.least(D))
 
 
@@ -334,11 +339,12 @@ def _lp1_boxes(G, W, D, k):
         lam[i] = max(rep.x[-1], 0.0)
         ra, Ga, half = r[i, a], G[:, a], 0.5 * lam[i]
         side = np.diag(ra)
-        t, _ = solver.least_distance(
+        t, steps = solver.least_distance(
             np.vstack([Ga * ra, side, -side]),
             np.concatenate([D[i] - lam[i] * Gr[i] + half * (Ga @ ra), half * ra, half * ra]))
         if t is None:
-            n, error = i, "centring solve found no point"
+            n, error = i, ("centring solve reached its step cap" if steps == solver.MAX_ITER
+                           else "centring solve found no point")
             break
         z[i, a] = np.minimum(ra * (t - half), 0.0)
     w, D, r, z, lam = w[:n], D[:n], r[:n], z[:n], lam[:n]

@@ -32,6 +32,51 @@ def enumerate_vertices(A, b, tol=1e-9):
     return np.array(out)
 
 
+def two_pass_vertices(A, b):
+    """The vertices of a nonempty, bounded {x : A x <= b} in two passes,
+    as ``Polytope.vertices`` once computed them: the active row sets T of
+    the points that the stacked enumeration solves for each full-rank
+    subset of n rows, then, for each T in tuple order, the point solved
+    again from the rows of T that raise its rank, taken in index order
+    (``vertex_on_rows``), kept where it lies in the set. A reference for
+    the bits of the one-pass enumeration."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    tol = 1e-9 * (1.0 + np.max(np.abs(b)))
+    live = np.linalg.norm(A, axis=1) > 0.0
+    subsets, active = itertools.combinations(range(m), n), set()
+    while chunk := list(itertools.islice(subsets, 4096)):
+        S = np.array(chunk)
+        S = S[np.linalg.matrix_rank(A[S], tol=1e-10) == n]
+        X = np.linalg.solve(A[S], b[S][:, :, None])[:, :, 0]
+        slack = b - X @ A.T
+        for rows in (slack[np.min(slack, axis=1) >= -tol] <= tol) & live:
+            active.add(tuple(np.flatnonzero(rows).tolist()))
+    V = [v for v in (vertex_on_rows(A, b, T) for T in sorted(active))
+         if v is not None and np.max(A @ v - b) <= tol]
+    return np.array(V, dtype=float)
+
+
+def vertex_on_rows(M, rhs, order):
+    """The point x with M_S x = rhs_S, where S takes each row of ``order``,
+    in that order, that raises its rank, until S has n = M.shape[1] rows.
+    None when S stays short of n rows or is singular."""
+    n = M.shape[1]
+    S = []
+    for i in order:
+        if len(S) == n:
+            break
+        if np.linalg.matrix_rank(M[S + [int(i)]], tol=1e-10) == len(S) + 1:
+            S.append(int(i))
+    if len(S) != n:
+        return None
+    try:
+        return np.linalg.solve(M[S], rhs[S])
+    except np.linalg.LinAlgError:
+        return None
+
+
 def lp_max_by_vertices(c, A, b):
     """max c.x over the polytope via vertex enumeration."""
     V = enumerate_vertices(A, b)

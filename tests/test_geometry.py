@@ -12,9 +12,9 @@ from etrmpc.sim import DisturbanceModel, run_closed_loop
 from etrmpc.tightening import build_setup, synthesize_nominal_gain, synthesize_tightening_gains
 
 from batch_reactor import (X0, batch_plant, batch_setup, benchmark_workloads,
-                           cross_polytope_setup, stage_sets)
+                           cross_polytope_setup, polytope_worst_case_data, stage_sets)
 from oracles import (enumerate_vertices, grid_projection, highs_chebyshev, highs_max,
-                     highs_verdicts)
+                     highs_verdicts, two_pass_vertices)
 
 
 # Two rows in R^4 of norm near 2e3 with offsets near 1e-3, one negative.
@@ -76,6 +76,29 @@ def random_polytope(rng, n, m, duplicates, cuts):
         if np.min(V @ a) < a @ v - 0.1:  # keeps an interior
             A, b = np.vstack([A, a]), np.append(b, a @ v)
     return Polytope(A, b)
+
+
+@st.composite
+def vertex_polytopes(draw):
+    """Rows and offsets of a bounded, nonempty polytope in R^2 to R^4: random
+    normal rows inside a box, the {±1}^n cross-polytope (2^(n-1) active
+    rows at each vertex) about a drawn centre, or small integer normals
+    with cuts through vertices (``random_polytope``); each with up to
+    three rows repeated."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, kind = draw(st.integers(2, 4)), draw(st.sampled_from(["random", "cross", "integer"]))
+    if kind == "random":
+        A = rng.normal(size=(draw(st.integers(1, 8)), n))
+        b = A @ (0.2 * rng.normal(size=n)) + rng.uniform(0.3, 1.2, size=len(A))
+        A, b = np.vstack([A, np.eye(n), -np.eye(n)]), np.concatenate([b, np.full(2 * n, 4.0)])
+    elif kind == "cross":
+        A = cross_polytope(n).A
+        b = draw(st.sampled_from([0.02, 1.0, 3.7])) + A @ (0.1 * rng.integers(-2, 3, size=n))
+    else:
+        poly = random_polytope(rng, n, draw(st.integers(2, 6)), 0, draw(st.integers(0, 2)))
+        A, b = poly.A, poly.b
+    rows = rng.integers(0, len(A), size=draw(st.integers(0, 3)))
+    return np.vstack([A, A[rows]]), np.concatenate([b, b[rows]])
 
 
 def chebyshev(poly):
@@ -179,6 +202,35 @@ class TestSupport:
             assert len(V) == len(expected)
             assert max(np.min(np.linalg.norm(expected - v, axis=1)) for v in V) <= 1e-12
             assert poly.vertices() is V
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=vertex_polytopes())
+    @example(rows=(cross_polytope(3).A, 0.02 + cross_polytope(3).A @ [-0.1, 0.0, 0.1]))
+    def test_vertices_keep_the_two_pass_bits(self, rows):
+        # Each vertex is the point of the first basis of its active rows,
+        # solved once: the bytes of the two-pass enumeration, which solved
+        # it again from those rows. In the shifted cross-polytope of the
+        # example, another basis of the same rows gives other bits.
+        V = Polytope(*rows).vertices()
+        want = two_pass_vertices(*rows)
+        assert V.shape == want.shape and V.tobytes() == want.tobytes()
+
+    def test_benchmark_disturbance_vertices_keep_the_two_pass_bits(self, monkeypatch):
+        # The cross-polytope W of the polytopic worst-case workload: 8
+        # vertices, each with 8 active rows of 16 in R^4. Its 1820 subsets
+        # fit one chunk, so the enumeration takes one stacked solve.
+        W = polytope_worst_case_data()["sets"]["disturbance"]
+        solves, solve = [], np.linalg.solve
+
+        def counted(*args):
+            solves.append(args[0].shape)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        V = Polytope(W["A"], W["b"]).vertices()
+        assert len(solves) == 1 and len(V) == 8
+        want = two_pass_vertices(W["A"], W["b"])
+        assert V.tobytes() == want.tobytes()
 
     def test_vertex_enumeration_over_the_subset_cap_raises(self):
         # 40 rows in 5-D: C(40, 5) = 658,008 subsets, above the cap of 100,000.

@@ -142,8 +142,7 @@ class TestTriggerTest:
         sol = solve_rmpc(setup, X0)
         sch = build_schedule(setup, sol, "CP1")
         for k in range(1, setup.N):
-            d = step_trigger_test(sch, sol.x, sol.x[k], k)
-            assert not d.triggered
+            assert step_trigger_test(sch, sol.x, sol.x[k], k) == []
 
     def test_single_coordinate_exit(self, setup):
         sol = solve_rmpc(setup, [0.1, 0.1, -0.1, 0.1])
@@ -153,8 +152,23 @@ class TestTriggerTest:
         assert box.upper[2] > 1e-6
         xi = sol.x[k].copy()
         xi[2] += box.upper[2] + 1e-3
-        d = step_trigger_test(sch, sol.x, xi, k)
-        assert d.triggered and d.cause == sim.CAUSE_COORD and d.coords == [2]
+        assert step_trigger_test(sch, sol.x, xi, k) == [2]
+
+    def test_run_keeps_the_sensors_that_fired(self, setup):
+        # A CoordinateExit trigger keeps the coordinates that left their
+        # box, as the test at that step gives them from the plan and boxes
+        # of the trigger before; every other step keeps none.
+        trace = run_closed_loop(setup, X0, "LP2", DisturbanceModel("uniform", seed=1234), 40)
+        times = trace.trigger_times
+        fired = [t for t in times if trace.cause[t] == sim.CAUSE_COORD]
+        assert fired
+        for t in range(41):
+            assert bool(trace.coords[t]) == (t in fired)
+        for t in fired:
+            tau = max(s for s in times if s < t)
+            sol = solve_rmpc(setup, trace.x[tau])
+            assert trace.coords[t] == step_trigger_test(trace.schedules[tau], sol.x,
+                                                        trace.x[t], t - tau)
 
     def test_step_range_checked(self, setup):
         sol = solve_rmpc(setup, X0)

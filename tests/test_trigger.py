@@ -1058,6 +1058,27 @@ class TestSchedule:
             build_schedule(setup, sol, LP1)
         assert len(calls) == at
 
+    def test_lp1_centring_at_its_step_cap_names_the_cap(self, sched_all, monkeypatch):
+        # The centring solve of j=4 stops at its step cap: that proves no
+        # emptiness, so j=4 fails naming the cap, not a missing point.
+        setup, _, _ = sched_all
+        sol = solve_rmpc(setup, [0.1, 0.1, -0.1, 0.1])
+        sched = build_schedule(setup, sol, LP1)
+        live = [j for j, deg in enumerate(sched.degenerate_coords, start=1)
+                if len(deg) < setup.nx]
+        at = live.index(4) + 1  # the call that centres j=4
+        calls, least_distance = [], solver.least_distance
+
+        def capped_at_j4(A, b):
+            calls.append(A)
+            return (None, solver.MAX_ITER) if len(calls) == at else least_distance(A, b)
+
+        monkeypatch.setattr(solver, "least_distance", capped_at_j4)
+        with pytest.raises(trigger.TriggerError,
+                           match=r"^j=4: centring solve reached its step cap$"):
+            build_schedule(setup, sol, LP1)
+        assert len(calls) == at
+
     def test_candidate_cost_upper_bounds_resolve(self, sched_all):
         # Optimality: for an error inside E_j, V* at the disturbed state is
         # at most the cost of the shifted candidate plan, which in turn is
