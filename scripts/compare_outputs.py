@@ -4,22 +4,38 @@
     python3 scripts/compare_outputs.py BASE_REF
 
 Exports BASE_REF of this repository into a temporary directory
-(``git archive``) and runs, in both trees, the five methods on the
-reference config and LP1, LP2 and periodic on the polytopic worst-case
-config of ``perfbench/workloads.py``: seed 1234, one OpenBLAS thread.
+(``git archive``) and runs, in both trees, each run of ``RUNS`` at seed
+1234 and one OpenBLAS thread. There are three configs:
+
+- ``reference``: the reference config of ``perfbench/workloads.py``;
+  all five methods.
+- ``polytope_worst_case``: the benchmark's polytopic W, a cross-polytope
+  whose vertices give the worst-case draws and the tightened offsets;
+  all five methods.
+- ``polytope_target``: the reference config with the state target
+  {x : ||x||_1 <= 1.6} (16 sign-vector rows, not a box), so every stage
+  projection of the RMPC QP takes the least-distance path; periodic and
+  LP2.
+
 Prints each output file as identical or moved and, for a moved
 ``trace.csv``, its first row that differs; for a moved
 ``schedules.json``, whether any field but the shape ratios moved
 (bounds, volumes, degenerate coordinates) and, if not, how many ratios
 moved and the largest relative move. For a run with a moved file it
 also prints whether its trigger times and solve count held, from both
-``summary.json`` files. Then it runs ``etrmpc validate`` on both configs
+``summary.json`` files. Then it runs ``etrmpc validate`` on each config
 in both trees and prints its stdout as identical or moved, counted as
-one more output, and ``etrmpc compare`` of the five methods on the
+one more output each, and ``etrmpc compare`` of the five methods on the
 reference config, whose ``comparison.json`` and printed table count as
-two more. Last, it prints the line count of ``src/etrmpc/*.py`` (as
-``wc -l`` counts it) in both trees. Exits 1 if any output moved, 2 if
-a command fails.
+two more. Last, it prints the line count of each ``src/etrmpc/*.py``
+file and their total (as ``wc -l`` counts them) in both trees. Exits 1
+if any output moved, 2 if a command fails (its stderr is printed).
+
+    python3 scripts/compare_outputs.py HEAD
+
+checks determinism: in a checkout whose files are those of HEAD, both
+trees hold the same code, so every output must come out byte-identical
+from two runs. CI runs it so, with RuntimeWarnings raised as errors.
 
     python3 scripts/compare_outputs.py BASE_REF --seeds 1234-1245
 
@@ -28,7 +44,8 @@ inclusive range, in both trees, and prints per method and seed the
 solves at BASE_REF and here and the first trigger time that differs
 (BASE_REF's, then this tree's; "-" where that run has no more
 triggers), with each method's totals. A run whose trigger times or
-solves moved counts as one more moved output.
+solves moved counts as one more moved output. Against a base commit,
+this reports every behaviour change.
 """
 
 import argparse
@@ -49,7 +66,8 @@ import workloads  # noqa: E402
 SEED = 1234
 METHODS = ("CP1", "CP2", "LP1", "LP2", "periodic")
 RUNS = ([("reference", m) for m in METHODS]
-        + [("polytope_worst_case", m) for m in ("LP1", "LP2", "periodic")])
+        + [("polytope_worst_case", m) for m in METHODS]
+        + [("polytope_target", m) for m in ("periodic", "LP2")])
 FILES = ("trace.csv", "summary.json", "schedules.json", "plot_data.json")
 MAIN = "import sys; from etrmpc.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -89,9 +107,32 @@ def seed_range(text):
     return seeds
 
 
+def build_configs(base):
+    """The configs of ``RUNS`` by name, built from the base config."""
+    target = workloads.reference_config(base)
+    A, b = workloads.cross_polytope_rows(len(target["x0"]), 1.6)
+    target["sets"]["state_target"] = {"A": A, "b": b}
+    return {"reference": workloads.reference_config(base),
+            "polytope_worst_case": workloads.polytope_config(base),
+            "polytope_target": target}
+
+
 def src_lines(tree):
-    """The lines of ``src/etrmpc/*.py``, as ``wc -l`` counts them."""
-    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "etrmpc").glob("*.py"))
+    """The lines of each ``src/etrmpc/*.py`` file, as ``wc -l`` counts them."""
+    return {p.name: p.read_bytes().count(b"\n")
+            for p in sorted((tree / "src" / "etrmpc").glob("*.py"))}
+
+
+def print_src_lines(base_ref, base, this):
+    """Print the line count of each module and the total in both trees
+    ("-" for a module missing from one)."""
+    print(f"src/etrmpc/*.py lines at {base_ref} and here:")
+    for name in sorted(base.keys() | this.keys()):
+        a, b = base.get(name), this.get(name)
+        print(f"  {name:15s} {'-' if a is None else a:>5} {'-' if b is None else b:>5}  "
+              f"{(b or 0) - (a or 0):+d}")
+    a, b = sum(base.values()), sum(this.values())
+    print(f"  {'total':15s} {a:5d} {b:5d}  {b - a:+d}")
 
 
 def first_moved_row(a, b):
@@ -180,8 +221,7 @@ def main(argv=None):
         tmp = Path(tmp)
         (tmp / "base").mkdir()
         export(args.base_ref, tmp / "base")
-        configs = {"reference": workloads.reference_config(base),
-                   "polytope_worst_case": workloads.polytope_config(base)}
+        configs = build_configs(base)
         for name, data in configs.items():
             (tmp / f"{name}.json").write_text(json.dumps(data))
         moved = 0
@@ -222,14 +262,13 @@ def main(argv=None):
         lines = src_lines(tmp / "base"), src_lines(ROOT)
         moved_seeds = seeds_table(tmp, args.base_ref, args.seeds) if args.seeds else 0
     total = len(RUNS) * len(FILES) + len(configs) + 2
+    print_src_lines(args.base_ref, *lines)
     print(f"{moved} of {total} outputs moved against {args.base_ref} "
           f"({len(RUNS) * len(FILES)} files, {len(configs)} validate stdouts "
           "and compare's comparison.json and stdout)")
     if args.seeds:
         print(f"{moved_seeds} of {len(METHODS) * len(args.seeds)} seeded reference runs moved their "
               "trigger times or solves")
-    print(f"src/etrmpc/*.py: {lines[0]} lines at {args.base_ref}, {lines[1]} here "
-          f"({lines[1] - lines[0]:+d})")
     return 1 if moved or moved_seeds else 0
 
 

@@ -61,10 +61,6 @@ QP_TOL = 1e-10
 DEGENERATE_WIDTH = 1e-9
 
 
-class SolverError(Exception):
-    pass
-
-
 class Status(enum.Enum):
     OPTIMAL = "Optimal"
     INFEASIBLE = "Infeasible"
@@ -742,7 +738,7 @@ def maximize_log_volume_batch(W, d, mode):
     if mode not in (MODE_SUM_LOG_WIDTH, MODE_SUM_LOG_BOTH):
         raise ValueError(f"unknown mode {mode!r}")
     if np.min(d, initial=0.0) < -FEAS_TOL:
-        raise SolverError("polyhedron infeasible at v = 0")
+        raise ValueError("polyhedron infeasible at v = 0")
     d = np.maximum(d, 0.0)
 
     widths = coordinate_widths(W, d)

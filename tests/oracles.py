@@ -125,12 +125,15 @@ def qp_min_by_active_sets(H, g, A, b):
     raise ValueError("no set of rows satisfies KKT")
 
 
-def grid_box_volume(W, d, mode, n=200):
+def grid_box_volumes(W, d, n=200):
     """Grid-search oracle for the maximum-volume box inside {v>=0: Wv<=d}.
 
+    Returns the maximum of each objective, keyed by mode: the product of
+    the total widths ("sum_log_width") and the product of all four
+    one-sided widths ("sum_log_both"), both from one pass over the grid.
     Equivalent to exhaustive search over the n**4 grid for k=2: the last
     coordinate is resolved in closed form (snapped down to its grid) which
-    is exact because W >= 0 makes the objective monotone in it.
+    is exact because W >= 0 makes both objectives monotone in it.
     """
     W = np.asarray(W, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -148,7 +151,7 @@ def grid_box_volume(W, d, mode, n=200):
     W3 = W[:, :3]
     w4 = W[:, 3]
     step4 = bounds[3] / (n - 1)
-    best = 0.0
+    best = {"sum_log_width": 0.0, "sum_log_both": 0.0}
     chunk = 200_000
     for s in range(0, g3.shape[0], chunk):
         block = g3[s:s + chunk]
@@ -160,12 +163,11 @@ def grid_box_volume(W, d, mode, n=200):
             v4 = np.min(resid[:, pos] / w4[pos][None, :], axis=1)
             v4 = np.minimum(v4, bounds[3])
         v4 = np.floor(np.clip(v4, 0.0, None) / step4) * step4
-        if mode == "sum_log_width":
-            vol = (block[:, 0] + block[:, 2]) * (block[:, 1] + v4)
-        else:
-            vol = block[:, 0] * block[:, 2] * block[:, 1] * v4
-        vol = np.where(feas, vol, 0.0)
-        best = max(best, float(np.max(vol, initial=0.0)))
+        vols = {"sum_log_width": (block[:, 0] + block[:, 2]) * (block[:, 1] + v4),
+                "sum_log_both": block[:, 0] * block[:, 2] * block[:, 1] * v4}
+        for mode, vol in vols.items():
+            vol = np.where(feas, vol, 0.0)
+            best[mode] = max(best[mode], float(np.max(vol, initial=0.0)))
     return best
 
 

@@ -6,7 +6,7 @@ from etrmpc import solver
 from etrmpc.solver import (QpProblem, SolveReport, Status, maximize_log_volume_batch,
                            solve_qp)
 
-from oracles import (grid_box_volume, highs_max, highs_verdicts, lp_max_by_vertices,
+from oracles import (grid_box_volumes, highs_max, highs_verdicts, lp_max_by_vertices,
                      qp_min_by_active_sets, slsqp_least_norm, slsqp_log_volume)
 
 
@@ -837,7 +837,7 @@ class TestLogVolume:
                 vol = (vb[0] + vu[0]) * (vb[1] + vu[1])
             else:
                 vol = vb[0] * vu[0] * vb[1] * vu[1]
-            best = grid_box_volume(W, d, mode, n=200)
+            best = grid_box_volumes(W, d, n=200)[mode]
             assert vol >= best * 0.99
             # Certified feasibility bounds the other side.
             assert np.max(W @ rep.x - d) <= 1e-8
@@ -974,3 +974,11 @@ class TestLogVolume:
             maximize_log_volume_batch(W, [np.tile(d, 2)], solver.MODE_SUM_LOG_WIDTH)
         with pytest.raises(ValueError):
             maximize_log_volume_batch(W, d, solver.MODE_SUM_LOG_WIDTH)
+
+    def test_negative_offset_is_a_value_error(self):
+        # An offset below -FEAS_TOL leaves v = 0 outside the rows: an input
+        # error, like the shape checks above.
+        W = np.vstack([np.array([[1.0, 0.3, 0.4, 0.9]]), np.eye(4)])
+        d = np.array([-1e-6, 3.0, 3.0, 3.0, 3.0])
+        with pytest.raises(ValueError, match="infeasible at v = 0"):
+            maximize_log_volume_batch(W, [d], solver.MODE_SUM_LOG_WIDTH)
