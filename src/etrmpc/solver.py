@@ -7,11 +7,13 @@ taking the objective's gradient and Hessian at each iterate. It solves
 a batch of problems that share H and all their rows in one pass, each
 with its own linear term and ``b_in``. ``solve_qp`` is its one LP and QP
 entry: the RMPC QP and the min-erosion LP, an LP being a ``QpProblem``
-with H = 0. A ``QpProblem`` eliminates the variables that only
+with H = 0. A ``QpProblem`` eliminates variables from each Newton step
+by a Schur complement, so only the rest is factorized: those that only
 one-entry inequality rows touch, with a diagonal Hessian block and no
-equality row, from each Newton step by a Schur complement, so only the
-rest is factorized (the RMPC QP's inputs); the others take the plain
-Newton step.
+equality row (the RMPC QP's slacks), or else those that no equality row
+and no entry of H touch, in the blocks that the inequality rows join
+them into (the min-erosion LP's bound columns); the others take the
+plain Newton step.
 ``maximize_log_volume_batch`` poses the hyper-rectangle volume
 objectives as ``-sum log(S v)`` over ``[W; -I] v <= [d; 0]``, one loop
 per set of live variables. Two solvers run outside that loop, each
@@ -75,8 +77,8 @@ class QpProblem:
     H is symmetrized, and must then be positive semidefinite (eigenvalue
     floor -1e-10; an all-zero H, an LP, takes no eigenvalue solve). A_in
     must have rows; A_eq and b_eq are given together or not at all. The
-    split of its Newton step (``_Newton``) is made here once, with the
-    rows it eliminates gathered.
+    split of its Newton step (``_Newton``), singleton or block, is made
+    here once, with the rows it eliminates gathered.
     """
 
     def __init__(self, H, A_in, A_eq=None, b_eq=None):
@@ -199,34 +201,81 @@ def _rows_on(H, A, G):
     return np.where(one & S[col], col, -1)
 
 
+def _blocks(H, A, G):
+    """The variables S of the block split, with each one's block and each
+    row's block (-1 for a row on no S variable), a block being named by its
+    least place in S.
+
+    S holds the variables that inequality rows touch and no equality row
+    and no entry of H does. Two of them share a block when a row touches
+    both, and blocks join along chains of such rows, so a row touches at
+    most one block. The names spread over the rows in array passes until
+    they settle, one pass per link of the longest chain.
+    """
+    nz = G != 0
+    S = np.flatnonzero(nz.any(0) & ~(A != 0).any(0) & ~(H != 0).any(0))
+    on, none = nz[:, S], S.size
+    var = np.arange(none)
+    while True:
+        row = np.min(np.where(on, var, none), axis=1, initial=none)
+        new = np.minimum(var, np.min(np.where(on, row[:, None], none), axis=0, initial=none))
+        if (new == var).all():
+            return S, var, np.where(row < none, row, -1)
+        var = new
+
+
+def _members(label, blocks):
+    """For each name in ``blocks``, the places of ``label`` that hold it,
+    ascending, padded to the longest such list by places that do not."""
+    hit = label == blocks[:, None]
+    return np.argsort(~hit, axis=1, kind="stable")[:, :hit.sum(1).max()]
+
+
 class _Newton:
     """Newton step on H + G^T diag(d) G + reg I, with the equality rows A.
 
     Built with a QP's H and rows G (``QpProblem`` does, once), it
-    eliminates the variables S that ``_rows_on`` finds: the rows on S add
-    a diagonal to H's diagonal S block, so S is eliminated by the Schur
-    complement on U, and only the rows on U, gathered here, are multiplied
-    out, on U's columns. Built without G (the log-volume problems), or
-    with S empty (the min-erosion LP), it is the plain Newton matrix and
-    solve over the rows and the Hessian ``matrix`` is given, the Hessian
-    shared or, for the log-volume problems, stacked. The rows are shared.
+    eliminates a set S of variables by the Schur complement on the rest,
+    U, so only U's matrix and the equality rows are factorized:
+
+    - the singleton split: the variables that ``_rows_on`` finds. Their
+      rows add a diagonal to H's diagonal S block, and only the rows on U,
+      gathered here, are multiplied out, on U's columns (the RMPC QP).
+    - the block split, for a problem that has no such variable: the
+      variables that ``_blocks`` finds, which no equality row and no
+      entry of H touch (the min-erosion LP's bound columns), unless that
+      is every variable and leaves U empty. The rows on a block make its
+      S block, and the blocks of one size are inverted in one stacked
+      call; U's matrix takes every row on U's columns less each block's
+      Schur term.
+
+    Built without G (the log-volume problems), or with S empty, it is the
+    plain Newton matrix and solve over the rows and the Hessian
+    ``matrix`` is given, the Hessian shared or, for the log-volume
+    problems, stacked. The rows are shared.
+
+    ``matrix`` returns the factors of a step, a tuple of arrays with one
+    entry per problem along their first axis, the matrix to solve with
+    first; ``solve`` takes them.
     """
 
     def __init__(self, H, A, G=None):
         self.A = A
         self.n = A.shape[1]
         self.S = np.empty(0, dtype=int)  # S empty: the step is the plain one
+        self._groups = ()  # the block split's blocks, one entry per block size
         self._eyes = np.eye(self.n), np.eye(A.shape[0])  # of the matrix's two blocks
         if G is None:
             return
         on = _rows_on(H, A, G)
         r1, r2 = np.flatnonzero(on >= 0), np.flatnonzero(on < 0)
         if not r1.size:
+            self._block_split(H, A, G)
             return
         on1 = on[r1]
         eliminated = np.zeros(self.n, dtype=bool)
         eliminated[on1] = True
-        self.S, self.U = np.flatnonzero(eliminated), np.flatnonzero(~eliminated)
+        self._split(H, A, eliminated)
         self.c1 = np.searchsorted(self.S, on1)  # each S row's place in S
         a = G[r1, on1]
         self.r1, self.r2, self.a2 = r1, r2, a * a
@@ -234,22 +283,49 @@ class _Newton:
         self.H_SS = np.diagonal(H)[self.S]
         self.H_US = H[np.ix_(self.U, self.S)]
         self.H_SU = H[np.ix_(self.S, self.U)]
+        self._bins = {}  # per batch size: each problem's S rows in bincount's bins
+
+    def _split(self, H, A, eliminated):
+        self.S, self.U = np.flatnonzero(eliminated), np.flatnonzero(~eliminated)
         self.H_UU = H[np.ix_(self.U, self.U)]
         self.A_U = A[:, self.U]
         self._at = tuple(_as_slice(ix) for ix in (self.S, self.U))
         self._eyes = np.eye(self.U.size), self._eyes[1]
-        self._bins = {}  # per batch size: each problem's S rows in bincount's bins
+
+    def _block_split(self, H, A, G):
+        S, var, row = _blocks(H, A, G)
+        if S.size in (0, self.n):  # with every variable in S, U is empty
+            return
+        eliminated = np.zeros(self.n, dtype=bool)
+        eliminated[S] = True
+        self._split(H, A, eliminated)
+        self.G_U = G[:, self.U]
+        labels, size = np.unique(var, return_counts=True)
+        groups = []
+        for s in np.unique(size):
+            blocks = labels[size == s]
+            cols, rows = S[_members(var, blocks)], _members(row, blocks)
+            # A padding row is another block's or U's, zero on this block's
+            # columns, so it adds nothing to the block's products.
+            groups.append((cols, rows, G[rows[:, :, None], cols[:, None, :]],
+                           G[rows[:, :, None], self.U], np.eye(s)))
+        self._groups = tuple(groups)
+        self._order = np.concatenate([g[0].ravel() for g in groups])  # S, block by block
 
     def matrix(self, H, G, d, reg):
-        """The matrix to solve with, per row of d (B, m) and reg (B,), and
-        the inverse of the S block's diagonal (B, |S|). The plain step
-        multiplies out H and G, the live problems' Hessian and rows; an
-        eliminated step uses the blocks of H and the rows it gathered when
-        built."""
+        """The factors of the step, per row of d (B, m) and reg (B,): the
+        matrix to solve with, then for the singleton split the inverse of
+        the S block's diagonal (B, |S|), and for the block split T = the S
+        block's inverse times M_SU (B, |S|, |U|) and each block size's
+        inverses. The plain step multiplies out H and G, the live
+        problems' Hessian and rows; an eliminated step uses the blocks of
+        H and the rows it gathered when built."""
         nb, ns = d.shape[0], self.S.size
         if not ns:
             M = H + np.matmul(G.T, d[:, :, None] * G)
-            return _kkt_matrices(M, self.A, reg, self._eyes), np.empty((nb, 0))
+            return (_kkt_matrices(M, self.A, reg, self._eyes),)
+        if self._groups:
+            return self._block_matrix(d, reg)
         # bincount sums each problem's rows in order, whatever the batch.
         bins = self._bins.get(nb)
         if bins is None:
@@ -261,19 +337,48 @@ class _Newton:
              - np.matmul(self.H_US * inv[:, None, :], self.H_SU))
         return _kkt_matrices(M, self.A_U, reg, self._eyes), inv
 
-    def solve(self, K, inv, rhs):
-        """The step for every row of rhs (B, n + p), from ``matrix``."""
+    def _block_matrix(self, d, reg):
+        nb, nu = d.shape[0], self.U.size
+        M = self.H_UU + np.matmul(self.G_U.T, d[:, :, None] * self.G_U)
+        invs, couplings, terms = [], [], []
+        for _, rows, G_S, G_U, eye in self._groups:
+            DG_S = d[:, rows, None] * G_S
+            inv = np.linalg.inv(np.matmul(G_S.swapaxes(1, 2), DG_S)
+                                + reg[:, None, None, None] * eye)
+            M_SU = np.matmul(DG_S.swapaxes(2, 3), G_U)
+            invs.append(inv)
+            couplings.append(M_SU.reshape(nb, -1, nu))
+            terms.append(np.matmul(inv, M_SU).reshape(nb, -1, nu))
+        T = np.concatenate(terms, axis=1)  # rows in the blocks' order, ``_order``
+        M -= np.matmul(np.concatenate(couplings, axis=1).swapaxes(1, 2), T)
+        return (_kkt_matrices(M, self.A_U, reg, self._eyes), T, *invs)
+
+    def solve(self, fac, rhs):
+        """The step for every row of rhs (B, n + p), from ``matrix``'s
+        factors."""
+        K = fac[0]
         if not self.S.size:
             return np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
         (S, U), n, nu = self._at, self.n, self.U.size
-        v = inv * rhs[:, S]
-        reduced = rhs[:, U] - _mv(self.H_US, v)
+        if self._groups:
+            T, S = fac[1], self._order
+            # take's copies are C-ordered, whatever the batch, as the
+            # stacked products need for the bits of a batch of one.
+            v = np.concatenate([np.matmul(inv, rhs.take(cols, axis=1)[..., None])[..., 0]
+                                .reshape(len(rhs), -1)
+                                for (cols, *_), inv in zip(self._groups, fac[2:])], axis=1)
+            reduced = rhs[:, U] - np.matmul(rhs.take(S, axis=1)[:, None], T)[:, 0]  # T^T r_S
+        else:
+            inv = fac[1]
+            v = inv * rhs[:, S]
+            reduced = rhs[:, U] - _mv(self.H_US, v)
         if self.A.shape[0]:
             reduced = np.concatenate([reduced, rhs[:, n:]], axis=1)
         sol = np.linalg.solve(K, reduced[:, :, None])[:, :, 0]
         out = np.empty_like(rhs)
         out[:, U] = sol[:, :nu]
-        out[:, S] = v - inv * _mv(self.H_SU, sol[:, :nu])
+        out[:, S] = v - (_mv(T, sol[:, :nu]) if self._groups
+                         else inv * _mv(self.H_SU, sol[:, :nu]))
         out[:, n:] = sol[:, nu:]
         return out
 
@@ -315,11 +420,11 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
     The start is the least-squares point of the equalities, or
     ``start`` = (x, s = h - G x) strictly interior, with z = 1/s.
     ``newton`` is the prebuilt step of a QP (``QpProblem`` keeps one),
-    which eliminates the variables S that ``_rows_on`` finds in its rows:
-    their rows and H's diagonal S block make a diagonal, so one Schur
-    complement on the other variables is formed per iteration and serves
-    the predictor and the corrector. Without it (the log-volume problems)
-    the step is the plain Newton matrix and solve.
+    which eliminates the variables S of its singleton or block split
+    (``_Newton``): one Schur complement on the other variables is formed
+    per iteration and serves the predictor and the corrector. Without it
+    (the log-volume problems) the step is the plain Newton matrix and
+    solve.
 
     Each problem keeps x beside y and s beside z, one array per pair, so
     a Newton step is two updates and s and z take their step lengths in
@@ -434,32 +539,35 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
         rhs_x = -(rd + _mv(GT, dgz))
         rhs = np.concatenate([rhs_x, -rp], axis=1) if p else rhs_x
         reg = 1e-12 * scale_d
-        K, inv = newton.matrix(hess, G, d, reg)
         try:
-            sol = newton.solve(K, inv, rhs)
+            fac = newton.matrix(hess, G, d, reg)
+            sol = newton.solve(fac, rhs)
         except np.linalg.LinAlgError:
-            sol = np.empty_like(rhs)
-            solved = np.ones(idx.size, dtype=bool)
+            # Problem by problem, the factors rebuilt after each failure.
+            sol, facs = np.empty_like(rhs), []
+            solved = np.zeros(idx.size, dtype=bool)
             for k in range(idx.size):
                 one = slice(k, k + 1)
                 for _ in range(6):
                     try:
-                        sol[k] = newton.solve(K[one], inv[one], rhs[one])[0]
-                        break
+                        fac = newton.matrix(hess if log_rows is None else hess[one], G, d[one],
+                                            reg[one])
+                        sol[k] = newton.solve(fac, rhs[one])[0]
                     except np.linalg.LinAlgError:
                         reg[k] *= 100.0
-                        K[k], inv[k] = (a[0] for a in newton.matrix(
-                            hess if log_rows is None else hess[one], G, d[one], reg[one]))
-                else:
-                    solved[k] = False
+                    else:
+                        facs.append(fac)
+                        solved[k] = True
+                        break
             if not solved.all():
                 stopped.extend(zip(idx[~solved], best_kkt[~solved], best_x[~solved], repeat(it)))
                 idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt, best_x, rd, rp, rg, \
-                    mu, d, dgz, K, inv, sol = (v[solved] for v in (
+                    mu, d, dgz, sol = (v[solved] for v in (
                         idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt, best_x, rd,
-                        rp, rg, mu, d, dgz, K, inv, sol))
+                        rp, rg, mu, d, dgz, sol))
                 if not idx.size:
                     break
+            fac = tuple(np.concatenate(parts) for parts in zip(*facs))
         nrg = -rg
         dsz_a = np.empty_like(sz)
         ds_a = np.subtract(nrg, _mv(G, sol[:, :n]), out=dsz_a[:, 0])
@@ -474,7 +582,7 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
         corr = (sigma_mu - ds_a * dz_a) / s
         rhs_x = -(rd + _mv(GT, dgz + corr))
         rhs = np.concatenate([rhs_x, -rp], axis=1) if p else rhs_x
-        sol = newton.solve(K, inv, rhs)
+        sol = newton.solve(fac, rhs)
         dsz = np.empty_like(sz)
         ds = np.subtract(nrg, _mv(G, sol[:, :n]), out=dsz[:, 0])
         np.subtract(corr - z, d * ds, out=dsz[:, 1])

@@ -16,7 +16,7 @@ from .trigger import PrincipalRows
 
 NILPOTENCY_TOL = 1e-8
 RICCATI_TOL = 1e-10
-RICCATI_MAX_ITER = 10_000
+RICCATI_MAX_ITER = 64  # doubling steps; step k covers 2^k steps of the recursion
 INTERIOR_MARGIN = 1e-9
 
 
@@ -98,33 +98,80 @@ def _check_set(name, s, dim, strict_interior):
 
 
 def synthesize_nominal_gain(plant, Qlqr, Rlqr):
-    """Stabilizing gain F from the discrete Riccati fixed point.
-
-    Iterates P <- Q + A'PA - A'PB (R + B'PB)^-1 B'PA until the update is
-    below 1e-10 and returns F = -(R + B'PB)^-1 B'PA, so u = F x gives a
-    closed loop A + BF with spectral radius strictly below one.
+    """Stabilizing gain F = -(R + B'PB)^-1 B'PA, from the stabilizing
+    solution P of the discrete algebraic Riccati equation (``_riccati``),
+    so u = F x gives a closed loop A + BF with spectral radius strictly
+    below one.
     """
-    A, B = plant.A, plant.B
     Q = np.asarray(Qlqr, dtype=float)
     R = np.asarray(Rlqr, dtype=float)
     for M, name in ((Q, "Qlqr"), (R, "Rlqr")):
         if np.min(np.linalg.eigvalsh(0.5 * (M + M.T))) <= 0:
             raise ValueError(f"{name} must be positive definite")
-    P = Q.copy()
+    F = _riccati(plant.A, plant.B, Q, R)[1]
+    if np.max(np.abs(np.linalg.eigvals(plant.A + plant.B @ F))) >= 1.0:
+        raise NoConvergence("Riccati gain failed to stabilize the closed loop")
+    return F
+
+
+def _riccati(A, B, Q, R):
+    """P solving P = Q + A'PA - A'PB (R + B'PB)^-1 B'PA, and its gain F.
+
+    The structure-preserving doubling iteration (Anderson, *Int. J.
+    Control* 28(2), 1978; Chu, Fan & Lin, *Linear Algebra Appl.* 396,
+    2005): from A_0 = A, G_0 = B R^-1 B' and P_0 = Q,
+
+        A_{k+1} = A_k (I + G_k P_k)^-1 A_k
+        G_{k+1} = G_k + A_k (I + G_k P_k)^-1 G_k A_k'
+        P_{k+1} = P_k + A_k' P_k (I + G_k P_k)^-1 A_k,
+
+    so P_k is the 2^k-th iterate of the Riccati recursion from Q, and it
+    converges quadratically. The loop stops when an update is at most
+    RICCATI_TOL max(1, max|P|). One Newton step on the equation (Hewer,
+    *IEEE Trans. Autom. Control* 16(4), 1971) then removes the rounding
+    that the doubling gathers on an ill-conditioned plant: with F the
+    gain of P and Ac = A + BF, the residual is Q + F'RF + Ac'P Ac - P,
+    and the correction D solves D - Ac'D Ac = residual, an n^2 x n^2
+    system. The corrected P must satisfy the equation to RICCATI_TOL
+    relative to the size of its terms, or NoConvergence is raised:
+    Ac'P Ac is up to |Ac|^2 max|P| (spectral norm), and rounding P alone
+    moves it by eps times that, so the bound is RICCATI_TOL max(1, max|P|)
+    (1 + |Ac|^2). On a closed loop far from normal (a nearly uncontrollable
+    mode, max|P| up to 1e9), rounding leaves residuals above the unscaled
+    RICCATI_TOL max(1, max|P|), and more Newton steps do not lower them.
+    """
+    n = len(A)
+    Ak, Gk, P = A, B @ np.linalg.solve(R, B.T), Q
     for _ in range(RICCATI_MAX_ITER):
-        BtPA = B.T @ P @ A
-        Pn = Q + A.T @ P @ A - BtPA.T @ np.linalg.solve(R + B.T @ P @ B, BtPA)
+        W = np.linalg.solve(np.eye(n) + Gk @ P, np.hstack([Ak, Gk]))
+        Pn = P + Ak.T @ P @ W[:, :n]
         Pn = 0.5 * (Pn + Pn.T)
         if np.max(np.abs(Pn - P)) <= RICCATI_TOL * max(1.0, np.max(np.abs(P))):
             P = Pn
             break
-        P = Pn
+        Gk = Gk + Ak @ W[:, n:] @ Ak.T
+        Gk = 0.5 * (Gk + Gk.T)
+        Ak, P = Ak @ W[:, :n], Pn
     else:
         raise NoConvergence("Riccati iteration did not converge")
-    F = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-    if np.max(np.abs(np.linalg.eigvals(A + B @ F))) >= 1.0:
-        raise NoConvergence("Riccati gain failed to stabilize the closed loop")
-    return F
+    F, residual = _gain_and_residual(A, B, Q, R, P)
+    Ac = A + B @ F
+    D = np.linalg.solve(np.eye(n * n) - np.kron(Ac.T, Ac.T),
+                        residual.ravel()).reshape(n, n)
+    P = P + 0.5 * (D + D.T)
+    F, residual = _gain_and_residual(A, B, Q, R, P)
+    Ac = A + B @ F
+    scale = max(1.0, np.max(np.abs(P))) * (1.0 + np.linalg.norm(Ac, 2) ** 2)
+    if np.max(np.abs(residual)) > RICCATI_TOL * scale:
+        raise NoConvergence("Riccati iteration stopped off the Riccati equation")
+    return P, F
+
+
+def _gain_and_residual(A, B, Q, R, P):
+    """Gain F = -(R + B'PB)^-1 B'PA of P, and P's Riccati residual."""
+    BtPA = B.T @ P @ A
+    F = -np.linalg.solve(R + B.T @ P @ B, BtPA)
+    return F, Q + A.T @ P @ A + BtPA.T @ F - P
 
 
 def synthesize_tightening_gains(plant, M, N=None):
@@ -188,8 +235,9 @@ def _min_erosion_schedule(A, B, M):
     # Columns [theta | |theta|, |L| | t, s] to [theta | |theta|, t | |L|, s].
     o_b = 2 * n_th + n_L
     order = np.r_[:2 * n_th, o_b:o_b + M, 2 * n_th:o_b, o_b + M:G.shape[1]]
-    # An LP (H = 0); every bound column has a sum row, so its Newton step
-    # eliminates no variable.
+    # An LP (H = 0). No equality row touches the bound columns, so its
+    # Newton step eliminates them in blocks, one per t_i or s_i with the
+    # columns that its sum rows bound; only theta's columns are factorized.
     c = np.where(order >= o_b, -1.0, 0.0)
     n_v = G.shape[1]
     lp = solver.QpProblem(np.zeros((n_v, n_v)), G[:, order],

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -262,9 +264,9 @@ class TestLpBatch:
         solves, built = [], []
         solve, matrix = solver._Newton.solve, solver._Newton.matrix
 
-        def counting(self, K, inv, rhs):
+        def counting(self, fac, rhs):
             try:
-                out = solve(self, K, inv, rhs)
+                out = solve(self, fac, rhs)
             except np.linalg.LinAlgError:
                 solves.append(False)
                 raise
@@ -425,9 +427,9 @@ class TestNewtonStep:
             d = rng.uniform(0.1, 10.0, size=(nb, m))
             reg = 1e-12 * rng.uniform(1.0, 10.0, nb)
             rhs = rng.normal(size=(nb, n + p))
-            K, inv = newton.matrix(H, G, d, reg)
-            assert K.shape[-1] == nu + p  # the factorized matrix is U's
-            sol = newton.solve(K, inv, rhs)
+            fac = newton.matrix(H, G, d, reg)
+            assert fac[0].shape[-1] == nu + p  # the factorized matrix is U's
+            sol = newton.solve(fac, rhs)
             for k in range(nb):
                 dense = np.block([[H + G.T @ np.diag(d[k]) @ G + reg[k] * np.eye(n), A.T],
                                   [A, -reg[k] * np.eye(p)]])
@@ -445,11 +447,11 @@ class TestNewtonStep:
         newton = solver._Newton(H, A, G)
         assert newton.S.size == 0
         d, reg, rhs = rng.uniform(0.1, 10.0, (2, m)), np.full(2, 1e-12), rng.normal(size=(2, n))
-        K, inv = newton.matrix(H, G, d, reg)
+        (K,) = fac = newton.matrix(H, G, d, reg)
         M = H + np.matmul(G.T, d[:, :, None] * G) + reg[:, None, None] * np.eye(n)
-        assert K.tobytes() == M.tobytes() and inv.shape == (2, 0)
+        assert K.tobytes() == M.tobytes()
         want = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
-        assert newton.solve(K, inv, rhs).tobytes() == want.tobytes()
+        assert newton.solve(fac, rhs).tobytes() == want.tobytes()
 
     def test_split_rules(self):
         # x0..x2 are each boxed by one-entry rows only.
@@ -468,6 +470,54 @@ class TestNewtonStep:
         # A variable no row touches is not eliminated.
         assert solver._rows_on(np.eye(3), none, G[:, :2] @ np.eye(2, 3)).tolist() == \
             [0, 1, -1, 0, 1, -1]
+
+    @pytest.mark.parametrize("bound, capped, p", [([0, 0, 1, 1, 2], True, 2),
+                                                  ([0, 1, 1, 1, 2, 2], False, 2),
+                                                  ([0, 1, 1, 2], False, 0)])
+    def test_block_split_matches_dense_solve(self, bound, capped, p):
+        # LPs shaped as the min-erosion LP, over [theta | a | b]: p equality
+        # rows on theta, the rows a_j >= |C_j theta| of each entry j, and per
+        # run of 3 entries a sum row sum_j a_j <= b_bound[run]. The a and b
+        # of one bound form a block, which the step eliminates; theta stays.
+        # A row b_0 <= 1 gives one of two blocks of a size one row more, so
+        # the other is padded. Without equality rows, a Hessian block on
+        # theta keeps theta out of the blocks (a QP).
+        rng = np.random.default_rng(len(bound))
+        n_th, size, nb = 5, 3, 3
+        n_a, n_b = size * len(bound), max(bound) + 1
+        runs = np.zeros((len(bound), n_a + n_b))
+        runs[np.arange(n_a) // size, np.arange(n_a)] = 1.0
+        runs[np.arange(len(bound)), n_a + np.array(bound)] = -1.0
+        C = rng.normal(size=(n_a, n_th))
+        G = np.vstack([np.hstack([C, -np.eye(n_a), np.zeros((n_a, n_b))]),
+                       np.hstack([-C, -np.eye(n_a), np.zeros((n_a, n_b))]),
+                       np.hstack([np.zeros((len(bound), n_th)), runs])])
+        if capped:
+            G = np.vstack([G, np.eye(1, G.shape[1], n_th + n_a)])
+        n, m = G.shape[1], G.shape[0]
+        H, A = np.zeros((n, n)), np.hstack([rng.normal(size=(p, n_th)), np.zeros((p, n - n_th))])
+        if not p:
+            R = rng.normal(size=(n_th, n_th))
+            H[:n_th, :n_th] = R @ R.T
+        newton = solver._Newton(H, A, G)
+        assert newton.S.tolist() == list(range(n_th, n))
+        sizes = Counter((np.bincount(bound) * size + 1).tolist())  # a bound's a, and b
+        assert {cols.shape[1]: len(cols) for cols, *_ in newton._groups} == sizes
+        for _ in range(5):
+            d = np.exp(rng.uniform(-8.0, 8.0, size=(nb, m)))
+            reg = 1e-12 * rng.uniform(1.0, 10.0, nb)
+            rhs = rng.normal(size=(nb, n + p))
+            fac = newton.matrix(H, G, d, reg)
+            assert fac[0].shape[-1] == n_th + p
+            sol = newton.solve(fac, rhs)
+            for k in range(nb):
+                dense = np.block([[H + G.T @ np.diag(d[k]) @ G + reg[k] * np.eye(n), A.T],
+                                  [A, -reg[k] * np.eye(p)]])
+                want = np.linalg.solve(dense, rhs[k])
+                assert np.linalg.norm(sol[k] - want) <= 1e-10 * np.linalg.norm(want)
+                one = slice(k, k + 1)
+                alone = newton.solve(newton.matrix(H, G, d[one], reg[one]), rhs[one])
+                assert alone.tobytes() == sol[one].tobytes()  # the batch leaves no trace
 
     def test_diagonal_box_qp_eliminates_every_variable(self):
         # Every variable is eliminated, so the factorized matrix is empty;

@@ -1,17 +1,36 @@
+import json
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from etrmpc import solver, tightening
 from etrmpc.cli import ExperimentConfig
 from etrmpc.geometry import HyperRect, Polytope, are_empty, supports
-from etrmpc.tightening import (NILPOTENCY_TOL, EmptyTightenedSet, NilpotencyFailure,
-                               PlantModel, TerminalAssumptionViolated, build_setup,
-                               is_controllable, synthesize_nominal_gain,
+from etrmpc.tightening import (NILPOTENCY_TOL, RICCATI_TOL, EmptyTightenedSet,
+                               NilpotencyFailure, PlantModel, TerminalAssumptionViolated,
+                               build_setup, is_controllable, synthesize_nominal_gain,
                                synthesize_tightening_gains)
 
 from batch_reactor import (FAMILIES, ROOT, batch_plant, batch_setup, plant_set,
                            polytope_worst_case_data, stage_sets)
 from oracles import deadbeat_erosion, highs_min_erosion
+
+
+# Prints, pickled, the bytes of what config.build() gives for a config file.
+BUILD_BYTES = """
+import json, pickle, sys
+from etrmpc.cli import ExperimentConfig
+setup = ExperimentConfig(json.load(open(sys.argv[1]))).build()
+arrays = {"F": setup.F, "principal_rows.G": setup.principal_rows.G,
+          **{f"K[{i}]": k for i, k in enumerate(setup.K)},
+          **{name: getattr(setup, name) for name in
+             ("U_offsets", "X_offsets", "TU_offsets", "TX_offsets")}}
+pickle.dump({k: (a.shape, a.tobytes()) for k, a in arrays.items()}, sys.stdout.buffer)
+"""
 
 
 def simple_plant(W_half=0.05):
@@ -28,6 +47,27 @@ def simple_plant(W_half=0.05):
     )
 
 
+def check_riccati(A, B, Q, R, F):
+    """F is the gain of the Riccati solution P, which satisfies the
+    equation to RICCATI_TOL max(1, max|P|), and F matches the gain of
+    scipy's DARE solution. On 12,000 random plants drawn as in
+    ``test_random_controllable_pairs_stabilized`` (seeds 1, 77, 5 and 6),
+    all but 4 meet that residual bound, and on those the largest entry's
+    gap to scipy was at most 1.3e-9 of scipy's largest entry; on the batch
+    reactor it is 1e-14. The 4 others are ill-conditioned, and
+    ``_riccati`` scales their bound by 1 + |A + BF|^2 (see
+    ``test_ill_conditioned_pairs_stabilized``)."""
+    P, gain = tightening._riccati(A, B, Q, R)
+    assert gain.tobytes() == F.tobytes()
+    BtPA = B.T @ P @ A
+    residual = Q + A.T @ P @ A - BtPA.T @ np.linalg.solve(R + B.T @ P @ B, BtPA) - P
+    assert np.max(np.abs(residual)) <= RICCATI_TOL * max(1.0, np.max(np.abs(P)))
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    X = scipy_linalg.solve_discrete_are(A, B, Q, R)
+    want = -np.linalg.solve(R + B.T @ X @ B, B.T @ X @ A)
+    assert np.max(np.abs(F - want)) <= 1e-8 * np.max(np.abs(want))
+
+
 class TestNominalGain:
     def test_scalar_riccati(self):
         plant = PlantModel(
@@ -40,9 +80,11 @@ class TestNominalGain:
 
     def test_batch_reactor_stabilized(self):
         plant = batch_plant()
-        F = synthesize_nominal_gain(plant, 2.0 * np.eye(4), 10.0 * np.eye(2))
+        Q, R = 2.0 * np.eye(4), 10.0 * np.eye(2)
+        F = synthesize_nominal_gain(plant, Q, R)
         eigs = np.linalg.eigvals(plant.A + plant.B @ F)
         assert np.max(np.abs(eigs)) < 1.0
+        check_riccati(plant.A, plant.B, Q, R, F)
 
     def test_random_controllable_pairs_stabilized(self):
         rng = np.random.default_rng(77)
@@ -56,7 +98,39 @@ class TestNominalGain:
             plant = _wide_plant(A, B)
             F = synthesize_nominal_gain(plant, np.eye(n), np.eye(m))
             assert np.max(np.abs(np.linalg.eigvals(A + B @ F))) < 1.0
+            check_riccati(A, B, np.eye(n), np.eye(m), F)
             done += 1
+
+    # Draws, by seed and index among the controllable pairs drawn as in
+    # test_random_controllable_pairs_stabilized, with a nearly uncontrollable
+    # mode: max|P| is 3e4-2e9, and Riccati rounding alone leaves residuals
+    # above RICCATI_TOL max(1, max|P|). Found among 12,000 draws.
+    ILL_CONDITIONED_DRAWS = {1: (489, 1646, 2949, 2982, 3136),
+                             77: (274, 1497, 1517, 1921, 2194, 2308, 3361),
+                             5: (853, 1252, 1659, 1715), 6: (37, 1023, 1450)}
+
+    @pytest.mark.parametrize("seed", sorted(ILL_CONDITIONED_DRAWS))
+    def test_ill_conditioned_pairs_stabilized(self, seed):
+        """Each gain stabilizes and is within 1e-6 of scipy's DARE gain,
+        relative to its largest entry (scipy's own answer is off by up to
+        1.9e-7 on these, measured against a 60-digit Newton solve)."""
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(seed)
+        wanted = self.ILL_CONDITIONED_DRAWS[seed]
+        index = 0
+        while index <= wanted[-1]:
+            n, m = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+            A = rng.normal(size=(n, n))
+            B = rng.normal(size=(n, m))
+            if not is_controllable(A, B):
+                continue
+            if index in wanted:
+                F = synthesize_nominal_gain(_wide_plant(A, B), np.eye(n), np.eye(m))
+                assert np.max(np.abs(np.linalg.eigvals(A + B @ F))) < 1.0
+                X = scipy_linalg.solve_discrete_are(A, B, np.eye(n), np.eye(m))
+                want = -np.linalg.solve(np.eye(m) + B.T @ X @ B, B.T @ X @ A)
+                assert np.max(np.abs(F - want)) <= 1e-6 * np.max(np.abs(want))
+            index += 1
 
     def test_rejects_indefinite_weights(self):
         with pytest.raises(ValueError):
@@ -151,8 +225,11 @@ class TestTighteningGains:
         assert self.fallback_gains(batch_plant(), 4, monkeypatch) <= NILPOTENCY_TOL
 
     def test_min_erosion_objective_matches_highs(self, monkeypatch):
-        # The LP is one QpProblem with H = 0 whose Newton step eliminates no
-        # variable, so the interior-point loop takes the plain LP step.
+        # The LP is one QpProblem with H = 0 whose Newton step eliminates the
+        # bound columns block by block. On the batch plant that is 87 of its
+        # 119 variables, in 4 blocks of 9 (|Theta_i| and t_i) and 3 of 17
+        # (|L_i| and s_i), so the matrix factorized is 48 x 48: theta's 32
+        # columns and the 16 equality rows.
         pytest.importorskip("scipy")
         problems, solve_qp = [], solver.solve_qp
         monkeypatch.setattr(solver, "solve_qp",
@@ -170,7 +247,13 @@ class TestTighteningGains:
             thetas = tightening._min_erosion_schedule(A, B, M)
             assert thetas is not None
             (lp,) = problems
-            assert not lp.H.any() and lp._newton.S.size == 0
+            assert not lp.H.any()
+            if A is plant.A:
+                newton = lp._newton
+                assert newton.S.size == 87
+                assert sorted(cols.shape for cols, *_ in newton._groups) == [(3, 17), (4, 9)]
+                d = np.ones((1, len(lp.A_in)))
+                assert newton.matrix(lp.H, lp.A_in, d, np.ones(1))[0].shape == (1, 48, 48)
             problems.clear()
             objective, deadbeat_residual = deadbeat_erosion(A, B, thetas)
             assert deadbeat_residual <= 1e-8
@@ -232,6 +315,27 @@ class TestBuildSetup:
         for i in range(setup.M, setup.N):
             assert np.all(setup.L[i] == 0)
             assert np.all(setup.Ltilde[i + 1] == 0)
+
+    @pytest.mark.parametrize("polytopic", [False, True])
+    def test_build_has_the_same_bits_at_two_blas_threads(self, polytopic, tmp_path):
+        # Every product of config.build() is small enough for OpenBLAS to
+        # run on one thread, so its gains, tightened offsets and principal
+        # rows do not depend on the thread count (the reference config, and
+        # the benchmark's polytopic worst case).
+        data = (polytope_worst_case_data() if polytopic
+                else json.loads((ROOT / "configs" / "batch_reactor.json").read_text()))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        built = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([str(ROOT / "src")] + [
+                       p for p in [os.environ.get("PYTHONPATH")] if p])}
+            built.append(subprocess.run([sys.executable, "-c", BUILD_BYTES, str(path)], env=env,
+                                        check=True, capture_output=True, timeout=300).stdout)
+        one, two = (pickle.loads(b) for b in built)
+        assert list(one) == list(two)
+        assert [k for k in one if one[k] != two[k]] == []
 
     def test_deterministic_rebuild(self):
         s1 = _build(simple_plant())
