@@ -20,8 +20,10 @@ Exports BASE_REF of this repository into a temporary directory
 Prints each output file as identical or moved and, for a moved
 ``trace.csv``, its first row that differs; for a moved
 ``schedules.json``, whether any field but the shape ratios moved
-(bounds, volumes, degenerate coordinates) and, if not, how many ratios
-moved and the largest relative move. For a run with a moved file it
+(bounds, volumes, degenerate coordinates): if so, over the triggers both
+runs hold, the largest absolute move of a box bound and the largest
+relative move of ``vol1`` and of ``vol2``; if not, how many ratios moved
+and the largest relative move. For a run with a moved file it
 also prints whether its trigger times and solve count held, from both
 ``summary.json`` files. Then it runs ``etrmpc validate`` on each config
 in both trees and prints its stdout as identical or moved, counted as
@@ -143,19 +145,36 @@ def first_moved_row(a, b):
     return f"{len(rows_a)} rows against {len(rows_b)}"
 
 
-def ratio_moves(a, b):
-    """For two schedules.json files, whether any field but the shape
-    ratios moved (bounds, volumes, degenerate coordinates), how many
-    ratios moved and the largest relative move, as a line to print."""
+def relative_move(x, y):
+    """|y - x| / |x|: 0 when they agree, inf when only x is 0 or either
+    is None."""
+    if x == y:
+        return 0.0
+    return abs(y - x) / abs(x) if None not in (x, y) and x != 0 else math.inf
+
+
+def schedule_moves(a, b):
+    """For two schedules.json files, what moved, as lines to print: if
+    only the shape ratios moved, how many and the largest relative move;
+    else, over the triggers both hold, the largest absolute move of a box
+    bound and the largest relative move of vol1 and of vol2."""
     base, this = (json.loads(p.read_text()) for p in (a, b))
     pop = [[box.pop("shape_ratio") for sch in doc["per_trigger"].values() for box in sch["boxes"]]
            for doc in (base, this)]
-    if base != this:
-        return "    fields other than shape_ratio moved"
-    moves = [abs(y - x) / abs(x) if None not in (x, y) else math.inf
-             for x, y in zip(*pop) if x != y]
-    return (f"    only shape_ratio moved: {len(moves)} of {len(pop[0])} ratios, "
-            f"largest relative move {max(moves, default=0.0):.3g}")
+    if base == this:
+        moves = [relative_move(x, y) for x, y in zip(*pop) if x != y]
+        return (f"    only shape_ratio moved: {len(moves)} of {len(pop[0])} ratios, "
+                f"largest relative move {max(moves, default=0.0):.3g}")
+    shared = base["per_trigger"].keys() & this["per_trigger"].keys()
+    pairs = [pq for t in shared
+             for pq in zip(base["per_trigger"][t]["boxes"], this["per_trigger"][t]["boxes"])]
+    bound = max((abs(y - x) for p, q in pairs for side in ("lower", "upper")
+                 for x, y in zip(p[side], q[side])), default=0.0)
+    vol1, vol2 = (max((relative_move(p[v], q[v]) for p, q in pairs), default=0.0)
+                  for v in ("vol1", "vol2"))
+    return ("    fields other than shape_ratio moved; over the "
+            f"{len(shared)} triggers both hold, largest bound move {bound:.3g}, "
+            f"largest relative move of vol1 {vol1:.3g} and of vol2 {vol2:.3g}")
 
 
 def statistics(out_dir):
@@ -240,7 +259,7 @@ def main(argv=None):
                 if not same and f == "trace.csv":
                     print("    first moved " + first_moved_row(a, b))
                 if not same and f == "schedules.json":
-                    print(ratio_moves(a, b))
+                    print(schedule_moves(a, b))
             if run_moved:
                 print(triggers_held(outs["base"], outs["this"]))
         for name in configs:

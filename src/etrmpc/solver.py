@@ -1,30 +1,31 @@
 """Self-contained LP / convex-QP / log-concave maximization routines.
 
-One Mehrotra-style primal-dual interior-point loop, ``_ipm``, solves
-LPs (H = 0), convex QPs and the box log-volume problems over
-``A_eq x = b_eq, A_in x <= b_in``, with at least one inequality row,
-taking the objective's gradient and Hessian at each iterate. It solves
-a batch of problems that share H and all their rows in one pass, each
-with its own linear term and ``b_in``. ``solve_qp`` is its one LP and QP
-entry: the RMPC QP and the min-erosion LP, an LP being a ``QpProblem``
-with H = 0. A ``QpProblem`` eliminates variables from each Newton step
-by a Schur complement, so only the rest is factorized: those that only
-one-entry inequality rows touch, with a diagonal Hessian block and no
-equality row (the RMPC QP's slacks), or else those that no equality row
-and no entry of H touch, in the blocks that the inequality rows join
-them into (the min-erosion LP's bound columns); the others take the
-plain Newton step.
+Two Mehrotra-style primal-dual interior-point loops. ``_ipm`` solves
+LPs (H = 0) and convex QPs over ``A_eq x = b_eq, A_in x <= b_in``, with
+at least one inequality row. It solves a batch of problems that share H
+and all their rows in one pass, each with its own linear term and
+``b_in``. ``solve_qp`` is its one entry: the RMPC QP and the min-erosion
+LP, an LP being a ``QpProblem`` with H = 0. A ``QpProblem`` eliminates
+variables from each Newton step by a Schur complement, so only the rest
+is factorized: those that only one-entry inequality rows touch, with a
+diagonal Hessian block and no equality row (the RMPC QP's slacks), or
+else those that no equality row and no entry of H touch, in the blocks
+that the inequality rows join them into (the min-erosion LP's bound
+columns); the others take the plain Newton step.
 ``maximize_log_volume_batch`` poses the hyper-rectangle volume
-objectives as ``-sum log(S v)`` over ``[W; -I] v <= [d; 0]``, one loop
-per set of live variables. Two solvers run outside that loop, each
-exact up to rounding. ``least_distance`` finds the point of a
-polyhedron nearest the origin by Goldfarb and Idnani's dual active-set
-method (the RMPC QP's least-norm plans of value 0, LP1's centred boxes
-and every emptiness verdict). ``simplex_batch`` maximizes c.v over
+objectives as ``-sum log(S v)`` over ``[W; -I] v <= [d; 0]``, and
+``_log_volume_ipm`` solves them, one loop per set of live variables,
+from a strictly interior start, with a step fraction that grows as the
+gap closes and a Newton matrix formed as one product per problem. Two
+solvers run outside these loops, each exact up to rounding.
+``least_distance`` finds the point of a polyhedron nearest the origin
+by Goldfarb and Idnani's dual active-set method (the RMPC QP's
+least-norm plans of value 0, LP1's centred boxes and every emptiness
+verdict). ``simplex_batch`` maximizes c.v over
 {A v <= b, v >= 0} with b >= 0 by the primal simplex from the vertex
 v = 0, A shared or one per problem (LP1's scaling LPs, the shape
 diagnostic's Chebyshev LPs, every verdict that a recession cone holds
-a ray). The loop itself decides only OPTIMAL: an LP or QP that it
+a ray). ``_ipm`` itself decides only OPTIMAL: an LP or QP that it
 leaves undecided is INFEASIBLE, UNBOUNDED or MAXITER by these two,
 never by a threshold, so an unbounded input runs until its iterate
 diverges or the loop reaches its cap.
@@ -116,9 +117,9 @@ class SolveReport:
     dual residual and mean complementarity z.s/m are each at most the
     solve's tolerance; kkt_residual is the largest of them. The
     duality gap is m times the mean complementarity, so an LP objective
-    can be off by about m * tol * scale_d. For a log-volume problem, the
-    same loop applies its own rule (``_ipm``), and kkt_residual is the
-    largest of the scaled residuals and the total gap. ``iterations``
+    can be off by about m * tol * scale_d. For a log-volume problem, its
+    own loop applies its own rule (``_log_volume_ipm``), and kkt_residual
+    is the largest of the scaled residuals and the total gap. ``iterations``
     counts the convergence checks the loop made on the problem: one more
     than its Newton steps when it converged, MAX_ITER at the cap, and
     fewer when it left undecided earlier (a diverged iterate, a Newton
@@ -249,10 +250,9 @@ class _Newton:
       call; U's matrix takes every row on U's columns less each block's
       Schur term.
 
-    Built without G (the log-volume problems), or with S empty, it is the
-    plain Newton matrix and solve over the rows and the Hessian
-    ``matrix`` is given, the Hessian shared or, for the log-volume
-    problems, stacked. The rows are shared.
+    Built without G (an ``_ipm`` call without a ``QpProblem``), or with
+    S empty, it is the plain Newton matrix and solve over the shared
+    Hessian and rows that ``matrix`` is given.
 
     ``matrix`` returns the factors of a step, a tuple of arrays with one
     entry per problem along their first axis, the matrix to solve with
@@ -317,9 +317,9 @@ class _Newton:
         matrix to solve with, then for the singleton split the inverse of
         the S block's diagonal (B, |S|), and for the block split T = the S
         block's inverse times M_SU (B, |S|, |U|) and each block size's
-        inverses. The plain step multiplies out H and G, the live
-        problems' Hessian and rows; an eliminated step uses the blocks of
-        H and the rows it gathered when built."""
+        inverses. The plain step multiplies out H and G, the shared
+        Hessian and rows; an eliminated step uses the blocks of H and the
+        rows it gathered when built."""
         nb, ns = d.shape[0], self.S.size
         if not ns:
             M = H + np.matmul(G.T, d[:, :, None] * G)
@@ -391,46 +391,39 @@ def _as_slice(ix):
     return ix
 
 
-def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
-    """Mehrotra predictor-corrector on min f_k(x), Ax=b, G x<=h[k].
+def _ipm(H, g, A, b, G, h, tol, newton=None):
+    """Mehrotra predictor-corrector on min 0.5 x.H x + g[k].x, Ax=b,
+    G x<=h[k].
 
-    f_k is the quadratic 0.5 x.H x + g[k].x or, given ``log_rows`` S (r, n)
-    (H unused), g[k].x - sum log(S x), whose Hessian is per problem. Solves
-    one problem per row k of g (B, n) and h (B, m), with m >= 1; H, A, b,
-    G (m, n) and S are shared. Each problem has its own iterates,
+    Solves one problem per row k of g (B, n) and h (B, m), with m >= 1;
+    H, A, b and G (m, n) are shared. Each problem has its own iterates,
     convergence test and regularization retry, and leaves the batch once
     it is decided. The arithmetic is stacked only through
     operations that give each slice the bits of the one-problem call
     (``_mv``, ``_dot``, stacked ``np.linalg.solve``, ``np.float_power``),
     so a problem's result does not depend on the rest of its batch.
 
-    The objective decides the stop rule. A quadratic stops when the
-    primal residual over 1 + max(|b|, |h[k]|), and the dual residual and
-    mean complementarity z.s/m over 1 + max|g[k]| + max|H|, are all at
-    most tol. A log-volume problem stops when the same primal residual and
-    the dual residual over the gradient's largest entry are at most tol,
-    and the total gap z.s at most GAP_TOL. A problem leaves the loop
+    A problem stops when the primal residual over 1 + max(|b|, |h[k]|),
+    and the dual residual and mean complementarity z.s/m over
+    1 + max|g[k]| + max|H|, are all at most tol. It leaves the loop
     OPTIMAL when it converges, and undecided otherwise: its iterate
     diverged, its Newton matrix stayed singular, or it reached the cap.
-    ``_undecided`` gives an undecided LP or QP its status, so INFEASIBLE
-    and UNBOUNDED come only from there; a log-volume problem's is MAXITER.
-    No status comes from a threshold on the objective, so an unbounded
-    problem runs until it diverges or reaches the cap.
+    ``_undecided`` gives an undecided problem its status, so INFEASIBLE
+    and UNBOUNDED come only from there, never from a threshold on the
+    objective, and an unbounded problem runs until it diverges or
+    reaches the cap.
 
-    The start is the least-squares point of the equalities, or
-    ``start`` = (x, s = h - G x) strictly interior, with z = 1/s.
-    ``newton`` is the prebuilt step of a QP (``QpProblem`` keeps one),
-    which eliminates the variables S of its singleton or block split
-    (``_Newton``): one Schur complement on the other variables is formed
-    per iteration and serves the predictor and the corrector. Without it
-    (the log-volume problems) the step is the plain Newton matrix and
+    The start is the least-squares point of the equalities with unit
+    slacks and duals. ``newton`` is the prebuilt step of a QP
+    (``QpProblem`` keeps one), which eliminates the variables S of its
+    singleton or block split (``_Newton``): one Schur complement on the
+    other variables is formed per iteration and serves the predictor and
+    the corrector. Without it the step is the plain Newton matrix and
     solve.
 
     Each problem keeps x beside y and s beside z, one array per pair, so
     a Newton step is two updates and s and z take their step lengths in
-    one ``_max_step`` pass. The divergence test runs on the whole batch
-    first, and on each problem only when that fails, which does not change
-    an element's arithmetic.
+    one ``_max_step`` pass.
 
     The loop makes at most MAX_ITER convergence checks and takes a Newton
     step after each check but the last. Returns one (status, x,
@@ -446,20 +439,15 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
     scale_p = 1.0 + np.maximum(np.max(np.abs(b), initial=0.0),
                                np.max(np.abs(h), axis=1, initial=0.0))
     scale_d = (1.0 + np.max(np.abs(g), axis=1, initial=0.0)
-               + (np.max(np.abs(H)) if log_rows is None and H.size else 0.0))
+               + (np.max(np.abs(H)) if H.size else 0.0))
 
+    # Deterministic start: least-squares on the equalities, unit slacks.
     xy = np.zeros((nb, n + p))
     sz = np.empty((nb, 2, m))
-    if start is None:
-        # Deterministic start: least-squares on the equalities, unit slacks.
-        x0 = np.linalg.lstsq(A, b, rcond=None)[0] if p > 0 else np.zeros(n)
-        xy[:, :n] = x0
-        sz[:, 0] = np.maximum(h - G @ x0, 1.0)
-        sz[:, 1] = 1.0
-    else:
-        xy[:, :n] = start[0]
-        sz[:, 0] = start[1]
-        np.divide(1.0, start[1], out=sz[:, 1])
+    x0 = np.linalg.lstsq(A, b, rcond=None)[0] if p > 0 else np.zeros(n)
+    xy[:, :n] = x0
+    sz[:, 0] = np.maximum(h - G @ x0, 1.0)
+    sz[:, 1] = 1.0
 
     GT = G.T
     out = [None] * nb
@@ -467,55 +455,28 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
     best_kkt, best_x = np.zeros(nb), xy[:, :n]  # their best iterates so far
     stopped = []  # (problem, best kkt, best x, convergence checks) left undecided
     for it in range(1, MAX_ITER + 1):
-        x, s = xy[:, :n], sz[:, 0]
-        # The bounds on s also reject a non-finite s, and the one on z a NaN
-        # or +inf z; the step rule cannot make z -inf without a NaN. The
-        # whole batch is tested first, each problem only when that fails.
-        if not (np.isfinite(x).all()
-                and np.maximum.reduce(sz, axis=None, initial=-np.inf) < 1e100
-                and np.minimum.reduce(s, axis=None, initial=np.inf) > 1e-200):
-            # Diverged; such problems go to classification.
-            live = (np.isfinite(x).all(1) & (np.maximum.reduce(s, axis=1) < 1e100)
-                    & (np.minimum.reduce(s, axis=1) > 1e-200)
-                    & (np.maximum.reduce(sz[:, 1], axis=1) < 1e100))
+        x = xy[:, :n]
+        live = _live(x, sz)
+        if live is not None:  # the diverged go to classification
             stopped.extend(zip(idx[~live], best_kkt[~live], best_x[~live], repeat(it - 1)))
             idx, xy, sz, g, h, scale_p, scale_d, best_kkt, best_x = (
                 v[live] for v in (idx, xy, sz, g, h, scale_p, scale_d, best_kkt, best_x))
-            x, s = xy[:, :n], sz[:, 0]
+            x = xy[:, :n]
         if not idx.size:
             break
-        y, z = xy[:, n:], sz[:, 1]
-        if log_rows is None:
-            grad, hess = _mv(H, x) + g, H
-        else:
-            sx = np.maximum(_mv(log_rows, x), 1e-150)
-            grad = g - _mv(log_rows.T, 1.0 / sx)
-            hess = np.matmul(log_rows.T * (1.0 / (sx * sx))[:, None, :], log_rows)
-            scale_d = np.maximum.reduce(np.abs(grad), axis=1)
-        rd = grad + (_mv(A.T, y) if p else 0.0) + _mv(GT, z)
+        y, s, z = xy[:, n:], sz[:, 0], sz[:, 1]
+        rd = _mv(H, x) + g + (_mv(A.T, y) if p else 0.0) + _mv(GT, z)
         rp = (_mv(A, x) - b) if p else np.zeros((x.shape[0], 0))
         rg = _mv(G, x) + s - h
-        gap = _dot(z, s)
-        mu = gap / m
+        mu = _dot(z, s) / m
         res_p = np.maximum.reduce(np.abs(rg), axis=1)
         if p:
             res_p = np.maximum(np.maximum.reduce(np.abs(rp), axis=1), res_p)
         res_p = res_p / scale_p
         res_d = np.maximum.reduce(np.abs(rd), axis=1) / scale_d
-        res_g = mu / scale_d if log_rows is None else gap
-        kkt = np.maximum(np.maximum(res_p, res_d), res_g)
-        if it == 1:
-            best_kkt, best_x = kkt, x
-        else:
-            better = kkt < best_kkt
-            if better.all():
-                best_kkt, best_x = kkt, x
-            else:
-                best_kkt = np.where(better, kkt, best_kkt)
-                best_x = np.where(better[:, None], x, best_x)
-        # A NaN residual fails either rule.
-        converged = (kkt <= tol if log_rows is None
-                     else (np.maximum(res_p, res_d) <= tol) & (gap <= GAP_TOL))
+        kkt = np.maximum(np.maximum(res_p, res_d), mu / scale_d)
+        best_kkt, best_x = (kkt, x) if it == 1 else _best(kkt, x, best_kkt, best_x)
+        converged = kkt <= tol  # a NaN residual fails it
         if converged.any():
             for k in np.flatnonzero(converged):
                 out[idx[k]] = (Status.OPTIMAL, x[k], kkt[k], it)
@@ -526,8 +487,6 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
             idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt, best_x, rd, rp, rg, mu = (
                 v[keep] for v in (idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt,
                                   best_x, rd, rp, rg, mu))
-            if log_rows is not None:
-                hess = hess[keep]  # per problem
         if it == MAX_ITER:
             break  # no later check would read the step's iterate
 
@@ -540,25 +499,14 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
         rhs = np.concatenate([rhs_x, -rp], axis=1) if p else rhs_x
         reg = 1e-12 * scale_d
         try:
-            fac = newton.matrix(hess, G, d, reg)
+            fac = newton.matrix(H, G, d, reg)
             sol = newton.solve(fac, rhs)
         except np.linalg.LinAlgError:
-            # Problem by problem, the factors rebuilt after each failure.
-            sol, facs = np.empty_like(rhs), []
-            solved = np.zeros(idx.size, dtype=bool)
-            for k in range(idx.size):
-                one = slice(k, k + 1)
-                for _ in range(6):
-                    try:
-                        fac = newton.matrix(hess if log_rows is None else hess[one], G, d[one],
-                                            reg[one])
-                        sol[k] = newton.solve(fac, rhs[one])[0]
-                    except np.linalg.LinAlgError:
-                        reg[k] *= 100.0
-                    else:
-                        facs.append(fac)
-                        solved[k] = True
-                        break
+            def step(one):
+                fac = newton.matrix(H, G, d[one], reg[one])
+                return fac, newton.solve(fac, rhs[one])[0]
+
+            sol, fac, solved = _retried(rhs, reg, step)
             if not solved.all():
                 stopped.extend(zip(idx[~solved], best_kkt[~solved], best_x[~solved], repeat(it)))
                 idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt, best_x, rd, rp, rg, \
@@ -567,19 +515,13 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
                         rp, rg, mu, d, dgz, sol))
                 if not idx.size:
                     break
-            fac = tuple(np.concatenate(parts) for parts in zip(*facs))
         nrg = -rg
         dsz_a = np.empty_like(sz)
         ds_a = np.subtract(nrg, _mv(G, sol[:, :n]), out=dsz_a[:, 0])
         dz_a = np.subtract(-z, d * ds_a, out=dsz_a[:, 1])
 
-        aff = sz + _max_step(sz, dsz_a)[:, :, None] * dsz_a  # s and z after the steps
-        mu_aff = _dot(aff[:, 1], aff[:, 0]) / m
-        # sigma = (mu_aff / mu)^3, and 0 where mu = 0.
-        sigma_mu = (np.float_power(mu_aff / np.where(mu > 0.0, mu, np.inf), 3) * mu)[:, None]
-
         # Corrector.
-        corr = (sigma_mu - ds_a * dz_a) / s
+        corr = (_centring(sz, dsz_a, mu) - ds_a * dz_a) / s
         rhs_x = -(rd + _mv(GT, dgz + corr))
         rhs = np.concatenate([rhs_x, -rp], axis=1) if p else rhs_x
         sol = newton.solve(fac, rhs)
@@ -591,14 +533,67 @@ def _ipm(H, g, A, b, G, h, tol, newton=None, start=None, log_rows=None):
         xy = xy + alpha[:, None] * sol
         sz = sz + alpha[:, None, None] * dsz
 
-    # Not converged: an LP or QP takes an exact verdict (``_undecided``),
-    # never a guessed one; a log-volume problem is MAXITER.
+    # Not converged: an exact verdict (``_undecided``), never a guessed one.
     stopped.extend(zip(idx, best_kkt, best_x, repeat(MAX_ITER)))
     for i, kkt_i, x_i, checks in stopped:
-        status = Status.MAXITER if log_rows is not None else _undecided(
-            H, A, b, G, h_all[i], g_all[i])
+        status = _undecided(H, A, b, G, h_all[i], g_all[i])
         out[i] = (status, x_i if status == Status.MAXITER else None, kkt_i, checks)
     return out
+
+
+def _live(x, sz):
+    """None when every problem's iterate x, s, z (sz holding s and z)
+    passes the divergence test, else the mask of those that pass. The
+    bounds on s also reject a non-finite s, and the one on z a NaN or
+    +inf z; the step rules cannot make z -inf without a NaN. The whole
+    batch is tested first, each problem only when that fails, which does
+    not change an element's arithmetic."""
+    s = sz[:, 0]
+    if (np.isfinite(x).all() and np.maximum.reduce(sz, axis=None, initial=-np.inf) < 1e100
+            and np.minimum.reduce(s, axis=None, initial=np.inf) > 1e-200):
+        return None
+    return (np.isfinite(x).all(1) & (np.maximum.reduce(s, axis=1) < 1e100)
+            & (np.minimum.reduce(s, axis=1) > 1e-200)
+            & (np.maximum.reduce(sz[:, 1], axis=1) < 1e100))
+
+
+def _best(kkt, x, best_kkt, best_x):
+    """Each problem's residual and iterate, where the residual is below
+    its best so far, else that best."""
+    better = kkt < best_kkt
+    if better.all():
+        return kkt, x
+    return np.where(better, kkt, best_kkt), np.where(better[:, None], x, best_x)
+
+
+def _retried(rhs, reg, step):
+    """The Newton step of each row k of rhs alone, ``step(slice(k, k + 1))``
+    returning its factors (a tuple) and solution, tried up to six times,
+    the regularization reg[k] that ``step`` reads growing 100-fold after
+    each LinAlgError. Returns the solutions, the solved problems' factors
+    stacked, and the mask of the solved."""
+    sol, facs = np.empty_like(rhs), []
+    solved = np.zeros(len(rhs), dtype=bool)
+    for k in range(len(rhs)):
+        for _ in range(6):
+            try:
+                fac, sol[k] = step(slice(k, k + 1))
+            except np.linalg.LinAlgError:
+                reg[k] *= 100.0
+            else:
+                facs.append(fac)
+                solved[k] = True
+                break
+    return sol, tuple(np.concatenate(parts) for parts in zip(*facs)), solved
+
+
+def _centring(sz, dsz_a, mu):
+    """Mehrotra's centring term sigma mu per problem, a column: sigma =
+    (mu_aff / mu)^3, 0 where mu = 0, mu_aff being the mean
+    complementarity after the predictor's step dsz_a."""
+    aff = sz + _max_step(sz, dsz_a)[:, :, None] * dsz_a  # s and z after the steps
+    mu_aff = _dot(aff[:, 1], aff[:, 0]) / sz.shape[2]
+    return (np.float_power(mu_aff / np.where(mu > 0.0, mu, np.inf), 3) * mu)[:, None]
 
 
 def _undecided(H, A, b, G, h, g):
@@ -811,6 +806,134 @@ def coordinate_widths(W, d):
     return np.maximum(np.min(ratios, axis=-2, initial=np.inf), 0.0)
 
 
+def _log_volume_ipm(S, G, h, v, sl):
+    """Mehrotra predictor-corrector on min -sum log(S x) s.t. G x <= h[k],
+    from the strictly interior x = v[k] with slacks sl[k] = h[k] - G v[k]
+    and duals z = 1/s, for every row k of h (B, m); S (r, n), with
+    nonnegative entries, and G (m, n) are shared.
+
+    A problem stops when its primal residual over 1 + max|h[k]| and its
+    dual residual over the gradient's largest entry are at most FEAS_TOL
+    and the total gap z.s at most GAP_TOL. It leaves the loop OPTIMAL
+    when it converges, and otherwise MAXITER with its iterate of smallest
+    residual: its iterate diverged (``_live``), its Newton matrix stayed
+    singular through six regularizations (``_retried``), or it reached
+    the cap.
+
+    Each step goes a fraction max(0.995, 1 - z.s/m) of the way to the
+    boundary (Mehrotra, *SIAM J. Optim.* 2(4), 1992), held at or below
+    0.998: at 0.999 the last step left some active slacks below one
+    rounding step, and some CP boxes a rounding step outside their rows.
+
+    The Newton matrix G^T diag(z/s) G + S^T diag(1/(S x)^2) S is one
+    stacked product of the weights [z/s, 1/(S x)^2] with the rows'
+    outer products, which are formed once per loop, and serves the
+    predictor's and the corrector's solve. Every product is stacked
+    (``_mv``, ``_dot``, ``np.matmul``, ``np.linalg.solve``), so each
+    problem's result has the bits of its batch of one. Returns one
+    (status, x, kkt_residual, iterations) tuple per problem, iterations
+    being the convergence checks made on it, as ``_ipm`` counts them.
+    """
+    nb, n = v.shape
+    m = G.shape[0]
+    GT, ST = G.T, S.T
+    rows = np.vstack([G, S])
+    outer = (rows[:, :, None] * rows[:, None, :]).reshape(len(rows), n * n)
+    eye = np.eye(n)
+    scale_p = 1.0 + np.max(np.abs(h), axis=1, initial=0.0)
+    x = v
+    sz = np.empty((nb, 2, m))
+    sz[:, 0] = sl
+    np.divide(1.0, sl, out=sz[:, 1])
+
+    out = [None] * nb
+    idx = np.arange(nb)          # problems still iterating
+    best_kkt, best_x = np.zeros(nb), x  # their best iterates so far
+    stopped = []  # (problem, best kkt, best x, convergence checks) left undecided
+    for it in range(1, MAX_ITER + 1):
+        live = _live(x, sz)
+        if live is not None:
+            stopped.extend(zip(idx[~live], best_kkt[~live], best_x[~live], repeat(it - 1)))
+            idx, x, sz, h, scale_p, best_kkt, best_x = (
+                a[live] for a in (idx, x, sz, h, scale_p, best_kkt, best_x))
+        if not idx.size:
+            break
+        s, z = sz[:, 0], sz[:, 1]
+        sx = np.maximum(_mv(S, x), 1e-150)
+        inv = 1.0 / sx
+        grad = _mv(ST, inv)  # the objective's gradient is -grad
+        scale_d = np.maximum.reduce(grad, axis=1)
+        rd = _mv(GT, z) - grad
+        rg = _mv(G, x) + s - h
+        gap = _dot(z, s)
+        mu = gap / m
+        res = np.maximum(np.maximum.reduce(np.abs(rg), axis=1) / scale_p,
+                         np.maximum.reduce(np.abs(rd), axis=1) / scale_d)
+        kkt = np.maximum(res, gap)
+        best_kkt, best_x = (kkt, x) if it == 1 else _best(kkt, x, best_kkt, best_x)
+        converged = (res <= FEAS_TOL) & (gap <= GAP_TOL)  # a NaN residual fails it
+        if converged.any():
+            for k in np.flatnonzero(converged):
+                out[idx[k]] = (Status.OPTIMAL, x[k], kkt[k], it)
+            if converged.all():
+                idx = idx[:0]
+                break
+            keep = ~converged
+            idx, x, sz, s, z, h, scale_p, scale_d, best_kkt, best_x, rd, rg, mu, inv = (
+                a[keep] for a in (idx, x, sz, s, z, h, scale_p, scale_d, best_kkt, best_x, rd,
+                                  rg, mu, inv))
+        if it == MAX_ITER:
+            break  # no later check would read the step's iterate
+
+        d = z / s
+        dgz = d * rg - z  # both right-hand sides share it
+        M = np.matmul(np.concatenate([d, inv * inv], axis=1)[:, None, :], outer)
+        M = M.reshape(len(idx), n, n)
+        reg = 1e-12 * scale_d
+
+        # Affine scaling (predictor) direction; a singular Newton matrix is
+        # retried with a larger regularization, problem by problem.
+        rhs = -(rd + _mv(GT, dgz))
+        K = M + reg[:, None, None] * eye
+        try:
+            dx = np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            def step(one):
+                K = M[one] + reg[one, None, None] * eye
+                return (K,), np.linalg.solve(K, rhs[one, :, None])[0, :, 0]
+
+            dx, fac, solved = _retried(rhs, reg, step)
+            if not solved.all():
+                stopped.extend(zip(idx[~solved], best_kkt[~solved], best_x[~solved], repeat(it)))
+                idx, x, sz, s, z, h, scale_p, best_kkt, best_x, rd, rg, mu, d, dgz, dx = (
+                    a[solved] for a in (idx, x, sz, s, z, h, scale_p, best_kkt, best_x, rd,
+                                        rg, mu, d, dgz, dx))
+                if not idx.size:
+                    break
+            (K,) = fac
+        nrg = -rg
+        dsz_a = np.empty_like(sz)
+        ds_a = np.subtract(nrg, _mv(G, dx), out=dsz_a[:, 0])
+        dz_a = np.subtract(-z, d * ds_a, out=dsz_a[:, 1])
+
+        # Corrector.
+        corr = (_centring(sz, dsz_a, mu) - ds_a * dz_a) / s
+        dx = np.linalg.solve(K, -(rd + _mv(GT, dgz + corr))[:, :, None])[:, :, 0]
+        dsz = np.empty_like(sz)
+        ds = np.subtract(nrg, _mv(G, dx), out=dsz[:, 0])
+        np.subtract(corr - z, d * ds, out=dsz[:, 1])
+
+        alpha = (np.minimum(np.maximum(1.0 - mu, 0.995), 0.998)
+                 * np.minimum.reduce(_max_step(sz, dsz), axis=1))
+        x = x + alpha[:, None] * dx
+        sz = sz + alpha[:, None, None] * dsz
+
+    stopped.extend(zip(idx, best_kkt, best_x, repeat(MAX_ITER)))
+    for i, kkt_i, x_i, checks in stopped:
+        out[i] = (Status.MAXITER, x_i, kkt_i, checks)
+    return out
+
+
 def maximize_log_volume_batch(W, d, mode):
     """Maximize a log-volume objective over {v >= 0 : W v <= d[k]} for
     every row k of d (B, m); one report per row.
@@ -824,12 +947,13 @@ def maximize_log_volume_batch(W, d, mode):
     zero width and left out of the objective. In f1 mode a pair may survive
     with one side forced to zero (one-sided box); that side is fixed rather
     than treated as degenerate. A report has Unbounded status when some
-    width is infinite, and MaxIter when ``_ipm`` leaves it undecided: at
-    MAX_ITER iterations, or earlier when its iterate diverges or its
-    Newton matrix stays singular. Each problem is passed to ``_ipm`` as
-    the rows ``[W; -I] v <= [d; 0]`` with the objective
-    ``-sum log(S v)``, one row of S per log term, from a strictly
-    interior start. The point of an
+    width is infinite, and MaxIter when ``_log_volume_ipm`` leaves it
+    undecided: at MAX_ITER iterations, or earlier when its iterate diverges
+    or its Newton matrix stays singular. Each problem is passed to that
+    loop as the rows ``[W; -I] v <= [d; 0]`` with the objective
+    ``-sum log(S v)``, one row of S per log term, from a strictly interior
+    start; its steps go a fraction max(0.995, 1 - z.s/m), at most 0.998,
+    of the way to the boundary. The point of an
     Optimal report is the loop's last iterate, and of a MaxIter report
     its iterate with the smallest residual; either has every live
     variable positive. Problems with the same live variables (neither
@@ -894,8 +1018,7 @@ def maximize_log_volume_batch(W, d, mode):
         nv = v.shape[1]
         h = np.concatenate([da, np.zeros(v.shape)], axis=1)[inside]
         start = (v[inside], np.concatenate([sl, v], axis=1)[inside])
-        solved = _ipm(None, np.zeros((len(h), nv)), *_empty(nv), np.vstack([Wa, -np.eye(nv)]),
-                      h, FEAS_TOL, start=start, log_rows=S)
+        solved = _log_volume_ipm(S, np.vstack([Wa, -np.eye(nv)]), h, *start)
         for i, (status, x, kkt, iters) in zip(members[inside], solved):
             full = np.zeros(2 * k)
             full[mask] = x

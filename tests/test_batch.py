@@ -241,9 +241,10 @@ def test_log_volume_batch_member_matches_solo_solve(mode, seed, k, extra, raises
     # Every batch holds two live masks (interior and pinned), an
     # all-degenerate member, an unbounded one, one capped at MAX_ITER and
     # one whose first Newton matrix fails. When that solve raises, the
-    # member takes _ipm's regularization retry. When it comes out NaN,
-    # nothing retries: the NaN step makes the iterate non-finite, and the
-    # member leaves through _ipm's divergence filter with MaxIter.
+    # member takes _log_volume_ipm's regularization retry. When it comes
+    # out NaN, nothing retries: the NaN step makes the iterate non-finite,
+    # and the member leaves through _log_volume_ipm's divergence filter
+    # with MaxIter.
     rng = np.random.default_rng(seed)
     W = log_volume_rows(rng, k, extra)
     kinds = ["interior", "pinned", "degenerate", "unbounded", "interior"] + kinds
@@ -260,14 +261,14 @@ def test_log_volume_batch_member_matches_solo_solve(mode, seed, k, extra, raises
         maximize_log_volume_batch(W, D[ridged:ridged + 1], mode)
     singular = SingularAt(first.value.args[0], raises)
     loops = []
-    ipm = solver._ipm
+    ipm = solver._log_volume_ipm
     with mock.patch.object(np.linalg, "solve", singular):
         its = outcome(lambda: [maximize_log_volume_batch(W, [d], mode)[0].iterations for d in D])
         cap = max(its) - 1 if isinstance(its, list) else solver.MAX_ITER
         with mock.patch.object(solver, "MAX_ITER", cap):
             solo = outcome(lambda: [maximize_log_volume_batch(W, [d], mode)[0] for d in D])
             singular.hits = 0
-            with mock.patch.object(solver, "_ipm",
+            with mock.patch.object(solver, "_log_volume_ipm",
                                    lambda *a, **k: loops.append(1) or ipm(*a, **k)):
                 batch = outcome(lambda: maximize_log_volume_batch(W, D, mode))
     if isinstance(solo, RuntimeWarning):

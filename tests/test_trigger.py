@@ -463,7 +463,8 @@ class TestConstructBoxes:
         D = self.trigger_offsets(setup, [0.1, 0.1, -0.1, 0.1])
         for j in (3, 6):
             D[j - 1, 0] = -1e-3
-        for name in ("maximize_log_volume_batch", "_ipm", "coordinate_widths"):
+        for name in ("maximize_log_volume_batch", "_log_volume_ipm", "_ipm",
+                     "coordinate_widths"):
             monkeypatch.setattr(solver, name, None)
         with pytest.raises(trigger.TriggerError,
                            match=r"^j=3: origin outside principal row 0 by 1\.000e-03$") as err:
@@ -579,6 +580,22 @@ class TestConstructCp:
                   if box.lower.any() or box.upper.any()]
         assert len(slacks) > 100
         assert min(slacks) >= 0.0
+
+    def test_reference_runs_log_volume_passes(self, monkeypatch):
+        # The passes of the log-volume loop over the CP1 and CP2 reference
+        # runs at seed 1234: a loop makes as many as its slowest member's
+        # convergence checks. 433 with a fixed step fraction of 0.995; a
+        # change that brings passes back fails here on a count, not on
+        # noisy seconds.
+        loops, ipm = [], solver._log_volume_ipm
+        monkeypatch.setattr(solver, "_log_volume_ipm",
+                            lambda *a: loops.append(ipm(*a)) or loops[-1])
+        for method in (CP1, CP2):
+            run_closed_loop(batch_setup(), X0, method, DisturbanceModel("uniform", seed=1234),
+                            T=60)
+        assert len(loops) == 45
+        assert all(status == solver.Status.OPTIMAL for out in loops for status, *_ in out)
+        assert sum(max(checks for *_, checks in out) for out in loops) <= 413
 
     def test_iteration_cap_reported_and_box_accepted(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ITER", 5)
