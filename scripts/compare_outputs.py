@@ -39,6 +39,13 @@ checks determinism: in a checkout whose files are those of HEAD, both
 trees hold the same code, so every output must come out byte-identical
 from two runs. CI runs it so, with RuntimeWarnings raised as errors.
 
+    python3 scripts/compare_outputs.py --threads
+
+checks the README's cross-thread rule instead: it runs each run of
+``RUNS`` in this tree at one and at ``THREADS`` (2) OpenBLAS threads and
+prints each of their output files as identical or moved, as above.
+Exits 1 if any file moved, 2 if a run fails. CI runs it so.
+
     python3 scripts/compare_outputs.py BASE_REF --seeds 1234-1245
 
 also runs the five methods on the reference config for each seed of the
@@ -71,6 +78,7 @@ RUNS = ([("reference", m) for m in METHODS]
         + [("polytope_worst_case", m) for m in METHODS]
         + [("polytope_target", m) for m in ("periodic", "LP2")])
 FILES = ("trace.csv", "summary.json", "schedules.json", "plot_data.json")
+THREADS = 2  # the thread count of the README's cross-thread rule
 MAIN = "import sys; from etrmpc.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -81,9 +89,10 @@ def export(ref, dest):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def cli(tree, *args):
-    """The stdout of the command line ``args`` in ``tree``; exits 2 if it fails."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
+def cli(tree, *args, threads=1):
+    """The stdout of the command line ``args`` in ``tree`` at ``threads``
+    OpenBLAS threads; exits 2 if it fails."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable, "-c", MAIN, *map(str, args)],
                           cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -92,9 +101,9 @@ def cli(tree, *args):
     return proc.stdout
 
 
-def run(tree, config, method, out_dir, seed=SEED):
+def run(tree, config, method, out_dir, seed=SEED, threads=1):
     cli(tree, "run", "--config", config, "--method", method, "--seed", seed,
-        "--out-dir", out_dir)
+        "--out-dir", out_dir, threads=threads)
 
 
 def seed_range(text):
@@ -228,40 +237,71 @@ def seeds_table(tmp, base_ref, seeds):
     return moved
 
 
+def compare_run(name, method, a, b):
+    """Print each output file of the runs in the directories a and b as
+    identical or moved, with what moved, and whether the trigger times
+    and solves held if any file moved. Returns the number of files
+    moved."""
+    moved = 0
+    for f in FILES:
+        same = (a / f).read_bytes() == (b / f).read_bytes()
+        moved += not same
+        print(f"{name:20s} {method:9s} {f:15s} {'identical' if same else 'moved'}")
+        if not same and f == "trace.csv":
+            print("    first moved " + first_moved_row(a / f, b / f))
+        if not same and f == "schedules.json":
+            print(schedule_moves(a / f, b / f))
+    if moved:
+        print(triggers_held(a, b))
+    return moved
+
+
+def compare_threads(tmp):
+    """Run every run of ``RUNS`` in this tree at one and at ``THREADS``
+    OpenBLAS threads and compare their output files. Returns the exit
+    code: 1 if any file moved."""
+    moved = 0
+    for name, method in RUNS:
+        outs = [tmp / "out" / f"threads{t}" / name / method for t in (1, THREADS)]
+        for t, out in zip((1, THREADS), outs):
+            run(ROOT, tmp / f"{name}.json", method, out, threads=t)
+        moved += compare_run(name, method, *outs)
+    print(f"{moved} of {len(RUNS) * len(FILES)} output files moved at {THREADS} OpenBLAS "
+          "threads against 1")
+    return 1 if moved else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base_ref", help="commit, branch or tag to compare against")
+    parser.add_argument("base_ref", nargs="?", help="commit, branch or tag to compare against")
     parser.add_argument("--seeds", type=seed_range, metavar="A-B",
                         help="also compare the solves and trigger times of the reference "
                              "runs for each seed from A to B")
+    parser.add_argument("--threads", action="store_true",
+                        help=f"instead of BASE_REF, compare this tree's runs at {THREADS} "
+                             "OpenBLAS threads against one")
     args = parser.parse_args(argv)
+    if (args.base_ref is None) != args.threads:
+        parser.error("give either BASE_REF or --threads")
+    if args.threads and args.seeds:
+        parser.error("--seeds needs BASE_REF")
     base = workloads.load_base_config(ROOT / "configs" / "batch_reactor.json")
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         tmp = Path(tmp)
-        (tmp / "base").mkdir()
-        export(args.base_ref, tmp / "base")
         configs = build_configs(base)
         for name, data in configs.items():
             (tmp / f"{name}.json").write_text(json.dumps(data))
+        if args.threads:
+            return compare_threads(tmp)
+        (tmp / "base").mkdir()
+        export(args.base_ref, tmp / "base")
         moved = 0
         for name, method in RUNS:
             outs = {}
             for side, tree in (("base", tmp / "base"), ("this", ROOT)):
                 outs[side] = tmp / "out" / side / name / method
                 run(tree, tmp / f"{name}.json", method, outs[side])
-            run_moved = False
-            for f in FILES:
-                a, b = outs["base"] / f, outs["this"] / f
-                same = a.read_bytes() == b.read_bytes()
-                run_moved |= not same
-                moved += not same
-                print(f"{name:20s} {method:9s} {f:15s} {'identical' if same else 'moved'}")
-                if not same and f == "trace.csv":
-                    print("    first moved " + first_moved_row(a, b))
-                if not same and f == "schedules.json":
-                    print(schedule_moves(a, b))
-            if run_moved:
-                print(triggers_held(outs["base"], outs["this"]))
+            moved += compare_run(name, method, outs["base"], outs["this"])
         for name in configs:
             base_out, this_out = (cli(tree, "validate", "--config", tmp / f"{name}.json")
                                   for tree in (tmp / "base", ROOT))

@@ -1,17 +1,15 @@
 """Self-contained LP / convex-QP / log-concave maximization routines.
 
-Two Mehrotra-style primal-dual interior-point loops. ``_ipm`` solves
-LPs (H = 0) and convex QPs over ``A_eq x = b_eq, A_in x <= b_in``, with
-at least one inequality row. It solves a batch of problems that share H
-and all their rows in one pass, each with its own linear term and
-``b_in``. ``solve_qp`` is its one entry: the RMPC QP and the min-erosion
-LP, an LP being a ``QpProblem`` with H = 0. A ``QpProblem`` eliminates
-variables from each Newton step by a Schur complement, so only the rest
-is factorized: those that only one-entry inequality rows touch, with a
-diagonal Hessian block and no equality row (the RMPC QP's slacks), or
-else those that no equality row and no entry of H touch, in the blocks
-that the inequality rows join them into (the min-erosion LP's bound
-columns); the others take the plain Newton step.
+Two Mehrotra-style primal-dual interior-point loops. ``_ipm`` solves one
+LP (H = 0) or convex QP over ``A_eq x = b_eq, A_in x <= b_in``, with at
+least one inequality row. ``solve_qp`` is its one entry: the RMPC QP and
+the min-erosion LP, an LP being a ``QpProblem`` with H = 0. A
+``QpProblem`` eliminates variables from each Newton step by a Schur
+complement, so only the rest is factorized: those that only one-entry
+inequality rows touch, with a diagonal Hessian block and no equality row
+(the RMPC QP's slacks), or else those that no equality row and no entry
+of H touch, in the blocks that the inequality rows join them into (the
+min-erosion LP's bound columns); the others take the plain Newton step.
 ``maximize_log_volume_batch`` poses the hyper-rectangle volume
 objectives as ``-sum log(S v)`` over ``[W; -I] v <= [d; 0]``, and
 ``_log_volume_ipm`` solves them, one loop per set of live variables,
@@ -29,9 +27,11 @@ a ray). ``_ipm`` itself decides only OPTIMAL: an LP or QP that it
 leaves undecided is INFEASIBLE, UNBOUNDED or MAXITER by these two,
 never by a threshold, so an unbounded input runs until its iterate
 diverges or the loop reaches its cap.
-No external solver dependencies; every run with the same inputs is
-bit-identical (fixed step rules, no restarts), and a problem's result
-does not depend on the batch it is solved in.
+Batching belongs to ``_log_volume_ipm`` and ``simplex_batch`` alone:
+each solves a batch of problems in one pass, and a problem's result
+does not depend on the batch it is solved in. No external solver
+dependencies; every run with the same inputs is bit-identical (fixed
+step rules, no restarts).
 
 Project-wide tolerances, one stop rule per objective: an LP or QP stops
 when the scaled primal and dual residuals and the mean complementarity
@@ -44,6 +44,7 @@ is negative beyond its round-off bound. At most 200 iterations
 """
 
 import enum
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -111,7 +112,8 @@ class QpProblem:
 
 
 class SolveReport:
-    """Outcome of one solve. Immutable.
+    """Outcome of one problem: ``_ipm``'s one problem, or one problem of a
+    ``_log_volume_ipm`` or ``simplex_batch`` batch. Immutable.
 
     For an LP or QP, OPTIMAL means that the scaled primal residual,
     dual residual and mean complementarity z.s/m are each at most the
@@ -147,10 +149,12 @@ def _empty(n):
 
 
 def _mv(M, v):
-    """M @ v[k] (or M[k] @ v[k] for a stack M) for every row k of v. The
-    stacked matmul makes the BLAS call, and so gives the bits, of the
-    single product; one gemm would not. A batch of one makes that call
-    directly, without the stacking overhead."""
+    """M @ v[k] (or M[k] @ v[k] for a stack M) for every row k of v, for
+    the batch solvers (``_log_volume_ipm``, ``simplex_batch``) and the
+    array passes of the other modules. The stacked matmul makes the BLAS
+    call, and so gives the bits, of the single product; one gemm would
+    not. A batch of one makes that call directly, without the stacking
+    overhead."""
     if len(v) == 1:
         return ((M[0] if M.ndim == 3 else M) @ v[0])[None]
     return np.matmul(M, v[:, :, None])[:, :, 0]
@@ -158,25 +162,24 @@ def _mv(M, v):
 
 def _dot(u, v):
     """u[k] @ v[k] for every row k, with the bits of the single dot (for a
-    batch of one, (1, n) @ (n,) is that dot)."""
+    batch of one, (1, n) @ (n,) is that dot), as ``_mv``."""
     if len(u) == 1:
         return u @ v[0]
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def _kkt_matrices(M, A, reg, eyes):
-    """[[M + reg I, A^T], [A, -reg I]] per problem; M (B, n, n), reg (B,),
-    and ``eyes`` the identities of n and of A's rows."""
-    n, p = M.shape[-1], A.shape[0]
-    r = reg[:, None, None]
-    top = M + r * eyes[0]
+def _kkt_matrix(M, A, reg, eyes):
+    """[[M + reg I, A^T], [A, -reg I]], ``eyes`` being the identities of
+    M's size and of A's rows."""
+    n, p = M.shape[0], A.shape[0]
+    top = M + reg * eyes[0]
     if not p:
         return top
-    K = np.empty((M.shape[0], n + p, n + p))
-    K[:, :n, :n] = top
-    K[:, :n, n:] = A.T
-    K[:, n:, :n] = A
-    K[:, n:, n:] = -r * eyes[1]
+    K = np.empty((n + p, n + p))
+    K[:n, :n] = top
+    K[:n, n:] = A.T
+    K[n:, :n] = A
+    K[n:, n:] = -reg * eyes[1]
     return K
 
 
@@ -233,7 +236,8 @@ def _members(label, blocks):
 
 
 class _Newton:
-    """Newton step on H + G^T diag(d) G + reg I, with the equality rows A.
+    """Newton step on H + G^T diag(d) G + reg I, with the equality rows A,
+    of ``_ipm``'s one problem.
 
     Built with a QP's H and rows G (``QpProblem`` does, once), it
     eliminates a set S of variables by the Schur complement on the rest,
@@ -251,12 +255,11 @@ class _Newton:
       Schur term.
 
     Built without G (an ``_ipm`` call without a ``QpProblem``), or with
-    S empty, it is the plain Newton matrix and solve over the shared
-    Hessian and rows that ``matrix`` is given.
+    S empty, it is the plain Newton matrix and solve over the Hessian and
+    rows that ``matrix`` is given.
 
-    ``matrix`` returns the factors of a step, a tuple of arrays with one
-    entry per problem along their first axis, the matrix to solve with
-    first; ``solve`` takes them.
+    ``matrix`` returns the factors of a step, a tuple with the matrix to
+    solve with first; ``solve`` takes them.
     """
 
     def __init__(self, H, A, G=None):
@@ -283,7 +286,6 @@ class _Newton:
         self.H_SS = np.diagonal(H)[self.S]
         self.H_US = H[np.ix_(self.U, self.S)]
         self.H_SU = H[np.ix_(self.S, self.U)]
-        self._bins = {}  # per batch size: each problem's S rows in bincount's bins
 
     def _split(self, H, A, eliminated):
         self.S, self.U = np.flatnonzero(eliminated), np.flatnonzero(~eliminated)
@@ -313,73 +315,61 @@ class _Newton:
         self._order = np.concatenate([g[0].ravel() for g in groups])  # S, block by block
 
     def matrix(self, H, G, d, reg):
-        """The factors of the step, per row of d (B, m) and reg (B,): the
-        matrix to solve with, then for the singleton split the inverse of
-        the S block's diagonal (B, |S|), and for the block split T = the S
-        block's inverse times M_SU (B, |S|, |U|) and each block size's
-        inverses. The plain step multiplies out H and G, the shared
-        Hessian and rows; an eliminated step uses the blocks of H and the
-        rows it gathered when built."""
-        nb, ns = d.shape[0], self.S.size
-        if not ns:
-            M = H + np.matmul(G.T, d[:, :, None] * G)
-            return (_kkt_matrices(M, self.A, reg, self._eyes),)
+        """The factors of the step for the weights d (m,) and the ridge
+        reg: the matrix to solve with, then for the singleton split the
+        inverse of the S block's diagonal (|S|,), and for the block split
+        T = the S block's inverse times M_SU (|S|, |U|) and each block
+        size's inverses. The plain step multiplies out H and G; an
+        eliminated step uses the blocks of H and the rows it gathered when
+        built."""
+        if not self.S.size:
+            return (_kkt_matrix(H + G.T @ (d[:, None] * G), self.A, reg, self._eyes),)
         if self._groups:
             return self._block_matrix(d, reg)
-        # bincount sums each problem's rows in order, whatever the batch.
-        bins = self._bins.get(nb)
-        if bins is None:
-            bins = self._bins[nb] = (np.arange(nb)[:, None] * ns + self.c1).ravel()
-        diag = np.bincount(bins, weights=(d.take(self.r1, axis=1) * self.a2).ravel(),
-                           minlength=nb * ns).reshape(nb, ns)
-        inv = 1.0 / (self.H_SS + diag + reg[:, None])
-        M = (self.H_UU + np.matmul(self.G_U.T, d.take(self.r2, axis=1)[:, :, None] * self.G_U)
-             - np.matmul(self.H_US * inv[:, None, :], self.H_SU))
-        return _kkt_matrices(M, self.A_U, reg, self._eyes), inv
+        diag = np.bincount(self.c1, weights=d[self.r1] * self.a2, minlength=self.S.size)
+        inv = 1.0 / (self.H_SS + diag + reg)
+        M = (self.H_UU + self.G_U.T @ (d[self.r2][:, None] * self.G_U)
+             - (self.H_US * inv) @ self.H_SU)
+        return _kkt_matrix(M, self.A_U, reg, self._eyes), inv
 
     def _block_matrix(self, d, reg):
-        nb, nu = d.shape[0], self.U.size
-        M = self.H_UU + np.matmul(self.G_U.T, d[:, :, None] * self.G_U)
+        nu = self.U.size
+        M = self.H_UU + self.G_U.T @ (d[:, None] * self.G_U)
         invs, couplings, terms = [], [], []
         for _, rows, G_S, G_U, eye in self._groups:
-            DG_S = d[:, rows, None] * G_S
-            inv = np.linalg.inv(np.matmul(G_S.swapaxes(1, 2), DG_S)
-                                + reg[:, None, None, None] * eye)
-            M_SU = np.matmul(DG_S.swapaxes(2, 3), G_U)
+            DG_S = d[rows, None] * G_S
+            inv = np.linalg.inv(G_S.swapaxes(1, 2) @ DG_S + reg * eye)
+            M_SU = DG_S.swapaxes(1, 2) @ G_U
             invs.append(inv)
-            couplings.append(M_SU.reshape(nb, -1, nu))
-            terms.append(np.matmul(inv, M_SU).reshape(nb, -1, nu))
-        T = np.concatenate(terms, axis=1)  # rows in the blocks' order, ``_order``
-        M -= np.matmul(np.concatenate(couplings, axis=1).swapaxes(1, 2), T)
-        return (_kkt_matrices(M, self.A_U, reg, self._eyes), T, *invs)
+            couplings.append(M_SU.reshape(-1, nu))
+            terms.append((inv @ M_SU).reshape(-1, nu))
+        T = np.concatenate(terms)  # rows in the blocks' order, ``_order``
+        M -= np.concatenate(couplings).T @ T
+        return (_kkt_matrix(M, self.A_U, reg, self._eyes), T, *invs)
 
     def solve(self, fac, rhs):
-        """The step for every row of rhs (B, n + p), from ``matrix``'s
+        """The step for the right-hand side rhs (n + p,), from ``matrix``'s
         factors."""
         K = fac[0]
         if not self.S.size:
-            return np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
+            return np.linalg.solve(K, rhs)
         (S, U), n, nu = self._at, self.n, self.U.size
         if self._groups:
             T, S = fac[1], self._order
-            # take's copies are C-ordered, whatever the batch, as the
-            # stacked products need for the bits of a batch of one.
-            v = np.concatenate([np.matmul(inv, rhs.take(cols, axis=1)[..., None])[..., 0]
-                                .reshape(len(rhs), -1)
-                                for (cols, *_), inv in zip(self._groups, fac[2:])], axis=1)
-            reduced = rhs[:, U] - np.matmul(rhs.take(S, axis=1)[:, None], T)[:, 0]  # T^T r_S
+            v = np.concatenate([(inv @ rhs.take(cols)[..., None]).ravel()
+                                for (cols, *_), inv in zip(self._groups, fac[2:])])
+            reduced = rhs[U] - (rhs.take(S)[None] @ T)[0]  # T^T r_S
         else:
             inv = fac[1]
-            v = inv * rhs[:, S]
-            reduced = rhs[:, U] - _mv(self.H_US, v)
+            v = inv * rhs[S]
+            reduced = rhs[U] - self.H_US @ v
         if self.A.shape[0]:
-            reduced = np.concatenate([reduced, rhs[:, n:]], axis=1)
-        sol = np.linalg.solve(K, reduced[:, :, None])[:, :, 0]
+            reduced = np.concatenate([reduced, rhs[n:]])
+        sol = np.linalg.solve(K, reduced)
         out = np.empty_like(rhs)
-        out[:, U] = sol[:, :nu]
-        out[:, S] = v - (_mv(T, sol[:, :nu]) if self._groups
-                         else inv * _mv(self.H_SU, sol[:, :nu]))
-        out[:, n:] = sol[:, nu:]
+        out[U] = sol[:nu]
+        out[S] = v - (T @ sol[:nu] if self._groups else inv * (self.H_SU @ sol[:nu]))
+        out[n:] = sol[nu:]
         return out
 
 
@@ -392,26 +382,20 @@ def _as_slice(ix):
 
 
 def _ipm(H, g, A, b, G, h, tol, newton=None):
-    """Mehrotra predictor-corrector on min 0.5 x.H x + g[k].x, Ax=b,
-    G x<=h[k].
+    """Mehrotra predictor-corrector on min 0.5 x.H x + g.x, Ax=b, G x<=h,
+    one problem: g (n,), h (m,) with m >= 1, G (m, n).
 
-    Solves one problem per row k of g (B, n) and h (B, m), with m >= 1;
-    H, A, b and G (m, n) are shared. Each problem has its own iterates,
-    convergence test and regularization retry, and leaves the batch once
-    it is decided. The arithmetic is stacked only through
-    operations that give each slice the bits of the one-problem call
-    (``_mv``, ``_dot``, stacked ``np.linalg.solve``, ``np.float_power``),
-    so a problem's result does not depend on the rest of its batch.
-
-    A problem stops when the primal residual over 1 + max(|b|, |h[k]|),
-    and the dual residual and mean complementarity z.s/m over
-    1 + max|g[k]| + max|H|, are all at most tol. It leaves the loop
-    OPTIMAL when it converges, and undecided otherwise: its iterate
-    diverged, its Newton matrix stayed singular, or it reached the cap.
-    ``_undecided`` gives an undecided problem its status, so INFEASIBLE
-    and UNBOUNDED come only from there, never from a threshold on the
-    objective, and an unbounded problem runs until it diverges or
-    reaches the cap.
+    It stops when the primal residual over 1 + max(|b|, |h|), and the
+    dual residual and mean complementarity z.s/m over 1 + max|g| +
+    max|H|, are all at most tol. It leaves the loop OPTIMAL when it
+    converges, and undecided otherwise: its iterate diverged
+    (``_bounded_iterate``), its Newton matrix stayed singular through six
+    regularizations, each 100 times the last (``_retried``), or it
+    reached the cap. ``_undecided`` gives an undecided
+    problem its status, so INFEASIBLE and UNBOUNDED come only from there,
+    never from a threshold on the objective, and an unbounded problem
+    runs until it diverges or reaches the cap; a MAXITER problem keeps
+    its iterate of smallest residual.
 
     The start is the least-squares point of the equalities with unit
     slacks and duals. ``newton`` is the prebuilt step of a QP
@@ -421,72 +405,50 @@ def _ipm(H, g, A, b, G, h, tol, newton=None):
     the corrector. Without it the step is the plain Newton matrix and
     solve.
 
-    Each problem keeps x beside y and s beside z, one array per pair, so
+    The iterate keeps x beside y and s beside z, one array per pair, so
     a Newton step is two updates and s and z take their step lengths in
     one ``_max_step`` pass.
 
     The loop makes at most MAX_ITER convergence checks and takes a Newton
-    step after each check but the last. Returns one (status, x,
-    kkt_residual, iterations) tuple per problem, iterations being the
-    checks made on it.
+    step after each check but the last. Returns (status, x, kkt_residual,
+    iterations), iterations being the checks made.
     """
-    nb, n = g.shape
-    p, m = A.shape[0], G.shape[0]
-    g_all, h_all = g, h
+    n, p, m = len(g), A.shape[0], G.shape[0]
     if newton is None:
         newton = _Newton(H, A)
 
-    scale_p = 1.0 + np.maximum(np.max(np.abs(b), initial=0.0),
-                               np.max(np.abs(h), axis=1, initial=0.0))
-    scale_d = (1.0 + np.max(np.abs(g), axis=1, initial=0.0)
-               + (np.max(np.abs(H)) if H.size else 0.0))
+    scale_p = 1.0 + max(np.max(np.abs(b), initial=0.0), np.max(np.abs(h), initial=0.0))
+    scale_d = 1.0 + np.max(np.abs(g), initial=0.0) + (np.max(np.abs(H)) if H.size else 0.0)
 
     # Deterministic start: least-squares on the equalities, unit slacks.
-    xy = np.zeros((nb, n + p))
-    sz = np.empty((nb, 2, m))
+    xy = np.zeros(n + p)
+    sz = np.empty((2, m))
     x0 = np.linalg.lstsq(A, b, rcond=None)[0] if p > 0 else np.zeros(n)
-    xy[:, :n] = x0
-    sz[:, 0] = np.maximum(h - G @ x0, 1.0)
-    sz[:, 1] = 1.0
+    xy[:n] = x0
+    sz[0] = np.maximum(h - G @ x0, 1.0)
+    sz[1] = 1.0
 
     GT = G.T
-    out = [None] * nb
-    idx = np.arange(nb)          # problems still iterating
-    best_kkt, best_x = np.zeros(nb), xy[:, :n]  # their best iterates so far
-    stopped = []  # (problem, best kkt, best x, convergence checks) left undecided
+    best_kkt, best_x = 0.0, xy[:n]  # the best iterate so far
+    checks = MAX_ITER
     for it in range(1, MAX_ITER + 1):
-        x = xy[:, :n]
-        live = _live(x, sz)
-        if live is not None:  # the diverged go to classification
-            stopped.extend(zip(idx[~live], best_kkt[~live], best_x[~live], repeat(it - 1)))
-            idx, xy, sz, g, h, scale_p, scale_d, best_kkt, best_x = (
-                v[live] for v in (idx, xy, sz, g, h, scale_p, scale_d, best_kkt, best_x))
-            x = xy[:, :n]
-        if not idx.size:
+        x, y, s, z = xy[:n], xy[n:], sz[0], sz[1]
+        if not _bounded_iterate(x, sz):
+            checks = it - 1  # diverged: to classification
             break
-        y, s, z = xy[:, n:], sz[:, 0], sz[:, 1]
-        rd = _mv(H, x) + g + (_mv(A.T, y) if p else 0.0) + _mv(GT, z)
-        rp = (_mv(A, x) - b) if p else np.zeros((x.shape[0], 0))
-        rg = _mv(G, x) + s - h
-        mu = _dot(z, s) / m
-        res_p = np.maximum.reduce(np.abs(rg), axis=1)
+        rd = H @ x + g + (A.T @ y if p else 0.0) + GT @ z
+        rp = A @ x - b
+        rg = G @ x + s - h
+        mu = (z[None] @ s)[0] / m  # a (1, m) @ (m,) product: z @ s may round otherwise
+        res_p = np.maximum.reduce(np.abs(rg))
         if p:
-            res_p = np.maximum(np.maximum.reduce(np.abs(rp), axis=1), res_p)
-        res_p = res_p / scale_p
-        res_d = np.maximum.reduce(np.abs(rd), axis=1) / scale_d
-        kkt = np.maximum(np.maximum(res_p, res_d), mu / scale_d)
-        best_kkt, best_x = (kkt, x) if it == 1 else _best(kkt, x, best_kkt, best_x)
-        converged = kkt <= tol  # a NaN residual fails it
-        if converged.any():
-            for k in np.flatnonzero(converged):
-                out[idx[k]] = (Status.OPTIMAL, x[k], kkt[k], it)
-            if converged.all():
-                idx = idx[:0]  # none left for classification
-                break
-            keep = ~converged
-            idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt, best_x, rd, rp, rg, mu = (
-                v[keep] for v in (idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt,
-                                  best_x, rd, rp, rg, mu))
+            res_p = np.maximum(np.maximum.reduce(np.abs(rp)), res_p)
+        kkt = np.maximum(np.maximum(res_p / scale_p, np.maximum.reduce(np.abs(rd)) / scale_d),
+                         mu / scale_d)
+        if it == 1 or kkt < best_kkt:  # ``_best``, without its array calls on scalars
+            best_kkt, best_x = kkt, x
+        if kkt <= tol:  # a NaN residual fails it
+            return Status.OPTIMAL, x, kkt, it
         if it == MAX_ITER:
             break  # no later check would read the step's iterate
 
@@ -494,67 +456,67 @@ def _ipm(H, g, A, b, G, h, tol, newton=None):
         dgz = d * rg - z  # both right-hand sides share it
 
         # Affine scaling (predictor) direction; a singular Newton matrix is
-        # retried with a larger regularization, problem by problem.
-        rhs_x = -(rd + _mv(GT, dgz))
-        rhs = np.concatenate([rhs_x, -rp], axis=1) if p else rhs_x
-        reg = 1e-12 * scale_d
-        try:
+        # retried with a larger regularization.
+        rhs = -(rd + GT @ dgz)
+        if p:
+            rhs = np.concatenate([rhs, -rp])
+        def step(reg):
             fac = newton.matrix(H, G, d, reg)
-            sol = newton.solve(fac, rhs)
-        except np.linalg.LinAlgError:
-            def step(one):
-                fac = newton.matrix(H, G, d[one], reg[one])
-                return fac, newton.solve(fac, rhs[one])[0]
+            return fac, newton.solve(fac, rhs)
 
-            sol, fac, solved = _retried(rhs, reg, step)
-            if not solved.all():
-                stopped.extend(zip(idx[~solved], best_kkt[~solved], best_x[~solved], repeat(it)))
-                idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt, best_x, rd, rp, rg, \
-                    mu, d, dgz, sol = (v[solved] for v in (
-                        idx, xy, sz, s, z, g, h, scale_p, scale_d, best_kkt, best_x, rd,
-                        rp, rg, mu, d, dgz, sol))
-                if not idx.size:
-                    break
+        solved = _retried(step, 1e-12 * scale_d)
+        if solved is None:
+            checks = it  # stayed singular: to classification
+            break
+        fac, sol = solved
         nrg = -rg
         dsz_a = np.empty_like(sz)
-        ds_a = np.subtract(nrg, _mv(G, sol[:, :n]), out=dsz_a[:, 0])
-        dz_a = np.subtract(-z, d * ds_a, out=dsz_a[:, 1])
+        ds_a = np.subtract(nrg, G @ sol[:n], out=dsz_a[0])
+        dz_a = np.subtract(-z, d * ds_a, out=dsz_a[1])
 
-        # Corrector.
-        corr = (_centring(sz, dsz_a, mu) - ds_a * dz_a) / s
-        rhs_x = -(rd + _mv(GT, dgz + corr))
-        rhs = np.concatenate([rhs_x, -rp], axis=1) if p else rhs_x
+        # Corrector, with Mehrotra's centring term sigma mu as ``_centring``
+        # forms it, written for scalars: its ``np.where`` alone would cost
+        # more than the rest of the term.
+        aff = sz + _max_step(sz, dsz_a)[:, None] * dsz_a
+        mu_aff = (aff[1][None] @ aff[0])[0] / m
+        sigma_mu = np.float_power(mu_aff / (mu if mu > 0.0 else np.inf), 3) * mu
+        corr = (sigma_mu - ds_a * dz_a) / s
+        rhs = -(rd + GT @ (dgz + corr))
+        if p:
+            rhs = np.concatenate([rhs, -rp])
         sol = newton.solve(fac, rhs)
         dsz = np.empty_like(sz)
-        ds = np.subtract(nrg, _mv(G, sol[:, :n]), out=dsz[:, 0])
-        np.subtract(corr - z, d * ds, out=dsz[:, 1])
+        ds = np.subtract(nrg, G @ sol[:n], out=dsz[0])
+        np.subtract(corr - z, d * ds, out=dsz[1])
 
-        alpha = 0.995 * np.minimum.reduce(_max_step(sz, dsz), axis=1)
-        xy = xy + alpha[:, None] * sol
-        sz = sz + alpha[:, None, None] * dsz
+        alpha = 0.995 * np.minimum.reduce(_max_step(sz, dsz))
+        xy = xy + alpha * sol
+        sz = sz + alpha * dsz
 
     # Not converged: an exact verdict (``_undecided``), never a guessed one.
-    stopped.extend(zip(idx, best_kkt, best_x, repeat(MAX_ITER)))
-    for i, kkt_i, x_i, checks in stopped:
-        status = _undecided(H, A, b, G, h_all[i], g_all[i])
-        out[i] = (status, x_i if status == Status.MAXITER else None, kkt_i, checks)
-    return out
+    status = _undecided(H, A, b, G, h, g)
+    return status, best_x if status == Status.MAXITER else None, best_kkt, checks
+
+
+def _bounded_iterate(x, sz):
+    """Whether the iterate x, s, z of one problem, or of every problem of
+    a batch, passes the divergence test: x finite, s and z below 1e100
+    and s above 1e-200, sz holding s and z on its second-to-last axis.
+    The bounds on s also reject a non-finite s, and the one on z a NaN or
+    +inf z; the step rules cannot make z -inf without a NaN. Both
+    interior-point loops leave the loop on a failed test."""
+    return bool(np.isfinite(x).all()
+                and np.maximum.reduce(sz, axis=None, initial=-np.inf) < 1e100
+                and np.minimum.reduce(sz[..., 0, :], axis=None, initial=np.inf) > 1e-200)
 
 
 def _live(x, sz):
-    """None when every problem's iterate x, s, z (sz holding s and z)
-    passes the divergence test, else the mask of those that pass. The
-    bounds on s also reject a non-finite s, and the one on z a NaN or
-    +inf z; the step rules cannot make z -inf without a NaN. The whole
-    batch is tested first, each problem only when that fails, which does
-    not change an element's arithmetic."""
-    s = sz[:, 0]
-    if (np.isfinite(x).all() and np.maximum.reduce(sz, axis=None, initial=-np.inf) < 1e100
-            and np.minimum.reduce(s, axis=None, initial=np.inf) > 1e-200):
+    """None when every problem of the batch x (B, n), sz (B, 2, m) passes
+    ``_bounded_iterate``, else the mask of those that pass. The whole batch is
+    tested first, each problem only when that fails."""
+    if _bounded_iterate(x, sz):
         return None
-    return (np.isfinite(x).all(1) & (np.maximum.reduce(s, axis=1) < 1e100)
-            & (np.minimum.reduce(s, axis=1) > 1e-200)
-            & (np.maximum.reduce(sz[:, 1], axis=1) < 1e100))
+    return np.array([_bounded_iterate(x_k, sz_k) for x_k, sz_k in zip(x, sz)], dtype=bool)
 
 
 def _best(kkt, x, best_kkt, best_x):
@@ -566,25 +528,16 @@ def _best(kkt, x, best_kkt, best_x):
     return np.where(better, kkt, best_kkt), np.where(better[:, None], x, best_x)
 
 
-def _retried(rhs, reg, step):
-    """The Newton step of each row k of rhs alone, ``step(slice(k, k + 1))``
-    returning its factors (a tuple) and solution, tried up to six times,
-    the regularization reg[k] that ``step`` reads growing 100-fold after
-    each LinAlgError. Returns the solutions, the solved problems' factors
-    stacked, and the mask of the solved."""
-    sol, facs = np.empty_like(rhs), []
-    solved = np.zeros(len(rhs), dtype=bool)
-    for k in range(len(rhs)):
-        for _ in range(6):
-            try:
-                fac, sol[k] = step(slice(k, k + 1))
-            except np.linalg.LinAlgError:
-                reg[k] *= 100.0
-            else:
-                facs.append(fac)
-                solved[k] = True
-                break
-    return sol, tuple(np.concatenate(parts) for parts in zip(*facs)), solved
+def _retried(step, reg):
+    """``step(reg)``, the factors and solution of one problem's Newton
+    step at the regularization reg, tried up to six times, reg growing
+    100-fold after each LinAlgError; None when every try failed."""
+    for _ in range(6):
+        try:
+            return step(reg)
+        except np.linalg.LinAlgError:
+            reg *= 100.0
+    return None
 
 
 def _centring(sz, dsz_a, mu):
@@ -635,8 +588,7 @@ def solve_qp(p, g, b_in):
         raise ValueError("linear term or row offsets have inconsistent dimensions")
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(b_in))):
         raise ValueError("linear term and row offsets must be finite")
-    st, x, kkt, it = _ipm(p.H, g[None], p.A_eq, p.b_eq, p.A_in, b_in[None], QP_TOL,
-                          newton=p._newton)[0]
+    st, x, kkt, it = _ipm(p.H, g, p.A_eq, p.b_eq, p.A_in, b_in, QP_TOL, newton=p._newton)
     obj = float(0.5 * x @ p.H @ x + g @ x) if x is not None and st == Status.OPTIMAL else None
     return SolveReport(st, x, obj, kkt, it)
 
@@ -898,19 +850,21 @@ def _log_volume_ipm(S, G, h, v, sl):
         try:
             dx = np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            def step(one):
-                K = M[one] + reg[one, None, None] * eye
-                return (K,), np.linalg.solve(K, rhs[one, :, None])[0, :, 0]
+            def step(k, reg):
+                K = M[k:k + 1] + reg * eye
+                return K, np.linalg.solve(K, rhs[k:k + 1, :, None])[0, :, 0]
 
-            dx, fac, solved = _retried(rhs, reg, step)
+            steps = [_retried(partial(step, k), reg[k]) for k in range(len(idx))]
+            solved = np.array([one is not None for one in steps], dtype=bool)
             if not solved.all():
                 stopped.extend(zip(idx[~solved], best_kkt[~solved], best_x[~solved], repeat(it)))
-                idx, x, sz, s, z, h, scale_p, best_kkt, best_x, rd, rg, mu, d, dgz, dx = (
+                idx, x, sz, s, z, h, scale_p, best_kkt, best_x, rd, rg, mu, d, dgz = (
                     a[solved] for a in (idx, x, sz, s, z, h, scale_p, best_kkt, best_x, rd,
-                                        rg, mu, d, dgz, dx))
+                                        rg, mu, d, dgz))
                 if not idx.size:
                     break
-            (K,) = fac
+            K = np.concatenate([one[0] for one in steps if one is not None])
+            dx = np.array([one[1] for one in steps if one is not None])
         nrg = -rg
         dsz_a = np.empty_like(sz)
         ds_a = np.subtract(nrg, _mv(G, dx), out=dsz_a[:, 0])

@@ -263,7 +263,10 @@ def _coords(mask):
 
 def _cp_boxes(W, D, k, method):
     """The boxes of one batched log-volume solve, up to the first failed
-    report: (lower, upper, degenerate, failure), as ``_lp2_boxes``."""
+    report: (lower, upper, degenerate, failure), as ``_lp2_boxes``. The
+    loop's iterate is interior up to rounding, so each box goes through
+    ``_fit_into_rows``, as LP1's and LP2's do; the degenerate
+    coordinates are the reports' zero widths."""
     q = 1 if method == CP1 else 2
     mode = solver.MODE_SUM_LOG_WIDTH if q == 1 else solver.MODE_SUM_LOG_BOTH
     reports = solver.maximize_log_volume_batch(W, D, mode)
@@ -282,7 +285,7 @@ def _cp_boxes(W, D, k, method):
     X = np.array([rep.x for rep in reports[:n]]).reshape(n, 2 * k)
     vbar, vund = X[:, :k], X[:, k:]
     zero = (vbar + vund == 0) if q == 1 else (vbar == 0) | (vund == 0)
-    return -vund, vbar, _coords(zero), error
+    return (*_fit_into_rows(W, D[:n], -vund, vbar), _coords(zero), error)
 
 
 def _lp1_boxes(G, W, D, k):
@@ -382,11 +385,14 @@ def _fit_into_rows(W, D, lower, upper):
     principal row d_i holds.
 
     No-op for certified boxes; LP1's centred box may stick out by the
-    centring solve's stop tolerance, and any uniformly shrunk copy is
-    still a valid (more conservative) trigger set.
+    centring solve's stop tolerance, and a CP box by a rounding step of
+    the log-volume loop, and any uniformly shrunk copy is still a valid
+    (more conservative) trigger set.
     """
     prof = solver._mv(W, np.hstack([upper, -lower]))
     out = prof > D
+    if not out.any():
+        return lower, upper
     theta = np.min(np.divide(D, prof, out=np.full(D.shape, np.inf), where=out), axis=1,
                    initial=np.inf)
     theta = np.where(1.0 < theta, 1.0, theta)

@@ -1,4 +1,4 @@
-"""Property tests: a batched LP, simplex or log-volume solve gives every
+"""Property tests: a batched simplex or log-volume solve gives every
 member the bits it gets alone."""
 
 from unittest import mock
@@ -12,50 +12,7 @@ st = hypothesis.strategies
 from etrmpc import solver  # noqa: E402
 from etrmpc.solver import Status, maximize_log_volume_batch  # noqa: E402
 
-from test_solver import ipm_lps, same_report  # noqa: E402
-
-
-def shared_rows(rng, n, m):
-    """Random rows, a box on every coordinate but the last, and a lower
-    bound on x_last.
-
-    The random rows never bound x_last from above, so e_last is a
-    recession direction: an objective rising along it is unbounded.
-    """
-    R = rng.normal(size=(m, n))
-    R[:, -1] = -np.abs(R[:, -1])
-    eye = np.eye(n)
-    return np.vstack([R, eye[:-1], -eye])
-
-
-def member(rng, A, kind):
-    """Objective and offsets of one bounded, infeasible or unbounded LP."""
-    n = A.shape[1]
-    m = A.shape[0] - (2 * n - 1)
-    x0 = rng.normal(size=n) * 0.5
-    b = A @ x0 + rng.uniform(0.1, 1.5, size=A.shape[0])
-    c = rng.normal(size=n)
-    c[-1] = -rng.uniform(0.1, 2.0) if kind == "bounded" else rng.uniform(0.1, 2.0)
-    if kind == "infeasible":
-        b[m] = b[m + n - 1] = -1.0  # x_0 <= -1 and x_0 >= 1
-    return c, b
-
-
-@hypothesis.settings(max_examples=30, deadline=None)
-@hypothesis.given(seed=st.integers(0, 2**32 - 1),
-                  n=st.integers(2, 4), m=st.integers(1, 8),
-                  kinds=st.lists(st.sampled_from(["bounded", "infeasible", "unbounded"]),
-                                 min_size=1, max_size=6))
-def test_batch_member_matches_solo_solve(seed, n, m, kinds):
-    rng = np.random.default_rng(seed)
-    A = shared_rows(rng, n, m)
-    members = [member(rng, A, kind) for kind in kinds]
-    C = np.array([c for c, _ in members])
-    B = np.array([b for _, b in members])
-    batch = ipm_lps(C, A, B)
-    assert len(batch) == len(kinds)
-    for (c, b), rep in zip(members, batch):
-        assert same_report(rep, ipm_lps(c, A, b)[0])
+from test_solver import same_report  # noqa: E402
 
 
 @hypothesis.settings(max_examples=30, deadline=None)
@@ -125,51 +82,6 @@ def test_per_problem_rows_member_matches_solo_solve(seed, n, m, zeros, kinds):
     capped = [k for k, r in enumerate(free) if r.status == Status.OPTIMAL and r.iterations > cap]
     assert capped and all(batch[k].iterations == cap and batch[k].status == Status.MAXITER
                           for k in capped)
-
-
-@hypothesis.settings(max_examples=30, deadline=None)
-@hypothesis.given(seed=st.integers(0, 2**32 - 1),
-                  n=st.integers(3, 5), m=st.integers(1, 8), p=st.integers(1, 2),
-                  kinds=st.lists(st.sampled_from(["bounded", "infeasible", "unbounded"]),
-                                 max_size=4))
-def test_equality_rows_member_matches_solo_solve(seed, n, m, p, kinds):
-    # The min-erosion LP's route: shared equality rows beside the shared
-    # inequality rows. The equality rows pass through one point x0, inside
-    # every member's inequality rows but an infeasible member's box, and
-    # leave x_last free, so e_last stays the unbounded members' ray. Every
-    # batch holds a bounded, an infeasible and an unbounded member. Each
-    # must equal its solo solve, at the full cap and with the cap one short
-    # of the slowest optimal member.
-    rng = np.random.default_rng(seed)
-    A = shared_rows(rng, n, m)
-    p = min(p, n - 2)
-    A_eq = np.hstack([rng.normal(size=(p, n - 1)), np.zeros((p, 1))])
-    x0 = rng.normal(size=n) * 0.5
-    b_eq = A_eq @ x0
-    kinds = ["bounded", "infeasible", "unbounded"] + kinds
-    C, B = [], []
-    for i in rng.permutation(len(kinds)):
-        c, _ = member(rng, A, kinds[i])
-        b = A @ x0 + rng.uniform(0.1, 1.5, size=A.shape[0])
-        if kinds[i] == "infeasible":
-            b[m] = b[m + n - 1] = -1.0  # x_0 <= -1 and x_0 >= 1
-        C.append(c)
-        B.append(b)
-    C, B = np.array(C), np.array(B)
-    free = [ipm_lps(c, A, b, A_eq, b_eq)[0] for c, b in zip(C, B)]
-    batch = ipm_lps(C, A, B, A_eq, b_eq)
-    assert len(batch) == len(kinds)
-    assert all(same_report(a, b) for a, b in zip(batch, free))
-    statuses = {r.status for r in free}
-    assert {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED} <= statuses
-    scale = 1.0 + max(np.max(np.abs(B)), np.max(np.abs(b_eq)))
-    assert all(np.max(np.abs(A_eq @ r.x - b_eq)) <= 1e-8 * scale
-               for r in free if r.status == Status.OPTIMAL)
-    cap = max(r.iterations for r in free if r.status == Status.OPTIMAL) - 1
-    with mock.patch.object(solver, "MAX_ITER", cap):
-        solo = [ipm_lps(c, A, b, A_eq, b_eq)[0] for c, b in zip(C, B)]
-        batch = ipm_lps(C, A, B, A_eq, b_eq)
-    assert all(same_report(a, b) for a, b in zip(batch, solo))
 
 
 def log_volume_rows(rng, k, extra):

@@ -1,4 +1,5 @@
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,20 +28,43 @@ def lp_max(c, A, b, A_eq=None, b_eq=None):
                        rep.kkt_residual, rep.iterations)
 
 
-def ipm_lps(C, A, B, A_eq=None, b_eq=None):
-    """max C[k].x s.t. A x <= B[k], A_eq x = b_eq for every row k, in one
-    interior-point loop at FEAS_TOL; a 1-D C or B serves every problem.
-    This keeps ``_ipm``'s per-problem bookkeeping under test on LPs."""
-    C, B = np.atleast_2d(np.asarray(C, dtype=float)), np.atleast_2d(np.asarray(B, dtype=float))
-    nb, n = max(len(C), len(B)), C.shape[1]
-    C, B = np.broadcast_to(C, (nb, n)), np.broadcast_to(B, (nb, B.shape[1]))
+def ipm_lp(c, A, b, A_eq=None, b_eq=None):
+    """max c.x s.t. A x <= b, A_eq x = b_eq in the interior-point loop at
+    FEAS_TOL, with the plain Newton step (no ``QpProblem`` split). This
+    keeps ``_ipm``'s own bookkeeping under test on LPs."""
+    c = np.asarray(c, dtype=float)
     if A_eq is None:
-        A_eq, b_eq = np.zeros((0, n)), np.zeros(0)
-    outcomes = solver._ipm(np.zeros((n, n)), -C, np.asarray(A_eq, dtype=float),
-                           np.asarray(b_eq, dtype=float), np.asarray(A, dtype=float), B,
-                           solver.FEAS_TOL)
-    return [SolveReport(st, x, c @ x if st == Status.OPTIMAL else None, kkt, it)
-            for (st, x, kkt, it), c in zip(outcomes, C)]
+        A_eq, b_eq = np.zeros((0, len(c))), np.zeros(0)
+    st, x, kkt, it = solver._ipm(np.zeros((len(c), len(c))), -c, np.asarray(A_eq, dtype=float),
+                                 np.asarray(b_eq, dtype=float), np.asarray(A, dtype=float),
+                                 np.asarray(b, dtype=float), solver.FEAS_TOL)
+    return SolveReport(st, x, c @ x if st == Status.OPTIMAL else None, kkt, it)
+
+
+def shared_rows(rng, n, m):
+    """Random rows, a box on every coordinate but the last, and a lower
+    bound on x_last.
+
+    The random rows never bound x_last from above, so e_last is a
+    recession direction: an objective rising along it is unbounded.
+    """
+    R = rng.normal(size=(m, n))
+    R[:, -1] = -np.abs(R[:, -1])
+    eye = np.eye(n)
+    return np.vstack([R, eye[:-1], -eye])
+
+
+def member(rng, A, kind):
+    """Objective and offsets of one bounded, infeasible or unbounded LP."""
+    n = A.shape[1]
+    m = A.shape[0] - (2 * n - 1)
+    x0 = rng.normal(size=n) * 0.5
+    b = A @ x0 + rng.uniform(0.1, 1.5, size=A.shape[0])
+    c = rng.normal(size=n)
+    c[-1] = -rng.uniform(0.1, 2.0) if kind == "bounded" else rng.uniform(0.1, 2.0)
+    if kind == "infeasible":
+        b[m] = b[m + n - 1] = -1.0  # x_0 <= -1 and x_0 >= 1
+    return c, b
 
 
 class TestLp:
@@ -209,45 +233,77 @@ def same_report(a, b):
 
 
 class TestLpBatch:
+    """``_ipm``'s bookkeeping, one LP per call: statuses, the retries of a
+    singular Newton matrix and the iteration cap."""
+
     def test_mixed_statuses_match_solo(self):
-        # x_0 in [-b_1, b_0], x_1 >= -b_2 and unbounded above: a batch with
-        # an optimal, an infeasible and two unbounded members, in both
-        # orders, each bit-identical to its own solve. The last member's
-        # unit start slack exceeds b_2, and it runs to the iteration cap
-        # before the recession LP classifies it.
+        # x_0 in [-b_1, b_0], x_1 >= -b_2 and unbounded above: an optimal,
+        # an infeasible and two unbounded LPs. The last one's unit start
+        # slack exceeds b_2; it diverges as the third does before the
+        # recession LP classifies it.
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
         C = np.array([[0.5, -1.0], [0.5, 1.0], [0.5, 1.0], [0.5, 1.0]])
         B = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.3]])
-        solo = [ipm_lps(c, A, b)[0] for c, b in zip(C, B)]
-        assert [r.status for r in solo[:3]] == [Status.OPTIMAL, Status.INFEASIBLE,
-                                                Status.UNBOUNDED]
-        for order in (slice(None), slice(None, None, -1)):
-            batch = ipm_lps(C[order], A, B[order])
-            assert all(same_report(a, b) for a, b in zip(batch, solo[order]))
+        reps = [ipm_lp(c, A, b) for c, b in zip(C, B)]
+        assert [r.status for r in reps] == [Status.OPTIMAL, Status.INFEASIBLE,
+                                            Status.UNBOUNDED, Status.UNBOUNDED]
+        assert reps[0].objective == pytest.approx(1.5, abs=1e-7)
+        assert all(r.x is None for r in reps[1:])
+        assert all(r.iterations < solver.MAX_ITER for r in reps)
 
-    def test_shared_objective_or_offsets(self):
-        A, b = box_rows(2, 1.0)
-        C = np.array([[1.0, 0.5], [-0.3, 2.0]])
-        batch = ipm_lps(C, A, b)
-        assert all(same_report(r, ipm_lps(c, A, b)[0]) for r, c in zip(batch, C))
-        B = np.array([b, 2.0 * b])
-        batch = ipm_lps(C[0], A, B)
-        assert all(same_report(r, ipm_lps(C[0], A, bk)[0])
-                   for r, bk in zip(batch, B))
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 5), m=st.integers(1, 8),
+           p=st.integers(1, 2),
+           kinds=st.lists(st.sampled_from(["bounded", "infeasible", "unbounded"]), max_size=4))
+    def test_equality_rows_random_statuses(self, seed, n, m, p, kinds):
+        # The min-erosion LP's route: equality rows beside the inequality
+        # rows. The equality rows pass through one point x0, inside every
+        # LP's inequality rows but an infeasible LP's box, and leave x_last
+        # free, so e_last stays the unbounded LPs' ray. Each draw holds a
+        # bounded, an infeasible and an unbounded LP. With the cap one short
+        # of the slowest optimal LP, that one ends MAXITER at the cap.
+        rng = np.random.default_rng(seed)
+        A = shared_rows(rng, n, m)
+        p = min(p, n - 2)
+        A_eq = np.hstack([rng.normal(size=(p, n - 1)), np.zeros((p, 1))])
+        x0 = rng.normal(size=n) * 0.5
+        b_eq = A_eq @ x0
+        kinds = ["bounded", "infeasible", "unbounded"] + kinds
+        C, B = [], []
+        for i in rng.permutation(len(kinds)):
+            c, _ = member(rng, A, kinds[i])
+            b = A @ x0 + rng.uniform(0.1, 1.5, size=A.shape[0])
+            if kinds[i] == "infeasible":
+                b[m] = b[m + n - 1] = -1.0  # x_0 <= -1 and x_0 >= 1
+            C.append(c)
+            B.append(b)
+        free = [ipm_lp(c, A, b, A_eq, b_eq) for c, b in zip(C, B)]
+        statuses = {r.status for r in free}
+        assert {Status.OPTIMAL, Status.INFEASIBLE, Status.UNBOUNDED} <= statuses
+        scale = 1.0 + max(np.max(np.abs(B)), np.max(np.abs(b_eq)))
+        assert all(np.max(np.abs(A_eq @ r.x - b_eq)) <= 1e-8 * scale
+                   for r in free if r.status == Status.OPTIMAL)
+        cap = max(r.iterations for r in free if r.status == Status.OPTIMAL) - 1
+        with mock.patch.object(solver, "MAX_ITER", cap):
+            capped = [ipm_lp(c, A, b, A_eq, b_eq) for c, b in zip(C, B)]
+        slow = [k for k, r in enumerate(free) if r.status == Status.OPTIMAL and r.iterations > cap]
+        assert slow and all(capped[k].status == Status.MAXITER and capped[k].iterations == cap
+                            for k in slow)
 
     def test_singular_kkt_retried_per_member(self):
         # Both rows lie along (1, 1), so the Newton matrix is a multiple of
         # [[1, 1], [1, 1]] of size 1e20 and a ridge of 1e-12 * scale_d is
-        # lost in rounding: members 0 and 2 stay singular through every
-        # retry and go to classification. Member 1's objective scales its
-        # ridge to 1e18, which is not lost.
+        # lost in rounding: LPs 0 and 2 stay singular through every retry
+        # and go to classification after their first check, bounded and
+        # feasible, so MAXITER. LP 1's objective scales its ridge to 1e18,
+        # which is not lost.
         A = np.array([[1e10, 1e10], [-1e10, -1e10]])
         C = np.array([[1.0, 1.0], [1e30, 1e30], [1.0, 1.0]])
         B = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
-        solo = [ipm_lps(c, A, b)[0] for c, b in zip(C, B)]
-        assert solo[1].status == Status.OPTIMAL
-        batch = ipm_lps(C, A, B)
-        assert all(same_report(a, b) for a, b in zip(batch, solo))
+        reps = [ipm_lp(c, A, b) for c, b in zip(C, B)]
+        assert [r.status for r in reps] == [Status.MAXITER, Status.OPTIMAL, Status.MAXITER]
+        assert reps[0].iterations == reps[2].iterations == 1
+        assert reps[1].iterations > 1
 
     def test_singular_newton_retried_with_eliminated_variable(self, monkeypatch):
         # A QP on the rows of the test above, scaled to 1e5, plus a third
@@ -274,7 +330,7 @@ class TestLpBatch:
 
         monkeypatch.setattr(solver._Newton, "solve", counting)
         monkeypatch.setattr(solver._Newton, "matrix",
-                            lambda self, H, G, d, reg: built.append(reg[0])
+                            lambda self, H, G, d, reg: built.append(reg)
                             or matrix(self, H, G, d, reg))
         rep = solve_qp(p, [-10.0, -10.0, 2.0], np.ones(4))
         assert solves[0] is False  # the first Newton solve fails
@@ -285,23 +341,26 @@ class TestLpBatch:
         assert a * (rep.x[0] + rep.x[1]) == pytest.approx(1.0, abs=1e-6)
 
     def test_iteration_cap_stays_with_its_member(self, monkeypatch):
+        # With the cap one short of the slowest LP, that one ends MAXITER
+        # after exactly the cap's checks, and every other LP, faster, keeps
+        # its report.
         rng = np.random.default_rng(3)
         n = 3
         A = np.vstack([rng.normal(size=(6, n)), np.eye(n), -np.eye(n)])
         B = np.array([A @ (rng.normal(size=n) * 0.3) + rng.uniform(0.05, 1.5, size=A.shape[0])
                       for _ in range(5)])
         C = rng.normal(size=(5, n))
-        solo = [ipm_lps(c, A, b)[0] for c, b in zip(C, B)]
-        its = [r.iterations for r in solo]
+        free = [ipm_lp(c, A, b) for c, b in zip(C, B)]
+        its = [r.iterations for r in free]
         slow = int(np.argmax(its))
-        assert sorted(its)[-2] < its[slow]  # one member needs the most iterations
+        assert sorted(its)[-2] < its[slow]  # one LP needs the most iterations
         monkeypatch.setattr(solver, "MAX_ITER", its[slow] - 1)
-        batch = ipm_lps(C, A, B)
-        assert [r.status for r in batch] == [
+        capped = [ipm_lp(c, A, b) for c, b in zip(C, B)]
+        assert [r.status for r in capped] == [
             Status.MAXITER if k == slow else Status.OPTIMAL for k in range(len(its))]
-        assert batch[slow].iterations == its[slow] - 1
-        assert same_report(batch[slow], ipm_lps(C[slow], A, B[slow])[0])
-        assert all(same_report(r, solo[k]) for k, r in enumerate(batch) if k != slow)
+        assert capped[slow].iterations == its[slow] - 1
+        assert capped[slow].x is not None
+        assert all(same_report(r, free[k]) for k, r in enumerate(capped) if k != slow)
 
 
 def simplex_lp(rng, n, m, zeros=0):
@@ -417,23 +476,23 @@ class TestNewtonStep:
     @pytest.mark.parametrize("ns, p", [(0, 0), (4, 0), (5, 2), (3, 1)])
     def test_eliminated_solve_matches_dense_solve(self, ns, p):
         rng = np.random.default_rng(10 * ns + p)
-        nu, nb = 4, 3
+        nu = 4
         for _ in range(5):
             H, A, G = structured_qp(rng, nu, ns, p)
             n, m = H.shape[0], G.shape[0]
             newton = solver._Newton(H, A, G)
             assert newton.S.tolist() == list(range(nu, n))
-            d = rng.uniform(0.1, 10.0, size=(nb, m))
-            reg = 1e-12 * rng.uniform(1.0, 10.0, nb)
-            rhs = rng.normal(size=(nb, n + p))
-            fac = newton.matrix(H, G, d, reg)
-            assert fac[0].shape[-1] == nu + p  # the factorized matrix is U's
-            sol = newton.solve(fac, rhs)
-            for k in range(nb):
-                dense = np.block([[H + G.T @ np.diag(d[k]) @ G + reg[k] * np.eye(n), A.T],
-                                  [A, -reg[k] * np.eye(p)]])
-                want = np.linalg.solve(dense, rhs[k])
-                assert np.linalg.norm(sol[k] - want) <= 1e-12 * np.linalg.norm(want)
+            for _ in range(3):
+                d = rng.uniform(0.1, 10.0, size=m)
+                reg = 1e-12 * rng.uniform(1.0, 10.0)
+                rhs = rng.normal(size=n + p)
+                fac = newton.matrix(H, G, d, reg)
+                assert fac[0].shape == (nu + p, nu + p)  # the factorized matrix is U's
+                sol = newton.solve(fac, rhs)
+                dense = np.block([[H + G.T @ np.diag(d) @ G + reg * np.eye(n), A.T],
+                                  [A, -reg * np.eye(p)]])
+                want = np.linalg.solve(dense, rhs)
+                assert np.linalg.norm(sol - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_without_eliminated_variables_step_is_plain_solve(self):
         # Dense rows on every variable: S is empty and the step is the plain
@@ -445,11 +504,11 @@ class TestNewtonStep:
         A = np.zeros((0, n))
         newton = solver._Newton(H, A, G)
         assert newton.S.size == 0
-        d, reg, rhs = rng.uniform(0.1, 10.0, (2, m)), np.full(2, 1e-12), rng.normal(size=(2, n))
+        d, reg, rhs = rng.uniform(0.1, 10.0, m), 1e-12, rng.normal(size=n)
         (K,) = fac = newton.matrix(H, G, d, reg)
-        M = H + np.matmul(G.T, d[:, :, None] * G) + reg[:, None, None] * np.eye(n)
+        M = H + G.T @ (d[:, None] * G) + reg * np.eye(n)
         assert K.tobytes() == M.tobytes()
-        want = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+        want = np.linalg.solve(M, rhs)
         assert newton.solve(fac, rhs).tobytes() == want.tobytes()
 
     def test_split_rules(self):
@@ -482,7 +541,7 @@ class TestNewtonStep:
         # the other is padded. Without equality rows, a Hessian block on
         # theta keeps theta out of the blocks (a QP).
         rng = np.random.default_rng(len(bound))
-        n_th, size, nb = 5, 3, 3
+        n_th, size = 5, 3
         n_a, n_b = size * len(bound), max(bound) + 1
         runs = np.zeros((len(bound), n_a + n_b))
         runs[np.arange(n_a) // size, np.arange(n_a)] = 1.0
@@ -502,21 +561,17 @@ class TestNewtonStep:
         assert newton.S.tolist() == list(range(n_th, n))
         sizes = Counter((np.bincount(bound) * size + 1).tolist())  # a bound's a, and b
         assert {cols.shape[1]: len(cols) for cols, *_ in newton._groups} == sizes
-        for _ in range(5):
-            d = np.exp(rng.uniform(-8.0, 8.0, size=(nb, m)))
-            reg = 1e-12 * rng.uniform(1.0, 10.0, nb)
-            rhs = rng.normal(size=(nb, n + p))
+        for _ in range(15):
+            d = np.exp(rng.uniform(-8.0, 8.0, size=m))
+            reg = 1e-12 * rng.uniform(1.0, 10.0)
+            rhs = rng.normal(size=n + p)
             fac = newton.matrix(H, G, d, reg)
-            assert fac[0].shape[-1] == n_th + p
+            assert fac[0].shape == (n_th + p, n_th + p)
             sol = newton.solve(fac, rhs)
-            for k in range(nb):
-                dense = np.block([[H + G.T @ np.diag(d[k]) @ G + reg[k] * np.eye(n), A.T],
-                                  [A, -reg[k] * np.eye(p)]])
-                want = np.linalg.solve(dense, rhs[k])
-                assert np.linalg.norm(sol[k] - want) <= 1e-10 * np.linalg.norm(want)
-                one = slice(k, k + 1)
-                alone = newton.solve(newton.matrix(H, G, d[one], reg[one]), rhs[one])
-                assert alone.tobytes() == sol[one].tobytes()  # the batch leaves no trace
+            dense = np.block([[H + G.T @ np.diag(d) @ G + reg * np.eye(n), A.T],
+                              [A, -reg * np.eye(p)]])
+            want = np.linalg.solve(dense, rhs)
+            assert np.linalg.norm(sol - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_diagonal_box_qp_eliminates_every_variable(self):
         # Every variable is eliminated, so the factorized matrix is empty;

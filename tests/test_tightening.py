@@ -252,8 +252,8 @@ class TestTighteningGains:
                 newton = lp._newton
                 assert newton.S.size == 87
                 assert sorted(cols.shape for cols, *_ in newton._groups) == [(3, 17), (4, 9)]
-                d = np.ones((1, len(lp.A_in)))
-                assert newton.matrix(lp.H, lp.A_in, d, np.ones(1))[0].shape == (1, 48, 48)
+                d = np.ones(len(lp.A_in))
+                assert newton.matrix(lp.H, lp.A_in, d, 1.0)[0].shape == (48, 48)
             problems.clear()
             objective, deadbeat_residual = deadbeat_erosion(A, B, thetas)
             assert deadbeat_residual <= 1e-8

@@ -609,6 +609,43 @@ class TestConstructCp:
         assert res.degenerate_coords[0] == []
         assert box_slack(pp, res.box(1)) >= 0.0
 
+    @pytest.mark.parametrize("method", [CP1, CP2])
+    def test_box_a_rounding_step_past_a_row_is_fitted(self, method, reference_rows,
+                                                      monkeypatch):
+        # Each nonzero report of the log-volume loop is scaled out until its
+        # tightest row holds with equality, then by an ulp at a time until
+        # its box ends a rounding step past that row. The schedule fits
+        # every box into its rows: slack >= 0 exactly, and the degenerate
+        # coordinates stay the reports' zero widths.
+        G, D = reference_rows
+        batch, outside, zeros = solver.maximize_log_volume_batch, [], []
+
+        def past(W, d, mode):
+            reports = []
+            for rep, di in zip(batch(W, d, mode), d):
+                x = rep.x
+                if x.any():
+                    prof = W @ x
+                    on = prof > 0.0
+                    x = x * np.min(di[on] / prof[on])
+                    while np.min(di - W @ x) >= 0.0:
+                        x = x * (1.0 + np.finfo(float).eps)
+                    outside.append(x)
+                zeros.append(x == 0.0)
+                reports.append(solver.SolveReport(rep.status, x, rep.objective,
+                                                  rep.kkt_residual, rep.iterations))
+            return reports
+
+        monkeypatch.setattr(solver, "maximize_log_volume_batch", past)
+        res = construct_boxes(G, D, method)
+        assert len(outside) >= 4  # the nonzero boxes, every one past a row
+        k = G.shape[1]
+        for j, (pp, box, zero) in enumerate(zip(res.principals, res.boxes, zeros), start=1):
+            assert box_slack(pp, box) >= 0.0
+            vbar, vund = zero[:k], zero[k:]
+            want = vbar & vund if method == CP1 else vbar | vund
+            assert res.degenerate_coords[j - 1] == np.flatnonzero(want).tolist()
+
 
 # Principal rows with a coordinate of tiny side (test_lp1_centres_a_coordinate_of_tiny_side).
 TINY_SIDE_G = np.array([[-1.3874116639274961e-01, 1.3393228222008282e-02,
